@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import EvaluationMethod, ExtendedAppellInput, f1pv, f1pv_integral, f1pv_series
+from .f1pv import _AUTO_SERIES_LIMIT, EvaluationMethod, ExtendedAppellInput, f1pv
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import GSpec, meijer_g
 from .mellin import (
@@ -23,7 +21,7 @@ from .mellin import (
     mellin_forward_closed,
     mellin_inverse_numeric,
 )
-from .quadrature import QuadratureConfig, default_config
+from .quadrature import default_config
 from .report import write_report
 from .scalar import is_nonpositive_integer
 from .suites import SUITES, run_suite, summarize
@@ -134,7 +132,8 @@ def _cmd_eval(args) -> int:
         ap = AppellParams(b1, b2, b3, c1, x, y)
         route = args.route
         if route == "auto":
-            route = "series" if abs(ap.x) <= 0.9 and abs(ap.y) <= 0.9 else "integral"
+            near = abs(ap.x) <= _AUTO_SERIES_LIMIT and abs(ap.y) <= _AUTO_SERIES_LIMIT
+            route = "series" if near else "integral"
         value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, cfg)
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":
@@ -147,9 +146,8 @@ def _cmd_eval(args) -> int:
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
                                   ExtensionParams(p, nu.real))
         method = EvaluationMethod(route=args.route, tol=args.tol or 1e-12)
-        route = method.resolve(inp)
-        value = f1pv_series(inp, method, cfg) if route == "series" else f1pv_integral(inp, cfg)
-        trace = f"extended Appell, route={route}"
+        value = f1pv(inp, method, cfg)
+        trace = f"extended Appell, route={method.resolve(inp)}"
     elif fn == "bessel_k":
         nu, z = _need(params, _REQUIRED[fn])
         value = bessel_k(nu.real, z)
@@ -204,6 +202,11 @@ _GOLDEN_PARAM_SETS = (
 def _cmd_golden(args) -> int:
     from .oracles import bruteforce_f1pv
 
+    try:  # fail before the oracle work, not after it
+        with open(args.out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise DomainError(f"cannot write golden file to {args.out}: {exc}") from exc
     panels = 2_000_000 if args.resolution == "high" else 200_000
     terms = 160
     oracle_tag = f"midpoint-rule panels={panels} + double sum terms={terms}"

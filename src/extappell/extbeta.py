@@ -13,10 +13,12 @@ expression with the exponential part of K folded in (the scaled Bessel
 variant), and are treated as exactly zero once the governing exponent
 drops below the quadrature config's ``endpoint_cutoff``.
 
-``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for consecutive k
-while computing kernel values on the quadrature nodes only once; the
-extended Appell series leans on it, since its double series needs one
-extended-Beta value per diagonal m + n = k.
+``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
+as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
+the rows t^k g(t) are integrated together on shared tanh-sinh nodes, so
+the kernel is evaluated once for all k.  The extended Appell series leans
+on it, since its double series needs one extended-Beta value per
+diagonal m + n = k.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .quadrature import QuadratureConfig, default_config, integrate_unit_interva
 # kernel values are cached for Re(w) up to cutoff + this slack; nodes beyond
 # it only matter for extreme parameter magnitudes and are filled on demand
 _KERNEL_SLACK = 400.0
+# moments integrated by a family's first stack; each later stack doubles it
+_FIRST_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,14 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
     return integrand
 
 
+def _exponents(x: complex, y: complex, kernel: ExtendedBetaKernel):
+    """Powers x - 3/2 and y - 3/2 of t and 1-t; real when x, y and p are."""
+    x, y = complex(x), complex(y)
+    if x.imag == 0.0 and y.imag == 0.0 and kernel._p_is_real:
+        return x.real - 1.5, y.real - 1.5
+    return x - 1.5, y - 1.5
+
+
 def extended_beta(
     x: complex,
     y: complex,
@@ -137,11 +149,7 @@ def extended_beta(
     """
     cfg = cfg or default_config()
     kernel = kernel or ExtendedBetaKernel(ext, cfg)
-    x, y = complex(x), complex(y)
-    if x.imag == 0.0 and y.imag == 0.0 and kernel._p_is_real:
-        xt, yt = x.real - 1.5, y.real - 1.5
-    else:
-        xt, yt = x - 1.5, y - 1.5
+    xt, yt = _exponents(x, y, kernel)
     res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), cfg)
     if not res.converged:
         raise ConvergenceError(
@@ -183,7 +191,20 @@ def chaudhry_beta(
 
 
 class ExtendedBetaFamily:
-    """B_{p,nu}(a + k, b) over consecutive integers k with one shared kernel."""
+    """B_{p,nu}(a + k, b) for k = 0, 1, 2, ... with one shared kernel.
+
+    D(k) = sqrt(2p/pi) int_0^1 t^k g(t) dt, with g the fused integrand of
+    B_{p,nu}(a, b).  The rows t^k g(t), k < K, are integrated as one stack
+    on the same tanh-sinh levels, each row held to the test that
+    ``extended_beta`` applies to one value.  A k beyond the stack
+    integrates a stack twice as tall; it holds the old rows, so it stops
+    at no lower level.  Values once returned are kept.
+
+    Raises
+    ------
+    ConvergenceError
+        If some row fails its test within the level budget.
+    """
 
     def __init__(
         self,
@@ -197,12 +218,26 @@ class ExtendedBetaFamily:
         self.ext = ext
         self.cfg = cfg or default_config()
         self.kernel = ExtendedBetaKernel(ext, self.cfg)
-        self._vals: list[complex] = []
+        self._vals = np.zeros(0, dtype=complex)
 
     def value(self, k: int) -> complex:
-        while len(self._vals) <= k:
-            j = len(self._vals)
-            self._vals.append(
-                extended_beta(self.a + j, self.b, self.ext, self.cfg, self.kernel)
+        if k >= self._vals.size:
+            self._integrate(max(2 * self._vals.size, k + 1, _FIRST_ROWS))
+        return complex(self._vals[k])
+
+    def _integrate(self, rows: int) -> None:
+        xt, yt = _exponents(self.a, self.b, self.kernel)
+        g = _fused_kernel_integrand(xt, yt, self.kernel)
+
+        def moments(t, tc):
+            # row k is g t^k
+            factors = np.vstack([g(t, tc), np.broadcast_to(t, (rows - 1, t.size))])
+            return np.cumprod(factors, axis=0)
+
+        res = integrate_unit_interval(moments, self.cfg)
+        if not res.converged:
+            raise ConvergenceError(
+                f"extended Beta moments stalled at error {res.abs_error_estimate:g}"
             )
-        return self._vals[k]
+        vals = cmath.sqrt(2.0 * self.ext.p / cmath.pi) * res.value
+        self._vals = np.concatenate([self._vals, vals[self._vals.size:]])

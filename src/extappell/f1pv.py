@@ -7,17 +7,16 @@ Series route (|x| < 1, |y| < 1):
                   * x^m y^n / (m! n!),
 
 where the extended-Beta factor depends on (m, n) only through the
-diagonal k = m + n and is computed once per k.  Integral route
-(Re(c1) > Re(b1) > 0):
+diagonal k = m + n: the series is sum_k c_k B_{p,nu}(b1+k, c1-b1) /
+B(b1, c1-b1), every diagonal value a moment of one kernel integrand.
+Integral route (Re(c1) > Re(b1) > 0):
 
     Gamma(c1)/(Gamma(b1) Gamma(c1-b1)) * sqrt(2p/pi) *
     int_0^1 t^(b1-3/2) (1-t)^(c1-b1-3/2) (1-xt)^(-b2) (1-yt)^(-b3)
             K_{nu+1/2}(p/(t(1-t))) dt.
 
 The power factors pair (b2 with x) and (b3 with y) so that binomial
-expansion of the integrand reproduces the series exactly; the
-``swap_power_pairing`` flag exposes the variant with the exponents
-interchanged for documentation purposes.
+expansion of the integrand reproduces the series exactly.
 
 On top of the two routes: the Moebius transformation identity in
 (x, y), derivatives of any order via parameter shifts, recursions in
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +35,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtendedBetaFamily, ExtendedBetaKernel, ExtensionParams, _fused_kernel_integrand
 from .hyper import (
     AppellParams,
+    _check_cut,
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
@@ -81,11 +80,19 @@ class EvaluationMethod:
         return "integral"
 
 
-def _series_prefactor(a: AppellParams) -> complex:
+def _series_diagonal(a: AppellParams, ext: ExtensionParams, cfg):
+    """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family."""
     b0 = beta(a.b1, a.c1 - a.b1)
     if b0 == 0:
         raise PoleError("B(b1, c1-b1) vanishes; series prefactor pole", (a.b1, a.c1))
-    return b0
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, cfg)
+    return lambda k: fam.value(k) / b0
+
+
+def _diagonal_sum(diag, a: AppellParams, method: EvaluationMethod) -> complex:
+    return block_double_sum(
+        diag, a.b2, a.b3, a.x, a.y, method.tol, method.max_terms or default_max_terms()
+    )
 
 
 def f1pv_series(
@@ -99,38 +106,15 @@ def f1pv_series(
         raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
     if abs(a.y) >= 1.0:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
-    method = method or EvaluationMethod()
-    b0 = _series_prefactor(a)
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, cfg)
-    return block_double_sum(
-        lambda k: fam.value(k) / b0,
-        a.b2,
-        a.b3,
-        a.x,
-        a.y,
-        method.tol,
-        method.max_terms or default_max_terms(),
-    )
-
-
-def _check_cut(v: complex, name: str):
-    v = complex(v)
-    if v.imag == 0.0 and v.real >= 1.0:
-        raise DomainError(f"{name} on the branch cut [1, inf): {v}")
+    return _diagonal_sum(_series_diagonal(a, inp.ext, cfg), a, method or EvaluationMethod())
 
 
 def f1pv_integral(
     inp: ExtendedAppellInput,
     cfg: QuadratureConfig | None = None,
     kernel: ExtendedBetaKernel | None = None,
-    swap_power_pairing: bool = False,
 ) -> complex:
-    """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf).
-
-    ``swap_power_pairing`` evaluates the variant with (1-xt)^(-b3)
-    (1-yt)^(-b2) instead; it does not match the series route unless
-    b2 = b3 and exists only to document the alternative convention.
-    """
+    """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf)."""
     a, ext = inp.appell, inp.ext
     if not (a.c1.real > a.b1.real > 0.0):
         raise DomainError(
@@ -140,17 +124,16 @@ def f1pv_integral(
     _check_cut(a.y, "y")
     cfg = cfg or default_config()
     kernel = kernel or ExtendedBetaKernel(ext, cfg)
-    e2, e3 = (a.b3, a.b2) if swap_power_pairing else (a.b2, a.b3)
 
     real_case = all(
-        v.imag == 0.0 for v in (a.b1, a.c1, e2, e3, a.x, a.y)
+        v.imag == 0.0 for v in (a.b1, a.c1, a.b2, a.b3, a.x, a.y)
     ) and kernel._p_is_real
     if real_case:
         xt, yt = a.b1.real - 1.5, (a.c1 - a.b1).real - 1.5
-        p2, p3, xv, yv = e2.real, e3.real, a.x.real, a.y.real
+        p2, p3, xv, yv = a.b2.real, a.b3.real, a.x.real, a.y.real
     else:
         xt, yt = a.b1 - 1.5, a.c1 - a.b1 - 1.5
-        p2, p3, xv, yv = e2, e3, a.x, a.y
+        p2, p3, xv, yv = a.b2, a.b3, a.x, a.y
 
     def power_terms(t, tc):
         return -p2 * np.log((1.0 - xv) + xv * tc) - p3 * np.log((1.0 - yv) + yv * tc)
@@ -242,24 +225,14 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool, method, cfg) -> co
     var = a.x if on_b2 else a.y
     if var == 0:
         return base
-    # all shifted terms share (b1+1, c1+1): reuse one extended-Beta family
-    b0 = beta(a.b1 + 1.0, a.c1 - a.b1)
-    fam = ExtendedBetaFamily(a.b1 + 1.0, a.c1 - a.b1, inp.ext, cfg)
-    total = 0.0 + 0.0j
-    for ell in range(1, n + 1):
-        if on_b2:
-            shifted = AppellParams(a.b1 + 1, a.b2 + ell, a.b3, a.c1 + 1, a.x, a.y)
-        else:
-            shifted = AppellParams(a.b1 + 1, a.b2, a.b3 + ell, a.c1 + 1, a.x, a.y)
-        total += block_double_sum(
-            lambda k: fam.value(k) / b0,
-            shifted.b2,
-            shifted.b3,
-            shifted.x,
-            shifted.y,
-            method.tol,
-            method.max_terms or default_max_terms(),
-        )
+    d2, d3 = (1, 0) if on_b2 else (0, 1)
+
+    def shifted(ell: int) -> AppellParams:
+        return AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
+
+    # all shifted terms share (b1+1, c1+1), hence one diagonal
+    diag = _series_diagonal(shifted(0), inp.ext, cfg)
+    total = sum(_diagonal_sum(diag, shifted(ell), method) for ell in range(1, n + 1))
     return base + a.b1 * var / a.c1 * total
 
 

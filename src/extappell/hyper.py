@@ -4,16 +4,16 @@ Generalized pFq series with unit-circle convergence classification, Gauss
 2F1 as a thin wrapper, and the first Appell two-variable function F1 both
 as a double power series and as its Euler-type integral.
 
-The double series is summed over square blocks: block M adds the terms
-with max(m, n) = M, and summation stops once the largest term on that
-boundary stays below tolerance for three consecutive blocks (guards
-against accidental zeros when parameters make individual terms vanish).
+The double series is summed along its diagonals m + n = k, as
+sum_k c_k diag(k) with c_k the convolution of the two Pochhammer ladders;
+summation stops once three consecutive diagonal terms stay below
+tolerance (guards against accidental zeros when parameters make
+individual terms vanish).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +25,8 @@ from .quadrature import QuadratureConfig, default_config, integrate_unit_interva
 from .scalar import beta, is_nonpositive_integer, log_gamma
 
 _ENV_MAX_TERMS = "APPELL_MAX_TERMS"
+# diagonal coefficients computed up front; a longer sum doubles them
+_FIRST_DIAGONALS = 32
 
 
 def default_max_terms() -> int:
@@ -165,39 +167,34 @@ class _PowerLadder:
         v = self.vals
         while len(v) <= m:
             k = len(v)
-            v.append(v[k - 1] * (self.b + k - 1) * self.x / k)
+            v.append(v[k - 1] * (self.b + (k - 1)) * self.x / k)
         return np.asarray(v[: m + 1])
 
 
 def block_double_sum(diag, b2, b3, x, y, tol: float, max_blocks: int) -> complex:
-    """Square-block summation of sum_{m,n} diag(m+n) (b2)_m (b3)_n x^m y^n / (m! n!).
+    """sum_{m,n} diag(m+n) (b2)_m (b3)_n x^m y^n / (m! n!) along the diagonals.
 
-    ``diag(k)`` supplies the diagonal coefficient; it is called with
-    consecutive k as blocks grow, so callers can memoize cheaply.
+    The sum is sum_k c_k diag(k), c_k from ``f1_diagonal_coefficients``;
+    ``diag(k)`` is called once for each k = 0, 1, 2, ... in turn, so
+    callers can memoize cheaply.  Stops after three consecutive terms
+    with |c_k diag(k)| <= tol |total|, at most ``max_blocks`` diagonals.
     """
-    r2 = _PowerLadder(b2, x)
-    r3 = _PowerLadder(b3, y)
-    dvals = [complex(diag(0))]
-    total = dvals[0]
+    coeffs = f1_diagonal_coefficients(b2, b3, x, y, _FIRST_DIAGONALS)
+    total = 0.0 + 0.0j
     small = 0
-    for M in range(1, max_blocks + 1):
-        while len(dvals) <= 2 * M:
-            dvals.append(complex(diag(len(dvals))))
-        d = np.asarray(dvals)
-        a2 = r2.upto(M)
-        a3 = r3.upto(M)
-        row = a2[M] * a3[: M + 1] * d[M : 2 * M + 1]
-        col = a2[:M] * a3[M] * d[M : 2 * M]
-        boundary_max = max(float(np.max(np.abs(row))), float(np.max(np.abs(col))))
-        total += complex(row.sum() + col.sum())
-        if boundary_max <= tol * max(abs(total), 1e-300):
+    for k in range(max_blocks):
+        if k == coeffs.size:
+            coeffs = f1_diagonal_coefficients(b2, b3, x, y, 2 * k)
+        term = coeffs[k] * complex(diag(k))
+        total += term
+        if abs(term) <= tol * abs(total):
             small += 1
             if small >= 3:
-                return total
+                return complex(total)
         else:
             small = 0
     raise ConvergenceError(
-        f"double series did not converge within {max_blocks}^2 terms"
+        f"double series did not converge within {max_blocks} diagonals"
     )
 
 

@@ -23,18 +23,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_k, bessel_k_scaled_many
+from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError
-from .extbeta import ExtendedBetaKernel
+from .extbeta import ExtendedBetaKernel, _fused_kernel_integrand
 from .f1pv import ExtendedAppellInput, f1pv_integral
 from .hyper import PFQParams, pfq
 from .quadrature import QuadratureConfig, default_config, integrate_unit_interval
 from .report import VerificationRecord, make_record
-from .scalar import gamma, log_gamma, principal_power
+from .scalar import log_gamma, principal_power
 
 _CASES = {
     "G2012": (2, 0, 1, 2),
@@ -344,41 +344,21 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
 def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float,
                      cfg: QuadratureConfig) -> complex:
     """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt."""
-    a, ext = inp.appell, inp.ext
-    kernel = ExtendedBetaKernel(ext, cfg)
-    cutoff = cfg.endpoint_cutoff
-    xt = a.b1 + mu_shift - 1.5
-    yt = a.c1 - a.b1 + mu_shift - 1.5
+    a = inp.appell
+    kernel = ExtendedBetaKernel(inp.ext, cfg)
 
-    def integrand(t, tc):
-        w = kernel.argument(t, tc)
-        kv = kernel.scaled_values(t, tc, w)
-        logw = np.log(w)
-        expo = (
-            xt * np.log(t)
-            + yt * np.log(tc)
+    def extra(t, tc):
+        # w^mu is evaluated at each node, not cancelled by hand: the mu
+        # cancellation is part of what the check exercises
+        return (
+            w_power * np.log(kernel.argument(t, tc))
             - a.b2 * np.log((1.0 - a.x) + a.x * tc)
             - a.b3 * np.log((1.0 - a.y) + a.y * tc)
-            - w
         )
-        total_re = (expo.real if np.iscomplexobj(expo) else expo) + w_power * (
-            logw.real if np.iscomplexobj(logw) else logw
-        )
-        live = total_re > -cutoff
-        out = np.zeros(t.shape, dtype=complex)
-        if not np.any(live):
-            return out
-        kv_live = kv[live]
-        missing = np.isnan(kv_live.real if np.iscomplexobj(kv_live) else kv_live)
-        if np.any(missing):
-            idx = np.flatnonzero(live)[missing]
-            kv_live = kv_live.copy()
-            kv_live[missing] = bessel_k_scaled_many(ext.order, w[idx])
-        # w^mu kept as an explicit per-node factor: the mu cancellation is
-        # part of what the check exercises
-        out[live] = np.exp(expo[live]) * np.exp(w_power * logw[live]) * kv_live
-        return out
 
+    integrand = _fused_kernel_integrand(
+        a.b1 + mu_shift - 1.5, a.c1 - a.b1 + mu_shift - 1.5, kernel, extra
+    )
     res = integrate_unit_interval(integrand, cfg)
     if not res.converged:
         raise ConvergenceError(

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .f1pv import ExtendedAppellInput
-from .hyper import AppellParams, appell_f1_series, f1_diagonal_coefficients
+from .hyper import AppellParams, appell_f1_series, block_double_sum, default_max_terms
 from .quadrature import (
     QuadratureConfig,
     default_config,
@@ -45,7 +44,6 @@ from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
 
 _SERIES_TOL = 1e-10
-_SMALL_STOP = 3
 
 
 def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
@@ -96,10 +94,9 @@ _P_LIMIT_FORM = 1e-12
 class _RadialEvaluator:
     """p^(s-1) F_{1,p,nu}(...) as a function of p > 0, parameters frozen.
 
-    Collapses the double series along diagonals, F = sum_k c_k D_p(k),
-    with the x,y-dependent coefficients c_k computed once and the
-    extended-Beta diagonal D_p(k) sharing one kernel per p.  Below
-    ``_P_LIMIT_FORM`` the p -> 0 limit of the kernel is used instead,
+    Sums F = sum_k c_k D_p(k) / B(b1, c1-b1) with ``block_double_sum``,
+    the extended-Beta diagonal D_p(k) coming from one family per p.
+    Below ``_P_LIMIT_FORM`` the p -> 0 limit of the kernel is used instead,
     B_{p,nu}(x, y) -> 2^nu Gamma(nu+1/2)/sqrt(pi) * p^-nu * B(x+nu, y+nu),
     whose relative error is dwarfed by the p^(s-nu) weight those abscissae
     carry in the transform.
@@ -111,45 +108,18 @@ class _RadialEvaluator:
         self.nu = nu
         self.cfg = cfg
         self.b0 = beta(appell.b1, appell.c1 - appell.b1)
-        self._coeffs = f1_diagonal_coefficients(
-            appell.b2, appell.b3, appell.x, appell.y, 64
-        )
         # beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
         self.p_dead = 0.26 * cfg.endpoint_cutoff + 30.0
         self._limit_const: complex | None = None
-
-    def _coeff(self, k: int) -> complex:
-        while k >= self._coeffs.size:
-            a = self.appell
-            self._coeffs = f1_diagonal_coefficients(
-                a.b2, a.b3, a.x, a.y, 2 * self._coeffs.size
-            )
-        return self._coeffs[k]
-
-    def _sum_diagonals(self, diag) -> complex:
-        total = 0.0 + 0.0j
-        small = 0
-        k = 0
-        while True:
-            term = self._coeff(k) * diag(k) / self.b0
-            total += term
-            if abs(term) <= _SERIES_TOL * max(abs(total), 1e-300):
-                small += 1
-                if small >= _SMALL_STOP:
-                    return total
-            else:
-                small = 0
-            k += 1
-            if k > 100_000:  # pragma: no cover
-                raise ConvergenceError("diagonal series did not converge")
 
     def _limit_coefficient(self) -> complex:
         """lim_{p->0} p^nu F_{1,p,nu}."""
         if self._limit_const is None:
             a, nu = self.appell, self.nu
             const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi)
-            self._limit_const = const * self._sum_diagonals(
-                lambda k: beta(a.b1 + nu + k, a.c1 - a.b1 + nu)
+            self._limit_const = const * block_double_sum(
+                lambda k: beta(a.b1 + nu + k, a.c1 - a.b1 + nu) / self.b0,
+                a.b2, a.b3, a.x, a.y, _SERIES_TOL, default_max_terms(),
             )
         return self._limit_const
 
@@ -161,7 +131,8 @@ class _RadialEvaluator:
             return cmath.exp((s - 1.0 - self.nu) * math.log(p)) * self._limit_coefficient()
         a = self.appell
         fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.cfg)
-        fv = self._sum_diagonals(fam.value)
+        fv = block_double_sum(lambda k: fam.value(k) / self.b0, a.b2, a.b3, a.x, a.y,
+                              _SERIES_TOL, default_max_terms())
         if fv == 0:
             return 0.0 + 0.0j
         return cmath.exp((s - 1.0) * math.log(p)) * fv

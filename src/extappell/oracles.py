@@ -4,8 +4,8 @@ Everything here deliberately avoids the adaptive machinery of the main
 modules: dense composite midpoint rules on a clipped interval and raw
 double sums, with the Bessel kernel in its closed half-odd-integer form
 (so the extension order nu must be a non-negative integer).  The CLI's
-golden-file generator and the regression tests compare the fast paths
-against these.
+golden-file generator writes these values, and the golden round-trip
+test compares the fast paths against them.
 """
 
 from __future__ import annotations
@@ -47,35 +47,6 @@ def _clip(p: float) -> float:
     return lo
 
 
-def midpoint_extended_beta(x: float, y: float, p: float, nu: float,
-                           panels: int = 200_000) -> float:
-    """B_{p,nu}(x, y) by a dense midpoint rule, closed-form kernel."""
-    k = _int_nu(nu)
-    eps = _clip(p)
-    t = np.linspace(eps, 1.0 - eps, panels + 1)
-    t = 0.5 * (t[1:] + t[:-1])
-    h = (1.0 - 2.0 * eps) / panels
-    w = p / (t * (1.0 - t))
-    vals = (
-        t ** (x - 1.5)
-        * (1.0 - t) ** (y - 1.5)
-        * np.exp(-w)
-        * _closed_k_scaled(k, w)
-    )
-    return math.sqrt(2.0 * p / math.pi) * float(vals.sum()) * h
-
-
-def midpoint_chaudhry_beta(x: float, y: float, p: float,
-                           panels: int = 200_000) -> float:
-    """B(x, y; p) by a dense midpoint rule."""
-    eps = _clip(p)
-    t = np.linspace(eps, 1.0 - eps, panels + 1)
-    t = 0.5 * (t[1:] + t[:-1])
-    h = (1.0 - 2.0 * eps) / panels
-    vals = t ** (x - 1.0) * (1.0 - t) ** (y - 1.0) * np.exp(-p / (t * (1.0 - t)))
-    return float(vals.sum()) * h
-
-
 def _ladder(b: float, v: float, n: int) -> np.ndarray:
     """(b)_m v^m / m! for m = 0..n."""
     out = np.empty(n + 1)
@@ -83,20 +54,6 @@ def _ladder(b: float, v: float, n: int) -> np.ndarray:
     for m in range(1, n + 1):
         out[m] = out[m - 1] * (b + m - 1.0) * v / m
     return out
-
-
-def bruteforce_appell_f1(b1, b2, b3, c1, x, y, terms: int = 400) -> float:
-    """Classical F1 by a raw terms x terms double sum."""
-    r2 = _ladder(b2, x, terms)
-    r3 = _ladder(b3, y, terms)
-    diag = np.empty(2 * terms + 1)
-    diag[0] = 1.0
-    for kk in range(1, 2 * terms + 1):
-        diag[kk] = diag[kk - 1] * (b1 + kk - 1.0) / (c1 + kk - 1.0)
-    total = 0.0
-    for m in range(terms + 1):
-        total += float(np.sum(r2[m] * r3 * diag[m : m + terms + 1]))
-    return total
 
 
 def bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu,

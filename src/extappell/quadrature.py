@@ -12,6 +12,9 @@ Integrands are vectorized callables: they receive NumPy arrays of nodes
 and must return an array of values (real or complex).  The unit-interval
 engine also hands the integrand the exact complement ``1 - t`` so that
 factors like ``(1-t)**(y-3/2)`` stay accurate next to the right endpoint.
+The tanh-sinh and exp-sinh engines also integrate a stack of integrands
+sharing the nodes: an integrand returning shape (rows, nodes) gets one
+value per row, and refinement goes on until every row passes the test.
 
 Node tables are computed once per refinement level and cached; engines
 are stateless apart from those immutable tables.
@@ -67,6 +70,8 @@ def default_config(target_rel_tol: float = 1e-10) -> QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """``value`` is an array, one entry per row, for a stacked integrand."""
+
     value: complex
     abs_error_estimate: float
     nodes_used: int
@@ -138,16 +143,27 @@ def _semi_level(level: int):
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
     # exact zeros from integrand cutoffs must not meet huge weights
     fvals = np.asarray(fvals)
-    if fvals.shape != w.shape:
+    if fvals.shape[-1:] != w.shape or fvals.ndim > 2:
         raise DomainError("integrand returned an array of the wrong shape")
     if np.any(~np.isfinite(fvals)):
         raise DomainError("non-finite integrand sample at an interior node")
     out = np.zeros(
         fvals.shape, dtype=complex if np.iscomplexobj(fvals) else float
     )
-    nz = fvals != 0
-    out[nz] = fvals[nz] * w[nz]
+    np.multiply(fvals, w, out=out, where=fvals != 0)
     return out
+
+
+def _row_sums(weighted: np.ndarray):
+    """Sum over the nodes: a complex, or one complex per row of a stack."""
+    if weighted.ndim == 2:
+        return weighted.sum(axis=1).astype(complex)
+    return complex(weighted.sum())
+
+
+def _every(passed) -> bool:
+    """A test's verdict: for a stack, every row must pass."""
+    return passed if isinstance(passed, bool) else bool(passed.all())
 
 
 def _tail_estimate(inner: float, outer: float) -> float:
@@ -181,15 +197,8 @@ def integrate_unit_interval(f, cfg: QuadratureConfig | None = None) -> Quadratur
     that is an error).
     """
     cfg = cfg or default_config()
-    t0, tc0, w0 = _unit_level(0)
-    level0 = _weighted(f(t0, tc0), w0)
-    tail = max(
-        _tail_estimate(abs(level0[1]), abs(level0[0])),
-        _tail_estimate(abs(level0[-2]), abs(level0[-1])),
-    )
     return _refine(lambda lvl: (lambda a: f(a[0], a[1]))(_unit_level(lvl)[:2]),
-                   lambda lvl: _unit_level(lvl)[2],
-                   level0, tail, t0.size, cfg)
+                   lambda lvl: _unit_level(lvl)[2], cfg)
 
 
 def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -200,38 +209,50 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> Quadratur
     may blow up algebraically but integrably at 0.
     """
     cfg = cfg or default_config()
-    u0, w0 = _semi_level(0)
-    level0 = _weighted(f(u0), w0)
-    tail = max(
+    return _refine(lambda lvl: f(_semi_level(lvl)[0]),
+                   lambda lvl: _semi_level(lvl)[1], cfg)
+
+
+def _edge_tail(level0: np.ndarray):
+    """The larger of the two edge-tail estimates, per row of a stack."""
+    if level0.ndim == 2:
+        return np.array([_edge_tail(row) for row in level0])
+    return max(
         _tail_estimate(abs(level0[1]), abs(level0[0])),
         _tail_estimate(abs(level0[-2]), abs(level0[-1])),
     )
-    return _refine(lambda lvl: f(_semi_level(lvl)[0]),
-                   lambda lvl: _semi_level(lvl)[1],
-                   level0, tail, u0.size, cfg)
 
 
-def _refine(sample, weights, level0, tail, n0, cfg: QuadratureConfig) -> QuadratureResult:
-    running = complex(level0.sum())
-    nodes_used = n0
+def _refine(sample, weights, cfg: QuadratureConfig) -> QuadratureResult:
+    """Level-doubling trapezoid sums of ``sample(level)`` with ``weights(level)``.
+
+    Every row of a stacked integrand must pass the level-difference test
+    and the edge-tail check; ``abs_error_estimate`` is then the largest
+    row error.
+    """
+    w0 = weights(0)
+    level0 = _weighted(sample(0), w0)
+    tail = _edge_tail(level0)
+    running = _row_sums(level0)
+    nodes_used = w0.size
     value_prev = running  # h = 1 at level 0
     best, err = value_prev, math.inf
     converged = False
     for level in range(1, cfg.max_levels + 1):
         w = weights(level)
-        running += complex(_weighted(sample(level), w).sum())
+        running = running + _row_sums(_weighted(sample(level), w))
         nodes_used += w.size
         value = (2.0 ** (-level)) * running
         err = abs(value - value_prev)
         value_prev = value
         best = value
-        if level >= 2 and err <= cfg.target_rel_tol * (1.0 + abs(value)):
+        if level >= 2 and _every(err <= cfg.target_rel_tol * (1.0 + abs(value))):
             converged = True
             break
-    if converged and tail > cfg.target_rel_tol * (1.0 + abs(best)):
+    if converged and not _every(tail <= cfg.target_rel_tol * (1.0 + abs(best))):
         converged = False
-        err = max(err, tail)
-    return QuadratureResult(best, err, nodes_used, converged)
+        err = np.maximum(err, tail)
+    return QuadratureResult(best, float(np.max(err)), nodes_used, converged)
 
 
 _PROBE_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0)

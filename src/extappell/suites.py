@@ -14,13 +14,12 @@ determines the output.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .extbeta import ExtendedBetaFamily, ExtensionParams, chaudhry_beta, extended_beta
+from .errors import DomainError
+from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import (
     EvaluationMethod,
     ExtendedAppellInput,
@@ -34,14 +33,7 @@ from .f1pv import (
     f1pv_transform,
 )
 from .hyper import AppellParams, block_double_sum
-from .meijer import (
-    K_G_IDENTITIES,
-    K_G_TOL,
-    THEOREM1_FORMS,
-    THEOREM1_TOL,
-    verify_k_g_identity,
-    verify_theorem1,
-)
+from .meijer import K_G_IDENTITIES, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_inverse_numeric, verify_mellin_pair
 from .report import VerificationRecord, make_record
 from .scalar import beta
@@ -96,7 +88,7 @@ def _timed(builder) -> VerificationRecord:
     t0 = time.perf_counter()
     try:
         rec = builder()
-    except (DomainError, ConvergenceError, OverflowError) as exc:
+    except Exception as exc:  # a failing check must not abort the run
         rec = VerificationRecord(
             "error", "error", {}, 0j, 0j, float("inf"), float("inf"), 0.0,
             "fail", None, 0.0, f"error: {type(exc).__name__}: {exc}",
@@ -309,31 +301,6 @@ def _suite_meijer(trials, seed, tol):
     return out
 
 
-def _single_variable_collapse(inp: ExtendedAppellInput, on_y: bool) -> complex:
-    """The one-variable reduction: sum_n (b)_n B_{p,nu}(b1+n, c1-b1)/B0 v^n/n!."""
-    a = inp.appell
-    b, v = (a.b3, a.y) if on_y else (a.b2, a.x)
-    b0 = beta(a.b1, a.c1 - a.b1)
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext)
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    small = 0
-    n = 0
-    while True:
-        contrib = term * fam.value(n) / b0
-        total += contrib
-        if abs(contrib) <= 1e-13 * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-        term = term * (b + n) * v / (n + 1)
-        n += 1
-        if n > 4000:
-            raise ConvergenceError("single-variable reduction did not converge")
-
-
 def _suite_reduction(trials, seed, tol):
     rng = _rng("reduction", seed)
     out = []
@@ -384,8 +351,8 @@ def _suite_reduction(trials, seed, tol):
             )
             return make_record(
                 "reduction", f"trial{i}-b2zero", _params_of(inp),
-                f1pv_series(zeroed), _single_variable_collapse(zeroed, on_y=True),
-                tol or REDUCTION_ORIGIN_TOL, "b2=0 vs one-variable series",
+                f1pv_series(zeroed), f1pv_integral(zeroed),
+                tol or REDUCTION_ORIGIN_TOL, "b2=0 series vs integral",
             )
         out.append(_timed(collapse_b2))
 
@@ -395,8 +362,8 @@ def _suite_reduction(trials, seed, tol):
             )
             return make_record(
                 "reduction", f"trial{i}-b3zero", _params_of(inp),
-                f1pv_series(zeroed), _single_variable_collapse(zeroed, on_y=False),
-                tol or REDUCTION_ORIGIN_TOL, "b3=0 vs one-variable series",
+                f1pv_series(zeroed), f1pv_integral(zeroed),
+                tol or REDUCTION_ORIGIN_TOL, "b3=0 series vs integral",
             )
         out.append(_timed(collapse_b3))
     return out

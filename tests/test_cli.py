@@ -138,6 +138,16 @@ def test_golden_bad_path_exit_2(tmp_path):
     assert run(["golden", str(tmp_path / "nope" / "golden.csv")]) == 2
 
 
+def test_golden_checks_path_before_oracle_work(tmp_path, monkeypatch):
+    import extappell.oracles
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("oracle ran before the output path was checked")
+
+    monkeypatch.setattr(extappell.oracles, "bruteforce_f1pv", oracle)
+    assert run(["golden", str(tmp_path / "nope" / "golden.csv")]) == 2
+
+
 def test_report_writer_rejects_bad_path(tmp_path):
     rec = make_record("s", "c", {}, 1.0, 1.0, 1e-8, "m")
     with pytest.raises(Exception):

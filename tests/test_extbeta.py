@@ -17,6 +17,12 @@ from extappell.scalar import beta, gamma
 # 1e6-panel midpoint oracles (closed-form half-odd kernel)
 BPN_2311 = 0.0010007025093382623  # B_{1,1}(2, 3)
 CHAUDHRY_341 = 0.00018919052307853784  # B(3, 4; 1)
+# B_{1.5,0.7}(1.2 + k, 1.9) by mpmath quadrature at 40 digits
+FAMILY_MP = {
+    0: 4.0415258138289232684367258990903e-4,
+    20: 4.7463091074651753392439509137254e-8,
+    42: 2.003466527869521025127793133996e-10,
+}
 
 
 def test_extension_params_validation():
@@ -140,3 +146,10 @@ def test_family_matches_scalar_calls():
     for k in (0, 1, 5, 11):
         direct = extended_beta(0.9 + k, 2.1, ext)
         assert abs(fam.value(k) - direct) <= 1e-11 * (1.0 + abs(direct))
+
+
+def test_family_high_diagonals_are_relatively_accurate():
+    # small high-k moments must not stop on the absolute 1 + |D| floor
+    fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
+    for k, ref in FAMILY_MP.items():
+        assert abs(fam.value(k) - ref) <= 1e-9 * ref

@@ -227,17 +227,3 @@ def test_auto_route_selection():
     assert m.resolve(wide) == "integral"
     assert abs(f1pv(wide) - f1pv_integral(wide)) == 0.0
 
-
-def test_swapped_pairing_flag():
-    # swapped exponent pairing agrees iff b2 = b3
-    sym = _inp(1.0, 0.9, 0.9, 3.0, 0.3, 0.4, 1.0, 0.5)
-    assert abs(
-        f1pv_integral(sym) - f1pv_integral(sym, swap_power_pairing=True)
-    ) <= 1e-12
-    asym = _inp(1.0, 0.4, 1.6, 3.0, 0.3, 0.4, 1.0, 0.5)
-    plain = f1pv_integral(asym)
-    swapped = f1pv_integral(asym, swap_power_pairing=True)
-    assert abs(plain - swapped) > 1e-4 * abs(plain)
-    # only the unswapped pairing matches the series expansion
-    assert abs(f1pv_series(asym) - plain) <= 1e-8 * abs(plain)
-    assert abs(f1pv_series(asym) - swapped) > 1e-4 * abs(plain)

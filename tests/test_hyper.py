@@ -188,3 +188,12 @@ def test_diagonal_coefficients_collapse():
     collapsed = complex((ck * diag).sum())
     direct = appell_f1_series(AppellParams(1.3, b2, b3, 2.9, x, y))
     assert abs(collapsed - direct) <= 1e-12 * abs(direct)
+
+
+def test_diagonal_coefficients_with_one_variable_switched_off():
+    b3, y = complex(-1.3), complex(0.62)
+    ck = f1_diagonal_coefficients(0.0, b3, 0.45, y, 60)
+    ladder = [1.0 + 0.0j]
+    for n in range(60):
+        ladder.append(ladder[-1] * (b3 + n) * y / (n + 1))
+    assert ck.tolist() == ladder
