@@ -11,10 +11,10 @@ import argparse
 import sys
 
 from .bessel import bessel_k
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, UsageError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import _AUTO_SERIES_LIMIT, EvaluationMethod, ExtendedAppellInput, f1pv
-from .hyper import AppellParams, appell_f1_integral, appell_f1_series
+from .hyper import AppellParams, appell_f1_integral, appell_f1_series, default_max_terms
 from .meijer import GSpec, meijer_g
 from .mellin import (
     InversionContour,
@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
+def _positive_float(raw: str) -> float:
+    value = float(raw)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="extappell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -67,13 +74,13 @@ def _build_parser() -> _Parser:
     pe.add_argument("params", nargs="*", metavar="key=value",
                     help="complex values accepted, e.g. p=1+0.5j")
     pe.add_argument("--route", choices=("series", "integral", "auto"), default="auto")
-    pe.add_argument("--tol", type=float, default=None)
+    pe.add_argument("--tol", type=_positive_float, default=None)
 
     pv = sub.add_parser("verify", help="run identity-verification suites")
     pv.add_argument("suite", choices=("all", *SUITES))
     pv.add_argument("--trials", type=int, default=20)
     pv.add_argument("--seed", type=int, default=1)
-    pv.add_argument("--tol", type=float, default=None)
+    pv.add_argument("--tol", type=_positive_float, default=None)
     pv.add_argument("--report", default=None, metavar="PATH")
 
     pg = sub.add_parser("golden", help="write an oracle-valued golden CSV")
@@ -99,12 +106,21 @@ def _need(params: dict, keys) -> list:
     missing = [k for k in keys if k not in params]
     if missing:
         raise DomainError(f"missing parameters: {', '.join(missing)}")
+    words = [k for k in keys if not isinstance(params[k], complex)]
+    if words:
+        raise DomainError(f"parameters must be numbers: {', '.join(words)}")
     return [params[k] for k in keys]
+
+
+def _real(value: complex, name: str) -> float:
+    if value.imag != 0.0:
+        raise DomainError(f"{name} must be real, got {value}")
+    return value.real
 
 
 def _cmd_eval(args) -> int:
     params = _parse_params(args.params)
-    cfg = default_config(args.tol) if args.tol else None
+    cfg = default_config(args.tol) if args.tol is not None else None
     fn = args.fn
     if fn == "meijer_g":
         case = params.pop("case", None)
@@ -121,7 +137,7 @@ def _cmd_eval(args) -> int:
         trace = f"meijer_g case={case} slater-residue"
     elif fn == "beta_pv":
         x, y, p, nu = _need(params, _REQUIRED[fn])
-        value = extended_beta(x, y, ExtensionParams(p, nu.real), cfg)
+        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), cfg)
         trace = "extended Beta, tanh-sinh with scaled Bessel kernel"
     elif fn == "chaudhry_beta":
         x, y, p = _need(params, _REQUIRED[fn])
@@ -144,25 +160,26 @@ def _cmd_eval(args) -> int:
                 "prefactors", c1 - b1,
             )
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
-                                  ExtensionParams(p, nu.real))
+                                  ExtensionParams(p, _real(nu, "nu")))
         method = EvaluationMethod(route=args.route, tol=args.tol or 1e-12)
         value = f1pv(inp, method, cfg)
         trace = f"extended Appell, route={method.resolve(inp)}"
     elif fn == "bessel_k":
         nu, z = _need(params, _REQUIRED[fn])
-        value = bessel_k(nu.real, z)
+        value = bessel_k(_real(nu, "nu"), z)
         trace = "modified Bessel K, closed form / cosh integral"
     elif fn == "mellin_fwd":
         b1, b2, b3, c1, x, y, nu, s = _need(params, _REQUIRED[fn])
-        value = mellin_forward_closed(AppellParams(b1, b2, b3, c1, x, y), nu.real, s)
+        value = mellin_forward_closed(AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), s)
         trace = "Mellin transform, closed form"
     else:  # mellin_inv
         b1, b2, b3, c1, x, y, nu, p = _need(params, _REQUIRED[fn])
         contour = None
         if "c" in params:
-            contour = InversionContour(c=params["c"].real)
+            (c,) = _need(params, ("c",))
+            contour = InversionContour(c=_real(c, "c"))
         value = mellin_inverse_numeric(
-            AppellParams(b1, b2, b3, c1, x, y), nu.real, p.real, contour, cfg
+            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), contour, cfg
         )
         trace = "inverse Mellin, truncated vertical contour"
     value = complex(value)
@@ -239,6 +256,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.error("a subcommand is required (eval | verify | golden)")
+        default_config()  # malformed budget variables end here, not in a suite
+        default_max_terms()
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "verify":
@@ -247,6 +266,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 64
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

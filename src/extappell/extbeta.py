@@ -18,7 +18,9 @@ as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
 the rows t^k g(t) are integrated together on shared tanh-sinh nodes, so
 the kernel is evaluated once for all k.  The extended Appell series leans
 on it, since its double series needs one extended-Beta value per
-diagonal m + n = k.
+diagonal m + n = k.  Its ``appell_sum`` sums that series in closed form,
+as the one Appell-weighted kernel integral, for a single p or for a
+batch of real p sharing nu (one row per p on shared nodes).
 """
 
 from __future__ import annotations
@@ -41,15 +43,26 @@ _FIRST_ROWS = 32
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """The extension pair (p, nu): Re(p) > 0, nu >= 0."""
+    """The extension pair (p, nu): Re(p) > 0, nu >= 0.
+
+    ``p`` may also be a 1-D array of real p > 0 sharing one nu, a batch
+    that ``ExtendedBetaFamily.appell_sum`` evaluates in one quadrature.
+    """
 
     p: complex
     nu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
+        if isinstance(self.p, np.ndarray):
+            if self.p.ndim != 1 or not np.isrealobj(self.p):
+                raise DomainError("a batch of p must be a 1-D array of reals")
+            object.__setattr__(self, "p", self.p.astype(float))
+            positive = bool(np.all(self.p > 0.0))
+        else:
+            object.__setattr__(self, "p", complex(self.p))
+            positive = self.p.real > 0.0
         object.__setattr__(self, "nu", float(self.nu))
-        if not self.p.real > 0.0:
+        if not positive:
             raise DomainError(f"extension needs Re(p) > 0, got p = {self.p}")
         if not self.nu >= 0.0:
             raise DomainError(f"extension needs nu >= 0, got nu = {self.nu}")
@@ -66,17 +79,21 @@ class ExtendedBetaKernel:
     One instance serves every integral sharing the same (p, nu): values
     are keyed by the identity of the (module-cached, immutable) node
     arrays, so repeated integrations reuse each level's kernel slice.
+    For a batch of p the argument is the matrix p_i / (t_j (1 - t_j)),
+    one row per p, and one Bessel call fills a level for every row.
     """
 
     def __init__(self, ext: ExtensionParams, cfg: QuadratureConfig):
         self.ext = ext
         self.cfg = cfg
-        self._p_is_real = ext.p.imag == 0.0
+        batch = isinstance(ext.p, np.ndarray)  # real by construction
+        self._p_is_real = batch or ext.p.imag == 0.0
+        p = ext.p.real if self._p_is_real else ext.p
+        self._p = p[:, None] if batch else p
         self._cache: dict[int, np.ndarray] = {}
 
     def argument(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
-        p = self.ext.p.real if self._p_is_real else self.ext.p
-        return p / (t * tc)
+        return self._p / (t * tc)
 
     def scaled_values(self, t: np.ndarray, tc: np.ndarray, w: np.ndarray) -> np.ndarray:
         """e^w K_{nu+1/2}(w) at the nodes; NaN where w was skipped as huge."""
@@ -98,7 +115,8 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
     """Integrand t^xt (1-t)^yt [extra(t, tc)] K_{nu+1/2}(w), w = p/(t(1-t)).
 
     ``extra`` may add further log-domain terms (the Appell power factors);
-    it receives (t, tc) and returns an array added to the exponent.
+    it receives (t, tc) and returns an array added to the exponent.  For
+    a batch of p the values have the shape of w, one row per p.
     """
     cutoff = kernel.cfg.endpoint_cutoff
 
@@ -110,7 +128,7 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
         live = re > -cutoff
-        out = np.zeros(t.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
+        out = np.zeros(expo.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
         if not np.any(live):
             return out
         kv_live = kv[live]
@@ -118,7 +136,7 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
         if np.any(missing):
             idx = np.flatnonzero(live)[missing]
             kv_live = kv_live.copy()
-            kv_live[missing] = bessel_k_scaled_many(kernel.ext.order, w[idx])
+            kv_live[missing] = bessel_k_scaled_many(kernel.ext.order, w.ravel()[idx])
         out[live] = np.exp(expo[live]) * kv_live
         return out
 
@@ -200,6 +218,13 @@ class ExtendedBetaFamily:
     integrates a stack twice as tall; it holds the old rows, so it stops
     at no lower level.  Values once returned are kept.
 
+    ``appell_sum`` sums the Appell diagonal series sum_k c_k D(k) in
+    closed form instead: sum_k c_k t^k = (1-xt)^(-b2) (1-yt)^(-b3), so
+    the sum is the single integral of g(t) (1-xt)^(-b2) (1-yt)^(-b3).
+    With a batch of p (``ExtensionParams`` with an array p) it integrates
+    one row per p on shared nodes, each row held to the scalar test;
+    ``value`` needs a single p.
+
     Raises
     ------
     ConvergenceError
@@ -239,5 +264,42 @@ class ExtendedBetaFamily:
             raise ConvergenceError(
                 f"extended Beta moments stalled at error {res.abs_error_estimate:g}"
             )
-        vals = cmath.sqrt(2.0 * self.ext.p / cmath.pi) * res.value
+        vals = self._scale() * res.value
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
+
+    def appell_sum(self, b2, b3, x, y, prefactor: complex = 1.0):
+        """prefactor * sum_k c_k D(k), c_k as in ``f1_diagonal_coefficients``.
+
+        Equals prefactor * sqrt(2p/pi) int_0^1 g(t) (1-xt)^(-b2)
+        (1-yt)^(-b3) dt; x and y must lie off [1, inf).  With prefactor
+        1/B(a, b) this is F_{1,p,nu}(a, b2, b3; a+b; x, y).  An array,
+        one value per p, for a batch of p.
+        """
+        b2, b3, x, y = (complex(v) for v in (b2, b3, x, y))
+        if self.kernel._p_is_real and all(
+            v.imag == 0.0 for v in (self.a, self.b, b2, b3, x, y)
+        ):
+            xt, yt = self.a.real - 1.5, self.b.real - 1.5
+            b2, b3, x, y = b2.real, b3.real, x.real, y.real
+        else:
+            xt, yt = self.a - 1.5, self.b - 1.5
+
+        def power_terms(t, tc):
+            return -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
+
+        res = integrate_unit_interval(
+            _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.cfg
+        )
+        if not res.converged:
+            raise ConvergenceError(
+                f"extended Appell integral stalled at error {res.abs_error_estimate:g}"
+            )
+        value = res.value if np.ndim(res.value) else complex(res.value)
+        return prefactor * self._scale() * value
+
+    def _scale(self):
+        """sqrt(2p/pi), one per p of a batch."""
+        p = self.ext.p
+        if isinstance(p, np.ndarray):
+            return np.sqrt(2.0 * p / np.pi)
+        return cmath.sqrt(2.0 * p / cmath.pi)

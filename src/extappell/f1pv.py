@@ -29,10 +29,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
-from .extbeta import ExtendedBetaFamily, ExtendedBetaKernel, ExtensionParams, _fused_kernel_integrand
+from .errors import DomainError, PoleError
+from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import (
     AppellParams,
     _check_cut,
@@ -41,7 +40,7 @@ from .hyper import (
     block_double_sum,
     default_max_terms,
 )
-from .quadrature import QuadratureConfig, default_config, integrate_unit_interval
+from .quadrature import QuadratureConfig
 from .scalar import beta, gamma, log_gamma, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
@@ -112,39 +111,18 @@ def f1pv_series(
 def f1pv_integral(
     inp: ExtendedAppellInput,
     cfg: QuadratureConfig | None = None,
-    kernel: ExtendedBetaKernel | None = None,
 ) -> complex:
     """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf)."""
-    a, ext = inp.appell, inp.ext
+    a = inp.appell
     if not (a.c1.real > a.b1.real > 0.0):
         raise DomainError(
             f"integral route needs Re(c1) > Re(b1) > 0, got b1={a.b1}, c1={a.c1}"
         )
     _check_cut(a.x, "x")
     _check_cut(a.y, "y")
-    cfg = cfg or default_config()
-    kernel = kernel or ExtendedBetaKernel(ext, cfg)
-
-    real_case = all(
-        v.imag == 0.0 for v in (a.b1, a.c1, a.b2, a.b3, a.x, a.y)
-    ) and kernel._p_is_real
-    if real_case:
-        xt, yt = a.b1.real - 1.5, (a.c1 - a.b1).real - 1.5
-        p2, p3, xv, yv = a.b2.real, a.b3.real, a.x.real, a.y.real
-    else:
-        xt, yt = a.b1 - 1.5, a.c1 - a.b1 - 1.5
-        p2, p3, xv, yv = a.b2, a.b3, a.x, a.y
-
-    def power_terms(t, tc):
-        return -p2 * np.log((1.0 - xv) + xv * tc) - p3 * np.log((1.0 - yv) + yv * tc)
-
-    res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel, power_terms), cfg)
-    if not res.converged:
-        raise ConvergenceError(
-            f"extended Appell integral stalled at error {res.abs_error_estimate:g}"
-        )
     pref = cmath.exp(log_gamma(a.c1) - log_gamma(a.b1) - log_gamma(a.c1 - a.b1))
-    return pref * cmath.sqrt(2.0 * ext.p / cmath.pi) * complex(res.value)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, cfg)
+    return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 
 
 def f1pv(

@@ -8,20 +8,22 @@ The double series is summed along its diagonals m + n = k, as
 sum_k c_k diag(k) with c_k the convolution of the two Pochhammer ladders;
 summation stops once three consecutive diagonal terms stay below
 tolerance (guards against accidental zeros when parameters make
-individual terms vanish).
+individual terms vanish).  A diagonal factor may carry one row per
+parameter set, as the Mellin contour's (b1+s)_k/(c1+2s)_k does over its
+nodes s; each row then stops where its own scalar sum would.
 """
 
 from __future__ import annotations
 
 import cmath
-import os
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import QuadratureConfig, default_config, integrate_unit_interval
+from .quadrature import QuadratureConfig, default_config, env_int, integrate_unit_interval
 from .scalar import beta, is_nonpositive_integer, log_gamma
 
 _ENV_MAX_TERMS = "APPELL_MAX_TERMS"
@@ -30,7 +32,8 @@ _FIRST_DIAGONALS = 32
 
 
 def default_max_terms() -> int:
-    return int(os.environ.get(_ENV_MAX_TERMS, "4000"))
+    """The diagonal budget taken from APPELL_MAX_TERMS (default 4000)."""
+    return env_int(_ENV_MAX_TERMS, 4000)
 
 
 def _terminating_index(a: complex) -> int | None:
@@ -171,21 +174,20 @@ class _PowerLadder:
         return np.asarray(v[: m + 1])
 
 
-def block_double_sum(diag, b2, b3, x, y, tol: float, max_blocks: int) -> complex:
-    """sum_{m,n} diag(m+n) (b2)_m (b3)_n x^m y^n / (m! n!) along the diagonals.
-
-    The sum is sum_k c_k diag(k), c_k from ``f1_diagonal_coefficients``;
-    ``diag(k)`` is called once for each k = 0, 1, 2, ... in turn, so
-    callers can memoize cheaply.  Stops after three consecutive terms
-    with |c_k diag(k)| <= tol |total|, at most ``max_blocks`` diagonals.
-    """
+def _diagonal_terms(diag, b2, b3, x, y, max_blocks: int):
+    """(c_k, diag(k)) for k < max_blocks, the c_k table doubling as it runs out."""
     coeffs = f1_diagonal_coefficients(b2, b3, x, y, _FIRST_DIAGONALS)
-    total = 0.0 + 0.0j
-    small = 0
     for k in range(max_blocks):
         if k == coeffs.size:
             coeffs = f1_diagonal_coefficients(b2, b3, x, y, 2 * k)
-        term = coeffs[k] * complex(diag(k))
+        yield coeffs[k], diag(k)
+
+
+def _scalar_sum(terms, tol: float) -> complex | None:
+    total = 0.0 + 0.0j
+    small = 0
+    for c, d in terms:
+        term = c * complex(d)
         total += term
         if abs(term) <= tol * abs(total):
             small += 1
@@ -193,9 +195,74 @@ def block_double_sum(diag, b2, b3, x, y, tol: float, max_blocks: int) -> complex
                 return complex(total)
         else:
             small = 0
+    return None
+
+
+def _row_sums(terms, tol: float) -> np.ndarray | None:
+    """``_scalar_sum`` of every row, each row frozen where its own sum stops.
+
+    Products and magnitudes are taken component by component: numpy's
+    vector loops for complex multiply and abs may round differently from
+    one complex, and each row must round exactly as ``_scalar_sum`` does.
+    """
+    re = im = 0.0
+    small = 0
+    live = True
+    for c, d in terms:
+        d = np.asarray(d, dtype=complex)
+        t_re = c.real * d.real - c.imag * d.imag
+        t_im = c.real * d.imag + c.imag * d.real
+        re = np.where(live, re + t_re, re)
+        im = np.where(live, im + t_im, im)
+        small = np.where(np.hypot(t_re, t_im) <= tol * np.hypot(re, im), small + 1, 0)
+        live = live & (small < 3)
+        if not live.any():
+            out = np.empty(re.shape, dtype=complex)
+            out.real, out.imag = re, im
+            return out
+    return None
+
+
+def block_double_sum(diag, b2, b3, x, y, tol: float, max_blocks: int):
+    """sum_{m,n} diag(m+n) (b2)_m (b3)_n x^m y^n / (m! n!) along the diagonals.
+
+    The sum is sum_k c_k diag(k), c_k from ``f1_diagonal_coefficients``;
+    ``diag(k)`` is called once for each k = 0, 1, 2, ... in turn, so
+    callers can memoize cheaply.  Stops after three consecutive terms
+    with |c_k diag(k)| <= tol |total|, at most ``max_blocks`` diagonals.
+
+    ``diag(k)`` may return an array, one value per row; the result is then
+    the array of row sums.  A row stops where its scalar sum would stop
+    and rounds as that sum does, so it equals the scalar sum of its own
+    diagonal bit for bit; the array sum ends when every row has stopped.
+    """
+    terms = _diagonal_terms(diag, b2, b3, x, y, max_blocks)
+    first = next(terms, None)
+    if first is not None:
+        sums = _row_sums if np.ndim(first[1]) else _scalar_sum
+        total = sums(itertools.chain([first], terms), tol)
+        if total is not None:
+            return total
     raise ConvergenceError(
         f"double series did not converge within {max_blocks} diagonals"
     )
+
+
+def pochhammer_diagonal(b1, c1):
+    """diag(k) = (b1)_k / (c1)_k by its recurrence, memoized.
+
+    ``b1`` and ``c1`` may be complex arrays of one shape, one row each, as
+    ``block_double_sum`` takes them.
+    """
+    vals = [np.ones(np.shape(b1), dtype=complex) if np.ndim(b1) else 1.0 + 0.0j]
+
+    def diag(k: int):
+        while len(vals) <= k:
+            j = len(vals)
+            vals.append(vals[j - 1] * (b1 + j - 1) / (c1 + j - 1))
+        return vals[k]
+
+    return diag
 
 
 def _check_series_domain(params: AppellParams):
@@ -221,14 +288,7 @@ def appell_f1_series(
     max_terms = max_terms or default_max_terms()
     b1, c1 = params.b1, params.c1
     if form == "pochhammer":
-        dvals = [1.0 + 0.0j]
-
-        def diag(k: int) -> complex:
-            while len(dvals) <= k:
-                j = len(dvals)
-                dvals.append(dvals[j - 1] * (b1 + j - 1) / (c1 + j - 1))
-            return dvals[k]
-
+        diag = pochhammer_diagonal(b1, c1)
     elif form == "beta_ratio":
         norm = beta(b1, c1 - b1)
         if norm == 0:

@@ -3,7 +3,9 @@
 Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp, split at
 p = 1 with a log substitution on (1, inf) -- the integrand behaves like
 p^(s-nu-1) at the origin and is killed super-exponentially by the Bessel
-kernel at infinity.
+kernel at infinity.  Each level of the outer quadrature evaluates
+F_{1,p,nu} at all of its p nodes as one stacked kernel integral, one row
+per p (``_RadialEvaluator``).
 
 Forward, closed form:
 
@@ -19,7 +21,9 @@ the corrected form matches the numeric transform to machine precision
 Inverse: (1/(4 pi i sqrt(pi))) int_{c-iT}^{c+iT} (2/p)^s
 Gamma((s-nu)/2) Gamma((s+nu+1)/2) [B-ratio] F1(b1+s, b2, b3; c1+2s; x, y) ds
 along Re(s) = c > nu, with the truncation chosen from the measured
-Gamma-pair decay (~e^(-pi |tau|/2)).
+Gamma-pair decay (~e^(-pi |tau|/2)).  Each call of the contour
+integrand sums F1(b1+s, ...; c1+2s; ...) for all of its nodes s in one
+diagonal sum, a row per node.
 """
 
 from __future__ import annotations
@@ -32,7 +36,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .hyper import AppellParams, appell_f1_series, block_double_sum, default_max_terms
+from .hyper import (
+    AppellParams,
+    appell_f1_series,
+    block_double_sum,
+    default_max_terms,
+    pochhammer_diagonal,
+)
 from .quadrature import (
     QuadratureConfig,
     default_config,
@@ -44,6 +54,8 @@ from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
 
 _SERIES_TOL = 1e-10
+# the contour's F1 sums stop where ``appell_f1_series`` stops by default
+_F1_TOL = 1e-14
 
 
 def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
@@ -92,14 +104,21 @@ _P_LIMIT_FORM = 1e-12
 
 
 class _RadialEvaluator:
-    """p^(s-1) F_{1,p,nu}(...) as a function of p > 0, parameters frozen.
+    """p^(s-1) F_{1,p,nu}(...) over an array of p > 0, parameters frozen.
 
-    Sums F = sum_k c_k D_p(k) / B(b1, c1-b1) with ``block_double_sum``,
-    the extended-Beta diagonal D_p(k) coming from one family per p.
-    Below ``_P_LIMIT_FORM`` the p -> 0 limit of the kernel is used instead,
-    B_{p,nu}(x, y) -> 2^nu Gamma(nu+1/2)/sqrt(pi) * p^-nu * B(x+nu, y+nu),
-    whose relative error is dwarfed by the p^(s-nu) weight those abscissae
-    carry in the transform.
+    The p of one call in [``_P_LIMIT_FORM``, ``p_dead``) form one batch,
+    one ``ExtendedBetaFamily`` whose ``appell_sum`` integrates
+
+        F(p) = sqrt(2p/pi)/B(b1, c1-b1)
+               * int_0^1 g_p(t) (1-xt)^(-b2) (1-yt)^(-b3) dt
+
+    for every p of the batch on shared tanh-sinh nodes, one row per p:
+    the diagonal series sum_k c_k D_p(k) / B(b1, c1-b1), summed in closed
+    form.  Below ``_P_LIMIT_FORM`` the p -> 0 limit of the kernel is used
+    instead, B_{p,nu}(x, y) -> 2^nu Gamma(nu+1/2)/sqrt(pi) * p^-nu *
+    B(x+nu, y+nu), whose relative error is dwarfed by the p^(s-nu) weight
+    those abscissae carry in the transform; from ``p_dead`` on the kernel
+    wipes out the whole interval and the value is 0.
     """
 
     def __init__(self, appell: AppellParams, nu: float, cfg: QuadratureConfig):
@@ -123,19 +142,20 @@ class _RadialEvaluator:
             )
         return self._limit_const
 
-    def weighted(self, p: float, s: complex) -> complex:
-        """p^(s-1) F_{1,p,nu}, safe across the full exp-sinh node range."""
-        if p >= self.p_dead:
-            return 0.0 + 0.0j
-        if p < _P_LIMIT_FORM:
-            return cmath.exp((s - 1.0 - self.nu) * math.log(p)) * self._limit_coefficient()
-        a = self.appell
-        fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.cfg)
-        fv = block_double_sum(lambda k: fam.value(k) / self.b0, a.b2, a.b3, a.x, a.y,
-                              _SERIES_TOL, default_max_terms())
-        if fv == 0:
-            return 0.0 + 0.0j
-        return cmath.exp((s - 1.0) * math.log(p)) * fv
+    def weighted(self, ps: np.ndarray, s: complex) -> np.ndarray:
+        """p^(s-1) F_{1,p,nu} at every p, safe across the full exp-sinh node range."""
+        out = np.zeros(ps.shape, dtype=complex)
+        limit = ps < _P_LIMIT_FORM
+        if np.any(limit):
+            out[limit] = (np.exp((s - 1.0 - self.nu) * np.log(ps[limit]))
+                          * self._limit_coefficient())
+        live = ~limit & (ps < self.p_dead)
+        if np.any(live):
+            a, p = self.appell, ps[live]
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.cfg)
+            out[live] = (np.exp((s - 1.0) * np.log(p))
+                         * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / self.b0))
+        return out
 
 
 def mellin_forward_numeric(
@@ -144,7 +164,11 @@ def mellin_forward_numeric(
     s: complex,
     cfg: QuadratureConfig | None = None,
 ) -> complex:
-    """The transform by direct integration in p (two-piece split at p = 1)."""
+    """The transform by direct integration in p (two-piece split at p = 1).
+
+    Each level of either outer quadrature evaluates the radial factor at
+    all of its p nodes in one batch.
+    """
     s = check_mellin_point(s, nu, appell.c1)
     cfg = cfg or default_config(2e-7)
     inner_cfg = QuadratureConfig(
@@ -155,22 +179,15 @@ def mellin_forward_numeric(
     f = _RadialEvaluator(appell, nu, inner_cfg)
     s_is_real = s.imag == 0.0
 
-    def values(ps: np.ndarray) -> np.ndarray:
-        out = np.zeros(ps.shape, dtype=complex)
-        for i, p in enumerate(ps):
-            out[i] = f.weighted(float(p), s)
-        return out
-
-    low = integrate_unit_interval(lambda t, tc: values(t), cfg)
+    low = integrate_unit_interval(lambda t, tc: f.weighted(t, s), cfg)
     # p = e^v on (1, inf):  int_0^inf e^{s v} F(e^v) dv
     v_dead = math.log(f.p_dead)
 
     def upper_integrand(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape, dtype=complex)
-        for i, vi in enumerate(v):
-            if vi < v_dead:
-                p = math.exp(vi)
-                out[i] = f.weighted(p, s) * p  # p^(s-1) F * (dp = p dv)
+        live = v < v_dead
+        p = np.exp(v[live])
+        out[live] = f.weighted(p, s) * p  # p^(s-1) F * (dp = p dv)
         return out
 
     high = integrate_semi_infinite(upper_integrand, cfg)
@@ -208,24 +225,28 @@ def mellin_forward_closed(
 
 
 def _inversion_integrand(appell: AppellParams, nu: float, p: float, c: float):
+    """The contour integrand at s = c + i tau, every tau of a call at once.
+
+    F1(b1+s, b2, b3; c1+2s; x, y) is one diagonal sum with a row per
+    node; the Gamma and Beta factors are taken node by node.
+    """
     a = appell
     bnorm = beta(a.b1, a.c1 - a.b1)
     log2p = math.log(2.0 / p)
 
     def f(taus: np.ndarray) -> np.ndarray:
-        out = np.empty(taus.shape, dtype=complex)
-        for i, tau in enumerate(taus):
-            s = complex(c, float(tau))
-            shifted = AppellParams(a.b1 + s, a.b2, a.b3, a.c1 + 2 * s, a.x, a.y)
-            out[i] = (
-                cmath.exp(s * log2p)
-                * gamma((s - nu) / 2.0)
-                * gamma((s + nu + 1.0) / 2.0)
-                * beta(a.b1 + s, a.c1 - a.b1 + s)
-                / bnorm
-                * appell_f1_series(shifted)
-            )
-        return out
+        s = c + 1j * np.asarray(taus, dtype=float)
+        f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
+                              a.b2, a.b3, a.x, a.y, _F1_TOL, default_max_terms())
+        factors = np.array([
+            cmath.exp(si * log2p)
+            * gamma((si - nu) / 2.0)
+            * gamma((si + nu + 1.0) / 2.0)
+            * beta(a.b1 + si, a.c1 - a.b1 + si)
+            / bnorm
+            for si in s.tolist()
+        ], dtype=complex)
+        return factors * f1
 
     return f
 
@@ -247,22 +268,12 @@ def mellin_inverse_numeric(
         raise DomainError(f"abscissa must exceed nu, got c={contour.c}, nu={nu}")
     cfg = cfg or default_config(1e-7)
     f = _inversion_integrand(appell, nu, p, contour.c)
-    if contour.truncation is not None:
-        # fixed trapezoid when the caller pins the contour discretization
-        trunc = contour.truncation
-        h = contour.step or trunc / 128.0
-        n = int(math.ceil(trunc / h))
-        taus = np.arange(-n, n + 1) * h
-        vals = f(taus)
-        integral = h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    else:
-        res = integrate_vertical_line(f, contour.c, cfg)
-        if not res.converged:
-            raise ConvergenceError(
-                f"inversion contour integral stalled at {res.abs_error_estimate:g}"
-            )
-        integral = complex(res.value)
-    return integral / (4.0 * math.pi * math.sqrt(math.pi))
+    res = integrate_vertical_line(f, contour.c, cfg, contour.truncation, contour.step)
+    if not res.converged:
+        raise ConvergenceError(
+            f"inversion contour integral stalled at {res.abs_error_estimate:g}"
+        )
+    return complex(res.value) / (4.0 * math.pi * math.sqrt(math.pi))
 
 
 def verify_mellin_pair(

@@ -6,7 +6,8 @@ decaying transformed integrands:
 * ``integrate_unit_interval`` -- tanh-sinh on (0, 1),
 * ``integrate_semi_infinite`` -- exp-sinh on (0, inf),
 * ``integrate_vertical_line`` -- truncated trapezoid in the imaginary
-  direction for Mellin-Barnes / inverse-Mellin integrands.
+  direction for Mellin-Barnes / inverse-Mellin integrands, adaptive or
+  on a caller-pinned grid.
 
 Integrands are vectorized callables: they receive NumPy arrays of nodes
 and must return an array of values (real or complex).  The unit-interval
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 # tau range chosen so the closest node to an endpoint keeps t and 1-t
 # representable (pi*sinh(6) ~ 634, exp(-634) ~ 2.6e-276)
@@ -62,9 +63,25 @@ class QuadratureConfig:
             raise DomainError("max_levels must lie in 1..16")
 
 
+def env_int(name: str, default: int) -> int:
+    """The positive integer in environment variable ``name``, else ``default``.
+
+    Raises
+    ------
+    UsageError
+        If the variable is set to anything but a positive integer.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise UsageError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def default_config(target_rel_tol: float = 1e-10) -> QuadratureConfig:
     """Config with the level budget taken from APPELL_QUAD_LEVELS."""
-    levels = int(os.environ.get(_ENV_LEVELS, "12"))
+    levels = env_int(_ENV_LEVELS, 12)
     return QuadratureConfig(target_rel_tol=target_rel_tol, max_levels=min(levels, 16))
 
 
@@ -214,13 +231,25 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> Quadratur
 
 
 def _edge_tail(level0: np.ndarray):
-    """The larger of the two edge-tail estimates, per row of a stack."""
-    if level0.ndim == 2:
-        return np.array([_edge_tail(row) for row in level0])
-    return max(
-        _tail_estimate(abs(level0[1]), abs(level0[0])),
-        _tail_estimate(abs(level0[-2]), abs(level0[-1])),
-    )
+    """The larger of the two edge-tail estimates, per row of a stack.
+
+    A stack takes ``_tail_estimate`` elementwise over its rows, with the
+    same IEEE operations (complex magnitudes by ``hypot``, as ``abs``
+    takes them; numpy's vector complex ``abs`` may differ in the last bit).
+    """
+    if level0.ndim == 1:
+        return max(
+            _tail_estimate(abs(level0[1]), abs(level0[0])),
+            _tail_estimate(abs(level0[-2]), abs(level0[-1])),
+        )
+    edges = level0[:, [1, 0, -2, -1]]
+    edges = np.hypot(edges.real, edges.imag) if np.iscomplexobj(edges) else np.abs(edges)
+    inner, outer = edges[:, 0::2], edges[:, 1::2]
+    decays = outer < 0.75 * inner  # false where inner == 0
+    rho = np.divide(outer, inner, out=np.zeros_like(outer), where=decays)
+    tail = outer * rho / (1.0 - rho)  # 0 where rho was left 0
+    tail[~decays & (outer != 0.0)] = math.inf
+    return np.maximum(tail[:, 0], tail[:, 1])
 
 
 def _refine(sample, weights, cfg: QuadratureConfig) -> QuadratureResult:
@@ -255,11 +284,22 @@ def _refine(sample, weights, cfg: QuadratureConfig) -> QuadratureResult:
     return QuadratureResult(best, float(np.max(err)), nodes_used, converged)
 
 
-_PROBE_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0)
+_PROBE_TAUS = np.array((1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0))
+
+
+def _contour_values(f, taus: np.ndarray) -> np.ndarray:
+    fv = np.asarray(f(taus))
+    if np.any(~np.isfinite(fv)):
+        raise DomainError("non-finite integrand sample on the contour")
+    return fv
 
 
 def integrate_vertical_line(
-    f, abscissa: float, cfg: QuadratureConfig | None = None
+    f,
+    abscissa: float,
+    cfg: QuadratureConfig | None = None,
+    truncation: float | None = None,
+    step: float | None = None,
 ) -> QuadratureResult:
     """Trapezoid integral of ``f(tau)`` over tau in (-inf, inf).
 
@@ -267,47 +307,51 @@ def integrate_vertical_line(
     Re(zeta) = abscissa, parameterized by the imaginary part tau; it must
     decay at least like exp(-eta |tau|).  The truncation point is twice
     the first probe abscissa at which both tails have dropped below
-    tolerance (measured decay, safety factor 2).  Returns the plain
-    integral in tau; any 1/(2 pi) convention is the caller's business.
+    tolerance (measured decay, safety factor 2; every probe is sampled in
+    one call).  Returns the plain integral in tau; any 1/(2 pi) convention
+    is the caller's business.
+
+    A given ``truncation`` pins the discretization instead: one trapezoid
+    sum over [-truncation, truncation] with ``step`` (default
+    truncation/128), no refinement and no error estimate (NaN).
 
     Raises
     ------
     DomainError
-        If no decay below tolerance is detected at the largest probe.
+        If no decay below tolerance is detected at the largest probe, or
+        a sample is not finite.
     """
     cfg = cfg or default_config()
-    scale = max(float(np.max(np.abs(f(np.array([0.0]))))), 1.0)
-    cut = cfg.target_rel_tol * scale * 1e-2
-    trunc = None
-    for tau in _PROBE_TAUS:
-        mags = np.abs(f(np.array([tau, -tau])))
-        scale = max(scale, float(np.max(mags)))
-        if float(np.max(mags)) < cut:
-            trunc = 2.0 * tau
-            break
-    if trunc is None:
+    if truncation is not None:
+        h = step or truncation / 128.0
+        n = int(math.ceil(truncation / h))
+        fv = _contour_values(f, np.arange(-n, n + 1) * h)
+        return QuadratureResult(h * (fv.sum() - 0.5 * (fv[0] + fv[-1])), math.nan,
+                                fv.size, True)
+
+    mags = np.abs(np.asarray(f(np.concatenate([[0.0], _PROBE_TAUS, -_PROBE_TAUS]))))
+    cut = cfg.target_rel_tol * max(float(mags[0]), 1.0) * 1e-2
+    n = _PROBE_TAUS.size
+    decayed = np.flatnonzero(np.maximum(mags[1:n + 1], mags[n + 1:]) < cut)
+    if decayed.size == 0:
         raise DomainError(
             "integrand does not decay below tolerance along the contour "
-            f"(no decay detected out to |tau| = {_PROBE_TAUS[-1]})"
+            f"(no decay detected out to |tau| = {_PROBE_TAUS[-1]:g})"
         )
+    trunc = 2.0 * _PROBE_TAUS[decayed[0]]
 
-    nodes_used = 0
     n0 = 16
     taus = np.linspace(-trunc, trunc, n0 + 1)
     h = taus[1] - taus[0]
-    fv = np.asarray(f(taus))
-    if np.any(~np.isfinite(fv)):
-        raise DomainError("non-finite integrand sample on the contour")
-    nodes_used += taus.size
+    fv = _contour_values(f, taus)
+    nodes_used = taus.size
     inner = fv[1:-1].sum() + 0.5 * (fv[0] + fv[-1])
     value_prev = h * inner
     running = inner
     best, err = value_prev, math.inf
     for _level in range(cfg.max_levels):
         mid = taus[:-1] + 0.5 * h
-        fm = np.asarray(f(mid))
-        if np.any(~np.isfinite(fm)):
-            raise DomainError("non-finite integrand sample on the contour")
+        fm = _contour_values(f, mid)
         nodes_used += mid.size
         running = running + fm.sum()
         h *= 0.5

@@ -168,3 +168,29 @@ def test_record_semantics():
     )
     assert d["elapsed_ms"] == 0.0  # reports are reproducible byte-for-byte
     assert d["abs_err"] == 1e308 and d["rel_err"] == -1.0  # JSON-safe
+
+
+_F1PV = ("eval", "f1pv", "b1=1", "b2=1", "b3=1", "c1=3", "x=0.1", "y=0", "p=1")
+
+
+@pytest.mark.parametrize("name", ["APPELL_QUAD_LEVELS", "APPELL_MAX_TERMS"])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_budget_variable_exit_64(monkeypatch, capsys, name, raw):
+    monkeypatch.setenv(name, raw)
+    for argv in ([*_F1PV, "nu=0.5"], ["verify", "routes", "--trials", "1"]):
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert name in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_tol_exit_64(tol):
+    assert run([*_F1PV, "nu=0.5", "--tol", tol]) == 64
+    assert run(["verify", "routes", "--trials", "1", "--tol", tol]) == 64
+
+
+def test_complex_or_word_order_exit_2(capsys):
+    assert run([*_F1PV, "nu=0.5+1j"]) == 2
+    assert "nu must be real" in capsys.readouterr().err
+    assert run([*_F1PV, "nu=abc"]) == 2
+    assert run(["eval", "mellin_inv", *_F1PV[2:], "nu=0.5", "c=1.5+2j"]) == 2

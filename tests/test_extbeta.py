@@ -11,6 +11,7 @@ from extappell.extbeta import (
     chaudhry_beta,
     extended_beta,
 )
+from extappell.hyper import block_double_sum
 from extappell.quadrature import integrate_semi_infinite
 from extappell.scalar import beta, gamma
 
@@ -153,3 +154,19 @@ def test_family_high_diagonals_are_relatively_accurate():
     fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
     for k, ref in FAMILY_MP.items():
         assert abs(fam.value(k) - ref) <= 1e-9 * ref
+
+
+def test_batch_of_p_validation():
+    ExtensionParams(np.array([0.5, 2.0]), 0.7)
+    for bad in (np.array([0.5, -1.0]), np.array([[1.0]]), np.array([1.0 + 1.0j])):
+        with pytest.raises(DomainError):
+            ExtensionParams(bad, 0.7)
+
+
+def test_appell_sum_is_the_diagonal_series_in_closed_form():
+    # sum_k c_k D(k) by the moment stack and by the single Appell integral
+    b2, b3, x, y = 0.5, -0.7, 0.4, -0.3
+    for p in (0.4, 1.5):
+        fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(p, 0.7))
+        series = block_double_sum(fam.value, b2, b3, x, y, 1e-14, 4000)
+        assert abs(fam.appell_sum(b2, b3, x, y) - series) <= 1e-10 * abs(series)

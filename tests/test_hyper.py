@@ -10,10 +10,12 @@ from extappell.hyper import (
     PFQParams,
     appell_f1_integral,
     appell_f1_series,
+    block_double_sum,
     f1_diagonal_coefficients,
     gauss_2f1,
     pfq,
     pfq_unit_circle_class,
+    pochhammer_diagonal,
 )
 from extappell.scalar import pochhammer
 
@@ -197,3 +199,31 @@ def test_diagonal_coefficients_with_one_variable_switched_off():
     for n in range(60):
         ladder.append(ladder[-1] * (b3 + n) * y / (n + 1))
     assert ck.tolist() == ladder
+
+
+def test_block_double_sum_rows_equal_their_scalar_sums():
+    # rows of very different (b1, c1) stop at different diagonals; each
+    # must equal the scalar sum of its own diagonal values bit for bit
+    b1 = np.array([0.3, 1.7 + 2.0j, -0.45 + 0.5j, 4.0 - 9.0j, 2.5 + 60.0j])
+    c1 = np.array([2.2, 3.1 - 1.0j, 0.8 + 6.0j, 5.5 + 18.0j, 3.0 + 120.0j])
+    b2, b3, x, y = 0.8 - 0.3j, -1.4, 0.55, -0.62 + 0.1j
+    diag = pochhammer_diagonal(b1, c1)
+    rows = block_double_sum(diag, b2, b3, x, y, 1e-14, 4000)
+    stops = []
+    for i in range(b1.size):
+        seen = []
+
+        def one(k, i=i, seen=seen):
+            seen.append(k)
+            return diag(k)[i]
+
+        assert rows[i] == block_double_sum(one, b2, b3, x, y, 1e-14, 4000)
+        stops.append(seen[-1])
+    assert len(set(stops)) == len(stops)
+
+
+def test_block_double_sum_rows_raise_when_a_row_runs_out():
+    diag = pochhammer_diagonal(np.array([0.3, 0.3]), np.array([2.2, 2.2]))
+    with pytest.raises(ConvergenceError):
+        block_double_sum(diag, 1.0, 1.0, 0.99, 0.0, 1e-14, 50)
+

@@ -5,19 +5,27 @@ import pytest
 
 from extappell.errors import DomainError
 from extappell.extbeta import ExtensionParams, extended_beta
-from extappell.f1pv import ExtendedAppellInput, f1pv_series
-from extappell.hyper import AppellParams
+from extappell.f1pv import ExtendedAppellInput, f1pv_integral, f1pv_series
+from extappell.hyper import AppellParams, appell_f1_series
 from extappell.mellin import (
+    _P_LIMIT_FORM,
     InversionContour,
+    _inversion_integrand,
+    _RadialEvaluator,
     check_mellin_point,
     mellin_forward_closed,
     mellin_forward_numeric,
     mellin_inverse_numeric,
     verify_mellin_pair,
 )
+from extappell.quadrature import QuadratureConfig
 from extappell.scalar import beta, gamma
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
+# the ROADMAP baseline point, and its transform at nu = 0.7, s = 2.7 by
+# the corrected closed form with mpmath's appellf1 at 30 digits
+BASE = AppellParams(1.2, 0.5, -0.7, 3.1, 0.4, -0.3)
+FORWARD_BASE_27 = 0.03086569771085350544
 
 
 def test_mellin_point_constraints():
@@ -102,8 +110,6 @@ def test_inverse_contour_validation():
 def test_integrand_gamma_pair_decay_rate():
     # |Gamma-pair integrand| should decay at least like e^{-pi |tau|/2};
     # measure the empirical rate over a tau window
-    from extappell.mellin import _inversion_integrand
-
     f = _inversion_integrand(AP, 0.5, 1.0, 1.5)
     taus = np.array([4.0, 8.0, 12.0, 16.0])
     mags = np.abs(f(taus))
@@ -117,3 +123,32 @@ def test_series_domain_required():
         mellin_forward_closed(wide, 0.5, 1.5)
     with pytest.raises(DomainError):
         mellin_inverse_numeric(wide, 0.5, 1.0)
+
+
+def test_forward_numeric_matches_frozen_reference():
+    val = mellin_forward_numeric(BASE, 0.7, 2.7)
+    assert abs(val - FORWARD_BASE_27) <= 1e-10 * FORWARD_BASE_27
+
+
+def test_batched_radial_values_match_per_p_integral():
+    cfg = QuadratureConfig(target_rel_tol=1e-9)
+    for nu in (0.7, 1.0):  # generic and half-odd kernel orders
+        radial = _RadialEvaluator(BASE, nu, cfg)
+        ps = np.array([1.5 * _P_LIMIT_FORM, 1e-6, 0.3, 1.0, radial.p_dead * (1.0 - 1e-9)])
+        batch = radial.weighted(ps, 1.0)  # p^0 F, every p in one batch
+        for p, val in zip(ps, batch):
+            ref = f1pv_integral(ExtendedAppellInput(BASE, ExtensionParams(p, nu)), cfg)
+            assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def test_vectorised_inversion_integrand_matches_per_node_series():
+    nu, p, c = 0.5, 1.3, 1.5
+    f = _inversion_integrand(AP, nu, p, c)
+    taus = np.array([-20.0, -3.0, 0.0, 0.5, 7.0, 31.0])
+    for tau, val in zip(taus, f(taus)):
+        s = complex(c, tau)
+        shifted = AppellParams(AP.b1 + s, AP.b2, AP.b3, AP.c1 + 2 * s, AP.x, AP.y)
+        ref = ((2.0 / p) ** s * gamma((s - nu) / 2.0) * gamma((s + nu + 1.0) / 2.0)
+               * beta(AP.b1 + s, AP.c1 - AP.b1 + s) / beta(AP.b1, AP.c1 - AP.b1)
+               * appell_f1_series(shifted))
+        assert abs(val - ref) <= 1e-12 * abs(ref)

@@ -6,6 +6,8 @@ import pytest
 from extappell.errors import DomainError
 from extappell.quadrature import (
     QuadratureConfig,
+    _edge_tail,
+    _tail_estimate,
     default_config,
     integrate_semi_infinite,
     integrate_unit_interval,
@@ -122,3 +124,29 @@ def test_unconverged_is_flagged_not_raised():
     )
     assert not res.converged
     assert res.abs_error_estimate > 0.0
+
+
+def test_edge_tail_of_a_stack_equals_the_per_row_rule():
+    rng = np.random.default_rng(3)
+    level0 = (rng.standard_normal((6, 13)) + 1j * rng.standard_normal((6, 13))) * 1e-3
+    level0[0] = 0.0  # dead row
+    level0[1, [0, -1]] = 0.0  # zero edges
+    level0[2, 0] = level0[2, 1]  # no decay on the left
+    level0[3, 1] = 0.0  # inner sample zero, outer not
+    level0[4, [0, 1, -2, -1]] = [1e-9, 1e-5, 2e-6, 3e-12]
+    expect = [max(_tail_estimate(abs(r[1]), abs(r[0])), _tail_estimate(abs(r[-2]), abs(r[-1])))
+              for r in level0]
+    for stack in (level0, level0.real):
+        assert list(_edge_tail(stack)) == [_edge_tail(r) for r in stack]
+    assert list(_edge_tail(level0)) == expect
+    assert expect[:4] == [0.0, 0.0, math.inf, math.inf] and 0.0 < expect[4] < math.inf
+
+
+def test_vertical_fixed_truncation_is_one_trapezoid_sum():
+    f = lambda tau: np.exp(-(tau**2))
+    res = integrate_vertical_line(f, 0.0, truncation=8.0, step=0.25)
+    fv = f(np.arange(-32, 33) * 0.25)
+    assert res.value == 0.25 * (fv.sum() - 0.5 * (fv[0] + fv[-1]))
+    assert res.converged and res.nodes_used == 65
+    assert math.isnan(res.abs_error_estimate)
+    assert abs(res.value - math.sqrt(math.pi)) < 1e-12
