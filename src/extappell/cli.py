@@ -8,6 +8,7 @@ stdout with a one-line method trace on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from .bessel import bessel_k
@@ -109,6 +110,9 @@ def _need(params: dict, keys) -> list:
     words = [k for k in keys if not isinstance(params[k], complex)]
     if words:
         raise DomainError(f"parameters must be numbers: {', '.join(words)}")
+    infinite = [k for k in keys if not cmath.isfinite(params[k])]
+    if infinite:
+        raise DomainError(f"parameters must be finite: {', '.join(infinite)}")
     return [params[k] for k in keys]
 
 
@@ -132,7 +136,8 @@ def _cmd_eval(args) -> int:
         vals = _need(params, keys + ("z",))
         alpha = tuple(v for k, v in zip(keys, vals) if k.startswith("a"))
         beta_ = tuple(v for k, v in zip(keys, vals) if k.startswith("b"))
-        spec = GSpec(case, alpha, beta_, vals[-1], params.get("mu", 0.0))
+        mu = _need(params, ("mu",))[0] if "mu" in params else 0.0
+        spec = GSpec(case, alpha, beta_, vals[-1], mu)
         value = meijer_g(spec)
         trace = f"meijer_g case={case} slater-residue"
     elif fn == "beta_pv":

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from extappell.bessel import (
     bessel_k_scaled_many,
     bessel_k_upper_bound,
 )
-from extappell.errors import DomainError
+from extappell.errors import ConvergenceError, DomainError
 
 # K_{0.8}(1.5) by a 1e5-node trapezoid of the cosh integral at 30 digits
 K_08_15 = 0.25277243086539649
@@ -68,12 +69,47 @@ def test_scaled_huge_argument_finite():
 
 
 def test_closed_vs_cosh_route():
-    # the generic-route integral must reproduce the closed half-odd forms
+    # the generic-route integral must reproduce the closed half-odd forms,
+    # also at complex z, where the step comes from the strip of analyticity
     for nu in (0.5, 1.5, 2.5):
-        for z in (0.5, 1.0, 5.0, 20.0):
-            closed = bessel_k_scaled(nu, z)
-            generic = complex(_scaled_generic_bucket(nu, np.array([complex(z)]))[0])
-            assert abs(generic - closed) <= 1e-10 * abs(closed)
+        for arg in (0.0, 1.0, -1.0, 1.4, -1.4):
+            for r in (0.5, 1.0, 5.0, 20.0):
+                z = r * cmath.exp(1j * arg)
+                closed = bessel_k_scaled(nu, z)
+                generic = complex(_scaled_generic_bucket(nu, np.array([complex(z)]))[0])
+                assert abs(generic - closed) <= 1e-10 * abs(closed)
+
+
+@pytest.mark.parametrize("nu", [6.1, 10.7, 20.3, 30.3])
+def test_high_generic_orders_against_mpmath(nu):
+    # orders whose grids refine past the first level (every new level must
+    # fill in the whole grid, not its first half)
+    mp = pytest.importorskip("mpmath")
+    for z in (0.01, 1.0, 10.0, 100.0):
+        ref = float(mp.besselk(nu, z))
+        assert abs(bessel_k(nu, z) - ref) <= 1e-12 * ref
+
+
+def test_complex_argument_is_right_or_raises():
+    # where the cosh integral cancels (large order, |arg z| near pi/2) the
+    # trapezoid cannot settle in double precision: it must raise, never
+    # return a wrong value
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    finite = raised = 0
+    for _ in range(150):
+        nu = rng.uniform(4.0, 31.0)
+        arg = rng.uniform(1.2, 1.5) * rng.choice((-1.0, 1.0))
+        z = math.exp(rng.uniform(math.log(0.5), math.log(200.0))) * cmath.exp(1j * arg)
+        try:
+            value = bessel_k(nu, z)
+        except ConvergenceError:
+            raised += 1
+            continue
+        ref = complex(mp.besselk(nu, z))
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+        finite += 1
+    assert finite >= 20 and raised >= 20
 
 
 def test_recurrence_property():

@@ -194,3 +194,13 @@ def test_complex_or_word_order_exit_2(capsys):
     assert "nu must be real" in capsys.readouterr().err
     assert run([*_F1PV, "nu=abc"]) == 2
     assert run(["eval", "mellin_inv", *_F1PV[2:], "nu=0.5", "c=1.5+2j"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["x=nan", "x=-inf", "y=-inf", "b1=nan", "b2=nan",
+                                 "b3=inf", "c1=inf", "nu=inf", "p=nan+1j"])
+def test_non_finite_parameter_exit_2(capsys, bad):
+    key = bad.partition("=")[0]
+    argv = [a for a in [*_F1PV, "nu=0.5"] if not a.startswith(key + "=")]
+    assert run([*argv, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"must be finite: {key}" in captured.err

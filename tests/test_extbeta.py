@@ -170,3 +170,13 @@ def test_appell_sum_is_the_diagonal_series_in_closed_form():
         fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(p, 0.7))
         series = block_double_sum(fam.value, b2, b3, x, y, 1e-14, 4000)
         assert abs(fam.appell_sum(b2, b3, x, y) - series) <= 1e-10 * abs(series)
+
+
+# B_{1.5,nu}(2, 3) by mpmath at 30 digits; the kernel orders nu + 1/2 are
+# generic and high enough to refine the Bessel grid past its first level
+@pytest.mark.parametrize("nu, ref", [
+    (10.3, 0.192952532354462773891720576366),
+    (30.3, 3789478484057907.52913784598298),
+])
+def test_extended_beta_at_high_generic_order(nu, ref):
+    assert abs(extended_beta(2.0, 3.0, ExtensionParams(1.5, nu)) - ref) <= 1e-9 * ref

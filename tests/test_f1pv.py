@@ -227,3 +227,9 @@ def test_auto_route_selection():
     assert m.resolve(wide) == "integral"
     assert abs(f1pv(wide) - f1pv_integral(wide)) == 0.0
 
+
+def test_integral_route_at_steep_complex_p():
+    # baseline point with |p| = 0.3 at arg p = 1.4, against an mpmath value
+    ref = -0.22463165195748377 - 0.8039613397295093j
+    val = f1pv_integral(_inp(1.2, 0.5, -0.7, 3.1, 0.4, -0.3, 0.3 * cmath.exp(1.4j), 0.7))
+    assert abs(val - ref) <= 1e-9 * abs(ref)
