@@ -37,12 +37,7 @@ from .hyper import (
     pfq_unit_circle_class,
 )
 from .meijer import GSpec, meijer_g, verify_k_g_identity, verify_theorem1
-from .mellin import (
-    InversionContour,
-    mellin_forward_closed,
-    mellin_forward_numeric,
-    mellin_inverse_numeric,
-)
+from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,

@@ -17,11 +17,7 @@ from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import _AUTO_SERIES_LIMIT, EvaluationMethod, ExtendedAppellInput, f1pv
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series, default_max_terms
 from .meijer import GSpec, meijer_g
-from .mellin import (
-    InversionContour,
-    mellin_forward_closed,
-    mellin_inverse_numeric,
-)
+from .mellin import mellin_forward_closed, mellin_inverse_numeric
 from .quadrature import default_config
 from .report import write_report
 from .scalar import is_nonpositive_integer
@@ -116,6 +112,20 @@ def _need(params: dict, keys) -> list:
     return [params[k] for k in keys]
 
 
+def _allowed_keys(fn: str, params: dict) -> tuple:
+    """The parameter names ``eval fn`` takes: its required keys, plus an
+    optional ``c`` for mellin_inv and, for meijer_g, ``case`` and that
+    case's keys."""
+    if fn == "meijer_g":
+        case = params.get("case")
+        if not isinstance(case, str):
+            raise DomainError("meijer_g needs case=G2012|G2112|G2002|G4004")
+        if case not in _G_PARAMS:
+            raise DomainError(f"unknown Meijer-G case {case!r}")
+        return ("case", *_G_PARAMS[case], "z")
+    return _REQUIRED[fn] + (("c",) if fn == "mellin_inv" else ())
+
+
 def _real(value: complex, name: str) -> float:
     if value.imag != 0.0:
         raise DomainError(f"{name} must be real, got {value}")
@@ -126,19 +136,17 @@ def _cmd_eval(args) -> int:
     params = _parse_params(args.params)
     cfg = default_config(args.tol) if args.tol is not None else None
     fn = args.fn
+    allowed = _allowed_keys(fn, params)
+    unknown = [k for k in params if k not in allowed]
+    if unknown:
+        raise DomainError(f"unknown parameters for {fn}: {', '.join(unknown)}")
     if fn == "meijer_g":
-        case = params.pop("case", None)
-        if not isinstance(case, str):
-            raise DomainError("meijer_g needs case=G2012|G2112|G2002|G4004")
-        keys = _G_PARAMS.get(case)
-        if keys is None:
-            raise DomainError(f"unknown Meijer-G case {case!r}")
+        case = params["case"]
+        keys = _G_PARAMS[case]
         vals = _need(params, keys + ("z",))
         alpha = tuple(v for k, v in zip(keys, vals) if k.startswith("a"))
         beta_ = tuple(v for k, v in zip(keys, vals) if k.startswith("b"))
-        mu = _need(params, ("mu",))[0] if "mu" in params else 0.0
-        spec = GSpec(case, alpha, beta_, vals[-1], mu)
-        value = meijer_g(spec)
+        value = meijer_g(GSpec(case, alpha, beta_, vals[-1]))
         trace = f"meijer_g case={case} slater-residue"
     elif fn == "beta_pv":
         x, y, p, nu = _need(params, _REQUIRED[fn])
@@ -179,12 +187,9 @@ def _cmd_eval(args) -> int:
         trace = "Mellin transform, closed form"
     else:  # mellin_inv
         b1, b2, b3, c1, x, y, nu, p = _need(params, _REQUIRED[fn])
-        contour = None
-        if "c" in params:
-            (c,) = _need(params, ("c",))
-            contour = InversionContour(c=_real(c, "c"))
+        c = _real(_need(params, ("c",))[0], "c") if "c" in params else None
         value = mellin_inverse_numeric(
-            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), contour, cfg
+            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), c, cfg
         )
         trace = "inverse Mellin, truncated vertical contour"
     value = complex(value)

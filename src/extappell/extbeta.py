@@ -11,7 +11,7 @@ The Bessel kernel suppresses both endpoints faster than any power, so x
 and y are unrestricted.  Integrands are evaluated in one fused log-domain
 expression with the exponential part of K folded in (the scaled Bessel
 variant), and are treated as exactly zero once the governing exponent
-drops below the quadrature config's ``endpoint_cutoff``.
+drops below ``quadrature.ENDPOINT_CUTOFF``.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bessel import bessel_k_scaled_many
 from .errors import ConvergenceError, DomainError
-from .quadrature import QuadratureConfig, default_config, integrate_unit_interval
+from .quadrature import ENDPOINT_CUTOFF, QuadratureConfig, default_config, integrate_unit_interval
 
 # kernel values are cached for Re(w) up to cutoff + this slack; nodes beyond
 # it only matter for extreme parameter magnitudes and are filled on demand
@@ -83,9 +83,8 @@ class ExtendedBetaKernel:
     one row per p, and one Bessel call fills a level for every row.
     """
 
-    def __init__(self, ext: ExtensionParams, cfg: QuadratureConfig):
+    def __init__(self, ext: ExtensionParams):
         self.ext = ext
-        self.cfg = cfg
         batch = isinstance(ext.p, np.ndarray)  # real by construction
         self._p_is_real = batch or ext.p.imag == 0.0
         p = ext.p.real if self._p_is_real else ext.p
@@ -102,7 +101,7 @@ class ExtendedBetaKernel:
         if vals is None:
             re_w = w.real if np.iscomplexobj(w) else w
             vals = np.full(w.shape, np.nan, dtype=w.dtype)
-            live = re_w <= self.cfg.endpoint_cutoff + _KERNEL_SLACK
+            live = re_w <= ENDPOINT_CUTOFF + _KERNEL_SLACK
             if np.any(live):
                 vals[live] = bessel_k_scaled_many(self.ext.order, w[live])
             vals.flags.writeable = False
@@ -118,8 +117,6 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
     it receives (t, tc) and returns an array added to the exponent.  For
     a batch of p the values have the shape of w, one row per p.
     """
-    cutoff = kernel.cfg.endpoint_cutoff
-
     def integrand(t, tc):
         w = kernel.argument(t, tc)
         kv = kernel.scaled_values(t, tc, w)
@@ -127,7 +124,7 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
         if extra is not None:
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
-        live = re > -cutoff
+        live = re > -ENDPOINT_CUTOFF
         out = np.zeros(expo.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
         if not np.any(live):
             return out
@@ -156,7 +153,6 @@ def extended_beta(
     y: complex,
     ext: ExtensionParams,
     cfg: QuadratureConfig | None = None,
-    kernel: ExtendedBetaKernel | None = None,
 ) -> complex:
     """B_{p,nu}(x, y) for arbitrary complex x, y.
 
@@ -166,7 +162,7 @@ def extended_beta(
         If the quadrature fails to meet its tolerance.
     """
     cfg = cfg or default_config()
-    kernel = kernel or ExtendedBetaKernel(ext, cfg)
+    kernel = ExtendedBetaKernel(ext)
     xt, yt = _exponents(x, y, kernel)
     res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), cfg)
     if not res.converged:
@@ -190,12 +186,11 @@ def chaudhry_beta(
         xt, yt, pv = x.real - 1.0, y.real - 1.0, p.real
     else:
         xt, yt, pv = x - 1.0, y - 1.0, p
-    cutoff = cfg.endpoint_cutoff
 
     def integrand(t, tc):
         expo = xt * np.log(t) + yt * np.log(tc) - pv / (t * tc)
         re = expo.real if np.iscomplexobj(expo) else expo
-        live = re > -cutoff
+        live = re > -ENDPOINT_CUTOFF
         out = np.zeros(t.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
         out[live] = np.exp(expo[live])
         return out
@@ -242,7 +237,7 @@ class ExtendedBetaFamily:
         self.b = complex(b)
         self.ext = ext
         self.cfg = cfg or default_config()
-        self.kernel = ExtendedBetaKernel(ext, self.cfg)
+        self.kernel = ExtendedBetaKernel(ext)
         self._vals = np.zeros(0, dtype=complex)
 
     def value(self, k: int) -> complex:

@@ -56,11 +56,10 @@ class ExtendedAppellInput:
 
 @dataclass(frozen=True)
 class EvaluationMethod:
-    """Route selection and budgets: route in {series, integral, auto}."""
+    """Route selection and series tolerance: route in {series, integral, auto}."""
 
     route: str = "auto"
     tol: float = 1e-12
-    max_terms: int | None = None
 
     def __post_init__(self):
         if self.route not in ("series", "integral", "auto"):
@@ -89,9 +88,7 @@ def _series_diagonal(a: AppellParams, ext: ExtensionParams, cfg):
 
 
 def _diagonal_sum(diag, a: AppellParams, method: EvaluationMethod) -> complex:
-    return block_double_sum(
-        diag, a.b2, a.b3, a.x, a.y, method.tol, method.max_terms or default_max_terms()
-    )
+    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, method.tol, default_max_terms())
 
 
 def f1pv_series(

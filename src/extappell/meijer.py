@@ -52,17 +52,12 @@ THEOREM1_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GSpec:
-    """One restricted Meijer-G evaluation: case tag, parameters, argument.
-
-    ``mu`` records the free parameter of the mu-shifted identities; it is
-    bookkeeping only (the alpha/beta lists already contain it).
-    """
+    """One restricted Meijer-G evaluation: case tag, parameters, argument."""
 
     case: str
     alpha: tuple
     beta: tuple
     z: complex
-    mu: complex = 0.0
 
     def __post_init__(self):
         if self.case not in _CASES:
@@ -71,7 +66,6 @@ class GSpec:
         object.__setattr__(self, "alpha", tuple(complex(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(complex(b) for b in self.beta))
         object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "mu", complex(self.mu))
         if len(self.alpha) != p or len(self.beta) != q:
             raise DomainError(
                 f"{self.case} needs {p} alpha and {q} beta parameters, got "
@@ -243,11 +237,11 @@ def _identity_spec(which: str, nu: float, z: float, mu: float):
         spec = GSpec("G2112", (half,), (nu, -nu), 2.0 * z)
         return spec, math.cos(math.pi * nu) / math.sqrt(math.pi) * math.exp(-z)
     if which == "1.9":
-        spec = GSpec("G2002", (), ((mu + nu) / 2.0, (mu - nu) / 2.0), z * z / 4.0, mu)
+        spec = GSpec("G2002", (), ((mu + nu) / 2.0, (mu - nu) / 2.0), z * z / 4.0)
         return spec, z ** (-mu) * 2.0 ** (mu - 1.0)
     if which == "1.10":
         # e^{-z}: the e^{+z} variant fails numerically by a factor e^{2z}
-        spec = GSpec("G2112", (mu + half,), (mu + nu, mu - nu), 2.0 * z, mu)
+        spec = GSpec("G2112", (mu + half,), (mu + nu, mu - nu), 2.0 * z)
         return spec, (
             math.cos(math.pi * nu)
             * (2.0 * z) ** (-mu)
@@ -260,7 +254,6 @@ def _identity_spec(which: str, nu: float, z: float, mu: float):
             (),
             ((mu + nu) / 4.0, (2 + mu + nu) / 4.0, (mu - nu) / 4.0, (2 + mu - nu) / 4.0),
             z**4 / 256.0,
-            mu,
         )
         return spec, z ** (-mu) * 4.0 ** (mu - 1.0) / math.pi
     raise DomainError(f"unknown identity {which!r}; expected one of {K_G_IDENTITIES}")
@@ -345,7 +338,7 @@ def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float,
                      cfg: QuadratureConfig) -> complex:
     """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt."""
     a = inp.appell
-    kernel = ExtendedBetaKernel(inp.ext, cfg)
+    kernel = ExtendedBetaKernel(inp.ext)
 
     def extra(t, tc):
         # w^mu is evaluated at each node, not cancelled by hand: the mu

@@ -18,32 +18,37 @@ stated right-hand side (c1+s, no ratio) contradicts its own derivation;
 the corrected form matches the numeric transform to machine precision
 (and independent multiprecision evaluation to ~1e-16).
 
-Inverse: (1/(4 pi i sqrt(pi))) int_{c-iT}^{c+iT} (2/p)^s
-Gamma((s-nu)/2) Gamma((s+nu+1)/2) [B-ratio] F1(b1+s, b2, b3; c1+2s; x, y) ds
-along Re(s) = c > nu, with the truncation chosen from the measured
-Gamma-pair decay (~e^(-pi |tau|/2)).  Each call of the contour
-integrand sums F1(b1+s, ...; c1+2s; ...) for all of its nodes s in one
-diagonal sum, a row per node.
+The closed form, the contour integrand and the p -> 0 limit are all
+built from two factors computed over an array of s: the Gamma pair
+Gamma((s-nu)/2) Gamma((s+nu+1)/2) and the shifted-Appell factor
+
+    R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y),
+
+whose F1 values for every s come from one diagonal sum, a row per s
+(Gamma and Beta are taken node by node).
+
+Inverse: (1/(2 pi i)) int_{c-i inf}^{c+i inf} p^(-s) M(s) ds along
+Re(s) = c > nu.  The contour integrand is 2 sqrt(pi) p^(-s) M(s) =
+(2/p)^s * pair * R, integrated in tau = Im(s) and divided by
+4 pi sqrt(pi); the truncation is chosen from the measured Gamma-pair
+decay (~e^(-pi |tau|/2)).
+
+The p -> 0 limit of p^nu F_{1,p,nu}, which the forward quadrature uses
+at its smallest abscissae, is the residue of M at its first pole s = nu:
+2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .hyper import (
-    AppellParams,
-    appell_f1_series,
-    block_double_sum,
-    default_max_terms,
-    pochhammer_diagonal,
-)
+from .hyper import AppellParams, block_double_sum, default_max_terms, pochhammer_diagonal
 from .quadrature import (
+    ENDPOINT_CUTOFF,
     QuadratureConfig,
     default_config,
     integrate_semi_infinite,
@@ -53,8 +58,7 @@ from .quadrature import (
 from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
 
-_SERIES_TOL = 1e-10
-# the contour's F1 sums stop where ``appell_f1_series`` stops by default
+# the shifted F1 sums stop where ``appell_f1_series`` stops by default
 _F1_TOL = 1e-14
 
 
@@ -77,27 +81,30 @@ def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
     return s
 
 
-@dataclass(frozen=True)
-class InversionContour:
-    """Vertical line Re(s) = c for the inverse transform, c > nu.
-
-    ``truncation``/``step`` override the adaptive choices when given.
-    """
-
-    c: float
-    truncation: float | None = None
-    step: float | None = None
-
-    def __post_init__(self):
-        if self.truncation is not None and not self.truncation > 0:
-            raise DomainError("truncation must be positive")
-        if self.step is not None and not self.step > 0:
-            raise DomainError("step must be positive")
-
-
 def _check_series_domain(appell: AppellParams):
     if abs(appell.x) >= 1.0 or abs(appell.y) >= 1.0:
         raise DomainError("Mellin routines need |x| < 1 and |y| < 1")
+
+
+def _gamma_pair(nu: float, s: np.ndarray) -> np.ndarray:
+    """Gamma((s-nu)/2) Gamma((s+nu+1)/2) at every s, node by node."""
+    return np.array([gamma((si - nu) / 2.0) * gamma((si + nu + 1.0) / 2.0)
+                     for si in s.tolist()], dtype=complex)
+
+
+def _shifted_appell_factor(appell: AppellParams, s: np.ndarray) -> np.ndarray:
+    """R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y).
+
+    The F1 of every s is one row of a single diagonal sum; the Beta
+    ratio is taken node by node.
+    """
+    a = appell
+    f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
+                          a.b2, a.b3, a.x, a.y, _F1_TOL, default_max_terms())
+    bnorm = beta(a.b1, a.c1 - a.b1)
+    ratio = np.array([beta(a.b1 + si, a.c1 - a.b1 + si) for si in s.tolist()],
+                     dtype=complex) / bnorm
+    return ratio * f1
 
 
 _P_LIMIT_FORM = 1e-12
@@ -118,7 +125,8 @@ class _RadialEvaluator:
     instead, B_{p,nu}(x, y) -> 2^nu Gamma(nu+1/2)/sqrt(pi) * p^-nu *
     B(x+nu, y+nu), whose relative error is dwarfed by the p^(s-nu) weight
     those abscissae carry in the transform; from ``p_dead`` on the kernel
-    wipes out the whole interval and the value is 0.
+    wipes out the whole interval and the value is 0.  The limit's
+    coefficient is the residue of the transform at s = nu.
     """
 
     def __init__(self, appell: AppellParams, nu: float, cfg: QuadratureConfig):
@@ -128,18 +136,15 @@ class _RadialEvaluator:
         self.cfg = cfg
         self.b0 = beta(appell.b1, appell.c1 - appell.b1)
         # beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
-        self.p_dead = 0.26 * cfg.endpoint_cutoff + 30.0
+        self.p_dead = 0.26 * ENDPOINT_CUTOFF + 30.0
         self._limit_const: complex | None = None
 
     def _limit_coefficient(self) -> complex:
-        """lim_{p->0} p^nu F_{1,p,nu}."""
+        """lim_{p->0} p^nu F_{1,p,nu} = 2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu)."""
         if self._limit_const is None:
-            a, nu = self.appell, self.nu
-            const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi)
-            self._limit_const = const * block_double_sum(
-                lambda k: beta(a.b1 + nu + k, a.c1 - a.b1 + nu) / self.b0,
-                a.b2, a.b3, a.x, a.y, _SERIES_TOL, default_max_terms(),
-            )
+            nu = self.nu
+            r = _shifted_appell_factor(self.appell, np.array([nu], dtype=complex))
+            self._limit_const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * complex(r[0])
         return self._limit_const
 
     def weighted(self, ps: np.ndarray, s: complex) -> np.ndarray:
@@ -174,7 +179,6 @@ def mellin_forward_numeric(
     inner_cfg = QuadratureConfig(
         target_rel_tol=min(1e-9, cfg.target_rel_tol),
         max_levels=cfg.max_levels,
-        endpoint_cutoff=cfg.endpoint_cutoff,
     )
     f = _RadialEvaluator(appell, nu, inner_cfg)
     s_is_real = s.imag == 0.0
@@ -201,52 +205,23 @@ def mellin_forward_numeric(
     return complex(val.real, 0.0) if s_is_real else val
 
 
-def mellin_forward_closed(
-    appell: AppellParams,
-    nu: float,
-    s: complex,
-    max_terms: int | None = None,
-) -> complex:
+def mellin_forward_closed(appell: AppellParams, nu: float, s: complex) -> complex:
     """The closed form of the transform (corrected; see module docstring)."""
     s = check_mellin_point(s, nu, appell.c1)
     _check_series_domain(appell)
-    a = appell
-    shifted = AppellParams(a.b1 + s, a.b2, a.b3, a.c1 + 2 * s, a.x, a.y)
-    f1 = appell_f1_series(shifted, max_terms=max_terms)
-    return (
-        2.0 ** (s - 1.0)
-        / math.sqrt(math.pi)
-        * gamma((s - nu) / 2.0)
-        * gamma((s + nu + 1.0) / 2.0)
-        * beta(a.b1 + s, a.c1 - a.b1 + s)
-        / beta(a.b1, a.c1 - a.b1)
-        * f1
-    )
+    ss = np.array([s])
+    return complex(2.0 ** (s - 1.0) / math.sqrt(math.pi)
+                   * (_gamma_pair(nu, ss) * _shifted_appell_factor(appell, ss))[0])
 
 
 def _inversion_integrand(appell: AppellParams, nu: float, p: float, c: float):
-    """The contour integrand at s = c + i tau, every tau of a call at once.
-
-    F1(b1+s, b2, b3; c1+2s; x, y) is one diagonal sum with a row per
-    node; the Gamma and Beta factors are taken node by node.
-    """
-    a = appell
-    bnorm = beta(a.b1, a.c1 - a.b1)
+    """The contour integrand (2/p)^s * pair * R at s = c + i tau, every tau
+    of a call at once."""
     log2p = math.log(2.0 / p)
 
     def f(taus: np.ndarray) -> np.ndarray:
         s = c + 1j * np.asarray(taus, dtype=float)
-        f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
-                              a.b2, a.b3, a.x, a.y, _F1_TOL, default_max_terms())
-        factors = np.array([
-            cmath.exp(si * log2p)
-            * gamma((si - nu) / 2.0)
-            * gamma((si + nu + 1.0) / 2.0)
-            * beta(a.b1 + si, a.c1 - a.b1 + si)
-            / bnorm
-            for si in s.tolist()
-        ], dtype=complex)
-        return factors * f1
+        return np.exp(s * log2p) * _gamma_pair(nu, s) * _shifted_appell_factor(appell, s)
 
     return f
 
@@ -255,20 +230,19 @@ def mellin_inverse_numeric(
     appell: AppellParams,
     nu: float,
     p: float,
-    contour: InversionContour | None = None,
+    c: float | None = None,
     cfg: QuadratureConfig | None = None,
 ) -> complex:
     """Reconstruct F_{1,p,nu} from the closed-form transform by contour
-    integration along Re(s) = c > nu."""
+    integration along Re(s) = c > nu (default c = nu + 1)."""
     if not p > 0.0:
         raise DomainError(f"inversion needs real p > 0, got {p}")
     _check_series_domain(appell)
-    contour = contour or InversionContour(c=nu + 1.0)
-    if not contour.c > nu:
-        raise DomainError(f"abscissa must exceed nu, got c={contour.c}, nu={nu}")
+    c = nu + 1.0 if c is None else c
+    if not c > nu:
+        raise DomainError(f"abscissa must exceed nu, got c={c}, nu={nu}")
     cfg = cfg or default_config(1e-7)
-    f = _inversion_integrand(appell, nu, p, contour.c)
-    res = integrate_vertical_line(f, contour.c, cfg, contour.truncation, contour.step)
+    res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), c, cfg)
     if not res.converged:
         raise ConvergenceError(
             f"inversion contour integral stalled at {res.abs_error_estimate:g}"

@@ -5,9 +5,8 @@ decaying transformed integrands:
 
 * ``integrate_unit_interval`` -- tanh-sinh on (0, 1),
 * ``integrate_semi_infinite`` -- exp-sinh on (0, inf),
-* ``integrate_vertical_line`` -- truncated trapezoid in the imaginary
-  direction for Mellin-Barnes / inverse-Mellin integrands, adaptive or
-  on a caller-pinned grid.
+* ``integrate_vertical_line`` -- adaptive truncated trapezoid in the
+  imaginary direction for Mellin-Barnes / inverse-Mellin integrands.
 
 Integrands are vectorized callables: they receive NumPy arrays of nodes
 and must return an array of values (real or complex).  The unit-interval
@@ -40,21 +39,18 @@ _TAU_MAX_UNIT = 6.0
 _V_MIN_SEMI = -6.8
 _V_MAX_SEMI = 4.25
 _ENV_LEVELS = "APPELL_QUAD_LEVELS"
+# exponent magnitude beyond which integrands treat themselves as exactly
+# zero (callers consult it when fusing log-domain factors); 745 is the
+# double-precision underflow threshold for exp
+ENDPOINT_CUTOFF = 745.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by the engines.
-
-    ``endpoint_cutoff`` is the exponent magnitude beyond which integrands
-    are expected to treat themselves as exactly zero (callers consult it
-    when fusing log-domain factors); 745 is the double-precision
-    underflow threshold for exp.
-    """
+    """Tolerances and budgets shared by the engines."""
 
     target_rel_tol: float = 1e-10
     max_levels: int = 12
-    endpoint_cutoff: float = 745.0
 
     def __post_init__(self):
         if not self.target_rel_tol > 0.0:
@@ -295,11 +291,7 @@ def _contour_values(f, taus: np.ndarray) -> np.ndarray:
 
 
 def integrate_vertical_line(
-    f,
-    abscissa: float,
-    cfg: QuadratureConfig | None = None,
-    truncation: float | None = None,
-    step: float | None = None,
+    f, abscissa: float, cfg: QuadratureConfig | None = None
 ) -> QuadratureResult:
     """Trapezoid integral of ``f(tau)`` over tau in (-inf, inf).
 
@@ -309,11 +301,9 @@ def integrate_vertical_line(
     the first probe abscissa at which both tails have dropped below
     tolerance (measured decay, safety factor 2; every probe is sampled in
     one call).  Returns the plain integral in tau; any 1/(2 pi) convention
-    is the caller's business.
-
-    A given ``truncation`` pins the discretization instead: one trapezoid
-    sum over [-truncation, truncation] with ``step`` (default
-    truncation/128), no refinement and no error estimate (NaN).
+    is the caller's business.  The step starts at an eighth of the
+    truncation point and halves until two levels differ by at most
+    ``target_rel_tol`` (1 + |value|).
 
     Raises
     ------
@@ -322,13 +312,6 @@ def integrate_vertical_line(
         a sample is not finite.
     """
     cfg = cfg or default_config()
-    if truncation is not None:
-        h = step or truncation / 128.0
-        n = int(math.ceil(truncation / h))
-        fv = _contour_values(f, np.arange(-n, n + 1) * h)
-        return QuadratureResult(h * (fv.sum() - 0.5 * (fv[0] + fv[-1])), math.nan,
-                                fv.size, True)
-
     mags = np.abs(np.asarray(f(np.concatenate([[0.0], _PROBE_TAUS, -_PROBE_TAUS]))))
     cut = cfg.target_rel_tol * max(float(mags[0]), 1.0) * 1e-2
     n = _PROBE_TAUS.size

@@ -41,14 +41,13 @@ def make_record(
     rhs: complex,
     tol: float,
     method: str,
-    elapsed_ms: float = 0.0,
     skip_reason: str | None = None,
 ) -> VerificationRecord:
     """Build a record; pass/fail from rel_err = abs_err / (1 + max |side|)."""
     if skip_reason is not None:
         return VerificationRecord(
             suite, case_id, dict(params), 0j, 0j, 0.0, 0.0, tol,
-            "skipped", skip_reason, elapsed_ms, method,
+            "skipped", skip_reason, 0.0, method,
         )
     lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -56,7 +55,7 @@ def make_record(
     status = "pass" if rel_err <= tol else "fail"
     return VerificationRecord(
         suite, case_id, dict(params), lhs, rhs, abs_err, rel_err, tol,
-        status, None, elapsed_ms, method,
+        status, None, 0.0, method,
     )
 
 

@@ -204,3 +204,18 @@ def test_non_finite_parameter_exit_2(capsys, bad):
     assert run([*argv, bad]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"must be finite: {key}" in captured.err
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["mellin_inv", *_F1PV[2:], "nu=0.5", "C=0.4"], "C"),
+    (["beta_pv", "x=2", "y=3", "p=1", "nu=0.5", "q=7"], "q"),
+    (["meijer_g", "case=G2002", "b1=0.3", "b2=-0.2", "z=1.5", "mu=7"], "mu"),
+    (["meijer_g", "case=G2012", "a1=0.5", "b1=0.3", "b2=-0.3", "b3=1", "z=1.5"], "b3"),
+    (["bessel_k", "nu=0.5", "z=1", "c=2"], "c"),  # c belongs to mellin_inv only
+], ids=["mellin_inv-C", "beta_pv-q", "meijer_g-mu", "meijer_g-b3", "bessel_k-c"])
+def test_unknown_parameter_exit_2(capsys, argv, unknown):
+    assert run(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f"unknown parameters for {argv[0]}: {unknown}")

@@ -9,7 +9,6 @@ from extappell.f1pv import ExtendedAppellInput, f1pv_integral, f1pv_series
 from extappell.hyper import AppellParams, appell_f1_series
 from extappell.mellin import (
     _P_LIMIT_FORM,
-    InversionContour,
     _inversion_integrand,
     _RadialEvaluator,
     check_mellin_point,
@@ -18,14 +17,18 @@ from extappell.mellin import (
     mellin_inverse_numeric,
     verify_mellin_pair,
 )
-from extappell.quadrature import QuadratureConfig
+from extappell.quadrature import QuadratureConfig, default_config
 from extappell.scalar import beta, gamma
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
-# the ROADMAP baseline point, and its transform at nu = 0.7, s = 2.7 by
-# the corrected closed form with mpmath's appellf1 at 30 digits
+# the ROADMAP baseline point, its transform at nu = 0.7, s = 2.7 by the
+# corrected closed form, and lim_{p->0} p^nu F_{1,p,nu} = 2^nu
+# Gamma(nu+1/2)/sqrt(pi) R(nu) with R the shifted-Appell factor, by
+# mpmath's appellf1 at 40 digits from the double-precision inputs
 BASE = AppellParams(1.2, 0.5, -0.7, 3.1, 0.4, -0.3)
-FORWARD_BASE_27 = 0.03086569771085350544
+FORWARD_BASE_27 = 0.03086569771085350544021
+LIMIT_BASE = {0.7: 0.2968793342908272393537, 1.0: 0.2158566314574441621915,
+              1.9: 0.1361192995939547715069}
 
 
 def test_mellin_point_constraints():
@@ -85,26 +88,16 @@ def test_inverse_origin_case():
 
 
 def test_inverse_abscissa_independence():
-    a = mellin_inverse_numeric(AP, 0.5, 1.0, InversionContour(c=1.5))
-    b = mellin_inverse_numeric(AP, 0.5, 1.0, InversionContour(c=2.0))
+    a = mellin_inverse_numeric(AP, 0.5, 1.0, c=1.5)
+    b = mellin_inverse_numeric(AP, 0.5, 1.0, c=2.0)
     assert abs(a - b) <= 1e-6 * (1.0 + abs(a))
-
-
-def test_inverse_fixed_contour_override():
-    direct = f1pv_series(ExtendedAppellInput(AP, ExtensionParams(1.0, 0.5)))
-    rec = mellin_inverse_numeric(
-        AP, 0.5, 1.0, InversionContour(c=1.5, truncation=40.0, step=0.125)
-    )
-    assert abs(rec - direct) <= 1e-5 * (1.0 + abs(direct))
 
 
 def test_inverse_contour_validation():
     with pytest.raises(DomainError):
         mellin_inverse_numeric(AP, 0.5, -1.0)
     with pytest.raises(DomainError):
-        mellin_inverse_numeric(AP, 0.5, 1.0, InversionContour(c=0.4))
-    with pytest.raises(DomainError):
-        InversionContour(c=1.0, truncation=-3.0)
+        mellin_inverse_numeric(AP, 0.5, 1.0, c=0.4)
 
 
 def test_integrand_gamma_pair_decay_rate():
@@ -128,6 +121,17 @@ def test_series_domain_required():
 def test_forward_numeric_matches_frozen_reference():
     val = mellin_forward_numeric(BASE, 0.7, 2.7)
     assert abs(val - FORWARD_BASE_27) <= 1e-10 * FORWARD_BASE_27
+
+
+def test_forward_closed_matches_frozen_reference():
+    val = mellin_forward_closed(BASE, 0.7, 2.7)
+    assert abs(val - FORWARD_BASE_27) <= 1e-14 * FORWARD_BASE_27
+
+
+@pytest.mark.parametrize("nu", sorted(LIMIT_BASE))
+def test_limit_coefficient_matches_frozen_reference(nu):
+    val = _RadialEvaluator(BASE, nu, default_config())._limit_coefficient()
+    assert abs(val - LIMIT_BASE[nu]) <= 1e-14 * LIMIT_BASE[nu]
 
 
 def test_batched_radial_values_match_per_p_integral():

@@ -5,10 +5,10 @@ import pytest
 
 from extappell.errors import DomainError
 from extappell.quadrature import (
+    ENDPOINT_CUTOFF,
     QuadratureConfig,
     _edge_tail,
     _tail_estimate,
-    default_config,
     integrate_semi_infinite,
     integrate_unit_interval,
     integrate_vertical_line,
@@ -30,12 +30,10 @@ def test_unit_beta_moment():
 
 
 def test_unit_chaudhry_kernel_vs_dense_oracle():
-    cutoff = default_config().endpoint_cutoff
-
     def f(t, tc):
         expo = -1.0 / (t * tc)
         out = np.zeros_like(t)
-        live = expo > -cutoff
+        live = expo > -ENDPOINT_CUTOFF
         out[live] = t[live] * tc[live] * np.exp(expo[live])
         return out
 
@@ -141,12 +139,3 @@ def test_edge_tail_of_a_stack_equals_the_per_row_rule():
     assert list(_edge_tail(level0)) == expect
     assert expect[:4] == [0.0, 0.0, math.inf, math.inf] and 0.0 < expect[4] < math.inf
 
-
-def test_vertical_fixed_truncation_is_one_trapezoid_sum():
-    f = lambda tau: np.exp(-(tau**2))
-    res = integrate_vertical_line(f, 0.0, truncation=8.0, step=0.25)
-    fv = f(np.arange(-32, 33) * 0.25)
-    assert res.value == 0.25 * (fv.sum() - 0.5 * (fv[0] + fv[-1]))
-    assert res.converged and res.nodes_used == 65
-    assert math.isnan(res.abs_error_estimate)
-    assert abs(res.value - math.sqrt(math.pi)) < 1e-12

@@ -28,3 +28,44 @@ def test_no_unused_imports():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no module reads or imports."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                targets = []
+            defined += [f"{module}:{name}" for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [d for d in defined if d.partition(":")[2] not in used]
+
+
+def test_unused_private_name_scan():
+    sources = {
+        "a.py": "_X = 1\n_Y: int = 2\n__all__ = []\ndef _f():\n    return _Y\n"
+                "class _C:\n    pass\n",
+        "b.py": "from .a import _C\nimport a\na._f()\n",
+    }
+    assert _unused_private_names(sources) == ["a.py:_X"]
+
+
+def test_no_unused_private_names():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert _unused_private_names(sources) == []
