@@ -26,16 +26,7 @@ from .f1pv import (
     f1pv_series,
     f1pv_transform,
 )
-from .hyper import (
-    AppellParams,
-    ConvergenceClass,
-    PFQParams,
-    appell_f1_integral,
-    appell_f1_series,
-    gauss_2f1,
-    pfq,
-    pfq_unit_circle_class,
-)
+from .hyper import AppellParams, PFQParams, appell_f1_integral, appell_f1_series, pfq
 from .meijer import GSpec, meijer_g, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .quadrature import (
@@ -46,14 +37,7 @@ from .quadrature import (
     integrate_vertical_line,
 )
 from .report import VerificationRecord, write_report
-from .scalar import (
-    beta,
-    gamma,
-    log_gamma,
-    pochhammer,
-    principal_power,
-    upper_incomplete_gamma,
-)
+from .scalar import beta, gamma, log_gamma, pochhammer, principal_power
 from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"

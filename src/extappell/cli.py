@@ -14,7 +14,7 @@ import sys
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError, PoleError, UsageError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import _AUTO_SERIES_LIMIT, EvaluationMethod, ExtendedAppellInput, f1pv
+from .f1pv import EvaluationMethod, ExtendedAppellInput, _prefers_series, f1pv
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series, default_max_terms
 from .meijer import GSpec, meijer_g
 from .mellin import mellin_forward_closed, mellin_inverse_numeric
@@ -92,10 +92,13 @@ def _parse_params(pairs) -> dict:
         if "=" not in item:
             raise DomainError(f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise DomainError(f"repeated parameter: {key}")
         try:
-            out[key.strip()] = complex(raw)
+            out[key] = complex(raw)
         except ValueError:
-            out[key.strip()] = raw.strip()  # tags such as case=G2012
+            out[key] = raw.strip()  # tags such as case=G2012
     return out
 
 
@@ -161,8 +164,7 @@ def _cmd_eval(args) -> int:
         ap = AppellParams(b1, b2, b3, c1, x, y)
         route = args.route
         if route == "auto":
-            near = abs(ap.x) <= _AUTO_SERIES_LIMIT and abs(ap.y) <= _AUTO_SERIES_LIMIT
-            route = "series" if near else "integral"
+            route = "series" if _prefers_series(ap.x, ap.y) else "integral"
         value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, cfg)
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":

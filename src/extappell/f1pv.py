@@ -20,7 +20,9 @@ expansion of the integrand reproduces the series exactly.
 
 On top of the two routes: the Moebius transformation identity in
 (x, y), derivatives of any order via parameter shifts, recursions in
-b2/b3, and a strict upper bound for real parameters.
+b2/b3, and a strict upper bound for real parameters.  The bound's
+prefactor is the Bessel lemma |K_{nu+1/2}(w)| < (1/2) (2|w|/Re(w)^2)^(nu+1/2)
+Gamma(nu+1/2) (``bessel_k_upper_bound``) taken at w = p/(t(1-t)).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-
+from .bessel import bessel_k_upper_bound
 from .errors import DomainError, PoleError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import (
@@ -38,12 +40,16 @@ from .hyper import (
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
-    default_max_terms,
 )
 from .quadrature import QuadratureConfig
-from .scalar import beta, gamma, log_gamma, pochhammer
+from .scalar import beta, log_gamma, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
+
+
+def _prefers_series(x: complex, y: complex) -> bool:
+    """The automatic route rule: series when |x| and |y| are both at most 0.9."""
+    return abs(x) <= _AUTO_SERIES_LIMIT and abs(y) <= _AUTO_SERIES_LIMIT
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,7 @@ class EvaluationMethod:
         if self.route != "auto":
             return self.route
         a = inp.appell
-        if abs(a.x) <= _AUTO_SERIES_LIMIT and abs(a.y) <= _AUTO_SERIES_LIMIT:
+        if _prefers_series(a.x, a.y):
             try:
                 if beta(a.b1, a.c1 - a.b1) != 0:
                     return "series"
@@ -88,7 +94,7 @@ def _series_diagonal(a: AppellParams, ext: ExtensionParams, cfg):
 
 
 def _diagonal_sum(diag, a: AppellParams, method: EvaluationMethod) -> complex:
-    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, method.tol, default_max_terms())
+    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, method.tol)
 
 
 def f1pv_series(
@@ -134,9 +140,7 @@ def f1pv(
     return f1pv_integral(inp, cfg)
 
 
-def f1pv_transform(
-    inp: ExtendedAppellInput, cfg: QuadratureConfig | None = None
-) -> complex:
+def f1pv_transform(inp: ExtendedAppellInput) -> complex:
     """Right-hand side of the Moebius transformation identity:
 
     (1-x)^(-b2) (1-y)^(-b3) F_{1,p,nu}(c1-b1, b2, b3; c1; x/(x-1), y/(y-1)).
@@ -159,7 +163,7 @@ def f1pv_transform(
         AppellParams(a.c1 - a.b1, a.b2, a.b3, a.c1, xi, eta), inp.ext
     )
     pref = cmath.exp(-a.b2 * cmath.log(1.0 - a.x) - a.b3 * cmath.log(1.0 - a.y))
-    return pref * f1pv_integral(flipped, cfg)
+    return pref * f1pv_integral(flipped)
 
 
 def f1pv_derivative(
@@ -167,7 +171,6 @@ def f1pv_derivative(
     m_order: int,
     n_order: int,
     method: EvaluationMethod | None = None,
-    cfg: QuadratureConfig | None = None,
 ) -> complex:
     """d^(M+N) F / dx^M dy^N via the parameter-shift identity:
 
@@ -188,15 +191,15 @@ def f1pv_derivative(
         AppellParams(a.b1 + k, a.b2 + m_order, a.b3 + n_order, a.c1 + k, a.x, a.y),
         inp.ext,
     )
-    return pref * f1pv(shifted, method, cfg)
+    return pref * f1pv(shifted, method)
 
 
-def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool, method, cfg) -> complex:
+def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
     if n < 1:
         raise DomainError(f"recursion step count must be >= 1, got {n}")
     a = inp.appell
-    method = method or EvaluationMethod()
-    base = f1pv_series(inp, method, cfg)
+    method = EvaluationMethod()
+    base = f1pv_series(inp, method)
     var = a.x if on_b2 else a.y
     if var == 0:
         return base
@@ -206,32 +209,22 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool, method, cfg) -> co
         return AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
 
     # all shifted terms share (b1+1, c1+1), hence one diagonal
-    diag = _series_diagonal(shifted(0), inp.ext, cfg)
+    diag = _series_diagonal(shifted(0), inp.ext, None)
     total = sum(_diagonal_sum(diag, shifted(ell), method) for ell in range(1, n + 1))
     return base + a.b1 * var / a.c1 * total
 
 
-def f1pv_recursion_b2(
-    inp: ExtendedAppellInput,
-    n: int,
-    method: EvaluationMethod | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
+def f1pv_recursion_b2(inp: ExtendedAppellInput, n: int) -> complex:
     """F_{1,p,nu} with b2 raised by n, assembled from the recursion:
 
     F(b2+n) = F(b2) + (b1 x / c1) sum_{l=1..n} F(b1+1, b2+l, b3; c1+1).
     """
-    return _recursion(inp, n, True, method, cfg)
+    return _recursion(inp, n, True)
 
 
-def f1pv_recursion_b3(
-    inp: ExtendedAppellInput,
-    n: int,
-    method: EvaluationMethod | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
+def f1pv_recursion_b3(inp: ExtendedAppellInput, n: int) -> complex:
     """Mirror of ``f1pv_recursion_b2`` acting on (b3, y)."""
-    return _recursion(inp, n, False, method, cfg)
+    return _recursion(inp, n, False)
 
 
 def _require_real(inp: ExtendedAppellInput) -> tuple:
@@ -243,6 +236,9 @@ def _require_real(inp: ExtendedAppellInput) -> tuple:
 
 
 def _bound_prefactor(inp: ExtendedAppellInput) -> float:
+    """The lemma at w = p/(t(1-t)) is its value at w = p times
+    (t(1-t))^(nu+1/2), since |w|/Re(w)^2 = t(1-t) |p|/Re(p)^2; that power
+    raises both Beta arguments by nu."""
     b1, _b2, _b3, c1, _x, _y = _require_real(inp)
     nu, p = inp.ext.nu, inp.ext.p
     if not (b1 > 0.0 and c1 - b1 > 0.0):
@@ -250,30 +246,27 @@ def _bound_prefactor(inp: ExtendedAppellInput) -> float:
             f"bound needs b1 > 0 and c1 - b1 > 0, got b1={b1}, c1={c1}"
         )
     return (
-        2.0**nu
-        * abs(p) ** (nu + 1.0)
-        / (math.sqrt(math.pi) * p.real ** (2.0 * nu + 1.0))
-        * gamma(nu + 0.5).real
+        math.sqrt(2.0 * abs(p) / math.pi)
+        * bessel_k_upper_bound(nu, p)
         * beta(b1 + nu, c1 - b1 + nu).real
         / beta(b1, c1 - b1).real
     )
 
 
-def f1pv_bound(inp: ExtendedAppellInput, cfg: QuadratureConfig | None = None) -> float:
+def f1pv_bound(inp: ExtendedAppellInput) -> float:
     """Strict upper bound for |F_{1,p,nu}| (real parameters, x, y < 1):
 
     2^nu |p|^(nu+1) / (sqrt(pi) Re(p)^(2nu+1)) * Gamma(nu+1/2)
-    * B(b1+nu, c1-b1+nu)/B(b1, c1-b1) * F1(b1+nu, b2, b3; c1+2nu; x, y).
+    * B(b1+nu, c1-b1+nu)/B(b1, c1-b1) * F1(b1+nu, b2, b3; c1+2nu; x, y),
+
+    the first line being sqrt(2|p|/pi) * bessel_k_upper_bound(nu, p).
     """
     b1, b2, b3, c1, x, y = _require_real(inp)
     if x >= 1.0 or y >= 1.0:
         raise DomainError("bound needs x < 1 and y < 1")
     nu = inp.ext.nu
     f1 = AppellParams(b1 + nu, b2, b3, c1 + 2.0 * nu, x, y)
-    if abs(x) < _AUTO_SERIES_LIMIT and abs(y) < _AUTO_SERIES_LIMIT:
-        factor = appell_f1_series(f1)
-    else:
-        factor = appell_f1_integral(f1, cfg)
+    factor = appell_f1_series(f1) if _prefers_series(x, y) else appell_f1_integral(f1)
     return _bound_prefactor(inp) * factor.real
 
 

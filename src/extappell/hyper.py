@@ -1,16 +1,16 @@
 """Classical hypergeometric layer.
 
-Generalized pFq series with unit-circle convergence classification, Gauss
-2F1 as a thin wrapper, and the first Appell two-variable function F1 both
-as a double power series and as its Euler-type integral.
+The generalized pFq series, and the first Appell two-variable function
+F1 both as a double power series and as its Euler-type integral.
 
 The double series is summed along its diagonals m + n = k, as
 sum_k c_k diag(k) with c_k the convolution of the two Pochhammer ladders;
 summation stops once three consecutive diagonal terms stay below
 tolerance (guards against accidental zeros when parameters make
-individual terms vanish).  A diagonal factor may carry one row per
-parameter set, as the Mellin contour's (b1+s)_k/(c1+2s)_k does over its
-nodes s; each row then stops where its own scalar sum would.
+individual terms vanish), within APPELL_MAX_TERMS diagonals.  A diagonal
+factor may carry one row per parameter set, as the Mellin contour's
+(b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops where its
+own scalar sum would.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,6 +28,8 @@ from .scalar import beta, is_nonpositive_integer, log_gamma
 _ENV_MAX_TERMS = "APPELL_MAX_TERMS"
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
+# where F1 double series stop: three consecutive terms below F1_TOL |total|
+F1_TOL = 1e-14
 
 
 def default_max_terms() -> int:
@@ -62,19 +63,14 @@ class PFQParams:
                 raise PoleError("pFq denominator parameter at a pole", b)
 
 
-class ConvergenceClass(Enum):
-    ABSOLUTE = "absolute"
-    CONDITIONAL = "conditional"
-    DIVERGENT = "divergent"
-
-
-def pfq(params: PFQParams, max_terms: int | None = None, tol: float = 1e-14) -> complex:
+def pfq(params: PFQParams) -> complex:
     """Sum of the pFq series by term recursion.
 
     t_{n+1} = t_n * prod(a_j + n) / prod(b_j + n) * z / (n + 1); stops
-    when |t_n| <= tol * |partial sum| for three consecutive terms.
+    when |t_n| <= 1e-14 * |partial sum| for three consecutive terms, at
+    most APPELL_MAX_TERMS terms.
     """
-    max_terms = max_terms or default_max_terms()
+    max_terms = default_max_terms()
     a, b, z = params.numerator, params.denominator, params.z
     if len(a) > len(b) + 1:
         raise DomainError(f"pFq needs p <= q+1 for convergence, got p={len(a)}, q={len(b)}")
@@ -99,7 +95,7 @@ def pfq(params: PFQParams, max_terms: int | None = None, tol: float = 1e-14) -> 
             den *= bj + n
         term = term * num / den * z / (n + 1)
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= 1e-14 * abs(total):
             small += 1
             if small >= 3:
                 return total
@@ -108,32 +104,6 @@ def pfq(params: PFQParams, max_terms: int | None = None, tol: float = 1e-14) -> 
     if n_stop is not None and limit >= n_stop + 1:
         return total  # polynomial case: summed exactly
     raise ConvergenceError(f"pFq did not converge within {max_terms} terms")
-
-
-def gauss_2f1(a: complex, b: complex, c: complex, z: complex, **kw) -> complex:
-    return pfq(PFQParams((a, b), (c,), z), **kw)
-
-
-def pfq_unit_circle_class(params: PFQParams) -> ConvergenceClass:
-    """Convergence class of a (q+1)Fq series on the unit circle.
-
-    Uses omega = sum(denominator) - sum(numerator): absolute for
-    Re(omega) > 0, conditional for -1 < Re(omega) <= 0 away from z = 1,
-    divergent otherwise.
-    """
-    a, b, z = params.numerator, params.denominator, params.z
-    if len(a) != len(b) + 1:
-        raise DomainError(
-            f"unit-circle classification needs p = q+1, got p={len(a)}, q={len(b)}"
-        )
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise DomainError(f"|z| must be 1, got {abs(z)!r}")
-    omega = sum(b) - sum(a)
-    if omega.real > 0.0:
-        return ConvergenceClass.ABSOLUTE
-    if -1.0 < omega.real <= 0.0 and abs(z - 1.0) > 1e-12:
-        return ConvergenceClass.CONDITIONAL
-    return ConvergenceClass.DIVERGENT
 
 
 @dataclass(frozen=True)
@@ -152,10 +122,6 @@ class AppellParams:
             object.__setattr__(self, name, complex(getattr(self, name)))
         if is_nonpositive_integer(self.c1):
             raise PoleError("Appell denominator parameter c1 at a pole", self.c1)
-
-    def swapped(self) -> "AppellParams":
-        """The (b2, x) <-> (b3, y) mirror, under which F1 is symmetric."""
-        return AppellParams(self.b1, self.b3, self.b2, self.c1, self.y, self.x)
 
 
 class _PowerLadder:
@@ -223,19 +189,20 @@ def _row_sums(terms, tol: float) -> np.ndarray | None:
     return None
 
 
-def block_double_sum(diag, b2, b3, x, y, tol: float, max_blocks: int):
+def block_double_sum(diag, b2, b3, x, y, tol: float):
     """sum_{m,n} diag(m+n) (b2)_m (b3)_n x^m y^n / (m! n!) along the diagonals.
 
     The sum is sum_k c_k diag(k), c_k from ``f1_diagonal_coefficients``;
     ``diag(k)`` is called once for each k = 0, 1, 2, ... in turn, so
     callers can memoize cheaply.  Stops after three consecutive terms
-    with |c_k diag(k)| <= tol |total|, at most ``max_blocks`` diagonals.
+    with |c_k diag(k)| <= tol |total|, at most APPELL_MAX_TERMS diagonals.
 
     ``diag(k)`` may return an array, one value per row; the result is then
     the array of row sums.  A row stops where its scalar sum would stop
     and rounds as that sum does, so it equals the scalar sum of its own
     diagonal bit for bit; the array sum ends when every row has stopped.
     """
+    max_blocks = default_max_terms()
     terms = _diagonal_terms(diag, b2, b3, x, y, max_blocks)
     first = next(terms, None)
     if first is not None:
@@ -272,12 +239,7 @@ def _check_series_domain(params: AppellParams):
         raise DomainError(f"F1 series needs |y| < 1, got |y| = {abs(params.y):g}")
 
 
-def appell_f1_series(
-    params: AppellParams,
-    max_terms: int | None = None,
-    tol: float = 1e-14,
-    form: str = "pochhammer",
-) -> complex:
+def appell_f1_series(params: AppellParams, form: str = "pochhammer") -> complex:
     """Appell F1 by its double power series (|x| < 1, |y| < 1).
 
     ``form="pochhammer"`` uses the diagonal factor (b1)_k / (c1)_k;
@@ -285,7 +247,6 @@ def appell_f1_series(
     shared with the extended function, as an internal cross-check.
     """
     _check_series_domain(params)
-    max_terms = max_terms or default_max_terms()
     b1, c1 = params.b1, params.c1
     if form == "pochhammer":
         diag = pochhammer_diagonal(b1, c1)
@@ -299,9 +260,7 @@ def appell_f1_series(
 
     else:
         raise DomainError(f"unknown form {form!r}")
-    return block_double_sum(
-        diag, params.b2, params.b3, params.x, params.y, tol, max_terms
-    )
+    return block_double_sum(diag, params.b2, params.b3, params.x, params.y, F1_TOL)
 
 
 def _check_cut(v: complex, name: str):

@@ -32,7 +32,7 @@ from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaKernel, _fused_kernel_integrand
 from .f1pv import ExtendedAppellInput, f1pv_integral
 from .hyper import PFQParams, pfq
-from .quadrature import QuadratureConfig, default_config, integrate_unit_interval
+from .quadrature import integrate_unit_interval
 from .report import VerificationRecord, make_record
 from .scalar import log_gamma, principal_power
 
@@ -334,8 +334,7 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     raise DomainError(f"unknown form {which!r}; expected one of {THEOREM1_FORMS}")
 
 
-def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float,
-                     cfg: QuadratureConfig) -> complex:
+def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float) -> complex:
     """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt."""
     a = inp.appell
     kernel = ExtendedBetaKernel(inp.ext)
@@ -352,7 +351,7 @@ def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float,
     integrand = _fused_kernel_integrand(
         a.b1 + mu_shift - 1.5, a.c1 - a.b1 + mu_shift - 1.5, kernel, extra
     )
-    res = integrate_unit_interval(integrand, cfg)
+    res = integrate_unit_interval(integrand)
     if not res.converged:
         raise ConvergenceError(
             f"G-form integral stalled at error {res.abs_error_estimate:g}"
@@ -361,10 +360,7 @@ def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float,
 
 
 def verify_theorem1(
-    which: str,
-    inp: ExtendedAppellInput,
-    mu: float = 0.0,
-    cfg: QuadratureConfig | None = None,
+    which: str, inp: ExtendedAppellInput, mu: float = 0.0
 ) -> VerificationRecord:
     """Compare one G-form integral representation against the K-form integral.
 
@@ -374,7 +370,6 @@ def verify_theorem1(
     by ``verify_k_g_identity`` at moderate arguments.
     """
     which = str(which)
-    cfg = cfg or default_config()
     a, ext = inp.appell, inp.ext
     params = {
         "b1": a.b1.real, "b2": a.b2.real, "b3": a.b3.real, "c1": a.c1.real,
@@ -386,8 +381,8 @@ def verify_theorem1(
             skip_reason="cos(pi (nu+1/2))=0 degeneracy",
         )
     pref, mu_shift, w_power = _theorem1_pieces(which, inp, float(mu))
-    lhs = pref * _g_form_integral(inp, mu_shift, w_power, cfg)
-    rhs = f1pv_integral(inp, cfg)
+    lhs = pref * _g_form_integral(inp, mu_shift, w_power)
+    rhs = f1pv_integral(inp)
     return make_record(
         "theorem1", f"eq{which}", params, lhs, rhs, THEOREM1_TOL, "g-to-k-rewrite"
     )

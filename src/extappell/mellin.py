@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .hyper import AppellParams, block_double_sum, default_max_terms, pochhammer_diagonal
+from .hyper import F1_TOL, AppellParams, block_double_sum, pochhammer_diagonal
 from .quadrature import (
     ENDPOINT_CUTOFF,
     QuadratureConfig,
@@ -57,9 +57,6 @@ from .quadrature import (
 )
 from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
-
-# the shifted F1 sums stop where ``appell_f1_series`` stops by default
-_F1_TOL = 1e-14
 
 
 def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
@@ -100,7 +97,7 @@ def _shifted_appell_factor(appell: AppellParams, s: np.ndarray) -> np.ndarray:
     """
     a = appell
     f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
-                          a.b2, a.b3, a.x, a.y, _F1_TOL, default_max_terms())
+                          a.b2, a.b3, a.x, a.y, F1_TOL)
     bnorm = beta(a.b1, a.c1 - a.b1)
     ratio = np.array([beta(a.b1 + si, a.c1 - a.b1 + si) for si in s.tolist()],
                      dtype=complex) / bnorm
@@ -163,24 +160,15 @@ class _RadialEvaluator:
         return out
 
 
-def mellin_forward_numeric(
-    appell: AppellParams,
-    nu: float,
-    s: complex,
-    cfg: QuadratureConfig | None = None,
-) -> complex:
+def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
     """The transform by direct integration in p (two-piece split at p = 1).
 
-    Each level of either outer quadrature evaluates the radial factor at
-    all of its p nodes in one batch.
+    Each level of either outer quadrature (tolerance 2e-7) evaluates the
+    radial factor at all of its p nodes in one batch (tolerance 1e-9).
     """
     s = check_mellin_point(s, nu, appell.c1)
-    cfg = cfg or default_config(2e-7)
-    inner_cfg = QuadratureConfig(
-        target_rel_tol=min(1e-9, cfg.target_rel_tol),
-        max_levels=cfg.max_levels,
-    )
-    f = _RadialEvaluator(appell, nu, inner_cfg)
+    cfg = default_config(2e-7)
+    f = _RadialEvaluator(appell, nu, default_config(1e-9))
     s_is_real = s.imag == 0.0
 
     low = integrate_unit_interval(lambda t, tc: f.weighted(t, s), cfg)
@@ -242,7 +230,7 @@ def mellin_inverse_numeric(
     if not c > nu:
         raise DomainError(f"abscissa must exceed nu, got c={c}, nu={nu}")
     cfg = cfg or default_config(1e-7)
-    res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), c, cfg)
+    res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), cfg)
     if not res.converged:
         raise ConvergenceError(
             f"inversion contour integral stalled at {res.abs_error_estimate:g}"

@@ -6,7 +6,8 @@ decaying transformed integrands:
 * ``integrate_unit_interval`` -- tanh-sinh on (0, 1),
 * ``integrate_semi_infinite`` -- exp-sinh on (0, inf),
 * ``integrate_vertical_line`` -- adaptive truncated trapezoid in the
-  imaginary direction for Mellin-Barnes / inverse-Mellin integrands.
+  imaginary direction for Mellin-Barnes / inverse-Mellin integrands,
+  taken as functions of tau = Im(s) alone (no abscissa argument).
 
 Integrands are vectorized callables: they receive NumPy arrays of nodes
 and must return an array of values (real or complex).  The unit-interval
@@ -290,14 +291,12 @@ def _contour_values(f, taus: np.ndarray) -> np.ndarray:
     return fv
 
 
-def integrate_vertical_line(
-    f, abscissa: float, cfg: QuadratureConfig | None = None
-) -> QuadratureResult:
+def integrate_vertical_line(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
     """Trapezoid integral of ``f(tau)`` over tau in (-inf, inf).
 
-    ``f`` is the integrand already restricted to the vertical line
-    Re(zeta) = abscissa, parameterized by the imaginary part tau; it must
-    decay at least like exp(-eta |tau|).  The truncation point is twice
+    ``f`` is the integrand already restricted to its vertical line (the
+    engine never sees the line's abscissa), parameterized by the imaginary
+    part tau; it must decay at least like exp(-eta |tau|).  The truncation point is twice
     the first probe abscissa at which both tails have dropped below
     tolerance (measured decay, safety factor 2; every probe is sampled in
     one call).  Returns the plain integral in tau; any 1/(2 pi) convention

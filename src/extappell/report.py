@@ -3,9 +3,9 @@
 A ``VerificationRecord`` captures one identity check: the two sides, the
 errors, the tolerance verdict and method metadata.  Reports are JSON: a
 single top-level array with one object per record, field names matching
-the dataclass.  ``elapsed_ms`` is measured in memory but written as 0.0
-so that identical (suite, trials, seed, tol) inputs produce byte-identical
-report files.
+the dataclass, plus an ``elapsed_ms`` key that is always 0.0 (it is not
+a record field; no time enters a report, so identical (suite, trials,
+seed, tol) inputs produce byte-identical report files).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class VerificationRecord:
     tol: float
     status: str  # pass | fail | skipped
     skip_reason: str | None
-    elapsed_ms: float
     method: str
 
 
@@ -47,7 +46,7 @@ def make_record(
     if skip_reason is not None:
         return VerificationRecord(
             suite, case_id, dict(params), 0j, 0j, 0.0, 0.0, tol,
-            "skipped", skip_reason, 0.0, method,
+            "skipped", skip_reason, method,
         )
     lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -55,7 +54,7 @@ def make_record(
     status = "pass" if rel_err <= tol else "fail"
     return VerificationRecord(
         suite, case_id, dict(params), lhs, rhs, abs_err, rel_err, tol,
-        status, None, 0.0, method,
+        status, None, method,
     )
 
 

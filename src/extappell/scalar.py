@@ -1,9 +1,8 @@
 """Complex-capable elementary special functions.
 
-Gamma, log-Gamma, Pochhammer, Beta, the upper incomplete Gamma and
-principal-branch powers.  Everything here is a plain ``complex -> complex``
-scalar function (the incomplete Gamma is real-only); all powers and
-logarithms use the principal branch |arg z| <= pi.
+Gamma, log-Gamma, Pochhammer, Beta and principal-branch powers.
+Everything here is a plain ``complex -> complex`` scalar function; all
+powers and logarithms use the principal branch |arg z| <= pi.
 
 Gamma uses a single Lanczos-class rational approximation (15 coefficients)
 for Re(z) >= 1/2 and the reflection formula below that, so real and complex
@@ -143,57 +142,6 @@ def beta(alpha: complex, bta: complex) -> complex:
     if is_nonpositive_integer(bta):
         raise PoleError("beta pole in second argument", bta)
     return gamma(alpha) * gamma(bta) * rgamma(alpha + bta)
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt, a > 0, x >= 0.
-
-    Series branch below x = a + 1 (via the lower-gamma Kummer series),
-    continued fraction (modified Lentz) above.  Relative error well below
-    1e-12 across the positive quadrant.
-    """
-    if x < 0.0:
-        raise DomainError(f"upper_incomplete_gamma needs x >= 0, got {x}")
-    if a <= 0.0:
-        raise DomainError(f"upper_incomplete_gamma needs a > 0, got {a}")
-    if x == 0.0:
-        return gamma(a).real
-    if x < a + 1.0:
-        # lower gamma by series, then complement
-        term = 1.0 / a
-        total = term
-        n = 1
-        while True:
-            term *= x / (a + n)
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                break
-            n += 1
-            if n > 10_000:  # pragma: no cover - series converges fast here
-                raise DomainError("incomplete gamma series did not converge")
-        lower = total * math.exp(-x + a * math.log(x))
-        return gamma(a).real - lower
-    # continued fraction for the upper gamma (Numerical-Recipes style Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x)) * h
 
 
 def principal_power(base: complex, exponent: complex) -> complex:

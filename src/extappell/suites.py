@@ -14,8 +14,6 @@ determines the output.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .errors import DomainError
@@ -84,17 +82,14 @@ def _params_of(inp: ExtendedAppellInput) -> dict:
     }
 
 
-def _timed(builder) -> VerificationRecord:
-    t0 = time.perf_counter()
+def _guarded(builder) -> VerificationRecord:
     try:
-        rec = builder()
+        return builder()
     except Exception as exc:  # a failing check must not abort the run
-        rec = VerificationRecord(
+        return VerificationRecord(
             "error", "error", {}, 0j, 0j, float("inf"), float("inf"), 0.0,
-            "fail", None, 0.0, f"error: {type(exc).__name__}: {exc}",
+            "fail", None, f"error: {type(exc).__name__}: {exc}",
         )
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return VerificationRecord(**{**rec.__dict__, "elapsed_ms": elapsed})
 
 
 def _inequality_record(
@@ -106,7 +101,7 @@ def _inequality_record(
     return VerificationRecord(
         suite, case_id, {**params, "abs_value": magnitude, "bound": bound},
         complex(magnitude), complex(bound), violation, rel, 0.0,
-        "pass" if violation == 0.0 else "fail", None, 0.0, method,
+        "pass" if violation == 0.0 else "fail", None, method,
     )
 
 
@@ -116,7 +111,7 @@ def _suite_routes(trials, seed, tol):
     out = []
     for i in range(trials):
         inp = sample_input(rng)
-        out.append(_timed(lambda: make_record(
+        out.append(_guarded(lambda: make_record(
             "routes", f"trial{i}", _params_of(inp),
             f1pv_series(inp), f1pv_integral(inp), tol, "series vs integral",
         )))
@@ -129,7 +124,7 @@ def _suite_transform(trials, seed, tol):
     out = []
     for i in range(trials):
         inp = sample_input(rng)
-        out.append(_timed(lambda: make_record(
+        out.append(_guarded(lambda: make_record(
             "transform", f"trial{i}", _params_of(inp),
             f1pv_integral(inp), f1pv_transform(inp), tol,
             "integral vs Moebius-transformed integral",
@@ -148,7 +143,7 @@ def _suite_mellin(trials, seed, tol):
             def pair(s=s):
                 rec = verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL)
                 return VerificationRecord(**{**rec.__dict__, "case_id": f"trial{i}-s={ds:g}"})
-            out.append(_timed(pair))
+            out.append(_guarded(pair))
 
         def inverse():
             direct = f1pv_series(inp)
@@ -157,7 +152,7 @@ def _suite_mellin(trials, seed, tol):
                 "mellin", f"trial{i}-inverse", _params_of(inp), rec, direct,
                 tol or MELLIN_INVERSE_TOL, "contour inversion vs series",
             )
-        out.append(_timed(inverse))
+        out.append(_guarded(inverse))
     return out
 
 
@@ -202,7 +197,7 @@ def _suite_diff(trials, seed, tol):
                     _finite_difference(inp, m, n),
                     tol, "parameter-shift derivative vs central differences",
                 )
-            out.append(_timed(check))
+            out.append(_guarded(check))
     return out
 
 
@@ -235,8 +230,8 @@ def _suite_recursion(trials, seed, tol):
                 "b3 recursion vs direct series",
             )
 
-        out.append(_timed(b2_case))
-        out.append(_timed(b3_case))
+        out.append(_guarded(b2_case))
+        out.append(_guarded(b3_case))
     return out
 
 
@@ -252,7 +247,7 @@ def _suite_bound(trials, seed, tol):
                 "bound", f"trial{i}-full", _params_of(inp), mag, f1pv_bound(inp),
                 "strict upper bound with F1 factor",
             )
-        out.append(_timed(full))
+        out.append(_guarded(full))
 
         b1 = rng.uniform(0.5, 3.0)
         c1 = b1 + rng.uniform(0.5, 3.0)
@@ -269,7 +264,7 @@ def _suite_bound(trials, seed, tol):
                 "bound", f"trial{i}-simple", _params_of(simple_inp), mag,
                 f1pv_bound_simple(simple_inp), "sign-restricted bound without F1",
             )
-        out.append(_timed(simple))
+        out.append(_guarded(simple))
     return out
 
 
@@ -279,20 +274,20 @@ def _suite_meijer(trials, seed, tol):
     # deterministic degenerate probes: recorded as skipped, with reasons
     for which, nu, z, mu in (("1.8", 0.5, 1.0, 0.0), ("1.10", 1.5, 1.0, 0.3),
                              ("1.7", 1.0, 0.8, 0.0)):
-        out.append(_timed(lambda w=which, n=nu, zz=z, m=mu:
+        out.append(_guarded(lambda w=which, n=nu, zz=z, m=mu:
                           verify_k_g_identity(w, n, zz, m)))
     for i in range(trials):
         nu = float(rng.uniform(0.05, 1.95))
         z = float(rng.uniform(0.3, 2.5))
         mu = float(rng.uniform(-0.5, 1.3))
         for which in K_G_IDENTITIES:
-            out.append(_timed(lambda w=which: verify_k_g_identity(w, nu, z, mu)))
+            out.append(_guarded(lambda w=which: verify_k_g_identity(w, nu, z, mu)))
         inp = sample_input(rng)
         for which in ("2.3", "2.4"):
-            out.append(_timed(lambda w=which: verify_theorem1(w, inp, 0.0)))
+            out.append(_guarded(lambda w=which: verify_theorem1(w, inp, 0.0)))
         for which in ("2.5", "2.6", "2.7"):
             for m in MU_VALUES:
-                out.append(_timed(lambda w=which, mv=m: verify_theorem1(w, inp, mv)))
+                out.append(_guarded(lambda w=which, mv=m: verify_theorem1(w, inp, mv)))
     if tol is not None:
         out = [VerificationRecord(**{**r.__dict__, "tol": tol,
                                      "status": r.status if r.status == "skipped"
@@ -317,21 +312,21 @@ def _suite_reduction(trials, seed, tol):
                 chaudhry_beta(a.b1, a.c1 - a.b1, p),
                 tol or REDUCTION_NU0_TOL, "extended Beta at nu=0 vs Chaudhry kernel",
             )
-        out.append(_timed(beta_nu0))
+        out.append(_guarded(beta_nu0))
 
         def f_nu0():
             inp0 = ExtendedAppellInput(a, nu0)
             b0 = beta(a.b1, a.c1 - a.b1)
             chaudhry_built = block_double_sum(
                 lambda k: chaudhry_beta(a.b1 + k, a.c1 - a.b1, p) / b0,
-                a.b2, a.b3, a.x, a.y, 1e-12, 4000,
+                a.b2, a.b3, a.x, a.y, 1e-12,
             )
             return make_record(
                 "reduction", f"trial{i}-f-nu0", _params_of(inp),
                 f1pv_series(inp0), chaudhry_built,
                 tol or REDUCTION_NU0_TOL, "F at nu=0 vs Chaudhry-kernel series",
             )
-        out.append(_timed(f_nu0))
+        out.append(_guarded(f_nu0))
 
         def origin():
             at0 = ExtendedAppellInput(
@@ -343,7 +338,7 @@ def _suite_reduction(trials, seed, tol):
                 f1pv_series(at0), ratio,
                 tol or REDUCTION_ORIGIN_TOL, "x=y=0 vs extended Beta ratio",
             )
-        out.append(_timed(origin))
+        out.append(_guarded(origin))
 
         def collapse_b2():
             zeroed = ExtendedAppellInput(
@@ -354,7 +349,7 @@ def _suite_reduction(trials, seed, tol):
                 f1pv_series(zeroed), f1pv_integral(zeroed),
                 tol or REDUCTION_ORIGIN_TOL, "b2=0 series vs integral",
             )
-        out.append(_timed(collapse_b2))
+        out.append(_guarded(collapse_b2))
 
         def collapse_b3():
             zeroed = ExtendedAppellInput(
@@ -365,7 +360,7 @@ def _suite_reduction(trials, seed, tol):
                 f1pv_series(zeroed), f1pv_integral(zeroed),
                 tol or REDUCTION_ORIGIN_TOL, "b3=0 series vs integral",
             )
-        out.append(_timed(collapse_b3))
+        out.append(_guarded(collapse_b3))
     return out
 
 

@@ -164,9 +164,9 @@ def test_record_semantics():
     assert rec.status == "skipped" and rec.skip_reason == "why"
     d = record_to_dict(
         VerificationRecord("s", "c", {}, 1j, 0j, math.inf, math.nan, 0.0,
-                           "fail", None, 3.5, "m")
+                           "fail", None, "m")
     )
-    assert d["elapsed_ms"] == 0.0  # reports are reproducible byte-for-byte
+    assert d["elapsed_ms"] == 0.0  # no time enters a report
     assert d["abs_err"] == 1e308 and d["rel_err"] == -1.0  # JSON-safe
 
 
@@ -219,3 +219,15 @@ def test_unknown_parameter_exit_2(capsys, argv, unknown):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].endswith(f"unknown parameters for {argv[0]}: {unknown}")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["f1pv", *_F1PV[2:6], "x=0.1", "x=0.5", "y=0", "p=1", "nu=0"], "x"),
+    (["meijer_g", "case=G2002", "b1=0.3", "b2=-0.2", "z=1.5", "case=G2012"], "case"),
+], ids=["f1pv-x", "meijer_g-case"])
+def test_repeated_parameter_exit_2(capsys, argv, key):
+    assert run(["eval", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f"repeated parameter: {key}")

@@ -94,7 +94,7 @@ def test_nu_zero_matches_chaudhry_construction():
         inp = _inp(b1, b2, b3, c1, x, y, p, 0.0)
         b0 = beta(b1, c1 - b1)
         built = block_double_sum(
-            lambda k: chaudhry_beta(b1 + k, c1 - b1, p) / b0, b2, b3, x, y, 1e-12, 4000
+            lambda k: chaudhry_beta(b1 + k, c1 - b1, p) / b0, b2, b3, x, y, 1e-12
         )
         val = f1pv_series(inp)
         assert abs(val - built) <= 1e-9 * (1.0 + abs(val))
@@ -196,9 +196,25 @@ def test_bound_holds_and_nu0_shape():
 
 
 def test_bound_symmetric_under_pair_swap():
-    a = f1pv_bound(_inp(1.2, 0.9, 0.9, 3.0, 0.35, 0.35, 1.3, 0.7))
-    b = f1pv_bound(_inp(1.2, 0.9, 0.9, 3.0, 0.35, 0.35, 1.3, 0.7))
-    assert a == b
+    a = f1pv_bound(_inp(1.2, 0.9, -0.4, 3.0, 0.35, -0.6, 1.3, 0.7))
+    b = f1pv_bound(_inp(1.2, -0.4, 0.9, 3.0, -0.6, 0.35, 1.3, 0.7))
+    assert abs(a - b) <= 1e-14 * a
+
+
+# the bound at the baseline point, nu = 0.7, by mpmath at 40 digits on the
+# double-precision inputs
+BOUND_BASE = (
+    (1.5, 0.2235198442545447264722),
+    (1.5 * cmath.exp(0.6j), 0.3543257207958489211573),
+)
+
+
+def test_bound_matches_frozen_reference():
+    for p, ref in BOUND_BASE:
+        inp = _inp(1.2, 0.5, -0.7, 3.1, 0.4, -0.3, p, 0.7)
+        bnd = f1pv_bound(inp)
+        assert abs(bnd - ref) <= 1e-14 * ref
+        assert abs(f1pv_integral(inp)) < bnd
 
 
 def test_bound_simple_subdomain():

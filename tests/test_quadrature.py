@@ -73,14 +73,14 @@ def test_semi_algebraic_origin():
 
 
 def test_vertical_gaussian():
-    res = integrate_vertical_line(lambda tau: np.exp(-(tau**2)), 0.0)
+    res = integrate_vertical_line(lambda tau: np.exp(-(tau**2)))
     assert res.converged
     assert abs(res.value - math.sqrt(math.pi)) < 1e-12
 
 
 def test_vertical_no_decay_raises():
     with pytest.raises(DomainError):
-        integrate_vertical_line(lambda tau: np.ones_like(tau), 0.0)
+        integrate_vertical_line(lambda tau: np.ones_like(tau))
 
 
 def test_level_doubling_error_contract():

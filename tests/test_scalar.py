@@ -12,11 +12,8 @@ from extappell.scalar import (
     pochhammer,
     principal_power,
     rgamma,
-    upper_incomplete_gamma,
 )
 
-# int_1^inf t^1.5 e^-t dt by a 1e6-panel trapezoid on (1, 60)
-UIG_25_10 = 1.1288027918357453
 
 
 def test_gamma_trivial_values():
@@ -96,27 +93,6 @@ def test_beta_values_and_symmetry():
         b = complex(rng.uniform(0.1, 5.0), rng.uniform(-2.0, 2.0))
         lhs, rhs = beta(a, b), beta(b, a)
         assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
-
-
-def test_upper_incomplete_gamma_branches():
-    for a in (0.3, 1.7, 4.2):
-        assert abs(upper_incomplete_gamma(a, 0.0) - gamma(a).real) < 1e-14 * gamma(a).real
-    for x in (0.2, 1.0, 7.0):
-        assert abs(upper_incomplete_gamma(1.0, x) - math.exp(-x)) <= 1e-13 * math.exp(-x)
-    val = upper_incomplete_gamma(2.5, 1.0)
-    assert abs(val - UIG_25_10) <= 2e-9 * UIG_25_10  # oracle itself is ~1e-9 accurate
-    with pytest.raises(DomainError):
-        upper_incomplete_gamma(2.5, -1.0)
-    with pytest.raises(DomainError):
-        upper_incomplete_gamma(-1.0, 2.5)
-
-
-def test_upper_incomplete_gamma_complement_identity():
-    # Gamma(a,x) + gamma(a,x) = Gamma(a) across the branch switch
-    for a in (0.4, 1.0, 2.5, 6.0):
-        for x in (a, a + 0.9, a + 1.1, 5 * a):
-            up = upper_incomplete_gamma(a, x)
-            assert 0.0 < up < gamma(a).real
 
 
 def test_principal_power():

@@ -69,3 +69,47 @@ def test_no_unused_private_names():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert _unused_private_names(sources) == []
+
+
+def _unused_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    those classes, that no module but ``__init__`` calls, reads or imports."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        if module == "__init__.py":  # re-exports are not uses
+            continue
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defined.append((f"{module}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}:{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and item.name[0] != "_"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [label for label, name in defined if name not in used]
+
+
+def test_unused_public_name_scan():
+    sources = {
+        "__init__.py": "from .a import g, C\n",
+        "a.py": "def f():\n    return 1\ndef g():\n    return f()\n"
+                "class C:\n    def m(self):\n        pass\n"
+                "    def n(self):\n        pass\n"
+                "    def _p(self):\n        pass\n",
+        "b.py": "from .a import C\nC().m()\n",
+    }
+    assert _unused_public_names(sources) == ["a.py:g", "a.py:C.n"]
+
+
+def test_no_unused_public_names():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert _unused_public_names(sources) == []
