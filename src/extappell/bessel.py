@@ -205,7 +205,10 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     buckets = np.floor(mags / 4.0).astype(int)
     for b in np.unique(buckets):
         sel = np.flatnonzero(buckets == b)
-        for chunk in np.array_split(sel, max(1, sel.size // 4096)):
+        # one grid per chunk of at most 8191 arguments; most buckets are
+        # a single chunk and skip array_split's per-call cost
+        chunks = (sel,) if sel.size < 8192 else np.array_split(sel, sel.size // 4096)
+        for chunk in chunks:
             out[chunk] = _scaled_generic_bucket(order.nu, z[chunk])
     return out
 

@@ -78,7 +78,8 @@ class ExtendedBetaKernel:
 
     One instance serves every integral sharing the same (p, nu): values
     are keyed by the identity of the (module-cached, immutable) node
-    arrays, so repeated integrations reuse each level's kernel slice.
+    arrays, so repeated integrations reuse the kernel slice of the
+    block of levels 0-2 and of each later level.
     For a batch of p the argument is the matrix p_i / (t_j (1 - t_j)),
     one row per p, and one Bessel call fills a level for every row.
     """

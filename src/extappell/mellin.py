@@ -3,9 +3,9 @@
 Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp, split at
 p = 1 with a log substitution on (1, inf) -- the integrand behaves like
 p^(s-nu-1) at the origin and is killed super-exponentially by the Bessel
-kernel at infinity.  Each level of the outer quadrature evaluates
-F_{1,p,nu} at all of its p nodes as one stacked kernel integral, one row
-per p (``_RadialEvaluator``).
+kernel at infinity.  Each integrand call of the outer quadrature (levels
+0-2 together, then one per level) evaluates F_{1,p,nu} at all of its p
+nodes as one stacked kernel integral, one row per p (``_RadialEvaluator``).
 
 Forward, closed form:
 
@@ -163,8 +163,9 @@ class _RadialEvaluator:
 def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
     """The transform by direct integration in p (two-piece split at p = 1).
 
-    Each level of either outer quadrature (tolerance 2e-7) evaluates the
-    radial factor at all of its p nodes in one batch (tolerance 1e-9).
+    Each integrand call of either outer quadrature (tolerance 2e-7; levels
+    0-2 together, then one per level) evaluates the radial factor at all
+    of its p nodes in one batch (tolerance 1e-9).
     """
     s = check_mellin_point(s, nu, appell.c1)
     cfg = default_config(2e-7)

@@ -17,8 +17,11 @@ The tanh-sinh and exp-sinh engines also integrate a stack of integrands
 sharing the nodes: an integrand returning shape (rows, nodes) gets one
 value per row, and refinement goes on until every row passes the test.
 
-Node tables are computed once per refinement level and cached; engines
-are stateless apart from those immutable tables.
+Node tables are computed once per refinement level and cached, and so
+is one block per engine holding levels 0-2 concatenated: ``_refine``
+never stops before level 2, so the tanh-sinh and exp-sinh engines sample
+those levels in one integrand call and split the values back per level.
+Engines are stateless apart from those immutable tables and blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _TAU_MAX_UNIT = 6.0
 _V_MIN_SEMI = -6.8
 _V_MAX_SEMI = 4.25
 _ENV_LEVELS = "APPELL_QUAD_LEVELS"
+# the level-difference test first runs at this level, so levels 0..this
+# always run and are sampled as one block
+_FIRST_TEST_LEVEL = 2
 # exponent magnitude beyond which integrands treat themselves as exactly
 # zero (callers consult it when fusing log-domain factors); 745 is the
 # double-precision underflow threshold for exp
@@ -154,6 +160,28 @@ def _semi_level(level: int):
     return _semi_tables[level]
 
 
+_blocks: dict = {}
+
+
+def _block(table, top: int):
+    """Levels 0..top of a node table as one set of arrays, and the offsets.
+
+    ``table(level)`` gives a level's node arrays, the weights last; the
+    block concatenates each array over the levels, and level L occupies
+    ``offsets[L]:offsets[L + 1]``.  Blocks are cached and read-only, so
+    integrands may key caches on the identity of their node arrays.
+    """
+    key = (table, top)
+    if key not in _blocks:
+        levels = [table(lvl) for lvl in range(top + 1)]
+        arrays = tuple(np.concatenate(cols) for cols in zip(*levels))
+        for a in arrays:
+            a.flags.writeable = False
+        offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
+        _blocks[key] = (arrays, offsets)
+    return _blocks[key]
+
+
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
     # exact zeros from integrand cutoffs must not meet huge weights
     fvals = np.asarray(fvals)
@@ -208,11 +236,12 @@ def integrate_unit_interval(f, cfg: QuadratureConfig | None = None) -> Quadratur
     Levels are doubled until the successive-level difference drops below
     ``target_rel_tol * (1 + |value|)``; if the budget runs out the best
     value is returned with ``converged=False`` (callers decide whether
-    that is an error).
+    that is an error).  ``f`` is called once for levels 0-2 together (0-1
+    with a budget of one level), on one cached block of nodes, and then
+    once per further level.
     """
     cfg = cfg or default_config()
-    return _refine(lambda lvl: (lambda a: f(a[0], a[1]))(_unit_level(lvl)[:2]),
-                   lambda lvl: _unit_level(lvl)[2], cfg)
+    return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, cfg)
 
 
 def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
@@ -220,11 +249,11 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> Quadratur
 
     ``f`` receives an array of abscissae u > 0.  Integrands must decay
     at least exponentially at infinity (after the log substitution) and
-    may blow up algebraically but integrably at 0.
+    may blow up algebraically but integrably at 0.  Levels are sampled as
+    in ``integrate_unit_interval``.
     """
     cfg = cfg or default_config()
-    return _refine(lambda lvl: f(_semi_level(lvl)[0]),
-                   lambda lvl: _semi_level(lvl)[1], cfg)
+    return _refine(lambda nodes: f(nodes[0]), _semi_level, cfg)
 
 
 def _edge_tail(level0: np.ndarray):
@@ -249,30 +278,41 @@ def _edge_tail(level0: np.ndarray):
     return np.maximum(tail[:, 0], tail[:, 1])
 
 
-def _refine(sample, weights, cfg: QuadratureConfig) -> QuadratureResult:
-    """Level-doubling trapezoid sums of ``sample(level)`` with ``weights(level)``.
+def _refine(sample, table, cfg: QuadratureConfig) -> QuadratureResult:
+    """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
-    Every row of a stacked integrand must pass the level-difference test
-    and the edge-tail check; ``abs_error_estimate`` is then the largest
-    row error.
+    ``table(level)`` gives a level's node arrays, the weights last.  One
+    ``sample`` call covers the block of levels 0..2 (capped at the level
+    budget); its values are split back per level, so the sums, tests and
+    edge tail see the same per-level values as one call per level.  Every
+    row of a stacked integrand must pass the level-difference test and
+    the edge-tail check; ``abs_error_estimate`` is then the largest row
+    error.
     """
-    w0 = weights(0)
-    level0 = _weighted(sample(0), w0)
+    nodes, offsets = _block(table, min(_FIRST_TEST_LEVEL, cfg.max_levels))
+    block = _weighted(sample(nodes), nodes[-1])
+    level0 = block[..., :offsets[1]]
     tail = _edge_tail(level0)
     running = _row_sums(level0)
-    nodes_used = w0.size
+    nodes_used = level0.shape[-1]
     value_prev = running  # h = 1 at level 0
     best, err = value_prev, math.inf
     converged = False
     for level in range(1, cfg.max_levels + 1):
-        w = weights(level)
-        running = running + _row_sums(_weighted(sample(level), w))
-        nodes_used += w.size
+        if level < len(offsets) - 1:
+            weighted = block[..., offsets[level]:offsets[level + 1]]
+        else:
+            nodes = table(level)
+            weighted = _weighted(sample(nodes), nodes[-1])
+        running = running + _row_sums(weighted)
+        nodes_used += weighted.shape[-1]
         value = (2.0 ** (-level)) * running
         err = abs(value - value_prev)
         value_prev = value
         best = value
-        if level >= 2 and _every(err <= cfg.target_rel_tol * (1.0 + abs(value))):
+        if level >= _FIRST_TEST_LEVEL and _every(
+            err <= cfg.target_rel_tol * (1.0 + abs(value))
+        ):
             converged = True
             break
     if converged and not _every(tail <= cfg.target_rel_tol * (1.0 + abs(best))):

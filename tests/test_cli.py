@@ -231,3 +231,23 @@ def test_repeated_parameter_exit_2(capsys, argv, key):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].endswith(f"repeated parameter: {key}")
+
+
+_BASELINE = ("eval", "f1pv", "b1=1.2", "b2=0.5", "b3=-0.7", "c1=3.1", "x=0.4", "y=-0.3",
+             "p=1.5", "nu=0.7")
+
+
+def test_python_dash_m_package_runs_the_cli(capsys):
+    proc = subprocess.run([sys.executable, "-m", "extappell", *_BASELINE],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0
+    assert run(list(_BASELINE)) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stdout.split()[0] != "0"
+
+
+def test_one_level_budget_exit_3(monkeypatch, capsys):
+    monkeypatch.setenv("APPELL_QUAD_LEVELS", "1")
+    assert run(list(_BASELINE)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "stalled" in captured.err

@@ -8,7 +8,9 @@ from extappell.quadrature import (
     ENDPOINT_CUTOFF,
     QuadratureConfig,
     _edge_tail,
+    _semi_level,
     _tail_estimate,
+    _unit_level,
     integrate_semi_infinite,
     integrate_unit_interval,
     integrate_vertical_line,
@@ -139,3 +141,89 @@ def test_edge_tail_of_a_stack_equals_the_per_row_rule():
     assert list(_edge_tail(level0)) == expect
     assert expect[:4] == [0.0, 0.0, math.inf, math.inf] and 0.0 < expect[4] < math.inf
 
+
+
+def _counting(f):
+    """``f`` with a record of the node arrays of every call."""
+    calls = []
+
+    def counted(*nodes):
+        calls.append(nodes)
+        return f(*nodes)
+
+    return counted, calls
+
+
+def _stop_level(table, nodes_used):
+    """The level L whose levels 0..L hold ``nodes_used`` nodes."""
+    total = 0
+    for level in range(17):
+        total += table(level)[-1].size
+        if total == nodes_used:
+            return level
+    raise AssertionError(f"{nodes_used} nodes is no whole number of levels")
+
+
+@pytest.mark.parametrize("engine, table, f, tol", [
+    (integrate_unit_interval, _unit_level, lambda t, tc: np.cos(40.0 * t), 1e-10),
+    (integrate_unit_interval, _unit_level, lambda t, tc: t**-0.5, 0.5),
+    (integrate_unit_interval, _unit_level, lambda t, tc: t**-0.5, 1e-12),
+    (integrate_semi_infinite, _semi_level, lambda u: u**-0.5 * np.exp(-u), 1e-10),
+    (integrate_semi_infinite, _semi_level, lambda u: np.exp(-u), 0.5),
+], ids=["unit-cos40", "unit-rsqrt-loose", "unit-rsqrt-tight", "semi-rsqrt", "semi-loose"])
+def test_levels_0_to_2_take_one_integrand_call(engine, table, f, tol):
+    # one call for the block of levels 0-2, then one per later level
+    cfg = QuadratureConfig(target_rel_tol=tol)
+    counted, calls = _counting(f)
+    res = engine(counted, cfg)
+    assert res.converged
+    assert len(calls) == _stop_level(table, res.nodes_used) - 1
+    first = calls[0]
+    for i, block in enumerate(first):
+        assert np.array_equal(block, np.concatenate([table(lvl)[i] for lvl in range(3)]))
+    # the block's arrays are shared: the extended-Beta kernel cache keys on id(t)
+    again, calls_again = _counting(f)
+    engine(again, cfg)
+    assert all(a is b for a, b in zip(calls_again[0], first))
+
+
+# results of the engine that made one integrand call per level: sampling
+# levels 0-2 as one block must leave a pointwise integrand's bits alone
+def _stacked_moments(t, tc):
+    g = np.exp(-t) * tc**0.25
+    return np.cumprod(np.vstack([g, np.broadcast_to(t, (4, t.size))]), axis=0)
+
+
+@pytest.mark.parametrize("engine, f, tol, value, error, nodes", [
+    (integrate_unit_interval, lambda t, tc: np.cos(40.0 * t), 1e-10,
+     0.018627829011983454, 1.9081958235744878e-16, 385),
+    (integrate_unit_interval, lambda t, tc: t**-0.5, 0.5,
+     2.000000000000003, 4.589821274159078e-07, 49),
+    (integrate_unit_interval, lambda t, tc: t**-0.5, 1e-12,
+     2.0, 3.1086244689504383e-15, 97),
+    (integrate_unit_interval, _stacked_moments, 1e-10,
+     [0.5323196102794018, 0.19771912312865397, 0.11026753988872368,
+      0.07319879826976759, 0.05349107125010888], 0.0, 193),
+    (integrate_semi_infinite, lambda u: u**-0.5 * np.exp(-u), 1e-10,
+     1.7724538509055159, 1.9308776799675798e-11, 177),
+    (integrate_semi_infinite, lambda u: np.vstack([np.exp(-u), u * np.exp(-2.0 * u)]), 1e-10,
+     [0.9999999999999999, 0.25], 1.842581642819141e-11, 177),
+], ids=["cos40", "rsqrt-loose", "rsqrt-tight", "stack", "semi-rsqrt", "semi-stack"])
+def test_pointwise_integrands_match_frozen_results(engine, f, tol, value, error, nodes):
+    res = engine(f, QuadratureConfig(target_rel_tol=tol))
+    assert np.ndim(res.value) == np.ndim(value)
+    assert np.all(res.value == value)
+    assert res.abs_error_estimate == error
+    assert res.nodes_used == nodes
+    assert res.converged is True
+
+
+def test_one_level_budget_never_samples_level_2():
+    counted, calls = _counting(lambda t, tc: np.cos(40.0 * t))
+    res = integrate_unit_interval(counted, QuadratureConfig(max_levels=1))
+    assert len(calls) == 1
+    # levels 0 and 1 only (t itself rounds to 1.0 at several levels' edges)
+    assert np.array_equal(calls[0][1], np.concatenate([_unit_level(0)[1], _unit_level(1)[1]]))
+    assert not res.converged
+    assert (res.value, res.abs_error_estimate, res.nodes_used) == (
+        0.3277188884404192, 0.08522053331243418, 25)
