@@ -30,7 +30,6 @@ from .hyper import AppellParams, PFQParams, appell_f1_integral, appell_f1_series
 from .meijer import GSpec, meijer_g, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .quadrature import (
-    QuadratureConfig,
     QuadratureResult,
     integrate_semi_infinite,
     integrate_unit_interval,

@@ -2,9 +2,12 @@
 
 Two routes cover every order:
 
-* half-odd-integer orders nu = k + 1/2 use the closed-form finite sum
+* half-odd-integer orders nu = k + 1/2 with k <= 134 use the closed-form
+  finite sum
   K_{k+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_j (k+j)! / (j! (k-j)! (2z)^j),
-* generic real orders use the cosh-kernel integral
+  whose largest coefficient (2k)!/k! still fits a double at k = 134,
+* every other real order (larger half-odd ones too) uses the cosh-kernel
+  integral
   K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   whose integrand already decays doubly exponentially, so the plain
   trapezoid rule converges geometrically.
@@ -40,6 +43,9 @@ from .errors import ConvergenceError, DomainError
 from .scalar import gamma
 
 _ORDER_TOL = 1e-12
+# the largest k whose closed-form coefficients (k+j)!/(j!(k-j)!) all fit a
+# double; larger half-odd orders take the generic route
+_HALF_ODD_MAX_K = 134
 _AMP_CUTOFF = 52.0  # integrand below exp(-52): truncation noise ~1e-23
 _REL_TOL = 1e-13
 _MAX_WORK = 16_000_000  # integrand evaluations per bucket before giving up
@@ -47,7 +53,8 @@ _MAX_WORK = 16_000_000  # integrand evaluations per bucket before giving up
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Real order nu >= -1 with its half-odd-integer flag."""
+    """Real order nu >= -1 with its half-odd-integer flag (the closed-form
+    route, for nu = k + 1/2 with 0 <= k <= 134)."""
 
     nu: float
     half_odd_integer: bool
@@ -58,7 +65,7 @@ class BesselOrder:
         if nu < -1.0:
             raise DomainError(f"orders below -1 are not supported, got {nu}")
         k = round(nu - 0.5)
-        flag = k >= 0 and abs(nu - (k + 0.5)) <= _ORDER_TOL
+        flag = 0 <= k <= _HALF_ODD_MAX_K and abs(nu - (k + 0.5)) <= _ORDER_TOL
         return cls(nu, flag)
 
 

@@ -1,8 +1,11 @@
 """Command-line surface: point evaluation, verification suites, golden files.
 
 Exit codes: 0 success, 1 verification failures, 2 domain error,
-3 convergence failure, 64 usage error.  Values print as "re im" on
-stdout with a one-line method trace on stderr.
+3 convergence failure (a value that overflows or comes out non-finite
+counts as one), 64 usage error (from argument parsing: settings are
+command-line options, never environment variables).  Values print as
+"re im" on stdout with a one-line method trace on stderr; a failure
+prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -11,14 +14,16 @@ import argparse
 import cmath
 import sys
 
+import numpy as np
+
 from .bessel import bessel_k
-from .errors import ConvergenceError, DomainError, PoleError, UsageError
+from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import EvaluationMethod, ExtendedAppellInput, _prefers_series, f1pv
-from .hyper import AppellParams, appell_f1_integral, appell_f1_series, default_max_terms
+from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import GSpec, meijer_g
-from .mellin import mellin_forward_closed, mellin_inverse_numeric
-from .quadrature import default_config
+from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
+from .quadrature import DEFAULT_TOL
 from .report import write_report
 from .scalar import is_nonpositive_integer
 from .suites import SUITES, run_suite, summarize
@@ -47,11 +52,10 @@ _G_PARAMS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 64 on usage problems."""
+    """argparse variant that exits 64 on usage problems, with one line."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.write(f"usage error: {self.prog}: {message}\n")
         raise SystemExit(64)
 
 
@@ -59,6 +63,13 @@ def _positive_float(raw: str) -> float:
     value = float(raw)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    return value
+
+
+def _nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw}")
     return value
 
 
@@ -76,7 +87,7 @@ def _build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run identity-verification suites")
     pv.add_argument("suite", choices=("all", *SUITES))
     pv.add_argument("--trials", type=int, default=20)
-    pv.add_argument("--seed", type=int, default=1)
+    pv.add_argument("--seed", type=_nonnegative_int, default=1)
     pv.add_argument("--tol", type=_positive_float, default=None)
     pv.add_argument("--report", default=None, metavar="PATH")
 
@@ -137,7 +148,7 @@ def _real(value: complex, name: str) -> float:
 
 def _cmd_eval(args) -> int:
     params = _parse_params(args.params)
-    cfg = default_config(args.tol) if args.tol is not None else None
+    quad_tol = args.tol or DEFAULT_TOL
     fn = args.fn
     allowed = _allowed_keys(fn, params)
     unknown = [k for k in params if k not in allowed]
@@ -153,11 +164,11 @@ def _cmd_eval(args) -> int:
         trace = f"meijer_g case={case} slater-residue"
     elif fn == "beta_pv":
         x, y, p, nu = _need(params, _REQUIRED[fn])
-        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), cfg)
+        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), quad_tol)
         trace = "extended Beta, tanh-sinh with scaled Bessel kernel"
     elif fn == "chaudhry_beta":
         x, y, p = _need(params, _REQUIRED[fn])
-        value = chaudhry_beta(x, y, p, cfg)
+        value = chaudhry_beta(x, y, p, quad_tol)
         trace = "Chaudhry Beta, tanh-sinh"
     elif fn == "f1":
         b1, b2, b3, c1, x, y = _need(params, _REQUIRED[fn])
@@ -165,7 +176,7 @@ def _cmd_eval(args) -> int:
         route = args.route
         if route == "auto":
             route = "series" if _prefers_series(ap.x, ap.y) else "integral"
-        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, cfg)
+        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, quad_tol)
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":
         b1, b2, b3, c1, x, y, p, nu = _need(params, _REQUIRED[fn])
@@ -177,7 +188,7 @@ def _cmd_eval(args) -> int:
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
                                   ExtensionParams(p, _real(nu, "nu")))
         method = EvaluationMethod(route=args.route, tol=args.tol or 1e-12)
-        value = f1pv(inp, method, cfg)
+        value = f1pv(inp, method, quad_tol)
         trace = f"extended Appell, route={method.resolve(inp)}"
     elif fn == "bessel_k":
         nu, z = _need(params, _REQUIRED[fn])
@@ -191,10 +202,13 @@ def _cmd_eval(args) -> int:
         b1, b2, b3, c1, x, y, nu, p = _need(params, _REQUIRED[fn])
         c = _real(_need(params, ("c",))[0], "c") if "c" in params else None
         value = mellin_inverse_numeric(
-            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), c, cfg
+            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), c,
+            args.tol or INVERSE_TOL,
         )
         trace = "inverse Mellin, truncated vertical contour"
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"{fn} evaluated to a non-finite value ({value})")
     print(f"{value.real:.17g} {value.imag:.17g}")
     print(trace, file=sys.stderr)
     return 0
@@ -268,24 +282,25 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.error("a subcommand is required (eval | verify | golden)")
-        default_config()  # malformed budget variables end here, not in a suite
-        default_max_terms()
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_golden(args)
+        # values are checked where they matter (non-finite samples, the
+        # printed value), so numpy's floating-point warnings are noise here
+        with np.errstate(all="ignore"):
+            if args.command == "eval":
+                return _cmd_eval(args)
+            if args.command == "verify":
+                return _cmd_verify(args)
+            return _cmd_golden(args)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"convergence failure: overflow ({exc})", file=sys.stderr)
         return 3
 
 

@@ -2,8 +2,8 @@
 
 Two failure families matter to callers (and to the CLI exit-code contract):
 inputs outside an operation's domain, and iterative schemes that fail to
-reach their tolerance.  A malformed setting (an environment variable) is
-a third, a usage error.
+reach their tolerance.  Settings arrive only as arguments, and a bad one
+(a tolerance that is not positive) is a domain error.
 """
 
 
@@ -24,7 +24,3 @@ class PoleError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to converge within its budget."""
-
-
-class UsageError(ValueError):
-    """A setting that cannot be read, such as a non-integer level budget."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bessel import bessel_k_scaled_many
 from .errors import ConvergenceError, DomainError
-from .quadrature import ENDPOINT_CUTOFF, QuadratureConfig, default_config, integrate_unit_interval
+from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
 # kernel values are cached for Re(w) up to cutoff + this slack; nodes beyond
 # it only matter for extreme parameter magnitudes and are filled on demand
@@ -153,19 +153,18 @@ def extended_beta(
     x: complex,
     y: complex,
     ext: ExtensionParams,
-    cfg: QuadratureConfig | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> complex:
-    """B_{p,nu}(x, y) for arbitrary complex x, y.
+    """B_{p,nu}(x, y) for arbitrary complex x, y; ``tol`` is the quadrature's.
 
     Raises
     ------
     ConvergenceError
         If the quadrature fails to meet its tolerance.
     """
-    cfg = cfg or default_config()
     kernel = ExtendedBetaKernel(ext)
     xt, yt = _exponents(x, y, kernel)
-    res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), cfg)
+    res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), tol)
     if not res.converged:
         raise ConvergenceError(
             f"extended Beta quadrature stalled at error {res.abs_error_estimate:g}"
@@ -174,13 +173,12 @@ def extended_beta(
 
 
 def chaudhry_beta(
-    x: complex, y: complex, p: complex, cfg: QuadratureConfig | None = None
+    x: complex, y: complex, p: complex, tol: float = DEFAULT_TOL
 ) -> complex:
     """The p-extension B(x, y; p) with kernel exp(-p/(t(1-t))), Re(p) > 0."""
     p = complex(p)
     if not p.real > 0.0:
         raise DomainError(f"needs Re(p) > 0, got p = {p}")
-    cfg = cfg or default_config()
     x, y = complex(x), complex(y)
     real_case = x.imag == 0.0 and y.imag == 0.0 and p.imag == 0.0
     if real_case:
@@ -196,7 +194,7 @@ def chaudhry_beta(
         out[live] = np.exp(expo[live])
         return out
 
-    res = integrate_unit_interval(integrand, cfg)
+    res = integrate_unit_interval(integrand, tol)
     if not res.converged:
         raise ConvergenceError(
             f"Chaudhry Beta quadrature stalled at error {res.abs_error_estimate:g}"
@@ -219,7 +217,7 @@ class ExtendedBetaFamily:
     the sum is the single integral of g(t) (1-xt)^(-b2) (1-yt)^(-b3).
     With a batch of p (``ExtensionParams`` with an array p) it integrates
     one row per p on shared nodes, each row held to the scalar test;
-    ``value`` needs a single p.
+    ``value`` needs a single p.  Every quadrature runs at ``tol``.
 
     Raises
     ------
@@ -232,12 +230,12 @@ class ExtendedBetaFamily:
         a: complex,
         b: complex,
         ext: ExtensionParams,
-        cfg: QuadratureConfig | None = None,
+        tol: float = DEFAULT_TOL,
     ):
         self.a = complex(a)
         self.b = complex(b)
         self.ext = ext
-        self.cfg = cfg or default_config()
+        self.tol = tol
         self.kernel = ExtendedBetaKernel(ext)
         self._vals = np.zeros(0, dtype=complex)
 
@@ -255,7 +253,7 @@ class ExtendedBetaFamily:
             factors = np.vstack([g(t, tc), np.broadcast_to(t, (rows - 1, t.size))])
             return np.cumprod(factors, axis=0)
 
-        res = integrate_unit_interval(moments, self.cfg)
+        res = integrate_unit_interval(moments, self.tol)
         if not res.converged:
             raise ConvergenceError(
                 f"extended Beta moments stalled at error {res.abs_error_estimate:g}"
@@ -284,7 +282,7 @@ class ExtendedBetaFamily:
             return -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
 
         res = integrate_unit_interval(
-            _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.cfg
+            _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.tol
         )
         if not res.converged:
             raise ConvergenceError(

@@ -41,7 +41,7 @@ from .hyper import (
     appell_f1_series,
     block_double_sum,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_TOL
 from .scalar import beta, log_gamma, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
@@ -84,12 +84,12 @@ class EvaluationMethod:
         return "integral"
 
 
-def _series_diagonal(a: AppellParams, ext: ExtensionParams, cfg):
+def _series_diagonal(a: AppellParams, ext: ExtensionParams, quad_tol: float = DEFAULT_TOL):
     """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family."""
     b0 = beta(a.b1, a.c1 - a.b1)
     if b0 == 0:
         raise PoleError("B(b1, c1-b1) vanishes; series prefactor pole", (a.b1, a.c1))
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, cfg)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, quad_tol)
     return lambda k: fam.value(k) / b0
 
 
@@ -100,20 +100,24 @@ def _diagonal_sum(diag, a: AppellParams, method: EvaluationMethod) -> complex:
 def f1pv_series(
     inp: ExtendedAppellInput,
     method: EvaluationMethod | None = None,
-    cfg: QuadratureConfig | None = None,
+    quad_tol: float = DEFAULT_TOL,
 ) -> complex:
-    """Series route; needs |x| < 1 and |y| < 1."""
+    """Series route; needs |x| < 1 and |y| < 1.
+
+    ``method.tol`` stops the diagonal sum; ``quad_tol`` is the tolerance
+    of the quadrature behind the diagonal values.
+    """
     a = inp.appell
     if abs(a.x) >= 1.0:
         raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
     if abs(a.y) >= 1.0:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
-    return _diagonal_sum(_series_diagonal(a, inp.ext, cfg), a, method or EvaluationMethod())
+    return _diagonal_sum(_series_diagonal(a, inp.ext, quad_tol), a, method or EvaluationMethod())
 
 
 def f1pv_integral(
     inp: ExtendedAppellInput,
-    cfg: QuadratureConfig | None = None,
+    quad_tol: float = DEFAULT_TOL,
 ) -> complex:
     """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf)."""
     a = inp.appell
@@ -124,20 +128,20 @@ def f1pv_integral(
     _check_cut(a.x, "x")
     _check_cut(a.y, "y")
     pref = cmath.exp(log_gamma(a.c1) - log_gamma(a.b1) - log_gamma(a.c1 - a.b1))
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, cfg)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, quad_tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 
 
 def f1pv(
     inp: ExtendedAppellInput,
     method: EvaluationMethod | None = None,
-    cfg: QuadratureConfig | None = None,
+    quad_tol: float = DEFAULT_TOL,
 ) -> complex:
     """Route dispatcher: series, integral, or automatic selection."""
     method = method or EvaluationMethod()
     if method.resolve(inp) == "series":
-        return f1pv_series(inp, method, cfg)
-    return f1pv_integral(inp, cfg)
+        return f1pv_series(inp, method, quad_tol)
+    return f1pv_integral(inp, quad_tol)
 
 
 def f1pv_transform(inp: ExtendedAppellInput) -> complex:
@@ -209,7 +213,7 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
         return AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
 
     # all shifted terms share (b1+1, c1+1), hence one diagonal
-    diag = _series_diagonal(shifted(0), inp.ext, None)
+    diag = _series_diagonal(shifted(0), inp.ext)
     total = sum(_diagonal_sum(diag, shifted(ell), method) for ell in range(1, n + 1))
     return base + a.b1 * var / a.c1 * total
 

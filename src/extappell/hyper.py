@@ -7,7 +7,7 @@ The double series is summed along its diagonals m + n = k, as
 sum_k c_k diag(k) with c_k the convolution of the two Pochhammer ladders;
 summation stops once three consecutive diagonal terms stay below
 tolerance (guards against accidental zeros when parameters make
-individual terms vanish), within APPELL_MAX_TERMS diagonals.  A diagonal
+individual terms vanish), within ``MAX_TERMS`` = 4000 diagonals.  A diagonal
 factor may carry one row per parameter set, as the Mellin contour's
 (b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops where its
 own scalar sum would.
@@ -22,19 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .quadrature import QuadratureConfig, default_config, env_int, integrate_unit_interval
+from .quadrature import DEFAULT_TOL, integrate_unit_interval
 from .scalar import beta, is_nonpositive_integer, log_gamma
 
-_ENV_MAX_TERMS = "APPELL_MAX_TERMS"
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
 # where F1 double series stop: three consecutive terms below F1_TOL |total|
 F1_TOL = 1e-14
-
-
-def default_max_terms() -> int:
-    """The diagonal budget taken from APPELL_MAX_TERMS (default 4000)."""
-    return env_int(_ENV_MAX_TERMS, 4000)
+# the most terms a pFq series, or diagonals a double series, may take
+MAX_TERMS = 4000
 
 
 def _terminating_index(a: complex) -> int | None:
@@ -68,9 +64,8 @@ def pfq(params: PFQParams) -> complex:
 
     t_{n+1} = t_n * prod(a_j + n) / prod(b_j + n) * z / (n + 1); stops
     when |t_n| <= 1e-14 * |partial sum| for three consecutive terms, at
-    most APPELL_MAX_TERMS terms.
+    most ``MAX_TERMS`` terms.
     """
-    max_terms = default_max_terms()
     a, b, z = params.numerator, params.denominator, params.z
     if len(a) > len(b) + 1:
         raise DomainError(f"pFq needs p <= q+1 for convergence, got p={len(a)}, q={len(b)}")
@@ -85,7 +80,7 @@ def pfq(params: PFQParams) -> complex:
     term = 1.0 + 0.0j
     total = term
     small = 0
-    limit = max_terms if n_stop is None else min(max_terms, n_stop + 1)
+    limit = MAX_TERMS if n_stop is None else min(MAX_TERMS, n_stop + 1)
     for n in range(limit):
         num = 1.0 + 0.0j
         for aj in a:
@@ -103,7 +98,7 @@ def pfq(params: PFQParams) -> complex:
             small = 0
     if n_stop is not None and limit >= n_stop + 1:
         return total  # polynomial case: summed exactly
-    raise ConvergenceError(f"pFq did not converge within {max_terms} terms")
+    raise ConvergenceError(f"pFq did not converge within {MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)
@@ -140,10 +135,10 @@ class _PowerLadder:
         return np.asarray(v[: m + 1])
 
 
-def _diagonal_terms(diag, b2, b3, x, y, max_blocks: int):
-    """(c_k, diag(k)) for k < max_blocks, the c_k table doubling as it runs out."""
+def _diagonal_terms(diag, b2, b3, x, y):
+    """(c_k, diag(k)) for k < MAX_TERMS, the c_k table doubling as it runs out."""
     coeffs = f1_diagonal_coefficients(b2, b3, x, y, _FIRST_DIAGONALS)
-    for k in range(max_blocks):
+    for k in range(MAX_TERMS):
         if k == coeffs.size:
             coeffs = f1_diagonal_coefficients(b2, b3, x, y, 2 * k)
         yield coeffs[k], diag(k)
@@ -195,15 +190,14 @@ def block_double_sum(diag, b2, b3, x, y, tol: float):
     The sum is sum_k c_k diag(k), c_k from ``f1_diagonal_coefficients``;
     ``diag(k)`` is called once for each k = 0, 1, 2, ... in turn, so
     callers can memoize cheaply.  Stops after three consecutive terms
-    with |c_k diag(k)| <= tol |total|, at most APPELL_MAX_TERMS diagonals.
+    with |c_k diag(k)| <= tol |total|, at most ``MAX_TERMS`` diagonals.
 
     ``diag(k)`` may return an array, one value per row; the result is then
     the array of row sums.  A row stops where its scalar sum would stop
     and rounds as that sum does, so it equals the scalar sum of its own
     diagonal bit for bit; the array sum ends when every row has stopped.
     """
-    max_blocks = default_max_terms()
-    terms = _diagonal_terms(diag, b2, b3, x, y, max_blocks)
+    terms = _diagonal_terms(diag, b2, b3, x, y)
     first = next(terms, None)
     if first is not None:
         sums = _row_sums if np.ndim(first[1]) else _scalar_sum
@@ -211,7 +205,7 @@ def block_double_sum(diag, b2, b3, x, y, tol: float):
         if total is not None:
             return total
     raise ConvergenceError(
-        f"double series did not converge within {max_blocks} diagonals"
+        f"double series did not converge within {MAX_TERMS} diagonals"
     )
 
 
@@ -269,8 +263,9 @@ def _check_cut(v: complex, name: str):
         raise DomainError(f"{name} on the branch cut [1, inf): {v}")
 
 
-def appell_f1_integral(params: AppellParams, cfg: QuadratureConfig | None = None) -> complex:
-    """Appell F1 by the Euler integral (Re(c1) > Re(b1) > 0, x,y off [1, inf))."""
+def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> complex:
+    """Appell F1 by the Euler integral (Re(c1) > Re(b1) > 0, x,y off [1, inf)),
+    by tanh-sinh at ``tol``."""
     b1, b2, b3, c1, x, y = (
         params.b1,
         params.b2,
@@ -285,7 +280,6 @@ def appell_f1_integral(params: AppellParams, cfg: QuadratureConfig | None = None
         )
     _check_cut(x, "x")
     _check_cut(y, "y")
-    cfg = cfg or default_config()
 
     def integrand(t, tc):
         one_m_xt = (1.0 - x) + x * tc
@@ -297,7 +291,7 @@ def appell_f1_integral(params: AppellParams, cfg: QuadratureConfig | None = None
             - b3 * np.log(one_m_yt)
         )
 
-    res = integrate_unit_interval(integrand, cfg)
+    res = integrate_unit_interval(integrand, tol)
     if not res.converged:
         raise ConvergenceError(
             f"F1 Euler integral stalled at error {res.abs_error_estimate:g}"

@@ -49,8 +49,6 @@ from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import F1_TOL, AppellParams, block_double_sum, pochhammer_diagonal
 from .quadrature import (
     ENDPOINT_CUTOFF,
-    QuadratureConfig,
-    default_config,
     integrate_semi_infinite,
     integrate_unit_interval,
     integrate_vertical_line,
@@ -105,6 +103,8 @@ def _shifted_appell_factor(appell: AppellParams, s: np.ndarray) -> np.ndarray:
 
 
 _P_LIMIT_FORM = 1e-12
+# the contour quadrature's tolerance unless a caller passes its own
+INVERSE_TOL = 1e-7
 
 
 class _RadialEvaluator:
@@ -126,11 +126,11 @@ class _RadialEvaluator:
     coefficient is the residue of the transform at s = nu.
     """
 
-    def __init__(self, appell: AppellParams, nu: float, cfg: QuadratureConfig):
+    def __init__(self, appell: AppellParams, nu: float, tol: float):
         _check_series_domain(appell)
         self.appell = appell
         self.nu = nu
-        self.cfg = cfg
+        self.tol = tol
         self.b0 = beta(appell.b1, appell.c1 - appell.b1)
         # beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
         self.p_dead = 0.26 * ENDPOINT_CUTOFF + 30.0
@@ -154,7 +154,7 @@ class _RadialEvaluator:
         live = ~limit & (ps < self.p_dead)
         if np.any(live):
             a, p = self.appell, ps[live]
-            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.cfg)
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.tol)
             out[live] = (np.exp((s - 1.0) * np.log(p))
                          * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / self.b0))
         return out
@@ -168,11 +168,10 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
     of its p nodes in one batch (tolerance 1e-9).
     """
     s = check_mellin_point(s, nu, appell.c1)
-    cfg = default_config(2e-7)
-    f = _RadialEvaluator(appell, nu, default_config(1e-9))
+    f = _RadialEvaluator(appell, nu, 1e-9)
     s_is_real = s.imag == 0.0
 
-    low = integrate_unit_interval(lambda t, tc: f.weighted(t, s), cfg)
+    low = integrate_unit_interval(lambda t, tc: f.weighted(t, s), 2e-7)
     # p = e^v on (1, inf):  int_0^inf e^{s v} F(e^v) dv
     v_dead = math.log(f.p_dead)
 
@@ -183,7 +182,7 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
         out[live] = f.weighted(p, s) * p  # p^(s-1) F * (dp = p dv)
         return out
 
-    high = integrate_semi_infinite(upper_integrand, cfg)
+    high = integrate_semi_infinite(upper_integrand, 2e-7)
     for piece, name in ((low, "(0,1)"), (high, "(1,inf)")):
         if not piece.converged:
             raise ConvergenceError(
@@ -220,18 +219,18 @@ def mellin_inverse_numeric(
     nu: float,
     p: float,
     c: float | None = None,
-    cfg: QuadratureConfig | None = None,
+    tol: float = INVERSE_TOL,
 ) -> complex:
     """Reconstruct F_{1,p,nu} from the closed-form transform by contour
-    integration along Re(s) = c > nu (default c = nu + 1)."""
+    integration along Re(s) = c > nu (default c = nu + 1), the contour
+    quadrature run at ``tol``."""
     if not p > 0.0:
         raise DomainError(f"inversion needs real p > 0, got {p}")
     _check_series_domain(appell)
     c = nu + 1.0 if c is None else c
     if not c > nu:
         raise DomainError(f"abscissa must exceed nu, got c={c}, nu={nu}")
-    cfg = cfg or default_config(1e-7)
-    res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), cfg)
+    res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), tol)
     if not res.converged:
         raise ConvergenceError(
             f"inversion contour integral stalled at {res.abs_error_estimate:g}"

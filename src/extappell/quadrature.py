@@ -1,13 +1,20 @@
 """Reusable integration engines.
 
-Three engines, all built on trapezoidal sums over doubly-exponentially
-decaying transformed integrands:
+Three engines, all level-doubling trapezoidal sums run by one refinement
+loop, ``_refine``:
 
 * ``integrate_unit_interval`` -- tanh-sinh on (0, 1),
 * ``integrate_semi_infinite`` -- exp-sinh on (0, inf),
-* ``integrate_vertical_line`` -- adaptive truncated trapezoid in the
-  imaginary direction for Mellin-Barnes / inverse-Mellin integrands,
-  taken as functions of tau = Im(s) alone (no abscissa argument).
+* ``integrate_vertical_line`` -- the plain trapezoid on a truncated
+  vertical line, for Mellin-Barnes / inverse-Mellin integrands taken as
+  functions of tau = Im(s) alone (no abscissa argument).  For integrands
+  analytic in a strip about the line it converges geometrically, like
+  the other two (Trefethen & Weideman, SIAM Rev. 56, 2014).
+
+Every engine takes one setting, ``tol``: it stops when two successive
+levels differ by at most tol (1 + |value|) and the edge-tail check
+passes, within a fixed budget of ``_MAX_LEVELS`` = 12 levels; a value
+that has not settled by then comes back with ``converged=False``.
 
 Integrands are vectorized callables: they receive NumPy arrays of nodes
 and must return an array of values (real or complex).  The unit-interval
@@ -18,21 +25,20 @@ sharing the nodes: an integrand returning shape (rows, nodes) gets one
 value per row, and refinement goes on until every row passes the test.
 
 Node tables are computed once per refinement level and cached, and so
-is one block per engine holding levels 0-2 concatenated: ``_refine``
-never stops before level 2, so the tanh-sinh and exp-sinh engines sample
-those levels in one integrand call and split the values back per level.
-Engines are stateless apart from those immutable tables and blocks.
+is one block per table holding levels 0-2 concatenated: ``_refine``
+never stops before level 2, so every engine samples those levels in one
+integrand call and splits the values back per level.  Engines are
+stateless apart from those immutable tables and blocks.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 
 # tau range chosen so the closest node to an endpoint keeps t and 1-t
 # representable (pi*sinh(6) ~ 634, exp(-634) ~ 2.6e-276)
@@ -42,50 +48,17 @@ _TAU_MAX_UNIT = 6.0
 # the edge-tail guard below catches anything decaying too slowly for that
 _V_MIN_SEMI = -6.8
 _V_MAX_SEMI = 4.25
-_ENV_LEVELS = "APPELL_QUAD_LEVELS"
 # the level-difference test first runs at this level, so levels 0..this
 # always run and are sampled as one block
 _FIRST_TEST_LEVEL = 2
+# the level budget of every engine
+_MAX_LEVELS = 12
+# the tolerance of every engine unless a caller passes its own
+DEFAULT_TOL = 1e-10
 # exponent magnitude beyond which integrands treat themselves as exactly
 # zero (callers consult it when fusing log-domain factors); 745 is the
 # double-precision underflow threshold for exp
 ENDPOINT_CUTOFF = 745.0
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budgets shared by the engines."""
-
-    target_rel_tol: float = 1e-10
-    max_levels: int = 12
-
-    def __post_init__(self):
-        if not self.target_rel_tol > 0.0:
-            raise DomainError("target_rel_tol must be positive")
-        if not (1 <= self.max_levels <= 16):
-            raise DomainError("max_levels must lie in 1..16")
-
-
-def env_int(name: str, default: int) -> int:
-    """The positive integer in environment variable ``name``, else ``default``.
-
-    Raises
-    ------
-    UsageError
-        If the variable is set to anything but a positive integer.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise UsageError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def default_config(target_rel_tol: float = 1e-10) -> QuadratureConfig:
-    """Config with the level budget taken from APPELL_QUAD_LEVELS."""
-    levels = env_int(_ENV_LEVELS, 12)
-    return QuadratureConfig(target_rel_tol=target_rel_tol, max_levels=min(levels, 16))
 
 
 @dataclass(frozen=True)
@@ -104,6 +77,7 @@ class QuadratureResult:
 
 _unit_tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 _semi_tables: list[tuple[np.ndarray, np.ndarray]] = []
+_line_tables: list[tuple[np.ndarray, np.ndarray]] = []
 
 
 def _unit_level(level: int):
@@ -160,26 +134,49 @@ def _semi_level(level: int):
     return _semi_tables[level]
 
 
+def _line_level(level: int):
+    """(u, weight) new at `level` of the trapezoid rule on [-1, 1].
+
+    Level 0 holds u = k/4 for |k| <= 4, the two end weights halved;
+    level L > 0 the odd multiples of 2**-L / 4.  The weights carry the
+    1/4 of the step, so level L's sum times 2**-L is the trapezoid sum.
+    """
+    while len(_line_tables) <= level:
+        lvl = len(_line_tables)
+        if lvl == 0:
+            u = np.arange(-4, 5) / 4.0
+            w = np.full(u.size, 0.25)
+            w[[0, -1]] = 0.125
+        else:
+            n = 4 * 2**lvl
+            u = np.arange(1 - n, n, 2) / n
+            w = np.full(u.size, 0.25)
+        for a in (u, w):
+            a.flags.writeable = False
+        _line_tables.append((u, w))
+    return _line_tables[level]
+
+
 _blocks: dict = {}
 
 
-def _block(table, top: int):
-    """Levels 0..top of a node table as one set of arrays, and the offsets.
+def _block(table):
+    """Levels 0.._FIRST_TEST_LEVEL of a node table as one set of arrays,
+    and the offsets.
 
     ``table(level)`` gives a level's node arrays, the weights last; the
     block concatenates each array over the levels, and level L occupies
     ``offsets[L]:offsets[L + 1]``.  Blocks are cached and read-only, so
     integrands may key caches on the identity of their node arrays.
     """
-    key = (table, top)
-    if key not in _blocks:
-        levels = [table(lvl) for lvl in range(top + 1)]
+    if table not in _blocks:
+        levels = [table(lvl) for lvl in range(_FIRST_TEST_LEVEL + 1)]
         arrays = tuple(np.concatenate(cols) for cols in zip(*levels))
         for a in arrays:
             a.flags.writeable = False
         offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
-        _blocks[key] = (arrays, offsets)
-    return _blocks[key]
+        _blocks[table] = (arrays, offsets)
+    return _blocks[table]
 
 
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -224,27 +221,26 @@ def _tail_estimate(inner: float, outer: float) -> float:
     return outer * rho / (1.0 - rho)
 
 
-def integrate_unit_interval(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Tanh-sinh integral of ``f`` over (0, 1).
 
     Parameters
     ----------
     f : callable(t, tc) -> array
         Vectorized integrand; ``tc`` is the exactly-computed ``1 - t``.
-    cfg : QuadratureConfig, optional
+    tol : float
+        Levels are doubled until the successive-level difference drops
+        below ``tol * (1 + |value|)``.
 
-    Levels are doubled until the successive-level difference drops below
-    ``target_rel_tol * (1 + |value|)``; if the budget runs out the best
-    value is returned with ``converged=False`` (callers decide whether
-    that is an error).  ``f`` is called once for levels 0-2 together (0-1
-    with a budget of one level), on one cached block of nodes, and then
-    once per further level.
+    If the level budget runs out the best value is returned with
+    ``converged=False`` (callers decide whether that is an error).  ``f``
+    is called once for levels 0-2 together, on one cached block of nodes,
+    and then once per further level.
     """
-    cfg = cfg or default_config()
-    return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, cfg)
+    return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol)
 
 
-def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def integrate_semi_infinite(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Exp-sinh integral of ``f`` over (0, inf).
 
     ``f`` receives an array of abscissae u > 0.  Integrands must decay
@@ -252,8 +248,7 @@ def integrate_semi_infinite(f, cfg: QuadratureConfig | None = None) -> Quadratur
     may blow up algebraically but integrably at 0.  Levels are sampled as
     in ``integrate_unit_interval``.
     """
-    cfg = cfg or default_config()
-    return _refine(lambda nodes: f(nodes[0]), _semi_level, cfg)
+    return _refine(lambda nodes: f(nodes[0]), _semi_level, tol)
 
 
 def _edge_tail(level0: np.ndarray):
@@ -278,18 +273,24 @@ def _edge_tail(level0: np.ndarray):
     return np.maximum(tail[:, 0], tail[:, 1])
 
 
-def _refine(sample, table, cfg: QuadratureConfig) -> QuadratureResult:
+def _refine(sample, table, tol: float) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
     ``table(level)`` gives a level's node arrays, the weights last.  One
-    ``sample`` call covers the block of levels 0..2 (capped at the level
-    budget); its values are split back per level, so the sums, tests and
-    edge tail see the same per-level values as one call per level.  Every
-    row of a stacked integrand must pass the level-difference test and
-    the edge-tail check; ``abs_error_estimate`` is then the largest row
-    error.
+    ``sample`` call covers the block of levels 0..2; its values are split
+    back per level, so the sums, tests and edge tail see the same
+    per-level values as one call per level.  Every row of a stacked
+    integrand must pass the level-difference test and the edge-tail
+    check; ``abs_error_estimate`` is then the largest row error.
+
+    Raises
+    ------
+    DomainError
+        If ``tol`` is not positive, or a sample is not finite.
     """
-    nodes, offsets = _block(table, min(_FIRST_TEST_LEVEL, cfg.max_levels))
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    nodes, offsets = _block(table)
     block = _weighted(sample(nodes), nodes[-1])
     level0 = block[..., :offsets[1]]
     tail = _edge_tail(level0)
@@ -298,7 +299,7 @@ def _refine(sample, table, cfg: QuadratureConfig) -> QuadratureResult:
     value_prev = running  # h = 1 at level 0
     best, err = value_prev, math.inf
     converged = False
-    for level in range(1, cfg.max_levels + 1):
+    for level in range(1, _MAX_LEVELS + 1):
         if level < len(offsets) - 1:
             weighted = block[..., offsets[level]:offsets[level + 1]]
         else:
@@ -310,12 +311,10 @@ def _refine(sample, table, cfg: QuadratureConfig) -> QuadratureResult:
         err = abs(value - value_prev)
         value_prev = value
         best = value
-        if level >= _FIRST_TEST_LEVEL and _every(
-            err <= cfg.target_rel_tol * (1.0 + abs(value))
-        ):
+        if level >= _FIRST_TEST_LEVEL and _every(err <= tol * (1.0 + abs(value))):
             converged = True
             break
-    if converged and not _every(tail <= cfg.target_rel_tol * (1.0 + abs(best))):
+    if converged and not _every(tail <= tol * (1.0 + abs(best))):
         converged = False
         err = np.maximum(err, tail)
     return QuadratureResult(best, float(np.max(err)), nodes_used, converged)
@@ -324,25 +323,21 @@ def _refine(sample, table, cfg: QuadratureConfig) -> QuadratureResult:
 _PROBE_TAUS = np.array((1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0))
 
 
-def _contour_values(f, taus: np.ndarray) -> np.ndarray:
-    fv = np.asarray(f(taus))
-    if np.any(~np.isfinite(fv)):
-        raise DomainError("non-finite integrand sample on the contour")
-    return fv
-
-
-def integrate_vertical_line(f, cfg: QuadratureConfig | None = None) -> QuadratureResult:
+def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Trapezoid integral of ``f(tau)`` over tau in (-inf, inf).
 
     ``f`` is the integrand already restricted to its vertical line (the
     engine never sees the line's abscissa), parameterized by the imaginary
-    part tau; it must decay at least like exp(-eta |tau|).  The truncation point is twice
-    the first probe abscissa at which both tails have dropped below
-    tolerance (measured decay, safety factor 2; every probe is sampled in
-    one call).  Returns the plain integral in tau; any 1/(2 pi) convention
-    is the caller's business.  The step starts at an eighth of the
-    truncation point and halves until two levels differ by at most
-    ``target_rel_tol`` (1 + |value|).
+    part tau; it must decay at least like exp(-eta |tau|).  The truncation
+    point T is twice the first probe abscissa at which both tails have
+    dropped below tol * max(|f(0)|, 1) / 100 (measured decay, safety
+    factor 2; every probe is sampled in one call).  Returns the plain
+    integral in tau; any 1/(2 pi) convention is the caller's business.
+
+    The integral over [-T, T] is ``_refine``'s trapezoid sums of
+    T f(T u) on u in [-1, 1], whose level 0 has step 1/4 (see
+    ``_line_level``): one call for the probes, one for levels 0-2, and one
+    per further level.
 
     Raises
     ------
@@ -350,9 +345,8 @@ def integrate_vertical_line(f, cfg: QuadratureConfig | None = None) -> Quadratur
         If no decay below tolerance is detected at the largest probe, or
         a sample is not finite.
     """
-    cfg = cfg or default_config()
     mags = np.abs(np.asarray(f(np.concatenate([[0.0], _PROBE_TAUS, -_PROBE_TAUS]))))
-    cut = cfg.target_rel_tol * max(float(mags[0]), 1.0) * 1e-2
+    cut = tol * max(float(mags[0]), 1.0) * 1e-2
     n = _PROBE_TAUS.size
     decayed = np.flatnonzero(np.maximum(mags[1:n + 1], mags[n + 1:]) < cut)
     if decayed.size == 0:
@@ -361,27 +355,4 @@ def integrate_vertical_line(f, cfg: QuadratureConfig | None = None) -> Quadratur
             f"(no decay detected out to |tau| = {_PROBE_TAUS[-1]:g})"
         )
     trunc = 2.0 * _PROBE_TAUS[decayed[0]]
-
-    n0 = 16
-    taus = np.linspace(-trunc, trunc, n0 + 1)
-    h = taus[1] - taus[0]
-    fv = _contour_values(f, taus)
-    nodes_used = taus.size
-    inner = fv[1:-1].sum() + 0.5 * (fv[0] + fv[-1])
-    value_prev = h * inner
-    running = inner
-    best, err = value_prev, math.inf
-    for _level in range(cfg.max_levels):
-        mid = taus[:-1] + 0.5 * h
-        fm = _contour_values(f, mid)
-        nodes_used += mid.size
-        running = running + fm.sum()
-        h *= 0.5
-        taus = np.sort(np.concatenate([taus, mid]))
-        value = h * running
-        err = abs(value - value_prev)
-        value_prev = value
-        best = value
-        if err <= cfg.target_rel_tol * (1.0 + abs(value)):
-            return QuadratureResult(best, err, nodes_used, True)
-    return QuadratureResult(best, err, nodes_used, False)
+    return _refine(lambda nodes: trunc * np.asarray(f(trunc * nodes[0])), _line_level, tol)

@@ -26,6 +26,21 @@ def test_order_flag_detection():
     assert not BesselOrder.from_nu(0.5 + 1e-6).half_odd_integer
     with pytest.raises(DomainError):
         BesselOrder.from_nu(-1.5)
+    # the closed form's coefficients fit a double up to k = 134 only
+    assert BesselOrder.from_nu(134.5).half_odd_integer
+    for nu in (135.5, 200.5, 20000.5, 1e300):
+        assert not BesselOrder.from_nu(nu).half_odd_integer
+
+
+def test_large_half_odd_order_takes_the_generic_route():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = complex(mp.besselk(200.5, 1000) * mp.exp(1000))
+    assert abs(bessel_k_scaled(200.5, 1000.0) - ref) <= 1e-13 * abs(ref)
+    # the last closed-form order agrees with the generic route
+    closed = bessel_k_scaled(134.5, 300.0)
+    generic = complex(_scaled_generic_bucket(134.5, np.array([300.0]))[0])
+    assert abs(generic - closed) <= 1e-12 * abs(closed)
 
 
 def test_half_order_closed_forms():

@@ -5,6 +5,7 @@ import pytest
 
 from extappell.errors import ConvergenceError, DomainError, PoleError
 from extappell.hyper import (
+    MAX_TERMS,
     AppellParams,
     PFQParams,
     appell_f1_integral,
@@ -204,9 +205,9 @@ def test_block_double_sum_rows_equal_their_scalar_sums():
     assert len(set(stops)) == len(stops)
 
 
-def test_block_double_sum_rows_raise_when_a_row_runs_out(monkeypatch):
-    monkeypatch.setenv("APPELL_MAX_TERMS", "50")
+def test_block_double_sum_rows_raise_when_a_row_runs_out():
+    # at x = 0.9999 the terms fall like 0.9999^k: 1e-14 needs ~3e5 diagonals
     diag = pochhammer_diagonal(np.array([0.3, 0.3]), np.array([2.2, 2.2]))
-    with pytest.raises(ConvergenceError):
-        block_double_sum(diag, 1.0, 1.0, 0.99, 0.0, 1e-14)
+    with pytest.raises(ConvergenceError, match=f"within {MAX_TERMS} diagonals"):
+        block_double_sum(diag, 1.0, 1.0, 0.9999, 0.0, 1e-14)
 

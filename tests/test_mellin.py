@@ -17,7 +17,6 @@ from extappell.mellin import (
     mellin_inverse_numeric,
     verify_mellin_pair,
 )
-from extappell.quadrature import QuadratureConfig, default_config
 from extappell.scalar import beta, gamma
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
@@ -130,18 +129,17 @@ def test_forward_closed_matches_frozen_reference():
 
 @pytest.mark.parametrize("nu", sorted(LIMIT_BASE))
 def test_limit_coefficient_matches_frozen_reference(nu):
-    val = _RadialEvaluator(BASE, nu, default_config())._limit_coefficient()
+    val = _RadialEvaluator(BASE, nu, 1e-10)._limit_coefficient()
     assert abs(val - LIMIT_BASE[nu]) <= 1e-14 * LIMIT_BASE[nu]
 
 
 def test_batched_radial_values_match_per_p_integral():
-    cfg = QuadratureConfig(target_rel_tol=1e-9)
     for nu in (0.7, 1.0):  # generic and half-odd kernel orders
-        radial = _RadialEvaluator(BASE, nu, cfg)
+        radial = _RadialEvaluator(BASE, nu, 1e-9)
         ps = np.array([1.5 * _P_LIMIT_FORM, 1e-6, 0.3, 1.0, radial.p_dead * (1.0 - 1e-9)])
         batch = radial.weighted(ps, 1.0)  # p^0 F, every p in one batch
         for p, val in zip(ps, batch):
-            ref = f1pv_integral(ExtendedAppellInput(BASE, ExtensionParams(p, nu)), cfg)
+            ref = f1pv_integral(ExtendedAppellInput(BASE, ExtensionParams(p, nu)), 1e-9)
             assert abs(val - ref) <= 1e-10 * abs(ref)
 
 

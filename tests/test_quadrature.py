@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from extappell.errors import DomainError
+from extappell.hyper import AppellParams
+from extappell.mellin import _inversion_integrand
 from extappell.quadrature import (
+    _MAX_LEVELS,
     ENDPOINT_CUTOFF,
-    QuadratureConfig,
     _edge_tail,
+    _line_level,
     _semi_level,
     _tail_estimate,
     _unit_level,
@@ -85,15 +88,26 @@ def test_vertical_no_decay_raises():
         integrate_vertical_line(lambda tau: np.ones_like(tau))
 
 
+@pytest.mark.parametrize("engine, f", [
+    (integrate_unit_interval, lambda t, tc: t**-0.5),
+    (integrate_semi_infinite, lambda u: np.exp(-u)),
+    (integrate_vertical_line, lambda tau: np.exp(-(tau**2))),
+], ids=["unit", "semi", "line"])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+def test_tolerance_must_be_positive(engine, f, tol):
+    with pytest.raises(DomainError):
+        engine(f, tol)
+
+
 def test_level_doubling_error_contract():
-    # doubling the budget never moves a converged value by more than 2x
-    # its reported error estimate
+    # tightening the tolerance never moves a converged value by more than
+    # 2x its reported error estimate
     def f(t, tc):
         return np.exp(-t) * tc**0.3
 
-    small = integrate_unit_interval(f, QuadratureConfig(target_rel_tol=1e-8, max_levels=6))
-    big = integrate_unit_interval(f, QuadratureConfig(target_rel_tol=1e-8, max_levels=12))
-    assert small.converged
+    small = integrate_unit_interval(f, 1e-8)
+    big = integrate_unit_interval(f, 1e-14)
+    assert small.converged and small.nodes_used < big.nodes_used
     assert abs(small.value - big.value) <= 2.0 * small.abs_error_estimate + 1e-15
 
 
@@ -117,13 +131,14 @@ def test_symmetry_reparameterization():
 
 
 def test_unconverged_is_flagged_not_raised():
-    # cos(40 t) needs more than 2 levels; with max_levels=2 the engine
-    # must hand back its best value with converged=False
-    res = integrate_unit_interval(
-        lambda t, tc: np.cos(40.0 * t), QuadratureConfig(target_rel_tol=1e-12, max_levels=2)
-    )
+    # a step at t = 1/3 keeps the level differences at ~1e-5 through the
+    # whole budget; the engine must hand back its best value with
+    # converged=False
+    res = integrate_unit_interval(lambda t, tc: np.where(t < 1.0 / 3.0, 1.0, 0.0), 1e-12)
     assert not res.converged
+    assert res.nodes_used == sum(_unit_level(lvl)[-1].size for lvl in range(_MAX_LEVELS + 1))
     assert res.abs_error_estimate > 0.0
+    assert abs(res.value - 1.0 / 3.0) < 1e-3
 
 
 def test_edge_tail_of_a_stack_equals_the_per_row_rule():
@@ -173,9 +188,8 @@ def _stop_level(table, nodes_used):
 ], ids=["unit-cos40", "unit-rsqrt-loose", "unit-rsqrt-tight", "semi-rsqrt", "semi-loose"])
 def test_levels_0_to_2_take_one_integrand_call(engine, table, f, tol):
     # one call for the block of levels 0-2, then one per later level
-    cfg = QuadratureConfig(target_rel_tol=tol)
     counted, calls = _counting(f)
-    res = engine(counted, cfg)
+    res = engine(counted, tol)
     assert res.converged
     assert len(calls) == _stop_level(table, res.nodes_used) - 1
     first = calls[0]
@@ -183,12 +197,14 @@ def test_levels_0_to_2_take_one_integrand_call(engine, table, f, tol):
         assert np.array_equal(block, np.concatenate([table(lvl)[i] for lvl in range(3)]))
     # the block's arrays are shared: the extended-Beta kernel cache keys on id(t)
     again, calls_again = _counting(f)
-    engine(again, cfg)
+    engine(again, tol)
     assert all(a is b for a, b in zip(calls_again[0], first))
 
 
 # results of the engine that made one integrand call per level: sampling
-# levels 0-2 as one block must leave a pointwise integrand's bits alone
+# levels 0-2 as one block must leave a pointwise integrand's bits alone.
+# The contour entries are the results of the contour on ``_refine``; the
+# loop it replaced reached the same nodes_used (129 and 1025).
 def _stacked_moments(t, tc):
     g = np.exp(-t) * tc**0.25
     return np.cumprod(np.vstack([g, np.broadcast_to(t, (4, t.size))]), axis=0)
@@ -208,9 +224,15 @@ def _stacked_moments(t, tc):
      1.7724538509055159, 1.9308776799675798e-11, 177),
     (integrate_semi_infinite, lambda u: np.vstack([np.exp(-u), u * np.exp(-2.0 * u)]), 1e-10,
      [0.9999999999999999, 0.25], 1.842581642819141e-11, 177),
-], ids=["cos40", "rsqrt-loose", "rsqrt-tight", "stack", "semi-rsqrt", "semi-stack"])
+    (integrate_vertical_line, lambda tau: np.exp(-(tau**2)), 1e-10,
+     1.772453850905516, 0.0, 129),
+    # int e^{i tau} / cosh(tau) = pi / cosh(pi/2) = 1.2520403312521475
+    (integrate_vertical_line, lambda tau: np.exp(1j * tau) / np.cosh(tau), 1e-10,
+     1.2520403312521475 + 1.3877787807832903e-17j, 4.443059973708347e-16, 1025),
+], ids=["cos40", "rsqrt-loose", "rsqrt-tight", "stack", "semi-rsqrt", "semi-stack",
+        "line-gauss", "line-sech"])
 def test_pointwise_integrands_match_frozen_results(engine, f, tol, value, error, nodes):
-    res = engine(f, QuadratureConfig(target_rel_tol=tol))
+    res = engine(f, tol)
     assert np.ndim(res.value) == np.ndim(value)
     assert np.all(res.value == value)
     assert res.abs_error_estimate == error
@@ -218,12 +240,47 @@ def test_pointwise_integrands_match_frozen_results(engine, f, tol, value, error,
     assert res.converged is True
 
 
-def test_one_level_budget_never_samples_level_2():
-    counted, calls = _counting(lambda t, tc: np.cos(40.0 * t))
-    res = integrate_unit_interval(counted, QuadratureConfig(max_levels=1))
-    assert len(calls) == 1
-    # levels 0 and 1 only (t itself rounds to 1.0 at several levels' edges)
-    assert np.array_equal(calls[0][1], np.concatenate([_unit_level(0)[1], _unit_level(1)[1]]))
-    assert not res.converged
-    assert (res.value, res.abs_error_estimate, res.nodes_used) == (
-        0.3277188884404192, 0.08522053331243418, 25)
+def test_contour_stopping_at_level_2_makes_two_integrand_calls():
+    # the probe call, then one call for the block of levels 0-2
+    counted, calls = _counting(lambda tau: np.exp(-(tau**2)))
+    res = integrate_vertical_line(counted, 1e-3)
+    assert res.converged
+    assert res.nodes_used == sum(_line_level(lvl)[0].size for lvl in range(3)) == 33
+    assert len(calls) == 2
+    probes = calls[0][0]
+    assert probes[0] == 0.0 and np.array_equal(probes[1:13], -probes[13:])
+    trunc = 8.0  # twice the first probe, 4, where exp(-tau^2) < 1e-5
+    block = np.concatenate([_line_level(lvl)[0] for lvl in range(3)])
+    assert np.array_equal(calls[1][0], trunc * block)
+
+
+def test_line_levels_are_the_trapezoid_rule_on_minus_one_to_one():
+    u = np.concatenate([_line_level(lvl)[0] for lvl in range(4)])
+    assert np.array_equal(np.sort(u), np.arange(-32, 33) / 32.0)
+    for level in range(4):
+        # level 0 integrates 1 over [-1, 1]; a later level holds every other
+        # node of its rule, so its weights times 2**-L integrate 1 over half
+        w = _line_level(level)[1]
+        assert math.fsum(w) * 2.0**-level == (2.0 if level == 0 else 1.0)
+
+
+# (Appell parameters, nu, p, c - nu) of inversion contours at tol 1e-7, and
+# the nodes_used and real value of the loop that integrated the contour
+# before ``_refine`` did
+_INVERSION_CONTOURS = [
+    ((1, 1, 1, 3, 0.3, 0.4), 0.0, 0.3, 3.0, 257, 5.418258884812888),
+    ((1, 1, 1, 3, 0.3, 0.4), 0.7, 1.5, 1.0, 513, 0.028419637886737917),
+    ((1.2, 0.5, -0.7, 3.1, 0.4, -0.3), 0.7, 1.5, 3.0, 129, 0.02743144093313077),
+    ((1.2, 0.5, -0.7, 3.1, 0.4, -0.3), 1.0, 4.0, 3.0, 129, 7.985230035885691e-07),
+    ((1.9, 0.8, 1.2, 4.4, 0.0, 0.6), 1.75, 0.66, 1.0, 1025, 2.973433608066764),
+    ((1.9, 0.8, 1.2, 4.4, 0.0, 0.6), 1.75, 0.66, 3.0, 257, 2.9734336080667587),
+]
+
+
+@pytest.mark.parametrize("appell, nu, p, dc, nodes, value", _INVERSION_CONTOURS)
+def test_inversion_contours_keep_their_nodes(appell, nu, p, dc, nodes, value):
+    res = integrate_vertical_line(_inversion_integrand(AppellParams(*appell), nu, p, nu + dc),
+                                  1e-7)
+    assert res.converged
+    assert res.nodes_used == nodes
+    assert abs(res.value - value) <= 1e-12 * abs(value)

@@ -113,3 +113,31 @@ def test_no_unused_public_names():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert _unused_public_names(sources) == []
+
+
+_ENVIRONMENT = ("environ", "getenv")
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Lines that use or import ``os.environ`` or ``os.getenv``: settings
+    arrive only as arguments."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update((node.lineno, a.name) for a in node.names if a.name in _ENVIRONMENT)
+    return [f"{line}: os.{name}" for line, name in sorted(found)]
+
+
+def test_environment_read_scan():
+    source = ("import os\na = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.sep\n"
+              "from os import getenv, sep\n")
+    assert _environment_reads(source) == ["2: os.environ", "3: os.getenv", "5: os.getenv"]
+
+
+def test_no_environment_reads():
+    reads = {path.name: _environment_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}
