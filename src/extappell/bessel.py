@@ -93,13 +93,21 @@ def _half_odd_coeffs(k: int) -> np.ndarray:
 
 
 def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
-    """e^z K_{k+1/2}(z) for an array of arguments (closed form)."""
+    """e^z K_{k+1/2}(z) for an array of arguments (closed form).
+
+    Where pi/(2z) overflows (z below about 1e-308) the root is taken as
+    sqrt(pi/2)/sqrt(z), so K_{1/2} stays finite wherever it is.
+    """
     coeffs = _half_odd_coeffs(k)
     inv2z = 1.0 / (2.0 * z)
-    poly = np.zeros_like(z)
-    for a in coeffs[::-1]:
+    poly = np.full_like(z, coeffs[-1])
+    for a in coeffs[-2::-1]:
         poly = poly * inv2z + a
-    return np.sqrt(np.pi * inv2z) * poly
+    root = np.sqrt(np.pi * inv2z)
+    huge = ~np.isfinite(root)
+    if np.any(huge):
+        root[huge] = math.sqrt(0.5 * math.pi) / np.sqrt(z[huge])
+    return root * poly
 
 
 def _cosh_tau_max(re_min: float, nu: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import EvaluationMethod, ExtendedAppellInput, _prefers_series, f1pv
+from .f1pv import EvaluationMethod, ExtendedAppellInput, f1pv, prefers_series
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
         ap = AppellParams(b1, b2, b3, c1, x, y)
         route = args.route
         if route == "auto":
-            route = "series" if _prefers_series(ap.x, ap.y) else "integral"
+            route = "series" if prefers_series(ap.x, ap.y) else "integral"
         value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, quad_tol)
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":

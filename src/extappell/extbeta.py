@@ -11,16 +11,19 @@ The Bessel kernel suppresses both endpoints faster than any power, so x
 and y are unrestricted.  Integrands are evaluated in one fused log-domain
 expression with the exponential part of K folded in (the scaled Bessel
 variant), and are treated as exactly zero once the governing exponent
-drops below ``quadrature.ENDPOINT_CUTOFF``.
+drops below ``quadrature.ENDPOINT_CUTOFF``; the kernel is evaluated only
+at the other nodes, and keeps no values between calls.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
-the rows t^k g(t) are integrated together on shared tanh-sinh nodes, so
-the kernel is evaluated once for all k.  The extended Appell series leans
-on it, since its double series needs one extended-Beta value per
-diagonal m + n = k.  Its ``appell_sum`` sums that series in closed form,
-as the one Appell-weighted kernel integral, for a single p or for a
-batch of real p sharing nu (one row per p on shared nodes).
+the rows t^k g(t) are integrated together on shared tanh-sinh nodes, and
+the family samples g once per node array, so the kernel is evaluated
+once for all k.  The extended Appell series leans on it, since its
+double series needs one extended-Beta value per diagonal m + n = k.
+Its ``appell_sum`` sums that series in closed form, as the one
+Appell-weighted kernel integral, for a single p or for a batch of real
+p sharing nu (one row per p on shared nodes); with a power of w it is
+also the integral of the Meijer-G forms of Theorem 1.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from .bessel import bessel_k_scaled_many
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
-# kernel values are cached for Re(w) up to cutoff + this slack; nodes beyond
-# it only matter for extreme parameter magnitudes and are filled on demand
-_KERNEL_SLACK = 400.0
 # moments integrated by a family's first stack; each later stack doubles it
 _FIRST_ROWS = 32
 
@@ -74,14 +74,11 @@ class ExtensionParams:
 
 
 class ExtendedBetaKernel:
-    """Scaled Bessel kernel values on the tanh-sinh node tables.
+    """The scaled Bessel kernel e^w K_{nu+1/2}(w) at w = p / (t (1 - t)).
 
-    One instance serves every integral sharing the same (p, nu): values
-    are keyed by the identity of the (module-cached, immutable) node
-    arrays, so repeated integrations reuse the kernel slice of the
-    block of levels 0-2 and of each later level.
-    For a batch of p the argument is the matrix p_i / (t_j (1 - t_j)),
-    one row per p, and one Bessel call fills a level for every row.
+    Stateless apart from (p, nu): ``scaled_values`` evaluates the kernel
+    at exactly the arguments it is given.  For a batch of p the argument
+    is the matrix p_i / (t_j (1 - t_j)), one row per p.
     """
 
     def __init__(self, ext: ExtensionParams):
@@ -90,24 +87,13 @@ class ExtendedBetaKernel:
         self._p_is_real = batch or ext.p.imag == 0.0
         p = ext.p.real if self._p_is_real else ext.p
         self._p = p[:, None] if batch else p
-        self._cache: dict[int, np.ndarray] = {}
 
     def argument(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         return self._p / (t * tc)
 
-    def scaled_values(self, t: np.ndarray, tc: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """e^w K_{nu+1/2}(w) at the nodes; NaN where w was skipped as huge."""
-        key = id(t)
-        vals = self._cache.get(key)
-        if vals is None:
-            re_w = w.real if np.iscomplexobj(w) else w
-            vals = np.full(w.shape, np.nan, dtype=w.dtype)
-            live = re_w <= ENDPOINT_CUTOFF + _KERNEL_SLACK
-            if np.any(live):
-                vals[live] = bessel_k_scaled_many(self.ext.order, w[live])
-            vals.flags.writeable = False
-            self._cache[key] = vals
-        return vals
+    def scaled_values(self, w: np.ndarray) -> np.ndarray:
+        """e^w K_{nu+1/2}(w) for an array of arguments."""
+        return bessel_k_scaled_many(self.ext.order, w)
 
 
 def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel,
@@ -116,26 +102,20 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
 
     ``extra`` may add further log-domain terms (the Appell power factors);
     it receives (t, tc) and returns an array added to the exponent.  For
-    a batch of p the values have the shape of w, one row per p.
+    a batch of p the values have the shape of w, one row per p.  The
+    kernel is evaluated only at the live nodes, where the exponent is
+    above -``ENDPOINT_CUTOFF``; the others are exactly zero.
     """
     def integrand(t, tc):
         w = kernel.argument(t, tc)
-        kv = kernel.scaled_values(t, tc, w)
         expo = xt * np.log(t) + yt * np.log(tc) - w
         if extra is not None:
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
         live = re > -ENDPOINT_CUTOFF
-        out = np.zeros(expo.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
-        if not np.any(live):
-            return out
-        kv_live = kv[live]
-        missing = np.isnan(kv_live.real if np.iscomplexobj(kv_live) else kv_live)
-        if np.any(missing):
-            idx = np.flatnonzero(live)[missing]
-            kv_live = kv_live.copy()
-            kv_live[missing] = bessel_k_scaled_many(kernel.ext.order, w.ravel()[idx])
-        out[live] = np.exp(expo[live]) * kv_live
+        out = np.zeros(expo.shape, dtype=expo.dtype)
+        if np.any(live):
+            out[live] = np.exp(expo[live]) * kernel.scaled_values(w[live])
         return out
 
     return integrand
@@ -203,14 +183,17 @@ def chaudhry_beta(
 
 
 class ExtendedBetaFamily:
-    """B_{p,nu}(a + k, b) for k = 0, 1, 2, ... with one shared kernel.
+    """B_{p,nu}(a + k, b) for k = 0, 1, 2, ... from one sampled integrand.
 
     D(k) = sqrt(2p/pi) int_0^1 t^k g(t) dt, with g the fused integrand of
     B_{p,nu}(a, b).  The rows t^k g(t), k < K, are integrated as one stack
     on the same tanh-sinh levels, each row held to the test that
     ``extended_beta`` applies to one value.  A k beyond the stack
     integrates a stack twice as tall; it holds the old rows, so it stops
-    at no lower level.  Values once returned are kept.
+    at no lower level.  The family keeps g at every node array it has
+    sampled, keyed by the array's identity (node arrays are cached and
+    read-only), so a taller stack evaluates no kernel on the old levels.
+    Values once returned are kept.
 
     ``appell_sum`` sums the Appell diagonal series sum_k c_k D(k) in
     closed form instead: sum_k c_k t^k = (1-xt)^(-b2) (1-yt)^(-b3), so
@@ -238,6 +221,7 @@ class ExtendedBetaFamily:
         self.tol = tol
         self.kernel = ExtendedBetaKernel(ext)
         self._vals = np.zeros(0, dtype=complex)
+        self._g: dict[int, np.ndarray] = {}
 
     def value(self, k: int) -> complex:
         if k >= self._vals.size:
@@ -250,7 +234,10 @@ class ExtendedBetaFamily:
 
         def moments(t, tc):
             # row k is g t^k
-            factors = np.vstack([g(t, tc), np.broadcast_to(t, (rows - 1, t.size))])
+            g_t = self._g.get(id(t))
+            if g_t is None:
+                g_t = self._g[id(t)] = g(t, tc)
+            factors = np.vstack([g_t, np.broadcast_to(t, (rows - 1, t.size))])
             return np.cumprod(factors, axis=0)
 
         res = integrate_unit_interval(moments, self.tol)
@@ -261,25 +248,26 @@ class ExtendedBetaFamily:
         vals = self._scale() * res.value
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
 
-    def appell_sum(self, b2, b3, x, y, prefactor: complex = 1.0):
+    def appell_sum(self, b2, b3, x, y, prefactor: complex = 1.0, w_power: float = 0.0):
         """prefactor * sum_k c_k D(k), c_k as in ``f1_diagonal_coefficients``.
 
         Equals prefactor * sqrt(2p/pi) int_0^1 g(t) (1-xt)^(-b2)
-        (1-yt)^(-b3) dt; x and y must lie off [1, inf).  With prefactor
-        1/B(a, b) this is F_{1,p,nu}(a, b2, b3; a+b; x, y).  An array,
-        one value per p, for a batch of p.
+        (1-yt)^(-b3) w^w_power dt, w = p/(t(1-t)); x and y must lie off
+        [1, inf).  With prefactor 1/B(a, b) and no w power this is
+        F_{1,p,nu}(a, b2, b3; a+b; x, y); the w power is the w^mu of the
+        Meijer-G forms.  An array, one value per p, for a batch of p.
         """
-        b2, b3, x, y = (complex(v) for v in (b2, b3, x, y))
-        if self.kernel._p_is_real and all(
-            v.imag == 0.0 for v in (self.a, self.b, b2, b3, x, y)
-        ):
-            xt, yt = self.a.real - 1.5, self.b.real - 1.5
-            b2, b3, x, y = b2.real, b3.real, x.real, y.real
-        else:
-            xt, yt = self.a - 1.5, self.b - 1.5
+        xt, yt = _exponents(self.a, self.b, self.kernel)
+        powers = [complex(v) for v in (b2, b3, x, y, w_power)]
+        if isinstance(xt, float) and all(v.imag == 0.0 for v in powers):
+            powers = [v.real for v in powers]
+        b2, b3, x, y, w_power = powers
 
         def power_terms(t, tc):
-            return -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
+            terms = -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
+            if w_power:
+                terms = terms + w_power * np.log(self.kernel.argument(t, tc))
+            return terms
 
         res = integrate_unit_interval(
             _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.tol

@@ -36,10 +36,10 @@ from .errors import DomainError, PoleError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import (
     AppellParams,
-    _check_cut,
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
+    check_cut,
 )
 from .quadrature import DEFAULT_TOL
 from .scalar import beta, log_gamma, pochhammer
@@ -47,7 +47,7 @@ from .scalar import beta, log_gamma, pochhammer
 _AUTO_SERIES_LIMIT = 0.9
 
 
-def _prefers_series(x: complex, y: complex) -> bool:
+def prefers_series(x: complex, y: complex) -> bool:
     """The automatic route rule: series when |x| and |y| are both at most 0.9."""
     return abs(x) <= _AUTO_SERIES_LIMIT and abs(y) <= _AUTO_SERIES_LIMIT
 
@@ -75,7 +75,7 @@ class EvaluationMethod:
         if self.route != "auto":
             return self.route
         a = inp.appell
-        if _prefers_series(a.x, a.y):
+        if prefers_series(a.x, a.y):
             try:
                 if beta(a.b1, a.c1 - a.b1) != 0:
                     return "series"
@@ -125,8 +125,8 @@ def f1pv_integral(
         raise DomainError(
             f"integral route needs Re(c1) > Re(b1) > 0, got b1={a.b1}, c1={a.c1}"
         )
-    _check_cut(a.x, "x")
-    _check_cut(a.y, "y")
+    check_cut(a.x, "x")
+    check_cut(a.y, "y")
     pref = cmath.exp(log_gamma(a.c1) - log_gamma(a.b1) - log_gamma(a.c1 - a.b1))
     fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, quad_tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
@@ -159,8 +159,8 @@ def f1pv_transform(inp: ExtendedAppellInput) -> complex:
         )
     if not a.b1.real > 0.0:
         raise DomainError(f"needs Re(b1) > 0, got b1={a.b1}")
-    _check_cut(a.x, "x")
-    _check_cut(a.y, "y")
+    check_cut(a.x, "x")
+    check_cut(a.y, "y")
     xi = a.x / (a.x - 1.0)
     eta = a.y / (a.y - 1.0)
     flipped = ExtendedAppellInput(
@@ -270,7 +270,7 @@ def f1pv_bound(inp: ExtendedAppellInput) -> float:
         raise DomainError("bound needs x < 1 and y < 1")
     nu = inp.ext.nu
     f1 = AppellParams(b1 + nu, b2, b3, c1 + 2.0 * nu, x, y)
-    factor = appell_f1_series(f1) if _prefers_series(x, y) else appell_f1_integral(f1)
+    factor = appell_f1_series(f1) if prefers_series(x, y) else appell_f1_integral(f1)
     return _bound_prefactor(inp) * factor.real
 
 

@@ -257,7 +257,8 @@ def appell_f1_series(params: AppellParams, form: str = "pochhammer") -> complex:
     return block_double_sum(diag, params.b2, params.b3, params.x, params.y, F1_TOL)
 
 
-def _check_cut(v: complex, name: str):
+def check_cut(v: complex, name: str):
+    """Raise DomainError if ``v`` lies on the branch cut [1, inf)."""
     v = complex(v)
     if v.imag == 0.0 and v.real >= 1.0:
         raise DomainError(f"{name} on the branch cut [1, inf): {v}")
@@ -278,8 +279,8 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
         raise DomainError(
             f"Euler integral needs Re(c1) > Re(b1) > 0, got b1={b1}, c1={c1}"
         )
-    _check_cut(x, "x")
-    _check_cut(y, "y")
+    check_cut(x, "x")
+    check_cut(y, "y")
 
     def integrand(t, tc):
         one_m_xt = (1.0 - x) + x * tc

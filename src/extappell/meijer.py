@@ -29,10 +29,9 @@ import numpy as np
 
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError
-from .extbeta import ExtendedBetaKernel, _fused_kernel_integrand
+from .extbeta import ExtendedBetaFamily
 from .f1pv import ExtendedAppellInput, f1pv_integral
 from .hyper import PFQParams, pfq
-from .quadrature import integrate_unit_interval
 from .report import VerificationRecord, make_record
 from .scalar import log_gamma, principal_power
 
@@ -300,7 +299,8 @@ THEOREM1_FORMS = ("2.3", "2.4", "2.5", "2.6", "2.7")
 
 
 def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
-    """(prefactor, mu_shift, w_power) for one G-form integral.
+    """(prefactor, mu of the integral) for one G-form; forms 2.3 and 2.4
+    have no mu and integrate at mu = 0.
 
     The stated G factor is rewritten through its K identity, leaving a
     numerically evaluated w^mu factor per node; the algebra must cancel
@@ -314,49 +314,37 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     rootpi = math.sqrt(math.pi)
     cosfac = math.cos(math.pi * m)
     if which == "2.3":
-        return gr * cmath.sqrt(2.0 * p) * (1.0 / rootpi), 0.0, 0.0
+        return gr * cmath.sqrt(2.0 * p) * (1.0 / rootpi), 0.0
     if which == "2.4":
         stated = gr * cmath.sqrt(2.0 * p) * cosfac / math.pi
-        return stated * (rootpi / cosfac), 0.0, 0.0
+        return stated * (rootpi / cosfac), 0.0
     if which == "2.5":
         stated = (
             gr * 2.0 ** (mu - 0.5) * principal_power(p, 0.5 - mu) / rootpi
         )
-        return stated * 2.0 ** (1.0 - mu), mu, mu
+        return stated * 2.0 ** (1.0 - mu), mu
     if which == "2.6":
         stated = gr * principal_power(2.0 * p, 0.5 - mu) * cosfac / math.pi
-        return stated * rootpi * 2.0**mu / cosfac, mu, mu
+        return stated * rootpi * 2.0**mu / cosfac, mu
     if which == "2.7":
         stated = (
             gr * principal_power(p, 0.5 - mu) * 2.0 ** (2.0 * mu - 1.5) / math.pi**1.5
         )
-        return stated * math.pi * 4.0 ** (1.0 - mu), mu, mu
+        return stated * math.pi * 4.0 ** (1.0 - mu), mu
     raise DomainError(f"unknown form {which!r}; expected one of {THEOREM1_FORMS}")
 
 
-def _g_form_integral(inp: ExtendedAppellInput, mu_shift: float, w_power: float) -> complex:
-    """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt."""
-    a = inp.appell
-    kernel = ExtendedBetaKernel(inp.ext)
+def _g_form_integral(inp: ExtendedAppellInput, mu: float) -> complex:
+    """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt.
 
-    def extra(t, tc):
-        # w^mu is evaluated at each node, not cancelled by hand: the mu
-        # cancellation is part of what the check exercises
-        return (
-            w_power * np.log(kernel.argument(t, tc))
-            - a.b2 * np.log((1.0 - a.x) + a.x * tc)
-            - a.b3 * np.log((1.0 - a.y) + a.y * tc)
-        )
-
-    integrand = _fused_kernel_integrand(
-        a.b1 + mu_shift - 1.5, a.c1 - a.b1 + mu_shift - 1.5, kernel, extra
-    )
-    res = integrate_unit_interval(integrand)
-    if not res.converged:
-        raise ConvergenceError(
-            f"G-form integral stalled at error {res.abs_error_estimate:g}"
-        )
-    return complex(res.value)
+    The Appell-weighted kernel integral of ``ExtendedBetaFamily.appell_sum``
+    at shifted exponents, with its sqrt(2p/pi) divided back out.  w^mu is
+    evaluated at each node, not cancelled by hand: the mu cancellation is
+    part of what the check exercises.
+    """
+    a, ext = inp.appell, inp.ext
+    fam = ExtendedBetaFamily(a.b1 + mu, a.c1 - a.b1 + mu, ext)
+    return fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / cmath.sqrt(2.0 * ext.p / cmath.pi), mu)
 
 
 def verify_theorem1(
@@ -380,8 +368,8 @@ def verify_theorem1(
             "theorem1", f"eq{which}", params, 0j, 0j, THEOREM1_TOL, "g-to-k-rewrite",
             skip_reason="cos(pi (nu+1/2))=0 degeneracy",
         )
-    pref, mu_shift, w_power = _theorem1_pieces(which, inp, float(mu))
-    lhs = pref * _g_form_integral(inp, mu_shift, w_power)
+    pref, form_mu = _theorem1_pieces(which, inp, float(mu))
+    lhs = pref * _g_form_integral(inp, form_mu)
     rhs = f1pv_integral(inp)
     return make_record(
         "theorem1", f"eq{which}", params, lhs, rhs, THEOREM1_TOL, "g-to-k-rewrite"

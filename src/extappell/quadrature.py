@@ -166,8 +166,9 @@ def _block(table):
 
     ``table(level)`` gives a level's node arrays, the weights last; the
     block concatenates each array over the levels, and level L occupies
-    ``offsets[L]:offsets[L + 1]``.  Blocks are cached and read-only, so
-    integrands may key caches on the identity of their node arrays.
+    ``offsets[L]:offsets[L + 1]``.  Blocks are cached and read-only, like
+    the level tables, so a node array's identity names its nodes: the
+    extended-Beta family keys its integrand samples on it.
     """
     if table not in _blocks:
         levels = [table(lvl) for lvl in range(_FIRST_TEST_LEVEL + 1)]
@@ -273,6 +274,11 @@ def _edge_tail(level0: np.ndarray):
     return np.maximum(tail[:, 0], tail[:, 1])
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+
+
 def _refine(sample, table, tol: float) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
@@ -288,8 +294,7 @@ def _refine(sample, table, tol: float) -> QuadratureResult:
     DomainError
         If ``tol`` is not positive, or a sample is not finite.
     """
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    _check_tol(tol)
     nodes, offsets = _block(table)
     block = _weighted(sample(nodes), nodes[-1])
     level0 = block[..., :offsets[1]]
@@ -342,9 +347,10 @@ def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     Raises
     ------
     DomainError
-        If no decay below tolerance is detected at the largest probe, or
-        a sample is not finite.
+        If ``tol`` is not positive, no decay below tolerance is detected
+        at the largest probe, or a sample is not finite.
     """
+    _check_tol(tol)
     mags = np.abs(np.asarray(f(np.concatenate([[0.0], _PROBE_TAUS, -_PROBE_TAUS]))))
     cut = tol * max(float(mags[0]), 1.0) * 1e-2
     n = _PROBE_TAUS.size

@@ -76,6 +76,14 @@ def test_scaled_half_order_values():
     assert abs(v - math.sqrt(math.pi / 20.0) * 1.1) <= 1e-14
 
 
+def test_half_order_below_the_reciprocal_overflow():
+    # 1/(2z) overflows at z = 1e-320, but K_{1/2}(z) ~ 1.25e160 does not
+    mp = pytest.importorskip("mpmath")
+    z = 1e-320
+    ref = float(mp.besselk(0.5, mp.mpf(z)))
+    assert abs(bessel_k(0.5, z) - ref) <= 1e-15 * ref
+
+
 def test_scaled_huge_argument_finite():
     # leading asymptotics only: the first correction term is ~7e-9 here
     v = bessel_k_scaled(1.3, 1e8)

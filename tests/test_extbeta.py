@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from extappell import extbeta
 from extappell.errors import DomainError
 from extappell.extbeta import (
     ExtendedBetaFamily,
@@ -154,6 +155,28 @@ def test_family_high_diagonals_are_relatively_accurate():
     fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
     for k, ref in FAMILY_MP.items():
         assert abs(fam.value(k) - ref) <= 1e-9 * ref
+
+
+def test_family_regrowth_evaluates_no_kernel(monkeypatch):
+    # this family's 64-row stack stops at the level of its 32-row stack, so
+    # the taller stack reuses every sample of g and calls no Bessel routine
+    fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
+    fam.value(0)
+    calls = []
+    real = extbeta.bessel_k_scaled_many
+    monkeypatch.setattr(extbeta, "bessel_k_scaled_many",
+                        lambda *args: calls.append(args) or real(*args))
+    fam.value(40)
+    assert calls == []
+
+
+def test_extended_beta_far_below_the_cutoff():
+    # t^-101.5 keeps nodes with kernel arguments w = p/(t(1-t)) up to about
+    # 1360 above the endpoint cutoff, while the mass sits near w = 101.5;
+    # mpmath at 40 digits, split at the t = p/101.5 + k p/101.5^1.5, |k| <= 12,
+    # that lie in (0, 1)
+    ref = 9.4230010752811491e+124
+    assert abs(extended_beta(-100.0, 2.0, ExtensionParams(2.0, 0.7)) - ref) <= 1e-13 * ref
 
 
 def test_batch_of_p_validation():

@@ -95,7 +95,7 @@ def test_vertical_no_decay_raises():
 ], ids=["unit", "semi", "line"])
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
 def test_tolerance_must_be_positive(engine, f, tol):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="tolerance must be positive"):
         engine(f, tol)
 
 

@@ -141,3 +141,24 @@ def test_no_environment_reads():
     reads = {path.name: _environment_reads(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _private_imports(source: str) -> list[str]:
+    """Relative imports of another module's ``_name``: a name two modules
+    share is public and carries no underscore."""
+    return [f"{node.lineno}: .{node.module or ''} {a.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for a in node.names if a.name.startswith("_") and not a.name.startswith("__")]
+
+
+def test_private_import_scan():
+    source = ("from .a import b, _c\nfrom . import _d\nfrom .e import __version__\n"
+              "from os import _exit\n")
+    assert _private_imports(source) == ["1: .a _c", "2: . _d"]
+
+
+def test_no_private_imports():
+    found = {path.name: _private_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
