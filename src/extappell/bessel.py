@@ -1,21 +1,28 @@
 """Modified Bessel function of the second kind, K_nu(z), for Re(z) > 0.
 
-Two routes cover every order:
+Three routes cover every order:
 
 * half-odd-integer orders nu = k + 1/2 with k <= 134 use the closed-form
   finite sum
   K_{k+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_j (k+j)! / (j! (k-j)! (2z)^j),
   whose largest coefficient (2k)!/k! still fits a double at k = 134,
-* every other real order (larger half-odd ones too) uses the cosh-kernel
-  integral
+* every other real order (larger half-odd ones too) at |z| >= Z_H(nu) =
+  max(30, (4 nu^2 - 1)/8) uses the Hankel expansion (DLMF 10.40.2)
+  e^z K_nu(z) ~ sqrt(pi/(2z)) sum_k a_k(nu) z^{-k},
+  whose terms shrink from at most about 1 there, and which stops at its
+  first term below 1e-17 at Z_H: about 20 terms, fixed by nu,
+* the remaining arguments use the cosh-kernel integral
   K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   whose integrand already decays doubly exponentially, so the plain
-  trapezoid rule converges geometrically.
+  trapezoid rule converges geometrically.  Arguments share one tau grid
+  per magnitude band, 16x wide and counted down from Z_H, so
+  [Z_H/16, Z_H) is one grid.
 
 The exponentially scaled variant e^z K_nu(z) integrates
 exp(-z (cosh t - 1)) cosh(nu t) instead, which keeps the t -> {0,1}
-endpoint regime of the extended-Beta kernel computable for arguments up
-to about 1e8.  Array-valued helpers back the quadrature hot loops.
+endpoint regime of the extended-Beta kernel computable; the Hankel
+route keeps it right to double precision for any |z| >= Z_H.
+Array-valued helpers back the quadrature hot loops.
 
 The trapezoid step of a complex argument comes from the strip
 |Im t| < pi/2 - |arg z| in which the integrand is analytic and decays,
@@ -34,6 +41,7 @@ z = 5 e^{1.3i}).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,6 +57,11 @@ _HALF_ODD_MAX_K = 134
 _AMP_CUTOFF = 52.0  # integrand below exp(-52): truncation noise ~1e-23
 _REL_TOL = 1e-13
 _MAX_WORK = 16_000_000  # integrand evaluations per bucket before giving up
+# The Hankel route serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): from 30
+# on, its least term is below 1e-17 within about 20 terms; from
+# (4 nu^2 - 1)/8 on, no term is much above 1, so large orders do not cancel
+_HANKEL_FLOOR = 30.0
+_HANKEL_STOP = 1e-17  # the sum stops at its first term below this at Z_H
 
 
 @dataclass(frozen=True)
@@ -92,22 +105,50 @@ def _half_odd_coeffs(k: int) -> np.ndarray:
     )
 
 
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] x^k, elementwise."""
+    s = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        s = s * x + c
+    return s
+
+
 def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
     """e^z K_{k+1/2}(z) for an array of arguments (closed form).
 
-    Where pi/(2z) overflows (z below about 1e-308) the root is taken as
-    sqrt(pi/2)/sqrt(z), so K_{1/2} stays finite wherever it is.
+    Where the closed form is not finite, 1/(2z) has overflowed (z below
+    about 1e-308): there K_{1/2} is sqrt(pi/2)/sqrt(z), which is still
+    finite, and every higher order is infinite.
     """
     coeffs = _half_odd_coeffs(k)
-    inv2z = 1.0 / (2.0 * z)
-    poly = np.full_like(z, coeffs[-1])
-    for a in coeffs[-2::-1]:
-        poly = poly * inv2z + a
-    root = np.sqrt(np.pi * inv2z)
-    huge = ~np.isfinite(root)
-    if np.any(huge):
-        root[huge] = math.sqrt(0.5 * math.pi) / np.sqrt(z[huge])
-    return root * poly
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv2z = 1.0 / (2.0 * z)
+        value = np.sqrt(np.pi * inv2z) * _horner(coeffs, inv2z)
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        value[bad] = math.sqrt(0.5 * math.pi) / np.sqrt(z[bad]) if k == 0 else np.inf
+    return value
+
+
+def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
+    """e^z K_nu(z) for |z| >= z_h = Z_H(nu) by the Hankel expansion.
+
+    e^z K_nu(z) ~ sqrt(pi/(2z)) sum_k a_k(nu) z^-k with
+    a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) (DLMF 10.40.2),
+    summed by Horner in u = z_h/z over the coefficients t_k = a_k z_h^-k,
+    which stay below about 1 where a_k alone would overflow at large
+    orders.  The sum stops before the first t_N below 1e-17, a count
+    that depends on nu only, so an entry's value does not depend on the
+    other arguments of the call.
+    """
+    mu = 4.0 * nu * nu
+    coeffs = []
+    t, k = 1.0, 0
+    while abs(t) >= _HANKEL_STOP:
+        coeffs.append(t)
+        k += 1
+        t *= (mu - (2 * k - 1) ** 2) / (8.0 * k * z_h)
+    return np.sqrt(0.5 * np.pi / z) * _horner(coeffs, z_h / z)
 
 
 def _cosh_tau_max(re_min: float, nu: float) -> float:
@@ -202,9 +243,12 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     """Vectorized e^z K_nu(z) over an array with Re(z) > 0.
 
-    Arguments are bucketed by magnitude so that one shared tau grid per
-    bucket resolves the narrowest integrand without wasting nodes on the
-    widest.
+    Half-odd orders up to k = 134 take the closed form.  At every other
+    order, entries with |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8) take
+    the Hankel expansion, each on its own; the rest are bucketed into bands
+    16x wide in |z|, counted down from Z_H, so that one shared tau grid
+    per band resolves the narrowest integrand without wasting nodes on
+    the widest.  [Z_H/16, Z_H) is one band.
     """
     order = _as_order(abs(float(nu)))
     z = np.asarray(z)
@@ -216,11 +260,16 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     if order.half_odd_integer:
         return _half_odd_scaled(round(order.nu - 0.5), z)
     out = np.empty(z.shape, dtype=z.dtype if np.iscomplexobj(z) else float)
-    mags = np.log2(np.maximum(np.abs(z), 1e-300))
-    buckets = np.floor(mags / 4.0).astype(int)
-    for b in np.unique(buckets):
-        sel = np.flatnonzero(buckets == b)
-        # one grid per chunk of at most 8191 arguments; most buckets are
+    z_h = max(_HANKEL_FLOOR, (4.0 * order.nu * order.nu - 1.0) / 8.0)
+    mags = np.abs(z)
+    far = mags >= z_h
+    if np.any(far):
+        out[far] = _hankel_scaled(order.nu, z_h, z[far])
+    near = np.flatnonzero(~far)
+    bands = np.floor(np.log2(np.maximum(mags[near] / z_h, 1e-300)) / 4.0).astype(int)
+    for b in np.unique(bands):
+        sel = near[bands == b]
+        # one grid per chunk of at most 8191 arguments; most bands are
         # a single chunk and skip array_split's per-call cost
         chunks = (sel,) if sel.size < 8192 else np.array_split(sel, sel.size // 4096)
         for chunk in chunks:
@@ -229,7 +278,8 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def bessel_k_scaled(order, z: complex) -> complex:
-    """e^z K_nu(z); finite for |z| up to roughly 1e8."""
+    """e^z K_nu(z); right to double precision at any large |z| (the
+    Hankel route), finite wherever K_nu(z) is."""
     order = _as_order(order)
     z = _check_right_half_plane(z)
     val = bessel_k_scaled_many(abs(order.nu), np.array([z]))[0]
@@ -244,7 +294,10 @@ def bessel_k(order, z: complex) -> complex:
     """
     order = _as_order(order)
     z = _check_right_half_plane(z)
-    return complex(np.exp(-z) * bessel_k_scaled(order, z))
+    scaled = bessel_k_scaled(order, z)
+    # an overflowed value (z below about 1e-308, where e^-z = 1) stays
+    # infinite: inf times the complex e^-z would be nan
+    return complex(np.exp(-z) * scaled) if cmath.isfinite(scaled) else scaled
 
 
 def bessel_k_upper_bound(order, z: complex) -> float:

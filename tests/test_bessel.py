@@ -14,6 +14,8 @@ from extappell.bessel import (
 )
 from extappell.errors import ConvergenceError, DomainError
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # K_{0.8}(1.5) by a 1e5-node trapezoid of the cosh integral at 30 digits
 K_08_15 = 0.25277243086539649
 
