@@ -73,6 +73,13 @@ def _nonnegative_int(raw: str) -> int:
     return value
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="extappell", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -86,7 +93,7 @@ def _build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run identity-verification suites")
     pv.add_argument("suite", choices=("all", *SUITES))
-    pv.add_argument("--trials", type=int, default=20)
+    pv.add_argument("--trials", type=_positive_int, default=20)
     pv.add_argument("--seed", type=_nonnegative_int, default=1)
     pv.add_argument("--tol", type=_positive_float, default=None)
     pv.add_argument("--report", default=None, metavar="PATH")
@@ -215,8 +222,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise DomainError("trials must be >= 1")
     names = SUITES if args.suite == "all" else (args.suite,)
     records = []
     any_fail = False

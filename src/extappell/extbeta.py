@@ -7,6 +7,20 @@ together with the single-parameter extension
 B(x, y; p) = int_0^1 t^(x-1) (1-t)^(y-1) exp(-p/(t(1-t))) dt, which the
 nu = 0 case reproduces.
 
+Setting F1 -> 1 (x = y = 0) in the corrected Mellin transform of
+F_{1,p,nu} (see ``mellin``) gives the transform of B_{p,nu} in p:
+
+    int_0^inf p^(s-1) B_{p,nu}(x, y) dp
+        = 2^(s-1)/sqrt(pi) Gamma((s-nu)/2) Gamma((s+nu+1)/2) B(x+s, y+s).
+
+With s = 2u, Gauss's multiplication formula splits Gamma(x+2u),
+Gamma(y+2u) and Gamma(x+y+4u), and the inverse transform is a Meijer G
+function, an exact reference for every value (``tests/test_reference_g.py``):
+
+    B_{p,nu}(x, y) = 2^(1/2-x-y) G^{6,0}_{4,6}(4p^2 | sigma, sigma+1/4,
+                     sigma+1/2, sigma+3/4; -nu/2, (nu+1)/2, x/2, (x+1)/2,
+                     y/2, (y+1)/2),      sigma = (x+y)/4.
+
 The Bessel kernel suppresses both endpoints faster than any power, so x
 and y are unrestricted.  Integrands are evaluated in one fused log-domain
 expression with the exponential part of K folded in (the scaled Bessel

@@ -180,9 +180,14 @@ def f1pv_derivative(
 
     (b1)_{M+N} (b2)_M (b3)_N / (c1)_{M+N} *
     F_{1,p,nu}(b1+M+N, b2+M, b3+N; c1+M+N; x, y).
+
+    The identity holds for integer orders M, N >= 0 only; any other
+    order raises DomainError.
     """
-    if m_order < 0 or n_order < 0:
-        raise DomainError("derivative orders must be non-negative")
+    if not all(float(o).is_integer() and o >= 0 for o in (m_order, n_order)):
+        raise DomainError(
+            f"derivative orders must be non-negative integers, got ({m_order}, {n_order})"
+        )
     a = inp.appell
     k = m_order + n_order
     pref = (

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .quadrature import DEFAULT_TOL, integrate_unit_interval
-from .scalar import beta, is_nonpositive_integer, log_gamma
+from .scalar import is_nonpositive_integer, log_gamma
 
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
@@ -233,28 +233,14 @@ def _check_series_domain(params: AppellParams):
         raise DomainError(f"F1 series needs |y| < 1, got |y| = {abs(params.y):g}")
 
 
-def appell_f1_series(params: AppellParams, form: str = "pochhammer") -> complex:
-    """Appell F1 by its double power series (|x| < 1, |y| < 1).
-
-    ``form="pochhammer"`` uses the diagonal factor (b1)_k / (c1)_k;
-    ``form="beta_ratio"`` uses B(b1+k, c1-b1) / B(b1, c1-b1), the shape
-    shared with the extended function, as an internal cross-check.
-    """
+def appell_f1_series(params: AppellParams) -> complex:
+    """Appell F1 by its double power series (|x| < 1, |y| < 1), with the
+    diagonal factor (b1)_k / (c1)_k."""
     _check_series_domain(params)
-    b1, c1 = params.b1, params.c1
-    if form == "pochhammer":
-        diag = pochhammer_diagonal(b1, c1)
-    elif form == "beta_ratio":
-        norm = beta(b1, c1 - b1)
-        if norm == 0:
-            raise PoleError("B(b1, c1-b1) vanishes; prefactor pole", (b1, c1 - b1))
-
-        def diag(k: int) -> complex:
-            return beta(b1 + k, c1 - b1) / norm
-
-    else:
-        raise DomainError(f"unknown form {form!r}")
-    return block_double_sum(diag, params.b2, params.b3, params.x, params.y, F1_TOL)
+    return block_double_sum(
+        pochhammer_diagonal(params.b1, params.c1),
+        params.b2, params.b3, params.x, params.y, F1_TOL,
+    )
 
 
 def check_cut(v: complex, name: str):

@@ -106,26 +106,18 @@ def rgamma(z: complex) -> complex:
     return 1.0 / gamma(z)
 
 
-def pochhammer(lam: complex, ups: complex) -> complex:
-    """Pochhammer symbol (lam)_ups = Gamma(lam + ups) / Gamma(lam).
+def pochhammer(lam: complex, n: int) -> complex:
+    """Pochhammer symbol (lam)_n = lam (lam+1) ... (lam+n-1) for an integer n >= 0.
 
-    A non-negative integer ups is evaluated by the explicit ups-term
-    product (valid for every lam, poles included); anything else goes
-    through the Gamma ratio.
+    The n-term product is valid for every lam, Gamma poles included.
     """
+    if not float(n).is_integer() or n < 0:
+        raise DomainError(f"pochhammer needs a non-negative integer n, got {n}")
     lam = complex(lam)
-    ups = complex(ups)
-    if ups.imag == 0.0 and ups.real == round(ups.real) and ups.real >= 0.0:
-        n = int(ups.real)
-        out = 1.0 + 0.0j
-        for k in range(n):
-            out *= lam + k
-        return out
-    if is_nonpositive_integer(lam):
-        raise PoleError("pochhammer needs Gamma(lam) finite", lam)
-    if is_nonpositive_integer(lam + ups):
-        raise PoleError("pochhammer needs Gamma(lam + ups) finite", lam + ups)
-    return cmath.exp(log_gamma(lam + ups) - log_gamma(lam))
+    out = 1.0 + 0.0j
+    for k in range(int(n)):
+        out *= lam + k
+    return out
 
 
 def beta(alpha: complex, bta: complex) -> complex:

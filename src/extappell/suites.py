@@ -6,13 +6,18 @@ working domain
     D = { b1, c1-b1 in (0.5, 3); b2, b3 in (-2, 2); x, y in (-0.8, 0.8);
           p in (0.25, 4); nu in (0, 2) }
 
-and emits one ``VerificationRecord`` per check.  Individual failures
-never abort a run: exceptions become failing records.  Trials execute
-sequentially in index order, so a (suite, trials, seed, tol) tuple fully
-determines the output.
+and emits one ``VerificationRecord`` per check.  Each suite is a
+per-trial generator ``_name(i, rng, tol)`` that draws trial ``i``'s
+points and yields its checks as ``(case_id, params, check)``.
+``run_suite`` runs each check as it is yielded, before the next draw;
+an exception becomes a failing record that names the check, so no
+failure aborts a run.  Trials execute sequentially in index order, so a
+(suite, trials, seed, tol) tuple fully determines the output.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -36,18 +41,6 @@ from .mellin import mellin_inverse_numeric, verify_mellin_pair
 from .report import VerificationRecord, make_record
 from .scalar import beta
 
-_SUITE_IDS = {
-    "routes": 1,
-    "transform": 2,
-    "mellin": 3,
-    "diff": 4,
-    "recursion": 5,
-    "bound": 6,
-    "meijer": 7,
-    "reduction": 8,
-}
-SUITES = tuple(_SUITE_IDS)
-
 ROUTES_TOL = 1e-8
 TRANSFORM_TOL = 1e-8
 MELLIN_PAIR_TOL = 1e-6
@@ -60,7 +53,7 @@ MU_VALUES = (-0.5, 0.0, 0.7, 1.3)
 
 
 def _rng(suite: str, seed: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _SUITE_IDS[suite]])
+    return np.random.default_rng([int(seed), SUITES.index(suite) + 1])
 
 
 def sample_input(rng: np.random.Generator) -> ExtendedAppellInput:
@@ -82,92 +75,95 @@ def _params_of(inp: ExtendedAppellInput) -> dict:
     }
 
 
-def _guarded(builder) -> VerificationRecord:
+def _moved(inp: ExtendedAppellInput, **changes) -> ExtendedAppellInput:
+    """``inp`` with some Appell parameters or variables replaced."""
+    return ExtendedAppellInput(dataclasses.replace(inp.appell, **changes), inp.ext)
+
+
+def _guarded(suite: str, case_id: str, params: dict, check) -> VerificationRecord:
     try:
-        return builder()
+        return check()
     except Exception as exc:  # a failing check must not abort the run
         return VerificationRecord(
-            "error", "error", {}, 0j, 0j, float("inf"), float("inf"), 0.0,
+            suite, case_id, dict(params), 0j, 0j, float("inf"), float("inf"), 0.0,
             "fail", None, f"error: {type(exc).__name__}: {exc}",
         )
 
 
-def _inequality_record(
-    suite: str, case_id: str, params: dict, magnitude: float, bound: float, method: str
-) -> VerificationRecord:
-    """pass iff magnitude <= bound; the 'error' is the violation amount."""
-    violation = max(0.0, magnitude - bound)
-    rel = violation / (1.0 + violation)
-    return VerificationRecord(
-        suite, case_id, {**params, "abs_value": magnitude, "bound": bound},
-        complex(magnitude), complex(bound), violation, rel, 0.0,
-        "pass" if violation == 0.0 else "fail", None, method,
+def _compare(suite, case_id, params, lhs, rhs, tol, method):
+    """The check that lhs() and rhs() agree to relative tolerance ``tol``."""
+    return case_id, params, lambda: make_record(
+        suite, case_id, params, lhs(), rhs(), tol, method
     )
 
 
-def _suite_routes(trials, seed, tol):
-    rng = _rng("routes", seed)
-    tol = tol or ROUTES_TOL
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        out.append(_guarded(lambda: make_record(
-            "routes", f"trial{i}", _params_of(inp),
-            f1pv_series(inp), f1pv_integral(inp), tol, "series vs integral",
-        )))
-    return out
+def _inequality(case_id, inp, bound, method):
+    """The check |F(inp)| <= bound(inp); its 'error' is the violation amount."""
+    params = _params_of(inp)
+
+    def check():
+        magnitude, limit = abs(f1pv_integral(inp)), bound(inp)
+        violation = max(0.0, magnitude - limit)
+        return VerificationRecord(
+            "bound", case_id, {**params, "abs_value": magnitude, "bound": limit},
+            complex(magnitude), complex(limit), violation, violation / (1.0 + violation),
+            0.0, "pass" if violation == 0.0 else "fail", None, method,
+        )
+    return case_id, params, check
 
 
-def _suite_transform(trials, seed, tol):
-    rng = _rng("transform", seed)
-    tol = tol or TRANSFORM_TOL
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        out.append(_guarded(lambda: make_record(
-            "transform", f"trial{i}", _params_of(inp),
-            f1pv_integral(inp), f1pv_transform(inp), tol,
-            "integral vs Moebius-transformed integral",
-        )))
-    return out
+def _rejudged(check, tol):
+    """``check`` with its record judged against ``tol`` when one is given."""
+    if tol is None:
+        return check
+
+    def rejudged():
+        rec = check()
+        if rec.status != "skipped":
+            rec = dataclasses.replace(rec, status="pass" if rec.rel_err <= tol else "fail")
+        return dataclasses.replace(rec, tol=tol)
+    return rejudged
 
 
-def _suite_mellin(trials, seed, tol):
-    rng = _rng("mellin", seed)
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        a, nu = inp.appell, inp.ext.nu
-        for ds in (0.6, 1.1, 2.0):
-            s = nu + ds
-            def pair(s=s):
-                rec = verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL)
-                return VerificationRecord(**{**rec.__dict__, "case_id": f"trial{i}-s={ds:g}"})
-            out.append(_guarded(pair))
+def _routes(i, rng, tol):
+    inp = sample_input(rng)
+    yield _compare(
+        "routes", f"trial{i}", _params_of(inp), lambda: f1pv_series(inp),
+        lambda: f1pv_integral(inp), tol or ROUTES_TOL, "series vs integral",
+    )
 
-        def inverse():
-            direct = f1pv_series(inp)
-            rec = mellin_inverse_numeric(a, nu, inp.ext.p.real)
-            return make_record(
-                "mellin", f"trial{i}-inverse", _params_of(inp), rec, direct,
-                tol or MELLIN_INVERSE_TOL, "contour inversion vs series",
+
+def _transform(i, rng, tol):
+    inp = sample_input(rng)
+    yield _compare(
+        "transform", f"trial{i}", _params_of(inp), lambda: f1pv_integral(inp),
+        lambda: f1pv_transform(inp), tol or TRANSFORM_TOL,
+        "integral vs Moebius-transformed integral",
+    )
+
+
+def _mellin(i, rng, tol):
+    inp = sample_input(rng)
+    a, nu = inp.appell, inp.ext.nu
+    for ds in (0.6, 1.1, 2.0):
+        case_id = f"trial{i}-s={ds:g}"
+        yield case_id, {**_params_of(inp), "s_re": nu + ds}, (
+            lambda case_id=case_id, s=nu + ds: dataclasses.replace(
+                verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL), case_id=case_id
             )
-        out.append(_guarded(inverse))
-    return out
-
-
-_FD_ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0))
+        )
+    yield _compare(
+        "mellin", f"trial{i}-inverse", _params_of(inp),
+        lambda: mellin_inverse_numeric(a, nu, inp.ext.p.real), lambda: f1pv_series(inp),
+        tol or MELLIN_INVERSE_TOL, "contour inversion vs series",
+    )
 
 
 def _finite_difference(inp: ExtendedAppellInput, m: int, n: int) -> complex:
-    a = inp.appell
-
     def at(x, y):
-        return f1pv_series(
-            ExtendedAppellInput(AppellParams(a.b1, a.b2, a.b3, a.c1, x, y), inp.ext)
-        )
+        return f1pv_series(_moved(inp, x=x, y=y))
 
-    x, y = a.x.real, a.y.real
+    x, y = inp.appell.x.real, inp.appell.y.real
     if (m, n) == (1, 0):
         h = 1e-5
         return (at(x + h, y) - at(x - h, y)) / (2 * h)
@@ -183,206 +179,137 @@ def _finite_difference(inp: ExtendedAppellInput, m: int, n: int) -> complex:
     return (at(x + h, y) - 2.0 * at(x, y) + at(x - h, y)) / (h * h)
 
 
-def _suite_diff(trials, seed, tol):
-    rng = _rng("diff", seed)
-    tol = tol or DIFF_TOL
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        for m, n in _FD_ORDERS:
-            def check(m=m, n=n):
-                return make_record(
-                    "diff", f"trial{i}-d{m}{n}", {**_params_of(inp), "M": m, "N": n},
-                    f1pv_derivative(inp, m, n, EvaluationMethod(route="series")),
-                    _finite_difference(inp, m, n),
-                    tol, "parameter-shift derivative vs central differences",
-                )
-            out.append(_guarded(check))
-    return out
-
-
-def _suite_recursion(trials, seed, tol):
-    rng = _rng("recursion", seed)
-    tol = tol or RECURSION_TOL
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        n = i % 3 + 1
-        a = inp.appell
-
-        def b2_case():
-            lifted = ExtendedAppellInput(
-                AppellParams(a.b1, a.b2 + n, a.b3, a.c1, a.x, a.y), inp.ext
-            )
-            return make_record(
-                "recursion", f"trial{i}-b2-n{n}", {**_params_of(inp), "n": n},
-                f1pv_series(lifted), f1pv_recursion_b2(inp, n), tol,
-                "b2 recursion vs direct series",
-            )
-
-        def b3_case():
-            lifted = ExtendedAppellInput(
-                AppellParams(a.b1, a.b2, a.b3 + n, a.c1, a.x, a.y), inp.ext
-            )
-            return make_record(
-                "recursion", f"trial{i}-b3-n{n}", {**_params_of(inp), "n": n},
-                f1pv_series(lifted), f1pv_recursion_b3(inp, n), tol,
-                "b3 recursion vs direct series",
-            )
-
-        out.append(_guarded(b2_case))
-        out.append(_guarded(b3_case))
-    return out
-
-
-def _suite_bound(trials, seed, tol):
-    rng = _rng("bound", seed)
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-
-        def full():
-            mag = abs(f1pv_integral(inp))
-            return _inequality_record(
-                "bound", f"trial{i}-full", _params_of(inp), mag, f1pv_bound(inp),
-                "strict upper bound with F1 factor",
-            )
-        out.append(_guarded(full))
-
-        b1 = rng.uniform(0.5, 3.0)
-        c1 = b1 + rng.uniform(0.5, 3.0)
-        b2, b3 = rng.uniform(0.1, 2.0, 2)
-        x, y = -rng.uniform(0.05, 0.8, 2)
-        simple_inp = ExtendedAppellInput(
-            AppellParams(b1, b2, b3, c1, x, y),
-            ExtensionParams(rng.uniform(0.25, 4.0), rng.uniform(0.0, 2.0)),
+def _diff(i, rng, tol):
+    inp = sample_input(rng)
+    for m, n in ((1, 0), (0, 1), (1, 1), (2, 0)):
+        yield _compare(
+            "diff", f"trial{i}-d{m}{n}", {**_params_of(inp), "M": m, "N": n},
+            lambda m=m, n=n: f1pv_derivative(inp, m, n, EvaluationMethod(route="series")),
+            lambda m=m, n=n: _finite_difference(inp, m, n),
+            tol or DIFF_TOL, "parameter-shift derivative vs central differences",
         )
 
-        def simple():
-            mag = abs(f1pv_integral(simple_inp))
-            return _inequality_record(
-                "bound", f"trial{i}-simple", _params_of(simple_inp), mag,
-                f1pv_bound_simple(simple_inp), "sign-restricted bound without F1",
+
+def _recursion(i, rng, tol):
+    inp = sample_input(rng)
+    a, n = inp.appell, i % 3 + 1
+    for name, lifted, recursion in (("b2", a.b2 + n, f1pv_recursion_b2),
+                                    ("b3", a.b3 + n, f1pv_recursion_b3)):
+        yield _compare(
+            "recursion", f"trial{i}-{name}-n{n}", {**_params_of(inp), "n": n},
+            lambda name=name, lifted=lifted: f1pv_series(_moved(inp, **{name: lifted})),
+            lambda recursion=recursion: recursion(inp, n),
+            tol or RECURSION_TOL, f"{name} recursion vs direct series",
+        )
+
+
+def _bound(i, rng, tol):
+    inp = sample_input(rng)
+    yield _inequality(f"trial{i}-full", inp, f1pv_bound, "strict upper bound with F1 factor")
+    b1 = rng.uniform(0.5, 3.0)
+    c1 = b1 + rng.uniform(0.5, 3.0)
+    b2, b3 = rng.uniform(0.1, 2.0, 2)
+    x, y = -rng.uniform(0.05, 0.8, 2)
+    simple = ExtendedAppellInput(
+        AppellParams(b1, b2, b3, c1, x, y),
+        ExtensionParams(rng.uniform(0.25, 4.0), rng.uniform(0.0, 2.0)),
+    )
+    yield _inequality(
+        f"trial{i}-simple", simple, f1pv_bound_simple, "sign-restricted bound without F1"
+    )
+
+
+# deterministic degenerate probes (identity, nu, z, mu): recorded as skipped, with reasons
+_MEIJER_PROBES = (("1.8", 0.5, 1.0, 0.0), ("1.10", 1.5, 1.0, 0.3), ("1.7", 1.0, 0.8, 0.0))
+
+
+def _meijer(i, rng, tol):
+    def k_g(case_id, which, nu, z, mu):
+        return case_id, {"nu": nu, "z": z, "mu": mu}, _rejudged(
+            lambda: verify_k_g_identity(which, nu, z, mu), tol
+        )
+
+    if i == 0:
+        for which, nu, z, mu in _MEIJER_PROBES:
+            yield k_g(f"probe-eq{which}", which, nu, z, mu)
+    nu = float(rng.uniform(0.05, 1.95))
+    z = float(rng.uniform(0.3, 2.5))
+    mu = float(rng.uniform(-0.5, 1.3))
+    for which in K_G_IDENTITIES:
+        yield k_g(f"trial{i}-eq{which}", which, nu, z, mu)
+    inp = sample_input(rng)
+    for which, mus in (("2.3", (0.0,)), ("2.4", (0.0,)), ("2.5", MU_VALUES),
+                       ("2.6", MU_VALUES), ("2.7", MU_VALUES)):
+        for m in mus:
+            yield f"trial{i}-eq{which}-mu{m:g}", {**_params_of(inp), "mu": m}, _rejudged(
+                lambda which=which, m=m: verify_theorem1(which, inp, m), tol
             )
-        out.append(_guarded(simple))
-    return out
 
 
-def _suite_meijer(trials, seed, tol):
-    rng = _rng("meijer", seed)
-    out = []
-    # deterministic degenerate probes: recorded as skipped, with reasons
-    for which, nu, z, mu in (("1.8", 0.5, 1.0, 0.0), ("1.10", 1.5, 1.0, 0.3),
-                             ("1.7", 1.0, 0.8, 0.0)):
-        out.append(_guarded(lambda w=which, n=nu, zz=z, m=mu:
-                          verify_k_g_identity(w, n, zz, m)))
-    for i in range(trials):
-        nu = float(rng.uniform(0.05, 1.95))
-        z = float(rng.uniform(0.3, 2.5))
-        mu = float(rng.uniform(-0.5, 1.3))
-        for which in K_G_IDENTITIES:
-            out.append(_guarded(lambda w=which: verify_k_g_identity(w, nu, z, mu)))
-        inp = sample_input(rng)
-        for which in ("2.3", "2.4"):
-            out.append(_guarded(lambda w=which: verify_theorem1(w, inp, 0.0)))
-        for which in ("2.5", "2.6", "2.7"):
-            for m in MU_VALUES:
-                out.append(_guarded(lambda w=which, mv=m: verify_theorem1(w, inp, mv)))
-    if tol is not None:
-        out = [VerificationRecord(**{**r.__dict__, "tol": tol,
-                                     "status": r.status if r.status == "skipped"
-                                     else ("pass" if r.rel_err <= tol else "fail")})
-               for r in out]
-    return out
+def _reduction(i, rng, tol):
+    inp = sample_input(rng)
+    a, params = inp.appell, _params_of(inp)
+    b, p = a.c1 - a.b1, inp.ext.p.real
+    nu0 = ExtensionParams(p, 0.0)
+    nu0_tol, origin_tol = tol or REDUCTION_NU0_TOL, tol or REDUCTION_ORIGIN_TOL
+
+    def chaudhry_series():
+        b0 = beta(a.b1, b)
+        return block_double_sum(
+            lambda k: chaudhry_beta(a.b1 + k, b, p) / b0, a.b2, a.b3, a.x, a.y, 1e-12
+        )
+
+    yield _compare(
+        "reduction", f"trial{i}-beta-nu0", params, lambda: extended_beta(a.b1, b, nu0),
+        lambda: chaudhry_beta(a.b1, b, p), nu0_tol, "extended Beta at nu=0 vs Chaudhry kernel",
+    )
+    yield _compare(
+        "reduction", f"trial{i}-f-nu0", params,
+        lambda: f1pv_series(ExtendedAppellInput(a, nu0)), chaudhry_series,
+        nu0_tol, "F at nu=0 vs Chaudhry-kernel series",
+    )
+    yield _compare(
+        "reduction", f"trial{i}-origin", params, lambda: f1pv_series(_moved(inp, x=0.0, y=0.0)),
+        lambda: extended_beta(a.b1, b, inp.ext) / beta(a.b1, b),
+        origin_tol, "x=y=0 vs extended Beta ratio",
+    )
+    for name in ("b2", "b3"):
+        yield _compare(
+            "reduction", f"trial{i}-{name}zero", params,
+            lambda name=name: f1pv_series(_moved(inp, **{name: 0.0})),
+            lambda name=name: f1pv_integral(_moved(inp, **{name: 0.0})),
+            origin_tol, f"{name}=0 series vs integral",
+        )
 
 
-def _suite_reduction(trials, seed, tol):
-    rng = _rng("reduction", seed)
-    out = []
-    for i in range(trials):
-        inp = sample_input(rng)
-        a = inp.appell
-        p = inp.ext.p.real
-        nu0 = ExtensionParams(p, 0.0)
-
-        def beta_nu0():
-            return make_record(
-                "reduction", f"trial{i}-beta-nu0", _params_of(inp),
-                extended_beta(a.b1, a.c1 - a.b1, nu0),
-                chaudhry_beta(a.b1, a.c1 - a.b1, p),
-                tol or REDUCTION_NU0_TOL, "extended Beta at nu=0 vs Chaudhry kernel",
-            )
-        out.append(_guarded(beta_nu0))
-
-        def f_nu0():
-            inp0 = ExtendedAppellInput(a, nu0)
-            b0 = beta(a.b1, a.c1 - a.b1)
-            chaudhry_built = block_double_sum(
-                lambda k: chaudhry_beta(a.b1 + k, a.c1 - a.b1, p) / b0,
-                a.b2, a.b3, a.x, a.y, 1e-12,
-            )
-            return make_record(
-                "reduction", f"trial{i}-f-nu0", _params_of(inp),
-                f1pv_series(inp0), chaudhry_built,
-                tol or REDUCTION_NU0_TOL, "F at nu=0 vs Chaudhry-kernel series",
-            )
-        out.append(_guarded(f_nu0))
-
-        def origin():
-            at0 = ExtendedAppellInput(
-                AppellParams(a.b1, a.b2, a.b3, a.c1, 0.0, 0.0), inp.ext
-            )
-            ratio = extended_beta(a.b1, a.c1 - a.b1, inp.ext) / beta(a.b1, a.c1 - a.b1)
-            return make_record(
-                "reduction", f"trial{i}-origin", _params_of(inp),
-                f1pv_series(at0), ratio,
-                tol or REDUCTION_ORIGIN_TOL, "x=y=0 vs extended Beta ratio",
-            )
-        out.append(_guarded(origin))
-
-        def collapse_b2():
-            zeroed = ExtendedAppellInput(
-                AppellParams(a.b1, 0.0, a.b3, a.c1, a.x, a.y), inp.ext
-            )
-            return make_record(
-                "reduction", f"trial{i}-b2zero", _params_of(inp),
-                f1pv_series(zeroed), f1pv_integral(zeroed),
-                tol or REDUCTION_ORIGIN_TOL, "b2=0 series vs integral",
-            )
-        out.append(_guarded(collapse_b2))
-
-        def collapse_b3():
-            zeroed = ExtendedAppellInput(
-                AppellParams(a.b1, a.b2, 0.0, a.c1, a.x, a.y), inp.ext
-            )
-            return make_record(
-                "reduction", f"trial{i}-b3zero", _params_of(inp),
-                f1pv_series(zeroed), f1pv_integral(zeroed),
-                tol or REDUCTION_ORIGIN_TOL, "b3=0 series vs integral",
-            )
-        out.append(_guarded(collapse_b3))
-    return out
-
-
-_RUNNERS = {
-    "routes": _suite_routes,
-    "transform": _suite_transform,
-    "mellin": _suite_mellin,
-    "diff": _suite_diff,
-    "recursion": _suite_recursion,
-    "bound": _suite_bound,
-    "meijer": _suite_meijer,
-    "reduction": _suite_reduction,
+# a suite's RNG stream is keyed by its position here, from 1: append, never reorder
+_TRIALS = {
+    "routes": _routes,
+    "transform": _transform,
+    "mellin": _mellin,
+    "diff": _diff,
+    "recursion": _recursion,
+    "bound": _bound,
+    "meijer": _meijer,
+    "reduction": _reduction,
 }
+SUITES = tuple(_TRIALS)
+
+
+def _checks(suite: str, trials: int, seed: int, tol: float | None):
+    """Every ``(case_id, params, check)`` of a run, in trial order."""
+    rng = _rng(suite, seed)
+    for i in range(trials):
+        yield from _TRIALS[suite](i, rng, tol)
 
 
 def run_suite(suite: str, trials: int, seed: int, tol: float | None = None):
     """Execute one named suite; returns its records in trial order."""
-    if suite not in _RUNNERS:
+    if suite not in _TRIALS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    return _RUNNERS[suite](trials, seed, tol)
+    return [_guarded(suite, *check) for check in _checks(suite, trials, seed, tol)]
 
 
 def summarize(suite: str, records) -> str:

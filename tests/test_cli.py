@@ -108,7 +108,9 @@ def test_verify_meijer_reports_skips(tmp_path):
 
 
 def test_verify_trials_validation():
-    assert run(["verify", "routes", "--trials", "0"]) == 2
+    # a bad option value is a usage error, like --seed -1 and --tol 0
+    for trials in ("0", "-3", "1.5"):
+        assert run(["verify", "routes", "--trials", trials]) == 64
 
 
 def test_golden_roundtrip(tmp_path):

@@ -159,6 +159,16 @@ def test_derivative_shifted_pole():
     assert np.isfinite(abs(f1pv_derivative(bad, 1, 0)))
 
 
+@pytest.mark.parametrize("orders", [(0.5, 0), (0, 1.5), (-1, 0), (0.25, 0.75)])
+def test_derivative_rejects_non_integer_orders(orders):
+    # the parameter-shift identity holds for integer orders only; (0.5, 0)
+    # used to return a value (5.381e-4 at this point) instead of raising
+    inp = _inp(1.2, 0.5, -0.7, 3.1, 0.4, -0.3, 1.5, 0.7)
+    with pytest.raises(DomainError):
+        f1pv_derivative(inp, *orders)
+    assert abs(f1pv_derivative(inp, 1.0, 0) - f1pv_derivative(inp, 1, 0)) == 0.0
+
+
 def test_recursions():
     inp = _inp(1.0, 0.5, 0.7, 2.5, 0.3, 0.2, 1.0, 0.8)
     for n in (1, 2, 3):

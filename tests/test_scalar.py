@@ -69,8 +69,11 @@ def test_pochhammer_values():
     assert abs(pochhammer(3.0, 2) - 12.0) < 1e-13
     # product form covers Gamma poles
     assert pochhammer(-2.0, 3) == 0.0
-    with pytest.raises(PoleError):
+    # only the product is defined: a non-integer or negative count is rejected
+    with pytest.raises(DomainError):
         pochhammer(-2.0, 0.5)
+    with pytest.raises(DomainError):
+        pochhammer(3.0, -1)
 
 
 def test_pochhammer_additivity_property():
