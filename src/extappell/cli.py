@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 verification failures, 2 domain error,
 3 convergence failure (a value that overflows or comes out non-finite
-counts as one), 64 usage error (from argument parsing: settings are
-command-line options, never environment variables).  Values print as
-"re im" on stdout with a one-line method trace on stderr; a failure
-prints one line on stderr and no traceback.
+counts as one, and so does a kernel integral that underflows to 0), 64
+usage error (from argument parsing: settings are command-line options,
+never environment variables).  Values print as "re im" on stdout with a
+one-line method trace on stderr; a failure prints one line on stderr and
+no traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ _EVAL_FNS = (
     "beta_pv", "chaudhry_beta", "f1", "f1pv", "bessel_k", "meijer_g",
     "mellin_fwd", "mellin_inv",
 )
+
+# B_{p,nu}, the Chaudhry Beta and F_{1,p,nu} decay like exp(-4 Re p) as p
+# grows but are never exactly 0: a 0 from one of them is an underflow
+_KERNEL_INTEGRALS = ("beta_pv", "chaudhry_beta", "f1pv")
 
 _REQUIRED = {
     "beta_pv": ("x", "y", "p", "nu"),
@@ -216,6 +221,8 @@ def _cmd_eval(args) -> int:
     value = complex(value)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"{fn} evaluated to a non-finite value ({value})")
+    if value == 0 and fn in _KERNEL_INTEGRALS:
+        raise ConvergenceError(f"{fn} underflows double precision (evaluated to 0)")
     print(f"{value.real:.17g} {value.imag:.17g}")
     print(trace, file=sys.stderr)
     return 0

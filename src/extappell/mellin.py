@@ -4,8 +4,9 @@ Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp, split at
 p = 1 with a log substitution on (1, inf) -- the integrand behaves like
 p^(s-nu-1) at the origin and is killed super-exponentially by the Bessel
 kernel at infinity.  Each integrand call of the outer quadrature (levels
-0-2 together, then one per level) evaluates F_{1,p,nu} at all of its p
-nodes as one stacked kernel integral, one row per p (``_RadialEvaluator``).
+0 to the quadrature's first test level together, then one per level)
+evaluates F_{1,p,nu} at all of its p nodes as one stacked kernel
+integral, one row per p (``_RadialEvaluator``).
 
 Forward, closed form:
 
@@ -164,8 +165,8 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
     """The transform by direct integration in p (two-piece split at p = 1).
 
     Each integrand call of either outer quadrature (tolerance 2e-7; levels
-    0-2 together, then one per level) evaluates the radial factor at all
-    of its p nodes in one batch (tolerance 1e-9).
+    0 to the first test level together, then one per level) evaluates the
+    radial factor at all of its p nodes in one batch (tolerance 1e-9).
     """
     s = check_mellin_point(s, nu, appell.c1)
     f = _RadialEvaluator(appell, nu, 1e-9)

@@ -25,10 +25,11 @@ sharing the nodes: an integrand returning shape (rows, nodes) gets one
 value per row, and refinement goes on until every row passes the test.
 
 Node tables are computed once per refinement level and cached, and so
-is one block per table holding levels 0-2 concatenated: ``_refine``
-never stops before level 2, so every engine samples those levels in one
-integrand call and splits the values back per level.  Engines are
-stateless apart from those immutable tables and blocks.
+is one block per table holding levels 0 to ``_FIRST_TEST_LEVEL`` = 3
+concatenated: ``_refine`` runs its stopping test from that level on, so
+every engine samples those levels in one integrand call and splits the
+values back per level.  Engines are stateless apart from those immutable
+tables and blocks.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ _TAU_MAX_UNIT = 6.0
 _V_MIN_SEMI = -6.8
 _V_MAX_SEMI = 4.25
 # the level-difference test first runs at this level, so levels 0..this
-# always run and are sampled as one block
-_FIRST_TEST_LEVEL = 2
+# always run and are sampled as one block; tanh-sinh roughly doubles its
+# digits per level, so a test passing at level 2 is mostly one that is slack
+_FIRST_TEST_LEVEL = 3
 # the level budget of every engine
 _MAX_LEVELS = 12
 # the tolerance of every engine unless a caller passes its own
@@ -235,8 +237,8 @@ def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     If the level budget runs out the best value is returned with
     ``converged=False`` (callers decide whether that is an error).  ``f``
-    is called once for levels 0-2 together, on one cached block of nodes,
-    and then once per further level.
+    is called once for levels 0 to ``_FIRST_TEST_LEVEL`` together, on one
+    cached block of nodes, and then once per further level.
     """
     return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol)
 
@@ -283,11 +285,11 @@ def _refine(sample, table, tol: float) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
     ``table(level)`` gives a level's node arrays, the weights last.  One
-    ``sample`` call covers the block of levels 0..2; its values are split
-    back per level, so the sums, tests and edge tail see the same
-    per-level values as one call per level.  Every row of a stacked
-    integrand must pass the level-difference test and the edge-tail
-    check; ``abs_error_estimate`` is then the largest row error.
+    ``sample`` call covers the block of levels 0.._FIRST_TEST_LEVEL; its
+    values are split back per level, so the sums, tests and edge tail see
+    the same per-level values as one call per level.  Every row of a
+    stacked integrand must pass the level-difference test and the
+    edge-tail check; ``abs_error_estimate`` is then the largest row error.
 
     Raises
     ------
@@ -341,8 +343,8 @@ def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     The integral over [-T, T] is ``_refine``'s trapezoid sums of
     T f(T u) on u in [-1, 1], whose level 0 has step 1/4 (see
-    ``_line_level``): one call for the probes, one for levels 0-2, and one
-    per further level.
+    ``_line_level``): one call for the probes, one for levels 0 to
+    ``_FIRST_TEST_LEVEL``, and one per further level.
 
     Raises
     ------

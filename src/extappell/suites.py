@@ -112,17 +112,18 @@ def _inequality(case_id, inp, bound, method):
     return case_id, params, check
 
 
-def _rejudged(check, tol):
-    """``check`` with its record judged against ``tol`` when one is given."""
-    if tol is None:
-        return check
+def _adopted(case_id, check, tol=None):
+    """``check`` with its record under the runner's ``case_id``, and judged
+    against ``tol`` when one is given."""
 
-    def rejudged():
-        rec = check()
+    def adopted():
+        rec = dataclasses.replace(check(), case_id=case_id)
+        if tol is None:
+            return rec
         if rec.status != "skipped":
             rec = dataclasses.replace(rec, status="pass" if rec.rel_err <= tol else "fail")
         return dataclasses.replace(rec, tol=tol)
-    return rejudged
+    return adopted
 
 
 def _routes(i, rng, tol):
@@ -147,10 +148,8 @@ def _mellin(i, rng, tol):
     a, nu = inp.appell, inp.ext.nu
     for ds in (0.6, 1.1, 2.0):
         case_id = f"trial{i}-s={ds:g}"
-        yield case_id, {**_params_of(inp), "s_re": nu + ds}, (
-            lambda case_id=case_id, s=nu + ds: dataclasses.replace(
-                verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL), case_id=case_id
-            )
+        yield case_id, {**_params_of(inp), "s_re": nu + ds}, _adopted(
+            case_id, lambda s=nu + ds: verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL)
         )
     yield _compare(
         "mellin", f"trial{i}-inverse", _params_of(inp),
@@ -225,8 +224,8 @@ _MEIJER_PROBES = (("1.8", 0.5, 1.0, 0.0), ("1.10", 1.5, 1.0, 0.3), ("1.7", 1.0, 
 
 def _meijer(i, rng, tol):
     def k_g(case_id, which, nu, z, mu):
-        return case_id, {"nu": nu, "z": z, "mu": mu}, _rejudged(
-            lambda: verify_k_g_identity(which, nu, z, mu), tol
+        return case_id, {"nu": nu, "z": z, "mu": mu}, _adopted(
+            case_id, lambda: verify_k_g_identity(which, nu, z, mu), tol
         )
 
     if i == 0:
@@ -241,8 +240,9 @@ def _meijer(i, rng, tol):
     for which, mus in (("2.3", (0.0,)), ("2.4", (0.0,)), ("2.5", MU_VALUES),
                        ("2.6", MU_VALUES), ("2.7", MU_VALUES)):
         for m in mus:
-            yield f"trial{i}-eq{which}-mu{m:g}", {**_params_of(inp), "mu": m}, _rejudged(
-                lambda which=which, m=m: verify_theorem1(which, inp, m), tol
+            case_id = f"trial{i}-eq{which}-mu{m:g}"
+            yield case_id, {**_params_of(inp), "mu": m}, _adopted(
+                case_id, lambda which=which, m=m: verify_theorem1(which, inp, m), tol
             )
 
 

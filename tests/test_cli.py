@@ -280,3 +280,20 @@ def test_large_half_odd_order_underflows_to_zero(capsys):
     # value is checked against mpmath in test_bessel
     assert run(["eval", "bessel_k", "nu=200.5", "z=1000"]) == 0
     assert capsys.readouterr().out == "0 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta_pv", "x=2", "y=3", "p=800", "nu=0.7"],
+    ["chaudhry_beta", "x=2", "y=3", "p=800"],
+    [*_F1PV[1:-1], "p=800", "nu=0.7", "--route", "series"],
+    [*_F1PV[1:-1], "p=800", "nu=0.7", "--route", "integral"],
+], ids=["beta_pv", "chaudhry_beta", "f1pv-series", "f1pv-integral"])
+def test_kernel_integral_underflow_exit_3(capsys, argv):
+    # B_{p,nu} ~ exp(-4p) is far below the smallest double at p = 800; the
+    # value is never exactly 0, so printing "0 0" would be a silent wrong value
+    assert run(["eval", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].endswith(f"{argv[0]} underflows double precision (evaluated to 0)")

@@ -7,6 +7,7 @@ from extappell.errors import DomainError
 from extappell.hyper import AppellParams
 from extappell.mellin import _inversion_integrand
 from extappell.quadrature import (
+    _FIRST_TEST_LEVEL,
     _MAX_LEVELS,
     ENDPOINT_CUTOFF,
     _edge_tail,
@@ -186,15 +187,17 @@ def _stop_level(table, nodes_used):
     (integrate_semi_infinite, _semi_level, lambda u: u**-0.5 * np.exp(-u), 1e-10),
     (integrate_semi_infinite, _semi_level, lambda u: np.exp(-u), 0.5),
 ], ids=["unit-cos40", "unit-rsqrt-loose", "unit-rsqrt-tight", "semi-rsqrt", "semi-loose"])
-def test_levels_0_to_2_take_one_integrand_call(engine, table, f, tol):
-    # one call for the block of levels 0-2, then one per later level
+def test_first_test_level_block_takes_one_integrand_call(engine, table, f, tol):
+    # one call for the block of levels 0.._FIRST_TEST_LEVEL, then one per later level
     counted, calls = _counting(f)
     res = engine(counted, tol)
     assert res.converged
-    assert len(calls) == _stop_level(table, res.nodes_used) - 1
+    assert len(calls) == _stop_level(table, res.nodes_used) - _FIRST_TEST_LEVEL + 1
     first = calls[0]
     for i, block in enumerate(first):
-        assert np.array_equal(block, np.concatenate([table(lvl)[i] for lvl in range(3)]))
+        assert np.array_equal(
+            block, np.concatenate([table(lvl)[i] for lvl in range(_FIRST_TEST_LEVEL + 1)])
+        )
     # the block's arrays are shared: the extended-Beta kernel cache keys on id(t)
     again, calls_again = _counting(f)
     engine(again, tol)
@@ -202,7 +205,9 @@ def test_levels_0_to_2_take_one_integrand_call(engine, table, f, tol):
 
 
 # results of the engine that made one integrand call per level: sampling
-# levels 0-2 as one block must leave a pointwise integrand's bits alone.
+# levels 0.._FIRST_TEST_LEVEL as one block must leave a pointwise
+# integrand's bits alone.  rsqrt-loose passes its test at the first test
+# level, so it has rsqrt-tight's value and nodes.
 # The contour entries are the results of the contour on ``_refine``; the
 # loop it replaced reached the same nodes_used (129 and 1025).
 def _stacked_moments(t, tc):
@@ -214,7 +219,7 @@ def _stacked_moments(t, tc):
     (integrate_unit_interval, lambda t, tc: np.cos(40.0 * t), 1e-10,
      0.018627829011983454, 1.9081958235744878e-16, 385),
     (integrate_unit_interval, lambda t, tc: t**-0.5, 0.5,
-     2.000000000000003, 4.589821274159078e-07, 49),
+     2.0, 3.1086244689504383e-15, 97),
     (integrate_unit_interval, lambda t, tc: t**-0.5, 1e-12,
      2.0, 3.1086244689504383e-15, 97),
     (integrate_unit_interval, _stacked_moments, 1e-10,
@@ -240,18 +245,34 @@ def test_pointwise_integrands_match_frozen_results(engine, f, tol, value, error,
     assert res.converged is True
 
 
-def test_contour_stopping_at_level_2_makes_two_integrand_calls():
-    # the probe call, then one call for the block of levels 0-2
+def test_contour_stopping_at_the_first_test_level_makes_two_integrand_calls():
+    # the probe call, then one call for the block of levels 0.._FIRST_TEST_LEVEL
     counted, calls = _counting(lambda tau: np.exp(-(tau**2)))
     res = integrate_vertical_line(counted, 1e-3)
     assert res.converged
-    assert res.nodes_used == sum(_line_level(lvl)[0].size for lvl in range(3)) == 33
+    levels = range(_FIRST_TEST_LEVEL + 1)
+    assert res.nodes_used == sum(_line_level(lvl)[0].size for lvl in levels) == 65
     assert len(calls) == 2
     probes = calls[0][0]
     assert probes[0] == 0.0 and np.array_equal(probes[1:13], -probes[13:])
     trunc = 8.0  # twice the first probe, 4, where exp(-tau^2) < 1e-5
-    block = np.concatenate([_line_level(lvl)[0] for lvl in range(3)])
+    block = np.concatenate([_line_level(lvl)[0] for lvl in levels])
     assert np.array_equal(calls[1][0], trunc * block)
+
+
+@pytest.mark.parametrize("engine, table, f, nodes", [
+    (integrate_unit_interval, _unit_level, lambda t, tc: np.ones_like(t), 97),
+    (integrate_semi_infinite, _semi_level, lambda u: np.exp(-u), 89),
+    (integrate_vertical_line, _line_level, lambda tau: np.exp(-(tau**2)), 65),
+], ids=["unit", "semi", "line"])
+def test_no_engine_stops_before_the_first_test_level(engine, table, f, nodes):
+    # at a loose tolerance an integrand that settles at once would pass the
+    # level-difference test at level 1; every engine still runs the block
+    res = engine(f, 0.5)
+    assert res.converged
+    assert res.nodes_used == nodes == sum(
+        table(lvl)[-1].size for lvl in range(_FIRST_TEST_LEVEL + 1)
+    )
 
 
 def test_line_levels_are_the_trapezoid_rule_on_minus_one_to_one():

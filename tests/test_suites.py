@@ -45,6 +45,9 @@ def test_case_ids_are_unique_and_in_trial_order(suite):
 def test_tol_override_rejudges_every_compare_record(suite):
     plain = run_suite(suite, 2, 3)
     judged = run_suite(suite, 2, 3, tol=TOL)
+    # every record carries the runner's case id, so a report's ids are unique
+    ids = [case_id for case_id, _params, _check in _checks(suite, 2, 3, None)]
+    assert [rec.case_id for rec in plain] == ids
     assert len(plain) == len(judged)
     for before, rec in zip(plain, judged):
         assert not rec.method.startswith("error")
