@@ -3,10 +3,14 @@
 Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp, split at
 p = 1 with a log substitution on (1, inf) -- the integrand behaves like
 p^(s-nu-1) at the origin and is killed super-exponentially by the Bessel
-kernel at infinity.  Each integrand call of the outer quadrature (levels
-0 to the quadrature's first test level together, then one per level)
+kernel at infinity.  Each integrand call of the outer quadratures
 evaluates F_{1,p,nu} at all of its p nodes as one stacked kernel
-integral, one row per p (``_RadialEvaluator``).
+integral, one row per p (``_RadialEvaluator``).  The outer quadratures
+run at 2e-7, so their first call samples levels 0-3, their first test
+level, and each later call one level: a deeper first call would double
+every inner batch of an outer quadrature that stops at level 3, as they
+do.  The inner batches run at 1e-9 and stop at level 4 or 5, so their
+first call samples levels 0-4 (see ``quadrature._first_call_level``).
 
 Forward, closed form:
 
@@ -165,8 +169,9 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
     """The transform by direct integration in p (two-piece split at p = 1).
 
     Each integrand call of either outer quadrature (tolerance 2e-7; levels
-    0 to the first test level together, then one per level) evaluates the
-    radial factor at all of its p nodes in one batch (tolerance 1e-9).
+    0-3 together, then one per level) evaluates the radial factor at all
+    of its p nodes in one batch (tolerance 1e-9; levels 0-4 together,
+    then one per level).
     """
     s = check_mellin_point(s, nu, appell.c1)
     f = _RadialEvaluator(appell, nu, 1e-9)

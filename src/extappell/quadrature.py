@@ -25,11 +25,16 @@ sharing the nodes: an integrand returning shape (rows, nodes) gets one
 value per row, and refinement goes on until every row passes the test.
 
 Node tables are computed once per refinement level and cached, and so
-is one block per table holding levels 0 to ``_FIRST_TEST_LEVEL`` = 3
-concatenated: ``_refine`` runs its stopping test from that level on, so
-every engine samples those levels in one integrand call and splits the
-values back per level.  Engines are stateless apart from those immutable
-tables and blocks.
+are blocks of levels 0 to a first-call level concatenated.  ``_refine``
+samples one block in its first integrand call and splits the values back
+per level.  The first-call level follows from ``tol``, since tanh-sinh
+roughly doubles its digits per level (Bailey, Jeyabalan & Li, Exp.
+Math. 14, 2005): it is 5 below 1e-9, 4 below 1e-8 and otherwise the
+first test level, ``_FIRST_TEST_LEVEL`` = 3 (see ``_first_call_level``).
+The stopping test still runs at every level from the first test level
+on, so the first-call level changes how many calls a quadrature makes,
+never the level it stops at.  Engines are stateless apart from those
+immutable tables and blocks.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ _TAU_MAX_UNIT = 6.0
 _V_MIN_SEMI = -6.8
 _V_MAX_SEMI = 4.25
 # the level-difference test first runs at this level, so levels 0..this
-# always run and are sampled as one block; tanh-sinh roughly doubles its
-# digits per level, so a test passing at level 2 is mostly one that is slack
+# always run; tanh-sinh roughly doubles its digits per level, so a test
+# passing at level 2 is mostly one that is slack
 _FIRST_TEST_LEVEL = 3
 # the level budget of every engine
 _MAX_LEVELS = 12
@@ -65,7 +70,12 @@ ENDPOINT_CUTOFF = 745.0
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """``value`` is an array, one entry per row, for a stacked integrand."""
+    """``value`` is an array, one entry per row, for a stacked integrand.
+
+    ``nodes_used`` counts the nodes of levels 0 to the level the
+    quadrature stopped at, not every node sampled: a first call that
+    samples past the stop level leaves its deeper nodes uncounted.
+    """
 
     value: complex
     abs_error_estimate: float
@@ -162,24 +172,43 @@ def _line_level(level: int):
 _blocks: dict = {}
 
 
-def _block(table):
-    """Levels 0.._FIRST_TEST_LEVEL of a node table as one set of arrays,
-    and the offsets.
+def _first_call_level(tol: float) -> int:
+    """The last level that ``_refine``'s first integrand call samples.
+
+    A call costs a fixed overhead, and a level sampled past the stop
+    level costs its nodes for nothing, once per row of a stack.  The
+    single kernel integrals run at 1e-10 and stop at levels 3 to 6,
+    mostly 4 or 5, so one call for levels 0-5 pays.  The Mellin p
+    batches run at 1e-9 and stop at level 4 or 5, with a row per p, so
+    their first call stops at level 4.  The outer Mellin quadratures run
+    at 2e-7 and stop at level 3, and each of their nodes is a row of an
+    inner batch, so their first call holds the first test level only.
+    """
+    if tol < 1e-9:
+        return 5
+    return 4 if tol < 1e-8 else _FIRST_TEST_LEVEL
+
+
+def _block(table, last: int):
+    """Levels 0..``last`` of a node table as one set of arrays, and the
+    offsets.
 
     ``table(level)`` gives a level's node arrays, the weights last; the
     block concatenates each array over the levels, and level L occupies
-    ``offsets[L]:offsets[L + 1]``.  Blocks are cached and read-only, like
-    the level tables, so a node array's identity names its nodes: the
-    extended-Beta family keys its integrand samples on it.
+    ``offsets[L]:offsets[L + 1]``.  Blocks are cached by (table, last)
+    and read-only, like the level tables, so a node array's identity
+    names its nodes: the extended-Beta family keys its integrand samples
+    on it.
     """
-    if table not in _blocks:
-        levels = [table(lvl) for lvl in range(_FIRST_TEST_LEVEL + 1)]
+    key = (table, last)
+    if key not in _blocks:
+        levels = [table(lvl) for lvl in range(last + 1)]
         arrays = tuple(np.concatenate(cols) for cols in zip(*levels))
         for a in arrays:
             a.flags.writeable = False
         offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
-        _blocks[table] = (arrays, offsets)
-    return _blocks[table]
+        _blocks[key] = (arrays, offsets)
+    return _blocks[key]
 
 
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -237,8 +266,12 @@ def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     If the level budget runs out the best value is returned with
     ``converged=False`` (callers decide whether that is an error).  ``f``
-    is called once for levels 0 to ``_FIRST_TEST_LEVEL`` together, on one
-    cached block of nodes, and then once per further level.
+    is called once for levels 0 to the first-call level together, on one
+    cached block of nodes, and then once per further level.  That level
+    is 5 for ``tol`` below 1e-9, 4 below 1e-8 and 3, the first test
+    level, otherwise; the stopping test runs from level 3 on either way,
+    so the first-call level sets the number of calls, not the level the
+    quadrature stops at.
     """
     return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol)
 
@@ -284,10 +317,14 @@ def _check_tol(tol: float) -> None:
 def _refine(sample, table, tol: float) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
-    ``table(level)`` gives a level's node arrays, the weights last.  One
-    ``sample`` call covers the block of levels 0.._FIRST_TEST_LEVEL; its
+    ``table(level)`` gives a level's node arrays, the weights last.  The
+    first ``sample`` call covers the block of levels 0 to
+    ``_first_call_level(tol)``, later calls one level each.  The block's
     values are split back per level, so the sums, tests and edge tail see
-    the same per-level values as one call per level.  Every row of a
+    the same per-level values as one call per level, and the
+    level-difference test runs at every level from ``_FIRST_TEST_LEVEL``
+    on: a quadrature stops at the same level, with the same
+    ``nodes_used``, whatever the first-call level.  Every row of a
     stacked integrand must pass the level-difference test and the
     edge-tail check; ``abs_error_estimate`` is then the largest row error.
 
@@ -297,7 +334,7 @@ def _refine(sample, table, tol: float) -> QuadratureResult:
         If ``tol`` is not positive, or a sample is not finite.
     """
     _check_tol(tol)
-    nodes, offsets = _block(table)
+    nodes, offsets = _block(table, _first_call_level(tol))
     block = _weighted(sample(nodes), nodes[-1])
     level0 = block[..., :offsets[1]]
     tail = _edge_tail(level0)
@@ -343,8 +380,9 @@ def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     The integral over [-T, T] is ``_refine``'s trapezoid sums of
     T f(T u) on u in [-1, 1], whose level 0 has step 1/4 (see
-    ``_line_level``): one call for the probes, one for levels 0 to
-    ``_FIRST_TEST_LEVEL``, and one per further level.
+    ``_line_level``): one call for the probes, one for levels 0 to the
+    first-call level (as in ``integrate_unit_interval``), and one per
+    further level.
 
     Raises
     ------

@@ -9,7 +9,9 @@ working domain
 and emits one ``VerificationRecord`` per check.  Each suite is a
 per-trial generator ``_name(i, rng, tol)`` that draws trial ``i``'s
 points and yields its checks as ``(case_id, params, check)``.
-``run_suite`` runs each check as it is yielded, before the next draw;
+``run_suite`` runs each check as it is yielded, before the next draw,
+and files every record under the suite's name (the Meijer suite's
+Theorem-1 checks come back from ``verify_theorem1`` as ``theorem1``);
 an exception becomes a failing record that names the check, so no
 failure aborts a run.  Trials execute sequentially in index order, so a
 (suite, trials, seed, tol) tuple fully determines the output.
@@ -82,7 +84,7 @@ def _moved(inp: ExtendedAppellInput, **changes) -> ExtendedAppellInput:
 
 def _guarded(suite: str, case_id: str, params: dict, check) -> VerificationRecord:
     try:
-        return check()
+        return dataclasses.replace(check(), suite=suite)
     except Exception as exc:  # a failing check must not abort the run
         return VerificationRecord(
             suite, case_id, dict(params), 0j, 0j, float("inf"), float("inf"), 0.0,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from extappell import extbeta
 from extappell.errors import DomainError, PoleError
 from extappell.extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from extappell.f1pv import (
@@ -35,6 +36,20 @@ def _inp(b1, b2, b3, c1, x, y, p, nu):
 def test_series_oracle():
     val = f1pv_series(BASE)
     assert abs(val - F1PV_ORACLE) <= 1e-10 * F1PV_ORACLE
+
+
+@pytest.mark.parametrize("p, nodes", [(1.5, 193), (0.3, 385)], ids=["level4", "level5"])
+def test_integral_stopping_at_level_4_or_5_makes_one_kernel_call(monkeypatch, p, nodes):
+    # the kernel quadrature runs at 1e-10, so its first call samples levels 0-5
+    results, kernel_calls = [], []
+    quad, kernel = extbeta.integrate_unit_interval, extbeta.bessel_k_scaled_many
+    monkeypatch.setattr(extbeta, "integrate_unit_interval",
+                        lambda *args: results.append(quad(*args)) or results[-1])
+    monkeypatch.setattr(extbeta, "bessel_k_scaled_many",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    f1pv_integral(_inp(1.2, 0.5, -0.7, 3.1, 0.4, -0.3, p, 0.7))
+    assert [r.nodes_used for r in results] == [nodes]
+    assert len(kernel_calls) == 1
 
 
 def test_integral_oracle_and_cross_route():

@@ -11,6 +11,7 @@ from extappell.quadrature import (
     _MAX_LEVELS,
     ENDPOINT_CUTOFF,
     _edge_tail,
+    _first_call_level,
     _line_level,
     _semi_level,
     _tail_estimate,
@@ -188,15 +189,17 @@ def _stop_level(table, nodes_used):
     (integrate_semi_infinite, _semi_level, lambda u: np.exp(-u), 0.5),
 ], ids=["unit-cos40", "unit-rsqrt-loose", "unit-rsqrt-tight", "semi-rsqrt", "semi-loose"])
 def test_first_test_level_block_takes_one_integrand_call(engine, table, f, tol):
-    # one call for the block of levels 0.._FIRST_TEST_LEVEL, then one per later level
+    # one call for the block of levels 0 to the first-call level, then one
+    # per later level; a quadrature stopping inside the block makes one call
     counted, calls = _counting(f)
     res = engine(counted, tol)
     assert res.converged
-    assert len(calls) == _stop_level(table, res.nodes_used) - _FIRST_TEST_LEVEL + 1
+    last = _first_call_level(tol)
+    assert len(calls) == max(1, _stop_level(table, res.nodes_used) - last + 1)
     first = calls[0]
     for i, block in enumerate(first):
         assert np.array_equal(
-            block, np.concatenate([table(lvl)[i] for lvl in range(_FIRST_TEST_LEVEL + 1)])
+            block, np.concatenate([table(lvl)[i] for lvl in range(last + 1)])
         )
     # the block's arrays are shared: the extended-Beta kernel cache keys on id(t)
     again, calls_again = _counting(f)
@@ -204,8 +207,35 @@ def test_first_test_level_block_takes_one_integrand_call(engine, table, f, tol):
     assert all(a is b for a, b in zip(calls_again[0], first))
 
 
+def test_kernel_tolerance_samples_levels_0_to_5_in_one_call():
+    # t^-1/2 stops at level 3 at 1e-10: its nodes_used counts levels 0-3
+    # only, though its one call sampled levels 0-5
+    counted, calls = _counting(lambda t, tc: t**-0.5)
+    res = integrate_unit_interval(counted, 1e-10)
+    assert res.converged and res.value == 2.0
+    assert res.nodes_used == 97 == sum(_unit_level(lvl)[-1].size for lvl in range(4))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], np.concatenate([_unit_level(lvl)[0] for lvl in range(6)]))
+    assert calls[0][0].size == 385
+
+
+@pytest.mark.parametrize("engine, table, f, tol, last, nodes", [
+    (integrate_unit_interval, _unit_level, lambda t, tc: t**-0.5, 2e-7, 3, 97),
+    (integrate_semi_infinite, _semi_level, lambda u: u**-0.5 * np.exp(-u), 2e-7, 3, 89),
+    (integrate_unit_interval, _unit_level, lambda t, tc: t**-0.5, 1e-9, 4, 193),
+], ids=["unit-outer", "semi-outer", "unit-batch"])
+def test_mellin_tolerances_keep_the_first_call_shallow(engine, table, f, tol, last, nodes):
+    # the forward Mellin transform's outer quadratures run at 2e-7, and
+    # every node of their first call costs a row of an inner kernel batch;
+    # those batches run at 1e-9, stop at level 4 or 5, and pay per row too
+    counted, calls = _counting(f)
+    assert engine(counted, tol).converged
+    assert calls[0][0].size == nodes
+    assert np.array_equal(calls[0][0], np.concatenate([table(lvl)[0] for lvl in range(last + 1)]))
+
+
 # results of the engine that made one integrand call per level: sampling
-# levels 0.._FIRST_TEST_LEVEL as one block must leave a pointwise
+# levels 0 to the first-call level as one block must leave a pointwise
 # integrand's bits alone.  rsqrt-loose passes its test at the first test
 # level, so it has rsqrt-tight's value and nodes.
 # The contour entries are the results of the contour on ``_refine``; the

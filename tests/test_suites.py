@@ -48,6 +48,10 @@ def test_tol_override_rejudges_every_compare_record(suite):
     # every record carries the runner's case id, so a report's ids are unique
     ids = [case_id for case_id, _params, _check in _checks(suite, 2, 3, None)]
     assert [rec.case_id for rec in plain] == ids
+    # and the runner's suite name: the meijer suite's Theorem-1 checks too
+    assert {rec.suite for rec in plain + judged} == {suite}
+    if suite == "meijer":
+        assert len(plain) == 41
     assert len(plain) == len(judged)
     for before, rec in zip(plain, judged):
         assert not rec.method.startswith("error")
