@@ -119,20 +119,13 @@ class AppellParams:
             raise PoleError("Appell denominator parameter c1 at a pole", self.c1)
 
 
-class _PowerLadder:
-    """Growing table of (b)_m * x^m / m! values."""
-
-    def __init__(self, b: complex, x: complex):
-        self.b = complex(b)
-        self.x = complex(x)
-        self.vals = [1.0 + 0.0j]
-
-    def upto(self, m: int) -> np.ndarray:
-        v = self.vals
-        while len(v) <= m:
-            k = len(v)
-            v.append(v[k - 1] * (self.b + (k - 1)) * self.x / k)
-        return np.asarray(v[: m + 1])
+def _power_ladder(b: complex, x: complex, m: int) -> np.ndarray:
+    """(b)_k * x^k / k! for k = 0..m."""
+    b, x = complex(b), complex(x)
+    v = [1.0 + 0.0j]
+    for k in range(1, m + 1):
+        v.append(v[k - 1] * (b + (k - 1)) * x / k)
+    return np.asarray(v)
 
 
 def _diagonal_terms(diag, b2, b3, x, y):
@@ -293,6 +286,6 @@ def f1_diagonal_coefficients(b2, b3, x, y, kmax: int) -> np.ndarray:
     Lets F1-type series collapse to a single sum over the diagonal:
     F1 = sum_k diag(k) c_k, for any diagonal factor depending on m+n only.
     """
-    r2 = _PowerLadder(b2, x).upto(kmax)
-    r3 = _PowerLadder(b3, y).upto(kmax)
+    r2 = _power_ladder(b2, x, kmax)
+    r3 = _power_ladder(b3, y, kmax)
     return np.convolve(r2, r3)[: kmax + 1]

@@ -1,16 +1,18 @@
 """Mellin transform of F_{1,p,nu} in p, and its inverse.
 
-Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp, split at
-p = 1 with a log substitution on (1, inf) -- the integrand behaves like
-p^(s-nu-1) at the origin and is killed super-exponentially by the Bessel
-kernel at infinity.  Each integrand call of the outer quadratures
-evaluates F_{1,p,nu} at all of its p nodes as one stacked kernel
-integral, one row per p (``_RadialEvaluator``).  The outer quadratures
-run at 2e-7, so their first call samples levels 0-3, their first test
-level, and each later call one level: a deeper first call would double
-every inner batch of an outer quadrature that stops at level 3, as they
-do.  The inner batches run at 1e-9 and stop at level 4 or 5, so their
-first call samples levels 0-4 (see ``quadrature._first_call_level``).
+Forward, numerically: int_0^inf p^(s-1) F_{1,p,nu}(...) dp by one
+exp-sinh quadrature in p -- the integrand behaves like p^(s-nu-1) at the
+origin and is killed exponentially (e^(-4p)) by the Bessel kernel at
+infinity, the two ends that rule is built for (Mori & Sugihara, J.
+Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
+quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
+kernel integral, one row per p (``_RadialEvaluator``).  The outer
+quadrature runs at 2e-7, so its first call samples levels 0-3, its first
+test level, and each later call one level: a deeper first call would
+double the inner batch of an outer quadrature that stops at level 3, as
+it does.  The inner batches run at 1e-9 and stop at level 4 or 5, so
+their first call samples levels 0-4 (see
+``quadrature._first_call_level``).
 
 Forward, closed form:
 
@@ -52,12 +54,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import F1_TOL, AppellParams, block_double_sum, pochhammer_diagonal
-from .quadrature import (
-    ENDPOINT_CUTOFF,
-    integrate_semi_infinite,
-    integrate_unit_interval,
-    integrate_vertical_line,
-)
+from .quadrature import ENDPOINT_CUTOFF, integrate_semi_infinite, integrate_vertical_line
 from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
 
@@ -166,37 +163,22 @@ class _RadialEvaluator:
 
 
 def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
-    """The transform by direct integration in p (two-piece split at p = 1).
+    """The transform by direct exp-sinh integration in p over (0, inf).
 
-    Each integrand call of either outer quadrature (tolerance 2e-7; levels
+    Each integrand call of the outer quadrature (tolerance 2e-7; levels
     0-3 together, then one per level) evaluates the radial factor at all
     of its p nodes in one batch (tolerance 1e-9; levels 0-4 together,
     then one per level).
     """
     s = check_mellin_point(s, nu, appell.c1)
     f = _RadialEvaluator(appell, nu, 1e-9)
-    s_is_real = s.imag == 0.0
-
-    low = integrate_unit_interval(lambda t, tc: f.weighted(t, s), 2e-7)
-    # p = e^v on (1, inf):  int_0^inf e^{s v} F(e^v) dv
-    v_dead = math.log(f.p_dead)
-
-    def upper_integrand(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape, dtype=complex)
-        live = v < v_dead
-        p = np.exp(v[live])
-        out[live] = f.weighted(p, s) * p  # p^(s-1) F * (dp = p dv)
-        return out
-
-    high = integrate_semi_infinite(upper_integrand, 2e-7)
-    for piece, name in ((low, "(0,1)"), (high, "(1,inf)")):
-        if not piece.converged:
-            raise ConvergenceError(
-                f"Mellin forward integral on {name} stalled at "
-                f"{piece.abs_error_estimate:g}"
-            )
-    val = complex(low.value) + complex(high.value)
-    return complex(val.real, 0.0) if s_is_real else val
+    res = integrate_semi_infinite(lambda p: f.weighted(p, s), 2e-7)
+    if not res.converged:
+        raise ConvergenceError(
+            f"Mellin forward integral stalled at {res.abs_error_estimate:g}"
+        )
+    val = complex(res.value)
+    return complex(val.real, 0.0) if s.imag == 0.0 else val
 
 
 def mellin_forward_closed(appell: AppellParams, nu: float, s: complex) -> complex:

@@ -39,6 +39,7 @@ immutable tables and blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,11 +88,15 @@ class QuadratureResult:
 # node tables
 # --------------------------------------------------------------------------
 
-_unit_tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-_semi_tables: list[tuple[np.ndarray, np.ndarray]] = []
-_line_tables: list[tuple[np.ndarray, np.ndarray]] = []
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
+@functools.cache
 def _unit_level(level: int):
     """(t, 1-t, weight) for the nodes new at `level` of the tanh-sinh rule.
 
@@ -99,53 +104,43 @@ def _unit_level(level: int):
     Level 0 holds the integer abscissae, level L > 0 the odd multiples of
     2**-L, all within |tau| <= _TAU_MAX_UNIT.
     """
-    while len(_unit_tables) <= level:
-        lvl = len(_unit_tables)
-        h = 2.0 ** (-lvl)
-        if lvl == 0:
-            ks = np.arange(-int(_TAU_MAX_UNIT), int(_TAU_MAX_UNIT) + 1)
-            tau = ks * 1.0
-        else:
-            kmax = int(math.floor(_TAU_MAX_UNIT / h))
-            ks = np.arange(-kmax, kmax + 1)
-            tau = ks[ks % 2 != 0] * h
-        u = math.pi * np.sinh(tau)
-        eu = np.exp(-np.abs(u))
-        near = eu / (1.0 + eu)
-        far = 1.0 / (1.0 + eu)
-        t = np.where(u >= 0, far, near)
-        tc = np.where(u >= 0, near, far)
-        w = math.pi * np.cosh(tau) * t * tc
-        for a in (t, tc, w):
-            a.flags.writeable = False
-        _unit_tables.append((t, tc, w))
-    return _unit_tables[level]
+    h = 2.0 ** (-level)
+    if level == 0:
+        ks = np.arange(-int(_TAU_MAX_UNIT), int(_TAU_MAX_UNIT) + 1)
+        tau = ks * 1.0
+    else:
+        kmax = int(math.floor(_TAU_MAX_UNIT / h))
+        ks = np.arange(-kmax, kmax + 1)
+        tau = ks[ks % 2 != 0] * h
+    u = math.pi * np.sinh(tau)
+    eu = np.exp(-np.abs(u))
+    near = eu / (1.0 + eu)
+    far = 1.0 / (1.0 + eu)
+    t = np.where(u >= 0, far, near)
+    tc = np.where(u >= 0, near, far)
+    w = math.pi * np.cosh(tau) * t * tc
+    return _read_only(t, tc, w)
 
 
+@functools.cache
 def _semi_level(level: int):
     """(u, weight) new at `level` of the exp-sinh rule on (0, inf).
 
     u(v) = exp(sinh(v)); du/dv = u * cosh(v).  Handles algebraic behavior
     at 0 and (super)exponential decay at infinity.
     """
-    while len(_semi_tables) <= level:
-        lvl = len(_semi_tables)
-        h = 2.0 ** (-lvl)
-        if lvl == 0:
-            ks = np.arange(int(_V_MIN_SEMI), int(_V_MAX_SEMI) + 1)
-            v = ks * 1.0
-        else:
-            ks = np.arange(math.ceil(_V_MIN_SEMI / h), math.floor(_V_MAX_SEMI / h) + 1)
-            v = ks[ks % 2 != 0] * h
-        s = np.sinh(v)
-        u = np.exp(s)
-        w = u * np.cosh(v)
-        for a in (u, w):
-            a.flags.writeable = False
-        _semi_tables.append((u, w))
-    return _semi_tables[level]
+    h = 2.0 ** (-level)
+    if level == 0:
+        ks = np.arange(int(_V_MIN_SEMI), int(_V_MAX_SEMI) + 1)
+        v = ks * 1.0
+    else:
+        ks = np.arange(math.ceil(_V_MIN_SEMI / h), math.floor(_V_MAX_SEMI / h) + 1)
+        v = ks[ks % 2 != 0] * h
+    u = np.exp(np.sinh(v))
+    return _read_only(u, u * np.cosh(v))
 
 
+@functools.cache
 def _line_level(level: int):
     """(u, weight) new at `level` of the trapezoid rule on [-1, 1].
 
@@ -153,23 +148,15 @@ def _line_level(level: int):
     level L > 0 the odd multiples of 2**-L / 4.  The weights carry the
     1/4 of the step, so level L's sum times 2**-L is the trapezoid sum.
     """
-    while len(_line_tables) <= level:
-        lvl = len(_line_tables)
-        if lvl == 0:
-            u = np.arange(-4, 5) / 4.0
-            w = np.full(u.size, 0.25)
-            w[[0, -1]] = 0.125
-        else:
-            n = 4 * 2**lvl
-            u = np.arange(1 - n, n, 2) / n
-            w = np.full(u.size, 0.25)
-        for a in (u, w):
-            a.flags.writeable = False
-        _line_tables.append((u, w))
-    return _line_tables[level]
-
-
-_blocks: dict = {}
+    if level == 0:
+        u = np.arange(-4, 5) / 4.0
+        w = np.full(u.size, 0.25)
+        w[[0, -1]] = 0.125
+    else:
+        n = 4 * 2**level
+        u = np.arange(1 - n, n, 2) / n
+        w = np.full(u.size, 0.25)
+    return _read_only(u, w)
 
 
 def _first_call_level(tol: float) -> int:
@@ -180,15 +167,16 @@ def _first_call_level(tol: float) -> int:
     single kernel integrals run at 1e-10 and stop at levels 3 to 6,
     mostly 4 or 5, so one call for levels 0-5 pays.  The Mellin p
     batches run at 1e-9 and stop at level 4 or 5, with a row per p, so
-    their first call stops at level 4.  The outer Mellin quadratures run
-    at 2e-7 and stop at level 3, and each of their nodes is a row of an
-    inner batch, so their first call holds the first test level only.
+    their first call stops at level 4.  The outer Mellin quadrature runs
+    at 2e-7 and stops at level 3, and each of its nodes is a row of an
+    inner batch, so its first call holds the first test level only.
     """
     if tol < 1e-9:
         return 5
     return 4 if tol < 1e-8 else _FIRST_TEST_LEVEL
 
 
+@functools.cache
 def _block(table, last: int):
     """Levels 0..``last`` of a node table as one set of arrays, and the
     offsets.
@@ -200,15 +188,10 @@ def _block(table, last: int):
     names its nodes: the extended-Beta family keys its integrand samples
     on it.
     """
-    key = (table, last)
-    if key not in _blocks:
-        levels = [table(lvl) for lvl in range(last + 1)]
-        arrays = tuple(np.concatenate(cols) for cols in zip(*levels))
-        for a in arrays:
-            a.flags.writeable = False
-        offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
-        _blocks[key] = (arrays, offsets)
-    return _blocks[key]
+    levels = [table(lvl) for lvl in range(last + 1)]
+    arrays = _read_only(*(np.concatenate(cols) for cols in zip(*levels)))
+    offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
+    return arrays, offsets
 
 
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:

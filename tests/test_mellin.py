@@ -154,3 +154,21 @@ def test_vectorised_inversion_integrand_matches_per_node_series():
                * beta(AP.b1 + s, AP.c1 - AP.b1 + s) / beta(AP.b1, AP.c1 - AP.b1)
                * appell_f1_series(shifted))
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_forward_numeric_matches_closed_form_over_the_suites_box():
+    # 60 seeded points over the suites' sampling box, s - nu from just
+    # right of the first pole to far out, every fifth s complex
+    rng = np.random.default_rng(7)
+    for i in range(60):
+        b1 = rng.uniform(0.5, 3.0)
+        c1 = b1 + rng.uniform(0.5, 3.0)
+        b2, b3 = rng.uniform(-2.0, 2.0, 2)
+        x, y = rng.uniform(-0.8, 0.8, 2)
+        nu = rng.uniform(0.0, 2.0)
+        im = rng.uniform(-3.0, 3.0) if i % 5 == 0 else 0.0
+        s = complex(nu + (0.1, 0.3, 0.6, 2.0, 4.0, 6.0)[i % 6], im)
+        ap = AppellParams(b1, b2, b3, c1, x, y)
+        num = mellin_forward_numeric(ap, nu, s)
+        clo = mellin_forward_closed(ap, nu, s)
+        assert abs(num - clo) <= 1e-9 * abs(clo), (i, s)

@@ -201,7 +201,7 @@ def test_first_test_level_block_takes_one_integrand_call(engine, table, f, tol):
         assert np.array_equal(
             block, np.concatenate([table(lvl)[i] for lvl in range(last + 1)])
         )
-    # the block's arrays are shared: the extended-Beta kernel cache keys on id(t)
+    # the block's arrays are shared: an extended-Beta family keys its g samples on id(t)
     again, calls_again = _counting(f)
     engine(again, tol)
     assert all(a is b for a, b in zip(calls_again[0], first))
@@ -225,9 +225,11 @@ def test_kernel_tolerance_samples_levels_0_to_5_in_one_call():
     (integrate_unit_interval, _unit_level, lambda t, tc: t**-0.5, 1e-9, 4, 193),
 ], ids=["unit-outer", "semi-outer", "unit-batch"])
 def test_mellin_tolerances_keep_the_first_call_shallow(engine, table, f, tol, last, nodes):
-    # the forward Mellin transform's outer quadratures run at 2e-7, and
-    # every node of their first call costs a row of an inner kernel batch;
-    # those batches run at 1e-9, stop at level 4 or 5, and pay per row too
+    # the forward Mellin transform's outer exp-sinh quadrature runs at
+    # 2e-7, and every node of its first call costs a row of an inner
+    # kernel batch; those tanh-sinh batches run at 1e-9, stop at level 4
+    # or 5, and pay per row too.  The first-call level follows the
+    # tolerance alone, so tanh-sinh at 2e-7 also samples levels 0-3 only
     counted, calls = _counting(f)
     assert engine(counted, tol).converged
     assert calls[0][0].size == nodes
