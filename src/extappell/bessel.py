@@ -1,16 +1,17 @@
 """Modified Bessel function of the second kind, K_nu(z), for Re(z) > 0.
 
-Three routes cover every order:
+Two routes cover every order:
 
-* half-odd-integer orders nu = k + 1/2 with k <= 134 use the closed-form
-  finite sum
-  K_{k+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_j (k+j)! / (j! (k-j)! (2z)^j),
-  whose largest coefficient (2k)!/k! still fits a double at k = 134,
-* every other real order (larger half-odd ones too) at |z| >= Z_H(nu) =
-  max(30, (4 nu^2 - 1)/8) uses the Hankel expansion (DLMF 10.40.2)
-  e^z K_nu(z) ~ sqrt(pi/(2z)) sum_k a_k(nu) z^{-k},
-  whose terms shrink from at most about 1 there, and which stops at its
-  first term below 1e-17 at Z_H: about 20 terms, fixed by nu,
+* the Hankel expansion (DLMF 10.40.2)
+  e^z K_nu(z) ~ sqrt(pi/(2z)) sum_j a_j(nu) z^{-j},
+  a_j(nu) = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (j! 8^j),
+  which terminates at half-odd-integer orders nu = k + 1/2, because
+  a_{k+1}(k + 1/2) = 0 (DLMF 10.49.12): there it is the exact finite sum
+  sum_j (k+j)! / (j! (k-j)! (2z)^j), used at every z for k <= 134.
+  At every other real order (larger half-odd ones too) it is asymptotic
+  and serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8), where its terms
+  shrink from at most about 1 and it stops at its first term below 1e-17
+  at Z_H: about 20 terms, fixed by nu,
 * the remaining arguments use the cosh-kernel integral
   K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt,
   whose integrand already decays doubly exponentially, so the plain
@@ -36,7 +37,8 @@ Supported range: real z at any order up to the overflow guard of
 nu in (0, 40] and z in [1e-3, 1e4] is 3.2e-14).  Complex z at a large
 order and |arg z| near pi/2 raises ConvergenceError, because the cosh
 integral cancels below double precision there (e.g. nu = 8.8 at
-z = 5 e^{1.3i}).
+z = 5 e^{1.3i}), and so does the terminating sum at a large half-odd
+order (e.g. nu = 100.5 at z = 79.4 e^{1.50i}).
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ from .errors import ConvergenceError, DomainError
 from .scalar import gamma
 
 _ORDER_TOL = 1e-12
-# the largest k whose closed-form coefficients (k+j)!/(j!(k-j)!) all fit a
-# double; larger half-odd orders take the generic route
+# half-odd orders k + 1/2 up to this k take the terminating Hankel sum;
+# its coefficients a_j = (k+j)!/(j!(k-j)! 2^j) fit a double up to about
+# k = 150, but 134 (where (2k)!/k! still fits) is kept, because the tests
+# and the benchmark's half-odd/generic split pin it
 _HALF_ODD_MAX_K = 134
 _AMP_CUTOFF = 52.0  # integrand below exp(-52): truncation noise ~1e-23
-_REL_TOL = 1e-13
+_REL_TOL = 1e-13  # the grid's tolerance; also bounds the half-odd sum's rounding
 _MAX_WORK = 16_000_000  # integrand evaluations per bucket before giving up
 # The Hankel route serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): from 30
 # on, its least term is below 1e-17 within about 20 terms; from
@@ -66,8 +70,8 @@ _HANKEL_STOP = 1e-17  # the sum stops at its first term below this at Z_H
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Real order nu >= -1 with its half-odd-integer flag (the closed-form
-    route, for nu = k + 1/2 with 0 <= k <= 134)."""
+    """Real order nu >= -1 with its half-odd-integer flag (the terminating
+    Hankel sum at every z, for nu = k + 1/2 with 0 <= k <= 134)."""
 
     nu: float
     half_odd_integer: bool
@@ -95,16 +99,6 @@ def _check_right_half_plane(z: complex) -> complex:
     return z
 
 
-def _half_odd_coeffs(k: int) -> np.ndarray:
-    return np.array(
-        [
-            math.factorial(k + j) // (math.factorial(j) * math.factorial(k - j))
-            for j in range(k + 1)
-        ],
-        dtype=float,
-    )
-
-
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^k, elementwise."""
     s = np.full_like(x, coeffs[-1])
@@ -113,33 +107,19 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
-    """e^z K_{k+1/2}(z) for an array of arguments (closed form).
-
-    Where the closed form is not finite, 1/(2z) has overflowed (z below
-    about 1e-308): there K_{1/2} is sqrt(pi/2)/sqrt(z), which is still
-    finite, and every higher order is infinite.
-    """
-    coeffs = _half_odd_coeffs(k)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inv2z = 1.0 / (2.0 * z)
-        value = np.sqrt(np.pi * inv2z) * _horner(coeffs, inv2z)
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        value[bad] = math.sqrt(0.5 * math.pi) / np.sqrt(z[bad]) if k == 0 else np.inf
-    return value
-
-
 def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
-    """e^z K_nu(z) for |z| >= z_h = Z_H(nu) by the Hankel expansion.
+    """e^z K_nu(z) by the Hankel expansion, for |z| >= z_h = Z_H(nu) at
+    generic orders and at every z with z_h = 1 at half-odd ones.
 
     e^z K_nu(z) ~ sqrt(pi/(2z)) sum_k a_k(nu) z^-k with
     a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) (DLMF 10.40.2),
     summed by Horner in u = z_h/z over the coefficients t_k = a_k z_h^-k,
     which stay below about 1 where a_k alone would overflow at large
-    orders.  The sum stops before the first t_N below 1e-17, a count
-    that depends on nu only, so an entry's value does not depend on the
-    other arguments of the call.
+    generic orders.  The sum stops before the first t_N below 1e-17, a
+    count that depends on nu only, so an entry's value does not depend on
+    the other arguments of the call.  At nu = k + 1/2 with z_h = 1 every
+    t_j is at least 1 up to the exact zero t_{k+1}, so the sum is the
+    whole finite closed form.
     """
     mu = 4.0 * nu * nu
     coeffs = []
@@ -149,6 +129,31 @@ def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
         k += 1
         t *= (mu - (2 * k - 1) ** 2) / (8.0 * k * z_h)
     return np.sqrt(0.5 * np.pi / z) * _horner(coeffs, z_h / z)
+
+
+def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
+    """e^z K_{k+1/2}(z) for an array of arguments: the terminating Hankel
+    sum of ``_hankel_scaled`` with z_h = 1.
+
+    Where the sum is not finite, 1/z has overflowed (z below about
+    1e-308): there K_{1/2} is sqrt(pi/2)/sqrt(z), which is still finite,
+    and every higher order is infinite.  At complex z the terms can
+    cancel; the same sum at |z| is the sum of their moduli, and where
+    its rounding (2^-52 of it) exceeds _REL_TOL of the value, the call
+    raises ConvergenceError rather than return a wrong value.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = _hankel_scaled(k + 0.5, 1.0, z)
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            value[bad] = math.sqrt(0.5 * math.pi) / np.sqrt(z[bad]) if k == 0 else np.inf
+        if k > 0 and np.iscomplexobj(z):
+            moduli = _hankel_scaled(k + 0.5, 1.0, np.abs(z))
+            if np.any(2.0**-52 * moduli > _REL_TOL * np.abs(value)):
+                raise ConvergenceError(
+                    f"half-odd Hankel sum cancels below double precision (nu={k + 0.5:g})"
+                )
+    return value
 
 
 def _cosh_tau_max(re_min: float, nu: float) -> float:
@@ -243,12 +248,13 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     """Vectorized e^z K_nu(z) over an array with Re(z) > 0.
 
-    Half-odd orders up to k = 134 take the closed form.  At every other
-    order, entries with |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8) take
-    the Hankel expansion, each on its own; the rest are bucketed into bands
-    16x wide in |z|, counted down from Z_H, so that one shared tau grid
-    per band resolves the narrowest integrand without wasting nodes on
-    the widest.  [Z_H/16, Z_H) is one band.
+    Half-odd orders up to k = 134 take the terminating Hankel sum at
+    every z.  At every other order, entries with |z| >= Z_H(nu) =
+    max(30, (4 nu^2 - 1)/8) take the Hankel expansion, each on its own;
+    the rest are bucketed into bands 16x wide in |z|, counted down from
+    Z_H, so that one shared tau grid per band resolves the narrowest
+    integrand without wasting nodes on the widest.  [Z_H/16, Z_H) is one
+    band.
     """
     order = _as_order(abs(float(nu)))
     z = np.asarray(z)

@@ -205,7 +205,7 @@ def _cmd_eval(args) -> int:
     elif fn == "bessel_k":
         nu, z = _need(params, _REQUIRED[fn])
         value = bessel_k(_real(nu, "nu"), z)
-        trace = "modified Bessel K, closed form / Hankel expansion / cosh integral"
+        trace = "modified Bessel K, Hankel sum (terminating at half-odd orders) / cosh integral"
     elif fn == "mellin_fwd":
         b1, b2, b3, c1, x, y, nu, s = _need(params, _REQUIRED[fn])
         value = mellin_forward_closed(AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), s)

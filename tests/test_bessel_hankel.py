@@ -1,5 +1,5 @@
 """The Hankel route of the Bessel kernel, its one band below the
-threshold Z_H(nu) = max(30, (4 nu^2 - 1)/8), and the half-odd closed form
+threshold Z_H(nu) = max(30, (4 nu^2 - 1)/8), and the terminating half-odd sum
 where K overflows."""
 
 import cmath

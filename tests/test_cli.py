@@ -256,17 +256,24 @@ def test_python_dash_m_package_runs_the_cli(capsys):
 
 
 def test_unsettled_bessel_grid_exit_3(capsys):
-    # a large order at |arg z| = 1.3: the cosh integral cancels below
-    # double precision and the grid never settles
-    assert run(["eval", "bessel_k", "nu=8.8", "z=1.3374875590+4.8177888740j"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "did not settle" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    cases = [
+        # a large order at |arg z| = 1.3: the cosh integral cancels below
+        # double precision and the grid never settles
+        ("8.8", "1.3374875590+4.8177888740j", "did not settle"),
+        # a large half-odd order at |arg z| = 1.5: the terminating Hankel
+        # sum cancels below double precision too
+        ("100.5", "5.6165+79.2112j", "cancels"),
+    ]
+    for nu, z, message in cases:
+        assert run(["eval", "bessel_k", f"nu={nu}", f"z={z}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("nu", ["20000.5", "1e300"])
 def test_huge_half_odd_order_exit_3_fast(capsys, nu):
-    # orders past the closed form's k <= 134 take the generic route, whose
+    # orders past the terminating sum's k <= 134 take the generic route, whose
     # guard refuses a K that overflows before any grid work
     start = time.perf_counter()
     assert run(["eval", "bessel_k", f"nu={nu}", "z=1"]) == 3

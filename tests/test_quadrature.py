@@ -50,7 +50,7 @@ def test_unit_chaudhry_kernel_vs_dense_oracle():
 
 
 def test_unit_nonfinite_sample_raises():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError), np.errstate(divide="ignore", invalid="ignore"):
         integrate_unit_interval(lambda t, tc: t / (t - t))
 
 
