@@ -103,6 +103,9 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x^k, elementwise."""
     s = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
+        # out of place on purpose: numpy's in-place complex multiply rounds
+        # a one-entry array one ulp differently from a longer one, so with
+        # s *= x a Hankel entry would depend on the call it came in
         s = s * x + c
     return s
 
@@ -197,11 +200,20 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
     halves the step and adds the midpoints over the whole of
     (0, tau_max]; a bucket that has not settled after 8 levels raises
     ConvergenceError rather than return an unsettled value.
+
+    A typical bucket holds a few dozen arguments, and its fixed cost per
+    call outweighs its work per argument, so that cost is kept short: a
+    real bucket is its own modulus and has cos(arg z) = 1 exactly, and a
+    grid whose last tau is below 40 takes log(2 sinh^2(tau/2)) without
+    the selects of the large-tau branch.
     """
-    re = z.real if np.iscomplexobj(z) else z
-    re_min = float(np.min(re))
-    a_max = float(np.max(np.abs(z)))
-    cos_min = float(np.min(re / np.abs(z)))
+    if np.iscomplexobj(z):
+        mags = np.abs(z)
+        re_min = float(z.real.min())
+        cos_min = float((z.real / mags).min())
+    else:  # Re z > 0, so z / |z| is exactly 1
+        mags, re_min, cos_min = z, float(z.min()), 1.0
+    a_max = float(mags.max())
     arg_max = math.acos(min(cos_min, 1.0))
     tau_max = _cosh_tau_max(re_min, nu)
     h = min(0.22, 0.62 * math.sqrt(cos_min / max(a_max, 1.0)))
@@ -214,20 +226,22 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
             "argument too oscillatory (|arg z| too close to pi/2)"
         )
     h = tau_max / n
-    logw = np.log(z)
+    logw = np.log(z)[:, None]
 
     def new_values(taus):
         # everything in fused log form: within the truncated grid the
         # products are bounded even where cosh/sinh alone would overflow
-        small = taus < 40.0
-        lcm1 = np.where(
-            small,
-            np.log(2.0 * np.sinh(0.5 * np.where(small, taus, 1.0)) ** 2),
-            taus - math.log(2.0),
-        )
+        if taus[-1] < 40.0:  # the nodes ascend, so every one is small
+            lcm1 = np.log(2.0 * np.sinh(0.5 * taus) ** 2)
+        else:
+            small = taus < 40.0
+            lcm1 = np.where(
+                small,
+                np.log(2.0 * np.sinh(0.5 * np.where(small, taus, 1.0)) ** 2),
+                taus - math.log(2.0),
+            )
         lcosh = nu * taus + np.log1p(np.exp(-2.0 * nu * taus)) - math.log(2.0)
-        expo = -np.exp(logw[:, None] + lcm1[None, :]) + lcosh[None, :]
-        return np.exp(expo).sum(axis=-1)
+        return np.exp(lcosh - np.exp(logw + lcm1)).sum(axis=-1)
 
     running = 0.5 + new_values(np.arange(1, n + 1) * h)  # integrand is 1 at tau = 0
     value_prev = h * running
@@ -236,7 +250,7 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
         h *= 0.5
         running = running + new_values(np.arange(1, n, 2) * h)
         value = h * running
-        if np.all(np.abs(value - value_prev) <= _REL_TOL * (1.0 + np.abs(value))):
+        if (np.abs(value - value_prev) <= _REL_TOL * (1.0 + np.abs(value))).all():
             return value
         value_prev = value
     raise ConvergenceError(
@@ -245,8 +259,14 @@ def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
     )
 
 
+def _band(mags: np.ndarray, z_h: float) -> np.ndarray:
+    """Band of each modulus below z_h: b = floor(log2(|z|/z_h) / 4), so
+    band -1 is [z_h/16, z_h); monotone in |z|."""
+    return np.floor(np.log2(np.maximum(mags / z_h, 1e-300)) / 4.0).astype(int)
+
+
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized e^z K_nu(z) over an array with Re(z) > 0.
+    """Vectorized e^z K_nu(z) over an array of any shape with Re(z) > 0.
 
     Half-odd orders up to k = 134 take the terminating Hankel sum at
     every z.  At every other order, entries with |z| >= Z_H(nu) =
@@ -254,33 +274,49 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     the rest are bucketed into bands 16x wide in |z|, counted down from
     Z_H, so that one shared tau grid per band resolves the narrowest
     integrand without wasting nodes on the widest.  [Z_H/16, Z_H) is one
-    band.
+    band, and a band of 8192 or more arguments is split into chunks of
+    at least 4096, one grid each.
+
+    Most calls are short, so the dispatch shortcuts the common cases
+    without changing any entry's arithmetic: a call whose entries are all
+    far returns the Hankel sum of the whole array, and near entries whose
+    smallest and largest |z| fall in one band skip the per-entry band
+    split.  A NaN real part fails the domain check, like Re z <= 0.
     """
     order = _as_order(abs(float(nu)))
     z = np.asarray(z)
     if z.size == 0:
         return z.astype(complex)
+    shape = z.shape
+    z = z.ravel()
     re = z.real if np.iscomplexobj(z) else z
-    if not np.all(re > 0.0):
+    if not re.min() > 0.0:
         raise DomainError("K_nu needs Re(z) > 0 at every array entry")
     if order.half_odd_integer:
-        return _half_odd_scaled(round(order.nu - 0.5), z)
-    out = np.empty(z.shape, dtype=z.dtype if np.iscomplexobj(z) else float)
+        return _half_odd_scaled(round(order.nu - 0.5), z).reshape(shape)
     z_h = max(_HANKEL_FLOOR, (4.0 * order.nu * order.nu - 1.0) / 8.0)
-    mags = np.abs(z)
+    mags = np.abs(z) if np.iscomplexobj(z) else z  # real z is its own modulus
+    if mags.min() >= z_h:
+        return _hankel_scaled(order.nu, z_h, z).reshape(shape)
+    out = np.empty(z.shape, dtype=z.dtype if np.iscomplexobj(z) else float)
     far = mags >= z_h
-    if np.any(far):
-        out[far] = _hankel_scaled(order.nu, z_h, z[far])
     near = np.flatnonzero(~far)
-    bands = np.floor(np.log2(np.maximum(mags[near] / z_h, 1e-300)) / 4.0).astype(int)
-    for b in np.unique(bands):
-        sel = near[bands == b]
+    if near.size < z.size:
+        out[far] = _hankel_scaled(order.nu, z_h, z[far])
+    near_mags = mags[near]
+    lo, hi = _band(np.array([near_mags.min(), near_mags.max()]), z_h)
+    if lo == hi:
+        groups = (near,)
+    else:
+        band = _band(near_mags, z_h)
+        groups = (near[band == b] for b in np.unique(band))
+    for sel in groups:
         # one grid per chunk of at most 8191 arguments; most bands are
         # a single chunk and skip array_split's per-call cost
         chunks = (sel,) if sel.size < 8192 else np.array_split(sel, sel.size // 4096)
         for chunk in chunks:
             out[chunk] = _scaled_generic_bucket(order.nu, z[chunk])
-    return out
+    return out.reshape(shape)
 
 
 def bessel_k_scaled(order, z: complex) -> complex:

@@ -118,7 +118,9 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
     it receives (t, tc) and returns an array added to the exponent.  For
     a batch of p the values have the shape of w, one row per p.  The
     kernel is evaluated only at the live nodes, where the exponent is
-    above -``ENDPOINT_CUTOFF``; the others are exactly zero.
+    above -``ENDPOINT_CUTOFF``; the others are exactly zero.  When every
+    node is live the kernel takes w whole (a matrix for a batch of p),
+    with no zero-fill and no selects; the values are the same bits.
     """
     def integrand(t, tc):
         w = kernel.argument(t, tc)
@@ -127,8 +129,10 @@ def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
         live = re > -ENDPOINT_CUTOFF
+        if live.all():
+            return np.exp(expo) * kernel.scaled_values(w)
         out = np.zeros(expo.shape, dtype=expo.dtype)
-        if np.any(live):
+        if live.any():
             out[live] = np.exp(expo[live]) * kernel.scaled_values(w[live])
         return out
 

@@ -198,7 +198,7 @@ def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
     fvals = np.asarray(fvals)
     if fvals.shape[-1:] != w.shape or fvals.ndim > 2:
         raise DomainError("integrand returned an array of the wrong shape")
-    if np.any(~np.isfinite(fvals)):
+    if not np.isfinite(fvals).all():
         raise DomainError("non-finite integrand sample at an interior node")
     # every weight is finite; C order keeps the row sums' summation order
     # for the F-ordered moment stacks

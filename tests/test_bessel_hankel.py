@@ -1,6 +1,7 @@
 """The Hankel route of the Bessel kernel, its one band below the
-threshold Z_H(nu) = max(30, (4 nu^2 - 1)/8), and the terminating half-odd sum
-where K overflows."""
+threshold Z_H(nu) = max(30, (4 nu^2 - 1)/8), the terminating half-odd sum
+where K overflows, and how an array call is dispatched: its shortcuts,
+shapes and domain check."""
 
 import cmath
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from extappell import bessel
 from extappell.bessel import bessel_k, bessel_k_scaled, bessel_k_scaled_many
+from extappell.errors import DomainError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -109,3 +111,93 @@ def test_half_odd_overflow_is_infinite_not_nan():
     mp = pytest.importorskip("mpmath")
     ref = complex(mp.besselk(0.5, mp.mpc(1e-320, 1e-320)))
     assert abs(bessel_k(0.5, 1e-320 + 1e-320j) - ref) <= 1e-15 * abs(ref)
+
+
+def banded_reference(nu, z):
+    """e^z K_nu(z) by the docstring's rule, built here: the Hankel sum
+    for every |z| >= Z_H, and one grid for each band
+    [Z_H/16^(k+1), Z_H/16^k) of the rest.  Returns the values and the
+    number of bands."""
+    threshold = z_h(nu)
+    mags = np.abs(z)
+    out = np.empty(z.shape, dtype=z.dtype)
+    far = mags >= threshold
+    if far.any():
+        out[far] = bessel._hankel_scaled(nu, threshold, z[far])
+
+    def band(m):
+        k = 0
+        while m < threshold / 16.0 ** (k + 1):
+            k += 1
+        return k
+
+    near = np.flatnonzero(~far)
+    bands = np.array([band(m) for m in mags[near]], dtype=int)
+    for b in np.unique(bands):
+        group = near[bands == b]
+        out[group] = bessel._scaled_generic_bucket(nu, z[group])
+    return out, np.unique(bands).size
+
+
+def shortcut_cases(nu):
+    """(|z| list, number of bands) for every dispatch route, with entries
+    exactly at Z_H/16 and Z_H."""
+    t = z_h(nu)
+    return [
+        ([t, 1.5 * t, 10.0 * t, 1e3 * t], 0),
+        ([t / 16.0, 0.1 * t, 0.5 * t, 0.99 * t], 1),
+        ([2.0 * t / 16.0**3, 3.0 * t / 16.0**2, t / 16.0, 0.25 * t], 3),
+        ([t, 5.0 * t, t / 16.0, t / 100.0, 0.5 * t], 2),
+    ]
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.3, 4.2, 11.7])
+def test_dispatch_shortcuts_are_bit_identical_to_the_band_rule(monkeypatch, nu):
+    calls = []
+    bucket = bessel._scaled_generic_bucket
+
+    def counted(order, z):
+        calls.append(z.size)
+        return bucket(order, z)
+
+    monkeypatch.setattr(bessel, "_scaled_generic_bucket", counted)
+    for radii, band_count in shortcut_cases(nu):
+        real = np.array(radii)
+        # complex entries keep |z| on the same side of each band edge
+        complex_ = np.array([at_least(r, arg, r) for r, arg in zip(radii, (0.0, 0.6, -0.8, 0.4, -0.2))])
+        for z in (real, complex_):
+            ref, bands = banded_reference(nu, z)
+            assert bands == band_count
+            calls.clear()
+            values = bessel_k_scaled_many(nu, z)
+            assert values.dtype == ref.dtype
+            assert np.all(values == ref)
+            assert len(calls) == band_count
+
+
+@pytest.mark.parametrize("nu", [1.3, 1.5])
+def test_two_dimensional_arguments_match_the_flattened_call(nu):
+    for z in (np.array([[1.0, 2.0], [40.0, 3.0]]),
+              np.array([[0.01, 40.0 + 3.0j, 2.0 - 1.0j], [7.0, 0.5 + 0.5j, 300.0]])):
+        values = bessel_k_scaled_many(nu, z)
+        assert values.shape == z.shape
+        assert np.all(values.ravel() == bessel_k_scaled_many(nu, z.ravel()))
+
+
+@pytest.mark.parametrize("nu, good", [
+    (1.5, [1.0, 2.0]),  # half-odd
+    (1.3, [40.0, 300.0]),  # all far
+    (1.3, [3.0, 20.0]),  # one band
+    (1.3, [0.01, 3.0, 40.0]),  # several bands and far
+])
+def test_bad_entries_raise_on_every_route(nu, good):
+    for bad in (math.nan, 0.0, -1.0, complex(math.nan, 1.0), complex(-0.5, 2.0)):
+        z = np.array(good + [bad])
+        with pytest.raises(DomainError):
+            bessel_k_scaled_many(nu, z)
+
+
+def test_empty_input_is_an_empty_complex_array():
+    for nu in (1.3, 1.5):
+        values = bessel_k_scaled_many(nu, np.array([]))
+        assert values.size == 0 and values.dtype == complex

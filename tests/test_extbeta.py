@@ -203,3 +203,20 @@ def test_appell_sum_is_the_diagonal_series_in_closed_form():
 ])
 def test_extended_beta_at_high_generic_order(nu, ref):
     assert abs(extended_beta(2.0, 3.0, ExtensionParams(1.5, nu)) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("p", [1.5, np.array([0.4, 1.5, 6.0])])
+@pytest.mark.parametrize("nu", [0.7, 1.0])
+def test_all_live_integrand_matches_the_masked_path(p, nu):
+    # the same nodes with a dead endpoint node appended take the masked
+    # path, which evaluates the kernel at the live nodes only
+    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    g = extbeta._fused_kernel_integrand(0.7, -0.4, kernel)
+    t = np.linspace(0.02, 0.98, 41)
+    t_dead = np.append(t, 1e-276)
+    live = g(t, 1.0 - t)
+    masked = g(t_dead, 1.0 - t_dead)
+    assert live.shape == np.shape(p) + t.shape
+    assert np.all(masked[..., :-1] == live)
+    assert np.all(masked[..., -1] == 0.0)
+    assert np.all(live != 0.0)
