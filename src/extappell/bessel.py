@@ -94,8 +94,8 @@ def _as_order(order) -> BesselOrder:
 
 def _check_right_half_plane(z: complex) -> complex:
     z = complex(z)
-    if not z.real > 0.0:
-        raise DomainError(f"K_nu needs Re(z) > 0, got {z}")
+    if not (z.real > 0.0 and math.isfinite(z.imag)):
+        raise DomainError(f"K_nu needs Re(z) > 0 and a finite Im(z), got {z}")
     return z
 
 
@@ -281,7 +281,8 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     without changing any entry's arithmetic: a call whose entries are all
     far returns the Hankel sum of the whole array, and near entries whose
     smallest and largest |z| fall in one band skip the per-entry band
-    split.  A NaN real part fails the domain check, like Re z <= 0.
+    split.  A NaN real part fails the domain check, like Re z <= 0, and
+    so does a NaN or infinite imaginary part.
     """
     order = _as_order(abs(float(nu)))
     z = np.asarray(z)
@@ -289,8 +290,10 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
         return z.astype(complex)
     shape = z.shape
     z = z.ravel()
-    re = z.real if np.iscomplexobj(z) else z
-    if not re.min() > 0.0:
+    if np.iscomplexobj(z):
+        if not (z.real.min() > 0.0 and np.isfinite(z.imag).all()):
+            raise DomainError("K_nu needs Re(z) > 0 and a finite Im(z) at every array entry")
+    elif not z.min() > 0.0:
         raise DomainError("K_nu needs Re(z) > 0 at every array entry")
     if order.half_odd_integer:
         return _half_odd_scaled(round(order.nu - 0.5), z).reshape(shape)

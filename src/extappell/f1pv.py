@@ -42,7 +42,7 @@ from .hyper import (
     check_cut,
 )
 from .quadrature import DEFAULT_TOL
-from .scalar import beta, log_gamma, pochhammer
+from .scalar import beta, gamma_ratio, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
 
@@ -127,7 +127,7 @@ def f1pv_integral(
         )
     check_cut(a.x, "x")
     check_cut(a.y, "y")
-    pref = cmath.exp(log_gamma(a.c1) - log_gamma(a.b1) - log_gamma(a.c1 - a.b1))
+    pref = gamma_ratio(a.b1, a.c1)
     fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, quad_tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 

@@ -15,7 +15,6 @@ own scalar sum would.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 from .quadrature import DEFAULT_TOL, integrate_unit_interval
-from .scalar import is_nonpositive_integer, log_gamma
+from .scalar import gamma_ratio, is_nonpositive_integer
 
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
@@ -276,8 +275,7 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
         raise ConvergenceError(
             f"F1 Euler integral stalled at error {res.abs_error_estimate:g}"
         )
-    pref = cmath.exp(log_gamma(c1) - log_gamma(b1) - log_gamma(c1 - b1))
-    return pref * res.value
+    return gamma_ratio(b1, c1) * res.value
 
 
 def f1_diagonal_coefficients(b2, b3, x, y, kmax: int) -> np.ndarray:

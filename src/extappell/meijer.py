@@ -33,7 +33,7 @@ from .extbeta import ExtendedBetaFamily
 from .f1pv import ExtendedAppellInput, f1pv_integral
 from .hyper import PFQParams, pfq
 from .report import VerificationRecord, make_record
-from .scalar import log_gamma, principal_power
+from .scalar import gamma_ratio, log_gamma, principal_power
 
 _CASES = {
     "G2012": (2, 0, 1, 2),
@@ -310,7 +310,7 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     a, ext = inp.appell, inp.ext
     p, nu = ext.p, ext.nu
     m = nu + 0.5
-    gr = cmath.exp(log_gamma(a.c1) - log_gamma(a.b1) - log_gamma(a.c1 - a.b1))
+    gr = gamma_ratio(a.b1, a.c1)
     rootpi = math.sqrt(math.pi)
     cosfac = math.cos(math.pi * m)
     if which == "2.3":

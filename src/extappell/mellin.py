@@ -26,13 +26,16 @@ the corrected form matches the numeric transform to machine precision
 (and independent multiprecision evaluation to ~1e-16).
 
 The closed form, the contour integrand and the p -> 0 limit are all
-built from two factors computed over an array of s: the Gamma pair
-Gamma((s-nu)/2) Gamma((s+nu+1)/2) and the shifted-Appell factor
+built from two factors, each taken at one s or over an array of s: the
+Gamma pair Gamma((s-nu)/2) Gamma((s+nu+1)/2) and the shifted-Appell
+factor
 
-    R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y),
+    R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y).
 
-whose F1 values for every s come from one diagonal sum, a row per s
-(Gamma and Beta are taken node by node).
+Over an array (a contour call's nodes), each Gamma and the Beta are one
+array call of ``scalar.gamma`` and ``scalar.beta``, and the F1 values
+come from one diagonal sum, a row per s; at one s (the closed form and
+the limit) every factor takes the scalar path.
 
 Inverse: (1/(2 pi i)) int_{c-i inf}^{c+i inf} p^(-s) M(s) ds along
 Re(s) = c > nu.  The contour integrand is 2 sqrt(pi) p^(-s) M(s) =
@@ -83,25 +86,23 @@ def _check_series_domain(appell: AppellParams):
         raise DomainError("Mellin routines need |x| < 1 and |y| < 1")
 
 
-def _gamma_pair(nu: float, s: np.ndarray) -> np.ndarray:
-    """Gamma((s-nu)/2) Gamma((s+nu+1)/2) at every s, node by node."""
-    return np.array([gamma((si - nu) / 2.0) * gamma((si + nu + 1.0) / 2.0)
-                     for si in s.tolist()], dtype=complex)
+def _gamma_pair(nu: float, s):
+    """Gamma((s-nu)/2) Gamma((s+nu+1)/2), at one s or at every s of an
+    array, two Gamma calls either way."""
+    return gamma((s - nu) / 2.0) * gamma((s + nu + 1.0) / 2.0)
 
 
-def _shifted_appell_factor(appell: AppellParams, s: np.ndarray) -> np.ndarray:
-    """R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y).
+def _shifted_appell_factor(appell: AppellParams, s):
+    """R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y),
+    at one s or at every s of an array.
 
-    The F1 of every s is one row of a single diagonal sum; the Beta
-    ratio is taken node by node.
+    Over an array the F1 of every s is one row of a single diagonal sum
+    and the Beta ratio is one array call; at one s both are scalar.
     """
     a = appell
     f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
                           a.b2, a.b3, a.x, a.y, F1_TOL)
-    bnorm = beta(a.b1, a.c1 - a.b1)
-    ratio = np.array([beta(a.b1 + si, a.c1 - a.b1 + si) for si in s.tolist()],
-                     dtype=complex) / bnorm
-    return ratio * f1
+    return beta(a.b1 + s, a.c1 - a.b1 + s) / beta(a.b1, a.c1 - a.b1) * f1
 
 
 _P_LIMIT_FORM = 1e-12
@@ -142,8 +143,8 @@ class _RadialEvaluator:
         """lim_{p->0} p^nu F_{1,p,nu} = 2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu)."""
         if self._limit_const is None:
             nu = self.nu
-            r = _shifted_appell_factor(self.appell, np.array([nu], dtype=complex))
-            self._limit_const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * complex(r[0])
+            r = _shifted_appell_factor(self.appell, complex(nu))
+            self._limit_const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * r
         return self._limit_const
 
     def weighted(self, ps: np.ndarray, s: complex) -> np.ndarray:
@@ -185,9 +186,8 @@ def mellin_forward_closed(appell: AppellParams, nu: float, s: complex) -> comple
     """The closed form of the transform (corrected; see module docstring)."""
     s = check_mellin_point(s, nu, appell.c1)
     _check_series_domain(appell)
-    ss = np.array([s])
-    return complex(2.0 ** (s - 1.0) / math.sqrt(math.pi)
-                   * (_gamma_pair(nu, ss) * _shifted_appell_factor(appell, ss))[0])
+    return 2.0 ** (s - 1.0) / math.sqrt(math.pi) * (_gamma_pair(nu, s)
+                                                    * _shifted_appell_factor(appell, s))
 
 
 def _inversion_integrand(appell: AppellParams, nu: float, p: float, c: float):

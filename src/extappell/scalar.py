@@ -1,18 +1,28 @@
 """Complex-capable elementary special functions.
 
-Gamma, log-Gamma, Pochhammer, Beta and principal-branch powers.
-Everything here is a plain ``complex -> complex`` scalar function; all
-powers and logarithms use the principal branch |arg z| <= pi.
+Gamma, log-Gamma, Pochhammer, Beta and principal-branch powers; all
+powers and logarithms use the principal branch |arg z| <= pi.  Each is a
+``complex -> complex`` function, and ``gamma``, ``rgamma`` and ``beta``
+also take complex arrays, elementwise, so that a quadrature call's nodes
+are one call.  A scalar argument (a 0-d array too) takes the ``cmath``
+path, whose values do not depend on the array path, behind one
+``isinstance`` test (``np.ndim`` would cost each scalar call about 2 us).
+An array takes the same formulas in numpy, as accurate against exact
+values but rounded differently: the two differ by up to 3e-14 relative
+at |Im z| = 100, where exp's argument is large.
 
 Gamma uses a single Lanczos-class rational approximation (15 coefficients)
 for Re(z) >= 1/2 and the reflection formula below that, so real and complex
-arguments share one code path.
+arguments share one code path.  Where an intermediate overflows, both
+paths raise ``OverflowError``, as ``cmath.exp`` does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -44,15 +54,27 @@ def is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def _lanczos_series(z: complex) -> complex:
+def _lanczos_series(z):
     s = _LANCZOS_BASE
     for j, c in enumerate(_LANCZOS_COEFFS, start=1):
         s += c / (z + j)
     return s
 
 
-def gamma(z: complex) -> complex:
-    """Gamma function for complex z off the non-positive integers.
+def _poles(z: np.ndarray) -> np.ndarray:
+    """``is_nonpositive_integer`` of every entry of a complex array."""
+    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.round(z.real))
+
+
+def _raise_at_poles(z: np.ndarray, message: str):
+    pole = _poles(z)
+    if pole.any():
+        raise PoleError(message, complex(z[pole][0]))
+
+
+def gamma(z):
+    """Gamma function for complex z off the non-positive integers, or
+    elementwise over a complex array z (an array of the same shape).
 
     Relative error is at machine-noise level (< 1e-13) for moderate
     arguments; reflection is used for Re(z) < 1/2.
@@ -60,8 +82,27 @@ def gamma(z: complex) -> complex:
     Raises
     ------
     PoleError
-        If z is a non-positive integer.
+        If z, or any entry of it, is a non-positive integer.
+    OverflowError
+        If an intermediate of the formula overflows at a finite entry.
     """
+    if isinstance(z, np.ndarray) and z.ndim:
+        z = np.asarray(z, dtype=complex)
+        _raise_at_poles(z, "gamma pole at non-positive integer")
+        left = z.real < 0.5
+        w = np.where(left, 1.0 - z, z)
+        t = w + _LANCZOS_SHIFT
+        with np.errstate(all="ignore"):
+            out = _SQRT_TWO_PI * np.exp((w + 0.5) * np.log(t) - t) * _lanczos_series(w) / w
+            sine = np.sin(math.pi * z[left])
+            # where cmath.exp or cmath.sin would raise, numpy returns inf
+            overflow = ~np.isfinite(out)
+            overflow[left] |= ~np.isfinite(sine)
+            if (overflow & np.isfinite(z)).any():
+                raise OverflowError("gamma overflows double precision")
+            # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            out[left] = math.pi / (sine * out[left])
+        return out
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError("gamma pole at non-positive integer", z)
@@ -98,12 +139,32 @@ def log_gamma(z: complex) -> complex:
     )
 
 
-def rgamma(z: complex) -> complex:
-    """Reciprocal Gamma, entire: returns 0 at the poles of Gamma."""
+def gamma_ratio(b1: complex, c1: complex) -> complex:
+    """Gamma(c1) / (Gamma(b1) Gamma(c1 - b1)) = 1/B(b1, c1 - b1), the
+    normalisation of F1's Euler integral, taken in logs."""
+    return cmath.exp(log_gamma(c1) - log_gamma(b1) - log_gamma(c1 - b1))
+
+
+def rgamma(z):
+    """Reciprocal Gamma, entire: returns 0 at the poles of Gamma;
+    elementwise over a complex array z.  Where Gamma underflows to 0,
+    1/Gamma overflows, and that raises ``OverflowError``."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        z = np.asarray(z, dtype=complex)
+        pole = _poles(z)
+        g = gamma(z[~pole])
+        if not g.all():
+            raise OverflowError("rgamma overflows double precision")
+        out = np.zeros(z.shape, dtype=complex)
+        out[~pole] = 1.0 / g
+        return out
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma(z)
+    g = gamma(z)
+    if g == 0:
+        raise OverflowError("rgamma overflows double precision")
+    return 1.0 / g
 
 
 def pochhammer(lam: complex, n: int) -> complex:
@@ -120,13 +181,23 @@ def pochhammer(lam: complex, n: int) -> complex:
     return out
 
 
-def beta(alpha: complex, bta: complex) -> complex:
-    """Classical Beta function Gamma(a)Gamma(b)/Gamma(a+b).
+def beta(alpha, bta):
+    """Classical Beta function Gamma(a)Gamma(b)/Gamma(a+b), elementwise
+    when either argument is an array (the two broadcast).
 
     Symmetric in its arguments by construction.  A pole of Gamma(a+b)
     alone yields 0 (the correct limit); poles of Gamma(a) or Gamma(b)
     raise.
     """
+    if ((isinstance(alpha, np.ndarray) and alpha.ndim)
+            or (isinstance(bta, np.ndarray) and bta.ndim)):
+        alpha, bta = np.broadcast_arrays(np.asarray(alpha, dtype=complex),
+                                         np.asarray(bta, dtype=complex))
+        _raise_at_poles(alpha, "beta pole in first argument")
+        _raise_at_poles(bta, "beta pole in second argument")
+        # a product that overflows is inf, as in complex arithmetic
+        with np.errstate(all="ignore"):
+            return gamma(alpha) * gamma(bta) * rgamma(alpha + bta)
     alpha = complex(alpha)
     bta = complex(bta)
     if is_nonpositive_integer(alpha):

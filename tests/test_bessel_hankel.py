@@ -191,10 +191,14 @@ def test_two_dimensional_arguments_match_the_flattened_call(nu):
     (1.3, [0.01, 3.0, 40.0]),  # several bands and far
 ])
 def test_bad_entries_raise_on_every_route(nu, good):
-    for bad in (math.nan, 0.0, -1.0, complex(math.nan, 1.0), complex(-0.5, 2.0)):
+    # complex(1, nan), not 1+nanj: the literal makes the real part NaN too
+    for bad in (math.nan, 0.0, -1.0, complex(math.nan, 1.0), complex(-0.5, 2.0),
+                complex(1.0, math.nan), complex(1.0, math.inf), complex(1.0, -math.inf)):
         z = np.array(good + [bad])
         with pytest.raises(DomainError):
             bessel_k_scaled_many(nu, z)
+        with pytest.raises(DomainError):
+            bessel_k(nu, bad)
 
 
 def test_empty_input_is_an_empty_complex_array():

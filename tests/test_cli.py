@@ -180,11 +180,13 @@ _MELLIN = ("b1=1", "b2=1", "b3=1", "c1=3", "x=0.1", "y=0", "nu=0.5")
 @pytest.mark.parametrize("argv, code", [
     (["eval", "mellin_fwd", *_MELLIN, "s=1e300"], 3),
     (["eval", "mellin_fwd", *_MELLIN, "s=1+1e300j"], 3),
+    (["eval", "mellin_fwd", *_MELLIN, "s=3+300j"], 3),  # Gamma(c1+2s) underflows
     (["eval", "mellin_inv", *_MELLIN, "p=1", "c=1e300"], 3),
     (["eval", "meijer_g", "case=G2112", "a1=0.5", "b1=0.3", "b2=-0.3", "z=1e300"], 3),
     (["verify", "routes", "--trials", "1", "--seed", "-1"], 64),
     (["eval", "bessel_k", "nu=1.5", "z=1e-320"], 3),  # K_{3/2} ~ z^-1.5 overflows
-], ids=["mellin_fwd-s", "mellin_fwd-im-s", "mellin_inv-c", "meijer_g-z", "seed", "bessel-z"])
+], ids=["mellin_fwd-s", "mellin_fwd-im-s", "mellin_fwd-far-im-s", "mellin_inv-c", "meijer_g-z",
+         "seed", "bessel-z"])
 def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     proc = _cli(*argv)
     assert proc.returncode == code

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extappell import hyper, mellin
 from extappell.errors import DomainError
 from extappell.extbeta import ExtensionParams, extended_beta
 from extappell.f1pv import ExtendedAppellInput, f1pv_integral, f1pv_series
@@ -172,3 +173,33 @@ def test_forward_numeric_matches_closed_form_over_the_suites_box():
         num = mellin_forward_numeric(ap, nu, s)
         clo = mellin_forward_closed(ap, nu, s)
         assert abs(num - clo) <= 1e-9 * abs(clo), (i, s)
+
+
+def test_inversion_integrand_gamma_calls_do_not_grow_with_the_nodes(monkeypatch):
+    calls = {"gamma": 0, "beta": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(mellin, "gamma", counted("gamma", mellin.gamma))
+    monkeypatch.setattr(mellin, "beta", counted("beta", mellin.beta))
+    f = _inversion_integrand(BASE, 0.7, 1.3, 1.7)
+    per_call = []
+    for n in (1, 3, 257):
+        calls.update(gamma=0, beta=0)
+        f(np.linspace(-40.0, 40.0, n))
+        per_call.append(dict(calls))
+    assert per_call == [{"gamma": 2, "beta": 2}] * 3
+
+
+def test_forward_closed_and_limit_take_the_scalar_sum(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-s factor summed its F1 as a stack of rows")
+
+    monkeypatch.setattr(hyper, "_row_sums", refuse)
+    assert abs(mellin_forward_closed(BASE, 0.7, 2.7) - FORWARD_BASE_27) <= 1e-14 * FORWARD_BASE_27
+    val = _RadialEvaluator(BASE, 0.7, 1e-10)._limit_coefficient()
+    assert abs(val - LIMIT_BASE[0.7]) <= 1e-14 * LIMIT_BASE[0.7]

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,3 +107,105 @@ def test_principal_power():
     assert principal_power(0.0, 2.5) == 0.0
     with pytest.raises(DomainError):
         principal_power(0.0, -1.0)
+
+
+# the Mellin contour's range: Re z from -5 to 8 (Re z < 1/2 is the
+# reflection side), |Im z| up to 100
+_CONTOUR = (np.random.default_rng(21).uniform(-5.0, 8.0, 300)
+            + 1j * np.random.default_rng(22).uniform(-100.0, 100.0, 300))
+# the scalar path's measured worst relative error over _CONTOUR against
+# mpmath is 9.1e-14 for gamma and rgamma and 1.9e-13 for beta; both paths
+# are held to those, rounded up
+_GAMMA_ERR = 1e-13
+_BETA_ERR = 2e-13
+
+
+def _rel_err(values, ref):
+    return np.abs(np.asarray(values) - ref) / np.abs(ref)
+
+
+def test_array_gamma_and_rgamma_match_mpmath_over_the_contour_range():
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.gamma(mpmath.mpc(z))) for z in _CONTOUR])
+    scalar = np.array([gamma(z) for z in _CONTOUR])
+    left = _CONTOUR.real < 0.5
+    assert 50 < left.sum() < 250  # both sides of the reflection are sampled
+    for err in (_rel_err(scalar, ref), _rel_err(gamma(_CONTOUR), ref),
+                _rel_err(1.0 / rgamma(_CONTOUR), ref)):
+        assert err.max() <= _GAMMA_ERR
+
+
+def test_array_beta_matches_mpmath_over_the_contour_range():
+    a, b = _CONTOUR[:150], _CONTOUR[150:]
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.beta(mpmath.mpc(x), mpmath.mpc(y)))
+                        for x, y in zip(a, b)])
+    scalar = np.array([beta(x, y) for x, y in zip(a, b)])
+    assert _rel_err(scalar, ref).max() <= _BETA_ERR
+    assert _rel_err(beta(a, b), ref).max() <= _BETA_ERR
+    # a scalar argument broadcasts against an array
+    assert np.array_equal(beta(a, 2.5), beta(a, np.full(a.shape, 2.5)))
+
+
+def test_array_gamma_keeps_the_shape_of_its_argument():
+    z = _CONTOUR[:12].reshape(3, 4)
+    for f in (gamma, rgamma):
+        values = f(z)
+        assert values.shape == (3, 4) and values.dtype == complex
+        assert np.array_equal(values.ravel(), f(z.ravel()))
+    values = beta(z, z[:1])  # (3, 4) broadcast with (1, 4)
+    assert values.shape == (3, 4)
+    assert np.array_equal(values.ravel(), beta(z.ravel(), np.tile(z[0], 3)))
+
+
+def test_array_poles_raise_or_give_zero():
+    with pytest.raises(PoleError) as err:
+        gamma(np.array([1.5, -3.0, 2.0]))
+    assert err.value.value == complex(-3.0)
+    values = rgamma(np.array([0.0, -7.0, 1.0]))
+    assert values[0] == 0.0 and values[1] == 0.0 and abs(values[2] - 1.0) < 1e-15
+    # a pole of Gamma(a+b) alone gives 0; one of Gamma(a) or Gamma(b) raises
+    values = beta(np.array([0.5, 2.0]), np.array([-1.5, 3.0]))
+    assert values[0] == 0.0 and abs(values[1] - 1.0 / 12.0) < 1e-15
+    with pytest.raises(PoleError):
+        beta(np.array([0.5, -2.0]), 1.0)
+    with pytest.raises(PoleError):
+        beta(1.0, np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("z", [200.0, -200.5, complex(0.25, 300.0), 1e300])
+def test_array_overflow_raises_without_a_warning(z):
+    # the scalar path raises there too: cmath.exp or cmath.sin overflows
+    with pytest.raises(OverflowError):
+        gamma(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (gamma, rgamma):
+            with pytest.raises(OverflowError):
+                f(np.array([2.0, z]))
+        with pytest.raises(OverflowError):
+            beta(np.array([2.0, z]), 1.0)
+
+
+def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):  # Gamma(3+500i) underflows to 0
+            rgamma(np.array([2.0, complex(3.0, 500.0)]))
+        with pytest.raises(OverflowError):  # Gamma(150)^2 overflows, Gamma(300) too
+            beta(np.array([2.0, 150.0]), np.array([2.0, 150.0]))
+    # the scalar path raises there too
+    with pytest.raises(OverflowError):
+        rgamma(complex(3.0, 500.0))
+    with pytest.raises(OverflowError):
+        beta(150.0, 150.0)
+
+
+def test_scalar_values_are_pinned_bit_for_bit():
+    assert repr(gamma(0.5)) == "(1.7724538509055159+0j)"
+    assert repr(gamma(7.25)) == "(1155.3810139199882+0j)"
+    assert repr(gamma(complex(1.5, 2.0))) == "(0.16591510893899095+0.14946347326641934j)"
+    assert repr(gamma(complex(-0.7, 0.4))) == "(-1.8230314038421214+0.9114011372122447j)"
+    assert repr(rgamma(-2.5)) == "(-1.0578554691520432-0j)"
+    assert repr(beta(2.5, 1.25)) == "(0.27242156408229823+0j)"
+    assert repr(beta(complex(1.2, 3.0), 0.4)) == "(1.2269927010764525-0.6878233447967632j)"
