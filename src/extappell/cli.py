@@ -22,7 +22,7 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import EvaluationMethod, ExtendedAppellInput, f1pv, prefers_series
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
-from .meijer import GSpec, meijer_g
+from .meijer import G_SHAPES, GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
 from .quadrature import DEFAULT_TOL
 from .report import write_report
@@ -47,14 +47,6 @@ _REQUIRED = {
     "mellin_fwd": ("b1", "b2", "b3", "c1", "x", "y", "nu", "s"),
     "mellin_inv": ("b1", "b2", "b3", "c1", "x", "y", "nu", "p"),
 }
-
-_G_PARAMS = {
-    "G2012": ("a1", "b1", "b2"),
-    "G2112": ("a1", "b1", "b2"),
-    "G2002": ("b1", "b2"),
-    "G4004": ("b1", "b2", "b3", "b4"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 64 on usage problems, with one line."""
@@ -105,7 +97,6 @@ def _build_parser() -> _Parser:
 
     pg = sub.add_parser("golden", help="write an oracle-valued golden CSV")
     pg.add_argument("out", metavar="PATH")
-    pg.add_argument("--resolution", choices=("standard", "high"), default="standard")
     return parser
 
 
@@ -145,11 +136,17 @@ def _allowed_keys(fn: str, params: dict) -> tuple:
     if fn == "meijer_g":
         case = params.get("case")
         if not isinstance(case, str):
-            raise DomainError("meijer_g needs case=G2012|G2112|G2002|G4004")
-        if case not in _G_PARAMS:
+            raise DomainError(f"meijer_g needs case={'|'.join(G_SHAPES)}")
+        if case not in G_SHAPES:
             raise DomainError(f"unknown Meijer-G case {case!r}")
-        return ("case", *_G_PARAMS[case], "z")
+        return ("case", *_g_keys(case), "z")
     return _REQUIRED[fn] + (("c",) if fn == "mellin_inv" else ())
+
+
+def _g_keys(case: str) -> tuple:
+    """a1..ap, b1..bq for a Meijer-G case of shape (m, n, p, q)."""
+    _, _, p, q = G_SHAPES[case]
+    return (*(f"a{i}" for i in range(1, p + 1)), *(f"b{i}" for i in range(1, q + 1)))
 
 
 def _real(value: complex, name: str) -> float:
@@ -168,12 +165,13 @@ def _cmd_eval(args) -> int:
         raise DomainError(f"unknown parameters for {fn}: {', '.join(unknown)}")
     if fn == "meijer_g":
         case = params["case"]
-        keys = _G_PARAMS[case]
+        keys = _g_keys(case)
         vals = _need(params, keys + ("z",))
         alpha = tuple(v for k, v in zip(keys, vals) if k.startswith("a"))
         beta_ = tuple(v for k, v in zip(keys, vals) if k.startswith("b"))
         value = meijer_g(GSpec(case, alpha, beta_, vals[-1]))
-        trace = f"meijer_g case={case} slater-residue"
+        trace = (f"meijer_g case={case} slater-residue, or the Bessel-K identity "
+                 "at large |z| or integer b spacing")
     elif fn == "beta_pv":
         x, y, p, nu = _need(params, _REQUIRED[fn])
         value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), quad_tol)
@@ -199,7 +197,7 @@ def _cmd_eval(args) -> int:
             )
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
                                   ExtensionParams(p, _real(nu, "nu")))
-        method = EvaluationMethod(route=args.route, tol=args.tol or 1e-12)
+        method = EvaluationMethod(route=args.route, tol=args.tol or EvaluationMethod.tol)
         value = f1pv(inp, method, quad_tol)
         trace = f"extended Appell, route={method.resolve(inp)}"
     elif fn == "bessel_k":
@@ -255,26 +253,23 @@ _GOLDEN_PARAM_SETS = (
 
 
 def _cmd_golden(args) -> int:
-    from .oracles import bruteforce_f1pv
+    from .oracles import PANELS, TERMS, bruteforce_f1pv
 
     try:  # fail before the oracle work, not after it
         with open(args.out, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise DomainError(f"cannot write golden file to {args.out}: {exc}") from exc
-    panels = 2_000_000 if args.resolution == "high" else 200_000
-    terms = 160
-    oracle_tag = f"midpoint-rule panels={panels} + double sum terms={terms}"
+    oracle_tag = f"midpoint-rule panels={PANELS} + double sum terms={TERMS}"
     lines = [
         "# oracle: closed-half-odd-kernel midpoint rule, "
-        f"nodes={panels}, double-sum terms={terms}, date-free; "
+        f"nodes={PANELS}, double-sum terms={TERMS}, date-free; "
         "columns: p,nu,b1,b2,b3,c1,x,y,value_re,value_im,oracle"
     ]
     for p in (0.5, 1.0, 2.5):
         for nu in (0.0, 1.0, 2.0):
             for (b1, b2, b3, c1, x, y) in _GOLDEN_PARAM_SETS:
-                val = bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu,
-                                      terms=terms, panels=panels)
+                val = bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu)
                 lines.append(
                     f"{p:.17g},{nu:.17g},{b1:.17g},{b2:.17g},{b3:.17g},"
                     f"{c1:.17g},{x:.17g},{y:.17g},{val:.17g},0,{oracle_tag}"

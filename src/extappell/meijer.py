@@ -2,15 +2,18 @@
 
 Covers exactly four shapes -- G^{2,0}_{1,2}, G^{2,1}_{1,2}, G^{2,0}_{0,2},
 G^{4,0}_{0,4} -- by Slater-type residue summation: one generalized
-hypergeometric series per family of Gamma poles.  A vertical contour
-cannot separate the pole families of these shapes once the order spacing
-crosses, so no contour quadrature is attempted; the pole series is exact
-where it converges.
+hypergeometric series per family of Gamma poles, exact where it converges.
 
-For large arguments the alternating residue series cancel beyond double
-precision; evaluation then falls back to the closed Bessel-K form when
-the parameter pattern matches one of the K identities (inverted), and
-fails loudly otherwise.
+Two cases leave the series: large arguments, where the alternating
+residue series cancel beyond double precision, and b's at an exactly
+integer spacing, where two pole families merge and each family's series
+meets a Gamma pole.  There the closed Bessel-K form answers when the
+parameters match one of the five K identities, read backwards, and the
+evaluation fails loudly otherwise.  No contour quadrature is attempted,
+though for the three n = 0 shapes the line Re s = min Re b_j - 1/2
+separates the poles at any spacing (DLMF 16.17); only G^{2,1}_{1,2}, whose
+Gamma(1 - a + s) poles lie to the left, can have families no straight
+contour separates.
 
 Two misprints in the source identities are corrected here (both verified
 numerically to ~1e-26 against independent multiprecision evaluation):
@@ -25,8 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtendedBetaFamily
@@ -35,14 +36,14 @@ from .hyper import PFQParams, pfq
 from .report import VerificationRecord, make_record
 from .scalar import gamma_ratio, log_gamma, principal_power
 
-_CASES = {
+# case tag -> (m, n, p, q) of G^{m,n}_{p,q}
+G_SHAPES = {
     "G2012": (2, 0, 1, 2),
     "G2112": (2, 1, 1, 2),
     "G2002": (2, 0, 0, 2),
     "G4004": (4, 0, 0, 4),
 }
 _SERIES_EXP_LIMIT = 18.0  # exp-scale beyond which residue series cancel away
-_DEGENERATE_EPS = 1e-5
 _PATTERN_TOL = 1e-10
 
 K_G_TOL = 1e-7
@@ -59,9 +60,9 @@ class GSpec:
     z: complex
 
     def __post_init__(self):
-        if self.case not in _CASES:
+        if self.case not in G_SHAPES:
             raise DomainError(f"unsupported Meijer-G case {self.case!r}")
-        m, n, p, q = _CASES[self.case]
+        m, n, p, q = G_SHAPES[self.case]
         object.__setattr__(self, "alpha", tuple(complex(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(complex(b) for b in self.beta))
         object.__setattr__(self, "z", complex(self.z))
@@ -80,7 +81,7 @@ class GSpec:
 
     @property
     def shape(self) -> tuple:
-        return _CASES[self.case]
+        return G_SHAPES[self.case]
 
 
 def _exp_scale(spec: GSpec) -> float:
@@ -102,9 +103,9 @@ def _degenerate(beta: tuple) -> bool:
     return False
 
 
-def _residue_sum(spec: GSpec, beta: tuple) -> complex:
+def _residue_sum(spec: GSpec) -> complex:
     m, n, p, q = spec.shape
-    a = spec.alpha
+    a, beta = spec.alpha, spec.beta
     sign = 1.0 if (p - m - n) % 2 == 0 else -1.0
     total = 0.0 + 0.0j
     for k in range(m):
@@ -131,89 +132,54 @@ def _residue_sum(spec: GSpec, beta: tuple) -> complex:
 
 
 def _k_route(spec: GSpec) -> complex:
-    """Closed Bessel-K value for parameter patterns matching an identity."""
-    b = spec.beta
-    if spec.case == "G2002":
-        mu = b[0] + b[1]
-        nu = b[0] - b[1]
-        w = 2.0 * cmath.sqrt(spec.z)
-        return 2.0 * principal_power(spec.z, mu / 2.0) * bessel_k(_real_order(nu), w)
+    """G(spec) from the K identity whose G form the parameters match.
+
+    Reads (identity, nu, z_K, mu) off the b's and z, rebuilds that
+    identity's G form, and answers K_nu(z_K) / factor only when the
+    rebuilt parameters are the given ones.
+    """
+    b, z = spec.beta, spec.z
     if spec.case == "G2012":
-        if abs(b[0] + b[1]) > _PATTERN_TOL or abs(spec.alpha[0] - 0.5) > _PATTERN_TOL:
-            raise ConvergenceError(
-                "G2012 argument too large for the residue series and parameters "
-                "match no Bessel-K pattern"
-            )
-        w = spec.z / 2.0
-        return cmath.exp(-w) * bessel_k(_real_order(b[0]), w) / math.sqrt(math.pi)
-    if spec.case == "G2112":
-        mu = (b[0] + b[1]) / 2.0
-        nu = (b[0] - b[1]) / 2.0
-        if abs(spec.alpha[0] - (mu + 0.5)) > _PATTERN_TOL:
-            raise ConvergenceError(
-                "G2112 argument too large for the residue series and parameters "
-                "match no Bessel-K pattern"
-            )
-        cosfac = cmath.cos(cmath.pi * nu)
-        if abs(cosfac) < 1e-12:
-            raise ConvergenceError(
-                "G2112 K-route degenerate: cos(pi nu) = 0 at half-integer order"
-            )
-        w = spec.z / 2.0
-        return (
-            math.sqrt(math.pi)
-            * principal_power(spec.z, mu)
-            * cmath.exp(w)
-            * bessel_k(_real_order(nu), w)
-            / cosfac
-        )
-    # G4004
-    if abs(b[1] - b[0] - 0.5) > _PATTERN_TOL or abs(b[3] - b[2] - 0.5) > _PATTERN_TOL:
+        which, nu, z_k, mu = "1.7", (b[0] - b[1]) / 2.0, z / 2.0, 0.0
+    elif spec.case == "G2112":
+        which, nu, z_k, mu = "1.10", (b[0] - b[1]) / 2.0, z / 2.0, (b[0] + b[1]) / 2.0
+    elif spec.case == "G2002":
+        which, nu, z_k, mu = "1.9", b[0] - b[1], 2.0 * cmath.sqrt(z), b[0] + b[1]
+    else:  # G4004
+        which, nu, z_k, mu = "1.11", 2.0 * (b[0] - b[2]), 4.0 * z**0.25, 2.0 * (b[0] + b[2])
+    # a complex order rebuilds a different beta, so it fails the match
+    rebuilt, factor = _identity_spec(which, nu.real, z_k, mu)
+    given = spec.alpha + spec.beta
+    if any(abs(g - r) > _PATTERN_TOL for g, r in zip(given, rebuilt.alpha + rebuilt.beta)):
         raise ConvergenceError(
-            "G4004 argument too large for the residue series and parameters "
-            "match no Bessel-K pattern"
+            f"{spec.case} parameters match no Bessel-K identity, and the residue "
+            "series cannot evaluate them (argument too large or integer b spacing)"
         )
-    mu = 2.0 * (b[0] + b[2])
-    nu = 2.0 * (b[0] - b[2])
-    w = 4.0 * principal_power(spec.z, 0.25)
-    return (
-        math.pi
-        * principal_power(w, mu)
-        * principal_power(4.0, 1.0 - mu)
-        * bessel_k(_real_order(nu), w)
-    )
-
-
-def _real_order(nu: complex) -> float:
-    nu = complex(nu)
-    if abs(nu.imag) > 1e-12:
-        raise ConvergenceError("Bessel-K fallback needs a real order")
-    return nu.real
+    if factor == 0:
+        raise ConvergenceError(
+            f"{spec.case} Bessel-K identity {which} has a vanishing factor here"
+        )
+    return bessel_k(abs(nu.real), z_k) / factor
 
 
 def meijer_g(spec: GSpec, allow_fallback: bool = True) -> complex:
-    """Evaluate the restricted Meijer G by residue summation.
+    """Evaluate the restricted Meijer G.
 
-    Degenerate pole spacing (beta differences at integers) is handled by
-    averaging evaluations perturbed by +/- 1e-5 along the parameter list,
-    which cancels the perturbation to first order.  Arguments too large
-    for the series fall back to the closed Bessel-K form when allowed and
-    the parameters match an identity pattern.
+    The residue series answers unless the argument is too large for it
+    (the terms cancel beyond double precision) or two b's sit at an exact
+    integer spacing (two pole families collide).  There, with
+    ``allow_fallback``, the closed Bessel-K form answers when the
+    parameters match an identity pattern; otherwise, and whenever no
+    pattern matches, this raises ``ConvergenceError``.
     """
-    if _exp_scale(spec) > _SERIES_EXP_LIMIT:
-        if allow_fallback:
-            return _k_route(spec)
-        raise ConvergenceError(
-            "argument too large for the residue series (fallback disabled)"
-        )
-    if _degenerate(spec.beta):
-        d = np.arange(len(spec.beta)) * _DEGENERATE_EPS
-        plus = tuple(b + dd for b, dd in zip(spec.beta, d))
-        minus = tuple(b - dd for b, dd in zip(spec.beta, d))
-        if _degenerate(plus) or _degenerate(minus):  # pragma: no cover
-            raise DomainError("could not lift degenerate beta spacing")
-        return 0.5 * (_residue_sum(spec, plus) + _residue_sum(spec, minus))
-    return _residue_sum(spec, spec.beta)
+    if _exp_scale(spec) <= _SERIES_EXP_LIMIT and not _degenerate(spec.beta):
+        return _residue_sum(spec)
+    if allow_fallback:
+        return _k_route(spec)
+    raise ConvergenceError(
+        "argument too large or b spacing integer for the residue series "
+        "(fallback disabled)"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -223,18 +189,20 @@ def meijer_g(spec: GSpec, allow_fallback: bool = True) -> complex:
 K_G_IDENTITIES = ("1.7", "1.8", "1.9", "1.10", "1.11")
 
 
-def _identity_spec(which: str, nu: float, z: float, mu: float):
+def _identity_spec(which: str, nu: float, z: complex, mu: complex):
     """GSpec plus the prefactor mapping G to K_nu(z) for one identity.
 
     Returns (spec, factor) with K_nu(z) = factor * G(spec).
     """
     half = 0.5
+    # exactly 0 at half-integer nu, where identities 1.8 and 1.10 say 0 = 0
+    cos_pi_nu = 0.0 if (nu - half).is_integer() else math.cos(math.pi * nu)
     if which == "1.7":
         spec = GSpec("G2012", (half,), (nu, -nu), 2.0 * z)
-        return spec, math.sqrt(math.pi) * math.exp(z)
+        return spec, math.sqrt(math.pi) * cmath.exp(z)
     if which == "1.8":
         spec = GSpec("G2112", (half,), (nu, -nu), 2.0 * z)
-        return spec, math.cos(math.pi * nu) / math.sqrt(math.pi) * math.exp(-z)
+        return spec, cos_pi_nu / math.sqrt(math.pi) * cmath.exp(-z)
     if which == "1.9":
         spec = GSpec("G2002", (), ((mu + nu) / 2.0, (mu - nu) / 2.0), z * z / 4.0)
         return spec, z ** (-mu) * 2.0 ** (mu - 1.0)
@@ -242,9 +210,9 @@ def _identity_spec(which: str, nu: float, z: float, mu: float):
         # e^{-z}: the e^{+z} variant fails numerically by a factor e^{2z}
         spec = GSpec("G2112", (mu + half,), (mu + nu, mu - nu), 2.0 * z)
         return spec, (
-            math.cos(math.pi * nu)
+            cos_pi_nu
             * (2.0 * z) ** (-mu)
-            * math.exp(-z)
+            * cmath.exp(-z)
             / math.sqrt(math.pi)
         )
     if which == "1.11":

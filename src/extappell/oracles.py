@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError
 
 _CUTOFF = 760.0
+TERMS = 160  # double-sum terms per index
+PANELS = 200_000  # midpoint-rule panels on the clipped interval
 
 
 def _closed_k_scaled(k: int, z: np.ndarray) -> np.ndarray:
@@ -56,8 +58,7 @@ def _ladder(b: float, v: float, n: int) -> np.ndarray:
     return out
 
 
-def bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu,
-                    terms: int = 160, panels: int = 200_000) -> float:
+def bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu) -> float:
     """F_{1,p,nu} by a raw double sum over midpoint-rule extended Betas.
 
     The diagonal values share one dense kernel grid: only the t power
@@ -65,20 +66,20 @@ def bruteforce_f1pv(b1, b2, b3, c1, x, y, p, nu,
     """
     k = _int_nu(nu)
     eps = _clip(p)
-    t = np.linspace(eps, 1.0 - eps, panels + 1)
+    t = np.linspace(eps, 1.0 - eps, PANELS + 1)
     t = 0.5 * (t[1:] + t[:-1])
-    h = (1.0 - 2.0 * eps) / panels
+    h = (1.0 - 2.0 * eps) / PANELS
     w = p / (t * (1.0 - t))
     kern = np.exp(-w) * _closed_k_scaled(k, w) * math.sqrt(2.0 * p / math.pi)
     bnorm = math.gamma(b1) * math.gamma(c1 - b1) / math.gamma(c1)
     base = t ** (b1 - 1.5) * (1.0 - t) ** (c1 - b1 - 1.5) * kern
-    diag = np.empty(2 * terms + 1)
-    for kk in range(2 * terms + 1):
+    diag = np.empty(2 * TERMS + 1)
+    for kk in range(2 * TERMS + 1):
         diag[kk] = float(base.sum()) * h / bnorm
         base = base * t
-    r2 = _ladder(b2, x, terms)
-    r3 = _ladder(b3, y, terms)
+    r2 = _ladder(b2, x, TERMS)
+    r3 = _ladder(b3, y, TERMS)
     total = 0.0
-    for m in range(terms + 1):
-        total += float(np.sum(r2[m] * r3 * diag[m : m + terms + 1]))
+    for m in range(TERMS + 1):
+        total += float(np.sum(r2[m] * r3 * diag[m : m + TERMS + 1]))
     return total

@@ -180,18 +180,41 @@ _MELLIN = ("b1=1", "b2=1", "b3=1", "c1=3", "x=0.1", "y=0", "nu=0.5")
 @pytest.mark.parametrize("argv, code", [
     (["eval", "mellin_fwd", *_MELLIN, "s=1e300"], 3),
     (["eval", "mellin_fwd", *_MELLIN, "s=1+1e300j"], 3),
-    (["eval", "mellin_fwd", *_MELLIN, "s=3+300j"], 3),  # Gamma(c1+2s) underflows
+    # Gamma(c1+2s) underflows, and |s| is past the Beta's log-ratio form
+    (["eval", "mellin_fwd", *_MELLIN, "s=3+600j"], 3),
     (["eval", "mellin_inv", *_MELLIN, "p=1", "c=1e300"], 3),
     (["eval", "meijer_g", "case=G2112", "a1=0.5", "b1=0.3", "b2=-0.3", "z=1e300"], 3),
+    # integer b spacing collides two pole families, and no K identity matches
+    (["eval", "meijer_g", "case=G4004", "b1=1", "b2=2", "b3=3", "b4=4", "z=0.5"], 3),
     (["verify", "routes", "--trials", "1", "--seed", "-1"], 64),
     (["eval", "bessel_k", "nu=1.5", "z=1e-320"], 3),  # K_{3/2} ~ z^-1.5 overflows
 ], ids=["mellin_fwd-s", "mellin_fwd-im-s", "mellin_fwd-far-im-s", "mellin_inv-c", "meijer_g-z",
-         "seed", "bessel-z"])
+         "meijer_g-degenerate", "seed", "bessel-z"])
 def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     proc = _cli(*argv)
     assert proc.returncode == code
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, ref", [
+    # 2 sqrt(2) K_1(2 sqrt(2)), by mpmath meijerg at 25 digits
+    (["meijer_g", "case=G2002", "b1=1", "b2=0", "z=2"], 0.1396674740152931428575196),
+    # the corrected closed form at s = 100, where Gamma(b1+s+c1-b1+s) overflows
+    (["mellin_fwd", *_MELLIN, "s=100"], 5.4166745016420498935e94),
+], ids=["meijer_g-degenerate", "mellin_fwd-large-s"])
+def test_eval_past_a_gamma_pole_or_overflow(capsys, argv, ref):
+    assert run(["eval", *argv]) == 0
+    captured = capsys.readouterr()
+    re_part, im_part = map(float, captured.out.split())
+    assert abs(re_part - ref) <= 1e-13 * ref and im_part == 0.0
+    if argv[0] == "meijer_g":  # the trace names both routes
+        assert "slater-residue" in captured.err and "Bessel-K" in captured.err
+
+
+def test_meijer_g_case_message_lists_the_shapes(capsys):
+    assert run(["eval", "meijer_g", "b1=0.3", "b2=-0.2", "z=1.5"]) == 2
+    assert "case=G2012|G2112|G2002|G4004" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

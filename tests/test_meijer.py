@@ -9,9 +9,12 @@ from extappell.extbeta import ExtensionParams
 from extappell.f1pv import ExtendedAppellInput, f1pv_integral
 from extappell.hyper import AppellParams
 from extappell.meijer import (
+    _SERIES_EXP_LIMIT,
     GSpec,
     K_G_IDENTITIES,
     THEOREM1_FORMS,
+    _exp_scale,
+    _identity_spec,
     meijer_g,
     verify_k_g_identity,
     verify_theorem1,
@@ -23,6 +26,21 @@ MPMATH_REFS = {
     ("G2112", (0.9,), (0.7, 0.1), 1.6): 4.76071115798334043,
     ("G2002", (), (0.35, -0.15), 0.36): 0.622266158666465046,
     ("G4004", (), (0.2, 0.7, -0.05, 0.45), 0.0016): 4.88200502636393611,
+}
+
+# mpmath meijerg at 25 digits, frozen cross-checks for the Bessel-K route:
+# complex arguments past the residue series' reach, one per shape, with
+# parameters matching identities 1.7, 1.10, 1.9 and 1.11 (nu = 0.3, mu = 0.4)
+MPMATH_K_ROUTE_REFS = {
+    ("G2012", (0.5,), (0.3, -0.3), complex(40, 10)):
+        complex(-5.055248689065889869722511e-19, 4.230497792618967506933308e-19),
+    ("G2112", (0.9,), (0.7, 0.1), complex(40, -20)):
+        complex(3.639770644310131198199594, 0.1632634432588321541806468),
+    ("G2002", (), (0.35, 0.05), complex(300, 50)):
+        complex(-1.029873885450167657918938e-15, -2.703013067072269500960893e-16),
+    ("G4004", (), (0.175, 0.675, 0.025, 0.525), 1e6j):
+        complex(-2.432003631785446675880496e-51, 9.540187394059030020507301e-51),
+    ("G4004", (), (0.175, 0.675, 0.025, 0.525), 1e6): 6.480025123642291676583489e-55,
 }
 
 BASE = ExtendedAppellInput(AppellParams(1, 1, 1, 3, 0.3, 0.4), ExtensionParams(1.0, 0.5))
@@ -45,12 +63,46 @@ def test_residue_route_against_frozen_mpmath():
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
-def test_degenerate_spacing_averaging():
-    # beta spacing of exactly 1: handled by +/-eps averaging;
-    # mpmath meijerg([[],[]], [[0.5,-0.5],[]], 0.25) at 25 digits
-    val = meijer_g(GSpec("G2002", (), (0.5, -0.5), 0.25))
-    ref = 1.20381446039446915
-    assert abs(val - ref) <= 1e-6 * abs(ref)
+# beta spacing exactly 1: 2 K_1(1), 2 sqrt(2) K_1(2 sqrt(2)) and e^{-1},
+# by mpmath meijerg at 25 digits
+DEGENERATE_REFS = {
+    ("G2002", (), (0.5, -0.5), 0.25): 1.20381446039446915,
+    ("G2002", (), (1.0, 0.0), 2.0): 0.1396674740152931428575196,
+    ("G2012", (0.5,), (0.5, -0.5), 1.0): 0.3678794411714423215955238,
+}
+
+
+def test_degenerate_spacing_takes_the_k_form():
+    for (case, alpha, beta, z), ref in DEGENERATE_REFS.items():
+        spec = GSpec(case, alpha, beta, z)
+        assert abs(meijer_g(spec) - ref) <= 1e-13 * abs(ref), (case, beta)
+        with pytest.raises(ConvergenceError):
+            meijer_g(spec, allow_fallback=False)
+
+
+def test_degenerate_spacing_without_an_identity_raises():
+    # pole families collide and no K identity matches: never a number
+    with pytest.raises(ConvergenceError):
+        meijer_g(GSpec("G4004", (), (1.0, 2.0, 3.0, 4.0), 0.5))
+    # identity 1.8 at nu = 1/2: its cos(pi nu) factor vanishes
+    with pytest.raises(ConvergenceError):
+        meijer_g(GSpec("G2112", (0.5,), (0.5, -0.5), 1.0))
+
+
+def test_k_route_against_frozen_mpmath_at_complex_z():
+    for (case, alpha, beta, z), ref in MPMATH_K_ROUTE_REFS.items():
+        spec = GSpec(case, alpha, beta, z)
+        assert _exp_scale(spec) > _SERIES_EXP_LIMIT
+        assert abs(meijer_g(spec) - ref) <= 1e-13 * abs(ref), (case, z)
+
+
+@pytest.mark.parametrize("which", K_G_IDENTITIES)
+def test_k_route_inverts_each_identity(which):
+    nu, z, mu = 0.3, 20.0, 0.4
+    spec, factor = _identity_spec(which, nu, z, mu)
+    assert _exp_scale(spec) > _SERIES_EXP_LIMIT
+    k = bessel_k(nu, z)
+    assert abs(factor * meijer_g(spec) - k) <= 1e-13 * abs(k)
 
 
 def test_k_form_identity_1_9_pattern():

@@ -183,8 +183,34 @@ def test_array_overflow_raises_without_a_warning(z):
         for f in (gamma, rgamma):
             with pytest.raises(OverflowError):
                 f(np.array([2.0, z]))
+
+
+@pytest.mark.parametrize("x", [170.5, 170.8, 171.0, 171.6])
+def test_gamma_holds_up_to_its_own_overflow(x):
+    # the one-piece e^power, or sqrt(2 pi) times it, overflows before Gamma does
+    ref = math.gamma(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (gamma(x), gamma(np.array([2.0, x]))[1]):
+            assert abs(value - ref) <= 1e-13 * ref
+
+
+def test_gamma_past_its_own_overflow_raises():
+    with pytest.raises(OverflowError):  # Gamma(171.7) = 2.65e308
+        gamma(171.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(OverflowError):
-            beta(np.array([2.0, z]), 1.0)
+            gamma(np.array([2.0, 171.7]))
+
+
+# mpmath beta at 30 digits; every one overflows a Gamma of the product form
+BETA_PAST_GAMMA_OVERFLOW = {
+    (100.0, 80.0): 7.4807039968504291435e-55,
+    (150.0, 150.0): 1.4220750427973277936e-91,
+    (200.0, 1.0): 0.005,
+    (101.0, 102.0): 2.74721479253669472e-62,  # the Beta of M(100) below
+}
 
 
 def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
@@ -192,13 +218,20 @@ def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError):  # Gamma(3+500i) underflows to 0
             rgamma(np.array([2.0, complex(3.0, 500.0)]))
-        with pytest.raises(OverflowError):  # Gamma(150)^2 overflows, Gamma(300) too
-            beta(np.array([2.0, 150.0]), np.array([2.0, 150.0]))
+        # past a + b ~ 171 the Beta comes from log-ratios, not the product
+        for (a, b), ref in BETA_PAST_GAMMA_OVERFLOW.items():
+            for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+                assert abs(value - ref) <= 1e-13 * ref, (a, b)
+        # B(1e-310, 2) = 1e310 really overflows; the log-ratio form covers
+        # Re a, Re b >= 1/2 only, and loses digits like eps (|a| + |b|)
+        for a, b in ((1e-310, 2.0), (-200.5, 1.0), (complex(0.25, 300.0), 1.0), (1e300, 1.0)):
+            with pytest.raises(OverflowError):
+                beta(np.array([2.0, a]), np.array([2.0, b]))
+            with pytest.raises(OverflowError):
+                beta(a, b)
     # the scalar path raises there too
     with pytest.raises(OverflowError):
         rgamma(complex(3.0, 500.0))
-    with pytest.raises(OverflowError):
-        beta(150.0, 150.0)
 
 
 def test_scalar_values_are_pinned_bit_for_bit():
