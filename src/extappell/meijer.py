@@ -195,8 +195,10 @@ def _identity_spec(which: str, nu: float, z: complex, mu: complex):
     Returns (spec, factor) with K_nu(z) = factor * G(spec).
     """
     half = 0.5
-    # exactly 0 at half-integer nu, where identities 1.8 and 1.10 say 0 = 0
-    cos_pi_nu = 0.0 if (nu - half).is_integer() else math.cos(math.pi * nu)
+    # 0 within _degenerate's 1e-13 of a half-integer nu, where identities 1.8
+    # and 1.10 say 0 = 0 and a rounded cos(pi nu) would be all rounding
+    off_half = (nu - half) - round(nu - half)
+    cos_pi_nu = 0.0 if abs(off_half) < 1e-13 else math.cos(math.pi * nu)
     if which == "1.7":
         spec = GSpec("G2012", (half,), (nu, -nu), 2.0 * z)
         return spec, math.sqrt(math.pi) * cmath.exp(z)

@@ -224,20 +224,17 @@ def beta(alpha, bta):
                                          np.asarray(bta, dtype=complex))
         _raise_at_poles(alpha, "beta pole in first argument")
         _raise_at_poles(bta, "beta pole in second argument")
-        total = alpha + bta
-        pole = _poles(total)
-        ga, over_a = _gamma_array(alpha)
-        gb, over_b = _gamma_array(bta)
-        gs, over_s = _gamma_array(total[~pole])
-        # the product form, as gamma(a) * gamma(b) * rgamma(a + b)
-        rgs = np.zeros(total.shape, dtype=complex)
-        with np.errstate(all="ignore"):
-            rgs[~pole] = 1.0 / gs
-            out = ga * gb * rgs
-        bad = over_a | over_b | ~np.isfinite(out)
-        bad[~pole] |= over_s
+        try:
+            with np.errstate(all="ignore"):
+                out = gamma(alpha) * gamma(bta) * rgamma(alpha + bta)
+            bad = ~np.isfinite(out)
+        except OverflowError:
+            out = np.empty(alpha.shape, dtype=complex)
+            bad = np.ones(alpha.shape, dtype=bool)
         if bad.any():
-            out[bad] = [_beta_log_ratio(a, b) for a, b in zip(alpha[bad], bta[bad])]
+            # where the product form overflows, the scalar path and its
+            # log-ratio fallback answer entry by entry
+            out[bad] = [beta(a, b) for a, b in zip(alpha[bad], bta[bad])]
         return out
     alpha = complex(alpha)
     bta = complex(bta)

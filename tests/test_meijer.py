@@ -87,6 +87,10 @@ def test_degenerate_spacing_without_an_identity_raises():
     # identity 1.8 at nu = 1/2: its cos(pi nu) factor vanishes
     with pytest.raises(ConvergenceError):
         meijer_g(GSpec("G2112", (0.5,), (0.5, -0.5), 1.0))
+    # identity 1.10 at nu = 1/2 - 1.1e-16 (2.3 - 1.3 in floats), within the
+    # spacing tolerance: a rounded cos(pi nu) there would be 40% off
+    with pytest.raises(ConvergenceError):
+        meijer_g(GSpec("G2112", (2.3,), (2.3, 1.3), 40.0))
 
 
 def test_k_route_against_frozen_mpmath_at_complex_z():
