@@ -14,7 +14,7 @@ from .bessel import BesselOrder, bessel_k, bessel_k_scaled, bessel_k_upper_bound
 from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import (
-    EvaluationMethod,
+    ROUTES,
     ExtendedAppellInput,
     f1pv,
     f1pv_bound,
@@ -25,6 +25,7 @@ from .f1pv import (
     f1pv_recursion_b3,
     f1pv_series,
     f1pv_transform,
+    route_for,
 )
 from .hyper import AppellParams, PFQParams, appell_f1_integral, appell_f1_series, pfq
 from .meijer import GSpec, meijer_g, verify_k_g_identity, verify_theorem1

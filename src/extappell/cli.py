@@ -20,7 +20,7 @@ import numpy as np
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import EvaluationMethod, ExtendedAppellInput, f1pv, prefers_series
+from .f1pv import ROUTES, ExtendedAppellInput, f1pv, prefers_series, route_for
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import G_SHAPES, GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
@@ -85,8 +85,9 @@ def _build_parser() -> _Parser:
     pe.add_argument("fn", choices=_EVAL_FNS)
     pe.add_argument("params", nargs="*", metavar="key=value",
                     help="complex values accepted, e.g. p=1+0.5j")
-    pe.add_argument("--route", choices=("series", "integral", "auto"), default="auto")
-    pe.add_argument("--tol", type=_positive_float, default=None)
+    pe.add_argument("--route", choices=ROUTES, default="auto")
+    pe.add_argument("--tol", type=_positive_float, default=None,
+                    help="quadrature tolerance (f1pv's series sums to tol/100)")
 
     pv = sub.add_parser("verify", help="run identity-verification suites")
     pv.add_argument("suite", choices=("all", *SUITES))
@@ -157,7 +158,7 @@ def _real(value: complex, name: str) -> float:
 
 def _cmd_eval(args) -> int:
     params = _parse_params(args.params)
-    quad_tol = args.tol or DEFAULT_TOL
+    tol = args.tol or DEFAULT_TOL
     fn = args.fn
     allowed = _allowed_keys(fn, params)
     unknown = [k for k in params if k not in allowed]
@@ -174,11 +175,11 @@ def _cmd_eval(args) -> int:
                  "at large |z| or integer b spacing")
     elif fn == "beta_pv":
         x, y, p, nu = _need(params, _REQUIRED[fn])
-        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), quad_tol)
+        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), tol)
         trace = "extended Beta, tanh-sinh with scaled Bessel kernel"
     elif fn == "chaudhry_beta":
         x, y, p = _need(params, _REQUIRED[fn])
-        value = chaudhry_beta(x, y, p, quad_tol)
+        value = chaudhry_beta(x, y, p, tol)
         trace = "Chaudhry Beta, tanh-sinh"
     elif fn == "f1":
         b1, b2, b3, c1, x, y = _need(params, _REQUIRED[fn])
@@ -186,7 +187,7 @@ def _cmd_eval(args) -> int:
         route = args.route
         if route == "auto":
             route = "series" if prefers_series(ap.x, ap.y) else "integral"
-        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, quad_tol)
+        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":
         b1, b2, b3, c1, x, y, p, nu = _need(params, _REQUIRED[fn])
@@ -197,9 +198,9 @@ def _cmd_eval(args) -> int:
             )
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
                                   ExtensionParams(p, _real(nu, "nu")))
-        method = EvaluationMethod(route=args.route, tol=args.tol or EvaluationMethod.tol)
-        value = f1pv(inp, method, quad_tol)
-        trace = f"extended Appell, route={method.resolve(inp)}"
+        route = route_for(inp) if args.route == "auto" else args.route
+        value = f1pv(inp, route, tol)
+        trace = f"extended Appell, route={route}, quadrature tol={tol:g}"
     elif fn == "bessel_k":
         nu, z = _need(params, _REQUIRED[fn])
         value = bessel_k(_real(nu, "nu"), z)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_k_scaled_many
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
 # moments integrated by a family's first stack; each later stack doubles it
@@ -163,11 +163,8 @@ def extended_beta(
     kernel = ExtendedBetaKernel(ext)
     xt, yt = _exponents(x, y, kernel)
     res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"extended Beta quadrature stalled at error {res.abs_error_estimate:g}"
-        )
-    return cmath.sqrt(2.0 * ext.p / cmath.pi) * complex(res.value)
+    return cmath.sqrt(2.0 * ext.p / cmath.pi) * complex(
+        res.converged_value("extended Beta quadrature"))
 
 
 def chaudhry_beta(
@@ -193,11 +190,7 @@ def chaudhry_beta(
         return out
 
     res = integrate_unit_interval(integrand, tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"Chaudhry Beta quadrature stalled at error {res.abs_error_estimate:g}"
-        )
-    return complex(res.value)
+    return complex(res.converged_value("Chaudhry Beta quadrature"))
 
 
 class ExtendedBetaFamily:
@@ -259,11 +252,7 @@ class ExtendedBetaFamily:
             return np.cumprod(factors, axis=0)
 
         res = integrate_unit_interval(moments, self.tol)
-        if not res.converged:
-            raise ConvergenceError(
-                f"extended Beta moments stalled at error {res.abs_error_estimate:g}"
-            )
-        vals = self._scale() * res.value
+        vals = self._scale() * res.converged_value("extended Beta moments")
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
 
     def appell_sum(self, b2, b3, x, y, prefactor: complex = 1.0, w_power: float = 0.0):
@@ -290,11 +279,8 @@ class ExtendedBetaFamily:
         res = integrate_unit_interval(
             _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.tol
         )
-        if not res.converged:
-            raise ConvergenceError(
-                f"extended Appell integral stalled at error {res.abs_error_estimate:g}"
-            )
-        value = res.value if np.ndim(res.value) else complex(res.value)
+        value = res.converged_value("extended Appell integral")
+        value = value if np.ndim(value) else complex(value)
         return prefactor * self._scale() * value
 
     def _scale(self):

@@ -18,6 +18,9 @@ Integral route (Re(c1) > Re(b1) > 0):
 The power factors pair (b2 with x) and (b3 with y) so that binomial
 expansion of the integrand reproduces the series exactly.
 
+``f1pv`` takes a route by name (``ROUTES``) and one tolerance, that of the
+quadratures behind either route; the series sums its diagonals to 1 % of it.
+
 On top of the two routes: the Moebius transformation identity in
 (x, y), derivatives of any order via parameter shifts, recursions in
 b2/b3, and a strict upper bound for real parameters.  The bound's
@@ -60,65 +63,51 @@ class ExtendedAppellInput:
     ext: ExtensionParams
 
 
-@dataclass(frozen=True)
-class EvaluationMethod:
-    """Route selection and series tolerance: route in {series, integral, auto}."""
-
-    route: str = "auto"
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.route not in ("series", "integral", "auto"):
-            raise DomainError(f"unknown route {self.route!r}")
-
-    def resolve(self, inp: ExtendedAppellInput) -> str:
-        if self.route != "auto":
-            return self.route
-        a = inp.appell
-        if prefers_series(a.x, a.y):
-            try:
-                if beta(a.b1, a.c1 - a.b1) != 0:
-                    return "series"
-            except PoleError:
-                pass
-        return "integral"
+ROUTES = ("series", "integral", "auto")
 
 
-def _series_diagonal(a: AppellParams, ext: ExtensionParams, quad_tol: float = DEFAULT_TOL):
+def route_for(inp: ExtendedAppellInput) -> str:
+    """The route "auto" takes: the series when |x| and |y| are both at most
+    0.9 and B(b1, c1-b1) is finite and nonzero, the integral otherwise."""
+    a = inp.appell
+    if prefers_series(a.x, a.y):
+        try:
+            if beta(a.b1, a.c1 - a.b1) != 0:
+                return "series"
+        except PoleError:
+            pass
+    return "integral"
+
+
+def _series_diagonal(a: AppellParams, ext: ExtensionParams, tol: float = DEFAULT_TOL):
     """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family."""
     b0 = beta(a.b1, a.c1 - a.b1)
     if b0 == 0:
         raise PoleError("B(b1, c1-b1) vanishes; series prefactor pole", (a.b1, a.c1))
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, quad_tol)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, tol)
     return lambda k: fam.value(k) / b0
 
 
-def _diagonal_sum(diag, a: AppellParams, method: EvaluationMethod) -> complex:
-    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, method.tol)
+def _diagonal_sum(diag, a: AppellParams, tol: float) -> complex:
+    """The diagonal series, stopped at 1 % of the quadrature tolerance ``tol``."""
+    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
 
 
-def f1pv_series(
-    inp: ExtendedAppellInput,
-    method: EvaluationMethod | None = None,
-    quad_tol: float = DEFAULT_TOL,
-) -> complex:
+def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
     """Series route; needs |x| < 1 and |y| < 1.
 
-    ``method.tol`` stops the diagonal sum; ``quad_tol`` is the tolerance
-    of the quadrature behind the diagonal values.
+    ``tol`` is the tolerance of the quadrature behind the diagonal
+    values; the diagonal sum stops at ``tol / 100``.
     """
     a = inp.appell
     if abs(a.x) >= 1.0:
         raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
     if abs(a.y) >= 1.0:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
-    return _diagonal_sum(_series_diagonal(a, inp.ext, quad_tol), a, method or EvaluationMethod())
+    return _diagonal_sum(_series_diagonal(a, inp.ext, tol), a, tol)
 
 
-def f1pv_integral(
-    inp: ExtendedAppellInput,
-    quad_tol: float = DEFAULT_TOL,
-) -> complex:
+def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
     """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf)."""
     a = inp.appell
     if not (a.c1.real > a.b1.real > 0.0):
@@ -128,20 +117,20 @@ def f1pv_integral(
     check_cut(a.x, "x")
     check_cut(a.y, "y")
     pref = gamma_ratio(a.b1, a.c1)
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, quad_tol)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 
 
-def f1pv(
-    inp: ExtendedAppellInput,
-    method: EvaluationMethod | None = None,
-    quad_tol: float = DEFAULT_TOL,
-) -> complex:
-    """Route dispatcher: series, integral, or automatic selection."""
-    method = method or EvaluationMethod()
-    if method.resolve(inp) == "series":
-        return f1pv_series(inp, method, quad_tol)
-    return f1pv_integral(inp, quad_tol)
+def f1pv(inp: ExtendedAppellInput, route: str = "auto", tol: float = DEFAULT_TOL) -> complex:
+    """Route dispatcher: one of ``ROUTES``, "auto" choosing by ``route_for``;
+    ``tol`` is the quadrature tolerance of either route."""
+    if route not in ROUTES:
+        raise DomainError(f"unknown route {route!r}; choose from {ROUTES}")
+    if route == "auto":
+        route = route_for(inp)
+    if route == "series":
+        return f1pv_series(inp, tol)
+    return f1pv_integral(inp, tol)
 
 
 def f1pv_transform(inp: ExtendedAppellInput) -> complex:
@@ -174,7 +163,7 @@ def f1pv_derivative(
     inp: ExtendedAppellInput,
     m_order: int,
     n_order: int,
-    method: EvaluationMethod | None = None,
+    route: str = "auto",
 ) -> complex:
     """d^(M+N) F / dx^M dy^N via the parameter-shift identity:
 
@@ -182,7 +171,7 @@ def f1pv_derivative(
     F_{1,p,nu}(b1+M+N, b2+M, b3+N; c1+M+N; x, y).
 
     The identity holds for integer orders M, N >= 0 only; any other
-    order raises DomainError.
+    order raises DomainError.  The shifted F is ``f1pv`` on ``route``.
     """
     if not all(float(o).is_integer() and o >= 0 for o in (m_order, n_order)):
         raise DomainError(
@@ -200,15 +189,14 @@ def f1pv_derivative(
         AppellParams(a.b1 + k, a.b2 + m_order, a.b3 + n_order, a.c1 + k, a.x, a.y),
         inp.ext,
     )
-    return pref * f1pv(shifted, method)
+    return pref * f1pv(shifted, route)
 
 
 def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
     if n < 1:
         raise DomainError(f"recursion step count must be >= 1, got {n}")
     a = inp.appell
-    method = EvaluationMethod()
-    base = f1pv_series(inp, method)
+    base = f1pv_series(inp)
     var = a.x if on_b2 else a.y
     if var == 0:
         return base
@@ -219,7 +207,7 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
 
     # all shifted terms share (b1+1, c1+1), hence one diagonal
     diag = _series_diagonal(shifted(0), inp.ext)
-    total = sum(_diagonal_sum(diag, shifted(ell), method) for ell in range(1, n + 1))
+    total = sum(_diagonal_sum(diag, shifted(ell), DEFAULT_TOL) for ell in range(1, n + 1))
     return base + a.b1 * var / a.c1 * total
 
 

@@ -271,11 +271,7 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
         )
 
     res = integrate_unit_interval(integrand, tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"F1 Euler integral stalled at error {res.abs_error_estimate:g}"
-        )
-    return gamma_ratio(b1, c1) * res.value
+    return gamma_ratio(b1, c1) * res.converged_value("F1 Euler integral")
 
 
 def f1_diagonal_coefficients(b2, b3, x, y, kmax: int) -> np.ndarray:

@@ -6,12 +6,12 @@ origin and is killed exponentially (e^(-4p)) by the Bessel kernel at
 infinity, the two ends that rule is built for (Mori & Sugihara, J.
 Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
 quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
-kernel integral, one row per p (``_RadialEvaluator``).  The outer
-quadrature runs at 2e-7, so its first call samples levels 0-3, its first
-test level, and each later call one level: a deeper first call would
-double the inner batch of an outer quadrature that stops at level 3, as
-it does.  The inner batches run at 1e-9 and stop at level 4 or 5, so
-their first call samples levels 0-4 (see
+kernel integral, one row per p (the closure ``_radial`` builds).  The
+outer quadrature runs at 2e-7, so its first call samples levels 0-3, its
+first test level, and each later call one level: a deeper first call
+would double the inner batch of an outer quadrature that stops at level
+3, as it does.  The inner batches run at 1e-9 and stop at level 4 or 5,
+so their first call samples levels 0-4 (see
 ``quadrature._first_call_level``).
 
 Forward, closed form:
@@ -54,11 +54,10 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import F1_TOL, AppellParams, block_double_sum, pochhammer_diagonal
 from .quadrature import ENDPOINT_CUTOFF, integrate_semi_infinite, integrate_vertical_line
-from .report import VerificationRecord, make_record
 from .scalar import beta, gamma, is_nonpositive_integer
 
 
@@ -106,15 +105,24 @@ def _shifted_appell_factor(appell: AppellParams, s):
 
 
 _P_LIMIT_FORM = 1e-12
+# beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
+_P_DEAD = 0.26 * ENDPOINT_CUTOFF + 30.0
 # the contour quadrature's tolerance unless a caller passes its own
 INVERSE_TOL = 1e-7
 
 
-class _RadialEvaluator:
-    """p^(s-1) F_{1,p,nu}(...) over an array of p > 0, parameters frozen.
+def _limit_coefficient(appell: AppellParams, nu: float) -> complex:
+    """lim_{p->0} p^nu F_{1,p,nu} = 2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu)."""
+    r = _shifted_appell_factor(appell, complex(nu))
+    return 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * r
 
-    The p of one call in [``_P_LIMIT_FORM``, ``p_dead``) form one batch,
-    one ``ExtendedBetaFamily`` whose ``appell_sum`` integrates
+
+def _radial(appell: AppellParams, nu: float, s: complex):
+    """The forward integrand p^(s-1) F_{1,p,nu}(...) over an array of p > 0.
+
+    The p of one call in [``_P_LIMIT_FORM``, ``_P_DEAD``) form one batch,
+    one ``ExtendedBetaFamily`` at tolerance 1e-9 whose ``appell_sum``
+    integrates
 
         F(p) = sqrt(2p/pi)/B(b1, c1-b1)
                * int_0^1 g_p(t) (1-xt)^(-b2) (1-yt)^(-b3) dt
@@ -124,43 +132,29 @@ class _RadialEvaluator:
     form.  Below ``_P_LIMIT_FORM`` the p -> 0 limit of the kernel is used
     instead, B_{p,nu}(x, y) -> 2^nu Gamma(nu+1/2)/sqrt(pi) * p^-nu *
     B(x+nu, y+nu), whose relative error is dwarfed by the p^(s-nu) weight
-    those abscissae carry in the transform; from ``p_dead`` on the kernel
-    wipes out the whole interval and the value is 0.  The limit's
-    coefficient is the residue of the transform at s = nu.
+    those abscissae carry in the transform; from ``_P_DEAD`` on the
+    kernel wipes out the whole interval and the value is 0.  The limit's
+    coefficient is taken up front: the exp-sinh level-0 nodes reach
+    below ``_P_LIMIT_FORM``, so the first call always needs it.
     """
+    a = appell
+    b0 = beta(a.b1, a.c1 - a.b1)
+    limit_coefficient = _limit_coefficient(appell, nu)
 
-    def __init__(self, appell: AppellParams, nu: float, tol: float):
-        _check_series_domain(appell)
-        self.appell = appell
-        self.nu = nu
-        self.tol = tol
-        self.b0 = beta(appell.b1, appell.c1 - appell.b1)
-        # beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
-        self.p_dead = 0.26 * ENDPOINT_CUTOFF + 30.0
-        self._limit_const: complex | None = None
-
-    def _limit_coefficient(self) -> complex:
-        """lim_{p->0} p^nu F_{1,p,nu} = 2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu)."""
-        if self._limit_const is None:
-            nu = self.nu
-            r = _shifted_appell_factor(self.appell, complex(nu))
-            self._limit_const = 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * r
-        return self._limit_const
-
-    def weighted(self, ps: np.ndarray, s: complex) -> np.ndarray:
-        """p^(s-1) F_{1,p,nu} at every p, safe across the full exp-sinh node range."""
+    def weighted(ps: np.ndarray) -> np.ndarray:
         out = np.zeros(ps.shape, dtype=complex)
         limit = ps < _P_LIMIT_FORM
         if np.any(limit):
-            out[limit] = (np.exp((s - 1.0 - self.nu) * np.log(ps[limit]))
-                          * self._limit_coefficient())
-        live = ~limit & (ps < self.p_dead)
+            out[limit] = np.exp((s - 1.0 - nu) * np.log(ps[limit])) * limit_coefficient
+        live = ~limit & (ps < _P_DEAD)
         if np.any(live):
-            a, p = self.appell, ps[live]
-            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, self.nu), self.tol)
+            p = ps[live]
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, nu), 1e-9)
             out[live] = (np.exp((s - 1.0) * np.log(p))
-                         * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / self.b0))
+                         * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0))
         return out
+
+    return weighted
 
 
 def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
@@ -172,13 +166,9 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
     then one per level).
     """
     s = check_mellin_point(s, nu, appell.c1)
-    f = _RadialEvaluator(appell, nu, 1e-9)
-    res = integrate_semi_infinite(lambda p: f.weighted(p, s), 2e-7)
-    if not res.converged:
-        raise ConvergenceError(
-            f"Mellin forward integral stalled at {res.abs_error_estimate:g}"
-        )
-    val = complex(res.value)
+    _check_series_domain(appell)
+    res = integrate_semi_infinite(_radial(appell, nu, s), 2e-7)
+    val = complex(res.converged_value("Mellin forward integral"))
     return complex(val.real, 0.0) if s.imag == 0.0 else val
 
 
@@ -219,25 +209,5 @@ def mellin_inverse_numeric(
     if not c > nu:
         raise DomainError(f"abscissa must exceed nu, got c={c}, nu={nu}")
     res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"inversion contour integral stalled at {res.abs_error_estimate:g}"
-        )
-    return complex(res.value) / (4.0 * math.pi * math.sqrt(math.pi))
-
-
-def verify_mellin_pair(
-    appell: AppellParams, nu: float, s: complex, tol: float = 1e-6
-) -> VerificationRecord:
-    """One numeric-vs-closed forward-transform comparison as a record."""
-    params = {
-        "b1": appell.b1.real, "b2": appell.b2.real, "b3": appell.b3.real,
-        "c1": appell.c1.real, "x": appell.x.real, "y": appell.y.real,
-        "nu": nu, "s_re": complex(s).real, "s_im": complex(s).imag,
-    }
-    lhs = mellin_forward_numeric(appell, nu, s)
-    rhs = mellin_forward_closed(appell, nu, s)
-    return make_record(
-        "mellin", f"s={complex(s).real:g}", params, lhs, rhs, tol,
-        "semi-infinite quadrature vs closed form",
-    )
+    return (complex(res.converged_value("inversion contour integral"))
+            / (4.0 * math.pi * math.sqrt(math.pi)))

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 # tau range chosen so the closest node to an endpoint keeps t and 1-t
 # representable (pi*sinh(6) ~ 634, exp(-634) ~ 2.6e-276)
@@ -82,6 +82,13 @@ class QuadratureResult:
     abs_error_estimate: float
     nodes_used: int
     converged: bool = True
+
+    def converged_value(self, label: str):
+        """``value``; raises ``ConvergenceError`` naming ``label`` when the
+        quadrature did not converge."""
+        if not self.converged:
+            raise ConvergenceError(f"{label} stalled at error {self.abs_error_estimate:g}")
+        return self.value
 
 
 # --------------------------------------------------------------------------

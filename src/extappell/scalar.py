@@ -30,6 +30,10 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 _SQRT_TWO_PI = 2.5066282746310005024
+# brings a Gamma past 1.3e308 into the range of the complex quotient
+_RECIP_SCALE = 2.0**-4
+# 1/Gamma below this in both parts is past the complex quotient's range
+_QUOTIENT_FLOOR = 2.0**-1024
 _EPS = 2.0**-52
 _LANCZOS_SHIFT = 5.2421875  # = g + 1/2 with g = 607/128
 
@@ -176,15 +180,24 @@ def gamma_ratio(b1: complex, c1: complex) -> complex:
 def rgamma(z):
     """Reciprocal Gamma, entire: returns 0 at the poles of Gamma;
     elementwise over a complex array z.  Where Gamma underflows to 0,
-    1/Gamma overflows, and that raises ``OverflowError``."""
+    1/Gamma overflows, and that raises ``OverflowError``.
+
+    Past |Gamma| ~ 1.3e308 the complex quotient 1/Gamma (Smith's method,
+    in cmath and in numpy) overflows its denominator and comes out 0,
+    though 1/Gamma is a subnormal number; there it is taken of Gamma/16
+    and scaled back."""
     if isinstance(z, np.ndarray) and z.ndim:
         z = np.asarray(z, dtype=complex)
         pole = _poles(z)
         g = gamma(z[~pole])
         if not g.all():
             raise OverflowError("rgamma overflows double precision")
+        with np.errstate(over="ignore"):
+            r = 1.0 / g
+        lost = r == 0
+        r[lost] = _RECIP_SCALE * (1.0 / (_RECIP_SCALE * g[lost]))
         out = np.zeros(z.shape, dtype=complex)
-        out[~pole] = 1.0 / g
+        out[~pole] = r
         return out
     z = complex(z)
     if is_nonpositive_integer(z):
@@ -192,7 +205,16 @@ def rgamma(z):
     g = gamma(z)
     if g == 0:
         raise OverflowError("rgamma overflows double precision")
-    return 1.0 / g
+    r = 1.0 / g
+    return r if r != 0 else _RECIP_SCALE * (1.0 / (_RECIP_SCALE * g))
+
+
+def _past_quotient(r):
+    """Whether a nonzero 1/Gamma r (or each entry of an array) is one the
+    complex quotient loses, with both parts below 2^-1024.  The quotient
+    keeps every 1/g whose denominator stays below the largest double, and
+    its larger part is then at least 2^-1024."""
+    return (r != 0) & (abs(r.real) < _QUOTIENT_FLOOR) & (abs(r.imag) < _QUOTIENT_FLOOR)
 
 
 def pochhammer(lam: complex, n: int) -> complex:
@@ -215,8 +237,14 @@ def beta(alpha, bta):
 
     Symmetric in its arguments by construction.  A pole of Gamma(a+b)
     alone yields 0 (the correct limit); poles of Gamma(a) or Gamma(b)
-    raise.  Where a Gamma of the product overflows but the Beta need not
-    (a + b past about 171), the value comes from a log-ratio form instead.
+    raise.  Where a Gamma of the product overflows but the Beta need not,
+    or 1/Gamma(a+b) is past the complex quotient's range (see ``rgamma``),
+    the value comes from a log-ratio form (both Re a, Re b >= 1/2, a + b
+    past about 171) or, with one argument left of 1/2, from reflecting
+    onto such a Beta (``_beta_reflected``).  Past the quotient's range
+    the product form carries Gamma's own error, up to 3.5e-13 at 150
+    random points with a + b near 171.5 + 3i, where the log-ratio form
+    keeps within 2e-14.
     """
     if ((isinstance(alpha, np.ndarray) and alpha.ndim)
             or (isinstance(bta, np.ndarray) and bta.ndim)):
@@ -226,8 +254,8 @@ def beta(alpha, bta):
         _raise_at_poles(bta, "beta pole in second argument")
         try:
             with np.errstate(all="ignore"):
-                out = gamma(alpha) * gamma(bta) * rgamma(alpha + bta)
-            bad = ~np.isfinite(out)
+                out = gamma(alpha) * gamma(bta) * (recip := rgamma(alpha + bta))
+            bad = ~np.isfinite(out) | _past_quotient(recip)
         except OverflowError:
             out = np.empty(alpha.shape, dtype=complex)
             bad = np.ones(alpha.shape, dtype=bool)
@@ -243,12 +271,35 @@ def beta(alpha, bta):
     if is_nonpositive_integer(bta):
         raise PoleError("beta pole in second argument", bta)
     try:
-        out = gamma(alpha) * gamma(bta) * rgamma(alpha + bta)
-        if cmath.isfinite(out):
+        out = gamma(alpha) * gamma(bta) * (recip := rgamma(alpha + bta))
+        if cmath.isfinite(out) and not _past_quotient(recip):
             return out
     except OverflowError:
         pass
+    if (1.0 - alpha - bta).real >= 0.5:
+        if alpha.real < 0.5 <= bta.real:
+            return _beta_reflected(alpha, bta)
+        if bta.real < 0.5 <= alpha.real:
+            return _beta_reflected(bta, alpha)
     return _beta_log_ratio(alpha, bta)
+
+
+def _sin_pi(z: complex) -> complex:
+    """sin(pi z), with the nearest integer to Re z taken out first so that
+    the argument stays small."""
+    n = round(z.real)
+    s = cmath.sin(math.pi * (z - n))
+    return -s if n % 2 else s
+
+
+def _beta_reflected(alpha: complex, bta: complex) -> complex:
+    """B(a, b) where a Gamma of the product form overflows, for Re a < 1/2
+    <= Re b and Re(1-a-b) >= 1/2, by reflecting Gamma(a) and Gamma(a+b):
+
+        B(a, b) = sin(pi (a+b)) / sin(pi a) * B(b, 1-a-b),
+
+    whose Beta has both arguments in the half-plane Re >= 1/2."""
+    return _sin_pi(alpha + bta) / _sin_pi(alpha) * beta(bta, 1.0 - alpha - bta)
 
 
 def _beta_log_ratio(alpha: complex, bta: complex) -> complex:

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import (
-    EvaluationMethod,
     ExtendedAppellInput,
     f1pv_bound,
     f1pv_bound_simple,
@@ -39,7 +38,7 @@ from .f1pv import (
 )
 from .hyper import AppellParams, block_double_sum
 from .meijer import K_G_IDENTITIES, verify_k_g_identity, verify_theorem1
-from .mellin import mellin_inverse_numeric, verify_mellin_pair
+from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .report import VerificationRecord, make_record
 from .scalar import beta
 
@@ -148,10 +147,14 @@ def _transform(i, rng, tol):
 def _mellin(i, rng, tol):
     inp = sample_input(rng)
     a, nu = inp.appell, inp.ext.nu
+    point = {k: v for k, v in _params_of(inp).items() if k != "p"}
     for ds in (0.6, 1.1, 2.0):
-        case_id = f"trial{i}-s={ds:g}"
-        yield case_id, {**_params_of(inp), "s_re": nu + ds}, _adopted(
-            case_id, lambda s=nu + ds: verify_mellin_pair(a, nu, s, tol or MELLIN_PAIR_TOL)
+        s = nu + ds
+        yield _compare(
+            "mellin", f"trial{i}-s={ds:g}", {**point, "s_re": s, "s_im": 0.0},
+            lambda s=s: mellin_forward_numeric(a, nu, s),
+            lambda s=s: mellin_forward_closed(a, nu, s),
+            tol or MELLIN_PAIR_TOL, "semi-infinite quadrature vs closed form",
         )
     yield _compare(
         "mellin", f"trial{i}-inverse", _params_of(inp),
@@ -185,7 +188,7 @@ def _diff(i, rng, tol):
     for m, n in ((1, 0), (0, 1), (1, 1), (2, 0)):
         yield _compare(
             "diff", f"trial{i}-d{m}{n}", {**_params_of(inp), "M": m, "N": n},
-            lambda m=m, n=n: f1pv_derivative(inp, m, n, EvaluationMethod(route="series")),
+            lambda m=m, n=n: f1pv_derivative(inp, m, n, "series"),
             lambda m=m, n=n: _finite_difference(inp, m, n),
             tol or DIFF_TOL, "parameter-shift derivative vs central differences",
         )

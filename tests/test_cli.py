@@ -206,7 +206,12 @@ def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     # the pair, at Im = 150, is about 1e-13 off, and M is 2.05e-13 off
     (["mellin_fwd", *_MELLIN, "s=3+300j"],
      5.801860113246656517942207e-202 - 4.352581293706428071609049e-202j, 3e-13),
-], ids=["meijer_g-degenerate", "mellin_fwd-large-s", "mellin_fwd-far-im-s"])
+    # 1/Gamma(c1+2s) is subnormal, and the complex quotient 1/Gamma loses it;
+    # mpmath at 40 digits
+    (["mellin_fwd", "b1=0.8", "b2=0.5", "b3=0.5", "c1=1.6", "x=0.1", "y=0.1", "nu=0.5",
+      "s=85-0.25j"], 1.412447771668406037e74 - 1.345536056838734725e74j, 1e-12),
+], ids=["meijer_g-degenerate", "mellin_fwd-large-s", "mellin_fwd-far-im-s",
+        "mellin_fwd-subnormal-reciprocal"])
 def test_eval_past_a_gamma_pole_or_overflow(capsys, argv, ref, tol):
     assert run(["eval", *argv]) == 0
     captured = capsys.readouterr()
@@ -216,6 +221,21 @@ def test_eval_past_a_gamma_pole_or_overflow(capsys, argv, ref, tol):
         assert im_part == 0.0
     if argv[0] == "meijer_g":  # the trace names both routes
         assert "slater-residue" in captured.err and "Bessel-K" in captured.err
+
+
+def test_f1pv_tol_is_the_quadrature_tolerance(capsys):
+    # the series stops its diagonal sum at tol/100, so --tol 1e-8 lands
+    # within 1e-8 of the default-tolerance value
+    point = ("eval", "f1pv", "b1=1.2", "b2=.5", "b3=-.7", "c1=3.1", "x=.85", "y=-.3",
+             "p=0.5", "nu=1")
+    values = []
+    for extra in ((), ("--tol", "1e-8")):
+        assert run([*point, *extra]) == 0
+        captured = capsys.readouterr()
+        values.append(complex(*map(float, captured.out.split())))
+        assert "route=series" in captured.err
+    assert "quadrature tol=1e-08" in captured.err
+    assert abs(values[1] - values[0]) <= 1e-8 * abs(values[0])
 
 
 def test_meijer_g_case_message_lists_the_shapes(capsys):

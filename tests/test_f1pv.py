@@ -8,7 +8,6 @@ from extappell import extbeta
 from extappell.errors import DomainError, PoleError
 from extappell.extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from extappell.f1pv import (
-    EvaluationMethod,
     ExtendedAppellInput,
     f1pv,
     f1pv_bound,
@@ -19,6 +18,7 @@ from extappell.f1pv import (
     f1pv_recursion_b3,
     f1pv_series,
     f1pv_transform,
+    route_for,
 )
 from extappell.hyper import AppellParams, appell_f1_series, block_double_sum
 from extappell.scalar import beta
@@ -262,11 +262,18 @@ def test_degenerate_prefactor_is_error():
 
 
 def test_auto_route_selection():
-    m = EvaluationMethod()
-    assert m.resolve(BASE) == "series"
+    assert route_for(BASE) == "series"
+    assert f1pv(BASE) == f1pv_series(BASE)
     wide = _inp(1.0, 1.0, 1.0, 3.0, 0.95, 0.1, 1.0, 0.5)
-    assert m.resolve(wide) == "integral"
+    assert route_for(wide) == "integral"
     assert abs(f1pv(wide) - f1pv_integral(wide)) == 0.0
+
+
+def test_unknown_route_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown route 'contour'"):
+        f1pv(BASE, "contour")
+    with pytest.raises(DomainError, match="unknown route"):
+        f1pv_derivative(BASE, 1, 0, "Series")
 
 
 def test_integral_route_at_steep_complex_p():

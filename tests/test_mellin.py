@@ -9,15 +9,17 @@ from extappell.extbeta import ExtensionParams, extended_beta
 from extappell.f1pv import ExtendedAppellInput, f1pv_integral, f1pv_series
 from extappell.hyper import AppellParams, appell_f1_series
 from extappell.mellin import (
+    _P_DEAD,
     _P_LIMIT_FORM,
     _inversion_integrand,
-    _RadialEvaluator,
+    _limit_coefficient,
+    _radial,
     check_mellin_point,
     mellin_forward_closed,
     mellin_forward_numeric,
     mellin_inverse_numeric,
-    verify_mellin_pair,
 )
+from extappell.quadrature import _semi_level
 from extappell.scalar import beta, gamma
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
@@ -45,9 +47,9 @@ def test_mellin_point_constraints():
 
 
 def test_forward_pair_generic():
-    rec = verify_mellin_pair(AP, 0.5, 1.5)
-    assert rec.status == "pass"
-    assert rec.rel_err <= 1e-6
+    num = mellin_forward_numeric(AP, 0.5, 1.5)
+    clo = mellin_forward_closed(AP, 0.5, 1.5)
+    assert abs(num - clo) <= 1e-6 * (1.0 + max(abs(num), abs(clo)))
 
 
 def test_forward_pair_origin_case():
@@ -130,15 +132,20 @@ def test_forward_closed_matches_frozen_reference():
 
 @pytest.mark.parametrize("nu", sorted(LIMIT_BASE))
 def test_limit_coefficient_matches_frozen_reference(nu):
-    val = _RadialEvaluator(BASE, nu, 1e-10)._limit_coefficient()
+    val = _limit_coefficient(BASE, nu)
     assert abs(val - LIMIT_BASE[nu]) <= 1e-14 * LIMIT_BASE[nu]
+
+
+def test_exp_sinh_level_0_reaches_the_limit_form():
+    # the forward integrand takes the limit coefficient up front because
+    # its first call, which holds level 0, always has p below the limit form
+    assert _semi_level(0)[0].min() < _P_LIMIT_FORM
 
 
 def test_batched_radial_values_match_per_p_integral():
     for nu in (0.7, 1.0):  # generic and half-odd kernel orders
-        radial = _RadialEvaluator(BASE, nu, 1e-9)
-        ps = np.array([1.5 * _P_LIMIT_FORM, 1e-6, 0.3, 1.0, radial.p_dead * (1.0 - 1e-9)])
-        batch = radial.weighted(ps, 1.0)  # p^0 F, every p in one batch
+        ps = np.array([1.5 * _P_LIMIT_FORM, 1e-6, 0.3, 1.0, _P_DEAD * (1.0 - 1e-9)])
+        batch = _radial(BASE, nu, 1.0)(ps)  # p^0 F, every p in one batch
         for p, val in zip(ps, batch):
             ref = f1pv_integral(ExtendedAppellInput(BASE, ExtensionParams(p, nu)), 1e-9)
             assert abs(val - ref) <= 1e-10 * abs(ref)
@@ -201,5 +208,5 @@ def test_forward_closed_and_limit_take_the_scalar_sum(monkeypatch):
 
     monkeypatch.setattr(hyper, "_row_sums", refuse)
     assert abs(mellin_forward_closed(BASE, 0.7, 2.7) - FORWARD_BASE_27) <= 1e-14 * FORWARD_BASE_27
-    val = _RadialEvaluator(BASE, 0.7, 1e-10)._limit_coefficient()
+    val = _limit_coefficient(BASE, 0.7)
     assert abs(val - LIMIT_BASE[0.7]) <= 1e-14 * LIMIT_BASE[0.7]

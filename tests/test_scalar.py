@@ -223,8 +223,10 @@ def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
             for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
                 assert abs(value - ref) <= 1e-13 * ref, (a, b)
         # B(1e-310, 2) = 1e310 really overflows; the log-ratio form covers
-        # Re a, Re b >= 1/2 only, and loses digits like eps (|a| + |b|)
-        for a, b in ((1e-310, 2.0), (-200.5, 1.0), (complex(0.25, 300.0), 1.0), (1e300, 1.0)):
+        # Re a, Re b >= 1/2 only, and loses digits like eps (|a| + |b|); the
+        # reflection onto it needs Re(1-a-b) >= 1/2 and the other argument
+        # right of 1/2
+        for a, b in ((1e-310, 2.0), (-171.3, 0.25), (complex(0.25, 300.0), 1.0), (1e300, 1.0)):
             with pytest.raises(OverflowError):
                 beta(np.array([2.0, a]), np.array([2.0, b]))
             with pytest.raises(OverflowError):
@@ -232,6 +234,38 @@ def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
     # the scalar path raises there too
     with pytest.raises(OverflowError):
         rgamma(complex(3.0, 500.0))
+
+
+def test_rgamma_keeps_a_subnormal_reciprocal():
+    # Gamma(171.6-0.5i) ~ 1.6e308 overflows the denominator of the complex
+    # quotient 1/Gamma, which came out 0
+    z = complex(171.6, -0.5)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.rgamma(mpmath.mpc(z)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (rgamma(z), rgamma(np.array([2.0, z]))[1]):
+            assert value != 0 and abs(value - ref) <= 2e-13 * abs(ref)
+
+
+def test_beta_past_the_reciprocal_quotient():
+    # 1/Gamma(171.6-0.5i) is past the quotient's range: the log-ratio form
+    # answers, where the product form carries Gamma's error (1.05e-13 here)
+    a, b = 1.3, complex(170.3, -0.5)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.beta(a, mpmath.mpc(b)))
+    for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b", [(-200.5, 1.0), (1.0, -200.5), (-180.25, 0.5),
+                                  (-175.1, 0.9), (-300.3, 2.2)])
+def test_beta_left_of_one_half_reflects_past_gamma_overflow(a, b):
+    # B(a, b) = sin(pi (a+b)) / sin(pi a) * B(b, 1-a-b) once Gamma(a) overflows
+    with mpmath.workdps(30):
+        ref = float(mpmath.beta(a, b))
+    for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+        assert abs(value - ref) <= 2e-13 * abs(ref)
 
 
 def test_scalar_values_are_pinned_bit_for_bit():

@@ -162,3 +162,24 @@ def test_no_private_imports():
     found = {path.name: _private_imports(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _converged_reads(source: str) -> list[str]:
+    """Lines that read a ``.converged`` flag: callers that need a settled
+    value take it from ``QuadratureResult.converged_value``, the one check."""
+    return [f"{node.lineno}: .converged"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "converged"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_converged_read_scan():
+    source = ("res = f()\nif not res.converged:\n    pass\nv = res.converged_value('x')\n"
+              "converged = True\n")
+    assert _converged_reads(source) == ["2: .converged"]
+
+
+def test_no_converged_reads_outside_quadrature():
+    found = {path.name: _converged_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "quadrature.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
