@@ -11,7 +11,7 @@ Meijer-G identities they satisfy.
 """
 
 from .bessel import BesselOrder, bessel_k, bessel_k_scaled, bessel_k_upper_bound
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DegenerateIdentity, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import (
     ROUTES,

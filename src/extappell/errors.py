@@ -22,5 +22,9 @@ class PoleError(DomainError):
         self.value = value
 
 
+class DegenerateIdentity(DomainError):
+    """An identity that checks nothing here (0 = 0, or colliding pole families)."""
+
+
 class ConvergenceError(RuntimeError):
     """A series or quadrature failed to converge within its budget."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extappell.bessel import bessel_k, bessel_k_scaled
-from extappell.errors import ConvergenceError, DomainError
+from extappell.errors import ConvergenceError, DegenerateIdentity, DomainError
 from extappell.extbeta import ExtensionParams
 from extappell.f1pv import ExtendedAppellInput, f1pv_integral
 from extappell.hyper import AppellParams
@@ -15,6 +15,7 @@ from extappell.meijer import (
     THEOREM1_FORMS,
     _exp_scale,
     _identity_spec,
+    _residue_safe,
     meijer_g,
     verify_k_g_identity,
     verify_theorem1,
@@ -75,9 +76,14 @@ DEGENERATE_REFS = {
 def test_degenerate_spacing_takes_the_k_form():
     for (case, alpha, beta, z), ref in DEGENERATE_REFS.items():
         spec = GSpec(case, alpha, beta, z)
+        assert not _residue_safe(spec)
         assert abs(meijer_g(spec) - ref) <= 1e-13 * abs(ref), (case, beta)
-        with pytest.raises(ConvergenceError):
-            meijer_g(spec, allow_fallback=False)
+    # the K-G checks whose G sides these are check nothing: identity 1.9 at
+    # nu = 1 (mu = 0, 1) and 1.7 at nu = 1/2 collide the pole families
+    for which, nu, z, mu in (("1.9", 1.0, 1.0, 0.0), ("1.9", 1.0, 2.0 * math.sqrt(2.0), 1.0),
+                             ("1.7", 0.5, 0.5, 0.0)):
+        with pytest.raises(DegenerateIdentity, match="degenerate beta spacing"):
+            verify_k_g_identity(which, nu, z, mu)
 
 
 def test_degenerate_spacing_without_an_identity_raises():
@@ -135,8 +141,10 @@ def test_large_argument_fallback():
     via_fallback = meijer_g(spec)
     ref = 2.0 * bessel_k(nu, w)
     assert abs(via_fallback - ref) <= 1e-10 * abs(ref)
+    # the K-G check takes the residue route only, so there it raises
+    assert _identity_spec("1.9", nu, w, 0.0)[0] == spec
     with pytest.raises(ConvergenceError):
-        meijer_g(spec, allow_fallback=False)
+        verify_k_g_identity("1.9", nu, w, 0.0)
     # G2012 with alpha != 1/2 matches no identity: fail loudly
     with pytest.raises(ConvergenceError):
         meijer_g(GSpec("G2012", (0.9,), (0.3, -0.3), 80.0))
@@ -145,37 +153,40 @@ def test_large_argument_fallback():
 def test_identity_grid():
     for nu in (0.25, 0.3, 0.75, 1.2):
         for z in (0.5, 1.0, 2.0):
+            k = bessel_k(nu, z)
             for which in K_G_IDENTITIES:
-                rec = verify_k_g_identity(which, nu, z, 0.4)
-                assert rec.status == "pass", (which, nu, z, rec.rel_err)
-                assert rec.rel_err <= 1e-7
+                side = verify_k_g_identity(which, nu, z, 0.4)
+                assert abs(side - k) <= 1e-7 * abs(k), (which, nu, z)
 
 
 def test_identity_degenerate_skips():
-    rec = verify_k_g_identity("1.8", 0.5, 1.0)
-    assert rec.status == "skipped" and "cos(pi nu)" in rec.skip_reason
-    rec = verify_k_g_identity("1.10", 1.5, 1.0, 0.3)
-    assert rec.status == "skipped"
-    rec = verify_k_g_identity("1.7", 1.0, 0.8)  # 2nu integer
-    assert rec.status == "skipped" and "degenerate" in rec.skip_reason
-    with pytest.raises(DomainError):
+    with pytest.raises(DegenerateIdentity, match=r"^cos\(pi nu\)=0 degeneracy$"):
+        verify_k_g_identity("1.8", 0.5, 1.0)
+    with pytest.raises(DegenerateIdentity, match=r"^cos\(pi nu\)=0 degeneracy$"):
+        verify_k_g_identity("1.10", 1.5, 1.0, 0.3)
+    with pytest.raises(DegenerateIdentity,
+                       match=r"^degenerate beta spacing \(integer order distance\)$"):
+        verify_k_g_identity("1.7", 1.0, 0.8)  # 2nu integer
+    with pytest.raises(DomainError, match="unknown identity"):
         verify_k_g_identity("1.12", 0.3, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="real z > 0"):
         verify_k_g_identity("1.7", 0.3, -1.0)
+
+
+def _theorem1_error(which, inp, mu):
+    f = f1pv_integral(inp)
+    return abs(verify_theorem1(which, inp, mu) - f) / abs(f)
 
 
 def test_theorem1_forms_pass():
     for which in THEOREM1_FORMS:
-        rec = verify_theorem1(which, BASE, 0.0)
-        assert rec.status == "pass", (which, rec.rel_err)
-        assert rec.rel_err <= 1e-8
+        assert _theorem1_error(which, BASE, 0.0) <= 1e-8, which
 
 
 def test_theorem1_mu_independence():
     for which in ("2.5", "2.6", "2.7"):
         for mu in (-0.5, 0.0, 0.7, 1.3):
-            rec = verify_theorem1(which, BASE, mu)
-            assert rec.status == "pass", (which, mu, rec.rel_err)
+            assert _theorem1_error(which, BASE, mu) <= 1e-8, (which, mu)
 
 
 def test_theorem1_origin_reduction():
@@ -183,14 +194,14 @@ def test_theorem1_origin_reduction():
     inp = ExtendedAppellInput(AppellParams(1.2, 0.7, -0.4, 2.9, 0.0, 0.0),
                               ExtensionParams(1.5, 0.8))
     for which in THEOREM1_FORMS:
-        rec = verify_theorem1(which, inp, 0.6)
-        assert rec.status == "pass"
+        assert _theorem1_error(which, inp, 0.6) <= 1e-8, which
 
 
 def test_theorem1_integer_nu_skips():
     # cos(pi(nu+1/2)) = 0 at integer nu for the two G2112 forms
     inp = ExtendedAppellInput(AppellParams(1, 1, 1, 3, 0.3, 0.4),
                               ExtensionParams(1.0, 1.0))
-    assert verify_theorem1("2.4", inp, 0.0).status == "skipped"
-    assert verify_theorem1("2.6", inp, 0.3).status == "skipped"
-    assert verify_theorem1("2.3", inp, 0.0).status == "pass"
+    for which, mu in (("2.4", 0.0), ("2.6", 0.3)):
+        with pytest.raises(DegenerateIdentity, match=r"^cos\(pi \(nu\+1/2\)\)=0 degeneracy$"):
+            verify_theorem1(which, inp, mu)
+    assert _theorem1_error("2.3", inp, 0.0) <= 1e-8

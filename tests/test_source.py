@@ -183,3 +183,28 @@ def test_no_converged_reads_outside_quadrature():
     found = {path.name: _converged_reads(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "quadrature.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_RECORD_BUILDERS = ("VerificationRecord", "make_record")
+
+
+def _record_builds(source: str) -> list[str]:
+    """Lines that construct a ``VerificationRecord`` or call ``make_record``:
+    a module computes the sides of a check, and ``suites`` judges it."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    names = [(call.lineno, call.func.id if isinstance(call.func, ast.Name)
+              else getattr(call.func, "attr", None)) for call in calls]
+    return [f"{line}: {name}" for line, name in names if name in _RECORD_BUILDERS]
+
+
+def test_record_build_scan():
+    source = ("from .report import make_record\nrec = make_record('s', 'c', {}, 1, 1, 0.1, 'm')\n"
+              "r = report.VerificationRecord(*fields)\nkind = VerificationRecord\n")
+    assert _record_builds(source) == ["2: make_record", "3: VerificationRecord"]
+
+
+def test_records_are_built_only_by_suites_and_report():
+    found = {path.name: _record_builds(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("suites.py", "report.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

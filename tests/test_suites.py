@@ -3,7 +3,8 @@ import re
 import pytest
 
 from extappell import suites
-from extappell.suites import SUITES, _checks, _guarded, run_suite
+from extappell.errors import DegenerateIdentity
+from extappell.suites import SUITES, _checks, _compare, _guarded, run_suite
 
 TOL = 1e-12  # below some mellin and diff errors, so re-judging turns those to fail
 
@@ -26,6 +27,31 @@ def test_error_record_names_the_check_that_raised(monkeypatch):
     ]
     assert all(r.method == "error: ArithmeticError: broken transform" for r in records)
     assert {"b1", "c1", "p", "nu"} <= set(records[0].params)
+
+
+def test_a_degenerate_side_files_the_check_as_skipped():
+    def degenerate():
+        raise DegenerateIdentity("cos(pi nu)=0 degeneracy")
+
+    for lhs, rhs in ((degenerate, lambda: 1.0), (lambda: 1.0, degenerate)):
+        case_id, params, check = _compare("meijer", "c", {"nu": 0.5}, lhs, rhs, 1e-7, "m")
+        rec = _guarded("meijer", case_id, params, check)
+        assert (rec.status, rec.skip_reason) == ("skipped", "cos(pi nu)=0 degeneracy")
+        assert (rec.tol, rec.method, rec.params) == (1e-7, "m", {"nu": 0.5})
+
+
+def test_a_meijer_trial_evaluates_f_once(monkeypatch):
+    original, calls = suites.f1pv_integral, []
+
+    def counted(inp):
+        calls.append(inp)
+        return original(inp)
+
+    monkeypatch.setattr(suites, "f1pv_integral", counted)
+    records = run_suite("meijer", 2, 3)
+    theorem1 = [r for r in records if r.method == "g-to-k-rewrite"]
+    assert len(theorem1) == 28 and {r.status for r in theorem1} <= {"pass", "skipped"}
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 @pytest.mark.parametrize("suite", SUITES)
