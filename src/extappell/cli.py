@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failures, 2 domain error,
 3 convergence failure (a value that overflows or comes out non-finite
-counts as one, and so does a kernel integral that underflows to 0), 64
+counts as one, and so does a kernel integral, K_nu or G that underflows
+to 0), 64
 usage error (from argument parsing: settings are command-line options,
 never environment variables).  Values print as "re im" on stdout with a
 one-line method trace on stderr; a failure prints one line on stderr and
@@ -35,8 +36,10 @@ _EVAL_FNS = (
 )
 
 # B_{p,nu}, the Chaudhry Beta and F_{1,p,nu} decay like exp(-4 Re p) as p
-# grows but are never exactly 0: a 0 from one of them is an underflow
-_KERNEL_INTEGRALS = ("beta_pv", "chaudhry_beta", "f1pv")
+# grows but are never exactly 0, and K_nu has no zeros for |arg z| <= pi/2
+# (DLMF 10.42); meijer_g's 0 is the K route's K_nu or underflowed residue
+# terms.  So a 0 from one of them is an underflow
+_NO_ZEROS = ("beta_pv", "chaudhry_beta", "f1pv", "bessel_k", "meijer_g")
 
 _REQUIRED = {
     "beta_pv": ("x", "y", "p", "nu"),
@@ -220,7 +223,7 @@ def _cmd_eval(args) -> int:
     value = complex(value)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"{fn} evaluated to a non-finite value ({value})")
-    if value == 0 and fn in _KERNEL_INTEGRALS:
+    if value == 0 and fn in _NO_ZEROS:
         raise ConvergenceError(f"{fn} underflows double precision (evaluated to 0)")
     print(f"{value.real:.17g} {value.imag:.17g}")
     print(trace, file=sys.stderr)

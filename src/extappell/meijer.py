@@ -188,6 +188,16 @@ def meijer_g(spec: GSpec) -> complex:
 K_G_IDENTITIES = ("1.7", "1.8", "1.9", "1.10", "1.11")
 
 
+def _inverse_power(z: complex, mu: complex) -> complex:
+    """z^-mu.  At a complex z and an integer mu, Python divides 1 by z^mu,
+    which raises ``ZeroDivisionError`` where z^mu underflows; that is an
+    overflow of z^-mu, raised as the real power raises it."""
+    try:
+        return z ** (-mu)
+    except ZeroDivisionError:
+        raise OverflowError(f"K identity factor z^-mu overflows at z = {z}, mu = {mu}") from None
+
+
 def _identity_spec(which: str, nu: float, z: complex, mu: complex):
     """GSpec plus the prefactor mapping G to K_nu(z) for one identity.
 
@@ -206,13 +216,13 @@ def _identity_spec(which: str, nu: float, z: complex, mu: complex):
         return spec, cos_pi_nu / math.sqrt(math.pi) * cmath.exp(-z)
     if which == "1.9":
         spec = GSpec("G2002", (), ((mu + nu) / 2.0, (mu - nu) / 2.0), z * z / 4.0)
-        return spec, z ** (-mu) * 2.0 ** (mu - 1.0)
+        return spec, _inverse_power(z, mu) * 2.0 ** (mu - 1.0)
     if which == "1.10":
         # e^{-z}: the e^{+z} variant fails numerically by a factor e^{2z}
         spec = GSpec("G2112", (mu + half,), (mu + nu, mu - nu), 2.0 * z)
         return spec, (
             cos_pi_nu
-            * (2.0 * z) ** (-mu)
+            * _inverse_power(2.0 * z, mu)
             * cmath.exp(-z)
             / math.sqrt(math.pi)
         )
@@ -223,7 +233,7 @@ def _identity_spec(which: str, nu: float, z: complex, mu: complex):
             ((mu + nu) / 4.0, (2 + mu + nu) / 4.0, (mu - nu) / 4.0, (2 + mu - nu) / 4.0),
             z**4 / 256.0,
         )
-        return spec, z ** (-mu) * 4.0 ** (mu - 1.0) / math.pi
+        return spec, _inverse_power(z, mu) * 4.0 ** (mu - 1.0) / math.pi
     raise DomainError(f"unknown identity {which!r}; expected one of {K_G_IDENTITIES}")
 
 

@@ -1,7 +1,9 @@
 """Verification records and machine-readable reports.
 
 A ``VerificationRecord`` captures one identity check: the two sides, the
-errors, the tolerance verdict and method metadata.  Reports are JSON: a
+errors, the tolerance verdict and method metadata.  ``suites`` is the one
+module that builds records, through ``make_record``; the modules whose
+identities it checks return values, never records.  Reports are JSON: a
 single top-level array with one object per record, field names matching
 the dataclass, plus an ``elapsed_ms`` key that is always 0.0 (it is not
 a record field; no time enters a report, so identical (suite, trials,

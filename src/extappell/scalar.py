@@ -106,7 +106,7 @@ def gamma(z):
         raise PoleError("gamma pole at non-positive integer", z)
     if z.real < 0.5:
         # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (_sin_pi(z) * gamma(1.0 - z))
     t = z + _LANCZOS_SHIFT
     power = (z + 0.5) * cmath.log(t) - t
     try:
@@ -141,7 +141,9 @@ def _gamma_array(z: np.ndarray):
         big = ~np.isfinite(out)
         if big.any():
             out[big] = _split_power_form(power[big], w[big], np.exp)
-        sine = np.sin(math.pi * z[left])
+        # sin(pi z) as _sin_pi takes it, with n = round(Re z) taken out first
+        n = np.round(z[left].real)
+        sine = np.sin(math.pi * (z[left] - n)) * (1.0 - 2.0 * (n % 2))
         # where cmath.exp or cmath.sin would raise, numpy returns inf
         overflow = ~np.isfinite(out)
         overflow[left] |= ~np.isfinite(sine)
@@ -161,7 +163,7 @@ def log_gamma(z: complex) -> complex:
     if is_nonpositive_integer(z):
         raise PoleError("log_gamma pole at non-positive integer", z)
     if z.real < 0.5:
-        return cmath.log(math.pi) - cmath.log(cmath.sin(math.pi * z)) - log_gamma(1.0 - z)
+        return cmath.log(math.pi) - cmath.log(_sin_pi(z)) - log_gamma(1.0 - z)
     t = z + _LANCZOS_SHIFT
     return (
         math.log(_SQRT_TWO_PI)

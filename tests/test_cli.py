@@ -188,8 +188,16 @@ _MELLIN = ("b1=1", "b2=1", "b3=1", "c1=3", "x=0.1", "y=0", "nu=0.5")
     (["eval", "meijer_g", "case=G4004", "b1=1", "b2=2", "b3=3", "b4=4", "z=0.5"], 3),
     (["verify", "routes", "--trials", "1", "--seed", "-1"], 64),
     (["eval", "bessel_k", "nu=1.5", "z=1e-320"], 3),  # K_{3/2} ~ z^-1.5 overflows
+    # the K route's factor z^-mu overflows; mpmath gives 1.0e-300 and 3.3234e-300
+    (["eval", "meijer_g", "case=G2002", "b1=2", "b2=1", "z=1e-300"], 3),
+    (["eval", "meijer_g", "case=G4004", "b1=1", "b2=2", "b3=3", "b4=4.5", "z=1e-300"], 3),
+    # K_nu and the G values underflow to 0: mpmath gives 1.6e-349 and 2.8e-386
+    (["eval", "bessel_k", "nu=0.3", "z=800"], 3),
+    (["eval", "meijer_g", "case=G2002", "b1=1", "b2=0.5", "z=2e5"], 3),
+    (["eval", "meijer_g", "case=G4004", "b1=0.1", "b2=0.6", "b3=-0.1", "b4=0.4", "z=1e11"], 3),
 ], ids=["mellin_fwd-s", "mellin_fwd-im-s", "mellin_fwd-far-im-s", "mellin_inv-c", "meijer_g-z",
-         "meijer_g-degenerate", "seed", "bessel-z"])
+         "meijer_g-degenerate", "seed", "bessel-z", "meijer_g-tiny-z", "meijer_g-tiny-z-no-match",
+         "bessel-underflow", "meijer_g-underflow", "meijer_g-g4004-underflow"])
 def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     proc = _cli(*argv)
     assert proc.returncode == code
@@ -334,10 +342,15 @@ def test_huge_half_odd_order_exit_3_fast(capsys, nu):
 
 
 def test_large_half_odd_order_underflows_to_zero(capsys):
-    # K_{200.5}(1000) ~ 1e-427 is below the smallest double; the scaled
-    # value is checked against mpmath in test_bessel
-    assert run(["eval", "bessel_k", "nu=200.5", "z=1000"]) == 0
-    assert capsys.readouterr().out == "0 0\n"
+    # K_{200.5}(1000) ~ 1e-427 is below the smallest double, so bessel_k
+    # returns 0, which K_nu never is: the CLI reports the underflow, not
+    # "0 0".  The scaled value is checked against mpmath in test_bessel
+    from extappell.bessel import bessel_k
+
+    assert bessel_k(200.5, 1000.0) == 0
+    assert run(["eval", "bessel_k", "nu=200.5", "z=1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "underflows" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

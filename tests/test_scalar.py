@@ -49,6 +49,16 @@ def test_gamma_reflection_property():
         assert abs(gamma(z) * gamma(1.0 - z) - target) <= 1e-11 * abs(target)
 
 
+# next to a negative integer, sin(pi z) of the unreduced z kept the rounding
+# of pi z: Gamma(-3.0000001) was 1.6e-9 off and Gamma(-3 + 1e-10 i) 1.2e-6
+@pytest.mark.parametrize("z", [-3.0000001, -20.001, complex(-5, 1e-6), complex(-3, 1e-10)])
+def test_gamma_next_to_a_negative_integer_matches_mpmath(z):
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(mpmath.mpc(z)))
+    for value in (gamma(z), gamma(np.array([z, 2.5]))[0], cmath.exp(log_gamma(z))):
+        assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
 def test_gamma_pole_error_carries_value():
     with pytest.raises(PoleError) as err:
         gamma(-3.0)
