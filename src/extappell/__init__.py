@@ -10,6 +10,8 @@ for the transformation, Mellin, differentiation, recursion, bound and
 Meijer-G identities they satisfy.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bessel import BesselOrder, bessel_k, bessel_k_scaled, bessel_k_upper_bound
 from .errors import ConvergenceError, DegenerateIdentity, DomainError, PoleError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
@@ -42,4 +44,6 @@ from .suites import SUITES, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules those imports bind
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

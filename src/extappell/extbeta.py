@@ -22,11 +22,12 @@ function, an exact reference for every value (``tests/test_reference_g.py``):
                      y/2, (y+1)/2),      sigma = (x+y)/4.
 
 The Bessel kernel suppresses both endpoints faster than any power, so x
-and y are unrestricted.  Integrands are evaluated in one fused log-domain
-expression with the exponential part of K folded in (the scaled Bessel
-variant), and are treated as exactly zero once the governing exponent
-drops below ``quadrature.ENDPOINT_CUTOFF``; the kernel is evaluated only
-at the other nodes, and keeps no values between calls.
+and y are unrestricted.  Every integrand over (0, 1) in the package, the
+Chaudhry kernel's and ``hyper``'s F1 Euler integral's too, comes from
+``euler_integrand``: one fused log-domain exponent, with the exponential
+part of K folded in (the scaled Bessel variant), and exactly zero once
+that exponent drops below -``quadrature.ENDPOINT_CUTOFF``; the kernel is
+evaluated only at the other nodes, and keeps no values between calls.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
@@ -98,9 +99,7 @@ class ExtendedBetaKernel:
     def __init__(self, ext: ExtensionParams):
         self.ext = ext
         batch = isinstance(ext.p, np.ndarray)  # real by construction
-        self._p_is_real = batch or ext.p.imag == 0.0
-        p = ext.p.real if self._p_is_real else ext.p
-        self._p = p[:, None] if batch else p
+        self._p = ext.p[:, None] if batch else _real_or_complex(ext.p)[0]
 
     def argument(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         return self._p / (t * tc)
@@ -110,41 +109,60 @@ class ExtendedBetaKernel:
         return bessel_k_scaled_many(self.ext.order, w)
 
 
-def _fused_kernel_integrand(xt: complex, yt: complex, kernel: ExtendedBetaKernel,
-                            extra=None):
-    """Integrand t^xt (1-t)^yt [extra(t, tc)] K_{nu+1/2}(w), w = p/(t(1-t)).
+def _real_or_complex(*values):
+    """``values`` as floats when every one is real, else as complexes."""
+    values = [complex(v) for v in values]
+    if all(v.imag == 0.0 for v in values):
+        return [v.real for v in values]
+    return values
 
-    ``extra`` may add further log-domain terms (the Appell power factors);
-    it receives (t, tc) and returns an array added to the exponent.  For
-    a batch of p the values have the shape of w, one row per p.  The
-    kernel is evaluated only at the live nodes, where the exponent is
-    above -``ENDPOINT_CUTOFF``; the others are exactly zero.  When every
-    node is live the kernel takes w whole (a matrix for a batch of p),
-    with no zero-fill and no selects; the values are the same bits.
+
+def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None):
+    """Integrand t^xt (1-t)^yt exp(extra(t, tc)) [K_{nu+1/2}(w)], w = p/(t(1-t)).
+
+    The exponent xt log t + yt log(1-t) [- w] [+ ``extra(t, tc)``] is
+    formed first; a kernel adds -w and multiplies by e^w K_{nu+1/2}(w),
+    and for a batch of p the values have the shape of w, one row per p.
+    Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
+    zero, and the kernel is evaluated only at the others.  When every
+    node is live the arrays are taken whole, with no zero-fill and no
+    selects; the values are the same bits.
     """
     def integrand(t, tc):
-        w = kernel.argument(t, tc)
-        expo = xt * np.log(t) + yt * np.log(tc) - w
+        expo = xt * np.log(t) + yt * np.log(tc)
+        if kernel is not None:
+            w = kernel.argument(t, tc)
+            expo = expo - w
         if extra is not None:
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
         live = re > -ENDPOINT_CUTOFF
+
+        def values(nodes):
+            v = np.exp(expo[nodes])
+            return v if kernel is None else v * kernel.scaled_values(w[nodes])
+
         if live.all():
-            return np.exp(expo) * kernel.scaled_values(w)
+            return values(...)  # every node, the arrays whole
         out = np.zeros(expo.shape, dtype=expo.dtype)
         if live.any():
-            out[live] = np.exp(expo[live]) * kernel.scaled_values(w[live])
+            out[live] = values(live)
         return out
 
     return integrand
 
 
-def _exponents(x: complex, y: complex, kernel: ExtendedBetaKernel):
-    """Powers x - 3/2 and y - 3/2 of t and 1-t; real when x, y and p are."""
-    x, y = complex(x), complex(y)
-    if x.imag == 0.0 and y.imag == 0.0 and kernel._p_is_real:
-        return x.real - 1.5, y.real - 1.5
-    return x - 1.5, y - 1.5
+def appell_powers(b2, b3, x, y):
+    """log (1-xt)^(-b2) (1-yt)^(-b3), an ``extra`` of ``euler_integrand``."""
+    return lambda t, tc: -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
+
+
+def _exponents(x: complex, y: complex, kernel: ExtendedBetaKernel, *more):
+    """Powers x - 3/2 and y - 3/2 of t and 1-t, then ``more``: all real
+    when x, y, p and ``more`` are, else all complex."""
+    p = 0.0 if isinstance(kernel._p, np.ndarray) else kernel._p  # a batch is real
+    x, y, _, *more = _real_or_complex(x, y, p, *more)
+    return (x - 1.5, y - 1.5, *more)
 
 
 def extended_beta(
@@ -162,7 +180,7 @@ def extended_beta(
     """
     kernel = ExtendedBetaKernel(ext)
     xt, yt = _exponents(x, y, kernel)
-    res = integrate_unit_interval(_fused_kernel_integrand(xt, yt, kernel), tol)
+    res = integrate_unit_interval(euler_integrand(xt, yt, kernel), tol)
     return cmath.sqrt(2.0 * ext.p / cmath.pi) * complex(
         res.converged_value("extended Beta quadrature"))
 
@@ -170,25 +188,13 @@ def extended_beta(
 def chaudhry_beta(
     x: complex, y: complex, p: complex, tol: float = DEFAULT_TOL
 ) -> complex:
-    """The p-extension B(x, y; p) with kernel exp(-p/(t(1-t))), Re(p) > 0."""
-    p = complex(p)
+    """The p-extension B(x, y; p) with kernel exp(-p/(t(1-t))), Re(p) > 0
+    (Chaudhry, Qadir, Rafique & Zubair, J. Comput. Appl. Math. 78, 1997):
+    the Euler integrand with no Bessel kernel and -p/(t(1-t)) as ``extra``."""
+    x, y, p = _real_or_complex(x, y, p)
     if not p.real > 0.0:
-        raise DomainError(f"needs Re(p) > 0, got p = {p}")
-    x, y = complex(x), complex(y)
-    real_case = x.imag == 0.0 and y.imag == 0.0 and p.imag == 0.0
-    if real_case:
-        xt, yt, pv = x.real - 1.0, y.real - 1.0, p.real
-    else:
-        xt, yt, pv = x - 1.0, y - 1.0, p
-
-    def integrand(t, tc):
-        expo = xt * np.log(t) + yt * np.log(tc) - pv / (t * tc)
-        re = expo.real if np.iscomplexobj(expo) else expo
-        live = re > -ENDPOINT_CUTOFF
-        out = np.zeros(t.shape, dtype=expo.dtype if np.iscomplexobj(expo) else float)
-        out[live] = np.exp(expo[live])
-        return out
-
+        raise DomainError(f"needs Re(p) > 0, got p = {complex(p)}")
+    integrand = euler_integrand(x - 1.0, y - 1.0, extra=lambda t, tc: -p / (t * tc))
     res = integrate_unit_interval(integrand, tol)
     return complex(res.converged_value("Chaudhry Beta quadrature"))
 
@@ -241,7 +247,7 @@ class ExtendedBetaFamily:
 
     def _integrate(self, rows: int) -> None:
         xt, yt = _exponents(self.a, self.b, self.kernel)
-        g = _fused_kernel_integrand(xt, yt, self.kernel)
+        g = euler_integrand(xt, yt, self.kernel)
 
         def moments(t, tc):
             # row k is g t^k
@@ -264,21 +270,17 @@ class ExtendedBetaFamily:
         F_{1,p,nu}(a, b2, b3; a+b; x, y); the w power is the w^mu of the
         Meijer-G forms.  An array, one value per p, for a batch of p.
         """
-        xt, yt = _exponents(self.a, self.b, self.kernel)
-        powers = [complex(v) for v in (b2, b3, x, y, w_power)]
-        if isinstance(xt, float) and all(v.imag == 0.0 for v in powers):
-            powers = [v.real for v in powers]
-        b2, b3, x, y, w_power = powers
+        xt, yt, b2, b3, x, y, w_power = _exponents(
+            self.a, self.b, self.kernel, b2, b3, x, y, w_power)
+        powers = appell_powers(b2, b3, x, y)
 
-        def power_terms(t, tc):
-            terms = -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
+        def extra(t, tc):
+            terms = powers(t, tc)
             if w_power:
                 terms = terms + w_power * np.log(self.kernel.argument(t, tc))
             return terms
 
-        res = integrate_unit_interval(
-            _fused_kernel_integrand(xt, yt, self.kernel, power_terms), self.tol
-        )
+        res = integrate_unit_interval(euler_integrand(xt, yt, self.kernel, extra), self.tol)
         value = res.converged_value("extended Appell integral")
         value = value if np.ndim(value) else complex(value)
         return prefactor * self._scale() * value

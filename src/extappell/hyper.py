@@ -10,23 +10,26 @@ tolerance (guards against accidental zeros when parameters make
 individual terms vanish), within ``MAX_TERMS`` = 4000 diagonals.  A diagonal
 factor may carry one row per parameter set, as the Mellin contour's
 (b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops where its
-own scalar sum would.
+own scalar sum would.  The pFq series stops by the same rule, in the
+same loop ``_scalar_sum`` as a scalar diagonal sum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
+from .extbeta import appell_powers, euler_integrand
 from .quadrature import DEFAULT_TOL, integrate_unit_interval
 from .scalar import gamma_ratio, is_nonpositive_integer
 
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
-# where F1 double series stop: three consecutive terms below F1_TOL |total|
+# where F1 double series and pFq stop: three consecutive terms below F1_TOL |total|
 F1_TOL = 1e-14
 # the most terms a pFq series, or diagonals a double series, may take
 MAX_TERMS = 4000
@@ -58,46 +61,35 @@ class PFQParams:
                 raise PoleError("pFq denominator parameter at a pole", b)
 
 
-def pfq(params: PFQParams) -> complex:
-    """Sum of the pFq series by term recursion.
+def _pfq_terms(a: tuple, b: tuple, z: complex):
+    """(1.0, t_n), n < ``MAX_TERMS``: t_0 = 1 and t_{n+1} = t_n * prod(a_j + n)
+    / prod(b_j + n) * z / (n + 1)."""
+    term = 1.0 + 0.0j
+    for n in range(MAX_TERMS):
+        yield 1.0, term
+        num = math.prod((aj + n for aj in a), start=1.0 + 0.0j)
+        den = math.prod((bj + n for bj in b), start=1.0 + 0.0j)
+        term = term * num / den * z / (n + 1)
 
-    t_{n+1} = t_n * prod(a_j + n) / prod(b_j + n) * z / (n + 1); stops
-    when |t_n| <= 1e-14 * |partial sum| for three consecutive terms, at
-    most ``MAX_TERMS`` terms.
-    """
+
+def pfq(params: PFQParams) -> complex:
+    """Sum of the pFq series by term recursion, stopped by ``_scalar_sum``
+    at ``F1_TOL`` within ``MAX_TERMS`` terms; a terminating series ends in
+    exact zeros, which that rule stops on."""
     a, b, z = params.numerator, params.denominator, params.z
     if len(a) > len(b) + 1:
         raise DomainError(f"pFq needs p <= q+1 for convergence, got p={len(a)}, q={len(b)}")
     if z == 0:
         return 1.0 + 0.0j
-    stops = [n for n in (_terminating_index(aj) for aj in a) if n is not None]
-    n_stop = min(stops) if stops else None
-    if n_stop is None and len(a) == len(b) + 1 and abs(z) >= 1.0:
+    terminates = any(_terminating_index(aj) is not None for aj in a)
+    if not terminates and len(a) == len(b) + 1 and abs(z) >= 1.0:
         raise DomainError(
             f"series for {len(a)}F{len(b)} diverges at |z| = {abs(z):g} >= 1"
         )
-    term = 1.0 + 0.0j
-    total = term
-    small = 0
-    limit = MAX_TERMS if n_stop is None else min(MAX_TERMS, n_stop + 1)
-    for n in range(limit):
-        num = 1.0 + 0.0j
-        for aj in a:
-            num *= aj + n
-        den = 1.0 + 0.0j
-        for bj in b:
-            den *= bj + n
-        term = term * num / den * z / (n + 1)
-        total += term
-        if abs(term) <= 1e-14 * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    if n_stop is not None and limit >= n_stop + 1:
-        return total  # polynomial case: summed exactly
-    raise ConvergenceError(f"pFq did not converge within {MAX_TERMS} terms")
+    total = _scalar_sum(_pfq_terms(a, b, z), F1_TOL)
+    if total is None:
+        raise ConvergenceError(f"pFq did not converge within {MAX_TERMS} terms")
+    return total
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,8 @@ def _diagonal_terms(diag, b2, b3, x, y):
 
 
 def _scalar_sum(terms, tol: float) -> complex | None:
+    """sum c d over ``terms``, stopped after three consecutive terms with
+    |c d| <= tol |total|; None if the terms run out first."""
     total = 0.0 + 0.0j
     small = 0
     for c, d in terms:
@@ -244,7 +238,8 @@ def check_cut(v: complex, name: str):
 
 def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> complex:
     """Appell F1 by the Euler integral (Re(c1) > Re(b1) > 0, x,y off [1, inf)),
-    by tanh-sinh at ``tol``."""
+    by tanh-sinh at ``tol``: ``euler_integrand`` with no kernel and the
+    ``appell_powers``."""
     b1, b2, b3, c1, x, y = (
         params.b1,
         params.b2,
@@ -259,17 +254,7 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
         )
     check_cut(x, "x")
     check_cut(y, "y")
-
-    def integrand(t, tc):
-        one_m_xt = (1.0 - x) + x * tc
-        one_m_yt = (1.0 - y) + y * tc
-        return np.exp(
-            (b1 - 1.0) * np.log(t)
-            + (c1 - b1 - 1.0) * np.log(tc)
-            - b2 * np.log(one_m_xt)
-            - b3 * np.log(one_m_yt)
-        )
-
+    integrand = euler_integrand(b1 - 1.0, c1 - b1 - 1.0, extra=appell_powers(b2, b3, x, y))
     res = integrate_unit_interval(integrand, tol)
     return gamma_ratio(b1, c1) * res.converged_value("F1 Euler integral")
 

@@ -30,6 +30,7 @@ wraps them and ``meijer_g`` by name, so these three names stay.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -302,6 +303,10 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     raise DomainError(f"unknown form {which!r}; expected one of {THEOREM1_FORMS}")
 
 
+# a Meijer trial's 14 Theorem-1 forms share one input and take four mu
+# (0 and the three nonzero ``suites.MU_VALUES``), so four entries hold a
+# trial's integrals and the next trial's input replaces them
+@functools.lru_cache(maxsize=4)
 def _g_form_integral(inp: ExtendedAppellInput, mu: float) -> complex:
     """int t^(b1+mu-3/2) (1-t)^(c1-b1+mu-3/2) (1-xt)^-b2 (1-yt)^-b3 w^mu K_m(w) dt.
 

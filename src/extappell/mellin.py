@@ -7,11 +7,8 @@ infinity, the two ends that rule is built for (Mori & Sugihara, J.
 Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
 quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
 kernel integral, one row per p (the closure ``_radial`` builds).  The
-outer quadrature runs at 2e-7, so its first call samples levels 0-3, its
-first test level, and each later call one level: a deeper first call
-would double the inner batch of an outer quadrature that stops at level
-3, as it does.  The inner batches run at 1e-9 and stop at level 4 or 5,
-so their first call samples levels 0-4 (see
+outer quadrature runs at 2e-7 and the inner batches at 1e-9; how many
+levels the first call of each samples follows from its tolerance (see
 ``quadrature._first_call_level``).
 
 Forward, closed form:
@@ -160,10 +157,10 @@ def _radial(appell: AppellParams, nu: float, s: complex):
 def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
     """The transform by direct exp-sinh integration in p over (0, inf).
 
-    Each integrand call of the outer quadrature (tolerance 2e-7; levels
-    0-3 together, then one per level) evaluates the radial factor at all
-    of its p nodes in one batch (tolerance 1e-9; levels 0-4 together,
-    then one per level).
+    Each integrand call of the outer quadrature (tolerance 2e-7)
+    evaluates the radial factor at all of its p nodes in one batch
+    (tolerance 1e-9); ``quadrature._first_call_level`` sets the levels
+    the first call of each samples.
     """
     s = check_mellin_point(s, nu, appell.c1)
     _check_series_domain(appell)

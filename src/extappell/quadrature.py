@@ -27,12 +27,11 @@ value per row, and refinement goes on until every row passes the test.
 Node tables are computed once per refinement level and cached, and so
 are blocks of levels 0 to a first-call level concatenated.  ``_refine``
 samples one block in its first integrand call and splits the values back
-per level.  The first-call level follows from ``tol``, since tanh-sinh
-roughly doubles its digits per level (Bailey, Jeyabalan & Li, Exp.
-Math. 14, 2005): it is 5 below 1e-9, 4 below 1e-8 and otherwise the
-first test level, ``_FIRST_TEST_LEVEL`` = 3 (see ``_first_call_level``).
-The stopping test still runs at every level from the first test level
-on, so the first-call level changes how many calls a quadrature makes,
+per level.  The first-call level follows from ``tol`` (see
+``_first_call_level``), since tanh-sinh roughly doubles its digits per
+level (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The stopping test
+still runs at every level from the first test level,
+``_FIRST_TEST_LEVEL`` = 3, on, so the first-call level changes how many calls a quadrature makes,
 never the level it stops at.  Engines are stateless apart from those
 immutable tables and blocks.
 """
@@ -255,10 +254,9 @@ def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     ``converged=False`` (callers decide whether that is an error).  ``f``
     is called once for levels 0 to the first-call level together, on one
     cached block of nodes, and then once per further level.  That level
-    is 5 for ``tol`` below 1e-9, 4 below 1e-8 and 3, the first test
-    level, otherwise; the stopping test runs from level 3 on either way,
-    so the first-call level sets the number of calls, not the level the
-    quadrature stops at.
+    follows from ``tol`` (see ``_first_call_level``); the stopping test
+    runs from the first test level on either way, so the first-call
+    level sets the number of calls, not the level the quadrature stops at.
     """
     return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol)
 

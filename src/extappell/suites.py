@@ -102,10 +102,13 @@ def _compare(suite, case_id, params, lhs, rhs, tol, method):
 
     def check():
         try:
-            sides = lhs(), rhs()
+            # rhs first: a K-G check's G side, on the right, raises before
+            # its K side is evaluated; a Theorem-1 rhs is the trial's one F
+            rhs_value = rhs()
+            lhs_value = lhs()
         except DegenerateIdentity as exc:
             return make_record(suite, case_id, params, 0, 0, tol, method, skip_reason=str(exc))
-        return make_record(suite, case_id, params, *sides, tol, method)
+        return make_record(suite, case_id, params, lhs_value, rhs_value, tol, method)
     return case_id, params, check
 
 

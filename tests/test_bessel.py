@@ -136,6 +136,23 @@ def test_high_generic_orders_against_mpmath(nu):
         assert abs(bessel_k(nu, z) - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize("nu, z, tol", [
+    (0.3, 1e-20, 1e-14),
+    (1.3, 1e-30, 1e-14),
+    (2.6, 1e-20, 1e-14),
+    (0.7, 1e-17 * (1 + 1j), 1e-14),
+    (0.3, 1e-300, 1e-13),
+    (1.3, 1e-200, 1e-13),
+])
+def test_generic_order_at_tiny_argument(nu, z, tol):
+    # Re z below about 1e-15 stretches the cosh grid past tau = 40, where
+    # log(cosh tau - 1) takes its large-tau form
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = complex(mp.besselk(nu, mp.mpc(z)))
+    assert abs(bessel_k(nu, z) - ref) <= tol * abs(ref)
+
+
 def test_complex_argument_is_right_or_raises():
     # where the cosh integral cancels (large order, |arg z| near pi/2) the
     # trapezoid cannot settle in double precision: it must raise, never

@@ -76,6 +76,18 @@ def test_monotone_decay_in_p():
             prev = val
 
 
+# chaudhry_beta values, repr for repr: real and complex x and p
+@pytest.mark.parametrize("x, y, p, pinned", [
+    (3.0, 4.0, 1.0, "(0.00018919052307853784+0j)"),
+    (0.5, 0.7, 5.0, "(6.932906731870534e-10+0j)"),
+    (-1.5, 2.0, 0.3, "(2.2707801629231126+0j)"),
+    (2.5 + 0.5j, 1.5, 0.8, "(0.003805752049697837-0.0012821252541333167j)"),
+    (2.0, 3.0, 1.2 - 0.7j, "(-0.00032572263988285425+4.91020560319914e-05j)"),
+])
+def test_chaudhry_pinned_values(x, y, p, pinned):
+    assert repr(chaudhry_beta(x, y, p)) == pinned
+
+
 def test_chaudhry_small_p_limit():
     val = chaudhry_beta(2.0, 2.0, 1e-10)
     ref = beta(2.0, 2.0).real
@@ -211,7 +223,7 @@ def test_all_live_integrand_matches_the_masked_path(p, nu):
     # the same nodes with a dead endpoint node appended take the masked
     # path, which evaluates the kernel at the live nodes only
     kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
-    g = extbeta._fused_kernel_integrand(0.7, -0.4, kernel)
+    g = extbeta.euler_integrand(0.7, -0.4, kernel)
     t = np.linspace(0.02, 0.98, 41)
     t_dead = np.append(t, 1e-276)
     live = g(t, 1.0 - t)

@@ -12,6 +12,7 @@ from extappell.hyper import (
     appell_f1_series,
     block_double_sum,
     f1_diagonal_coefficients,
+    _scalar_sum,
     pfq,
     pochhammer_diagonal,
 )
@@ -70,6 +71,31 @@ def test_pfq_domain_errors():
     # terminating numerator lifts the |z| < 1 restriction
     val = pfq(PFQParams((-3.0, 1.0), (2.0,), 2.5))
     assert np.isfinite(abs(val))
+
+
+def test_pfq_runs_out_of_terms():
+    # 2F1(1, 1; 2; z) = -log(1 - z)/z: at z = 0.9999 term n is about
+    # 0.9999^n / n, still 1e-5 of the sum after MAX_TERMS terms
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        pfq(PFQParams((1.0, 1.0), (2.0,), 0.9999))
+
+
+def test_scalar_sum_returns_none_when_the_terms_run_out():
+    assert _scalar_sum([(1.0, 0.5)] * 10, 1e-14) is None
+    assert _scalar_sum([(1.0, 2.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 1e-14) == 2.0
+
+
+# pfq values, repr for repr: real and complex z, and terminating series at |z| >= 1
+@pytest.mark.parametrize("a, b, z, pinned", [
+    ((0.5, 0.5), (1.5,), 0.7, "(1.1846587084327678+0j)"),
+    ((1.2, 0.3), (2.1,), 0.4 + 0.3j, "(1.0694063967018603+0.07662405627089577j)"),
+    ((0.7,), (), -0.6, "(0.7196411885164522+0j)"),
+    ((-4.0, 1.5), (2.2,), 3.0, "(4.7571705638111865+0j)"),
+    ((-3.0, 0.5 + 0.2j), (1.7,), -2.5 + 1.0j, "(9.306784725902373-2.1729082023199666j)"),
+    ((1.1, -2.0, 0.4), (1.3, 2.9), 1.5, "(0.735936765345138+0j)"),
+])
+def test_pfq_pinned_values(a, b, z, pinned):
+    assert repr(pfq(PFQParams(a, b, z))) == pinned
 
 
 def test_appell_series_trivial_cases():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extappell.errors import DomainError
+from extappell.errors import ConvergenceError, DomainError
 from extappell.hyper import AppellParams
 from extappell.mellin import _inversion_integrand
 from extappell.quadrature import (
@@ -337,3 +337,18 @@ def test_inversion_contours_keep_their_nodes(appell, nu, p, dc, nodes, value):
     assert res.converged
     assert res.nodes_used == nodes
     assert abs(res.value - value) <= 1e-12 * abs(value)
+
+
+def test_flat_edge_downgrades_a_settled_value():
+    # weighted samples exp(-tau^2) + 1e-9 at t = sigmoid(pi sinh tau): the
+    # levels agree at level 3, but the flat edge is mass beyond the table
+    def f(t, tc):
+        tau = np.arcsinh(np.log(t / tc) / math.pi)
+        return (np.exp(-tau**2) + 1e-9) / (math.pi * np.cosh(tau) * t * tc)
+
+    res = integrate_unit_interval(f, 1e-10)
+    assert not res.converged
+    assert res.abs_error_estimate == math.inf
+    assert res.nodes_used == 97  # levels 0-3
+    with pytest.raises(ConvergenceError, match="flat edge stalled at error inf"):
+        res.converged_value("flat edge")

@@ -2,6 +2,9 @@
 
 import ast
 import pathlib
+import types
+
+import extappell
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "extappell"
 
@@ -208,3 +211,33 @@ def test_records_are_built_only_by_suites_and_report():
              for path in sorted(SRC.glob("*.py"))
              if path.name not in ("suites.py", "report.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _live_masks(source: str) -> list[str]:
+    """Lines that compare a value with ``-ENDPOINT_CUTOFF``: the live-node
+    mask of an integrand, which ``extbeta.euler_integrand`` alone builds."""
+    return [f"{node.lineno}: > -ENDPOINT_CUTOFF"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+            for op, right in zip(node.ops, node.comparators)
+            if isinstance(op, ast.Gt) and isinstance(right, ast.UnaryOp)
+            and isinstance(right.op, ast.USub) and isinstance(right.operand, ast.Name)
+            and right.operand.id == "ENDPOINT_CUTOFF"]
+
+
+def test_live_mask_scan():
+    source = ("live = re > -ENDPOINT_CUTOFF\nok = x > ENDPOINT_CUTOFF\n"
+              "dead = re <= -ENDPOINT_CUTOFF\nm = (a > -ENDPOINT_CUTOFF) & b\n")
+    assert _live_masks(source) == ["1: > -ENDPOINT_CUTOFF", "4: > -ENDPOINT_CUTOFF"]
+
+
+def test_one_live_mask_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _live_masks(path.read_text(encoding="utf-8"))]
+    assert len(found) == 1, found
+
+
+def test_star_import_binds_no_submodule():
+    modules = [name for name in extappell.__all__
+               if isinstance(getattr(extappell, name), types.ModuleType)]
+    assert modules == []
+    assert "extended_beta" in extappell.__all__
