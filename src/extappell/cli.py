@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 verification failures, 2 domain error,
 3 convergence failure (a value that overflows or comes out non-finite
 counts as one, and so does a kernel integral, K_nu or G that underflows
-to 0), 64
-usage error (from argument parsing: settings are command-line options,
-never environment variables).  Values print as "re im" on stdout with a
-one-line method trace on stderr; a failure prints one line on stderr and
-no traceback.
+to 0, and a command that needs B(b1, c1-b1) -- f1pv on every route, f1
+on its integral route, mellin_fwd and mellin_inv -- where that B
+underflows), 64 usage error (from argument parsing: settings are
+command-line options, never environment variables).  Values print as
+"re im" on stdout with a one-line method trace on stderr; a failure
+prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from .bessel import bessel_k
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
 from .f1pv import ROUTES, ExtendedAppellInput, f1pv, prefers_series, route_for
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
@@ -27,7 +28,6 @@ from .meijer import G_SHAPES, GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
 from .quadrature import DEFAULT_TOL
 from .report import write_report
-from .scalar import is_nonpositive_integer
 from .suites import SUITES, run_suite, summarize
 
 _EVAL_FNS = (
@@ -194,11 +194,6 @@ def _cmd_eval(args) -> int:
         trace = f"classical Appell F1, route={route}"
     elif fn == "f1pv":
         b1, b2, b3, c1, x, y, p, nu = _need(params, _REQUIRED[fn])
-        if is_nonpositive_integer(c1 - b1):
-            raise PoleError(
-                "Gamma(c1 - b1) pole: both evaluation routes have undefined "
-                "prefactors", c1 - b1,
-            )
         inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
                                   ExtensionParams(p, _real(nu, "nu")))
         route = route_for(inp) if args.route == "auto" else args.route

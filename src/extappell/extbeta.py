@@ -99,7 +99,7 @@ class ExtendedBetaKernel:
     def __init__(self, ext: ExtensionParams):
         self.ext = ext
         batch = isinstance(ext.p, np.ndarray)  # real by construction
-        self._p = ext.p[:, None] if batch else _real_or_complex(ext.p)[0]
+        self._p = ext.p[:, None] if batch else real_or_complex(ext.p)[0]
 
     def argument(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         return self._p / (t * tc)
@@ -109,7 +109,7 @@ class ExtendedBetaKernel:
         return bessel_k_scaled_many(self.ext.order, w)
 
 
-def _real_or_complex(*values):
+def real_or_complex(*values):
     """``values`` as floats when every one is real, else as complexes."""
     values = [complex(v) for v in values]
     if all(v.imag == 0.0 for v in values):
@@ -161,7 +161,7 @@ def _exponents(x: complex, y: complex, kernel: ExtendedBetaKernel, *more):
     """Powers x - 3/2 and y - 3/2 of t and 1-t, then ``more``: all real
     when x, y, p and ``more`` are, else all complex."""
     p = 0.0 if isinstance(kernel._p, np.ndarray) else kernel._p  # a batch is real
-    x, y, _, *more = _real_or_complex(x, y, p, *more)
+    x, y, _, *more = real_or_complex(x, y, p, *more)
     return (x - 1.5, y - 1.5, *more)
 
 
@@ -191,7 +191,7 @@ def chaudhry_beta(
     """The p-extension B(x, y; p) with kernel exp(-p/(t(1-t))), Re(p) > 0
     (Chaudhry, Qadir, Rafique & Zubair, J. Comput. Appl. Math. 78, 1997):
     the Euler integrand with no Bessel kernel and -p/(t(1-t)) as ``extra``."""
-    x, y, p = _real_or_complex(x, y, p)
+    x, y, p = real_or_complex(x, y, p)
     if not p.real > 0.0:
         raise DomainError(f"needs Re(p) > 0, got p = {complex(p)}")
     integrand = euler_integrand(x - 1.0, y - 1.0, extra=lambda t, tc: -p / (t * tc))

@@ -35,17 +35,18 @@ import math
 from dataclasses import dataclass
 
 from .bessel import bessel_k_upper_bound
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import (
     AppellParams,
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
-    check_cut,
+    check_euler_domain,
+    euler_beta,
 )
 from .quadrature import DEFAULT_TOL
-from .scalar import beta, gamma_ratio, pochhammer
+from .scalar import beta, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
 
@@ -67,23 +68,16 @@ ROUTES = ("series", "integral", "auto")
 
 
 def route_for(inp: ExtendedAppellInput) -> str:
-    """The route "auto" takes: the series when |x| and |y| are both at most
-    0.9 and B(b1, c1-b1) is finite and nonzero, the integral otherwise."""
+    """The route "auto" takes: the series when ``prefers_series(x, y)``,
+    the integral otherwise.  Both divide by ``euler_beta(b1, c1)``, so a
+    pole or an underflow of B(b1, c1-b1) fails on either route."""
     a = inp.appell
-    if prefers_series(a.x, a.y):
-        try:
-            if beta(a.b1, a.c1 - a.b1) != 0:
-                return "series"
-        except PoleError:
-            pass
-    return "integral"
+    return "series" if prefers_series(a.x, a.y) else "integral"
 
 
 def _series_diagonal(a: AppellParams, ext: ExtensionParams, tol: float = DEFAULT_TOL):
     """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family."""
-    b0 = beta(a.b1, a.c1 - a.b1)
-    if b0 == 0:
-        raise PoleError("B(b1, c1-b1) vanishes; series prefactor pole", (a.b1, a.c1))
+    b0 = euler_beta(a.b1, a.c1)
     fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, tol)
     return lambda k: fam.value(k) / b0
 
@@ -108,15 +102,12 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
 
 
 def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
-    """Integral route; needs Re(c1) > Re(b1) > 0 and x, y off [1, inf)."""
+    """Integral route, in the Euler domain (``check_euler_domain``):
+    Re(c1) > Re(b1) > 0 and x, y off [1, inf).  Its prefactor is
+    1/``euler_beta(b1, c1)``."""
     a = inp.appell
-    if not (a.c1.real > a.b1.real > 0.0):
-        raise DomainError(
-            f"integral route needs Re(c1) > Re(b1) > 0, got b1={a.b1}, c1={a.c1}"
-        )
-    check_cut(a.x, "x")
-    check_cut(a.y, "y")
-    pref = gamma_ratio(a.b1, a.c1)
+    check_euler_domain(a.b1, a.c1, a.x, a.y)
+    pref = 1.0 / euler_beta(a.b1, a.c1)
     fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 
@@ -138,18 +129,14 @@ def f1pv_transform(inp: ExtendedAppellInput) -> complex:
 
     (1-x)^(-b2) (1-y)^(-b3) F_{1,p,nu}(c1-b1, b2, b3; c1; x/(x-1), y/(y-1)).
 
-    Agrees with ``f1pv_integral`` on the common domain; both sides need
-    Re(b1) > 0 and Re(c1 - b1) > 0 (the transformed first parameter).
+    Agrees with ``f1pv_integral`` on the common domain.  The right side
+    is the Euler integral at first parameter c1 - b1, so its domain is
+    ``check_euler_domain(c1 - b1, c1, x, y)``: Re(c1) > Re(c1 - b1) > 0 is
+    Re(b1) > 0 and Re(c1 - b1) > 0, the domain of both sides.  x and y
+    are checked before x/(x-1) is formed.
     """
     a = inp.appell
-    if not (a.c1 - a.b1).real > 0.0:
-        raise DomainError(
-            f"transformed first parameter needs Re(c1 - b1) > 0, got b1={a.b1}, c1={a.c1}"
-        )
-    if not a.b1.real > 0.0:
-        raise DomainError(f"needs Re(b1) > 0, got b1={a.b1}")
-    check_cut(a.x, "x")
-    check_cut(a.y, "y")
+    check_euler_domain(a.c1 - a.b1, a.c1, a.x, a.y)
     xi = a.x / (a.x - 1.0)
     eta = a.y / (a.y - 1.0)
     flipped = ExtendedAppellInput(
@@ -163,7 +150,6 @@ def f1pv_derivative(
     inp: ExtendedAppellInput,
     m_order: int,
     n_order: int,
-    route: str = "auto",
 ) -> complex:
     """d^(M+N) F / dx^M dy^N via the parameter-shift identity:
 
@@ -171,7 +157,8 @@ def f1pv_derivative(
     F_{1,p,nu}(b1+M+N, b2+M, b3+N; c1+M+N; x, y).
 
     The identity holds for integer orders M, N >= 0 only; any other
-    order raises DomainError.  The shifted F is ``f1pv`` on ``route``.
+    order raises DomainError.  The shifted F is ``f1pv`` on the route
+    ``route_for`` picks.
     """
     if not all(float(o).is_integer() and o >= 0 for o in (m_order, n_order)):
         raise DomainError(
@@ -189,7 +176,7 @@ def f1pv_derivative(
         AppellParams(a.b1 + k, a.b2 + m_order, a.b3 + n_order, a.c1 + k, a.x, a.y),
         inp.ext,
     )
-    return pref * f1pv(shifted, route)
+    return pref * f1pv(shifted)
 
 
 def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
@@ -235,18 +222,16 @@ def _require_real(inp: ExtendedAppellInput) -> tuple:
 def _bound_prefactor(inp: ExtendedAppellInput) -> float:
     """The lemma at w = p/(t(1-t)) is its value at w = p times
     (t(1-t))^(nu+1/2), since |w|/Re(w)^2 = t(1-t) |p|/Re(p)^2; that power
-    raises both Beta arguments by nu."""
-    b1, _b2, _b3, c1, _x, _y = _require_real(inp)
+    raises both Beta arguments by nu.  Real parameters in the Euler
+    domain (``check_euler_domain``) only."""
+    b1, _b2, _b3, c1, x, y = _require_real(inp)
+    check_euler_domain(b1, c1, x, y)
     nu, p = inp.ext.nu, inp.ext.p
-    if not (b1 > 0.0 and c1 - b1 > 0.0):
-        raise DomainError(
-            f"bound needs b1 > 0 and c1 - b1 > 0, got b1={b1}, c1={c1}"
-        )
     return (
         math.sqrt(2.0 * abs(p) / math.pi)
         * bessel_k_upper_bound(nu, p)
         * beta(b1 + nu, c1 - b1 + nu).real
-        / beta(b1, c1 - b1).real
+        / euler_beta(b1, c1).real
     )
 
 
@@ -259,12 +244,11 @@ def f1pv_bound(inp: ExtendedAppellInput) -> float:
     the first line being sqrt(2|p|/pi) * bessel_k_upper_bound(nu, p).
     """
     b1, b2, b3, c1, x, y = _require_real(inp)
-    if x >= 1.0 or y >= 1.0:
-        raise DomainError("bound needs x < 1 and y < 1")
+    pref = _bound_prefactor(inp)
     nu = inp.ext.nu
     f1 = AppellParams(b1 + nu, b2, b3, c1 + 2.0 * nu, x, y)
     factor = appell_f1_series(f1) if prefers_series(x, y) else appell_f1_integral(f1)
-    return _bound_prefactor(inp) * factor.real
+    return pref * factor.real
 
 
 def f1pv_bound_simple(inp: ExtendedAppellInput) -> float:

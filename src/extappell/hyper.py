@@ -12,6 +12,12 @@ factor may carry one row per parameter set, as the Mellin contour's
 (b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops where its
 own scalar sum would.  The pFq series stops by the same rule, in the
 same loop ``_scalar_sum`` as a scalar diagonal sum.
+
+F1 and F_{1,p,nu} share one normaliser, B(b1, c1-b1) from ``euler_beta``,
+and one Euler-integral domain, ``check_euler_domain``: F_{1,p,nu}'s
+series divides its diagonals by that B and every Euler integral divides
+its quadrature by it, and the routes, the Mellin routines, the
+Theorem-1 forms and the bound take both from here.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .extbeta import appell_powers, euler_integrand
+from .extbeta import appell_powers, euler_integrand, real_or_complex
 from .quadrature import DEFAULT_TOL, integrate_unit_interval
-from .scalar import gamma_ratio, is_nonpositive_integer
+from .scalar import beta, is_nonpositive_integer
 
 # diagonal coefficients computed up front; a longer sum doubles them
 _FIRST_DIAGONALS = 32
@@ -229,34 +235,43 @@ def appell_f1_series(params: AppellParams) -> complex:
     )
 
 
-def check_cut(v: complex, name: str):
-    """Raise DomainError if ``v`` lies on the branch cut [1, inf)."""
-    v = complex(v)
-    if v.imag == 0.0 and v.real >= 1.0:
-        raise DomainError(f"{name} on the branch cut [1, inf): {v}")
+def euler_beta(b1: complex, c1: complex) -> complex:
+    """B(b1, c1-b1), the normaliser of F_{1,p,nu} on both routes and of
+    every Euler integral of F1 type.
+
+    Raises ``OverflowError`` where B underflows to 0, since 1/B then
+    overflows; a pole of b1 or c1-b1 raises ``PoleError`` from ``beta``.
+    """
+    norm = beta(b1, c1 - b1)
+    if norm == 0:
+        raise OverflowError(f"B(b1, c1-b1) underflows to 0 at b1={b1}, c1={c1}")
+    return norm
 
 
-def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> complex:
-    """Appell F1 by the Euler integral (Re(c1) > Re(b1) > 0, x,y off [1, inf)),
-    by tanh-sinh at ``tol``: ``euler_integrand`` with no kernel and the
-    ``appell_powers``."""
-    b1, b2, b3, c1, x, y = (
-        params.b1,
-        params.b2,
-        params.b3,
-        params.c1,
-        params.x,
-        params.y,
-    )
+def check_euler_domain(b1: complex, c1: complex, x: complex, y: complex):
+    """Raise DomainError outside the Euler integral's domain:
+    Re(c1) > Re(b1) > 0, and x, y off the branch cut [1, inf)."""
     if not (c1.real > b1.real > 0.0):
         raise DomainError(
             f"Euler integral needs Re(c1) > Re(b1) > 0, got b1={b1}, c1={c1}"
         )
-    check_cut(x, "x")
-    check_cut(y, "y")
+    for name, v in (("x", x), ("y", y)):
+        if v.imag == 0.0 and v.real >= 1.0:
+            raise DomainError(f"{name} on the branch cut [1, inf): {v}")
+
+
+def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> complex:
+    """Appell F1 by the Euler integral, in its domain (``check_euler_domain``):
+    ``euler_integrand`` with no kernel and the ``appell_powers``, by
+    tanh-sinh at ``tol``, over ``euler_beta``.  The integrand is real
+    when every parameter and variable is."""
+    a = params
+    check_euler_domain(a.b1, a.c1, a.x, a.y)
+    norm = euler_beta(a.b1, a.c1)
+    b1, b2, b3, c1, x, y = real_or_complex(a.b1, a.b2, a.b3, a.c1, a.x, a.y)
     integrand = euler_integrand(b1 - 1.0, c1 - b1 - 1.0, extra=appell_powers(b2, b3, x, y))
     res = integrate_unit_interval(integrand, tol)
-    return gamma_ratio(b1, c1) * res.converged_value("F1 Euler integral")
+    return res.converged_value("F1 Euler integral") / norm
 
 
 def f1_diagonal_coefficients(b2, b3, x, y, kmax: int) -> np.ndarray:

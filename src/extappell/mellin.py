@@ -29,8 +29,9 @@ factor
 
     R(s) = B(b1+s, c1-b1+s)/B(b1, c1-b1) * F1(b1+s, b2, b3; c1+2s; x, y).
 
-Over an array (a contour call's nodes), each Gamma and the Beta are one
-array call of ``scalar.gamma`` and ``scalar.beta``, and the F1 values
+Over an array (a contour call's nodes), each Gamma and the shifted Beta
+are one array call of ``scalar.gamma`` and ``scalar.beta``, the
+denominator one scalar ``hyper.euler_beta``, and the F1 values
 come from one diagonal sum, a row per s; at one s (the closed form and
 the limit) every factor takes the scalar path.
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .hyper import F1_TOL, AppellParams, block_double_sum, pochhammer_diagonal
+from .hyper import F1_TOL, AppellParams, block_double_sum, euler_beta, pochhammer_diagonal
 from .quadrature import ENDPOINT_CUTOFF, integrate_semi_infinite, integrate_vertical_line
 from .scalar import beta, gamma, is_nonpositive_integer
 
@@ -93,12 +94,14 @@ def _shifted_appell_factor(appell: AppellParams, s):
     at one s or at every s of an array.
 
     Over an array the F1 of every s is one row of a single diagonal sum
-    and the Beta ratio is one array call; at one s both are scalar.
+    and the shifted Beta is one array call; at one s both are scalar.
+    The denominator is ``euler_beta``, one scalar call either way, so
+    where B(b1, c1-b1) underflows R raises ``OverflowError``.
     """
     a = appell
     f1 = block_double_sum(pochhammer_diagonal(a.b1 + s, a.c1 + 2 * s),
                           a.b2, a.b3, a.x, a.y, F1_TOL)
-    return beta(a.b1 + s, a.c1 - a.b1 + s) / beta(a.b1, a.c1 - a.b1) * f1
+    return beta(a.b1 + s, a.c1 - a.b1 + s) / euler_beta(a.b1, a.c1) * f1
 
 
 _P_LIMIT_FORM = 1e-12
@@ -135,7 +138,7 @@ def _radial(appell: AppellParams, nu: float, s: complex):
     below ``_P_LIMIT_FORM``, so the first call always needs it.
     """
     a = appell
-    b0 = beta(a.b1, a.c1 - a.b1)
+    b0 = euler_beta(a.b1, a.c1)
     limit_coefficient = _limit_coefficient(appell, nu)
 
     def weighted(ps: np.ndarray) -> np.ndarray:

@@ -156,8 +156,9 @@ def log_gamma(z: complex) -> complex:
     """A logarithm of Gamma(z), real on the positive real axis.
 
     For complex arguments the imaginary part is not reduced to the
-    principal sheet; the intended use is in exponentiated differences
-    (Pochhammer and Beta ratios), where any 2*pi*i ambiguity cancels.
+    principal sheet; the intended use is in exponentiated sums and
+    differences (the Meijer-G residue coefficients), where any 2*pi*i
+    ambiguity cancels.
     """
     z = complex(z)
     if is_nonpositive_integer(z):
@@ -171,12 +172,6 @@ def log_gamma(z: complex) -> complex:
         - t
         + cmath.log(_lanczos_series(z) / z)
     )
-
-
-def gamma_ratio(b1: complex, c1: complex) -> complex:
-    """Gamma(c1) / (Gamma(b1) Gamma(c1 - b1)) = 1/B(b1, c1 - b1), the
-    normalisation of F1's Euler integral, taken in logs."""
-    return cmath.exp(log_gamma(c1) - log_gamma(b1) - log_gamma(c1 - b1))
 
 
 def rgamma(z):

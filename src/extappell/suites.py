@@ -188,7 +188,7 @@ def _diff(i, rng, tol):
     for m, n in ((1, 0), (0, 1), (1, 1), (2, 0)):
         yield _compare(
             "diff", f"trial{i}-d{m}{n}", {**_params_of(inp), "M": m, "N": n},
-            lambda m=m, n=n: f1pv_derivative(inp, m, n, "series"),
+            lambda m=m, n=n: f1pv_derivative(inp, m, n),
             lambda m=m, n=n: _finite_difference(inp, m, n),
             tol or DIFF_TOL, "parameter-shift derivative vs central differences",
         )

@@ -368,3 +368,30 @@ def test_kernel_integral_underflow_exit_3(capsys, argv):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].endswith(f"{argv[0]} underflows double precision (evaluated to 0)")
+
+
+# B(560, 560) = 1.05e-338 by mpmath underflows to 0, so 1/B(b1, c1-b1) overflows
+_UNDERFLOW_B = ["b1=560", "b2=.5", "b3=.5", "c1=1120", "x=.1", "y=.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mellin_fwd", *_UNDERFLOW_B, "nu=.5", "s=1"],
+    ["f1pv", *_UNDERFLOW_B, "p=1", "nu=.5"],
+    ["f1pv", *_UNDERFLOW_B, "p=1", "nu=.5", "--route", "series"],
+    ["f1pv", *_UNDERFLOW_B, "p=1", "nu=.5", "--route", "integral"],
+    ["f1", *_UNDERFLOW_B, "--route", "integral"],
+], ids=["mellin_fwd", "f1pv-auto", "f1pv-series", "f1pv-integral", "f1-integral"])
+def test_underflowing_normaliser_exit_3(capsys, argv):
+    assert run(["eval", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "B(b1, c1-b1) underflows to 0" in err[0]
+
+
+def test_classical_series_needs_no_normaliser(capsys):
+    # mpmath appellf1(560, 0.5, 0.5, 1120, 0.1, 0.1) at 30 digits
+    assert run(["eval", "f1", *_UNDERFLOW_B]) == 0
+    re_part, im_part = map(float, capsys.readouterr().out.split())
+    assert abs(re_part - 1.0526341801057340582) <= 1e-14 and im_part == 0.0

@@ -261,6 +261,42 @@ def test_degenerate_prefactor_is_error():
         f1pv_integral(_inp(2.0, 1.0, 1.0, 2.0, 0.3, 0.1, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("b1, c1", [(0.0, 2.0), (1.5, 1.5)], ids=["b1=0", "c1=b1"])
+def test_a_pole_of_the_normaliser_fails_alike_on_the_series_routes(b1, c1):
+    # B(b1, c1-b1) has a pole: the series routes raise it, never falling
+    # back to the integral route, whose domain excludes these points
+    for x, y in ((0.3, 0.4), (0.9, -0.9)):
+        inp = _inp(b1, 1.0, 1.0, c1, x, y, 1.0, 0.5)
+        for route in ("auto", "series"):
+            with pytest.raises(PoleError, match="beta pole"):
+                f1pv(inp, route)
+        with pytest.raises(DomainError, match=r"needs Re\(c1\) > Re\(b1\) > 0"):
+            f1pv_integral(inp)
+
+
+@pytest.mark.parametrize("b1, x, y, match", [
+    (0.0, 0.3, 0.4, "Re"),
+    (-0.5, 0.3, 0.4, "Re"),
+    (complex(0.0, 2.0), 0.3, 0.4, "Re"),
+    (1.0, 1.0, 0.4, "x on the branch cut"),  # x/(x-1) is never formed
+    (1.0, 2.5, 0.4, "x on the branch cut"),
+    (1.0, 0.3, 1.0, "y on the branch cut"),
+])
+def test_transform_domain_gate(b1, x, y, match):
+    with pytest.raises(DomainError, match=match):
+        f1pv_transform(_inp(b1, 1.0, 1.0, 3.0, x, y, 1.0, 0.5))
+
+
+def test_bounds_reject_the_branch_cut():
+    # x, y > 0 with b2, b3 < 0 is the simple bound's second case; on
+    # [1, inf) F_{1,p,nu} is not defined
+    for x, y in ((2.0, 0.5), (0.5, 1.0)):
+        inp = _inp(1.0, -0.5, -0.5, 3.0, x, y, 1.0, 0.5)
+        for bound in (f1pv_bound, f1pv_bound_simple):
+            with pytest.raises(DomainError, match="on the branch cut"):
+                bound(inp)
+
+
 def test_auto_route_selection():
     assert route_for(BASE) == "series"
     assert f1pv(BASE) == f1pv_series(BASE)
@@ -272,8 +308,6 @@ def test_auto_route_selection():
 def test_unknown_route_is_a_domain_error():
     with pytest.raises(DomainError, match="unknown route 'contour'"):
         f1pv(BASE, "contour")
-    with pytest.raises(DomainError, match="unknown route"):
-        f1pv_derivative(BASE, 1, 0, "Series")
 
 
 def test_integral_route_at_steep_complex_p():

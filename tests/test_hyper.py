@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extappell import hyper
 from extappell.errors import ConvergenceError, DomainError, PoleError
 from extappell.hyper import (
     MAX_TERMS,
@@ -11,6 +12,8 @@ from extappell.hyper import (
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
+    check_euler_domain,
+    euler_beta,
     f1_diagonal_coefficients,
     _scalar_sum,
     pfq,
@@ -240,3 +243,74 @@ def test_block_double_sum_rows_raise_when_a_row_runs_out():
     with pytest.raises(ConvergenceError, match=f"within {MAX_TERMS} diagonals"):
         block_double_sum(diag, 1.0, 1.0, 0.9999, 0.0, 1e-14)
 
+
+
+def test_euler_beta_is_beta_and_raises_where_it_vanishes():
+    for b1, c1 in ((1.2, 3.1), (complex(0.7, 0.4), 2.9), (150.0, 300.0)):
+        assert euler_beta(b1, c1) == beta(b1, c1 - b1)
+    # B(560, 560) = 1.05e-338 by mpmath underflows to 0, so 1/B overflows
+    assert beta(560.0, 560.0) == 0
+    with pytest.raises(OverflowError, match=r"B\(b1, c1-b1\) underflows to 0"):
+        euler_beta(560.0, 1120.0)
+    for b1, c1 in ((0.0, 2.0), (1.5, 1.5), (-1.0, 0.5)):
+        with pytest.raises(PoleError, match="beta pole"):
+            euler_beta(b1, c1)
+
+
+@pytest.mark.parametrize("b1, c1, x, y, match", [
+    (0.0, 2.0, 0.3, 0.4, "Re"),
+    (-0.5, 2.0, 0.3, 0.4, "Re"),
+    (1.5, 1.5, 0.3, 0.4, "Re"),
+    (complex(1.0, 5.0), complex(0.5, 5.0), 0.3, 0.4, "Re"),
+    (1.0, 2.0, 1.0, 0.4, "x on the branch cut"),
+    (1.0, 2.0, complex(7.5, -0.0), 0.4, "x on the branch cut"),
+    (1.0, 2.0, 0.3, 1.0, "y on the branch cut"),
+])
+def test_check_euler_domain_rejects(b1, c1, x, y, match):
+    with pytest.raises(DomainError, match=match):
+        check_euler_domain(complex(b1), complex(c1), complex(x), complex(y))
+
+
+def test_check_euler_domain_accepts_off_the_cut():
+    for x in (0.999, -40.0, complex(3.0, 1e-9), complex(1.0, -2.0)):
+        check_euler_domain(0.1 + 0j, 0.2 + 0j, complex(x), 0j)
+
+
+# mpmath appellf1 at 30 digits; x and y inside and outside the unit disc
+APPELL_REAL_REFS = {
+    (1.2, 0.5, -0.7, 3.1, 0.4, -0.3): 1.18340778034553387114518648649,
+    (0.7, -1.4, 2.2, 2.9, -0.55, 0.35): 1.53839018483078524800269493426,
+    (2.0, 1.5, 0.5, 2.5, -3.0, 0.9): 0.350000776188529795241688800526,
+    (0.4, 2.5, -1.5, 1.3, 0.95, -2.0): 173.665846724977805473372319479,
+}
+
+
+def _integral_and_integrand(monkeypatch, params):
+    """appell_f1_integral(params), and its integrand at three nodes."""
+    seen = []
+    quad = hyper.integrate_unit_interval
+    monkeypatch.setattr(hyper, "integrate_unit_interval",
+                        lambda f, tol: seen.append(f) or quad(f, tol))
+    value = appell_f1_integral(params)
+    t = np.array([0.1, 0.5, 0.9])
+    return value, seen[0](t, 1.0 - t)
+
+
+def test_appell_integral_is_real_arithmetic_at_real_points(monkeypatch):
+    for args, ref in APPELL_REAL_REFS.items():
+        value, integrand = _integral_and_integrand(monkeypatch, AppellParams(*args))
+        assert integrand.dtype == np.float64, args
+        assert abs(value - ref) <= 1e-14 * abs(ref), args
+        assert value.imag == 0.0
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_appell_integral_is_complex_when_one_parameter_is(monkeypatch, index):
+    args = [1.2, 0.5, -0.7, 3.1, 0.4, -0.3]
+    args[index] += 0.25j
+    p = AppellParams(*args)
+    value, integrand = _integral_and_integrand(monkeypatch, p)
+    assert integrand.dtype == np.complex128
+    if abs(p.x) < 1.0 and abs(p.y) < 1.0:
+        series = appell_f1_series(p)
+        assert abs(value - series) <= 1e-13 * abs(series)

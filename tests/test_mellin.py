@@ -183,7 +183,7 @@ def test_forward_numeric_matches_closed_form_over_the_suites_box():
 
 
 def test_inversion_integrand_gamma_calls_do_not_grow_with_the_nodes(monkeypatch):
-    calls = {"gamma": 0, "beta": 0}
+    calls = {"gamma": 0, "beta": 0, "euler_beta": 0}
 
     def counted(name, f):
         def wrapper(*args):
@@ -191,15 +191,15 @@ def test_inversion_integrand_gamma_calls_do_not_grow_with_the_nodes(monkeypatch)
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(mellin, "gamma", counted("gamma", mellin.gamma))
-    monkeypatch.setattr(mellin, "beta", counted("beta", mellin.beta))
+    for name in calls:
+        monkeypatch.setattr(mellin, name, counted(name, getattr(mellin, name)))
     f = _inversion_integrand(BASE, 0.7, 1.3, 1.7)
     per_call = []
     for n in (1, 3, 257):
-        calls.update(gamma=0, beta=0)
+        calls.update(gamma=0, beta=0, euler_beta=0)
         f(np.linspace(-40.0, 40.0, n))
         per_call.append(dict(calls))
-    assert per_call == [{"gamma": 2, "beta": 2}] * 3
+    assert per_call == [{"gamma": 2, "beta": 1, "euler_beta": 1}] * 3
 
 
 def test_forward_closed_and_limit_take_the_scalar_sum(monkeypatch):

@@ -236,6 +236,87 @@ def test_one_live_mask_in_the_package():
     assert len(found) == 1, found
 
 
+def _name_of(node) -> str | None:
+    """``v`` of a name ``v`` or of an attribute ``….v``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _real_part_of(node, name: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "real"
+            and _name_of(node.value) == name)
+
+
+def _euler_domains(source: str) -> list[str]:
+    """Lines that compare ``….c1.real > ….b1.real > 0.0``: the Euler
+    integral's domain, which ``hyper.check_euler_domain`` alone writes."""
+    return [f"{node.lineno}: c1.real > b1.real > 0.0"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.Gt, ast.Gt]
+            and _real_part_of(node.left, "c1") and _real_part_of(node.comparators[0], "b1")
+            and isinstance(node.comparators[1], ast.Constant)
+            and node.comparators[1].value == 0.0]
+
+
+def test_euler_domain_scan():
+    source = ("ok = c1.real > b1.real > 0.0\nif not (a.c1.real > a.b1.real > 0.0):\n    pass\n"
+              "no = c1.real > b1.real\nnor = c1.imag > b1.imag > 0.0\n"
+              "neither = (c1 - b1).real > 0.0\n")
+    assert _euler_domains(source) == ["1: c1.real > b1.real > 0.0",
+                                      "2: c1.real > b1.real > 0.0"]
+
+
+def test_one_euler_domain_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _euler_domains(path.read_text(encoding="utf-8"))]
+    assert len(found) == 1, found
+
+
+def _is_euler_beta(node) -> bool:
+    """Whether ``node`` is a call ``beta(….b1, ….c1 - ….b1)``."""
+    if not (isinstance(node, ast.Call) and _name_of(node.func) == "beta"
+            and len(node.args) == 2):
+        return False
+    first, second = node.args
+    return (_name_of(first) == "b1" and isinstance(second, ast.BinOp)
+            and isinstance(second.op, ast.Sub)
+            and _name_of(second.left) == "c1" and _name_of(second.right) == "b1")
+
+
+def _euler_betas(source: str) -> list[str]:
+    """Calls ``beta(….b1, ….c1 - ….b1)``, each with the function it sits
+    in: B(b1, c1-b1) is the F1 normaliser, which ``hyper.euler_beta``
+    alone takes."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _is_euler_beta(child):
+                found.append(f"{child.lineno}: {where}")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_euler_beta_scan():
+    source = ("def euler_beta(b1, c1):\n    return beta(b1, c1 - b1)\n"
+              "def f(a):\n    return 1 / scalar.beta(a.b1, a.c1 - a.b1)\n"
+              "def g(a, s):\n    return beta(a.b1 + s, a.c1 - a.b1 + s), beta(b1, c1 - b2)\n"
+              "norm = beta(b1, c1 - b1)\n")
+    assert _euler_betas(source) == ["2: euler_beta", "4: f", "7: <module>"]
+
+
+def test_one_euler_beta_in_the_package():
+    found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _euler_betas(path.read_text(encoding="utf-8"))]
+    assert found == ["hyper.py euler_beta"]
+
+
 def test_star_import_binds_no_submodule():
     modules = [name for name in extappell.__all__
                if isinstance(getattr(extappell, name), types.ModuleType)]
