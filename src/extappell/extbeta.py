@@ -31,9 +31,9 @@ evaluated only at the other nodes, and keeps no values between calls.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
-the rows t^k g(t) are integrated together on shared tanh-sinh nodes, and
-the family samples g once per node array, so the kernel is evaluated
-once for all k.  The extended Appell series leans on it, since its
+one quadrature with ``moments`` integrates them all from one sample of g
+per node, and the family keeps g per node array, so the kernel is
+evaluated once for all k.  The extended Appell series leans on it, since its
 double series needs one extended-Beta value per diagonal m + n = k.
 Its ``appell_sum`` sums that series in closed form, as the one
 Appell-weighted kernel integral, for a single p or for a batch of real
@@ -52,7 +52,7 @@ from .bessel import bessel_k_scaled_many
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
-# moments integrated by a family's first stack; each later stack doubles it
+# moments integrated by a family's first quadrature; each later one doubles them
 _FIRST_ROWS = 32
 
 
@@ -203,14 +203,15 @@ class ExtendedBetaFamily:
     """B_{p,nu}(a + k, b) for k = 0, 1, 2, ... from one sampled integrand.
 
     D(k) = sqrt(2p/pi) int_0^1 t^k g(t) dt, with g the fused integrand of
-    B_{p,nu}(a, b).  The rows t^k g(t), k < K, are integrated as one stack
-    on the same tanh-sinh levels, each row held to the test that
-    ``extended_beta`` applies to one value.  A k beyond the stack
-    integrates a stack twice as tall; it holds the old rows, so it stops
-    at no lower level.  The family keeps g at every node array it has
-    sampled, keyed by the array's identity (node arrays are cached and
-    read-only), so a taller stack evaluates no kernel on the old levels.
-    Values once returned are kept.
+    B_{p,nu}(a, b).  The moments k < K are one ``integrate_unit_interval``
+    call with ``moments=K``: the family hands it g, one value per node,
+    and the quadrature weighs g with its power weights t^k w, holding each
+    moment to the test that ``extended_beta`` applies to one value.  A k
+    beyond K integrates twice as many moments; they include the old ones,
+    so the quadrature stops at no lower level.  The family keeps g at
+    every node array it has sampled, keyed by the array's identity (node
+    arrays are cached and read-only), so the larger integration evaluates
+    no kernel on the old levels.  Values once returned are kept.
 
     ``appell_sum`` sums the Appell diagonal series sum_k c_k D(k) in
     closed form instead: sum_k c_k t^k = (1-xt)^(-b2) (1-yt)^(-b3), so
@@ -249,15 +250,13 @@ class ExtendedBetaFamily:
         xt, yt = _exponents(self.a, self.b, self.kernel)
         g = euler_integrand(xt, yt, self.kernel)
 
-        def moments(t, tc):
-            # row k is g t^k
+        def samples(t, tc):
             g_t = self._g.get(id(t))
             if g_t is None:
                 g_t = self._g[id(t)] = g(t, tc)
-            factors = np.vstack([g_t, np.broadcast_to(t, (rows - 1, t.size))])
-            return np.cumprod(factors, axis=0)
+            return g_t
 
-        res = integrate_unit_interval(moments, self.tol)
+        res = integrate_unit_interval(samples, self.tol, moments=rows)
         vals = self._scale() * res.converged_value("extended Beta moments")
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
 

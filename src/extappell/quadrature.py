@@ -23,6 +23,12 @@ factors like ``(1-t)**(y-3/2)`` stay accurate next to the right endpoint.
 The tanh-sinh and exp-sinh engines also integrate a stack of integrands
 sharing the nodes: an integrand returning shape (rows, nodes) gets one
 value per row, and refinement goes on until every row passes the test.
+The tanh-sinh engine also integrates the moments t^k f(t), k < R, of one
+integrand (``moments=R``): f returns one value per node, and each
+level's R sums are one matrix-vector product of a table of the power
+weights t^k w with those values.  The table depends only on the nodes,
+so the one of the first-call block is cached; a deeper level builds its
+own per call.  Each moment is held to the test of a stack's row.
 
 Node tables are computed once per refinement level and cached, and so
 are blocks of levels 0 to a first-call level concatenated.  ``_refine``
@@ -33,7 +39,7 @@ level (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The stopping test
 still runs at every level from the first test level,
 ``_FIRST_TEST_LEVEL`` = 3, on, so the first-call level changes how many calls a quadrature makes,
 never the level it stops at.  Engines are stateless apart from those
-immutable tables and blocks.
+immutable tables and blocks and the blocks' power weights.
 """
 
 from __future__ import annotations
@@ -200,15 +206,58 @@ def _block(table, last: int):
     return arrays, offsets
 
 
-def _weighted(fvals: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _checked(fvals, w: np.ndarray, max_ndim: int) -> np.ndarray:
+    """``fvals`` as an array, with one sample per node of ``w`` on its last
+    axis and every sample finite."""
     fvals = np.asarray(fvals)
-    if fvals.shape[-1:] != w.shape or fvals.ndim > 2:
+    if fvals.shape[-1:] != w.shape or fvals.ndim > max_ndim:
         raise DomainError("integrand returned an array of the wrong shape")
     if not np.isfinite(fvals).all():
         raise DomainError("non-finite integrand sample at an interior node")
-    # every weight is finite; C order keeps the row sums' summation order
-    # for the F-ordered moment stacks
-    return np.multiply(fvals, w, order="C")
+    return fvals
+
+
+def _moment_weights(nodes: tuple, rows: int) -> np.ndarray:
+    """The power weights t^k w, k < ``rows``, of node arrays (t, ..., w),
+    of shape (rows, nodes)."""
+    t, w = nodes[0], nodes[-1]
+    return np.cumprod(np.vstack([w, np.broadcast_to(t, (rows - 1, t.size))]), axis=0)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_moment_weights(table, last: int, rows: int) -> np.ndarray:
+    """``_moment_weights`` of the block ``_block(table, last)``, cached and
+    read-only like the block.  A deeper level's table is built per call
+    and not kept: levels 0 to 12 of a 128-row table would hold about 50 MB."""
+    return _read_only(_moment_weights(_block(table, last)[0], rows))[0]
+
+
+def _weigh(fvals, weights: np.ndarray):
+    """``(products, sums)`` of one integrand call's samples ``fvals``:
+    ``products(a, b)`` are the weighted samples of nodes a:b, and
+    ``sums(a, b)`` their sum, a complex or one complex per row.
+
+    ``weights`` is the call's weight array, or for moments its power
+    weights t^k w of shape (R, nodes).  Moments take one sample per node,
+    and a sum is one matrix-vector product; a complex f goes through a
+    float64 view of shape (nodes, 2), so the table is never upcast.
+    """
+    if weights.ndim == 1:
+        # every weight is finite; C order gives a stack's row sums one
+        # summation order whatever the layout of the samples (a cumprod
+        # down the rows returns F order)
+        weighted = np.multiply(_checked(fvals, weights, 2), weights, order="C")
+        return (lambda a, b: weighted[..., a:b]), (lambda a, b: _row_sums(weighted[..., a:b]))
+    f = _checked(fvals, weights[0], 1)
+    if np.iscomplexobj(f):
+        pairs = np.ascontiguousarray(f, dtype=complex).view(np.float64).reshape(-1, 2)
+
+        def sums(a, b):
+            return (weights[:, a:b] @ pairs[a:b]).view(complex)[:, 0]
+    else:
+        def sums(a, b):
+            return (weights[:, a:b] @ f[a:b]).astype(complex)
+    return (lambda a, b: weights[:, a:b] * f[a:b]), sums
 
 
 def _row_sums(weighted: np.ndarray):
@@ -239,7 +288,9 @@ def _tail_estimate(inner: float, outer: float) -> float:
     return outer * rho / (1.0 - rho)
 
 
-def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def integrate_unit_interval(
+    f, tol: float = DEFAULT_TOL, moments: int | None = None
+) -> QuadratureResult:
     """Tanh-sinh integral of ``f`` over (0, 1).
 
     Parameters
@@ -249,6 +300,11 @@ def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     tol : float
         Levels are doubled until the successive-level difference drops
         below ``tol * (1 + |value|)``.
+    moments : int, optional
+        With ``moments=R`` the result holds the R integrals of t^k f(t),
+        k < R, and ``f`` returns one value per node.  Each moment is held
+        to the test of one row of a stack; the power weights t^k w of the
+        first-call block are cached (see ``_weigh``).
 
     If the level budget runs out the best value is returned with
     ``converged=False`` (callers decide whether that is an error).  ``f``
@@ -258,7 +314,7 @@ def integrate_unit_interval(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     runs from the first test level on either way, so the first-call
     level sets the number of calls, not the level the quadrature stops at.
     """
-    return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol)
+    return _refine(lambda nodes: f(nodes[0], nodes[1]), _unit_level, tol, moments)
 
 
 def integrate_semi_infinite(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -299,43 +355,49 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
 
 
-def _refine(sample, table, tol: float) -> QuadratureResult:
+def _refine(sample, table, tol: float, moments: int | None = None) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
-    ``table(level)`` gives a level's node arrays, the weights last.  The
-    first ``sample`` call covers the block of levels 0 to
-    ``_first_call_level(tol)``, later calls one level each.  The block's
-    values are split back per level, so the sums, tests and edge tail see
-    the same per-level values as one call per level, and the
+    ``table(level)`` gives a level's node arrays, the abscissae first and
+    the weights last.  The first ``sample`` call covers the block of
+    levels 0 to ``_first_call_level(tol)``, later calls one level each.
+    The block's values are split back per level, so the sums, tests and
+    edge tail see the same per-level values as one call per level, and the
     level-difference test runs at every level from ``_FIRST_TEST_LEVEL``
     on: a quadrature stops at the same level, with the same
     ``nodes_used``, whatever the first-call level.  Every row of a
-    stacked integrand must pass the level-difference test and the
-    edge-tail check; ``abs_error_estimate`` is then the largest row error.
+    stacked integrand, or every moment with ``moments``, must pass the
+    level-difference test and the edge-tail check; ``abs_error_estimate``
+    is then the largest row error.
 
     Raises
     ------
     DomainError
-        If ``tol`` is not positive, or a sample is not finite.
+        If ``tol`` or ``moments`` is not positive, or a sample is not finite.
     """
     _check_tol(tol)
-    nodes, offsets = _block(table, _first_call_level(tol))
-    block = _weighted(sample(nodes), nodes[-1])
-    level0 = block[..., :offsets[1]]
-    tail = _edge_tail(level0)
-    running = _row_sums(level0)
-    nodes_used = level0.shape[-1]
+    if moments is not None and not moments >= 1:
+        raise DomainError(f"the number of moments must be positive, got {moments}")
+    last = _first_call_level(tol)
+    nodes, offsets = _block(table, last)
+    weights = nodes[-1] if moments is None else _block_moment_weights(table, last, moments)
+    products, sums = _weigh(sample(nodes), weights)
+    tail = _edge_tail(products(0, offsets[1]))
+    running = sums(0, offsets[1])
+    nodes_used = offsets[1]
     value_prev = running  # h = 1 at level 0
     best, err = value_prev, math.inf
     converged = False
     for level in range(1, _MAX_LEVELS + 1):
         if level < len(offsets) - 1:
-            weighted = block[..., offsets[level]:offsets[level + 1]]
+            start, stop = offsets[level], offsets[level + 1]
         else:
             nodes = table(level)
-            weighted = _weighted(sample(nodes), nodes[-1])
-        running = running + _row_sums(weighted)
-        nodes_used += weighted.shape[-1]
+            start, stop = 0, nodes[-1].size
+            weights = nodes[-1] if moments is None else _moment_weights(nodes, moments)
+            _, sums = _weigh(sample(nodes), weights)
+        running = running + sums(start, stop)
+        nodes_used += stop - start
         value = (2.0 ** (-level)) * running
         err = abs(value - value_prev)
         value_prev = value

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from extappell import extbeta
+from extappell import extbeta, quadrature
 from extappell.errors import DomainError
 from extappell.extbeta import (
     ExtendedBetaFamily,
@@ -180,6 +180,31 @@ def test_family_regrowth_evaluates_no_kernel(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     fam.value(40)
     assert calls == []
+
+
+def test_complex_p_family_matches_scalar_calls():
+    # complex p makes g complex; k = 40 is a row of the regrown 64-row stack
+    ext = ExtensionParams(1.2 + 0.8j, 0.7)
+    fam = ExtendedBetaFamily(0.9, 2.1, ext)
+    for k in (0, 5, 31, 40):
+        direct = extended_beta(0.9 + k, 2.1, ext)
+        assert abs(fam.value(k) - direct) <= 1e-11 * (1.0 + abs(direct))
+
+
+def test_families_share_one_cached_weight_table(monkeypatch):
+    # the power weights t^k w of the first-call block depend on the nodes
+    # alone: a second family integrates on the same read-only table
+    tables, firsts = [], []
+    real = quadrature._weigh
+    monkeypatch.setattr(quadrature, "_weigh",
+                        lambda fvals, weights: tables.append(weights) or real(fvals, weights))
+    for p in (1.5, 0.4):
+        tables.clear()
+        ExtendedBetaFamily(1.2, 1.9, ExtensionParams(p, 0.7)).value(0)
+        firsts.append(tables[0])
+    assert firsts[0].shape == (32, 385)
+    assert firsts[1] is firsts[0]
+    assert not firsts[0].flags.writeable
 
 
 def test_extended_beta_far_below_the_cutoff():

@@ -352,3 +352,63 @@ def test_flat_edge_downgrades_a_settled_value():
     assert res.nodes_used == 97  # levels 0-3
     with pytest.raises(ConvergenceError, match="flat edge stalled at error inf"):
         res.converged_value("flat edge")
+
+
+def _moment_stack(f, rows):
+    """The rows t^k f(t), k < ``rows``, as one stacked integrand."""
+    def stacked(t, tc):
+        return np.cumprod(np.vstack([f(t, tc), np.broadcast_to(t, (rows - 1, t.size))]), axis=0)
+
+    return stacked
+
+
+# (integrand, whether it stops past the first-call block at both
+# tolerances); none cancels much, so the moments are relatively accurate
+_MOMENT_INTEGRANDS = {
+    "smooth": (lambda t, tc: np.exp(-t) * tc**0.25, False),
+    "complex": (lambda t, tc: np.exp(5j * t) * tc**0.3, False),
+    "peak": (lambda t, tc: 1.0 / (1.0 + 400.0 * (t - 0.5)**2), True),
+    "complex-peak": (lambda t, tc: np.exp(2j * t) / (1.0 + 400.0 * (t - 0.5)**2), True),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+@pytest.mark.parametrize("name", list(_MOMENT_INTEGRANDS))
+def test_moments_match_the_stacked_integrand(name, tol):
+    # the power-weight table t^k w times one sample per node gives the
+    # stack's rows, with the same stop level and verdict
+    (f, deep), rows = _MOMENT_INTEGRANDS[name], 40
+    res = integrate_unit_interval(f, tol, moments=rows)
+    ref = integrate_unit_interval(_moment_stack(f, rows), tol)
+    assert res.value.shape == (rows,)
+    assert np.all(np.abs(res.value - ref.value) <= 2e-15 * np.abs(ref.value))
+    assert res.nodes_used == ref.nodes_used
+    assert res.converged is ref.converged is True
+    assert (_stop_level(_unit_level, res.nodes_used) > _first_call_level(tol)) is deep
+
+
+@pytest.mark.parametrize("f", [
+    lambda t, tc: np.vstack([t, tc]),
+    lambda t, tc: t[1:],
+    lambda t, tc: t / (t - t),
+], ids=["stack", "short", "nonfinite"])
+def test_moment_samples_must_be_one_finite_value_per_node(f):
+    with pytest.raises(DomainError), np.errstate(divide="ignore", invalid="ignore"):
+        integrate_unit_interval(f, 1e-10, moments=3)
+
+
+@pytest.mark.parametrize("moments", [0, -2])
+def test_moments_must_be_positive(moments):
+    with pytest.raises(DomainError, match="number of moments must be positive"):
+        integrate_unit_interval(lambda t, tc: t, 1e-10, moments=moments)
+
+
+def test_edge_mass_of_one_moment_downgrades_the_result():
+    # t^-0.999 keeps its weighted samples flat at the left edge of the
+    # table; t^(k-0.999) for k >= 1 decays there.  The level test passes
+    # at level 6, but the edge tail of row 0 is infinite
+    res = integrate_unit_interval(lambda t, tc: t**-0.999, 1e-2, moments=3)
+    assert not res.converged
+    assert res.abs_error_estimate == math.inf
+    assert _stop_level(_unit_level, res.nodes_used) == 6
+    assert abs(res.value[1] - 1.0 / 1.001) <= 1e-12 and abs(res.value[2] - 1.0 / 2.001) <= 1e-12

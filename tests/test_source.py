@@ -317,6 +317,25 @@ def test_one_euler_beta_in_the_package():
     assert found == ["hyper.py euler_beta"]
 
 
+def _cumprods(source: str) -> list[str]:
+    """Lines that take a ``cumprod``: the power weights t^k w of the
+    moments, which ``quadrature`` alone builds, once per node table."""
+    return [f"{node.lineno}: cumprod" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name_of(node) == "cumprod"]
+
+
+def test_cumprod_scan():
+    source = ("a = np.cumprod(x, axis=0)\nb = x.cumprod()\nc = np.cumsum(x)\n"
+              "from numpy import cumprod\nd = cumprod(y)\ncumprods = 1\n")
+    assert _cumprods(source) == ["1: cumprod", "2: cumprod", "5: cumprod"]
+
+
+def test_one_cumprod_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _cumprods(path.read_text(encoding="utf-8"))]
+    assert [entry.partition(":")[0] for entry in found] == ["quadrature.py"], found
+
+
 def test_star_import_binds_no_submodule():
     modules = [name for name in extappell.__all__
                if isinstance(getattr(extappell, name), types.ModuleType)]
