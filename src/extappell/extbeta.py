@@ -213,6 +213,13 @@ class ExtendedBetaFamily:
     arrays are cached and read-only), so the larger integration evaluates
     no kernel on the old levels.  Values once returned are kept.
 
+    A family grows in place and may be shared: the series route of
+    F_{1,p,nu} keeps one per (a, a+b, p, nu, tol) (``f1pv``).  A reader
+    that asks for k = 0, 1, 2, ... in order, as ``block_double_sum``
+    does, grows it through 32, 64, 128, ... rows whatever other readers
+    asked before, so each D(k) is the same bits as from a fresh family.
+    Nothing locks it: the package is single-threaded.
+
     ``appell_sum`` sums the Appell diagonal series sum_k c_k D(k) in
     closed form instead: sum_k c_k t^k = (1-xt)^(-b2) (1-yt)^(-b3), so
     the sum is the single integral of g(t) (1-xt)^(-b2) (1-yt)^(-b3).

@@ -21,6 +21,17 @@ expansion of the integrand reproduces the series exactly.
 ``f1pv`` takes a route by name (``ROUTES``) and one tolerance, that of the
 quadratures behind either route; the series sums its diagonals to 1 % of it.
 
+The diagonal values D(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1) depend on
+(b1, c1, p, nu) only, not on x, y, b2 or b3, so series calls share one
+``ExtendedBetaFamily`` per (b1, c1, p, nu, tol), the last eight kept
+(``_series_diagonal``), and the family grows in place.  A shared family
+gives the bits a fresh one would: ``block_double_sum`` reads D(k) in
+order k = 0, 1, 2, ..., so a family always grows through the same row
+counts 32, 64, 128, ..., and it keeps every value it has returned, so no
+D(k) shows which earlier sums grew it.  Families are mutable and
+unlocked: the package is single-threaded.  The integral route builds its
+own one-shot family per call.
+
 On top of the two routes: the Moebius transformation identity in
 (x, y), derivatives of any order via parameter shifts, recursions in
 b2/b3, and a strict upper bound for real parameters.  The bound's
@@ -31,8 +42,11 @@ Gamma(nu+1/2) (``bessel_k_upper_bound``) taken at w = p/(t(1-t)).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bessel import bessel_k_upper_bound
 from .errors import DomainError
@@ -75,10 +89,17 @@ def route_for(inp: ExtendedAppellInput) -> str:
     return "series" if prefers_series(a.x, a.y) else "integral"
 
 
-def _series_diagonal(a: AppellParams, ext: ExtensionParams, tol: float = DEFAULT_TOL):
-    """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family."""
-    b0 = euler_beta(a.b1, a.c1)
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ext, tol)
+# a diff trial's 15 series calls take three (b1, c1) and a recursion
+# trial's 6 take two, so eight entries hold a trial's families
+@functools.lru_cache(maxsize=8)
+def _series_diagonal(b1: complex, c1: complex, ext: ExtensionParams, tol: float):
+    """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family
+    that every series call at (b1, c1, p, nu, tol) shares (see the module
+    docstring).  ``ext`` must hold a single p, since a batch is not
+    hashable; callers pass all four arguments positionally, since the
+    cache keys a keyword or defaulted call apart from a positional one."""
+    b0 = euler_beta(b1, c1)
+    fam = ExtendedBetaFamily(b1, c1 - b1, ext, tol)
     return lambda k: fam.value(k) / b0
 
 
@@ -98,7 +119,9 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
         raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
     if abs(a.y) >= 1.0:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
-    return _diagonal_sum(_series_diagonal(a, inp.ext, tol), a, tol)
+    if isinstance(inp.ext.p, np.ndarray):
+        raise DomainError("series route needs a single p, got a batch")
+    return _diagonal_sum(_series_diagonal(a.b1, a.c1, inp.ext, tol), a, tol)
 
 
 def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
@@ -193,7 +216,7 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
         return AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
 
     # all shifted terms share (b1+1, c1+1), hence one diagonal
-    diag = _series_diagonal(shifted(0), inp.ext)
+    diag = _series_diagonal(a.b1 + 1, a.c1 + 1, inp.ext, DEFAULT_TOL)
     total = sum(_diagonal_sum(diag, shifted(ell), DEFAULT_TOL) for ell in range(1, n + 1))
     return base + a.b1 * var / a.c1 * total
 

@@ -241,7 +241,12 @@ def beta(alpha, bta):
     onto such a Beta (``_beta_reflected``).  Past the quotient's range
     the product form carries Gamma's own error, up to 3.5e-13 at 150
     random points with a + b near 171.5 + 3i, where the log-ratio form
-    keeps within 2e-14.
+    keeps within 2e-14.  Where neither applies and an argument is left
+    of 1/2, it is shifted right onto a Beta with both in the half-plane
+    Re >= 1/2 (``_beta_shifted``), as in B(0.25+300i, 1) and
+    B(-171.3, 0.25).  Where B itself overflows, as B(1e-310, 2), or the
+    log-ratio form's error would pass 1e-12, as at B(1e300, 1) = 1e-300,
+    this raises ``OverflowError``.
     """
     if ((isinstance(alpha, np.ndarray) and alpha.ndim)
             or (isinstance(bta, np.ndarray) and bta.ndim)):
@@ -278,6 +283,8 @@ def beta(alpha, bta):
             return _beta_reflected(alpha, bta)
         if bta.real < 0.5 <= alpha.real:
             return _beta_reflected(bta, alpha)
+    if alpha.real < 0.5 or bta.real < 0.5:
+        return _beta_shifted(alpha, bta)
     return _beta_log_ratio(alpha, bta)
 
 
@@ -297,6 +304,35 @@ def _beta_reflected(alpha: complex, bta: complex) -> complex:
 
     whose Beta has both arguments in the half-plane Re >= 1/2."""
     return _sin_pi(alpha + bta) / _sin_pi(alpha) * beta(bta, 1.0 - alpha - bta)
+
+
+def _beta_shifted(alpha: complex, bta: complex) -> complex:
+    """B(a, b) where a Gamma of the product form overflows, Re a or Re b
+    < 1/2 and no reflection applies, by raising each such argument to
+    Re >= 1/2 with
+
+        B(a, b) = (a+b)/a * B(a+1, b) = (a+b)/b * B(a, b+1).
+
+    Each step's ratio carries about one rounding, so past the log-ratio
+    form's budget of 1e-12 (about 1100 steps) this raises
+    ``OverflowError``, as it does where B itself overflows or underflows.
+    A pole of Gamma(a+b) gives 0, as in the product form."""
+    if is_nonpositive_integer(alpha + bta):
+        return 0j
+    steps = [math.ceil(0.5 - z.real) if z.real < 0.5 else 0 for z in (alpha, bta)]
+    if 4.0 * _EPS * sum(steps) > 1e-12:
+        raise OverflowError("beta needs too many argument shifts past a Gamma overflow")
+    factor = 1.0
+    for _ in range(steps[0]):
+        factor *= (alpha + bta) / alpha
+        alpha += 1.0
+    for _ in range(steps[1]):
+        factor *= (alpha + bta) / bta
+        bta += 1.0
+    out = factor * beta(alpha, bta)
+    if out == 0 or not cmath.isfinite(out):  # a + b is no pole, so 0 underflowed
+        raise OverflowError("beta overflows or underflows double precision")
+    return out
 
 
 def _beta_log_ratio(alpha: complex, bta: complex) -> complex:

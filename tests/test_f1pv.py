@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from extappell.f1pv import (
 )
 from extappell.hyper import AppellParams, appell_f1_series, block_double_sum
 from extappell.scalar import beta
+
+f1pv_module = importlib.import_module("extappell.f1pv")  # ``extappell.f1pv`` is the function
 
 # brute-force 200x200 double sum over 20-digit extended-Beta quadratures
 F1PV_ORACLE = 0.0109287346969606465
@@ -50,6 +53,36 @@ def test_integral_stopping_at_level_4_or_5_makes_one_kernel_call(monkeypatch, p,
     f1pv_integral(_inp(1.2, 0.5, -0.7, 3.1, 0.4, -0.3, p, 0.7))
     assert [r.nodes_used for r in results] == [nodes]
     assert len(kernel_calls) == 1
+
+
+def test_series_route_rejects_a_batch_of_p():
+    batch = ExtendedAppellInput(BASE.appell, ExtensionParams(np.array([0.5, 1.5]), 0.5))
+    for call in (f1pv_series, lambda inp: f1pv(inp, "series"),
+                 lambda inp: f1pv_recursion_b2(inp, 1)):
+        with pytest.raises(DomainError, match="single p"):
+            call(batch)
+
+
+# the same (b1, c1, p, nu): FAR sums past 32 diagonals, NEAR fewer
+FAR = _inp(1.3, 0.6, -0.4, 3.2, 0.85, -0.8, 1.1, 0.7)
+NEAR = _inp(1.3, 1.7, 0.2, 3.2, 0.2, 0.1, 1.1, 0.7)
+
+
+def test_a_shared_family_gives_the_same_values_in_either_order(monkeypatch):
+    families = []
+
+    class Recorded(f1pv_module.ExtendedBetaFamily):
+        def __init__(self, *args):
+            super().__init__(*args)
+            families.append(self)
+
+    monkeypatch.setattr(f1pv_module, "ExtendedBetaFamily", Recorded)
+    far_first = [f1pv_series(FAR), f1pv_series(NEAR)]
+    assert len(families) == 1 and families[0]._vals.size > 32
+    f1pv_module._series_diagonal.cache_clear()
+    near_first = [f1pv_series(NEAR), f1pv_series(FAR)]
+    assert len(families) == 2 and families[1]._vals.size == families[0]._vals.size
+    assert near_first[::-1] == far_first
 
 
 def test_integral_oracle_and_cross_route():

@@ -232,11 +232,9 @@ def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
         for (a, b), ref in BETA_PAST_GAMMA_OVERFLOW.items():
             for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
                 assert abs(value - ref) <= 1e-13 * ref, (a, b)
-        # B(1e-310, 2) = 1e310 really overflows; the log-ratio form covers
-        # Re a, Re b >= 1/2 only, and loses digits like eps (|a| + |b|); the
-        # reflection onto it needs Re(1-a-b) >= 1/2 and the other argument
-        # right of 1/2
-        for a, b in ((1e-310, 2.0), (-171.3, 0.25), (complex(0.25, 300.0), 1.0), (1e300, 1.0)):
+        # B(1e-310, 2) = 1e310 really overflows; the log-ratio form loses
+        # digits like eps (|a| + |b|), past 1e-12 at B(1e300, 1) = 1e-300
+        for a, b in ((1e-310, 2.0), (1e300, 1.0)):
             with pytest.raises(OverflowError):
                 beta(np.array([2.0, a]), np.array([2.0, b]))
             with pytest.raises(OverflowError):
@@ -276,6 +274,36 @@ def test_beta_left_of_one_half_reflects_past_gamma_overflow(a, b):
         ref = float(mpmath.beta(a, b))
     for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
         assert abs(value - ref) <= 2e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b", [(complex(0.25, 300.0), 1.0), (1.0, complex(0.25, 300.0)),
+                                  (-171.3, 0.25), (0.25, -171.3), (-180.7, -3.2),
+                                  (complex(-171.3, 2.0), complex(0.1, -0.3)),
+                                  (-600.7, 0.3), (-1000.3, 0.1)])
+def test_beta_left_of_one_half_shifts_past_gamma_overflow(a, b):
+    # no reflection applies; B(a, b) = (a+b)/a B(a+1, b) until Re a >= 1/2
+    with mpmath.workdps(30):
+        ref = complex(mpmath.beta(a, b))
+    for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b", [(-171.3, -0.7), (-300.25, 0.25), (complex(-180.6, 2.0),
+                                                                     complex(-0.4, -2.0))])
+def test_beta_shift_keeps_a_pole_of_gamma_a_plus_b_at_zero(a, b):
+    # the rounded a + b is a pole of Gamma, so B is 0, as the product form
+    # gives at B(-1.3, -0.7); the shifted ratios would leave 1e-14 there
+    assert beta(-1.3, -0.7) == 0
+    for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+        assert value == 0
+
+
+@pytest.mark.parametrize("a, b", [(complex(-2000.5, 0.1), 0.2),  # 2001 shifts
+                                  # B is 7e-138, but the shifted Gamma product underflows
+                                  (complex(0.3, 400.0), complex(0.2, -100.0))])
+def test_beta_shift_raises_past_its_budget_or_on_underflow(a, b):
+    with pytest.raises(OverflowError):
+        beta(a, b)
 
 
 def test_scalar_values_are_pinned_bit_for_bit():

@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from extappell import suites
 from extappell.errors import DegenerateIdentity
 from extappell.suites import SUITES, _checks, _compare, _guarded, run_suite
+
+f1pv_module = importlib.import_module("extappell.f1pv")  # ``extappell.f1pv`` is the function
 
 TOL = 1e-12  # below some mellin and diff errors, so re-judging turns those to fail
 
@@ -52,6 +55,31 @@ def test_a_meijer_trial_evaluates_f_once(monkeypatch):
     theorem1 = [r for r in records if r.method == "g-to-k-rewrite"]
     assert len(theorem1) == 28 and {r.status for r in theorem1} <= {"pass", "skipped"}
     assert len(calls) == 2 and calls[0] != calls[1]
+
+
+# the distinct (b1, c1, p, nu) of a trial's F_{1,p,nu} families: a diff
+# trial's 15 series calls take (b1+j, c1+j) for j = 0, 1, 2, a recursion
+# trial's 6 take j = 0, 1, and a reduction trial's 4 series calls take two
+# (nu and nu = 0) beside its 2 integrals' own families
+@pytest.mark.parametrize("suite, per_trial", [("diff", 3), ("recursion", 2), ("reduction", 4)])
+def test_series_calls_share_a_family_per_b1_c1_p_nu(monkeypatch, suite, per_trial):
+    original, built = f1pv_module.ExtendedBetaFamily, []
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(f1pv_module, "ExtendedBetaFamily", counted)
+    records = run_suite(suite, 2, 3)
+    assert {r.status for r in records} == {"pass"}
+    assert len(built) == 2 * per_trial
+
+
+@pytest.mark.parametrize("suite", ["diff", "recursion", "reduction"])
+def test_shared_families_leave_the_records_unchanged(suite):
+    cold = run_suite(suite, 2, 1)  # the caches start empty
+    warm = run_suite(suite, 2, 1)
+    assert [repr(r) for r in warm] == [repr(r) for r in cold]
 
 
 @pytest.mark.parametrize("suite", SUITES)
