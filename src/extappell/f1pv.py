@@ -103,11 +103,6 @@ def _series_diagonal(b1: complex, c1: complex, ext: ExtensionParams, tol: float)
     return lambda k: fam.value(k) / b0
 
 
-def _diagonal_sum(diag, a: AppellParams, tol: float) -> complex:
-    """The diagonal series, stopped at 1 % of the quadrature tolerance ``tol``."""
-    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
-
-
 def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
     """Series route; needs |x| < 1 and |y| < 1.
 
@@ -121,7 +116,8 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
     if isinstance(inp.ext.p, np.ndarray):
         raise DomainError("series route needs a single p, got a batch")
-    return _diagonal_sum(_series_diagonal(a.b1, a.c1, inp.ext, tol), a, tol)
+    diag = _series_diagonal(a.b1, a.c1, inp.ext, tol)
+    return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
 
 
 def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
@@ -211,13 +207,10 @@ def _recursion(inp: ExtendedAppellInput, n: int, on_b2: bool) -> complex:
     if var == 0:
         return base
     d2, d3 = (1, 0) if on_b2 else (0, 1)
-
-    def shifted(ell: int) -> AppellParams:
-        return AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
-
-    # all shifted terms share (b1+1, c1+1), hence one diagonal
-    diag = _series_diagonal(a.b1 + 1, a.c1 + 1, inp.ext, DEFAULT_TOL)
-    total = sum(_diagonal_sum(diag, shifted(ell), DEFAULT_TOL) for ell in range(1, n + 1))
+    # all shifted terms share (b1+1, c1+1), hence one cached diagonal
+    shifted = (AppellParams(a.b1 + 1, a.b2 + d2 * ell, a.b3 + d3 * ell, a.c1 + 1, a.x, a.y)
+               for ell in range(1, n + 1))
+    total = sum(f1pv_series(ExtendedAppellInput(s, inp.ext)) for s in shifted)
     return base + a.b1 * var / a.c1 * total
 
 

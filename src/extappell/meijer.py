@@ -15,11 +15,14 @@ separates the poles at any spacing (DLMF 16.17); only G^{2,1}_{1,2}, whose
 Gamma(1 - a + s) poles lie to the left, can have families no straight
 contour separates.
 
-Two misprints in the source identities are corrected here (both verified
-numerically to ~1e-26 against independent multiprecision evaluation):
-the mu-shifted G^{2,1}_{1,2} identity carries e^{-z}, not e^{+z}, and the
-G^{2,0}_{0,2} integral representation of the extended Appell function
-needs an extra 1/sqrt(pi).
+Each K-G identity 1.7-1.11, K_nu(z) = C(nu, mu) z^-mu e^{sign z} G, is
+written once, as a row of ``_K_G_ROWS`` (1.8 is 1.10 at mu = 0 and reads
+its row); the checks' G forms, the K route and the Theorem-1 forms take
+every constant from there.  Two misprints in the source are corrected
+(both verified numerically to ~1e-26 against independent multiprecision
+evaluation): identity 1.10 carries e^{-z}, not e^{+z} (its row's sign),
+and the G^{2,0}_{0,2} form 2.5 of the extended Appell function needs an
+extra 1/sqrt(pi) (its stated prefactor in ``_theorem1_pieces``).
 
 The two ``verify_`` functions return an identity's G side and judge
 nothing (``suites`` compares it with the other side); where an identity
@@ -32,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .bessel import bessel_k
@@ -87,13 +91,9 @@ class GSpec:
 
 
 def _exp_scale(spec: GSpec) -> float:
-    """Magnitude of the exponential growth of the residue series terms."""
-    az = abs(spec.z)
-    if spec.case in ("G2012", "G2112"):
-        return az
-    if spec.case == "G2002":
-        return 2.0 * math.sqrt(az)
-    return 4.0 * az**0.25
+    """Growth rate (q - p) |z|^(1/(q - p)) of the residue series terms."""
+    _m, _n, p, q = spec.shape
+    return (q - p) * abs(spec.z) ** (1.0 / (q - p))
 
 
 def _degenerate(beta: tuple) -> bool:
@@ -134,21 +134,19 @@ def _residue_sum(spec: GSpec) -> complex:
 
 
 def _k_route(spec: GSpec) -> complex:
-    """G(spec) from the K identity whose G form the parameters match.
-
-    Reads (identity, nu, z_K, mu) off the b's and z, rebuilds that
-    identity's G form, and answers K_nu(z_K) / factor only when the
-    rebuilt parameters are the given ones.
+    """G(spec) from the K identity of its shape, its row read backwards:
+    each row has beta[0], beta[q//2] = (mu + nu)/d, (mu - nu)/d and G's
+    argument arg(1) z_K^d, d = q - p.  Answers K_nu(z_K) / factor only when
+    the rebuilt G form has the given parameters.
     """
-    b, z = spec.beta, spec.z
-    if spec.case == "G2012":
-        which, nu, z_k, mu = "1.7", (b[0] - b[1]) / 2.0, z / 2.0, 0.0
-    elif spec.case == "G2112":
-        which, nu, z_k, mu = "1.10", (b[0] - b[1]) / 2.0, z / 2.0, (b[0] + b[1]) / 2.0
-    elif spec.case == "G2002":
-        which, nu, z_k, mu = "1.9", b[0] - b[1], 2.0 * cmath.sqrt(z), b[0] + b[1]
-    else:  # G4004
-        which, nu, z_k, mu = "1.11", 2.0 * (b[0] - b[2]), 4.0 * z**0.25, 2.0 * (b[0] + b[2])
+    _m, _n, p, q = spec.shape
+    d = q - p
+    which, row = next((w, r) for w, r in _K_G_ROWS.items() if r.case == spec.case)
+    b0, b1 = spec.beta[0], spec.beta[q // 2]
+    nu, mu = d / 2.0 * (b0 - b1), d / 2.0 * (b0 + b1)
+    z_k = spec.z / row.arg(1.0)  # z_K^d, and d = 1, 2 or 4: log2(d) square roots
+    for _ in range(d.bit_length() - 1):
+        z_k = cmath.sqrt(z_k)
     # a complex order rebuilds a different beta, so it fails the match
     rebuilt, factor = _identity_spec(which, nu.real, z_k, mu)
     given = spec.alpha + spec.beta
@@ -159,8 +157,7 @@ def _k_route(spec: GSpec) -> complex:
         )
     if factor == 0:
         raise ConvergenceError(
-            f"{spec.case} Bessel-K identity {which} has a vanishing factor here"
-        )
+            f"{spec.case} Bessel-K identity {which} has a vanishing factor here")
     return bessel_k(abs(nu.real), z_k) / factor
 
 
@@ -189,43 +186,52 @@ def meijer_g(spec: GSpec) -> complex:
 K_G_IDENTITIES = ("1.7", "1.8", "1.9", "1.10", "1.11")
 
 
-def _identity_spec(which: str, nu: float, z: complex, mu: complex):
-    """GSpec plus the prefactor mapping G to K_nu(z) for one identity.
+def _cos_pi(nu: float) -> float:
+    """cos(pi nu), but 0 within _degenerate's 1e-13 of a half-integer nu,
+    where 1.8 and 1.10 say 0 = 0 and a rounded cos(pi nu) is all rounding."""
+    off_half = (nu - 0.5) - round(nu - 0.5)
+    return 0.0 if abs(off_half) < 1e-13 else math.cos(math.pi * nu)
 
-    Returns (spec, factor) with K_nu(z) = factor * G(spec).
-    """
-    half = 0.5
-    # 0 within _degenerate's 1e-13 of a half-integer nu, where identities 1.8
-    # and 1.10 say 0 = 0 and a rounded cos(pi nu) would be all rounding
-    off_half = (nu - half) - round(nu - half)
-    cos_pi_nu = 0.0 if abs(off_half) < 1e-13 else math.cos(math.pi * nu)
-    if which == "1.7":
-        spec = GSpec("G2012", (half,), (nu, -nu), 2.0 * z)
-        return spec, math.sqrt(math.pi) * cmath.exp(z)
-    if which == "1.8":
-        spec = GSpec("G2112", (half,), (nu, -nu), 2.0 * z)
-        return spec, cos_pi_nu / math.sqrt(math.pi) * cmath.exp(-z)
-    if which == "1.9":
-        spec = GSpec("G2002", (), ((mu + nu) / 2.0, (mu - nu) / 2.0), z * z / 4.0)
-        return spec, principal_power(z, -mu) * 2.0 ** (mu - 1.0)
-    if which == "1.10":
-        # e^{-z}: the e^{+z} variant fails numerically by a factor e^{2z}
-        spec = GSpec("G2112", (mu + half,), (mu + nu, mu - nu), 2.0 * z)
-        return spec, (
-            cos_pi_nu
-            * principal_power(2.0 * z, -mu)
-            * cmath.exp(-z)
-            / math.sqrt(math.pi)
-        )
-    if which == "1.11":
-        spec = GSpec(
-            "G4004",
-            (),
-            ((mu + nu) / 4.0, (2 + mu + nu) / 4.0, (mu - nu) / 4.0, (2 + mu - nu) / 4.0),
-            z**4 / 256.0,
-        )
-        return spec, principal_power(z, -mu) * 4.0 ** (mu - 1.0) / math.pi
-    raise DomainError(f"unknown identity {which!r}; expected one of {K_G_IDENTITIES}")
+
+# one K-G identity, K_nu(z) = constant(nu, mu) z^-mu e^{sign z} G: G's shape
+# ``case``, its (alpha, beta) = params(nu, mu) and argument arg(z), and
+# whether it takes mu (one that does not holds at mu = 0 only)
+_KG = namedtuple("_KG", "case params arg takes_mu sign constant")
+
+# one row per G shape; identity 1.8 is 1.10 at mu = 0, term for term (``_row``)
+_K_G_ROWS = {
+    "1.7": _KG("G2012", lambda nu, mu: ((0.5,), (nu, -nu)),
+               arg=lambda z: 2.0 * z, takes_mu=False, sign=1.0,
+               constant=lambda nu, mu: math.sqrt(math.pi)),
+    "1.9": _KG("G2002", lambda nu, mu: ((), ((mu + nu) / 2.0, (mu - nu) / 2.0)),
+               arg=lambda z: z * z / 4.0, takes_mu=True, sign=0.0,
+               constant=lambda nu, mu: 2.0 ** (mu - 1.0)),
+    # e^{-z}: the e^{+z} variant fails numerically by a factor e^{2z}
+    "1.10": _KG("G2112", lambda nu, mu: ((mu + 0.5,), (mu + nu, mu - nu)),
+                arg=lambda z: 2.0 * z, takes_mu=True, sign=-1.0,
+                constant=lambda nu, mu: _cos_pi(nu) * 2.0 ** -mu / math.sqrt(math.pi)),
+    "1.11": _KG("G4004", lambda nu, mu: ((), ((mu + nu) / 4.0, (2 + mu + nu) / 4.0,
+                                              (mu - nu) / 4.0, (2 + mu - nu) / 4.0)),
+                arg=lambda z: z**4 / 256.0, takes_mu=True, sign=0.0,
+                constant=lambda nu, mu: 4.0 ** (mu - 1.0) / math.pi),
+}
+
+
+def _row(which: str, mu: complex):
+    """(row, mu) of identity ``which``: 1.8 reads 1.10's row at mu = 0, and
+    an identity that takes no mu gets mu = 0."""
+    row = _K_G_ROWS.get("1.10" if which == "1.8" else which)
+    if row is None:
+        raise DomainError(f"unknown identity {which!r}; expected one of {K_G_IDENTITIES}")
+    return row, mu if row.takes_mu and which != "1.8" else 0.0
+
+
+def _identity_spec(which: str, nu: float, z: complex, mu: complex):
+    """(spec, factor) of identity ``which``, K_nu(z) = factor * G(spec), both
+    from its row: factor = C(nu, mu) z^-mu e^{sign z}."""
+    row, mu = _row(which, mu)
+    spec = GSpec(row.case, *row.params(nu, mu), row.arg(z))
+    return spec, row.constant(nu, mu) * principal_power(z, -mu) * cmath.exp(row.sign * z)
 
 
 def verify_k_g_identity(which: str, nu: float, z: float, mu: float = 0.0) -> complex:
@@ -255,16 +261,18 @@ def verify_k_g_identity(which: str, nu: float, z: float, mu: float = 0.0) -> com
 # --------------------------------------------------------------------------
 
 THEOREM1_FORMS = ("2.3", "2.4", "2.5", "2.6", "2.7")
+# the K-G identity each G form is rewritten through; 2.3 is the K form itself
+_FORM_IDENTITY = {"2.4": "1.8", "2.5": "1.9", "2.6": "1.10", "2.7": "1.11"}
 
 
 def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     """(prefactor, mu of the integral) for one G-form; forms 2.3 and 2.4
     have no mu and integrate at mu = 0.
 
-    The stated G factor is rewritten through its K identity, leaving a
-    numerically evaluated w^mu factor per node; the algebra must cancel
-    the mu dependence against the shifted t powers and the prefactor.
-    The 2.5 prefactor carries the corrective 1/sqrt(pi).
+    The paper's stated prefactor (2.5's with the corrective 1/sqrt(pi)) over
+    C(m, mu), m = nu + 1/2, of the K identity of its G factor, read from that
+    row of ``_K_G_ROWS`` (``_FORM_IDENTITY``).  w^mu is left to the integral,
+    per node: the algebra must cancel its mu against the shifted t powers.
     """
     a, ext = inp.appell, inp.ext
     p, nu = ext.p, ext.nu
@@ -276,21 +284,16 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
         return gr * cmath.sqrt(2.0 * p) * (1.0 / rootpi), 0.0
     if which == "2.4":
         stated = gr * cmath.sqrt(2.0 * p) * cosfac / math.pi
-        return stated * (rootpi / cosfac), 0.0
-    if which == "2.5":
-        stated = (
-            gr * 2.0 ** (mu - 0.5) * principal_power(p, 0.5 - mu) / rootpi
-        )
-        return stated * 2.0 ** (1.0 - mu), mu
-    if which == "2.6":
+    elif which == "2.5":
+        stated = gr * 2.0 ** (mu - 0.5) * principal_power(p, 0.5 - mu) / rootpi
+    elif which == "2.6":
         stated = gr * principal_power(2.0 * p, 0.5 - mu) * cosfac / math.pi
-        return stated * rootpi * 2.0**mu / cosfac, mu
-    if which == "2.7":
-        stated = (
-            gr * principal_power(p, 0.5 - mu) * 2.0 ** (2.0 * mu - 1.5) / math.pi**1.5
-        )
-        return stated * math.pi * 4.0 ** (1.0 - mu), mu
-    raise DomainError(f"unknown form {which!r}; expected one of {THEOREM1_FORMS}")
+    elif which == "2.7":
+        stated = gr * principal_power(p, 0.5 - mu) * 2.0 ** (2.0 * mu - 1.5) / math.pi**1.5
+    else:
+        raise DomainError(f"unknown form {which!r}; expected one of {THEOREM1_FORMS}")
+    row, form_mu = _row(_FORM_IDENTITY[which], mu)
+    return stated / row.constant(m, form_mu), form_mu
 
 
 # a Meijer trial's 14 Theorem-1 forms share one input and take four mu

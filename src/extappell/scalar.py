@@ -17,7 +17,7 @@ arguments share one code path.  Near Gamma's own overflow (z ~ 171) the
 power is taken in two halves, so both paths give Gamma up to 1.7e308;
 where an intermediate still overflows, both raise ``OverflowError``, as
 ``cmath.exp`` does.  Beta takes a log-ratio form where a Gamma of its
-product overflows but the Beta does not.
+product overflows, or Gamma(a) Gamma(b) underflows, but the Beta does not.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ _SQRT_TWO_PI = 2.5066282746310005024
 _RECIP_SCALE = 2.0**-4
 # 1/Gamma below this in both parts is past the complex quotient's range
 _QUOTIENT_FLOOR = 2.0**-1024
+_NORMAL_MIN = 2.0**-1022  # the smallest normal double, about 2.2e-308
 _EPS = 2.0**-52
 _LANCZOS_SHIFT = 5.2421875  # = g + 1/2 with g = 607/128
 
@@ -206,12 +207,13 @@ def rgamma(z):
     return r if r != 0 else _RECIP_SCALE * (1.0 / (_RECIP_SCALE * g))
 
 
-def _past_quotient(r):
-    """Whether a nonzero 1/Gamma r (or each entry of an array) is one the
-    complex quotient loses, with both parts below 2^-1024.  The quotient
-    keeps every 1/g whose denominator stays below the largest double, and
-    its larger part is then at least 2^-1024."""
-    return (r != 0) & (abs(r.real) < _QUOTIENT_FLOOR) & (abs(r.imag) < _QUOTIENT_FLOOR)
+def _product_lost(prod, r):
+    """Whether beta's product form prod * r (prod = Gamma(a) Gamma(b),
+    r = 1/Gamma(a+b), or each entry of arrays) lost its digits though a + b
+    is no pole: prod is below the normal range, or r is past the complex
+    quotient's range, both parts below 2^-1024 (see ``rgamma``)."""
+    past_quotient = (abs(r.real) < _QUOTIENT_FLOOR) & (abs(r.imag) < _QUOTIENT_FLOOR)
+    return (r != 0) & (past_quotient | (abs(prod) < _NORMAL_MIN))
 
 
 def pochhammer(lam: complex, n: int) -> complex:
@@ -235,11 +237,12 @@ def beta(alpha, bta):
     Symmetric in its arguments by construction.  A pole of Gamma(a+b)
     alone yields 0 (the correct limit); poles of Gamma(a) or Gamma(b)
     raise.  Where a Gamma of the product overflows but the Beta need not,
-    or 1/Gamma(a+b) is past the complex quotient's range (see ``rgamma``),
-    the value comes from a log-ratio form (both Re a, Re b >= 1/2, a + b
-    past about 171) or, with one argument left of 1/2, from reflecting
-    onto such a Beta (``_beta_reflected``).  Past the quotient's range
-    the product form carries Gamma's own error, up to 3.5e-13 at 150
+    1/Gamma(a+b) is past the complex quotient's range (see ``rgamma``) or
+    Gamma(a) Gamma(b) is below the normal range though a + b is no pole
+    (B(1.3+400i, 1.2-100i) = 3.1e-138), the value comes from a log-ratio
+    form (both Re a, Re b >= 1/2) or, with one argument left of 1/2, from
+    reflecting onto such a Beta (``_beta_reflected``).  Past the quotient's
+    range the product form carries Gamma's own error, up to 3.5e-13 at 150
     random points with a + b near 171.5 + 3i, where the log-ratio form
     keeps within 2e-14.  Where neither applies and an argument is left
     of 1/2, it is shifted right onto a Beta with both in the half-plane
@@ -256,8 +259,8 @@ def beta(alpha, bta):
         _raise_at_poles(bta, "beta pole in second argument")
         try:
             with np.errstate(all="ignore"):
-                out = gamma(alpha) * gamma(bta) * (recip := rgamma(alpha + bta))
-            bad = ~np.isfinite(out) | _past_quotient(recip)
+                out = (prod := gamma(alpha) * gamma(bta)) * (recip := rgamma(alpha + bta))
+            bad = ~np.isfinite(out) | _product_lost(prod, recip)
         except OverflowError:
             out = np.empty(alpha.shape, dtype=complex)
             bad = np.ones(alpha.shape, dtype=bool)
@@ -273,8 +276,8 @@ def beta(alpha, bta):
     if is_nonpositive_integer(bta):
         raise PoleError("beta pole in second argument", bta)
     try:
-        out = gamma(alpha) * gamma(bta) * (recip := rgamma(alpha + bta))
-        if cmath.isfinite(out) and not _past_quotient(recip):
+        out = (prod := gamma(alpha) * gamma(bta)) * (recip := rgamma(alpha + bta))
+        if cmath.isfinite(out) and not _product_lost(prod, recip):
             return out
     except OverflowError:
         pass

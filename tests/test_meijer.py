@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extappell import meijer
 from extappell.bessel import bessel_k, bessel_k_scaled
 from extappell.errors import ConvergenceError, DegenerateIdentity, DomainError
 from extappell.extbeta import ExtensionParams
@@ -205,3 +206,30 @@ def test_theorem1_integer_nu_skips():
         with pytest.raises(DegenerateIdentity, match=r"^cos\(pi \(nu\+1/2\)\)=0 degeneracy$"):
             verify_theorem1(which, inp, mu)
     assert _theorem1_error("2.3", inp, 0.0) <= 1e-8
+
+
+def test_theorem1_forms_at_complex_p():
+    # the suites sample real p only
+    inp = ExtendedAppellInput(AppellParams(1.2, 0.5, -0.7, 3.1, 0.4, -0.3),
+                              ExtensionParams(complex(1.2, 0.8), 0.7))
+    for which in THEOREM1_FORMS:
+        for mu in (-0.5, 0.0, 0.7, 1.3):
+            assert _theorem1_error(which, inp, mu) <= 1e-12, (which, mu)
+
+
+def test_a_planted_identity_constant_moves_its_check_and_its_form(monkeypatch):
+    # every reader takes C from the identity's row: planting 1 + 1e-6 in the
+    # C of 1.9 moves the 1.9 check by that factor and form 2.5, which divides
+    # by it, by the reciprocal, and leaves every other side as it was
+    nu, z, mu = 0.3, 1.2, 0.4
+    k_g = {which: verify_k_g_identity(which, nu, z, mu) for which in K_G_IDENTITIES}
+    forms = {which: verify_theorem1(which, BASE, mu) for which in THEOREM1_FORMS}
+    row = meijer._K_G_ROWS["1.9"]
+    monkeypatch.setitem(meijer._K_G_ROWS, "1.9", row._replace(
+        constant=lambda nu, mu: row.constant(nu, mu) * (1.0 + 1e-6)))
+    for which, before in k_g.items():
+        factor = 1.0 + 1e-6 if which == "1.9" else 1.0
+        assert abs(verify_k_g_identity(which, nu, z, mu) - factor * before) <= 1e-15 * abs(before)
+    for which, before in forms.items():
+        factor = 1.0 + 1e-6 if which == "2.5" else 1.0
+        assert abs(factor * verify_theorem1(which, BASE, mu) - before) <= 1e-15 * abs(before)

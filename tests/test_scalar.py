@@ -279,7 +279,9 @@ def test_beta_left_of_one_half_reflects_past_gamma_overflow(a, b):
 @pytest.mark.parametrize("a, b", [(complex(0.25, 300.0), 1.0), (1.0, complex(0.25, 300.0)),
                                   (-171.3, 0.25), (0.25, -171.3), (-180.7, -3.2),
                                   (complex(-171.3, 2.0), complex(0.1, -0.3)),
-                                  (-600.7, 0.3), (-1000.3, 0.1)])
+                                  (-600.7, 0.3), (-1000.3, 0.1),
+                                  # the shifted Gamma product underflows; B is 7e-138
+                                  (complex(0.3, 400.0), complex(0.2, -100.0))])
 def test_beta_left_of_one_half_shifts_past_gamma_overflow(a, b):
     # no reflection applies; B(a, b) = (a+b)/a B(a+1, b) until Re a >= 1/2
     with mpmath.workdps(30):
@@ -298,12 +300,20 @@ def test_beta_shift_keeps_a_pole_of_gamma_a_plus_b_at_zero(a, b):
         assert value == 0
 
 
-@pytest.mark.parametrize("a, b", [(complex(-2000.5, 0.1), 0.2),  # 2001 shifts
-                                  # B is 7e-138, but the shifted Gamma product underflows
-                                  (complex(0.3, 400.0), complex(0.2, -100.0))])
+@pytest.mark.parametrize("a, b", [(complex(-2000.5, 0.1), 0.2)])  # 2001 shifts
 def test_beta_shift_raises_past_its_budget_or_on_underflow(a, b):
     with pytest.raises(OverflowError):
         beta(a, b)
+
+
+def test_beta_where_the_gamma_product_underflows():
+    # Gamma(a) Gamma(b) is 1.5e-337, below the normal range, so the product
+    # form returned 0 for a B of 3.1e-138; the log-ratio form answers
+    a, b = complex(1.3, 400.0), complex(1.2, -100.0)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.beta(mpmath.mpc(a), mpmath.mpc(b)))
+    for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_scalar_values_are_pinned_bit_for_bit():
