@@ -58,6 +58,7 @@ from .hyper import (
     block_double_sum,
     check_euler_domain,
     euler_beta,
+    euler_integral_beta,
 )
 from .quadrature import DEFAULT_TOL
 from .scalar import beta, pochhammer
@@ -83,8 +84,8 @@ ROUTES = ("series", "integral", "auto")
 
 def route_for(inp: ExtendedAppellInput) -> str:
     """The route "auto" takes: the series when ``prefers_series(x, y)``,
-    the integral otherwise.  Both divide by ``euler_beta(b1, c1)``, so a
-    pole or an underflow of B(b1, c1-b1) fails on either route."""
+    the integral otherwise.  Both divide by ``euler_integral_beta(b1, c1)``,
+    so a pole, an underflow or a cancelling integral fails on either route."""
     a = inp.appell
     return "series" if prefers_series(a.x, a.y) else "integral"
 
@@ -98,7 +99,7 @@ def _series_diagonal(b1: complex, c1: complex, ext: ExtensionParams, tol: float)
     docstring).  ``ext`` must hold a single p, since a batch is not
     hashable; callers pass all four arguments positionally, since the
     cache keys a keyword or defaulted call apart from a positional one."""
-    b0 = euler_beta(b1, c1)
+    b0 = euler_integral_beta(b1, c1)
     fam = ExtendedBetaFamily(b1, c1 - b1, ext, tol)
     return lambda k: fam.value(k) / b0
 
@@ -123,10 +124,10 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
 def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
     """Integral route, in the Euler domain (``check_euler_domain``):
     Re(c1) > Re(b1) > 0 and x, y off [1, inf).  Its prefactor is
-    1/``euler_beta(b1, c1)``."""
+    1/``euler_integral_beta(b1, c1)``."""
     a = inp.appell
     check_euler_domain(a.b1, a.c1, a.x, a.y)
-    pref = 1.0 / euler_beta(a.b1, a.c1)
+    pref = 1.0 / euler_integral_beta(a.b1, a.c1)
     fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 

@@ -17,7 +17,8 @@ F1 and F_{1,p,nu} share one normaliser, B(b1, c1-b1) from ``euler_beta``,
 and one Euler-integral domain, ``check_euler_domain``: F_{1,p,nu}'s
 series divides its diagonals by that B and every Euler integral divides
 its quadrature by it, and the routes, the Mellin routines, the
-Theorem-1 forms and the bound take both from here.
+Theorem-1 forms and the bound take both from here; a quadrature takes B
+through ``euler_integral_beta``, which refuses a cancelling integral.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _FIRST_DIAGONALS = 32
 F1_TOL = 1e-14
 # the most terms a pFq series, or diagonals a double series, may take
 MAX_TERMS = 4000
+# |B(b1, c1-b1)| below this share of B(Re b1, Re(c1-b1)) leaves an Euler
+# integral's rounding, about 2.2e-16 of the latter, above 2e-3 of B
+_EULER_CANCELLATION = 1e-13
 
 
 def _terminating_index(a: complex) -> int | None:
@@ -236,8 +240,8 @@ def appell_f1_series(params: AppellParams) -> complex:
 
 
 def euler_beta(b1: complex, c1: complex) -> complex:
-    """B(b1, c1-b1), the normaliser of F_{1,p,nu} on both routes and of
-    every Euler integral of F1 type.
+    """B(b1, c1-b1), the normaliser of F1, of F_{1,p,nu} and of their
+    Mellin transform.
 
     Raises ``OverflowError`` where B underflows to 0, since 1/B then
     overflows; a pole of b1 or c1-b1 raises ``PoleError`` from ``beta``.
@@ -245,6 +249,22 @@ def euler_beta(b1: complex, c1: complex) -> complex:
     norm = beta(b1, c1 - b1)
     if norm == 0:
         raise OverflowError(f"B(b1, c1-b1) underflows to 0 at b1={b1}, c1={c1}")
+    return norm
+
+
+def euler_integral_beta(b1: complex, c1: complex) -> complex:
+    """``euler_beta`` as the divisor of a quadrature of t^(b1-1) (1-t)^(c1-b1-1)
+    times other factors, as of every Euler integral and F_{1,p,nu}'s series
+    diagonals.  Raises ``ConvergenceError`` where, in the Euler domain, |B| is
+    below ``_EULER_CANCELLATION`` of B(Re b1, Re(c1-b1)), the integral of the
+    modulus, so that the quadrature's rounding swamps B."""
+    norm = euler_beta(b1, c1)
+    if (b1.imag or c1.imag) and b1.real > 0 and (c1 - b1).real > 0:
+        moduli = beta(b1.real, (c1 - b1).real).real
+        if abs(norm) < _EULER_CANCELLATION * moduli:
+            raise ConvergenceError(
+                f"the Euler integral cancels below double precision: |B(b1, c1-b1)| = "
+                f"{abs(norm):.3g}, B(Re b1, Re(c1-b1)) = {moduli:.3g}")
     return norm
 
 
@@ -263,11 +283,11 @@ def check_euler_domain(b1: complex, c1: complex, x: complex, y: complex):
 def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> complex:
     """Appell F1 by the Euler integral, in its domain (``check_euler_domain``):
     ``euler_integrand`` with no kernel and the ``appell_powers``, by
-    tanh-sinh at ``tol``, over ``euler_beta``.  The integrand is real
+    tanh-sinh at ``tol``, over ``euler_integral_beta``.  The integrand is real
     when every parameter and variable is."""
     a = params
     check_euler_domain(a.b1, a.c1, a.x, a.y)
-    norm = euler_beta(a.b1, a.c1)
+    norm = euler_integral_beta(a.b1, a.c1)
     b1, b2, b3, c1, x, y = real_or_complex(a.b1, a.b2, a.b3, a.c1, a.x, a.y)
     integrand = euler_integrand(b1 - 1.0, c1 - b1 - 1.0, extra=appell_powers(b2, b3, x, y))
     res = integrate_unit_interval(integrand, tol)

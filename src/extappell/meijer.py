@@ -42,7 +42,7 @@ from .bessel import bessel_k
 from .errors import ConvergenceError, DegenerateIdentity, DomainError
 from .extbeta import ExtendedBetaFamily
 from .f1pv import ExtendedAppellInput
-from .hyper import PFQParams, euler_beta, pfq
+from .hyper import PFQParams, euler_integral_beta, pfq
 from .scalar import log_gamma, principal_power
 
 # case tag -> (m, n, p, q) of G^{m,n}_{p,q}
@@ -277,7 +277,7 @@ def _theorem1_pieces(which: str, inp: ExtendedAppellInput, mu: float):
     a, ext = inp.appell, inp.ext
     p, nu = ext.p, ext.nu
     m = nu + 0.5
-    gr = 1.0 / euler_beta(a.b1, a.c1)
+    gr = 1.0 / euler_integral_beta(a.b1, a.c1)
     rootpi = math.sqrt(math.pi)
     cosfac = math.cos(math.pi * m)
     if which == "2.3":

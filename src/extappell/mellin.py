@@ -54,7 +54,14 @@ import numpy as np
 
 from .errors import DomainError
 from .extbeta import ExtendedBetaFamily, ExtensionParams
-from .hyper import F1_TOL, AppellParams, block_double_sum, euler_beta, pochhammer_diagonal
+from .hyper import (
+    F1_TOL,
+    AppellParams,
+    block_double_sum,
+    euler_beta,
+    euler_integral_beta,
+    pochhammer_diagonal,
+)
 from .quadrature import ENDPOINT_CUTOFF, integrate_semi_infinite, integrate_vertical_line
 from .scalar import beta, gamma, is_nonpositive_integer
 
@@ -138,7 +145,7 @@ def _radial(appell: AppellParams, nu: float, s: complex):
     below ``_P_LIMIT_FORM``, so the first call always needs it.
     """
     a = appell
-    b0 = euler_beta(a.b1, a.c1)
+    b0 = euler_integral_beta(a.b1, a.c1)
     limit_coefficient = _limit_coefficient(appell, nu)
 
     def weighted(ps: np.ndarray) -> np.ndarray:

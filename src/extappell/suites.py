@@ -39,7 +39,7 @@ from .f1pv import (
     f1pv_series,
     f1pv_transform,
 )
-from .hyper import AppellParams, block_double_sum, euler_beta
+from .hyper import AppellParams, block_double_sum, euler_integral_beta
 from .meijer import K_G_IDENTITIES, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .report import VerificationRecord, make_record
@@ -261,7 +261,7 @@ def _reduction(i, rng, tol):
     nu0_tol, origin_tol = tol or REDUCTION_NU0_TOL, tol or REDUCTION_ORIGIN_TOL
 
     def chaudhry_series():
-        b0 = euler_beta(a.b1, a.c1)
+        b0 = euler_integral_beta(a.b1, a.c1)
         return block_double_sum(
             lambda k: chaudhry_beta(a.b1 + k, b, p) / b0, a.b2, a.b3, a.x, a.y, 1e-12
         )
@@ -277,7 +277,7 @@ def _reduction(i, rng, tol):
     )
     yield _compare(
         "reduction", f"trial{i}-origin", params, lambda: f1pv_series(_moved(inp, x=0.0, y=0.0)),
-        lambda: extended_beta(a.b1, b, inp.ext) / euler_beta(a.b1, a.c1),
+        lambda: extended_beta(a.b1, b, inp.ext) / euler_integral_beta(a.b1, a.c1),
         origin_tol, "x=y=0 vs extended Beta ratio",
     )
     for name in ("b2", "b3"):

@@ -390,6 +390,48 @@ def test_underflowing_normaliser_exit_3(capsys, argv):
     assert "B(b1, c1-b1) underflows to 0" in err[0]
 
 
+# |B(b1, c1-b1)| = 3.1e-138 against 0.62 for B(Re b1, Re(c1-b1)): the Euler
+# integral cancels far below double precision, and divided by B came out
+# 30 orders of magnitude off mpmath
+_CANCELLING_B = ["b1=1.3+400j", "b2=.5", "b3=.5", "c1=2.5+300j", "x=.1", "y=.2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["f1pv", *_CANCELLING_B, "p=1", "nu=.7"],
+    ["f1pv", *_CANCELLING_B, "p=1", "nu=.7", "--route", "series"],
+    ["f1pv", *_CANCELLING_B, "p=1", "nu=.7", "--route", "integral"],
+    ["f1", *_CANCELLING_B, "--route", "integral"],
+], ids=["f1pv-auto", "f1pv-series", "f1pv-integral", "f1-integral"])
+def test_cancelling_euler_integral_exit_3(capsys, argv):
+    assert run(["eval", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert "the Euler integral cancels below double precision" in err[0]
+
+
+def test_complex_parameters_short_of_cancelling(capsys):
+    # |B| is 3.3e-4 of B(Re b1, Re(c1-b1)) here; 30-digit mpmath quadrature
+    ref = complex(0.12262718122778673833, 0.33256446309688659644)
+    args = ["b1=1.3+10j", "b2=.5", "b3=.5", "c1=2.5+7.5j", "x=.1", "y=.2", "p=1", "nu=.7"]
+    for route in ("series", "integral"):
+        assert run(["eval", "f1pv", *args, "--route", route]) == 0
+        value = complex(*map(float, capsys.readouterr().out.split()[:2]))
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+def test_mellin_closed_form_integrates_nothing(capsys):
+    # |B(b1, c1-b1)| is 9.8e-15 of B(Re b1, Re(c1-b1)), which refuses F, but the
+    # closed form is a ratio of Betas times an F1 series; 30-digit mpmath
+    ref = complex(-1.6492632632483461436, -0.52824618057255039692)
+    args = ["b1=1.3+40j", "b2=.5", "b3=.5", "c1=2.5+30j", "x=.1", "y=.2", "nu=.7"]
+    assert run(["eval", "mellin_fwd", *args, "s=1"]) == 0
+    value = complex(*map(float, capsys.readouterr().out.split()[:2]))
+    assert abs(value - ref) <= 1e-13 * abs(ref)
+    assert run(["eval", "f1pv", *args, "p=1"]) == 3
+
+
 def test_classical_series_needs_no_normaliser(capsys):
     # mpmath appellf1(560, 0.5, 0.5, 1120, 0.1, 0.1) at 30 digits
     assert run(["eval", "f1", *_UNDERFLOW_B]) == 0

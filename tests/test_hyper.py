@@ -14,6 +14,7 @@ from extappell.hyper import (
     block_double_sum,
     check_euler_domain,
     euler_beta,
+    euler_integral_beta,
     f1_diagonal_coefficients,
     _scalar_sum,
     pfq,
@@ -255,6 +256,22 @@ def test_euler_beta_is_beta_and_raises_where_it_vanishes():
     for b1, c1 in ((0.0, 2.0), (1.5, 1.5), (-1.0, 0.5)):
         with pytest.raises(PoleError, match="beta pole"):
             euler_beta(b1, c1)
+
+
+def test_euler_integral_beta_refuses_where_the_integral_cancels():
+    # |B(b1, c1-b1)| over B(Re b1, Re(c1-b1)) is 3.3e-4 at Im b1 = 10, 9.8e-15
+    # at Im b1 = 40 and 5e-138 at Im b1 = 400; left of Re b1 = 0 there is
+    # no Euler integral to cancel
+    for b1, c1 in ((1.2, 3.1), (150.0, 300.0), (complex(1.3, 10.0), complex(2.5, 7.5)),
+                   (complex(-0.5, 40.0), complex(2.5, 30.0))):
+        assert euler_integral_beta(b1, c1) == euler_beta(b1, c1)
+    for b1, c1 in ((complex(1.3, 40.0), complex(2.5, 30.0)),
+                   (complex(1.3, 400.0), complex(2.5, 300.0))):
+        euler_beta(b1, c1)
+        with pytest.raises(ConvergenceError, match="cancels below double precision"):
+            euler_integral_beta(b1, c1)
+    with pytest.raises(OverflowError, match=r"B\(b1, c1-b1\) underflows to 0"):
+        euler_integral_beta(560.0, 1120.0)
 
 
 @pytest.mark.parametrize("b1, c1, x, y, match", [

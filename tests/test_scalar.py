@@ -300,10 +300,13 @@ def test_beta_shift_keeps_a_pole_of_gamma_a_plus_b_at_zero(a, b):
         assert value == 0
 
 
-@pytest.mark.parametrize("a, b", [(complex(-2000.5, 0.1), 0.2)])  # 2001 shifts
+@pytest.mark.parametrize("a, b", [(complex(-2000.5, 0.1), 0.2),  # 2001 shifts
+                                  # B is 1.0e-683: the shifted Beta underflows too
+                                  (complex(0.3, 500.0), complex(0.2, -500.0))])
 def test_beta_shift_raises_past_its_budget_or_on_underflow(a, b):
-    with pytest.raises(OverflowError):
-        beta(a, b)
+    for args in ((a, b), (np.array([2.0, a]), np.array([2.0, b]))):
+        with pytest.raises(OverflowError):
+            beta(*args)
 
 
 def test_beta_where_the_gamma_product_underflows():
