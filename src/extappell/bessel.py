@@ -44,6 +44,7 @@ order (e.g. nu = 100.5 at z = 79.4 e^{1.50i}).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,7 +90,14 @@ class BesselOrder:
 def _as_order(order) -> BesselOrder:
     if isinstance(order, BesselOrder):
         return order
-    return BesselOrder.from_nu(order)
+    return _order_of(float(order))
+
+
+@functools.lru_cache(maxsize=64)
+def _order_of(nu: float) -> BesselOrder:
+    """``BesselOrder.from_nu``, kept for the orders of the last calls: a
+    quadrature evaluates its kernel at one order in call after call."""
+    return BesselOrder.from_nu(nu)
 
 
 def _check_right_half_plane(z: complex) -> complex:
@@ -124,6 +132,14 @@ def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
     t_j is at least 1 up to the exact zero t_{k+1}, so the sum is the
     whole finite closed form.
     """
+    return np.sqrt(0.5 * np.pi / z) * _horner(_hankel_coefficients(nu, z_h), z_h / z)
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_coefficients(nu: float, z_h: float) -> tuple:
+    """The coefficients t_k = a_k(nu) z_h^-k of ``_hankel_scaled``, up to
+    the last one not below 1e-17 in modulus; kept per (nu, z_h) for the
+    orders of the last calls."""
     mu = 4.0 * nu * nu
     coeffs = []
     t, k = 1.0, 0
@@ -131,7 +147,7 @@ def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
         coeffs.append(t)
         k += 1
         t *= (mu - (2 * k - 1) ** 2) / (8.0 * k * z_h)
-    return np.sqrt(0.5 * np.pi / z) * _horner(coeffs, z_h / z)
+    return tuple(coeffs)
 
 
 def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
@@ -147,12 +163,13 @@ def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         value = _hankel_scaled(k + 0.5, 1.0, z)
-        bad = ~np.isfinite(value)
-        if np.any(bad):
+        finite = np.isfinite(value)
+        if not finite.all():
+            bad = ~finite
             value[bad] = math.sqrt(0.5 * math.pi) / np.sqrt(z[bad]) if k == 0 else np.inf
         if k > 0 and np.iscomplexobj(z):
             moduli = _hankel_scaled(k + 0.5, 1.0, np.abs(z))
-            if np.any(2.0**-52 * moduli > _REL_TOL * np.abs(value)):
+            if (2.0**-52 * moduli > _REL_TOL * np.abs(value)).any():
                 raise ConvergenceError(
                     f"half-odd Hankel sum cancels below double precision (nu={k + 0.5:g})"
                 )
@@ -165,18 +182,18 @@ def _cosh_tau_max(re_min: float, nu: float) -> float:
     Solved as tau = acosh(1 + (cutoff + nu tau)/re_min) by fixed point,
     with the large-ratio branch done in logs so re_min may be tiny.
     """
+    ln_re = math.log(re_min)
     if nu > 0.05:
         # refuse upfront when K itself cannot be represented:
         # ln K_scaled ~ lgamma(nu) - ln 2 + nu ln(2/re_min)
-        ln_peak = math.lgamma(nu) - math.log(2.0) + nu * (math.log(2.0) - math.log(re_min))
+        ln_peak = math.lgamma(nu) - math.log(2.0) + nu * (math.log(2.0) - ln_re)
         if ln_peak > 705.0:
             raise ConvergenceError(
                 f"K_nu value overflows double precision (nu={nu:g}, Re z={re_min:g})"
             )
     tau = 10.0
     for _ in range(60):
-        q = None
-        ln_q = math.log(_AMP_CUTOFF + nu * tau) - math.log(re_min)
+        ln_q = math.log(_AMP_CUTOFF + nu * tau) - ln_re
         if ln_q < 34.0:
             q = (_AMP_CUTOFF + nu * tau) / re_min
             new = math.log1p(q + math.sqrt(q * (q + 2.0)))

@@ -27,7 +27,8 @@ Chaudhry kernel's and ``hyper``'s F1 Euler integral's too, comes from
 ``euler_integrand``: one fused log-domain exponent, with the exponential
 part of K folded in (the scaled Bessel variant), and exactly zero once
 that exponent drops below -``quadrature.ENDPOINT_CUTOFF``; the kernel is
-evaluated only at the other nodes, and keeps no values between calls.
+evaluated only at the other nodes, once per pair of tanh-sinh twin nodes
+(which share t(1-t)), and keeps no values between calls.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
@@ -50,7 +51,7 @@ import numpy as np
 
 from .bessel import bessel_k_scaled_many
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
+from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval, unit_twins
 
 # moments integrated by a family's first quadrature; each later one doubles them
 _FIRST_ROWS = 32
@@ -127,6 +128,15 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     zero, and the kernel is evaluated only at the others.  When every
     node is live the arrays are taken whole, with no zero-fill and no
     selects; the values are the same bits.
+
+    The kernel is evaluated once per live pair of twin nodes.  On a
+    cached tanh-sinh node array (``quadrature.unit_twins``) twin nodes
+    have the same t(1-t), so the same w to the bit: the kernel takes that
+    w once for each pair with a live node, whether one node of the pair
+    is live or both, and the live nodes of the pair share the value.  A
+    kernel value depends only on its own w and the set of distinct w in
+    the call, which this leaves alone, so the values are the same bits
+    as with every live node evaluated.
     """
     def integrand(t, tc):
         expo = xt * np.log(t) + yt * np.log(tc)
@@ -137,19 +147,44 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
         live = re > -ENDPOINT_CUTOFF
-
-        def values(nodes):
-            v = np.exp(expo[nodes])
-            return v if kernel is None else v * kernel.scaled_values(w[nodes])
-
         if live.all():
-            return values(...)  # every node, the arrays whole
+            live = ...  # every node, the arrays whole
+        elif not live.any():
+            return np.zeros(expo.shape, dtype=expo.dtype)
+        v = np.exp(expo[live])
+        if kernel is not None:
+            v = v * _kernel_per_pair(kernel, w, live, unit_twins(t))
+        if live is ...:
+            return v
         out = np.zeros(expo.shape, dtype=expo.dtype)
-        if live.any():
-            out[live] = values(live)
+        out[live] = v
         return out
 
     return integrand
+
+
+def _kernel_per_pair(kernel: ExtendedBetaKernel, w: np.ndarray, live, twins):
+    """The kernel at the live nodes, ordered as ``w[live]`` orders them
+    (``live`` is ``...`` when every node is live).  With the nodes'
+    ``twins`` known it is evaluated once per pair with a live node, at
+    the pair's leading node, whose w is the same bits, and every live
+    node takes its pair's value."""
+    own = live
+    if twins is not None:
+        live_mask = np.ones(w.shape, dtype=bool) if live is ... else live
+        own = twins.leads & (live_mask | _columns(live_mask, twins.index))
+    values = kernel.scaled_values(w[own])
+    if twins is None:
+        return values
+    every = np.empty(w.shape, dtype=values.dtype)
+    every[own] = values
+    return _columns(every, twins.lead_of)[live]
+
+
+def _columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[..., index]`` for a 1-D or 2-D ``a``, without the Ellipsis,
+    which costs a 1-D gather three times its time."""
+    return a[index] if a.ndim == 1 else a[:, index]
 
 
 def appell_powers(b2, b3, x, y):

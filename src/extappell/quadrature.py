@@ -37,9 +37,16 @@ per level.  The first-call level follows from ``tol`` (see
 ``_first_call_level``), since tanh-sinh roughly doubles its digits per
 level (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The stopping test
 still runs at every level from the first test level,
-``_FIRST_TEST_LEVEL`` = 3, on, so the first-call level changes how many calls a quadrature makes,
-never the level it stops at.  Engines are stateless apart from those
-immutable tables and blocks and the blocks' power weights.
+``_FIRST_TEST_LEVEL`` = 3, on.  So the first-call level changes how many
+calls a quadrature makes, never the level it stops at.  Engines are
+stateless apart from those immutable tables and blocks and the blocks'
+power weights.
+
+Tanh-sinh nodes come in mirror pairs, tau and -tau, with t(-tau) equal
+to 1 - t(tau) bit for bit.  Every cached tanh-sinh node array, a level's
+and a block's, has its ``Twins`` recorded (``unit_twins``): a function of
+t(1 - t) alone, such as the extended-Beta kernel, is then the same bits
+at both nodes of a pair and need be evaluated at one of them only.
 """
 
 from __future__ import annotations
@@ -108,13 +115,49 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
+@dataclass(frozen=True)
+class Twins:
+    """The mirror pairs of a tanh-sinh node array t.
+
+    Node i and node ``index[i]`` sit at tau and -tau, so t[index] equals
+    1 - t bit for bit; the node at tau = 0 is its own twin.  ``leads``
+    marks the node of lower index in each pair, and ``lead_of[i]`` is the
+    leading node of node i's pair, so that values taken at the leading
+    nodes spread to every node as ``values[..., lead_of]``.
+    """
+
+    index: np.ndarray
+    leads: np.ndarray
+    lead_of: np.ndarray
+
+    @classmethod
+    def from_index(cls, index: np.ndarray) -> "Twins":
+        nodes = np.arange(index.size)
+        return cls(*_read_only(index, nodes <= index, np.minimum(nodes, index)))
+
+
+# (t, its Twins) for every cached tanh-sinh node array t, keyed by id(t);
+# an entry keeps its t alive, so no other array can take that id.  Written
+# once per array, when the level or block is built
+_TWINS: dict[int, tuple[np.ndarray, Twins]] = {}
+
+
+def unit_twins(t: np.ndarray) -> Twins | None:
+    """The ``Twins`` of a cached tanh-sinh node array ``t``, a level's or
+    a block's, or None for any other array."""
+    entry = _TWINS.get(id(t))
+    return None if entry is None else entry[1]
+
+
 @functools.cache
 def _unit_level(level: int):
     """(t, 1-t, weight) for the nodes new at `level` of the tanh-sinh rule.
 
     t(tau) = sigmoid(pi * sinh(tau)); dt/dtau = pi * cosh(tau) * t * (1-t).
     Level 0 holds the integer abscissae, level L > 0 the odd multiples of
-    2**-L, all within |tau| <= _TAU_MAX_UNIT.
+    2**-L, all within |tau| <= _TAU_MAX_UNIT.  The abscissae run from
+    -tau_max to tau_max, and t is built from |tau| and the sign of tau,
+    so node i's twin is node n-1-i (see ``Twins``).
     """
     h = 2.0 ** (-level)
     if level == 0:
@@ -124,13 +167,13 @@ def _unit_level(level: int):
         kmax = int(math.floor(_TAU_MAX_UNIT / h))
         ks = np.arange(-kmax, kmax + 1)
         tau = ks[ks % 2 != 0] * h
-    u = math.pi * np.sinh(tau)
-    eu = np.exp(-np.abs(u))
+    eu = np.exp(-math.pi * np.sinh(np.abs(tau)))
     near = eu / (1.0 + eu)
     far = 1.0 / (1.0 + eu)
-    t = np.where(u >= 0, far, near)
-    tc = np.where(u >= 0, near, far)
+    t = np.where(tau >= 0, far, near)
+    tc = np.where(tau >= 0, near, far)
     w = math.pi * np.cosh(tau) * t * tc
+    _TWINS[id(t)] = t, Twins.from_index(np.arange(t.size)[::-1].copy())
     return _read_only(t, tc, w)
 
 
@@ -198,11 +241,16 @@ def _block(table, last: int):
     ``offsets[L]:offsets[L + 1]``.  Blocks are cached by (table, last)
     and read-only, like the level tables, so a node array's identity
     names its nodes: the extended-Beta family keys its integrand samples
-    on it.
+    on it.  A block of tanh-sinh levels records its ``Twins`` too, each
+    level's twin index shifted to the level's offset.
     """
     levels = [table(lvl) for lvl in range(last + 1)]
     arrays = _read_only(*(np.concatenate(cols) for cols in zip(*levels)))
     offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
+    twins = [unit_twins(lvl[0]) for lvl in levels]
+    if all(tw is not None for tw in twins):
+        _TWINS[id(arrays[0])] = arrays[0], Twins.from_index(
+            np.concatenate([tw.index + start for tw, start in zip(twins, offsets)]))
     return arrays, offsets
 
 
@@ -241,6 +289,12 @@ def _weigh(fvals, weights: np.ndarray):
     weights t^k w of shape (R, nodes).  Moments take one sample per node,
     and a sum is one matrix-vector product; a complex f goes through a
     float64 view of shape (nodes, 2), so the table is never upcast.
+
+    That product is the BLAS's (OpenBLAS in the numpy wheels), whose
+    kernel, and so whose summation order, is picked for the CPU at run
+    time.  A moment's last bits, and every bit-for-bit claim on the
+    moments path (the extended-Beta family, the series route), hold per
+    machine.
     """
     if weights.ndim == 1:
         # every weight is finite; C order gives a stack's row sums one
@@ -297,6 +351,8 @@ def integrate_unit_interval(
     ----------
     f : callable(t, tc) -> array
         Vectorized integrand; ``tc`` is the exactly-computed ``1 - t``.
+        Every ``t`` it receives is a cached node array with its ``Twins``
+        recorded (``unit_twins(t)``): t[twins.index] == tc bit for bit.
     tol : float
         Levels are doubled until the successive-level difference drops
         below ``tol * (1 + |value|)``.

@@ -17,7 +17,8 @@ arguments share one code path.  Near Gamma's own overflow (z ~ 171) the
 power is taken in two halves, so both paths give Gamma up to 1.7e308;
 where an intermediate still overflows, both raise ``OverflowError``, as
 ``cmath.exp`` does.  Beta takes a log-ratio form where a Gamma of its
-product overflows, or Gamma(a) Gamma(b) underflows, but the Beta does not.
+product overflows, or Gamma(a) Gamma(b) underflows, but the Beta does not,
+and Stirling's series where one argument is too large for that form.
 """
 
 from __future__ import annotations
@@ -247,9 +248,12 @@ def beta(alpha, bta):
     keeps within 2e-14.  Where neither applies and an argument is left
     of 1/2, it is shifted right onto a Beta with both in the half-plane
     Re >= 1/2 (``_beta_shifted``), as in B(0.25+300i, 1) and
-    B(-171.3, 0.25).  Where B itself overflows, as B(1e-310, 2), or the
-    log-ratio form's error would pass 1e-12, as at B(1e300, 1) = 1e-300,
-    this raises ``OverflowError``.
+    B(-171.3, 0.25).  Where the log-ratio form's error would pass 1e-12,
+    as at B(1e300, 1) = 1e-300, one argument is far larger than the other,
+    and Stirling's series for log Gamma(a+b) - log Gamma(a) takes over
+    (``_beta_large_first``).  Where B itself overflows or underflows, as
+    B(1e-310, 2) and B(1e300, 2.5), or neither form keeps 1e-12, this
+    raises ``OverflowError``.
     """
     if ((isinstance(alpha, np.ndarray) and alpha.ndim)
             or (isinstance(bta, np.ndarray) and bta.ndim)):
@@ -350,11 +354,16 @@ def _beta_log_ratio(alpha: complex, bta: complex) -> complex:
 
     exp(log Gamma(a) + log Gamma(b) - log Gamma(a+b)) would keep the
     rounding of log-Gammas of size 10^3, 1.9e-13 at B(150, 150); the
-    ratios leave about 4 eps (|a| + |b|).  Where that passes 1e-12, and
-    off the half-plane, this raises ``OverflowError`` as the product did.
+    ratios leave about 4 eps (|a| + |b|).  Where that passes 1e-12, one
+    argument is huge, and ``_beta_large_first`` answers; off the
+    half-plane this raises ``OverflowError`` as the product did.
     """
-    if min(alpha.real, bta.real) < 0.5 or 4.0 * _EPS * (abs(alpha) + abs(bta)) > 1e-12:
+    if min(alpha.real, bta.real) < 0.5:
         raise OverflowError("a Gamma of beta's product form overflows double precision")
+    if 4.0 * _EPS * (abs(alpha) + abs(bta)) > 1e-12:
+        if abs(alpha) < abs(bta):
+            alpha, bta = bta, alpha
+        return _beta_large_first(alpha, bta)
     total = alpha + bta
     ta, tb, ts = alpha + _LANCZOS_SHIFT, bta + _LANCZOS_SHIFT, total + _LANCZOS_SHIFT
     power = (
@@ -370,6 +379,52 @@ def _beta_log_ratio(alpha: complex, bta: complex) -> complex:
         * (_lanczos_series(bta) / bta)
         / (_lanczos_series(total) / total)
     )
+
+
+# B_2k / (2k (2k-1)), k = 1, 2, 3: Stirling's series of log Gamma(z) past
+# (z-1/2) log z - z + log(2 pi)/2; at |z| > 500 the next term is below 1e-22
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0)
+
+
+def _stirling_tail(z: complex) -> complex:
+    """sum_k _STIRLING[k-1] z^(1-2k), by Horner in 1/z^2."""
+    r = 1.0 / z
+    r2 = r * r
+    return r * (_STIRLING[0] + r2 * (_STIRLING[1] + r2 * _STIRLING[2]))
+
+
+def _log1p(z: complex) -> complex:
+    """log(1 + z), accurate at small |z|: log(u) z / (u - 1) with u = 1 + z
+    rounded cancels the rounding of u (Kahan)."""
+    u = 1.0 + z
+    return z if u == 1.0 else cmath.log(u) * z / (u - 1.0)
+
+
+def _beta_large_first(alpha: complex, bta: complex) -> complex:
+    """B(a, b) = Gamma(b) Gamma(a) / Gamma(a+b) for |a| >= |b|, |a| > 500
+    and Re a, Re b >= 1/2, where the log-ratio form's budget fails.
+
+    Stirling's series gives
+
+        log Gamma(a+b) - log Gamma(a) = (a - 1/2) log1p(b/a) + b log(a+b)
+                                        - b + S(a+b) - S(a),
+
+    so B = Gamma(b) (a+b)^(-b) exp(b - (a - 1/2) log1p(b/a) - S(a+b) + S(a)),
+    whose exponent is O((1 + |b|) |b| / |a|).  The power is taken in two
+    halves, Gamma(b) between them, so that it need not be representable
+    where B is.  The roundings cost about eps |b| (|log(a+b)| + 1); where
+    that passes 1e-12, or B is past the normal range, this raises
+    ``OverflowError``.
+    """
+    total = alpha + bta
+    if 4.0 * _EPS * abs(bta) * (abs(cmath.log(total)) + 1.0) > 1e-12:
+        raise OverflowError("beta past a Gamma overflow would lose more than 1e-12")
+    expo = bta - (alpha - 0.5) * _log1p(bta / alpha) - _stirling_tail(total) + _stirling_tail(alpha)
+    half = total ** (-0.5 * bta)
+    out = gamma(bta) * half * half * cmath.exp(expo)
+    if not (cmath.isfinite(out) and abs(out) >= _NORMAL_MIN):
+        raise OverflowError("beta overflows or underflows double precision")
+    return out
 
 
 def principal_power(base: complex, exponent: complex) -> complex:

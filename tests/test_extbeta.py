@@ -257,3 +257,74 @@ def test_all_live_integrand_matches_the_masked_path(p, nu):
     assert np.all(masked[..., :-1] == live)
     assert np.all(masked[..., -1] == 0.0)
     assert np.all(live != 0.0)
+
+
+def _recording_kernel(monkeypatch):
+    """The arguments of every Bessel call the kernel makes."""
+    args = []
+    real = extbeta.bessel_k_scaled_many
+    monkeypatch.setattr(extbeta, "bessel_k_scaled_many",
+                        lambda nu, z: args.append(np.array(z)) or real(nu, z))
+    return args
+
+
+def _live_arguments(kernel, xt, yt, t, tc):
+    w = kernel.argument(t, tc)
+    expo = xt * np.log(t) + yt * np.log(tc) - w
+    return w, np.real(expo) > -quadrature.ENDPOINT_CUTOFF
+
+
+# scalar, complex and batched p, a generic and a half-odd order; the
+# powers (-1.4, 60) and (60, -1.4) at p = 1e-3 leave live nodes whose
+# twin is dead, on the leading and on the following side of the pairs
+TWIN_CASES = [
+    (1.5, 0.7, 0.7, -0.4),
+    (1.5, 1.0, 0.7, -0.4),
+    (1.2 + 0.8j, 0.7, 0.7, -0.4),
+    (np.array([0.4, 1.5, 6.0]), 0.7, 0.7, -0.4),
+    (1e-3, 0.7, -1.4, 60.0),
+    (1e-3, 0.7, 60.0, -1.4),
+]
+
+
+@pytest.mark.parametrize("p, nu, xt, yt", TWIN_CASES)
+def test_the_kernel_takes_each_distinct_live_argument_once(monkeypatch, p, nu, xt, yt):
+    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
+    w, live = _live_arguments(kernel, xt, yt, t, tc)
+    args = _recording_kernel(monkeypatch)
+    extbeta.euler_integrand(xt, yt, kernel)(t, tc)
+    assert len(args) == 1
+    assert np.unique(args[0]).size == args[0].size
+    assert np.array_equal(np.unique(args[0]), np.unique(w[live]))
+
+
+@pytest.mark.parametrize("p, nu, xt, yt", TWIN_CASES)
+def test_one_evaluation_per_pair_is_the_same_bits_as_one_per_live_node(monkeypatch, p, nu, xt, yt):
+    # a copy of the nodes has no twins recorded, so the integrand
+    # evaluates the kernel at every live node of it
+    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    g = extbeta.euler_integrand(xt, yt, kernel)
+    (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
+    w, live = _live_arguments(kernel, xt, yt, t, tc)
+    args = _recording_kernel(monkeypatch)
+    twinned, every = g(t, tc), g(t.copy(), tc.copy())
+    assert twinned.tobytes() == every.tobytes()
+    assert [a.size for a in args] == [np.unique(w[live]).size, np.count_nonzero(live)]
+    assert np.all((twinned != 0.0) == live)
+
+
+@pytest.mark.parametrize("xt, yt", [(-1.4, 60.0), (60.0, -1.4)])
+def test_a_live_node_with_a_dead_twin_is_evaluated(xt, yt):
+    # the p = 1e-3 twin cases above hold such nodes: they lead their
+    # pairs for (-1.4, 60) and follow them for (60, -1.4)
+    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(1e-3, 0.7))
+    (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
+    twins = quadrature.unit_twins(t)
+    _, live = _live_arguments(kernel, xt, yt, t, tc)
+    lone = live & ~live[twins.index]
+    assert np.count_nonzero(lone) >= 4
+    assert np.all(twins.leads[lone] == (xt < 0.0))
+    g = extbeta.euler_integrand(xt, yt, kernel)
+    values, every = g(t, tc)[lone], g(t.copy(), tc.copy())[lone]
+    assert np.all(every != 0.0) and values.tobytes() == every.tobytes()

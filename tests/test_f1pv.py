@@ -69,6 +69,9 @@ NEAR = _inp(1.3, 1.7, 0.2, 3.2, 0.2, 0.1, 1.1, 0.7)
 
 
 def test_a_shared_family_gives_the_same_values_in_either_order(monkeypatch):
+    """Bit for bit: the values go through the moments' matrix-vector
+    product, whose summation order the BLAS picks per CPU, so their bits
+    hold per machine, and this compares two orders on one."""
     families = []
 
     class Recorded(f1pv_module.ExtendedBetaFamily):

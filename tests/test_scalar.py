@@ -223,6 +223,48 @@ BETA_PAST_GAMMA_OVERFLOW = {
 }
 
 
+# mpmath exp(loggamma(a) + loggamma(b) - loggamma(a+b)) at 700 digits, for
+# one argument far larger than the other; None where B is past the range
+# of a double (1e100 and 1e300 are the doubles nearest them)
+BETA_ONE_HUGE_ARGUMENT = {
+    1e6: (complex(0.0017724540724622612378, 0.0), 1.0e-6,
+          complex(1.3293378956699075851e-15, 0.0), complex(3.6286367081911831698e-55, 0.0),
+          complex(8.611116865487644563e-19, -4.4403508660660285118e-19)),
+    1e10: (complex(0.000017724538509276717004, 0.0), 1.0e-10,
+           complex(1.3293403879298856977e-25, 0.0), complex(3.6287999836704000419e-95, 0.0),
+           complex(9.6777666413712258931e-31, -4.5724177193667084073e-32)),
+    1e16: (complex(1.7724538509055160495e-8, 0.0), 1.0e-16,
+           complex(1.3293403881791367712e-40, 0.0), complex(3.6287999999999836704e-155, 0.0),
+           complex(-8.0175829780917256591e-49, -5.4393566173793871357e-49)),
+    1e100: (complex(1.7724538509055160132e-50, 0.0), 9.999999999999999841e-101,
+            complex(1.3293403881791369676e-250, 0.0), None,
+            complex(9.5359915583917669477e-301, 1.7126302052387383473e-301)),
+    1e300: (complex(1.7724538509055159808e-150, 0.0), 9.999999999999999475e-301,
+            None, None, None),
+    complex(1e16, 5.0): (complex(1.7724538509055160495e-8, -4.4311346272637902344e-24),
+                         complex(1.0e-16, -5.0e-32),
+                         complex(1.3293403881791367712e-40, -1.6616754852239208394e-55),
+                         complex(3.6287999999999836704e-155, -1.8143999999999910187e-169),
+                         complex(-8.0175829780917418357e-49, -5.4393566173793805487e-49)),
+}
+SMALL_ARGUMENTS = (0.5, 1.0, 2.5, 10.0, complex(3.0, 2.0))
+
+
+@pytest.mark.parametrize("a", list(BETA_ONE_HUGE_ARGUMENT), ids=repr)
+def test_beta_with_one_huge_argument(a):
+    # past the log-ratio form's budget, Stirling's series for
+    # log Gamma(a+b) - log Gamma(a) with a log1p keeps B(a, b) ~ Gamma(b) a^-b
+    for b, ref in zip(SMALL_ARGUMENTS, BETA_ONE_HUGE_ARGUMENT[a]):
+        for args in ((a, b), (b, a)):
+            if ref is None:
+                with pytest.raises(OverflowError):
+                    beta(*args)
+                continue
+            assert abs(beta(*args) - ref) <= 1e-13 * abs(ref), args
+            value = beta(np.array([2.0, args[0]]), np.array([2.0, args[1]]))[1]
+            assert abs(value - ref) <= 1e-13 * abs(ref), args
+
+
 def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,9 +274,9 @@ def test_array_overflow_of_a_reciprocal_or_product_raises_without_a_warning():
         for (a, b), ref in BETA_PAST_GAMMA_OVERFLOW.items():
             for value in (beta(a, b), beta(np.array([2.0, a]), np.array([2.0, b]))[1]):
                 assert abs(value - ref) <= 1e-13 * ref, (a, b)
-        # B(1e-310, 2) = 1e310 really overflows; the log-ratio form loses
-        # digits like eps (|a| + |b|), past 1e-12 at B(1e300, 1) = 1e-300
-        for a, b in ((1e-310, 2.0), (1e300, 1.0)):
+        # B(1e-310, 2) = 1e310 really overflows, and B(1e300, 2.5) =
+        # 1.3e-750 underflows
+        for a, b in ((1e-310, 2.0), (1e300, 2.5)):
             with pytest.raises(OverflowError):
                 beta(np.array([2.0, a]), np.array([2.0, b]))
             with pytest.raises(OverflowError):

@@ -236,6 +236,28 @@ def test_one_live_mask_in_the_package():
     assert len(found) == 1, found
 
 
+def _kernel_calls(source: str) -> list[str]:
+    """Lines that call ``….scaled_values(…)``: the Bessel kernel, which
+    ``extbeta.euler_integrand`` alone evaluates, once per live pair of
+    twin nodes."""
+    return [f"{node.lineno}: .scaled_values(" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "scaled_values"]
+
+
+def test_kernel_call_scan():
+    source = ("v = kernel.scaled_values(w)\ndef scaled_values(self, w):\n    pass\n"
+              "f = kernel.scaled_values\nu = self.kernel.scaled_values(w[own])[live]\n"
+              "x = scaled_values(w)\n")
+    assert _kernel_calls(source) == ["1: .scaled_values(", "5: .scaled_values("]
+
+
+def test_one_kernel_call_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _kernel_calls(path.read_text(encoding="utf-8"))]
+    assert [entry.partition(":")[0] for entry in found] == ["extbeta.py"], found
+
+
 def _name_of(node) -> str | None:
     """``v`` of a name ``v`` or of an attribute ``….v``."""
     if isinstance(node, ast.Name):

@@ -77,6 +77,9 @@ def test_series_calls_share_a_family_per_b1_c1_p_nu(monkeypatch, suite, per_tria
 
 @pytest.mark.parametrize("suite", ["diff", "recursion", "reduction"])
 def test_shared_families_leave_the_records_unchanged(suite):
+    """The records go through the moments' matrix-vector product, whose
+    summation order the BLAS picks per CPU: their bits hold per machine,
+    and this compares two runs on one."""
     cold = run_suite(suite, 2, 1)  # the caches start empty
     warm = run_suite(suite, 2, 1)
     assert [repr(r) for r in warm] == [repr(r) for r in cold]
