@@ -37,9 +37,13 @@ per node, and the family keeps g per node array, so the kernel is
 evaluated once for all k.  The extended Appell series leans on it, since its
 double series needs one extended-Beta value per diagonal m + n = k.
 Its ``appell_sum`` sums that series in closed form, as the one
-Appell-weighted kernel integral, for a single p or for a batch of real
-p sharing nu (one row per p on shared nodes); with a power of w it is
-also the integral of the Meijer-G forms of Theorem 1.
+Appell-weighted kernel integral; with a power of w it is also the
+integral of the Meijer-G forms of Theorem 1.
+
+The kernel and the family take p and nu as plain values: p is one
+complex, or a 1-D array of real p > 0, one kernel row per p on shared
+nodes, which the numeric Mellin transform integrates (``mellin``).
+``ExtensionParams``, the validated pair of the public routes, holds one p.
 """
 
 from __future__ import annotations
@@ -59,55 +63,45 @@ _FIRST_ROWS = 32
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """The extension pair (p, nu): Re(p) > 0, nu >= 0.
-
-    ``p`` may also be a 1-D array of real p > 0 sharing one nu, a batch
-    that ``ExtendedBetaFamily.appell_sum`` evaluates in one quadrature.
-    """
+    """The extension pair (p, nu): one p with Re(p) > 0, and nu >= 0."""
 
     p: complex
     nu: float
 
     def __post_init__(self):
-        if isinstance(self.p, np.ndarray):
-            if self.p.ndim != 1 or not np.isrealobj(self.p):
-                raise DomainError("a batch of p must be a 1-D array of reals")
-            object.__setattr__(self, "p", self.p.astype(float))
-            positive = bool(np.all(self.p > 0.0))
-        else:
-            object.__setattr__(self, "p", complex(self.p))
-            positive = self.p.real > 0.0
+        object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "nu", float(self.nu))
-        if not positive:
+        if not self.p.real > 0.0:
             raise DomainError(f"extension needs Re(p) > 0, got p = {self.p}")
         if not self.nu >= 0.0:
             raise DomainError(f"extension needs nu >= 0, got nu = {self.nu}")
-
-    @property
-    def order(self) -> float:
-        """Order nu + 1/2 of the Bessel kernel."""
-        return self.nu + 0.5
 
 
 class ExtendedBetaKernel:
     """The scaled Bessel kernel e^w K_{nu+1/2}(w) at w = p / (t (1 - t)).
 
-    Stateless apart from (p, nu): ``scaled_values`` evaluates the kernel
-    at exactly the arguments it is given.  For a batch of p the argument
-    is the matrix p_i / (t_j (1 - t_j)), one row per p.
+    ``p`` is one complex, or a 1-D array of real p > 0 whose rows share
+    ``nu``: the argument is then the matrix p_i / (t_j (1 - t_j)), one row
+    per p.  Stateless apart from (p, nu): ``scaled_values`` evaluates the
+    kernel at exactly the arguments it is given.
     """
 
-    def __init__(self, ext: ExtensionParams):
-        self.ext = ext
-        batch = isinstance(ext.p, np.ndarray)  # real by construction
-        self._p = ext.p[:, None] if batch else real_or_complex(ext.p)[0]
+    def __init__(self, p, nu: float):
+        self.order = nu + 0.5
+        # the one test of a batch (real, a row per p) against one p: it
+        # sets the p that ``_exponents`` reads and sqrt(2p/pi) per row
+        if isinstance(p, np.ndarray):
+            self._p, self._p0, self._root = p[:, None], 0.0, np.sqrt(2.0 * p / np.pi)
+        else:
+            self._p = self._p0 = real_or_complex(p)[0]
+            self._root = cmath.sqrt(2.0 * p / cmath.pi)
 
     def argument(self, t: np.ndarray, tc: np.ndarray) -> np.ndarray:
         return self._p / (t * tc)
 
     def scaled_values(self, w: np.ndarray) -> np.ndarray:
         """e^w K_{nu+1/2}(w) for an array of arguments."""
-        return bessel_k_scaled_many(self.ext.order, w)
+        return bessel_k_scaled_many(self.order, w)
 
 
 def real_or_complex(*values):
@@ -123,7 +117,8 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
 
     The exponent xt log t + yt log(1-t) [- w] [+ ``extra(t, tc)``] is
     formed first; a kernel adds -w and multiplies by e^w K_{nu+1/2}(w),
-    and for a batch of p the values have the shape of w, one row per p.
+    and for a kernel with rows the values have the shape of w, one row
+    per p.
     Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
     zero, and the kernel is evaluated only at the others.  When every
     node is live the arrays are taken whole, with no zero-fill and no
@@ -194,9 +189,8 @@ def appell_powers(b2, b3, x, y):
 
 def _exponents(x: complex, y: complex, kernel: ExtendedBetaKernel, *more):
     """Powers x - 3/2 and y - 3/2 of t and 1-t, then ``more``: all real
-    when x, y, p and ``more`` are, else all complex."""
-    p = 0.0 if isinstance(kernel._p, np.ndarray) else kernel._p  # a batch is real
-    x, y, _, *more = real_or_complex(x, y, p, *more)
+    when x, y, the kernel's p and ``more`` are, else all complex."""
+    x, y, _, *more = real_or_complex(x, y, kernel._p0, *more)
     return (x - 1.5, y - 1.5, *more)
 
 
@@ -213,11 +207,10 @@ def extended_beta(
     ConvergenceError
         If the quadrature fails to meet its tolerance.
     """
-    kernel = ExtendedBetaKernel(ext)
+    kernel = ExtendedBetaKernel(ext.p, ext.nu)
     xt, yt = _exponents(x, y, kernel)
     res = integrate_unit_interval(euler_integrand(xt, yt, kernel), tol)
-    return cmath.sqrt(2.0 * ext.p / cmath.pi) * complex(
-        res.converged_value("extended Beta quadrature"))
+    return kernel._root * res.converged_value("extended Beta quadrature")
 
 
 def chaudhry_beta(
@@ -258,9 +251,9 @@ class ExtendedBetaFamily:
     ``appell_sum`` sums the Appell diagonal series sum_k c_k D(k) in
     closed form instead: sum_k c_k t^k = (1-xt)^(-b2) (1-yt)^(-b3), so
     the sum is the single integral of g(t) (1-xt)^(-b2) (1-yt)^(-b3).
-    With a batch of p (``ExtensionParams`` with an array p) it integrates
-    one row per p on shared nodes, each row held to the scalar test;
-    ``value`` needs a single p.  Every quadrature runs at ``tol``.
+    With an array p (see ``ExtendedBetaKernel``) it integrates one row
+    per p on shared nodes, each row held to the test of one integral;
+    ``value`` needs one p.  Every quadrature runs at ``tol``.
 
     Raises
     ------
@@ -272,14 +265,14 @@ class ExtendedBetaFamily:
         self,
         a: complex,
         b: complex,
-        ext: ExtensionParams,
+        p,
+        nu: float,
         tol: float = DEFAULT_TOL,
     ):
         self.a = complex(a)
         self.b = complex(b)
-        self.ext = ext
         self.tol = tol
-        self.kernel = ExtendedBetaKernel(ext)
+        self.kernel = ExtendedBetaKernel(p, nu)
         self._vals = np.zeros(0, dtype=complex)
         self._g: dict[int, np.ndarray] = {}
 
@@ -299,7 +292,7 @@ class ExtendedBetaFamily:
             return g_t
 
         res = integrate_unit_interval(samples, self.tol, moments=rows)
-        vals = self._scale() * res.converged_value("extended Beta moments")
+        vals = self.kernel._root * res.converged_value("extended Beta moments")
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
 
     def appell_sum(self, b2, b3, x, y, prefactor: complex = 1.0, w_power: float = 0.0):
@@ -309,7 +302,7 @@ class ExtendedBetaFamily:
         (1-yt)^(-b3) w^w_power dt, w = p/(t(1-t)); x and y must lie off
         [1, inf).  With prefactor 1/B(a, b) and no w power this is
         F_{1,p,nu}(a, b2, b3; a+b; x, y); the w power is the w^mu of the
-        Meijer-G forms.  An array, one value per p, for a batch of p.
+        Meijer-G forms.  An array, one value per p, for an array p.
         """
         xt, yt, b2, b3, x, y, w_power = _exponents(
             self.a, self.b, self.kernel, b2, b3, x, y, w_power)
@@ -322,13 +315,4 @@ class ExtendedBetaFamily:
             return terms
 
         res = integrate_unit_interval(euler_integrand(xt, yt, self.kernel, extra), self.tol)
-        value = res.converged_value("extended Appell integral")
-        value = value if np.ndim(value) else complex(value)
-        return prefactor * self._scale() * value
-
-    def _scale(self):
-        """sqrt(2p/pi), one per p of a batch."""
-        p = self.ext.p
-        if isinstance(p, np.ndarray):
-            return np.sqrt(2.0 * p / np.pi)
-        return cmath.sqrt(2.0 * p / cmath.pi)
+        return prefactor * self.kernel._root * res.converged_value("extended Appell integral")

@@ -30,7 +30,9 @@ order k = 0, 1, 2, ..., so a family always grows through the same row
 counts 32, 64, 128, ..., and it keeps every value it has returned, so no
 D(k) shows which earlier sums grew it.  Families are mutable and
 unlocked: the package is single-threaded.  The integral route builds its
-own one-shot family per call.
+own one-shot family per call.  Both routes hand the family the one p and
+the nu of their ``ExtensionParams``; a batch of p, a kernel row per p,
+exists only inside the numeric Mellin transform (``mellin``).
 
 On top of the two routes: the Moebius transformation identity in
 (x, y), derivatives of any order via parameter shifts, recursions in
@@ -45,8 +47,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bessel import bessel_k_upper_bound
 from .errors import DomainError
@@ -96,11 +96,10 @@ def route_for(inp: ExtendedAppellInput) -> str:
 def _series_diagonal(b1: complex, c1: complex, ext: ExtensionParams, tol: float):
     """diag(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1), memoized in one family
     that every series call at (b1, c1, p, nu, tol) shares (see the module
-    docstring).  ``ext`` must hold a single p, since a batch is not
-    hashable; callers pass all four arguments positionally, since the
+    docstring).  Callers pass all four arguments positionally, since the
     cache keys a keyword or defaulted call apart from a positional one."""
     b0 = euler_integral_beta(b1, c1)
-    fam = ExtendedBetaFamily(b1, c1 - b1, ext, tol)
+    fam = ExtendedBetaFamily(b1, c1 - b1, ext.p, ext.nu, tol)
     return lambda k: fam.value(k) / b0
 
 
@@ -115,8 +114,6 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
         raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
     if abs(a.y) >= 1.0:
         raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
-    if isinstance(inp.ext.p, np.ndarray):
-        raise DomainError("series route needs a single p, got a batch")
     diag = _series_diagonal(a.b1, a.c1, inp.ext, tol)
     return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
 
@@ -128,7 +125,7 @@ def f1pv_integral(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex
     a = inp.appell
     check_euler_domain(a.b1, a.c1, a.x, a.y)
     pref = 1.0 / euler_integral_beta(a.b1, a.c1)
-    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext, tol)
+    fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, inp.ext.p, inp.ext.nu, tol)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, pref)
 
 

@@ -309,7 +309,7 @@ def _g_form_integral(inp: ExtendedAppellInput, mu: float) -> complex:
     part of what the check exercises.
     """
     a, ext = inp.appell, inp.ext
-    fam = ExtendedBetaFamily(a.b1 + mu, a.c1 - a.b1 + mu, ext)
+    fam = ExtendedBetaFamily(a.b1 + mu, a.c1 - a.b1 + mu, ext.p, ext.nu)
     return fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / cmath.sqrt(2.0 * ext.p / cmath.pi), mu)
 
 

@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .extbeta import ExtendedBetaFamily, ExtensionParams
+from .extbeta import ExtendedBetaFamily
 from .hyper import (
     F1_TOL,
     AppellParams,
@@ -127,9 +127,9 @@ def _limit_coefficient(appell: AppellParams, nu: float) -> complex:
 def _radial(appell: AppellParams, nu: float, s: complex):
     """The forward integrand p^(s-1) F_{1,p,nu}(...) over an array of p > 0.
 
-    The p of one call in [``_P_LIMIT_FORM``, ``_P_DEAD``) form one batch,
-    one ``ExtendedBetaFamily`` at tolerance 1e-9 whose ``appell_sum``
-    integrates
+    The p of one call in [``_P_LIMIT_FORM``, ``_P_DEAD``) form one batch:
+    one ``ExtendedBetaFamily`` at tolerance 1e-9 on that array of p, whose
+    kernel has a row per p, and whose ``appell_sum`` integrates
 
         F(p) = sqrt(2p/pi)/B(b1, c1-b1)
                * int_0^1 g_p(t) (1-xt)^(-b2) (1-yt)^(-b3) dt
@@ -156,7 +156,7 @@ def _radial(appell: AppellParams, nu: float, s: complex):
         live = ~limit & (ps < _P_DEAD)
         if np.any(live):
             p = ps[live]
-            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ExtensionParams(p, nu), 1e-9)
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, p, nu, 1e-9)
             out[live] = (np.exp((s - 1.0) * np.log(p))
                          * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0))
         return out

@@ -280,6 +280,14 @@ def _block_moment_weights(table, last: int, rows: int) -> np.ndarray:
     return _read_only(_moment_weights(_block(table, last)[0], rows))[0]
 
 
+# Samples come in three shapes, each the cheaper path on a benchmark
+# workload: one value per node (``integral``'s one kernel quadrature per
+# op), a stack of rows (``mellin``'s p batches) and moments (``series``'s
+# D(k)).  One (rows, nodes) form for all three was measured and dropped:
+# on one row the stack's edge tail takes 14 us against the scalar rule's
+# 1.3 us (2-core Xeon, numpy 2.4), a 193-node quadrature took 82 us
+# against 33 us, and ``integral`` lost 20-30 % of its ops/s.  Moments as
+# rows would cost Python code per row on ``series``'s 32-128 rows.
 def _weigh(fvals, weights: np.ndarray):
     """``(products, sums)`` of one integrand call's samples ``fvals``:
     ``products(a, b)`` are the weighted samples of nodes a:b, and
@@ -319,6 +327,15 @@ def _row_sums(weighted: np.ndarray):
     if weighted.ndim == 2:
         return weighted.sum(axis=1).astype(complex)
     return complex(weighted.sum())
+
+
+def _magnitude(value):
+    """|value|, per row or moment of an array by ``hypot``, as ``abs``
+    takes one complex (numpy's vector complex ``abs`` may differ in the
+    last bit), so a row is judged as the same integral alone would be."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "c":
+        return np.hypot(value.real, value.imag)
+    return abs(value)
 
 
 def _every(passed) -> bool:
@@ -388,16 +405,14 @@ def _edge_tail(level0: np.ndarray):
     """The larger of the two edge-tail estimates, per row of a stack.
 
     A stack takes ``_tail_estimate`` elementwise over its rows, with the
-    same IEEE operations (complex magnitudes by ``hypot``, as ``abs``
-    takes them; numpy's vector complex ``abs`` may differ in the last bit).
+    same IEEE operations (magnitudes by ``_magnitude``).
     """
     if level0.ndim == 1:
         return max(
             _tail_estimate(abs(level0[1]), abs(level0[0])),
             _tail_estimate(abs(level0[-2]), abs(level0[-1])),
         )
-    edges = level0[:, [1, 0, -2, -1]]
-    edges = np.hypot(edges.real, edges.imag) if np.iscomplexobj(edges) else np.abs(edges)
+    edges = _magnitude(level0[:, [1, 0, -2, -1]])
     inner, outer = edges[:, 0::2], edges[:, 1::2]
     decays = outer < 0.75 * inner  # false where inner == 0
     rho = np.divide(outer, inner, out=np.zeros_like(outer), where=decays)
@@ -455,13 +470,13 @@ def _refine(sample, table, tol: float, moments: int | None = None) -> Quadrature
         running = running + sums(start, stop)
         nodes_used += stop - start
         value = (2.0 ** (-level)) * running
-        err = abs(value - value_prev)
+        err = _magnitude(value - value_prev)
         value_prev = value
         best = value
-        if level >= _FIRST_TEST_LEVEL and _every(err <= tol * (1.0 + abs(value))):
+        if level >= _FIRST_TEST_LEVEL and _every(err <= tol * (1.0 + _magnitude(value))):
             converged = True
             break
-    if converged and not _every(tail <= tol * (1.0 + abs(best))):
+    if converged and not _every(tail <= tol * (1.0 + _magnitude(best))):
         converged = False
         err = np.maximum(err, tail)
     return QuadratureResult(best, float(np.max(err)), nodes_used, converged)

@@ -34,7 +34,7 @@ def test_extension_params_validation():
         ExtensionParams(complex(0.0, 1.0), 0.5)
     with pytest.raises(DomainError):
         ExtensionParams(1.0, -0.2)
-    assert ExtensionParams(1.0, 0.25).order == 0.75
+    assert extbeta.ExtendedBetaKernel(1.0, 0.25).order == 0.75
 
 
 def test_extended_beta_oracle():
@@ -156,7 +156,7 @@ def test_mellin_building_block():
 
 def test_family_matches_scalar_calls():
     ext = ExtensionParams(1.3, 0.6)
-    fam = ExtendedBetaFamily(0.9, 2.1, ext)
+    fam = ExtendedBetaFamily(0.9, 2.1, ext.p, ext.nu)
     for k in (0, 1, 5, 11):
         direct = extended_beta(0.9 + k, 2.1, ext)
         assert abs(fam.value(k) - direct) <= 1e-11 * (1.0 + abs(direct))
@@ -164,7 +164,7 @@ def test_family_matches_scalar_calls():
 
 def test_family_high_diagonals_are_relatively_accurate():
     # small high-k moments must not stop on the absolute 1 + |D| floor
-    fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
+    fam = ExtendedBetaFamily(1.2, 1.9, 1.5, 0.7)
     for k, ref in FAMILY_MP.items():
         assert abs(fam.value(k) - ref) <= 1e-9 * ref
 
@@ -172,7 +172,7 @@ def test_family_high_diagonals_are_relatively_accurate():
 def test_family_regrowth_evaluates_no_kernel(monkeypatch):
     # this family's 64-row stack stops at the level of its 32-row stack, so
     # the taller stack reuses every sample of g and calls no Bessel routine
-    fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(1.5, 0.7))
+    fam = ExtendedBetaFamily(1.2, 1.9, 1.5, 0.7)
     fam.value(0)
     calls = []
     real = extbeta.bessel_k_scaled_many
@@ -185,7 +185,7 @@ def test_family_regrowth_evaluates_no_kernel(monkeypatch):
 def test_complex_p_family_matches_scalar_calls():
     # complex p makes g complex; k = 40 is a row of the regrown 64-row stack
     ext = ExtensionParams(1.2 + 0.8j, 0.7)
-    fam = ExtendedBetaFamily(0.9, 2.1, ext)
+    fam = ExtendedBetaFamily(0.9, 2.1, ext.p, ext.nu)
     for k in (0, 5, 31, 40):
         direct = extended_beta(0.9 + k, 2.1, ext)
         assert abs(fam.value(k) - direct) <= 1e-11 * (1.0 + abs(direct))
@@ -200,7 +200,7 @@ def test_families_share_one_cached_weight_table(monkeypatch):
                         lambda fvals, weights: tables.append(weights) or real(fvals, weights))
     for p in (1.5, 0.4):
         tables.clear()
-        ExtendedBetaFamily(1.2, 1.9, ExtensionParams(p, 0.7)).value(0)
+        ExtendedBetaFamily(1.2, 1.9, p, 0.7).value(0)
         firsts.append(tables[0])
     assert firsts[0].shape == (32, 385)
     assert firsts[1] is firsts[0]
@@ -217,17 +217,26 @@ def test_extended_beta_far_below_the_cutoff():
 
 
 def test_batch_of_p_validation():
-    ExtensionParams(np.array([0.5, 2.0]), 0.7)
-    for bad in (np.array([0.5, -1.0]), np.array([[1.0]]), np.array([1.0 + 1.0j])):
+    # a batch of p is rows of the kernel (``ExtendedBetaKernel``), never an
+    # ExtensionParams: that holds one p, so every accepted pair hashes
+    for batch in (np.array([0.5, 2.0]), np.array([1.5]), np.array([[1.0]])):
+        with pytest.raises((TypeError, DeprecationWarning)):
+            ExtensionParams(batch, 0.7)
+    for p, nu in ((-1.0, 0.5), (0.0, 0.5), (-2.0 + 1.0j, 0.5), (math.nan, 0.5),
+                  (complex(math.nan, 1.0), 0.5), (1.0, -0.2), (1.0, math.nan)):
         with pytest.raises(DomainError):
-            ExtensionParams(bad, 0.7)
+            ExtensionParams(p, nu)
+    accepted = [ExtensionParams(1.5, 0.7), ExtensionParams(1.2 + 0.8j, 0),
+                ExtensionParams(np.float64(2.0), np.float64(1.0)), ExtensionParams(np.array(0.5), 3)]
+    assert len({hash(ext) for ext in accepted}) == len(set(accepted)) == 4
+    assert ExtensionParams(np.float64(1.5), 0.7) in set(accepted)
 
 
 def test_appell_sum_is_the_diagonal_series_in_closed_form():
     # sum_k c_k D(k) by the moment stack and by the single Appell integral
     b2, b3, x, y = 0.5, -0.7, 0.4, -0.3
     for p in (0.4, 1.5):
-        fam = ExtendedBetaFamily(1.2, 1.9, ExtensionParams(p, 0.7))
+        fam = ExtendedBetaFamily(1.2, 1.9, p, 0.7)
         series = block_double_sum(fam.value, b2, b3, x, y, 1e-14)
         assert abs(fam.appell_sum(b2, b3, x, y) - series) <= 1e-10 * abs(series)
 
@@ -247,7 +256,7 @@ def test_extended_beta_at_high_generic_order(nu, ref):
 def test_all_live_integrand_matches_the_masked_path(p, nu):
     # the same nodes with a dead endpoint node appended take the masked
     # path, which evaluates the kernel at the live nodes only
-    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    kernel = extbeta.ExtendedBetaKernel(p, nu)
     g = extbeta.euler_integrand(0.7, -0.4, kernel)
     t = np.linspace(0.02, 0.98, 41)
     t_dead = np.append(t, 1e-276)
@@ -289,7 +298,7 @@ TWIN_CASES = [
 
 @pytest.mark.parametrize("p, nu, xt, yt", TWIN_CASES)
 def test_the_kernel_takes_each_distinct_live_argument_once(monkeypatch, p, nu, xt, yt):
-    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    kernel = extbeta.ExtendedBetaKernel(p, nu)
     (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
     w, live = _live_arguments(kernel, xt, yt, t, tc)
     args = _recording_kernel(monkeypatch)
@@ -303,7 +312,7 @@ def test_the_kernel_takes_each_distinct_live_argument_once(monkeypatch, p, nu, x
 def test_one_evaluation_per_pair_is_the_same_bits_as_one_per_live_node(monkeypatch, p, nu, xt, yt):
     # a copy of the nodes has no twins recorded, so the integrand
     # evaluates the kernel at every live node of it
-    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(p, nu))
+    kernel = extbeta.ExtendedBetaKernel(p, nu)
     g = extbeta.euler_integrand(xt, yt, kernel)
     (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
     w, live = _live_arguments(kernel, xt, yt, t, tc)
@@ -318,7 +327,7 @@ def test_one_evaluation_per_pair_is_the_same_bits_as_one_per_live_node(monkeypat
 def test_a_live_node_with_a_dead_twin_is_evaluated(xt, yt):
     # the p = 1e-3 twin cases above hold such nodes: they lead their
     # pairs for (-1.4, 60) and follow them for (60, -1.4)
-    kernel = extbeta.ExtendedBetaKernel(ExtensionParams(1e-3, 0.7))
+    kernel = extbeta.ExtendedBetaKernel(1e-3, 0.7)
     (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
     twins = quadrature.unit_twins(t)
     _, live = _live_arguments(kernel, xt, yt, t, tc)

@@ -55,14 +55,6 @@ def test_integral_stopping_at_level_4_or_5_makes_one_kernel_call(monkeypatch, p,
     assert len(kernel_calls) == 1
 
 
-def test_series_route_rejects_a_batch_of_p():
-    batch = ExtendedAppellInput(BASE.appell, ExtensionParams(np.array([0.5, 1.5]), 0.5))
-    for call in (f1pv_series, lambda inp: f1pv(inp, "series"),
-                 lambda inp: f1pv_recursion_b2(inp, 1)):
-        with pytest.raises(DomainError, match="single p"):
-            call(batch)
-
-
 # the same (b1, c1, p, nu): FAR sums past 32 diagonals, NEAR fewer
 FAR = _inp(1.3, 0.6, -0.4, 3.2, 0.85, -0.8, 1.1, 0.7)
 NEAR = _inp(1.3, 1.7, 0.2, 3.2, 0.2, 0.1, 1.1, 0.7)

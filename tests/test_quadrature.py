@@ -14,6 +14,7 @@ from extappell.quadrature import (
     _edge_tail,
     _first_call_level,
     _line_level,
+    _magnitude,
     _semi_level,
     _tail_estimate,
     _unit_level,
@@ -159,6 +160,16 @@ def test_edge_tail_of_a_stack_equals_the_per_row_rule():
         assert list(_edge_tail(stack)) == [_edge_tail(r) for r in stack]
     assert list(_edge_tail(level0)) == expect
     assert expect[:4] == [0.0, 0.0, math.inf, math.inf] and 0.0 < expect[4] < math.inf
+
+
+def test_stack_magnitudes_are_those_of_abs():
+    # the level test judges a stack's rows and moments on these, so a row
+    # of a Mellin p batch sees the magnitudes of its integral alone; with
+    # an AVX-512 numpy 2.4, np.abs is off by a bit on 683 of these values
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+    assert _magnitude(values).tolist() == [abs(complex(v)) for v in values]
+    assert _magnitude(values.real).tolist() == [abs(float(v)) for v in values.real]
 
 
 

@@ -61,5 +61,5 @@ def test_extended_beta_matches_g_form(x, y, p, nu):
 ])
 def test_family_diagonal_matches_g_form(k):
     a, b, p, nu = 1.2, 1.9, 1.5, 0.7
-    value = ExtendedBetaFamily(a, b, ExtensionParams(p, nu)).value(k)
+    value = ExtendedBetaFamily(a, b, p, nu).value(k)
     assert _relerr(value, g_form(a + k, b, p, nu)) <= REL_TOL
