@@ -87,12 +87,6 @@ class BesselOrder:
         return cls(nu, flag)
 
 
-def _as_order(order) -> BesselOrder:
-    if isinstance(order, BesselOrder):
-        return order
-    return _order_of(float(order))
-
-
 @functools.lru_cache(maxsize=64)
 def _order_of(nu: float) -> BesselOrder:
     """``BesselOrder.from_nu``, kept for the orders of the last calls: a
@@ -301,7 +295,7 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     split.  A NaN real part fails the domain check, like Re z <= 0, and
     so does a NaN or infinite imaginary part.
     """
-    order = _as_order(abs(float(nu)))
+    order = _order_of(abs(float(nu)))
     z = np.asarray(z)
     if z.size == 0:
         return z.astype(complex)
@@ -342,10 +336,9 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
 def bessel_k_scaled(order, z: complex) -> complex:
     """e^z K_nu(z); right to double precision at any large |z| (the
     Hankel route), finite wherever K_nu(z) is."""
-    order = _as_order(order)
+    order = _order_of(float(order))
     z = _check_right_half_plane(z)
-    val = bessel_k_scaled_many(abs(order.nu), np.array([z]))[0]
-    return complex(val)
+    return complex(bessel_k_scaled_many(abs(order.nu), np.array([z]))[0])
 
 
 def bessel_k(order, z: complex) -> complex:
@@ -354,22 +347,21 @@ def bessel_k(order, z: complex) -> complex:
     Underflows to 0 for Re(z) beyond ~745; use ``bessel_k_scaled`` in
     that regime.
     """
-    order = _as_order(order)
-    z = _check_right_half_plane(z)
     scaled = bessel_k_scaled(order, z)
+    z = complex(z)
     # an overflowed value (z below about 1e-308, where e^-z = 1) stays
     # infinite: inf times the complex e^-z would be nan
     return complex(np.exp(-z) * scaled) if cmath.isfinite(scaled) else scaled
 
 
 def bessel_k_upper_bound(order, z: complex) -> float:
-    """Strict upper bound for |K_{nu+1/2}(z)|, nu = order.nu >= 0.
+    """Strict upper bound for |K_{nu+1/2}(z)|, nu = ``order`` >= 0.
 
     Equals (1/2) (2|z| / Re(z)^2)^(nu+1/2) Gamma(nu+1/2); derived from
     the |K| <= incomplete-Gamma estimate after dropping the e^{-z} decay,
     hence strictly larger than |K_{nu+1/2}(z)| everywhere in Re(z) > 0.
     """
-    order = _as_order(order)
+    order = _order_of(float(order))
     if order.nu < 0.0:
         raise DomainError(f"bound defined for nu >= 0, got {order.nu}")
     z = _check_right_half_plane(z)

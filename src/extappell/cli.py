@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 verification failures, 2 domain error,
 counts as one, and so does a kernel integral, K_nu or G that underflows
 to 0, and a command that needs B(b1, c1-b1) -- f1pv on every route, f1
 on its integral route, mellin_fwd and mellin_inv -- where that B
-underflows), 64 usage error (from argument parsing: settings are
-command-line options, never environment variables).  Values print as
-"re im" on stdout with a one-line method trace on stderr; a failure
-prints one line on stderr and no traceback.
+underflows), 64 usage error (from argument parsing, and a --tol or
+--route that the evaluated function, or f1's series route, does not
+read: settings are command-line options, never environment variables).
+Values print as "re im" on stdout with a one-line method trace on
+stderr; a failure prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import argparse
 import cmath
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import ROUTES, ExtendedAppellInput, f1pv, prefers_series, route_for
+from .f1pv import ROUTES, ExtendedAppellInput, f1pv, prefers_series
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import G_SHAPES, GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
@@ -30,26 +32,29 @@ from .quadrature import DEFAULT_TOL
 from .report import write_report
 from .suites import SUITES, run_suite, summarize
 
-_EVAL_FNS = (
-    "beta_pv", "chaudhry_beta", "f1", "f1pv", "bessel_k", "meijer_g",
-    "mellin_fwd", "mellin_inv",
-)
+_APPELL = ("b1", "b2", "b3", "c1", "x", "y")
 
-# B_{p,nu}, the Chaudhry Beta and F_{1,p,nu} decay like exp(-4 Re p) as p
-# grows but are never exactly 0, and K_nu has no zeros for |arg z| <= pi/2
-# (DLMF 10.42); meijer_g's 0 is the K route's K_nu or underflowed residue
-# terms.  So a 0 from one of them is an underflow
-_NO_ZEROS = ("beta_pv", "chaudhry_beta", "f1pv", "bessel_k", "meijer_g")
-
-_REQUIRED = {
-    "beta_pv": ("x", "y", "p", "nu"),
-    "chaudhry_beta": ("x", "y", "p"),
-    "f1": ("b1", "b2", "b3", "c1", "x", "y"),
-    "f1pv": ("b1", "b2", "b3", "c1", "x", "y", "p", "nu"),
-    "bessel_k": ("nu", "z"),
-    "mellin_fwd": ("b1", "b2", "b3", "c1", "x", "y", "nu", "s"),
-    "mellin_inv": ("b1", "b2", "b3", "c1", "x", "y", "nu", "p"),
+# One row per ``eval`` function: the number keys its call needs (meijer_g's
+# come from its case, see ``_keys``), the keys that must be real, its --tol
+# default (None: it reads no --tol), whether it reads --route and, on its
+# series route, --tol (f1's series stops at the fixed F1_TOL), whether a 0
+# from it is an underflow, and its optional keys.  B_{p,nu}, the Chaudhry
+# Beta and F_{1,p,nu} decay like exp(-4 Re p) as p grows but are never
+# exactly 0, and K_nu has no zeros for |arg z| <= pi/2 (DLMF 10.42);
+# meijer_g's 0 is the K route's K_nu or underflowed residue terms.
+_Eval = namedtuple("_Eval", "keys real tol routes series_tol no_zeros optional",
+                   defaults=((), None, False, True, False, ()))
+_EVAL = {
+    "beta_pv": _Eval(("x", "y", "p", "nu"), ("nu",), DEFAULT_TOL, no_zeros=True),
+    "chaudhry_beta": _Eval(("x", "y", "p"), tol=DEFAULT_TOL, no_zeros=True),
+    "f1": _Eval(_APPELL, tol=DEFAULT_TOL, routes=True, series_tol=False),
+    "f1pv": _Eval((*_APPELL, "p", "nu"), ("nu",), DEFAULT_TOL, routes=True, no_zeros=True),
+    "bessel_k": _Eval(("nu", "z"), ("nu",), no_zeros=True),
+    "meijer_g": _Eval(None, no_zeros=True),
+    "mellin_fwd": _Eval((*_APPELL, "nu", "s"), ("nu",)),
+    "mellin_inv": _Eval((*_APPELL, "nu", "p"), ("nu", "p", "c"), INVERSE_TOL, optional=("c",)),
 }
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 64 on usage problems, with one line."""
@@ -85,12 +90,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     pe = sub.add_parser("eval", help="evaluate one function at a point")
-    pe.add_argument("fn", choices=_EVAL_FNS)
+    pe.add_argument("fn", choices=tuple(_EVAL))
     pe.add_argument("params", nargs="*", metavar="key=value",
                     help="complex values accepted, e.g. p=1+0.5j")
-    pe.add_argument("--route", choices=ROUTES, default="auto")
+    pe.add_argument("--route", choices=ROUTES, default=None,
+                    help="f1 and f1pv only (default auto)")
     pe.add_argument("--tol", type=_positive_float, default=None,
-                    help="quadrature tolerance (f1pv's series sums to tol/100)")
+                    help="quadrature tolerance of beta_pv, chaudhry_beta, f1's integral "
+                         "route, f1pv (whose series sums to tol/100) and mellin_inv")
 
     pv = sub.add_parser("verify", help="run identity-verification suites")
     pv.add_argument("suite", choices=("all", *SUITES))
@@ -133,92 +140,76 @@ def _need(params: dict, keys) -> list:
     return [params[k] for k in keys]
 
 
-def _allowed_keys(fn: str, params: dict) -> tuple:
-    """The parameter names ``eval fn`` takes: its required keys, plus an
-    optional ``c`` for mellin_inv and, for meijer_g, ``case`` and that
-    case's keys."""
-    if fn == "meijer_g":
-        case = params.get("case")
-        if not isinstance(case, str):
-            raise DomainError(f"meijer_g needs case={'|'.join(G_SHAPES)}")
-        if case not in G_SHAPES:
-            raise DomainError(f"unknown Meijer-G case {case!r}")
-        return ("case", *_g_keys(case), "z")
-    return _REQUIRED[fn] + (("c",) if fn == "mellin_inv" else ())
-
-
-def _g_keys(case: str) -> tuple:
-    """a1..ap, b1..bq for a Meijer-G case of shape (m, n, p, q)."""
+def _keys(fn: str, params: dict) -> tuple:
+    """The number keys ``eval fn`` needs: its row's, or for meijer_g the
+    a1..ap, b1..bq and z of its case, a G of shape (m, n, p, q)."""
+    if fn != "meijer_g":
+        return _EVAL[fn].keys
+    case = params.get("case")
+    if not isinstance(case, str):
+        raise DomainError(f"meijer_g needs case={'|'.join(G_SHAPES)}")
+    if case not in G_SHAPES:
+        raise DomainError(f"unknown Meijer-G case {case!r}")
     _, _, p, q = G_SHAPES[case]
-    return (*(f"a{i}" for i in range(1, p + 1)), *(f"b{i}" for i in range(1, q + 1)))
+    return (*(f"a{i}" for i in range(1, p + 1)), *(f"b{i}" for i in range(1, q + 1)), "z")
 
 
-def _real(value: complex, name: str) -> float:
-    if value.imag != 0.0:
-        raise DomainError(f"{name} must be real, got {value}")
-    return value.real
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, usage_error) -> int:
+    fn, row = args.fn, _EVAL[args.fn]
     params = _parse_params(args.params)
-    tol = args.tol or DEFAULT_TOL
-    fn = args.fn
-    allowed = _allowed_keys(fn, params)
-    unknown = [k for k in params if k not in allowed]
+    keys = _keys(fn, params)
+    taken = (*keys, *row.optional, *(("case",) if fn == "meijer_g" else ()))
+    unknown = [k for k in params if k not in taken]
     if unknown:
         raise DomainError(f"unknown parameters for {fn}: {', '.join(unknown)}")
+    keys += tuple(k for k in row.optional if k in params)
+    v = dict(zip(keys, _need(params, keys)))
+    for k in (k for k in row.real if k in v):
+        if v[k].imag != 0.0:
+            raise DomainError(f"{k} must be real, got {v[k]}")
+        v[k] = v[k].real
+    route = None
+    if row.routes:
+        route = args.route if args.route in ("series", "integral") else (
+            "series" if prefers_series(v["x"], v["y"]) else "integral")
+    elif args.route is not None:
+        usage_error(f"eval {fn} reads no --route")
+    if args.tol is not None and (row.tol is None or route == "series" and not row.series_tol):
+        usage_error(f"eval {fn} reads no --tol" + (" on its series route" if route else ""))
+    tol = args.tol or row.tol
     if fn == "meijer_g":
-        case = params["case"]
-        keys = _g_keys(case)
-        vals = _need(params, keys + ("z",))
-        alpha = tuple(v for k, v in zip(keys, vals) if k.startswith("a"))
-        beta_ = tuple(v for k, v in zip(keys, vals) if k.startswith("b"))
-        value = meijer_g(GSpec(case, alpha, beta_, vals[-1]))
-        trace = (f"meijer_g case={case} slater-residue, or the Bessel-K identity "
+        alpha = tuple(v[k] for k in keys if k[0] == "a")
+        beta_ = tuple(v[k] for k in keys if k[0] == "b")
+        value = meijer_g(GSpec(params["case"], alpha, beta_, v["z"]))
+        trace = (f"meijer_g case={params['case']} slater-residue, or the Bessel-K identity "
                  "at large |z| or integer b spacing")
     elif fn == "beta_pv":
-        x, y, p, nu = _need(params, _REQUIRED[fn])
-        value = extended_beta(x, y, ExtensionParams(p, _real(nu, "nu")), tol)
+        value = extended_beta(v["x"], v["y"], ExtensionParams(v["p"], v["nu"]), tol)
         trace = "extended Beta, tanh-sinh with scaled Bessel kernel"
     elif fn == "chaudhry_beta":
-        x, y, p = _need(params, _REQUIRED[fn])
-        value = chaudhry_beta(x, y, p, tol)
+        value = chaudhry_beta(v["x"], v["y"], v["p"], tol)
         trace = "Chaudhry Beta, tanh-sinh"
-    elif fn == "f1":
-        b1, b2, b3, c1, x, y = _need(params, _REQUIRED[fn])
-        ap = AppellParams(b1, b2, b3, c1, x, y)
-        route = args.route
-        if route == "auto":
-            route = "series" if prefers_series(ap.x, ap.y) else "integral"
-        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
-        trace = f"classical Appell F1, route={route}"
-    elif fn == "f1pv":
-        b1, b2, b3, c1, x, y, p, nu = _need(params, _REQUIRED[fn])
-        inp = ExtendedAppellInput(AppellParams(b1, b2, b3, c1, x, y),
-                                  ExtensionParams(p, _real(nu, "nu")))
-        route = route_for(inp) if args.route == "auto" else args.route
-        value = f1pv(inp, route, tol)
-        trace = f"extended Appell, route={route}, quadrature tol={tol:g}"
     elif fn == "bessel_k":
-        nu, z = _need(params, _REQUIRED[fn])
-        value = bessel_k(_real(nu, "nu"), z)
+        value = bessel_k(v["nu"], v["z"])
         trace = "modified Bessel K, Hankel sum (terminating at half-odd orders) / cosh integral"
-    elif fn == "mellin_fwd":
-        b1, b2, b3, c1, x, y, nu, s = _need(params, _REQUIRED[fn])
-        value = mellin_forward_closed(AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), s)
-        trace = "Mellin transform, closed form"
-    else:  # mellin_inv
-        b1, b2, b3, c1, x, y, nu, p = _need(params, _REQUIRED[fn])
-        c = _real(_need(params, ("c",))[0], "c") if "c" in params else None
-        value = mellin_inverse_numeric(
-            AppellParams(b1, b2, b3, c1, x, y), _real(nu, "nu"), _real(p, "p"), c,
-            args.tol or INVERSE_TOL,
-        )
-        trace = "inverse Mellin, truncated vertical contour"
+    else:
+        ap = AppellParams(*(v[k] for k in _APPELL))
+        if fn == "f1":
+            value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
+            trace = f"classical Appell F1, route={route}"
+        elif fn == "f1pv":
+            value = f1pv(ExtendedAppellInput(ap, ExtensionParams(v["p"], v["nu"])), route, tol)
+            trace = f"extended Appell, route={route}, quadrature tol={tol:g}"
+        elif fn == "mellin_fwd":
+            value = mellin_forward_closed(ap, v["nu"], v["s"])
+            trace = "Mellin transform, closed form"
+        else:  # mellin_inv
+            value = mellin_inverse_numeric(ap, v["nu"], v["p"], v.get("c"), tol)
+            trace = "inverse Mellin, truncated vertical contour"
     value = complex(value)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"{fn} evaluated to a non-finite value ({value})")
-    if value == 0 and fn in _NO_ZEROS:
+    if value == 0 and row.no_zeros:
         raise ConvergenceError(f"{fn} underflows double precision (evaluated to 0)")
     print(f"{value.real:.17g} {value.imag:.17g}")
     print(trace, file=sys.stderr)
@@ -292,7 +283,7 @@ def run(argv=None) -> int:
         # printed value), so numpy's floating-point warnings are noise here
         with np.errstate(all="ignore"):
             if args.command == "eval":
-                return _cmd_eval(args)
+                return _cmd_eval(args, parser.error)
             if args.command == "verify":
                 return _cmd_verify(args)
             return _cmd_golden(args)

@@ -57,6 +57,7 @@ from .hyper import (
     appell_f1_series,
     block_double_sum,
     check_euler_domain,
+    check_unit_disc,
     euler_beta,
     euler_integral_beta,
 )
@@ -110,10 +111,7 @@ def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
     values; the diagonal sum stops at ``tol / 100``.
     """
     a = inp.appell
-    if abs(a.x) >= 1.0:
-        raise DomainError(f"series route needs |x| < 1, got {abs(a.x):g}")
-    if abs(a.y) >= 1.0:
-        raise DomainError(f"series route needs |y| < 1, got {abs(a.y):g}")
+    check_unit_disc(a, "the series route")
     diag = _series_diagonal(a.b1, a.c1, inp.ext, tol)
     return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
 

@@ -222,6 +222,15 @@ def pochhammer_diagonal(b1, c1):
     return diag
 
 
+def check_unit_disc(params: AppellParams, what: str):
+    """|x| < 1 and |y| < 1, where ``what``, a sum or transform of the
+    F_{1,p,nu} double series, is defined; the classical series alone also
+    sums a terminating b2 or b3 past it (``_check_series_domain``)."""
+    for name, v in (("x", params.x), ("y", params.y)):
+        if abs(v) >= 1.0:
+            raise DomainError(f"{what} needs |x| < 1 and |y| < 1, got |{name}| = {abs(v):g}")
+
+
 def _check_series_domain(params: AppellParams):
     if abs(params.x) >= 1.0 and _terminating_index(params.b2) is None:
         raise DomainError(f"F1 series needs |x| < 1, got |x| = {abs(params.x):g}")

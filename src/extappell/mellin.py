@@ -58,6 +58,7 @@ from .hyper import (
     F1_TOL,
     AppellParams,
     block_double_sum,
+    check_unit_disc,
     euler_beta,
     euler_integral_beta,
     pochhammer_diagonal,
@@ -83,11 +84,6 @@ def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
         if is_nonpositive_integer(complex(c1) + shift):
             raise DomainError(f"c1 + {shift} hits a non-positive integer")
     return s
-
-
-def _check_series_domain(appell: AppellParams):
-    if abs(appell.x) >= 1.0 or abs(appell.y) >= 1.0:
-        raise DomainError("Mellin routines need |x| < 1 and |y| < 1")
 
 
 def _gamma_pair(nu: float, s):
@@ -173,7 +169,7 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
     the first call of each samples.
     """
     s = check_mellin_point(s, nu, appell.c1)
-    _check_series_domain(appell)
+    check_unit_disc(appell, "the Mellin pair")
     res = integrate_semi_infinite(_radial(appell, nu, s), 2e-7)
     val = complex(res.converged_value("Mellin forward integral"))
     return complex(val.real, 0.0) if s.imag == 0.0 else val
@@ -182,7 +178,7 @@ def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> compl
 def mellin_forward_closed(appell: AppellParams, nu: float, s: complex) -> complex:
     """The closed form of the transform (corrected; see module docstring)."""
     s = check_mellin_point(s, nu, appell.c1)
-    _check_series_domain(appell)
+    check_unit_disc(appell, "the Mellin pair")
     return 2.0 ** (s - 1.0) / math.sqrt(math.pi) * (_gamma_pair(nu, s)
                                                     * _shifted_appell_factor(appell, s))
 
@@ -211,7 +207,7 @@ def mellin_inverse_numeric(
     quadrature run at ``tol``."""
     if not p > 0.0:
         raise DomainError(f"inversion needs real p > 0, got {p}")
-    _check_series_domain(appell)
+    check_unit_disc(appell, "the Mellin pair")
     c = nu + 1.0 if c is None else c
     if not c > nu:
         raise DomainError(f"abscissa must exceed nu, got c={c}, nu={nu}")

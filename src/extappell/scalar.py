@@ -355,11 +355,8 @@ def _beta_log_ratio(alpha: complex, bta: complex) -> complex:
     exp(log Gamma(a) + log Gamma(b) - log Gamma(a+b)) would keep the
     rounding of log-Gammas of size 10^3, 1.9e-13 at B(150, 150); the
     ratios leave about 4 eps (|a| + |b|).  Where that passes 1e-12, one
-    argument is huge, and ``_beta_large_first`` answers; off the
-    half-plane this raises ``OverflowError`` as the product did.
+    argument is huge, and ``_beta_large_first`` answers.
     """
-    if min(alpha.real, bta.real) < 0.5:
-        raise OverflowError("a Gamma of beta's product form overflows double precision")
     if 4.0 * _EPS * (abs(alpha) + abs(bta)) > 1e-12:
         if abs(alpha) < abs(bta):
             alpha, bta = bta, alpha

@@ -218,6 +218,14 @@ def test_complex_argument_domain():
         bessel_k_upper_bound(-0.5, 1.0)
 
 
+def test_grid_refuses_work_past_its_budget():
+    # |arg z| = pi/2 - 1e-6: the cosh integrand oscillates so fast that the
+    # grid would need 137666263 nodes, past _MAX_WORK; it refuses at once
+    z = 5.0 * cmath.exp(1j * (math.pi / 2.0 - 1e-6))
+    with pytest.raises(ConvergenceError, match="would need 137666263 nodes"):
+        bessel_k_scaled(1.3, z)
+
+
 def test_vectorized_matches_scalar():
     zs = np.array([0.001, 0.37, 2.0, 55.0, 700.0])
     many = bessel_k_scaled_many(0.9, zs)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from extappell.cli import run
+from extappell.cli import _EVAL, run
 from extappell.report import VerificationRecord, make_record, record_to_dict, write_report
 
 
@@ -244,6 +244,42 @@ def test_f1pv_tol_is_the_quadrature_tolerance(capsys):
         assert "route=series" in captured.err
     assert "quadrature tol=1e-08" in captured.err
     assert abs(values[1] - values[0]) <= 1e-8 * abs(values[0])
+
+
+# one point per eval function; f1's x = 0.95 takes its integral route
+_POINTS = {
+    "beta_pv": ["x=2", "y=3", "p=1", "nu=0.5"],
+    "chaudhry_beta": ["x=2", "y=3", "p=1"],
+    "f1": [*_MELLIN[:4], "x=0.95", "y=0"],
+    "f1pv": [*_F1PV[2:], "nu=0.5"],
+    "bessel_k": ["nu=0.5", "z=1"],
+    "meijer_g": ["case=G2002", "b1=1", "b2=0", "z=2"],
+    "mellin_fwd": [*_MELLIN, "s=1"],
+    "mellin_inv": [*_MELLIN, "p=1"],
+}
+# the (function, option) pairs that something reads
+_READ = {("beta_pv", "--tol"), ("chaudhry_beta", "--tol"), ("f1", "--tol"), ("f1pv", "--tol"),
+         ("mellin_inv", "--tol"), ("f1", "--route"), ("f1pv", "--route")}
+
+
+@pytest.mark.parametrize("option, value", [("--tol", "1e-6"), ("--route", "auto")],
+                         ids=["tol", "route"])
+@pytest.mark.parametrize("fn", list(_EVAL))
+def test_eval_refuses_an_option_nothing_reads(capsys, fn, option, value):
+    assert run(["eval", fn, *_POINTS[fn], option, value]) == (0 if (fn, option) in _READ else 64)
+    captured = capsys.readouterr()
+    if (fn, option) not in _READ:
+        assert captured.out == ""
+        assert captured.err == f"usage error: extappell: eval {fn} reads no {option}\n"
+
+
+@pytest.mark.parametrize("route", [[], ["--route", "series"]], ids=["auto", "series"])
+def test_f1_series_reads_no_tol(capsys, route):
+    # the classical series stops at the fixed F1_TOL
+    assert run(["eval", "f1", *_MELLIN[:6], *route, "--tol", "1e-8"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: extappell: eval f1 reads no --tol on its series route\n"
 
 
 def test_meijer_g_case_message_lists_the_shapes(capsys):

@@ -315,6 +315,17 @@ def test_transform_domain_gate(b1, x, y, match):
         f1pv_transform(_inp(b1, 1.0, 1.0, 3.0, x, y, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("x, y, name", [
+    (1.0, 0.4, "x"),
+    (0.3, -1.2, "y"),
+    (complex(0.95, 0.4), 0.4, "x"),  # |x| = 1.03: the disc bounds |x|, not Re x
+], ids=["x=1", "y=-1.2", "x=0.95+0.4i"])
+def test_series_route_refuses_points_off_the_unit_disc(x, y, name):
+    with pytest.raises(DomainError,
+                       match=rf"series route needs \|x\| < 1 and \|y\| < 1, got \|{name}\|"):
+        f1pv_series(_inp(1.0, 1.0, 1.0, 3.0, x, y, 1.0, 0.5))
+
+
 def test_bounds_reject_the_branch_cut():
     # x, y > 0 with b2, b3 < 0 is the simple bound's second case; on
     # [1, inf) F_{1,p,nu} is not defined

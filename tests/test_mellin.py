@@ -120,6 +120,12 @@ def test_series_domain_required():
         mellin_inverse_numeric(wide, 0.5, 1.0)
 
 
+def test_forward_numeric_refuses_points_off_the_unit_disc():
+    # the series route's rule: |y| = 1.2 fails before any quadrature
+    with pytest.raises(DomainError, match=r"Mellin pair needs \|x\| < 1 and \|y\| < 1, got \|y\|"):
+        mellin_forward_numeric(AppellParams(1.0, 1.0, 1.0, 3.0, 0.1, -1.2), 0.5, 1.5)
+
+
 def test_forward_numeric_matches_frozen_reference():
     val = mellin_forward_numeric(BASE, 0.7, 2.7)
     assert abs(val - FORWARD_BASE_27) <= 1e-10 * FORWARD_BASE_27
