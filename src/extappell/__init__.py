@@ -29,7 +29,7 @@ from .f1pv import (
     f1pv_transform,
     route_for,
 )
-from .hyper import AppellParams, PFQParams, appell_f1_integral, appell_f1_series, pfq
+from .hyper import AppellParams, appell_f1_integral, appell_f1_series, pfq
 from .meijer import GSpec, meijer_g, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .quadrature import (

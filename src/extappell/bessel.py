@@ -1,6 +1,6 @@
 """Modified Bessel function of the second kind, K_nu(z), for Re(z) > 0.
 
-Two routes cover every order:
+Two routes cover every order, nu < 0 as |nu| (DLMF 10.27.3):
 
 * the Hankel expansion (DLMF 10.40.2)
   e^z K_nu(z) ~ sqrt(pi/(2z)) sum_j a_j(nu) z^{-j},
@@ -71,8 +71,9 @@ _HANKEL_STOP = 1e-17  # the sum stops at its first term below this at Z_H
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Real order nu >= -1 with its half-odd-integer flag (the terminating
-    Hankel sum at every z, for nu = k + 1/2 with 0 <= k <= 134)."""
+    """Real order nu with its half-odd-integer flag (the terminating
+    Hankel sum at every z, for nu = k + 1/2 with 0 <= k <= 134); the
+    routes take |nu|, so a negative nu is never flagged."""
 
     nu: float
     half_odd_integer: bool
@@ -80,8 +81,6 @@ class BesselOrder:
     @classmethod
     def from_nu(cls, nu: float) -> "BesselOrder":
         nu = float(nu)
-        if nu < -1.0:
-            raise DomainError(f"orders below -1 are not supported, got {nu}")
         k = round(nu - 0.5)
         flag = 0 <= k <= _HALF_ODD_MAX_K and abs(nu - (k + 0.5)) <= _ORDER_TOL
         return cls(nu, flag)
@@ -92,13 +91,6 @@ def _order_of(nu: float) -> BesselOrder:
     """``BesselOrder.from_nu``, kept for the orders of the last calls: a
     quadrature evaluates its kernel at one order in call after call."""
     return BesselOrder.from_nu(nu)
-
-
-def _check_right_half_plane(z: complex) -> complex:
-    z = complex(z)
-    if not (z.real > 0.0 and math.isfinite(z.imag)):
-        raise DomainError(f"K_nu needs Re(z) > 0 and a finite Im(z), got {z}")
-    return z
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -334,15 +326,13 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def bessel_k_scaled(order, z: complex) -> complex:
-    """e^z K_nu(z); right to double precision at any large |z| (the
-    Hankel route), finite wherever K_nu(z) is."""
-    order = _order_of(float(order))
-    z = _check_right_half_plane(z)
-    return complex(bessel_k_scaled_many(abs(order.nu), np.array([z]))[0])
+    """e^z K_nu(z), nu = ``order`` of any sign; right to double precision
+    at any large |z| (the Hankel route), finite wherever K_nu(z) is."""
+    return complex(bessel_k_scaled_many(order, np.array([complex(z)]))[0])
 
 
 def bessel_k(order, z: complex) -> complex:
-    """K_nu(z) for Re(z) > 0.
+    """K_nu(z) for Re(z) > 0, nu = ``order`` of any sign.
 
     Underflows to 0 for Re(z) beyond ~745; use ``bessel_k_scaled`` in
     that regime.
@@ -361,9 +351,11 @@ def bessel_k_upper_bound(order, z: complex) -> float:
     the |K| <= incomplete-Gamma estimate after dropping the e^{-z} decay,
     hence strictly larger than |K_{nu+1/2}(z)| everywhere in Re(z) > 0.
     """
-    order = _order_of(float(order))
-    if order.nu < 0.0:
-        raise DomainError(f"bound defined for nu >= 0, got {order.nu}")
-    z = _check_right_half_plane(z)
-    m = order.nu + 0.5
+    nu = float(order)
+    if nu < 0.0:
+        raise DomainError(f"bound defined for nu >= 0, got {nu}")
+    z = complex(z)
+    if not (z.real > 0.0 and math.isfinite(z.imag)):
+        raise DomainError(f"K_nu needs Re(z) > 0 and a finite Im(z), got {z}")
+    m = nu + 0.5
     return 0.5 * (2.0 * abs(z) / z.real**2) ** m * gamma(m).real

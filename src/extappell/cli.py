@@ -168,10 +168,11 @@ def _cmd_eval(args, usage_error) -> int:
         if v[k].imag != 0.0:
             raise DomainError(f"{k} must be real, got {v[k]}")
         v[k] = v[k].real
+    ap = AppellParams(*(v[k] for k in _APPELL)) if set(_APPELL) <= v.keys() else None
     route = None
     if row.routes:
         route = args.route if args.route in ("series", "integral") else (
-            "series" if prefers_series(v["x"], v["y"]) else "integral")
+            "series" if prefers_series(ap) else "integral")
     elif args.route is not None:
         usage_error(f"eval {fn} reads no --route")
     if args.tol is not None and (row.tol is None or route == "series" and not row.series_tol):
@@ -192,20 +193,18 @@ def _cmd_eval(args, usage_error) -> int:
     elif fn == "bessel_k":
         value = bessel_k(v["nu"], v["z"])
         trace = "modified Bessel K, Hankel sum (terminating at half-odd orders) / cosh integral"
-    else:
-        ap = AppellParams(*(v[k] for k in _APPELL))
-        if fn == "f1":
-            value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
-            trace = f"classical Appell F1, route={route}"
-        elif fn == "f1pv":
-            value = f1pv(ExtendedAppellInput(ap, ExtensionParams(v["p"], v["nu"])), route, tol)
-            trace = f"extended Appell, route={route}, quadrature tol={tol:g}"
-        elif fn == "mellin_fwd":
-            value = mellin_forward_closed(ap, v["nu"], v["s"])
-            trace = "Mellin transform, closed form"
-        else:  # mellin_inv
-            value = mellin_inverse_numeric(ap, v["nu"], v["p"], v.get("c"), tol)
-            trace = "inverse Mellin, truncated vertical contour"
+    elif fn == "f1":
+        value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
+        trace = f"classical Appell F1, route={route}"
+    elif fn == "f1pv":
+        value = f1pv(ExtendedAppellInput(ap, ExtensionParams(v["p"], v["nu"])), route, tol)
+        trace = f"extended Appell, route={route}, quadrature tol={tol:g}"
+    elif fn == "mellin_fwd":
+        value = mellin_forward_closed(ap, v["nu"], v["s"])
+        trace = "Mellin transform, closed form"
+    else:  # mellin_inv
+        value = mellin_inverse_numeric(ap, v["nu"], v["p"], v.get("c"), tol)
+        trace = "inverse Mellin, truncated vertical contour"
     value = complex(value)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"{fn} evaluated to a non-finite value ({value})")

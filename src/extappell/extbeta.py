@@ -120,9 +120,10 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     and for a kernel with rows the values have the shape of w, one row
     per p.
     Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
-    zero, and the kernel is evaluated only at the others.  When every
-    node is live the arrays are taken whole, with no zero-fill and no
-    selects; the values are the same bits.
+    zero, and the kernel is evaluated only at the others (a NaN exponent
+    is live, so the quadrature refuses it).  When every node is live the
+    arrays are taken whole, with no zero-fill and no selects; the values
+    are the same bits.
 
     The kernel is evaluated once per live pair of twin nodes.  On a
     cached tanh-sinh node array (``quadrature.unit_twins``) twin nodes
@@ -141,11 +142,13 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
         if extra is not None:
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
-        live = re > -ENDPOINT_CUTOFF
-        if live.all():
+        dead = re <= -ENDPOINT_CUTOFF  # False at NaN, which stays live
+        if not dead.any():
             live = ...  # every node, the arrays whole
-        elif not live.any():
+        elif dead.all():
             return np.zeros(expo.shape, dtype=expo.dtype)
+        else:
+            live = ~dead
         v = np.exp(expo[live])
         if kernel is not None:
             v = v * _kernel_per_pair(kernel, w, live, unit_twins(t))

@@ -1,6 +1,6 @@
 """The (p, nu)-extended Appell function F_{1,p,nu}.
 
-Series route (|x| < 1, |y| < 1):
+Series route (on the domain of ``hyper.check_series_domain``):
 
     F_{1,p,nu}(b1,b2,b3;c1;x,y) =
         sum_{m,n} (b2)_m (b3)_n B_{p,nu}(b1+m+n, c1-b1) / B(b1, c1-b1)
@@ -20,6 +20,8 @@ expansion of the integrand reproduces the series exactly.
 
 ``f1pv`` takes a route by name (``ROUTES``) and one tolerance, that of the
 quadratures behind either route; the series sums its diagonals to 1 % of it.
+"auto" takes the series where |x|, |y| <= 0.9, a variable whose parameter
+terminates exempt (``prefers_series``), and the integral elsewhere.
 
 The diagonal values D(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1) depend on
 (b1, c1, p, nu) only, not on x, y, b2 or b3, so series calls share one
@@ -57,19 +59,21 @@ from .hyper import (
     appell_f1_series,
     block_double_sum,
     check_euler_domain,
-    check_unit_disc,
+    check_series_domain,
     euler_beta,
     euler_integral_beta,
 )
 from .quadrature import DEFAULT_TOL
-from .scalar import beta, pochhammer
+from .scalar import beta, is_nonpositive_integer, pochhammer
 
 _AUTO_SERIES_LIMIT = 0.9
 
 
-def prefers_series(x: complex, y: complex) -> bool:
-    """The automatic route rule: series when |x| and |y| are both at most 0.9."""
-    return abs(x) <= _AUTO_SERIES_LIMIT and abs(y) <= _AUTO_SERIES_LIMIT
+def prefers_series(params: AppellParams) -> bool:
+    """The automatic route rule: the series when |x|, |y| <= 0.9, a variable
+    whose parameter terminates exempt, as in ``check_series_domain``."""
+    return all(abs(v) <= _AUTO_SERIES_LIMIT or is_nonpositive_integer(b)
+               for v, b in ((params.x, params.b2), (params.y, params.b3)))
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,10 @@ ROUTES = ("series", "integral", "auto")
 
 
 def route_for(inp: ExtendedAppellInput) -> str:
-    """The route "auto" takes: the series when ``prefers_series(x, y)``,
-    the integral otherwise.  Both divide by ``euler_integral_beta(b1, c1)``,
+    """The route "auto" takes: the series when ``prefers_series``, the
+    integral otherwise.  Both divide by ``euler_integral_beta(b1, c1)``,
     so a pole, an underflow or a cancelling integral fails on either route."""
-    a = inp.appell
-    return "series" if prefers_series(a.x, a.y) else "integral"
+    return "series" if prefers_series(inp.appell) else "integral"
 
 
 # a diff trial's 15 series calls take three (b1, c1) and a recursion
@@ -105,13 +108,13 @@ def _series_diagonal(b1: complex, c1: complex, ext: ExtensionParams, tol: float)
 
 
 def f1pv_series(inp: ExtendedAppellInput, tol: float = DEFAULT_TOL) -> complex:
-    """Series route; needs |x| < 1 and |y| < 1.
+    """Series route, on the domain of ``check_series_domain``.
 
     ``tol`` is the tolerance of the quadrature behind the diagonal
     values; the diagonal sum stops at ``tol / 100``.
     """
     a = inp.appell
-    check_unit_disc(a, "the series route")
+    check_series_domain(a, "the series route")
     diag = _series_diagonal(a.b1, a.c1, inp.ext, tol)
     return block_double_sum(diag, a.b2, a.b3, a.x, a.y, tol / 100)
 
@@ -259,7 +262,7 @@ def f1pv_bound(inp: ExtendedAppellInput) -> float:
     pref = _bound_prefactor(inp)
     nu = inp.ext.nu
     f1 = AppellParams(b1 + nu, b2, b3, c1 + 2.0 * nu, x, y)
-    factor = appell_f1_series(f1) if prefers_series(x, y) else appell_f1_integral(f1)
+    factor = appell_f1_series(f1) if prefers_series(f1) else appell_f1_integral(f1)
     return pref * factor.real
 
 

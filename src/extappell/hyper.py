@@ -13,6 +13,9 @@ factor may carry one row per parameter set, as the Mellin contour's
 own scalar sum would.  The pFq series stops by the same rule, in the
 same loop ``_scalar_sum`` as a scalar diagonal sum.
 
+Every double series in the package sums the same c_k, so one rule,
+``check_series_domain``, is the domain of all of them.
+
 F1 and F_{1,p,nu} share one normaliser, B(b1, c1-b1) from ``euler_beta``,
 and one Euler-integral domain, ``check_euler_domain``: F_{1,p,nu}'s
 series divides its diagonals by that B and every Euler integral divides
@@ -45,32 +48,6 @@ MAX_TERMS = 4000
 _EULER_CANCELLATION = 1e-13
 
 
-def _terminating_index(a: complex) -> int | None:
-    """n such that (a)_k = 0 for all k > n, when a is a non-positive integer."""
-    if is_nonpositive_integer(a):
-        return int(-complex(a).real)
-    return None
-
-
-@dataclass(frozen=True)
-class PFQParams:
-    """Numerator/denominator parameter lists and argument of pFq."""
-
-    numerator: tuple
-    denominator: tuple
-    z: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(complex(a) for a in self.numerator))
-        object.__setattr__(
-            self, "denominator", tuple(complex(b) for b in self.denominator)
-        )
-        object.__setattr__(self, "z", complex(self.z))
-        for b in self.denominator:
-            if is_nonpositive_integer(b):
-                raise PoleError("pFq denominator parameter at a pole", b)
-
-
 def _pfq_terms(a: tuple, b: tuple, z: complex):
     """(1.0, t_n), n < ``MAX_TERMS``: t_0 = 1 and t_{n+1} = t_n * prod(a_j + n)
     / prod(b_j + n) * z / (n + 1)."""
@@ -82,16 +59,22 @@ def _pfq_terms(a: tuple, b: tuple, z: complex):
         term = term * num / den * z / (n + 1)
 
 
-def pfq(params: PFQParams) -> complex:
+def pfq(numerator, denominator, z: complex) -> complex:
     """Sum of the pFq series by term recursion, stopped by ``_scalar_sum``
     at ``F1_TOL`` within ``MAX_TERMS`` terms; a terminating series ends in
-    exact zeros, which that rule stops on."""
-    a, b, z = params.numerator, params.denominator, params.z
+    exact zeros, which that rule stops on.  A denominator parameter at a
+    pole raises ``PoleError``."""
+    a = tuple(complex(aj) for aj in numerator)
+    b = tuple(complex(bj) for bj in denominator)
+    z = complex(z)
+    for bj in b:
+        if is_nonpositive_integer(bj):
+            raise PoleError("pFq denominator parameter at a pole", bj)
     if len(a) > len(b) + 1:
         raise DomainError(f"pFq needs p <= q+1 for convergence, got p={len(a)}, q={len(b)}")
     if z == 0:
         return 1.0 + 0.0j
-    terminates = any(_terminating_index(aj) is not None for aj in a)
+    terminates = any(is_nonpositive_integer(aj) for aj in a)
     if not terminates and len(a) == len(b) + 1 and abs(z) >= 1.0:
         raise DomainError(
             f"series for {len(a)}F{len(b)} diverges at |z| = {abs(z):g} >= 1"
@@ -222,26 +205,21 @@ def pochhammer_diagonal(b1, c1):
     return diag
 
 
-def check_unit_disc(params: AppellParams, what: str):
-    """|x| < 1 and |y| < 1, where ``what``, a sum or transform of the
-    F_{1,p,nu} double series, is defined; the classical series alone also
-    sums a terminating b2 or b3 past it (``_check_series_domain``)."""
-    for name, v in (("x", params.x), ("y", params.y)):
-        if abs(v) >= 1.0:
-            raise DomainError(f"{what} needs |x| < 1 and |y| < 1, got |{name}| = {abs(v):g}")
-
-
-def _check_series_domain(params: AppellParams):
-    if abs(params.x) >= 1.0 and _terminating_index(params.b2) is None:
-        raise DomainError(f"F1 series needs |x| < 1, got |x| = {abs(params.x):g}")
-    if abs(params.y) >= 1.0 and _terminating_index(params.b3) is None:
-        raise DomainError(f"F1 series needs |y| < 1, got |y| = {abs(params.y):g}")
+def check_series_domain(params: AppellParams, what: str):
+    """Raise DomainError off the domain of the double series of ``what``
+    (F1's, F_{1,p,nu}'s or the Mellin pair's): |x| < 1 unless b2 is a
+    non-positive integer, which makes the x ladder a polynomial, and
+    likewise y with b3."""
+    for name, v, b in (("x", params.x, "b2"), ("y", params.y, "b3")):
+        if abs(v) >= 1.0 and not is_nonpositive_integer(getattr(params, b)):
+            raise DomainError(f"{what} needs |x| < 1 and |y| < 1, got |{name}| = "
+                              f"{abs(v):g} with a non-terminating {b}")
 
 
 def appell_f1_series(params: AppellParams) -> complex:
-    """Appell F1 by its double power series (|x| < 1, |y| < 1), with the
-    diagonal factor (b1)_k / (c1)_k."""
-    _check_series_domain(params)
+    """Appell F1 by its double power series (``check_series_domain``),
+    with the diagonal factor (b1)_k / (c1)_k."""
+    check_series_domain(params, "the F1 series")
     return block_double_sum(
         pochhammer_diagonal(params.b1, params.c1),
         params.b2, params.b3, params.x, params.y, F1_TOL,

@@ -42,7 +42,7 @@ from .bessel import bessel_k
 from .errors import ConvergenceError, DegenerateIdentity, DomainError
 from .extbeta import ExtendedBetaFamily
 from .f1pv import ExtendedAppellInput
-from .hyper import PFQParams, euler_integral_beta, pfq
+from .hyper import check_euler_domain, euler_integral_beta, pfq
 from .scalar import log_gamma, principal_power
 
 # case tag -> (m, n, p, q) of G^{m,n}_{p,q}
@@ -122,13 +122,8 @@ def _residue_sum(spec: GSpec) -> complex:
             lg -= log_gamma(a[j] - bk)
         # m = q in all supported cases: no trailing beta Gammas downstairs
         pref = cmath.exp(lg) * principal_power(spec.z, bk)
-        series = pfq(
-            PFQParams(
-                tuple(1.0 + bk - aj for aj in a),
-                tuple(1.0 + bk - beta[j] for j in range(q) if j != k),
-                sign * spec.z,
-            )
-        )
+        series = pfq([1.0 + bk - aj for aj in a],
+                     [1.0 + bk - beta[j] for j in range(q) if j != k], sign * spec.z)
         total += pref * series
     return total
 
@@ -158,7 +153,7 @@ def _k_route(spec: GSpec) -> complex:
     if factor == 0:
         raise ConvergenceError(
             f"{spec.case} Bessel-K identity {which} has a vanishing factor here")
-    return bessel_k(abs(nu.real), z_k) / factor
+    return bessel_k(nu.real, z_k) / factor
 
 
 def _residue_safe(spec: GSpec) -> bool:
@@ -320,8 +315,11 @@ def verify_theorem1(which: str, inp: ExtendedAppellInput, mu: float = 0.0) -> co
     The G factor is rewritten through its (corrected) K identity -- exact
     algebra -- so the check certifies the prefactor/power bookkeeping of
     each representation; the K-G identities certify the G evaluator.
-    Forms 2.4 and 2.6 raise ``DegenerateIdentity`` at integer nu.
+    Forms 2.4 and 2.6 raise ``DegenerateIdentity`` at integer nu.  Like
+    that side, it is defined on the Euler domain (``check_euler_domain``).
     """
+    a = inp.appell
+    check_euler_domain(a.b1, a.c1, a.x, a.y)
     which = str(which)
     if which in ("2.4", "2.6") and abs(math.cos(math.pi * (inp.ext.nu + 0.5))) < 1e-9:
         raise DegenerateIdentity("cos(pi (nu+1/2))=0 degeneracy")

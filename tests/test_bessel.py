@@ -24,8 +24,10 @@ def test_order_flag_detection():
     assert not BesselOrder.from_nu(0.0).half_odd_integer
     assert not BesselOrder.from_nu(1.0).half_odd_integer
     assert not BesselOrder.from_nu(0.5 + 1e-6).half_odd_integer
-    with pytest.raises(DomainError):
-        BesselOrder.from_nu(-1.5)
+    # a negative order is never flagged, and K_{-nu} = K_nu (DLMF 10.27.3)
+    assert not BesselOrder.from_nu(-1.5).half_odd_integer
+    assert bessel_k(-1.5, 2.0) == bessel_k(1.5, 2.0)
+    assert abs(bessel_k(-1.5, 2.0) - 0.17990665795209218) <= 1e-15
     # half-odd orders take the terminating Hankel sum up to k = 134 only
     assert BesselOrder.from_nu(134.5).half_odd_integer
     for nu in (135.5, 200.5, 20000.5, 1e300):

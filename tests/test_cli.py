@@ -473,3 +473,36 @@ def test_classical_series_needs_no_normaliser(capsys):
     assert run(["eval", "f1", *_UNDERFLOW_B]) == 0
     re_part, im_part = map(float, capsys.readouterr().out.split())
     assert abs(re_part - 1.0526341801057340582) <= 1e-14 and im_part == 0.0
+
+
+_TERMINATING_B2 = ["b1=1", "b2=-2", "b3=1", "c1=3", "x=1.5", "y=0.1"]
+
+
+@pytest.mark.parametrize("fn, extra, ref", [
+    # mpmath appellf1(1, -2, 1, 3, 1.5, 0.1) at 30 digits
+    ("f1", [], 0.381007591888092694109),
+    # mpmath quadrature of the Euler form at 30 digits
+    ("f1pv", ["p=1.5", "nu=0.5"], 1.03439760598315800983e-4),
+])
+def test_auto_route_takes_the_series_where_b2_terminates(capsys, fn, extra, ref):
+    # |x| = 1.5 is past the auto rule's 0.9, but b2 = -2 ends x's ladder
+    assert run(["eval", fn, *_TERMINATING_B2, *extra]) == 0
+    captured = capsys.readouterr()
+    re_part, im_part = map(float, captured.out.split())
+    assert abs(re_part - ref) <= 1e-13 * abs(ref) and im_part == 0.0
+    assert "route=series" in captured.err
+
+
+def test_bessel_k_takes_any_sign_of_order(capsys):
+    # K_{-nu} = K_nu (DLMF 10.27.3)
+    for nu in ("1.5", "-1.5"):
+        assert run(["eval", "bessel_k", f"nu={nu}", "z=2"]) == 0
+        assert capsys.readouterr().out == "0.17990665795209218 0\n"
+
+
+@pytest.mark.parametrize("fn, last", [("mellin_fwd", "s=1.5"), ("mellin_inv", "p=1")])
+def test_mellin_pair_refuses_a_negative_order(capsys, fn, last):
+    assert run(["eval", fn, *_MELLIN[:6], "nu=-0.3", last]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: the Mellin pair needs nu >= 0, got nu = -0.3\n"

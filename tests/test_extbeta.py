@@ -47,6 +47,12 @@ def test_chaudhry_oracle():
     assert abs(val - CHAUDHRY_341) <= 1e-9 * CHAUDHRY_341
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, complex(-0.5, 2.0)])
+def test_chaudhry_beta_refuses_re_p_at_or_below_zero(p):
+    with pytest.raises(DomainError, match=r"needs Re\(p\) > 0"):
+        chaudhry_beta(3.0, 4.0, p)
+
+
 def test_symmetry():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -266,6 +272,23 @@ def test_all_live_integrand_matches_the_masked_path(p, nu):
     assert np.all(masked[..., :-1] == live)
     assert np.all(masked[..., -1] == 0.0)
     assert np.all(live != 0.0)
+
+
+@pytest.mark.parametrize("dead_end", [False, True], ids=["all-live", "masked"])
+def test_a_nan_exponent_stays_live_for_the_quadrature_to_refuse(dead_end):
+    # a NaN exponent, as a real log of a negative number gives, is no
+    # endpoint zero: its sample stays NaN on the all-live path and on the
+    # masked one, and the quadrature refuses it
+    g = extbeta.euler_integrand(0.7, -0.4, extbeta.ExtendedBetaKernel(1.5, 0.7),
+                                extra=lambda t, tc: np.where(t > 0.5, np.nan, 0.0))
+    t = np.linspace(0.02, 0.98, 41)
+    if dead_end:
+        t = np.append(t, 1e-276)
+    values = g(t, 1.0 - t)
+    assert np.all(np.isnan(values[t > 0.5]))
+    assert np.all(np.isfinite(values[t <= 0.5]))
+    with pytest.raises(DomainError, match="non-finite integrand sample"):
+        quadrature.integrate_unit_interval(g, 1e-10)
 
 
 def _recording_kernel(monkeypatch):

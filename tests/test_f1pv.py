@@ -19,9 +19,11 @@ from extappell.f1pv import (
     f1pv_recursion_b3,
     f1pv_series,
     f1pv_transform,
+    prefers_series,
     route_for,
 )
 from extappell.hyper import AppellParams, appell_f1_series, block_double_sum
+from extappell.oracles import bruteforce_f1pv
 from extappell.scalar import beta
 
 f1pv_module = importlib.import_module("extappell.f1pv")  # ``extappell.f1pv`` is the function
@@ -342,6 +344,42 @@ def test_auto_route_selection():
     wide = _inp(1.0, 1.0, 1.0, 3.0, 0.95, 0.1, 1.0, 0.5)
     assert route_for(wide) == "integral"
     assert abs(f1pv(wide) - f1pv_integral(wide)) == 0.0
+
+
+# F_{1,p,nu}(1, -2, 1; 3; 1.5, 0.1) at p = 1.5, nu = 0.5: b2 = -2 ends the x
+# ladder, so the series holds at |x| = 1.5; mpmath quadrature of the Euler
+# form (whose x factor is the polynomial (1 - 1.5 t)^2) at 30 digits
+TERMINATING_B2 = _inp(1.0, -2.0, 1.0, 3.0, 1.5, 0.1, 1.5, 0.5)
+F1PV_TERMINATING_B2 = 1.03439760598315800983e-4
+
+
+def test_a_terminating_parameter_lifts_the_series_disc():
+    assert route_for(TERMINATING_B2) == "series"
+    assert abs(f1pv_series(TERMINATING_B2) - F1PV_TERMINATING_B2) <= 1e-13
+    assert f1pv(TERMINATING_B2) == f1pv_series(TERMINATING_B2)
+
+
+@pytest.mark.parametrize("b2, b3, x, y, series", [
+    (1.0, 1.0, 0.9, -0.9, True),
+    (1.0, 1.0, 0.95, 0.1, False),
+    (-2.0, 1.0, 1.5, 0.1, True),  # x's ladder is a polynomial
+    (-2.5, 1.0, 1.5, 0.1, False),
+    (1.0, 0.0, 0.1, -40.0, True),
+    (-2.0, 1.0, 1.5, 0.95, False),  # y still counts
+])
+def test_prefers_series_ignores_a_variable_whose_parameter_terminates(b2, b3, x, y, series):
+    assert prefers_series(AppellParams(1.0, b2, b3, 3.0, x, y)) is series
+
+
+@pytest.mark.parametrize("recursion", [f1pv_recursion_b2, f1pv_recursion_b3])
+def test_recursion_refuses_a_step_count_below_one(recursion):
+    with pytest.raises(DomainError, match="step count must be >= 1"):
+        recursion(BASE, 0)
+
+
+def test_oracle_refuses_a_non_integer_order():
+    with pytest.raises(DomainError, match="integer nu >= 0"):
+        bruteforce_f1pv(1.0, 1.0, 1.0, 3.0, 0.3, 0.4, 1.0, 0.5)
 
 
 def test_unknown_route_is_a_domain_error():

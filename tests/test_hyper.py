@@ -8,7 +8,6 @@ from extappell.errors import ConvergenceError, DomainError, PoleError
 from extappell.hyper import (
     MAX_TERMS,
     AppellParams,
-    PFQParams,
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
@@ -31,16 +30,16 @@ F1_ORACLE = 1.68236118310606465
 
 def test_pfq_binomial_collapse():
     for a in (0.7, -1.3, 2.2):
-        val = pfq(PFQParams((a, 1.3), (1.3,), 0.4))
+        val = pfq((a, 1.3), (1.3,), 0.4)
         assert abs(val - (1.0 - 0.4) ** (-a)) <= 1e-13 * abs(val)
 
 
 def test_pfq_at_origin():
-    assert pfq(PFQParams((0.3, 1.9, 2.2), (1.1, 0.7), 0.0)) == 1.0
+    assert pfq((0.3, 1.9, 2.2), (1.1, 0.7), 0.0) == 1.0
 
 
 def test_pfq_derived_oracle():
-    val = pfq(PFQParams((0.5, 0.5), (1.5,), 0.7))
+    val = pfq((0.5, 0.5), (1.5,), 0.7)
     assert abs(val - GAUSS_HALF_07) <= 1e-13 * GAUSS_HALF_07
 
 
@@ -56,7 +55,7 @@ def test_pfq_term_recursion_matches_pochhammer_ratio():
             / pochhammer(b[0], n + 1) * z ** (n + 1) / math.factorial(n + 1)
         )
         assert abs(term - direct) <= 1e-13 * abs(direct)
-    full = pfq(PFQParams(a, b, z))
+    full = pfq(a, b, z)
     by_ratio = sum(
         pochhammer(a[0], n) * pochhammer(a[1], n) / pochhammer(b[0], n)
         * z**n / math.factorial(n)
@@ -67,13 +66,13 @@ def test_pfq_term_recursion_matches_pochhammer_ratio():
 
 def test_pfq_domain_errors():
     with pytest.raises(DomainError):
-        pfq(PFQParams((1.0, 1.0, 1.0), (2.0,), 0.5))  # p > q+1
+        pfq((1.0, 1.0, 1.0), (2.0,), 0.5)  # p > q+1
     with pytest.raises(DomainError):
-        pfq(PFQParams((1.0, 1.0), (3.0,), 1.2))  # |z| >= 1 at p = q+1
+        pfq((1.0, 1.0), (3.0,), 1.2)  # |z| >= 1 at p = q+1
     with pytest.raises(PoleError):
-        PFQParams((1.0,), (-2.0,), 0.5)
+        pfq((1.0,), (-2.0,), 0.5)
     # terminating numerator lifts the |z| < 1 restriction
-    val = pfq(PFQParams((-3.0, 1.0), (2.0,), 2.5))
+    val = pfq((-3.0, 1.0), (2.0,), 2.5)
     assert np.isfinite(abs(val))
 
 
@@ -81,7 +80,7 @@ def test_pfq_runs_out_of_terms():
     # 2F1(1, 1; 2; z) = -log(1 - z)/z: at z = 0.9999 term n is about
     # 0.9999^n / n, still 1e-5 of the sum after MAX_TERMS terms
     with pytest.raises(ConvergenceError, match="did not converge"):
-        pfq(PFQParams((1.0, 1.0), (2.0,), 0.9999))
+        pfq((1.0, 1.0), (2.0,), 0.9999)
 
 
 def test_scalar_sum_returns_none_when_the_terms_run_out():
@@ -99,14 +98,14 @@ def test_scalar_sum_returns_none_when_the_terms_run_out():
     ((1.1, -2.0, 0.4), (1.3, 2.9), 1.5, "(0.735936765345138+0j)"),
 ])
 def test_pfq_pinned_values(a, b, z, pinned):
-    assert repr(pfq(PFQParams(a, b, z))) == pinned
+    assert repr(pfq(a, b, z)) == pinned
 
 
 def test_appell_series_trivial_cases():
     assert appell_f1_series(AppellParams(1.3, 0.8, -0.4, 2.6, 0.0, 0.0)) == 1.0
     # b2 = 0 kills the x series
     val = appell_f1_series(AppellParams(0.9, 0.0, 1.4, 2.2, 0.7, 0.25))
-    ref = pfq(PFQParams((0.9, 1.4), (2.2,), 0.25))
+    ref = pfq((0.9, 1.4), (2.2,), 0.25)
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
@@ -144,7 +143,7 @@ def test_appell_equal_arguments_collapse_to_2f1():
     # x = y merges the power factors: F1 -> 2F1(b1, b2+b3; c1; x)
     p = AppellParams(1.2, 0.7, 1.1, 3.0, 0.4, 0.4)
     val = appell_f1_integral(p)
-    ref = pfq(PFQParams((1.2, 1.8), (3.0,), 0.4))
+    ref = pfq((1.2, 1.8), (3.0,), 0.4)
     assert abs(val - ref) <= 1e-10 * abs(ref)
 
 

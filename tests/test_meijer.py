@@ -208,6 +208,20 @@ def test_theorem1_integer_nu_skips():
     assert _theorem1_error("2.3", inp, 0.0) <= 1e-8
 
 
+@pytest.mark.parametrize("which, appell, match", [
+    # on the branch cut, where f1pv_integral refuses too
+    ("2.5", AppellParams(1, 1, 1, 3, 1.02, 0.4), "x on the branch cut"),
+    # b2 = -2 admits x = 1.5 on the series route only
+    ("2.3", AppellParams(1, -2, 1, 3, 1.5, 0.1), "x on the branch cut"),
+    ("2.4", AppellParams(1, 1, 1, 0.8, 0.3, 0.4), r"Re\(c1\) > Re\(b1\) > 0"),
+    ("2.9", AppellParams(1, 1, 1, 3, 0.3, 0.4), "unknown form '2.9'"),
+], ids=["cut", "terminating-b2", "euler-domain", "unknown-form"])
+def test_theorem1_refuses_what_its_integral_side_refuses(which, appell, match):
+    inp = ExtendedAppellInput(appell, ExtensionParams(1.5, 0.5))
+    with pytest.raises(DomainError, match=match):
+        verify_theorem1(which, inp, 0.7)
+
+
 def test_theorem1_forms_at_complex_p():
     # the suites sample real p only
     inp = ExtendedAppellInput(AppellParams(1.2, 0.5, -0.7, 3.1, 0.4, -0.3),

@@ -21,6 +21,7 @@ from extappell.mellin import (
 )
 from extappell.quadrature import _semi_level
 from extappell.scalar import beta, gamma
+from extappell.suites import MELLIN_PAIR_TOL
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
 # the ROADMAP baseline point, its transform at nu = 0.7, s = 2.7 by the
@@ -40,9 +41,10 @@ def test_mellin_point_constraints():
     with pytest.raises(DomainError):
         check_mellin_point(complex(0.2, 1.0), 0.9, 3.0)
     with pytest.raises(DomainError):
-        check_mellin_point(1.0, 0.5, -4.0)  # c1 + s at a pole
+        check_mellin_point(1.0, 0.5, -4.0)  # c1 + 2s at a pole
     with pytest.raises(DomainError):
-        # nu in (-1, 0) would allow tiny s; Re(s) > 0 still binds
+        # nu in (-1, 0) is off the extension's nu >= 0, which is what
+        # makes Re(s - nu) > 0 imply Re(s) > 0
         check_mellin_point(-0.1, -0.5, 3.0)
 
 
@@ -124,6 +126,66 @@ def test_forward_numeric_refuses_points_off_the_unit_disc():
     # the series route's rule: |y| = 1.2 fails before any quadrature
     with pytest.raises(DomainError, match=r"Mellin pair needs \|x\| < 1 and \|y\| < 1, got \|y\|"):
         mellin_forward_numeric(AppellParams(1.0, 1.0, 1.0, 3.0, 0.1, -1.2), 0.5, 1.5)
+
+
+@pytest.mark.parametrize("routine, last", [
+    (mellin_forward_closed, 1.5), (mellin_forward_numeric, 1.5), (mellin_inverse_numeric, 1.0),
+], ids=["forward_closed", "forward_numeric", "inverse"])
+def test_every_routine_refuses_a_negative_order(routine, last):
+    # s = 1.5 (or the default c = 0.7) is in the strip of nu = -0.3; the
+    # order is not an extension's
+    with pytest.raises(DomainError, match="needs nu >= 0"):
+        routine(AP, -0.3, last)
+
+
+def test_inverse_abscissa_is_checked_on_the_strip():
+    with pytest.raises(DomainError, match=r"Re\(s - nu\) > 0"):
+        mellin_inverse_numeric(AP, 0.5, 1.0, c=0.5)
+    with pytest.raises(DomainError, match="non-positive integer"):
+        mellin_inverse_numeric(AppellParams(1.0, 1.0, 1.0, -3.5, 0.3, 0.4), 0.5, 1.0, c=1.25)
+
+
+# M(1.5) at c1 = -1.5, where c1 + s = 0: mpmath's appellf1 in the closed
+# form at 30 digits.  Only c1 + 2s is a denominator of the corrected form
+C1_PLUS_S_ZERO = AppellParams(0.3, 0.5, -0.7, -1.5, 0.4, -0.3)
+FORWARD_C1_PLUS_S_ZERO = -2.386459426149464002508
+
+
+def test_c1_plus_s_at_a_pole_is_on_the_strip():
+    clo = mellin_forward_closed(C1_PLUS_S_ZERO, 0.5, 1.5)
+    assert abs(clo - FORWARD_C1_PLUS_S_ZERO) <= 1e-13 * abs(FORWARD_C1_PLUS_S_ZERO)
+    near = mellin_inverse_numeric(C1_PLUS_S_ZERO, 0.5, 1.0, c=1.4)
+    assert abs(mellin_inverse_numeric(C1_PLUS_S_ZERO, 0.5, 1.0, c=1.5) - near) <= 1e-6 * abs(near)
+
+
+# the shifted-Appell factor is complex when x or b1 is: the numeric
+# transform keeps its imaginary part at real s
+@pytest.mark.parametrize("appell", [
+    AppellParams(1.2, 0.5, -0.7, 3.1, 0.3 + 0.4j, -0.3),
+    AppellParams(1.2 + 0.5j, 0.5, -0.7, 3.1, 0.4, -0.3),
+], ids=["x=0.3+0.4i", "b1=1.2+0.5i"])
+def test_forward_numeric_is_complex_where_the_transform_is(appell):
+    num = mellin_forward_numeric(appell, 0.7, 2.7)
+    clo = mellin_forward_closed(appell, 0.7, 2.7)
+    assert abs(clo.imag) > 0.1 * abs(clo)
+    assert abs(num - clo) <= MELLIN_PAIR_TOL * abs(clo)
+
+
+# M(1.5) of F_{1,p,0.5}(1, -2, 1; 3; 1.5, 0.1) by mpmath's appellf1 in the
+# closed form at 30 digits: b2 = -2 ends the x ladder, so |x| = 1.5 is on
+# the series domain
+TERMINATING_B2 = AppellParams(1.0, -2.0, 1.0, 3.0, 1.5, 0.1)
+FORWARD_TERMINATING_B2 = 0.02071476636083682245
+
+
+def test_a_terminating_parameter_lifts_the_disc_of_the_pair():
+    clo = mellin_forward_closed(TERMINATING_B2, 0.5, 1.5)
+    assert abs(clo - FORWARD_TERMINATING_B2) <= 1e-14 * FORWARD_TERMINATING_B2
+    # the numeric transform's kernel integral meets real x = 1.5 on the cut
+    # [1, inf), where (1 - xt) goes negative: its NaN samples are refused
+    # rather than dropped as endpoint zeros
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+        mellin_forward_numeric(TERMINATING_B2, 0.5, 1.5)
 
 
 def test_forward_numeric_matches_frozen_reference():

@@ -65,6 +65,13 @@ def test_gamma_pole_error_carries_value():
     assert err.value.value == complex(-3.0)
 
 
+@pytest.mark.parametrize("z", [0.0, -4.0])
+def test_log_gamma_pole_error_carries_value(z):
+    with pytest.raises(PoleError, match="log_gamma pole") as err:
+        log_gamma(z)
+    assert err.value.value == complex(z)
+
+
 def test_log_gamma_matches_gamma():
     for z in (0.3, 2.7, complex(1.5, 2.0), complex(-0.7, 0.4)):
         assert abs(cmath.exp(log_gamma(z)) - gamma(z)) <= 1e-12 * abs(gamma(z))

@@ -213,21 +213,27 @@ def test_records_are_built_only_by_suites_and_report():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+_MASK_OPS = {ast.Gt: ">", ast.LtE: "<="}
+
+
 def _live_masks(source: str) -> list[str]:
-    """Lines that compare a value with ``-ENDPOINT_CUTOFF``: the live-node
-    mask of an integrand, which ``extbeta.euler_integrand`` alone builds."""
-    return [f"{node.lineno}: > -ENDPOINT_CUTOFF"
+    """Lines that compare a value with ``-ENDPOINT_CUTOFF`` by ``>`` (live)
+    or ``<=`` (dead): the node mask of an integrand, which
+    ``extbeta.euler_integrand`` alone builds."""
+    return [f"{node.lineno}: {_MASK_OPS[type(op)]} -ENDPOINT_CUTOFF"
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)
             for op, right in zip(node.ops, node.comparators)
-            if isinstance(op, ast.Gt) and isinstance(right, ast.UnaryOp)
+            if type(op) in _MASK_OPS and isinstance(right, ast.UnaryOp)
             and isinstance(right.op, ast.USub) and isinstance(right.operand, ast.Name)
             and right.operand.id == "ENDPOINT_CUTOFF"]
 
 
 def test_live_mask_scan():
     source = ("live = re > -ENDPOINT_CUTOFF\nok = x > ENDPOINT_CUTOFF\n"
-              "dead = re <= -ENDPOINT_CUTOFF\nm = (a > -ENDPOINT_CUTOFF) & b\n")
-    assert _live_masks(source) == ["1: > -ENDPOINT_CUTOFF", "4: > -ENDPOINT_CUTOFF"]
+              "dead = re <= -ENDPOINT_CUTOFF\nm = (a > -ENDPOINT_CUTOFF) & b\n"
+              "n = re < -ENDPOINT_CUTOFF\n")
+    assert _live_masks(source) == ["1: > -ENDPOINT_CUTOFF", "3: <= -ENDPOINT_CUTOFF",
+                                   "4: > -ENDPOINT_CUTOFF"]
 
 
 def test_one_live_mask_in_the_package():
@@ -306,10 +312,9 @@ def _is_euler_beta(node) -> bool:
             and _name_of(second.left) == "c1" and _name_of(second.right) == "b1")
 
 
-def _euler_betas(source: str) -> list[str]:
-    """Calls ``beta(….b1, ….c1 - ….b1)``, each with the function it sits
-    in: B(b1, c1-b1) is the F1 normaliser, which ``hyper.euler_beta``
-    alone takes."""
+def _found_in_functions(source: str, matches) -> list[str]:
+    """Nodes for which ``matches(node)`` holds, each as "line: function",
+    the innermost function it sits in or ``<module>``."""
     found = []
 
     def visit(node, where):
@@ -317,12 +322,19 @@ def _euler_betas(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if _is_euler_beta(child):
+            if matches(child):
                 found.append(f"{child.lineno}: {where}")
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def _euler_betas(source: str) -> list[str]:
+    """Calls ``beta(….b1, ….c1 - ….b1)``, each with the function it sits
+    in: B(b1, c1-b1) is the F1 normaliser, which ``hyper.euler_beta``
+    alone takes."""
+    return _found_in_functions(source, _is_euler_beta)
 
 
 def test_euler_beta_scan():
@@ -337,6 +349,64 @@ def test_one_euler_beta_in_the_package():
     found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
              for line in _euler_betas(path.read_text(encoding="utf-8"))]
     assert found == ["hyper.py euler_beta"]
+
+
+def _is_unit_disc_test(node) -> bool:
+    """Whether ``node`` compares ``abs(…)`` with the constant 1."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.left, ast.Call) and _name_of(node.left.func) == "abs"
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 1)
+
+
+def _unit_disc_tests(source: str) -> list[str]:
+    """Comparisons ``abs(…) >= 1.0`` (or any other operator), each with the
+    function it sits in: the unit-disc test of a power series.  The F1
+    double series' is ``hyper.check_series_domain``'s; pFq's |z| < 1 in
+    ``hyper.pfq`` is the one other series with such a test."""
+    return _found_in_functions(source, _is_unit_disc_test)
+
+
+def test_unit_disc_scan():
+    source = ("def check(a):\n    if abs(a.x) >= 1.0 and not t(a.b2):\n        pass\n"
+              "def route(x):\n    return abs(x) <= 0.9 or abs(x) < 1\n"
+              "ok = abs(z) >= 1.0\nno = x.real >= 1.0\nnor = abs(x) >= 2.0\n")
+    assert _unit_disc_tests(source) == ["2: check", "5: route", "6: <module>"]
+
+
+def test_one_series_domain_in_the_package():
+    found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _unit_disc_tests(path.read_text(encoding="utf-8"))]
+    assert found == ["hyper.py pfq", "hyper.py check_series_domain"]
+
+
+def _is_strip_test(node) -> bool:
+    """Whether ``node`` is ``….s.real - ….nu`` or ``(….s - ….nu).real``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return _real_part_of(node.left, "s") and _name_of(node.right) == "nu"
+    return (isinstance(node, ast.Attribute) and node.attr == "real"
+            and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Sub)
+            and _name_of(node.value.left) == "s" and _name_of(node.value.right) == "nu")
+
+
+def _strip_tests(source: str) -> list[str]:
+    """Re(s - nu) as ``s.real - nu`` or ``(s - nu).real``, each with the
+    function it sits in: the Mellin strip, which ``mellin.check_mellin_point``
+    alone tests."""
+    return _found_in_functions(source, _is_strip_test)
+
+
+def test_strip_scan():
+    source = ("def check(s, nu):\n    if not s.real - nu > 0.0:\n        pass\n"
+              "def f(a):\n    return (a.s - a.nu).real > 0\n"
+              "g = gamma((s - nu) / 2.0)\nh = s.real + nu\nk = s.imag - nu\n")
+    assert _strip_tests(source) == ["2: check", "5: f"]
+
+
+def test_one_mellin_strip_in_the_package():
+    found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _strip_tests(path.read_text(encoding="utf-8"))]
+    assert found == ["mellin.py check_mellin_point"]
 
 
 def _cumprods(source: str) -> list[str]:

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from extappell import suites
-from extappell.errors import DegenerateIdentity
+from extappell.errors import DegenerateIdentity, DomainError
 from extappell.suites import SUITES, _checks, _compare, _guarded, run_suite
 
 f1pv_module = importlib.import_module("extappell.f1pv")  # ``extappell.f1pv`` is the function
@@ -30,6 +30,15 @@ def test_error_record_names_the_check_that_raised(monkeypatch):
     ]
     assert all(r.method == "error: ArithmeticError: broken transform" for r in records)
     assert {"b1", "c1", "p", "nu"} <= set(records[0].params)
+
+
+@pytest.mark.parametrize("suite, trials, match", [
+    ("nosuch", 1, "unknown suite 'nosuch'"),
+    ("routes", 0, "trials must be >= 1"),
+])
+def test_run_suite_refuses_an_unknown_suite_or_no_trials(suite, trials, match):
+    with pytest.raises(DomainError, match=match):
+        run_suite(suite, trials, 1)
 
 
 def test_a_degenerate_side_files_the_check_as_skipped():
