@@ -344,6 +344,15 @@ def bessel_k(order, z: complex) -> complex:
     return complex(np.exp(-z) * scaled) if cmath.isfinite(scaled) else scaled
 
 
+def check_extension_order(order) -> float:
+    """nu = ``order`` of a (p, nu) pair as a float, real, finite and >= 0:
+    the one home of that rule, for K_{nu+1/2} (K_nu takes any real order)."""
+    nu = complex(order)
+    if not (nu.imag == 0.0 and 0.0 <= nu.real < math.inf):
+        raise DomainError(f"the extension needs nu >= 0, real and finite, got nu = {order}")
+    return nu.real
+
+
 def bessel_k_upper_bound(order, z: complex) -> float:
     """Strict upper bound for |K_{nu+1/2}(z)|, nu = ``order`` >= 0.
 
@@ -351,9 +360,7 @@ def bessel_k_upper_bound(order, z: complex) -> float:
     the |K| <= incomplete-Gamma estimate after dropping the e^{-z} decay,
     hence strictly larger than |K_{nu+1/2}(z)| everywhere in Re(z) > 0.
     """
-    nu = float(order)
-    if nu < 0.0:
-        raise DomainError(f"bound defined for nu >= 0, got {nu}")
+    nu = check_extension_order(order)
     z = complex(z)
     if not (z.real > 0.0 and math.isfinite(z.imag)):
         raise DomainError(f"K_nu needs Re(z) > 0 and a finite Im(z), got {z}")

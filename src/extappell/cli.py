@@ -24,7 +24,7 @@ import numpy as np
 from .bessel import bessel_k
 from .errors import ConvergenceError, DomainError
 from .extbeta import ExtensionParams, chaudhry_beta, extended_beta
-from .f1pv import ROUTES, ExtendedAppellInput, f1pv, prefers_series
+from .f1pv import ROUTES, ExtendedAppellInput, f1pv, route_for
 from .hyper import AppellParams, appell_f1_integral, appell_f1_series
 from .meijer import G_SHAPES, GSpec, meijer_g
 from .mellin import INVERSE_TOL, mellin_forward_closed, mellin_inverse_numeric
@@ -171,8 +171,7 @@ def _cmd_eval(args, usage_error) -> int:
     ap = AppellParams(*(v[k] for k in _APPELL)) if set(_APPELL) <= v.keys() else None
     route = None
     if row.routes:
-        route = args.route if args.route in ("series", "integral") else (
-            "series" if prefers_series(ap) else "integral")
+        route = route_for(ap) if args.route in (None, "auto") else args.route
     elif args.route is not None:
         usage_error(f"eval {fn} reads no --route")
     if args.tol is not None and (row.tol is None or route == "series" and not row.series_tol):

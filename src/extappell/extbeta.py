@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_k_scaled_many
+from .bessel import bessel_k_scaled_many, check_extension_order
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval, unit_twins
 
@@ -63,18 +63,18 @@ _FIRST_ROWS = 32
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """The extension pair (p, nu): one p with Re(p) > 0, and nu >= 0."""
+    """The extension pair (p, nu), and the one home of the rule on p: one
+    finite p with Re(p) > 0; nu as in ``bessel.check_extension_order``."""
 
     p: complex
     nu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "nu", float(self.nu))
-        if not self.p.real > 0.0:
-            raise DomainError(f"extension needs Re(p) > 0, got p = {self.p}")
-        if not self.nu >= 0.0:
-            raise DomainError(f"extension needs nu >= 0, got nu = {self.nu}")
+        p = complex(self.p)
+        if not (cmath.isfinite(p) and p.real > 0.0):
+            raise DomainError(f"the extension needs Re(p) > 0 and a finite p, got p = {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "nu", check_extension_order(self.nu))
 
 
 class ExtendedBetaKernel:
@@ -121,9 +121,7 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     per p.
     Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
     zero, and the kernel is evaluated only at the others (a NaN exponent
-    is live, so the quadrature refuses it).  When every node is live the
-    arrays are taken whole, with no zero-fill and no selects; the values
-    are the same bits.
+    is live, so the quadrature refuses it).
 
     The kernel is evaluated once per live pair of twin nodes.  On a
     cached tanh-sinh node array (``quadrature.unit_twins``) twin nodes
@@ -142,35 +140,27 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
         if extra is not None:
             expo = expo + extra(t, tc)
         re = expo.real if np.iscomplexobj(expo) else expo
-        dead = re <= -ENDPOINT_CUTOFF  # False at NaN, which stays live
-        if not dead.any():
-            live = ...  # every node, the arrays whole
-        elif dead.all():
-            return np.zeros(expo.shape, dtype=expo.dtype)
-        else:
-            live = ~dead
+        live = ~(re <= -ENDPOINT_CUTOFF)  # True at NaN, for the quadrature to refuse
+        out = np.zeros(expo.shape, dtype=expo.dtype)
+        if not live.any():
+            return out
         v = np.exp(expo[live])
         if kernel is not None:
             v = v * _kernel_per_pair(kernel, w, live, unit_twins(t))
-        if live is ...:
-            return v
-        out = np.zeros(expo.shape, dtype=expo.dtype)
         out[live] = v
         return out
 
     return integrand
 
 
-def _kernel_per_pair(kernel: ExtendedBetaKernel, w: np.ndarray, live, twins):
-    """The kernel at the live nodes, ordered as ``w[live]`` orders them
-    (``live`` is ``...`` when every node is live).  With the nodes'
-    ``twins`` known it is evaluated once per pair with a live node, at
-    the pair's leading node, whose w is the same bits, and every live
-    node takes its pair's value."""
+def _kernel_per_pair(kernel: ExtendedBetaKernel, w: np.ndarray, live: np.ndarray, twins):
+    """The kernel at the ``live`` nodes, ordered as ``w[live]`` orders
+    them.  With the nodes' ``twins`` known it is evaluated once per pair
+    with a live node, at the pair's leading node, whose w is the same
+    bits, and every live node takes its pair's value."""
     own = live
     if twins is not None:
-        live_mask = np.ones(w.shape, dtype=bool) if live is ... else live
-        own = twins.leads & (live_mask | _columns(live_mask, twins.index))
+        own = twins.leads & (live | _columns(live, twins.index))
     values = kernel.scaled_values(w[own])
     if twins is None:
         return values
@@ -186,7 +176,10 @@ def _columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def appell_powers(b2, b3, x, y):
-    """log (1-xt)^(-b2) (1-yt)^(-b3), an ``extra`` of ``euler_integrand``."""
+    """log (1-xt)^(-b2) (1-yt)^(-b3), an ``extra`` of ``euler_integrand``;
+    a real x or y >= 1 (only a terminating b2 or b3 admits one) takes the
+    complex log, since 1 - xt goes negative."""
+    x, y = (complex(v) if isinstance(v, float) and v >= 1.0 else v for v in (x, y))
     return lambda t, tc: -b2 * np.log((1.0 - x) + x * tc) - b3 * np.log((1.0 - y) + y * tc)
 
 
@@ -222,9 +215,7 @@ def chaudhry_beta(
     """The p-extension B(x, y; p) with kernel exp(-p/(t(1-t))), Re(p) > 0
     (Chaudhry, Qadir, Rafique & Zubair, J. Comput. Appl. Math. 78, 1997):
     the Euler integrand with no Bessel kernel and -p/(t(1-t)) as ``extra``."""
-    x, y, p = real_or_complex(x, y, p)
-    if not p.real > 0.0:
-        raise DomainError(f"needs Re(p) > 0, got p = {complex(p)}")
+    x, y, p = real_or_complex(x, y, ExtensionParams(p, 0.0).p)
     integrand = euler_integrand(x - 1.0, y - 1.0, extra=lambda t, tc: -p / (t * tc))
     res = integrate_unit_interval(integrand, tol)
     return complex(res.converged_value("Chaudhry Beta quadrature"))

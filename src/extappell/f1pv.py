@@ -21,7 +21,8 @@ expansion of the integrand reproduces the series exactly.
 ``f1pv`` takes a route by name (``ROUTES``) and one tolerance, that of the
 quadratures behind either route; the series sums its diagonals to 1 % of it.
 "auto" takes the series where |x|, |y| <= 0.9, a variable whose parameter
-terminates exempt (``prefers_series``), and the integral elsewhere.
+terminates exempt, and the integral elsewhere: ``route_for``, the one auto
+rule, also for ``f1pv_bound``'s F1 factor and ``eval`` (``cli``).
 
 The diagonal values D(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1) depend on
 (b1, c1, p, nu) only, not on x, y, b2 or b3, so series calls share one
@@ -69,13 +70,6 @@ from .scalar import beta, is_nonpositive_integer, pochhammer
 _AUTO_SERIES_LIMIT = 0.9
 
 
-def prefers_series(params: AppellParams) -> bool:
-    """The automatic route rule: the series when |x|, |y| <= 0.9, a variable
-    whose parameter terminates exempt, as in ``check_series_domain``."""
-    return all(abs(v) <= _AUTO_SERIES_LIMIT or is_nonpositive_integer(b)
-               for v, b in ((params.x, params.b2), (params.y, params.b3)))
-
-
 @dataclass(frozen=True)
 class ExtendedAppellInput:
     """Appell parameters plus the (p, nu) extension."""
@@ -87,11 +81,13 @@ class ExtendedAppellInput:
 ROUTES = ("series", "integral", "auto")
 
 
-def route_for(inp: ExtendedAppellInput) -> str:
-    """The route "auto" takes: the series when ``prefers_series``, the
-    integral otherwise.  Both divide by ``euler_integral_beta(b1, c1)``,
-    so a pole, an underflow or a cancelling integral fails on either route."""
-    return "series" if prefers_series(inp.appell) else "integral"
+def route_for(params: AppellParams) -> str:
+    """The route "auto" takes, for F_{1,p,nu} and the classical F1: the
+    series when |x|, |y| <= 0.9, a variable whose parameter terminates
+    exempt (as in ``check_series_domain``), the integral otherwise."""
+    series = all(abs(v) <= _AUTO_SERIES_LIMIT or is_nonpositive_integer(b)
+                 for v, b in ((params.x, params.b2), (params.y, params.b3)))
+    return "series" if series else "integral"
 
 
 # a diff trial's 15 series calls take three (b1, c1) and a recursion
@@ -136,7 +132,7 @@ def f1pv(inp: ExtendedAppellInput, route: str = "auto", tol: float = DEFAULT_TOL
     if route not in ROUTES:
         raise DomainError(f"unknown route {route!r}; choose from {ROUTES}")
     if route == "auto":
-        route = route_for(inp)
+        route = route_for(inp.appell)
     if route == "series":
         return f1pv_series(inp, tol)
     return f1pv_integral(inp, tol)
@@ -262,7 +258,7 @@ def f1pv_bound(inp: ExtendedAppellInput) -> float:
     pref = _bound_prefactor(inp)
     nu = inp.ext.nu
     f1 = AppellParams(b1 + nu, b2, b3, c1 + 2.0 * nu, x, y)
-    factor = appell_f1_series(f1) if prefers_series(f1) else appell_f1_integral(f1)
+    factor = appell_f1_series(f1) if route_for(f1) == "series" else appell_f1_integral(f1)
     return pref * factor.real
 
 

@@ -45,18 +45,21 @@ The p -> 0 limit of p^nu F_{1,p,nu}, which the forward quadrature uses
 at its smallest abscissae, is the residue of M at its first pole s = nu:
 2^nu Gamma(nu+1/2)/sqrt(pi) * R(nu).
 
-Domain: real nu >= 0 and s, or the contour's c, in the strip
-Re(s - nu) > 0 (``check_mellin_point``); x, y as ``hyper.check_series_domain``.
+Domain: (p, nu) as ``ExtensionParams``, the inverse's p real; s, or the
+contour's c, finite and in the strip Re(s - nu) > 0 (``check_mellin_point``);
+x, y as ``hyper.check_series_domain``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
+from .bessel import check_extension_order
 from .errors import DomainError
-from .extbeta import ExtendedBetaFamily
+from .extbeta import ExtendedBetaFamily, ExtensionParams
 from .hyper import (
     F1_TOL,
     AppellParams,
@@ -71,18 +74,17 @@ from .scalar import beta, gamma, is_nonpositive_integer
 
 
 def check_mellin_point(s: complex, nu: float, c1: complex) -> complex:
-    """Validate the Theorem-3 strip Re(s - nu) > 0 at real nu >= 0 (as in
-    ``ExtensionParams``), which give Re(s + nu) > -1 and Re(s) > 0.
+    """Validate the Theorem-3 strip Re(s - nu) > 0 at a finite s and nu as
+    ``bessel.check_extension_order``, which give Re(s + nu) > -1, Re(s) > 0.
 
     Also keeps c1 + 2s, the shifted Appell denominator, off the
     non-positive integers; c1 + s, the source's misprinted denominator,
     is no pole of the corrected form.
     """
     s = complex(s)
-    if not nu >= 0.0:
-        raise DomainError(f"the Mellin pair needs nu >= 0, got nu = {nu}")
-    if not s.real - nu > 0.0:
-        raise DomainError(f"need Re(s - nu) > 0, got s={s}, nu={nu}")
+    nu = check_extension_order(nu)
+    if not (cmath.isfinite(s) and s.real - nu > 0.0):
+        raise DomainError(f"need a finite s with Re(s - nu) > 0, got s={s}, nu={nu}")
     if is_nonpositive_integer(complex(c1) + 2 * s):
         raise DomainError(f"c1 + {2 * s} hits a non-positive integer")
     return s
@@ -206,9 +208,12 @@ def mellin_inverse_numeric(
 ) -> complex:
     """Reconstruct F_{1,p,nu} from the closed-form transform by contour
     integration along Re(s) = c in the strip (``check_mellin_point``;
-    default c = nu + 1), the contour quadrature run at ``tol``."""
-    if not p > 0.0:
-        raise DomainError(f"inversion needs real p > 0, got {p}")
+    default c = nu + 1), the contour quadrature run at ``tol``; its p is
+    real besides, for the contour's log(2/p)."""
+    ext = ExtensionParams(p, nu)
+    if ext.p.imag != 0.0:
+        raise DomainError(f"inversion needs a real p, got p = {ext.p}")
+    p, nu = ext.p.real, ext.nu
     check_series_domain(appell, "the Mellin pair")
     c = nu + 1.0 if c is None else c
     check_mellin_point(c, nu, appell.c1)

@@ -218,6 +218,8 @@ def test_complex_argument_domain():
         bessel_k_scaled(0.7, complex(0.0, 2.0))
     with pytest.raises(DomainError):
         bessel_k_upper_bound(-0.5, 1.0)
+    with pytest.raises(DomainError, match=r"Re\(z\) > 0"):
+        bessel_k_upper_bound(0.5, -1.0)
 
 
 def test_grid_refuses_work_past_its_budget():

@@ -505,4 +505,5 @@ def test_mellin_pair_refuses_a_negative_order(capsys, fn, last):
     assert run(["eval", fn, *_MELLIN[:6], "nu=-0.3", last]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "domain error: the Mellin pair needs nu >= 0, got nu = -0.3\n"
+    assert captured.err == ("domain error: the extension needs nu >= 0, real and finite, "
+                            "got nu = -0.3\n")

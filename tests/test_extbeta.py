@@ -47,7 +47,8 @@ def test_chaudhry_oracle():
     assert abs(val - CHAUDHRY_341) <= 1e-9 * CHAUDHRY_341
 
 
-@pytest.mark.parametrize("p", [0.0, -1.0, complex(-0.5, 2.0)])
+# the rule of ExtensionParams, which also asks for a finite p
+@pytest.mark.parametrize("p", [0.0, -1.0, complex(-0.5, 2.0), math.inf])
 def test_chaudhry_beta_refuses_re_p_at_or_below_zero(p):
     with pytest.raises(DomainError, match=r"needs Re\(p\) > 0"):
         chaudhry_beta(3.0, 4.0, p)
@@ -229,7 +230,9 @@ def test_batch_of_p_validation():
         with pytest.raises((TypeError, DeprecationWarning)):
             ExtensionParams(batch, 0.7)
     for p, nu in ((-1.0, 0.5), (0.0, 0.5), (-2.0 + 1.0j, 0.5), (math.nan, 0.5),
-                  (complex(math.nan, 1.0), 0.5), (1.0, -0.2), (1.0, math.nan)):
+                  (complex(math.nan, 1.0), 0.5), (1.0, -0.2), (1.0, math.nan),
+                  (math.inf, 0.5), (complex(1.0, math.inf), 0.5), (1.0, math.inf),
+                  (1.0, 0.5 + 1.0j)):
         with pytest.raises(DomainError):
             ExtensionParams(p, nu)
     accepted = [ExtensionParams(1.5, 0.7), ExtensionParams(1.2 + 0.8j, 0),
@@ -260,8 +263,9 @@ def test_extended_beta_at_high_generic_order(nu, ref):
 @pytest.mark.parametrize("p", [1.5, np.array([0.4, 1.5, 6.0])])
 @pytest.mark.parametrize("nu", [0.7, 1.0])
 def test_all_live_integrand_matches_the_masked_path(p, nu):
-    # the same nodes with a dead endpoint node appended take the masked
-    # path, which evaluates the kernel at the live nodes only
+    # one mask serves every node array: nodes that are all live give the
+    # values the same nodes give with a dead endpoint node appended, whose
+    # value is exactly 0 and which changes no other node's value
     kernel = extbeta.ExtendedBetaKernel(p, nu)
     g = extbeta.euler_integrand(0.7, -0.4, kernel)
     t = np.linspace(0.02, 0.98, 41)
@@ -277,8 +281,8 @@ def test_all_live_integrand_matches_the_masked_path(p, nu):
 @pytest.mark.parametrize("dead_end", [False, True], ids=["all-live", "masked"])
 def test_a_nan_exponent_stays_live_for_the_quadrature_to_refuse(dead_end):
     # a NaN exponent, as a real log of a negative number gives, is no
-    # endpoint zero: its sample stays NaN on the all-live path and on the
-    # masked one, and the quadrature refuses it
+    # endpoint zero: its sample stays NaN whether every other node is live
+    # or a dead one is masked, and the quadrature refuses it
     g = extbeta.euler_integrand(0.7, -0.4, extbeta.ExtendedBetaKernel(1.5, 0.7),
                                 extra=lambda t, tc: np.where(t > 0.5, np.nan, 0.0))
     t = np.linspace(0.02, 0.98, 41)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from extappell import hyper, mellin
+from extappell.bessel import bessel_k_upper_bound
 from extappell.errors import DomainError
 from extappell.extbeta import ExtensionParams, extended_beta
 from extappell.f1pv import ExtendedAppellInput, f1pv_integral, f1pv_series
@@ -128,19 +129,32 @@ def test_forward_numeric_refuses_points_off_the_unit_disc():
         mellin_forward_numeric(AppellParams(1.0, 1.0, 1.0, 3.0, 0.1, -1.2), 0.5, 1.5)
 
 
-@pytest.mark.parametrize("routine, last", [
-    (mellin_forward_closed, 1.5), (mellin_forward_numeric, 1.5), (mellin_inverse_numeric, 1.0),
-], ids=["forward_closed", "forward_numeric", "inverse"])
-def test_every_routine_refuses_a_negative_order(routine, last):
+@pytest.mark.parametrize("call, match", [
+    (lambda: mellin_forward_closed(AP, -0.3, 1.5), "needs nu >= 0"),
+    (lambda: mellin_forward_numeric(AP, -0.3, 1.5), "needs nu >= 0"),
+    (lambda: mellin_inverse_numeric(AP, -0.3, 1.0), "needs nu >= 0"),
+    (lambda: mellin_forward_closed(BASE, 0.7 + 1j, 2.0), "needs nu >= 0"),
+    (lambda: bessel_k_upper_bound(0.5 + 1j, 1.0), "needs nu >= 0"),
+    (lambda: mellin_inverse_numeric(BASE, 0.7, 1.5 + 0.5j), "needs a real p"),
+    (lambda: mellin_inverse_numeric(BASE, 0.7, math.inf), r"needs Re\(p\) > 0 and a finite p"),
+], ids=["forward_closed", "forward_numeric", "inverse", "forward_closed-complex_nu",
+        "bound-complex_nu", "inverse-complex_p", "inverse-infinite_p"])
+def test_every_routine_refuses_a_negative_order(call, match):
     # s = 1.5 (or the default c = 0.7) is in the strip of nu = -0.3; the
-    # order is not an extension's
-    with pytest.raises(DomainError, match="needs nu >= 0"):
-        routine(AP, -0.3, last)
+    # order is not an extension's, and neither is a complex one.  Every
+    # routine that takes a (p, nu) pair refuses it by the one rule of
+    # ``bessel.check_extension_order`` and ``ExtensionParams``; the
+    # inverse also needs a real p
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 def test_inverse_abscissa_is_checked_on_the_strip():
     with pytest.raises(DomainError, match=r"Re\(s - nu\) > 0"):
         mellin_inverse_numeric(AP, 0.5, 1.0, c=0.5)
+    # an infinite c fails before the contour, not in it
+    with pytest.raises(DomainError, match="need a finite s"):
+        mellin_inverse_numeric(BASE, 0.7, 1.5, c=math.inf)
     with pytest.raises(DomainError, match="non-positive integer"):
         mellin_inverse_numeric(AppellParams(1.0, 1.0, 1.0, -3.5, 0.3, 0.4), 0.5, 1.0, c=1.25)
 
@@ -181,11 +195,11 @@ FORWARD_TERMINATING_B2 = 0.02071476636083682245
 def test_a_terminating_parameter_lifts_the_disc_of_the_pair():
     clo = mellin_forward_closed(TERMINATING_B2, 0.5, 1.5)
     assert abs(clo - FORWARD_TERMINATING_B2) <= 1e-14 * FORWARD_TERMINATING_B2
-    # the numeric transform's kernel integral meets real x = 1.5 on the cut
-    # [1, inf), where (1 - xt) goes negative: its NaN samples are refused
-    # rather than dropped as endpoint zeros
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
-        mellin_forward_numeric(TERMINATING_B2, 0.5, 1.5)
+    # the numeric transform's kernel integral meets real x = 1.5, where
+    # 1 - xt goes negative: the polynomial (1 - xt)^2 is taken by its
+    # complex log, with no NaN sample (a numpy warning fails the test)
+    num = mellin_forward_numeric(TERMINATING_B2, 0.5, 1.5)
+    assert abs(num - clo) <= 1e-13 * abs(clo)
 
 
 def test_forward_numeric_matches_frozen_reference():

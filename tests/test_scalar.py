@@ -122,6 +122,7 @@ def test_principal_power():
     assert principal_power(complex(2.3, -1.0), 0.0) == 1.0
     assert abs(principal_power(-1.0, 0.5) - 1j) < 1e-15
     assert principal_power(0.0, 2.5) == 0.0
+    assert principal_power(0, 0) == 1.0  # the empty product
     with pytest.raises(DomainError):
         principal_power(0.0, -1.0)
 

@@ -409,6 +409,65 @@ def test_one_mellin_strip_in_the_package():
     assert found == ["mellin.py check_mellin_point"]
 
 
+def _compares_with_zero(node, name: str) -> bool:
+    """Whether ``node`` compares ``….name`` or ``….name.real`` with the
+    constant 0, on either side of any link of a chained comparison."""
+    if not isinstance(node, ast.Compare):
+        return False
+
+    def named(n):
+        return _name_of(n) == name or _real_part_of(n, name)
+
+    def zero(n):
+        return isinstance(n, ast.Constant) and type(n.value) in (int, float) and n.value == 0
+
+    operands = [node.left, *node.comparators]
+    return any(named(a) and zero(b) or zero(a) and named(b)
+               for a, b in zip(operands, operands[1:]))
+
+
+def _p_rules(source: str) -> list[str]:
+    """Comparisons of ``p`` or ``p.real`` with 0, each with the function it
+    sits in: the rule Re(p) > 0, which ``extbeta.ExtensionParams`` alone
+    writes."""
+    return _found_in_functions(source, lambda node: _compares_with_zero(node, "p"))
+
+
+def test_p_rule_scan():
+    source = ("def check(self):\n    if not (isfinite(self.p) and self.p.real > 0.0):\n"
+              "        pass\ndef f(p):\n    return 0 < p\n"
+              "ok = p.imag > 0.0\nno = p > 1.0\nnor = ps > 0.0\nneither = q.real > 0\n")
+    assert _p_rules(source) == ["2: check", "5: f"]
+
+
+def test_one_p_rule_in_the_package():
+    found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _p_rules(path.read_text(encoding="utf-8"))]
+    assert found == ["extbeta.py __post_init__"]
+
+
+def _nu_rules(source: str) -> list[str]:
+    """Comparisons of ``nu`` or ``nu.real`` with 0, each with the function it
+    sits in: the rule nu >= 0, which ``bessel.check_extension_order`` alone
+    writes for the package, and ``oracles._int_nu`` for the independent
+    oracle, whose kernel also needs an integer nu."""
+    return _found_in_functions(source, lambda node: _compares_with_zero(node, "nu"))
+
+
+def test_nu_rule_scan():
+    source = ("def rule(order):\n    nu = complex(order)\n"
+              "    if not (nu.imag == 0.0 and 0.0 <= nu.real < inf):\n        pass\n"
+              "def f(a):\n    return a.nu < 0\n"
+              "ok = nu > 0.05\nno = mu >= 0.0\nnor = nu.imag == 0.0\nneither = nu == False\n")
+    assert _nu_rules(source) == ["3: rule", "6: f"]
+
+
+def test_one_nu_rule_in_the_package():
+    found = [f"{path.name} {line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _nu_rules(path.read_text(encoding="utf-8"))]
+    assert found == ["bessel.py check_extension_order", "oracles.py _int_nu"]
+
+
 def _cumprods(source: str) -> list[str]:
     """Lines that take a ``cumprod``: the power weights t^k w of the
     moments, which ``quadrature`` alone builds, once per node table."""
