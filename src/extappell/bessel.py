@@ -87,10 +87,14 @@ class BesselOrder:
 
 
 @functools.lru_cache(maxsize=64)
-def _order_of(nu: float) -> BesselOrder:
-    """``BesselOrder.from_nu``, kept for the orders of the last calls: a
+def _order_of(nu) -> BesselOrder:
+    """``BesselOrder.from_nu`` of |nu| for a real, finite order ``nu``, the
+    one home of that rule, kept for the orders of the last calls: a
     quadrature evaluates its kernel at one order in call after call."""
-    return BesselOrder.from_nu(nu)
+    order = complex(nu)
+    if not (order.imag == 0.0 and math.isfinite(order.real)):
+        raise DomainError(f"K_nu needs a real, finite order, got nu = {nu}")
+    return BesselOrder.from_nu(abs(order.real))
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -284,20 +288,17 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     without changing any entry's arithmetic: a call whose entries are all
     far returns the Hankel sum of the whole array, and near entries whose
     smallest and largest |z| fall in one band skip the per-entry band
-    split.  A NaN real part fails the domain check, like Re z <= 0, and
-    so does a NaN or infinite imaginary part.
+    split.  The order must be real and finite (``_order_of``), and every
+    entry finite with Re z > 0.
     """
-    order = _order_of(abs(float(nu)))
+    order = _order_of(nu)
     z = np.asarray(z)
     if z.size == 0:
         return z.astype(complex)
     shape = z.shape
     z = z.ravel()
-    if np.iscomplexobj(z):
-        if not (z.real.min() > 0.0 and np.isfinite(z.imag).all()):
-            raise DomainError("K_nu needs Re(z) > 0 and a finite Im(z) at every array entry")
-    elif not z.min() > 0.0:
-        raise DomainError("K_nu needs Re(z) > 0 at every array entry")
+    if not (z.real.min() > 0.0 and np.isfinite(z).all()):
+        raise DomainError("K_nu needs a finite z with Re(z) > 0 at every array entry")
     if order.half_odd_integer:
         return _half_odd_scaled(round(order.nu - 0.5), z).reshape(shape)
     z_h = max(_HANKEL_FLOOR, (4.0 * order.nu * order.nu - 1.0) / 8.0)
@@ -349,7 +350,8 @@ def check_extension_order(order) -> float:
     the one home of that rule, for K_{nu+1/2} (K_nu takes any real order)."""
     nu = complex(order)
     if not (nu.imag == 0.0 and 0.0 <= nu.real < math.inf):
-        raise DomainError(f"the extension needs nu >= 0, real and finite, got nu = {order}")
+        shown = nu if nu.imag else nu.real
+        raise DomainError(f"the extension needs nu >= 0, real and finite, got nu = {shown}")
     return nu.real
 
 

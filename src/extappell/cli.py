@@ -10,6 +10,11 @@ underflows), 64 usage error (from argument parsing, and a --tol or
 read: settings are command-line options, never environment variables).
 Values print as "re im" on stdout with a one-line method trace on
 stderr; a failure prints one line on stderr and no traceback.
+
+The CLI parses (key=value syntax, unknown, missing and repeated keys,
+words for numbers, its options) and checks only the value it prints: each
+number goes as a complex to the library type it flows into, which refuses
+a bad one (exit 2).
 """
 
 from __future__ import annotations
@@ -35,24 +40,24 @@ from .suites import SUITES, run_suite, summarize
 _APPELL = ("b1", "b2", "b3", "c1", "x", "y")
 
 # One row per ``eval`` function: the number keys its call needs (meijer_g's
-# come from its case, see ``_keys``), the keys that must be real, its --tol
-# default (None: it reads no --tol), whether it reads --route and, on its
-# series route, --tol (f1's series stops at the fixed F1_TOL), whether a 0
-# from it is an underflow, and its optional keys.  B_{p,nu}, the Chaudhry
-# Beta and F_{1,p,nu} decay like exp(-4 Re p) as p grows but are never
-# exactly 0, and K_nu has no zeros for |arg z| <= pi/2 (DLMF 10.42);
-# meijer_g's 0 is the K route's K_nu or underflowed residue terms.
-_Eval = namedtuple("_Eval", "keys real tol routes series_tol no_zeros optional",
-                   defaults=((), None, False, True, False, ()))
+# come from its case, see ``_keys``), its --tol default (None: it reads no
+# --tol), whether it reads --route and, on its series route, --tol (f1's
+# series stops at the fixed F1_TOL), whether a 0 from it is an underflow,
+# and its optional keys.  B_{p,nu}, the Chaudhry Beta and F_{1,p,nu} decay
+# like exp(-4 Re p) as p grows but are never exactly 0, and K_nu has no
+# zeros for |arg z| <= pi/2 (DLMF 10.42); meijer_g's 0 is the K route's
+# K_nu or underflowed residue terms.
+_Eval = namedtuple("_Eval", "keys tol routes series_tol no_zeros optional",
+                   defaults=(None, False, True, False, ()))
 _EVAL = {
-    "beta_pv": _Eval(("x", "y", "p", "nu"), ("nu",), DEFAULT_TOL, no_zeros=True),
-    "chaudhry_beta": _Eval(("x", "y", "p"), tol=DEFAULT_TOL, no_zeros=True),
-    "f1": _Eval(_APPELL, tol=DEFAULT_TOL, routes=True, series_tol=False),
-    "f1pv": _Eval((*_APPELL, "p", "nu"), ("nu",), DEFAULT_TOL, routes=True, no_zeros=True),
-    "bessel_k": _Eval(("nu", "z"), ("nu",), no_zeros=True),
+    "beta_pv": _Eval(("x", "y", "p", "nu"), DEFAULT_TOL, no_zeros=True),
+    "chaudhry_beta": _Eval(("x", "y", "p"), DEFAULT_TOL, no_zeros=True),
+    "f1": _Eval(_APPELL, DEFAULT_TOL, routes=True, series_tol=False),
+    "f1pv": _Eval((*_APPELL, "p", "nu"), DEFAULT_TOL, routes=True, no_zeros=True),
+    "bessel_k": _Eval(("nu", "z"), no_zeros=True),
     "meijer_g": _Eval(None, no_zeros=True),
-    "mellin_fwd": _Eval((*_APPELL, "nu", "s"), ("nu",)),
-    "mellin_inv": _Eval((*_APPELL, "nu", "p"), ("nu", "p", "c"), INVERSE_TOL, optional=("c",)),
+    "mellin_fwd": _Eval((*_APPELL, "nu", "s")),
+    "mellin_inv": _Eval((*_APPELL, "nu", "p"), INVERSE_TOL, optional=("c",)),
 }
 
 
@@ -134,9 +139,6 @@ def _need(params: dict, keys) -> list:
     words = [k for k in keys if not isinstance(params[k], complex)]
     if words:
         raise DomainError(f"parameters must be numbers: {', '.join(words)}")
-    infinite = [k for k in keys if not cmath.isfinite(params[k])]
-    if infinite:
-        raise DomainError(f"parameters must be finite: {', '.join(infinite)}")
     return [params[k] for k in keys]
 
 
@@ -164,10 +166,6 @@ def _cmd_eval(args, usage_error) -> int:
         raise DomainError(f"unknown parameters for {fn}: {', '.join(unknown)}")
     keys += tuple(k for k in row.optional if k in params)
     v = dict(zip(keys, _need(params, keys)))
-    for k in (k for k in row.real if k in v):
-        if v[k].imag != 0.0:
-            raise DomainError(f"{k} must be real, got {v[k]}")
-        v[k] = v[k].real
     ap = AppellParams(*(v[k] for k in _APPELL)) if set(_APPELL) <= v.keys() else None
     route = None
     if row.routes:

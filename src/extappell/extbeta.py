@@ -121,7 +121,7 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     per p.
     Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
     zero, and the kernel is evaluated only at the others (a NaN exponent
-    is live, so the quadrature refuses it).
+    is live, so the quadrature refuses it).  Both powers must be finite.
 
     The kernel is evaluated once per live pair of twin nodes.  On a
     cached tanh-sinh node array (``quadrature.unit_twins``) twin nodes
@@ -132,6 +132,10 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     the call, which this leaves alone, so the values are the same bits
     as with every live node evaluated.
     """
+    for name, power in (("t", xt), ("1-t", yt)):
+        if not cmath.isfinite(power):
+            raise DomainError(f"the Euler integrand needs a finite power of {name}, got {power}")
+
     def integrand(t, tc):
         expo = xt * np.log(t) + yt * np.log(tc)
         if kernel is not None:

@@ -26,6 +26,7 @@ through ``euler_integral_beta``, which refuses a cancelling integral.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,7 +88,8 @@ def pfq(numerator, denominator, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class AppellParams:
-    """Parameters (b1, b2, b3; c1) and variables (x, y) of Appell F1."""
+    """Parameters (b1, b2, b3; c1) and variables (x, y) of Appell F1, all
+    six finite."""
 
     b1: complex
     b2: complex
@@ -98,7 +100,10 @@ class AppellParams:
 
     def __post_init__(self):
         for name in ("b1", "b2", "b3", "c1", "x", "y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise DomainError(f"Appell F1 needs finite parameters, got {name} = {value}")
+            object.__setattr__(self, name, value)
         if is_nonpositive_integer(self.c1):
             raise PoleError("Appell denominator parameter c1 at a pole", self.c1)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from .bessel import bessel_k
 from .errors import ConvergenceError, DegenerateIdentity, DomainError
-from .extbeta import ExtendedBetaFamily
+from .extbeta import ExtendedBetaFamily, real_or_complex
 from .f1pv import ExtendedAppellInput
 from .hyper import check_euler_domain, euler_integral_beta, pfq
 from .scalar import log_gamma, principal_power
@@ -58,7 +58,8 @@ _PATTERN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GSpec:
-    """One restricted Meijer-G evaluation: case tag, parameters, argument."""
+    """One restricted Meijer-G evaluation: case tag, parameters, argument,
+    each parameter and the argument finite."""
 
     case: str
     alpha: tuple
@@ -77,6 +78,11 @@ class GSpec:
                 f"{self.case} needs {p} alpha and {q} beta parameters, got "
                 f"{len(self.alpha)} and {len(self.beta)}"
             )
+        named = (*((f"a{i}", a) for i, a in enumerate(self.alpha, 1)),
+                 *((f"b{i}", b) for i, b in enumerate(self.beta, 1)), ("z", self.z))
+        for name, value in named:
+            if not cmath.isfinite(value):
+                raise DomainError(f"Meijer G needs finite parameters, got {name} = {value}")
         if self.z == 0:
             raise DomainError("Meijer G undefined at z = 0")
         kappa = m + n - 0.5 * (p + q)
@@ -238,7 +244,9 @@ def verify_k_g_identity(which: str, nu: float, z: float, mu: float = 0.0) -> com
     half-integer nu, and integer 2 nu collides the pole families.
     """
     which = str(which)
-    nu, z, mu = float(nu), float(z), float(mu)
+    nu, z, mu = real_or_complex(nu, z, mu)
+    if isinstance(z, complex):
+        raise DomainError(f"identity checks take a real nu, z and mu, got {nu}, {z}, {mu}")
     if z <= 0.0:
         raise DomainError(f"identity checks run at real z > 0, got {z}")
     if which in ("1.8", "1.10") and abs(math.cos(math.pi * nu)) < 1e-9:

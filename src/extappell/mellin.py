@@ -209,14 +209,17 @@ def mellin_inverse_numeric(
     """Reconstruct F_{1,p,nu} from the closed-form transform by contour
     integration along Re(s) = c in the strip (``check_mellin_point``;
     default c = nu + 1), the contour quadrature run at ``tol``; its p is
-    real besides, for the contour's log(2/p)."""
+    real besides, for the contour's log(2/p), and so is c, the line's
+    abscissa."""
     ext = ExtensionParams(p, nu)
     if ext.p.imag != 0.0:
         raise DomainError(f"inversion needs a real p, got p = {ext.p}")
     p, nu = ext.p.real, ext.nu
     check_series_domain(appell, "the Mellin pair")
-    c = nu + 1.0 if c is None else c
-    check_mellin_point(c, nu, appell.c1)
+    c = check_mellin_point(nu + 1.0 if c is None else c, nu, appell.c1)
+    if c.imag != 0.0:
+        raise DomainError(f"inversion needs a real abscissa, got c = {c}")
+    c = c.real
     res = integrate_vertical_line(_inversion_integrand(appell, nu, p, c), tol)
     return (complex(res.converged_value("inversion contour integral"))
             / (4.0 * math.pi * math.sqrt(math.pi)))

@@ -15,10 +15,12 @@ Gamma uses a single Lanczos-class rational approximation (15 coefficients)
 for Re(z) >= 1/2 and the reflection formula below that, so real and complex
 arguments share one code path.  Near Gamma's own overflow (z ~ 171) the
 power is taken in two halves, so both paths give Gamma up to 1.7e308;
-where an intermediate still overflows, both raise ``OverflowError``, as
-``cmath.exp`` does.  Beta takes a log-ratio form where a Gamma of its
-product overflows, or Gamma(a) Gamma(b) underflows, but the Beta does not,
-and Stirling's series where one argument is too large for that form.
+where an intermediate still overflows (the power, or sin(pi z) of the
+reflection), both raise one ``OverflowError`` that names gamma and z;
+log-Gamma takes log sin(pi z) in a form that does not overflow.  Beta
+takes a log-ratio form where a Gamma of its product overflows, or
+Gamma(a) Gamma(b) underflows, but the Beta does not, and Stirling's
+series where one argument is too large for that form.
 """
 
 from __future__ import annotations
@@ -100,27 +102,35 @@ def gamma(z):
         z = np.asarray(z, dtype=complex)
         _raise_at_poles(z, "gamma pole at non-positive integer")
         out, overflow = _gamma_array(z)
-        if (overflow & np.isfinite(z)).any():
-            raise OverflowError("gamma overflows double precision")
+        overflow &= np.isfinite(z)
+        if overflow.any():
+            raise _gamma_overflow(z[overflow][0])
         return out
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError("gamma pole at non-positive integer", z)
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (_sin_pi(z) * gamma(1.0 - z))
-    t = z + _LANCZOS_SHIFT
-    power = (z + 0.5) * cmath.log(t) - t
     try:
-        out = _SQRT_TWO_PI * cmath.exp(power) * _lanczos_series(z) / z
-        if cmath.isfinite(out) or not cmath.isfinite(z):
+        if z.real < 0.5:
+            # Gamma(z) Gamma(1-z) = pi / sin(pi z)
+            return math.pi / (_sin_pi(z) * gamma(1.0 - z))
+        t = z + _LANCZOS_SHIFT
+        power = (z + 0.5) * cmath.log(t) - t
+        try:
+            out = _SQRT_TWO_PI * cmath.exp(power) * _lanczos_series(z) / z
+            if cmath.isfinite(out) or not cmath.isfinite(z):
+                return out
+        except OverflowError:
+            pass
+        out = _split_power_form(power, z, cmath.exp)
+        if cmath.isfinite(out):
             return out
     except OverflowError:
         pass
-    out = _split_power_form(power, z, cmath.exp)
-    if not cmath.isfinite(out):
-        raise OverflowError("gamma overflows double precision")
-    return out
+    raise _gamma_overflow(z)
+
+
+def _gamma_overflow(z) -> OverflowError:
+    return OverflowError(f"gamma overflows double precision at z = {complex(z)}")
 
 
 def _split_power_form(power, z, exp):
@@ -166,7 +176,7 @@ def log_gamma(z: complex) -> complex:
     if is_nonpositive_integer(z):
         raise PoleError("log_gamma pole at non-positive integer", z)
     if z.real < 0.5:
-        return cmath.log(math.pi) - cmath.log(_sin_pi(z)) - log_gamma(1.0 - z)
+        return cmath.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
     t = z + _LANCZOS_SHIFT
     return (
         math.log(_SQRT_TWO_PI)
@@ -301,6 +311,20 @@ def _sin_pi(z: complex) -> complex:
     n = round(z.real)
     s = cmath.sin(math.pi * (z - n))
     return -s if n % 2 else s
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """A logarithm of sin(pi z): log ``_sin_pi(z)`` where sin(pi z) is a
+    double, else (|Im z| past about 226) the form that does not overflow,
+    -i pi z + log(i/2) + log1p(-e^(2 pi i z)) at Im z > 0, and its
+    conjugate at Im z < 0."""
+    try:
+        return cmath.log(_sin_pi(z))
+    except OverflowError:
+        pass
+    w = z if z.imag > 0.0 else z.conjugate()
+    out = -1j * math.pi * w + cmath.log(0.5j) + _log1p(-cmath.exp(2j * math.pi * w))
+    return out if z.imag > 0.0 else out.conjugate()
 
 
 def _beta_reflected(alpha: complex, bta: complex) -> complex:

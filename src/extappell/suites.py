@@ -311,11 +311,14 @@ def _checks(suite: str, trials: int, seed: int, tol: float | None):
 
 
 def run_suite(suite: str, trials: int, seed: int, tol: float | None = None):
-    """Execute one named suite; returns its records in trial order."""
+    """Execute one named suite; returns its records in trial order.  ``tol``,
+    when given, replaces every check's own tolerance and must be positive."""
     if suite not in _TRIALS:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if tol is not None and not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     return [_guarded(suite, *check) for check in _checks(suite, trials, seed, tol)]
 
 

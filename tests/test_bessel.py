@@ -222,6 +222,30 @@ def test_complex_argument_domain():
         bessel_k_upper_bound(0.5, -1.0)
 
 
+@pytest.mark.parametrize("nu, z", [
+    (math.inf, 1.0),  # was an OverflowError from round
+    (1.0 + 1.0j, 1.0),  # was a TypeError from float
+    (math.nan, 1.0),
+    (1.0, math.inf),  # was 0j
+    (1.0, complex(math.inf, 1.0)),
+], ids=["inf-order", "complex-order", "nan-order", "inf-z", "inf-re-z"])
+def test_bessel_k_refuses_a_non_real_order_or_an_infinite_argument(nu, z):
+    with pytest.raises(DomainError):
+        bessel_k(nu, z)
+
+
+def test_an_order_with_a_zero_imaginary_part_is_its_real_part():
+    # the CLI hands every number as a complex
+    for nu in (0.7, 1.5, -2.5):
+        assert bessel_k(complex(nu), 2.0 + 1.0j) == bessel_k(nu, 2.0 + 1.0j)
+
+
+def test_a_real_array_with_an_infinite_entry_is_refused():
+    # its Hankel sum gave 0 there
+    with pytest.raises(DomainError, match="finite z"):
+        bessel_k_scaled_many(0.7, np.array([1.0, np.inf]))
+
+
 def test_grid_refuses_work_past_its_budget():
     # |arg z| = pi/2 - 1e-6: the cosh integrand oscillates so fast that the
     # grid would need 137666263 nodes, past _MAX_WORK; it refuses at once

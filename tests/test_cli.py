@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from extappell.cli import _EVAL, run
+from extappell.cli import _EVAL, _keys, run
+from extappell.meijer import G_SHAPES
 from extappell.report import VerificationRecord, make_record, record_to_dict, write_report
 
 
@@ -294,8 +295,9 @@ def test_nonpositive_tol_exit_64(tol):
 
 
 def test_complex_or_word_order_exit_2(capsys):
+    # the library's refusal (``bessel.check_extension_order``) names the key
     assert run([*_F1PV, "nu=0.5+1j"]) == 2
-    assert "nu must be real" in capsys.readouterr().err
+    assert "got nu = (0.5+1j)" in capsys.readouterr().err
     assert run([*_F1PV, "nu=abc"]) == 2
     assert run(["eval", "mellin_inv", *_F1PV[2:], "nu=0.5", "c=1.5+2j"]) == 2
 
@@ -307,7 +309,56 @@ def test_non_finite_parameter_exit_2(capsys, bad):
     argv = [a for a in [*_F1PV, "nu=0.5"] if not a.startswith(key + "=")]
     assert run([*argv, bad]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"must be finite: {key}" in captured.err
+    # refused by ``AppellParams`` or ``ExtensionParams``, which name the key
+    assert captured.out == "" and f"got {key} = " in captured.err
+
+
+# a valid value of every number key of ``_EVAL`` and of the meijer_g cases
+_VALID = {"b1": "1.2", "b2": "0.5", "b3": "-0.7", "b4": "0.4", "c1": "3.1", "x": "0.4",
+          "y": "-0.3", "p": "1.5", "nu": "0.7", "s": "1.5", "c": "1.5", "z": "1.5",
+          "a1": "0.25"}
+# the keys that must be real: the extension's nu, K_nu's order, and the
+# Mellin inverse's p and abscissa c
+_REAL_ONLY = {"beta_pv": ("nu",), "f1pv": ("nu",), "bessel_k": ("nu",),
+              "mellin_fwd": ("nu",), "mellin_inv": ("nu", "p", "c")}
+
+
+def _contract_points():
+    """(tag, function, its point with every number key and option): one per
+    ``_EVAL`` row, and one per G shape for meijer_g."""
+    for fn, row in _EVAL.items():
+        for case in G_SHAPES if fn == "meijer_g" else (None,):
+            head = {"case": case} if case else {}
+            keys = (*_keys(fn, head), *row.optional)
+            yield f"{fn}-{case}" if case else fn, fn, {**head, **{k: _VALID[k] for k in keys}}
+
+
+def _contract_calls():
+    """Every call that the library must refuse: each number of each point
+    made non-finite, and each real-only key made complex."""
+    for tag, fn, point in _contract_points():
+        for key in (k for k in point if k != "case"):
+            for bad in ("inf", "-inf", "nan", "nan+1j"):
+                yield pytest.param(fn, {**point, key: bad}, id=f"{tag}-{key}={bad}")
+        for key in _REAL_ONLY.get(fn, ()):
+            yield pytest.param(fn, {**point, key: f"{point[key]}+1j"}, id=f"{tag}-{key}-complex")
+
+
+@pytest.mark.parametrize("fn, point", [pytest.param(fn, point, id=tag)
+                                       for tag, fn, point in _contract_points()])
+def test_contract_points_evaluate(capsys, fn, point):
+    assert run(["eval", fn, *(f"{k}={v}" for k, v in point.items())]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fn, point", list(_contract_calls()))
+def test_library_types_refuse_every_bad_number(capsys, fn, point):
+    # the CLI checks no number: each is refused by the type it flows into
+    assert run(["eval", fn, *(f"{k}={v}" for k, v in point.items())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("domain error: ")
 
 
 @pytest.mark.parametrize("argv, unknown", [

@@ -364,3 +364,14 @@ def test_a_live_node_with_a_dead_twin_is_evaluated(xt, yt):
     g = extbeta.euler_integrand(xt, yt, kernel)
     values, every = g(t, tc)[lone], g(t.copy(), tc.copy())[lone]
     assert np.all(every != 0.0) and values.tobytes() == every.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: extended_beta(math.inf, 3.0, ExtensionParams(1.5, 0.7)),
+    lambda: extended_beta(2.0, complex(math.nan, 1.0), ExtensionParams(1.5, 0.7)),
+    lambda: chaudhry_beta(2.0, -math.inf, 1.5),
+], ids=["extended_beta-x", "extended_beta-y", "chaudhry_beta-y"])
+def test_euler_integrand_refuses_a_non_finite_power(call):
+    # extended_beta(inf, 3, ext) ended in numpy's RuntimeWarning
+    with pytest.raises(DomainError, match="needs a finite power of"):
+        call()

@@ -195,6 +195,17 @@ def test_appell_domain_errors():
         AppellParams(1.0, 1.0, 1.0, -2.0, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("name, bad", [("x", math.nan), ("b2", math.inf), ("c1", math.inf),
+                                       ("y", complex(math.nan, 1.0))])
+def test_appell_params_refuse_a_non_finite_value(name, bad):
+    # at the baseline point, a NaN x ran the series 4000 diagonals to a
+    # ConvergenceError, an infinite b2 ended the integral route in a numpy
+    # RuntimeWarning and an infinite c1 in an OverflowError from beta
+    values = dict(b1=1.2, b2=0.5, b3=-0.7, c1=3.1, x=0.4, y=-0.3)
+    with pytest.raises(DomainError, match=f"got {name} = "):
+        AppellParams(**{**values, name: bad})
+
+
 def test_diagonal_coefficients_collapse():
     b2, b3, x, y = 0.8, -1.1, 0.35, 0.55
     ck = f1_diagonal_coefficients(b2, b3, x, y, 160)

@@ -247,3 +247,21 @@ def test_a_planted_identity_constant_moves_its_check_and_its_form(monkeypatch):
     for which, before in forms.items():
         factor = 1.0 + 1e-6 if which == "2.5" else 1.0
         assert abs(factor * verify_theorem1(which, BASE, mu) - before) <= 1e-15 * abs(before)
+
+
+def test_gspec_refuses_a_non_finite_parameter_or_argument():
+    # an infinite z raised a K_nu DomainError from the K route
+    with pytest.raises(DomainError, match="got z = "):
+        meijer_g(GSpec("G2002", (), (0.3, -0.2), math.inf))
+    with pytest.raises(DomainError, match="got b2 = "):
+        GSpec("G4004", (), (0.1, math.nan, -0.1, 0.4), 1.5)
+    with pytest.raises(DomainError, match="got a1 = "):
+        GSpec("G2012", (complex(math.inf, 1.0),), (0.3, -0.3), 1.5)
+
+
+@pytest.mark.parametrize("nu", [0.5 + 1j, math.nan], ids=["complex", "nan"])
+def test_k_g_identity_refuses_a_complex_or_nan_order(nu):
+    # a complex order raised a TypeError from float, a NaN one a ValueError
+    # from round
+    with pytest.raises(DomainError):
+        verify_k_g_identity("1.7", nu, 1.0)

@@ -292,3 +292,18 @@ def test_forward_closed_and_limit_take_the_scalar_sum(monkeypatch):
     assert abs(mellin_forward_closed(BASE, 0.7, 2.7) - FORWARD_BASE_27) <= 1e-14 * FORWARD_BASE_27
     val = _limit_coefficient(BASE, 0.7)
     assert abs(val - LIMIT_BASE[0.7]) <= 1e-14 * LIMIT_BASE[0.7]
+
+
+@pytest.mark.parametrize("c", [1.5 + 2j, 1.5 + 50j])
+def test_inverse_needs_a_real_abscissa(c):
+    # at c = 1.5+2j the inverse integrated the line Re s = 1.5 with a shifted
+    # parameter and returned 0.0012315833832318706; at 1.5+50j it raised
+    # ConvergenceError
+    with pytest.raises(DomainError, match="needs a real abscissa, got c = "):
+        mellin_inverse_numeric(BASE, 0.7, 1.5, c=c)
+
+
+def test_inverse_takes_a_complex_abscissa_with_no_imaginary_part_as_real():
+    # the CLI hands every number as a complex
+    assert (mellin_inverse_numeric(BASE, 0.7, 1.5, c=complex(1.5))
+            == mellin_inverse_numeric(BASE, 0.7, 1.5, c=1.5))

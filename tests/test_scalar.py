@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from extappell.bessel import bessel_k_upper_bound
 from extappell.errors import DomainError, PoleError
 from extappell.scalar import (
     beta,
@@ -377,3 +379,33 @@ def test_scalar_values_are_pinned_bit_for_bit():
     assert repr(rgamma(-2.5)) == "(-1.0578554691520432-0j)"
     assert repr(beta(2.5, 1.25)) == "(0.27242156408229823+0j)"
     assert repr(beta(complex(1.2, 3.0), 0.4)) == "(1.2269927010764525-0.6878233447967632j)"
+
+
+@pytest.mark.parametrize("call, z", [
+    (lambda: gamma(400.5), "400.5"),  # cmath.exp in the split power form
+    (lambda: gamma(0.2 + 300j), "0.2+300"),  # cmath.sin in the reflection
+    (lambda: gamma(-400.3), "-400.3"),  # Gamma(1 - z) of the reflection
+    (lambda: bessel_k_upper_bound(400, 1.5), "400.5"),
+    (lambda: gamma(np.array([2.5, 400.5])), "400.5"),
+], ids=["split-power", "reflection-sin", "reflection-gamma", "bessel-bound", "array"])
+def test_gamma_overflow_names_gamma_and_its_argument(call, z):
+    # each was a bare "math range error" from cmath on the scalar path
+    with pytest.raises(OverflowError, match=f"gamma overflows double precision at z = "
+                                            f"\\({re.escape(z)}"):
+        call()
+
+
+@pytest.mark.parametrize("z", [0.2 + 300j, 0.2 - 300j, -0.3 + 250j, -5 + 300j, -0.3 - 250j])
+def test_log_gamma_answers_past_the_overflow_of_sin(z):
+    # cmath.sin(pi z) overflows past |Im z| ~ 226; mpmath's loggamma is on
+    # the principal branch, which log_gamma need not be
+    with mpmath.workdps(30):
+        ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+    diff = log_gamma(z) - ref
+    turns = round(diff.imag / (2 * math.pi))
+    assert abs(diff - 2j * math.pi * turns) <= 4e-16 * abs(ref)
+
+
+def test_log_gamma_pinned_past_the_overflow_of_sin():
+    # mpmath gives -472.03109415877213+1410.6634923876868i
+    assert log_gamma(0.2 + 300j) == complex(-472.03109415877213, 1410.663492387687)

@@ -492,3 +492,31 @@ def test_star_import_binds_no_submodule():
                if isinstance(getattr(extappell, name), types.ModuleType)]
     assert modules == []
     assert "extended_beta" in extappell.__all__
+
+
+def _number_checks(source: str) -> list[str]:
+    """Comparisons that read an ``….imag`` and calls of ``….isfinite(…)``,
+    each as "line: what": the checks on a number, which ``cli`` leaves to
+    the library types but for the value it prints."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "imag"
+                for part in (node.left, *node.comparators) for n in ast.walk(part)):
+            found.append((node.lineno, ".imag compared"))
+        elif isinstance(node, ast.Call) and _name_of(node.func) == "isfinite":
+            found.append((node.lineno, f"isfinite({', '.join(map(ast.unparse, node.args))})"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_number_check_scan():
+    source = ("if v[k].imag != 0.0:\n    pass\nok = cmath.isfinite(value)\n"
+              "bad = [k for k in keys if not cmath.isfinite(params[k])]\n"
+              "real = z.imag == 0.0 and z.real > 0\nshown = z.imag\nn = np.isfinite\n")
+    assert _number_checks(source) == ["1: .imag compared", "3: isfinite(value)",
+                                      "4: isfinite(params[k])", "5: .imag compared"]
+
+
+def test_cli_checks_no_number_but_the_printed_value():
+    found = _number_checks((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [entry.partition(": ")[2] for entry in found] == ["isfinite(value)"]

@@ -41,6 +41,14 @@ def test_run_suite_refuses_an_unknown_suite_or_no_trials(suite, trials, match):
         run_suite(suite, trials, 1)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_run_suite_refuses_a_tol_that_is_not_positive(tol):
+    # a tol of 0 fell back to every check's default, and a negative one
+    # failed every check
+    with pytest.raises(DomainError, match="tol must be positive"):
+        run_suite("routes", 1, 1, tol)
+
+
 def test_a_degenerate_side_files_the_check_as_skipped():
     def degenerate():
         raise DegenerateIdentity("cos(pi nu)=0 degeneracy")
