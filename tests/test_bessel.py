@@ -222,6 +222,17 @@ def test_complex_argument_domain():
         bessel_k_upper_bound(0.5, -1.0)
 
 
+@pytest.mark.parametrize("z", [
+    math.inf,  # was nan
+    complex(math.inf, 1.0),  # was nan
+    complex(1.0, math.inf),
+    complex(math.nan, 1.0),
+])
+def test_upper_bound_refuses_a_non_finite_argument(z):
+    with pytest.raises(DomainError, match="finite z"):
+        bessel_k_upper_bound(0.5, z)
+
+
 @pytest.mark.parametrize("nu, z", [
     (math.inf, 1.0),  # was an OverflowError from round
     (1.0 + 1.0j, 1.0),  # was a TypeError from float
@@ -247,10 +258,11 @@ def test_a_real_array_with_an_infinite_entry_is_refused():
 
 
 def test_grid_refuses_work_past_its_budget():
-    # |arg z| = pi/2 - 1e-6: the cosh integrand oscillates so fast that the
-    # grid would need 137666263 nodes, past _MAX_WORK; it refuses at once
-    z = 5.0 * cmath.exp(1j * (math.pi / 2.0 - 1e-6))
-    with pytest.raises(ConvergenceError, match="would need 137666263 nodes"):
+    # |arg z| = pi/2 - 1e-6 with reach (|z| + Re z)/2 below Z_G = 1: the cosh
+    # integrand oscillates so fast that the grid would need 156408019 nodes,
+    # past _MAX_WORK; it refuses at once
+    z = 0.5 * cmath.exp(1j * (math.pi / 2.0 - 1e-6))
+    with pytest.raises(ConvergenceError, match="would need 156408019 nodes"):
         bessel_k_scaled(1.3, z)
 
 

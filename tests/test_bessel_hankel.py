@@ -1,7 +1,8 @@
-"""The Hankel route of the Bessel kernel, its one band below the
-threshold Z_H(nu) = max(30, (4 nu^2 - 1)/8), the terminating half-odd sum
-where K overflows, and how an array call is dispatched: its shortcuts,
-shapes and domain check."""
+"""The Hankel route of the Bessel kernel above the threshold
+Z_H(nu) = max(30, (4 nu^2 - 1)/8), the fixed Gauss-Hermite rule and the
+one trapezoid band below it, the terminating half-odd sum where K
+overflows, and how an array call is dispatched: its shortcuts, shapes and
+domain check."""
 
 import cmath
 import math
@@ -21,6 +22,28 @@ ORDERS = [0.037 + 0.3 * k for k in range(40)]
 
 def z_h(nu):
     return max(30.0, (4.0 * nu * nu - 1.0) / 8.0)
+
+
+def z_g(nu):
+    return max(1.0, nu * nu / 40.0)
+
+
+def reach(z):
+    """(|z| + Re z)/2 as numpy takes it: the Gauss-Hermite rule serves
+    reach >= Z_G below Z_H."""
+    z = np.complex128(z)
+    return 0.5 * (np.abs(z) + z.real)
+
+
+def with_reach(r, arg):
+    """A z of phase about ``arg`` whose reach is r, nudged up by ulps until
+    numpy's reach is >= r; real z is r itself."""
+    if arg == 0.0:
+        return r
+    z = cmath.rect(2.0 * r / (1.0 + math.cos(arg)), arg)
+    while reach(z) < r:
+        z *= 1.0 + 2.0**-52
+    return z
 
 
 def at_least(r, arg, floor):
@@ -58,17 +81,19 @@ def test_hankel_entry_does_not_depend_on_its_call():
 
 
 def test_one_trapezoid_band_below_the_threshold(monkeypatch):
-    calls = []
-    bucket = bessel._scaled_generic_bucket
+    # at nu = 1.3: the Hankel sum from Z_H = 30, the Gauss-Hermite rule on
+    # [Z_G, Z_H) = [1, 30) and one trapezoid band [1/16, 1) below it
+    calls = {"grid": [], "rule": []}
+    for name, key in (("_scaled_generic_bucket", "grid"), ("_gauss_hermite_scaled", "rule")):
+        def counted(nu, z, route=getattr(bessel, name), key=key):
+            calls[key].append(z.size)
+            return route(nu, z)
 
-    def counted(nu, z):
-        calls.append(z.size)
-        return bucket(nu, z)
-
-    monkeypatch.setattr(bessel, "_scaled_generic_bucket", counted)
-    z = np.geomspace(2.0, 1e4, 13)
+        monkeypatch.setattr(bessel, name, counted)
+    z = np.geomspace(0.125, 1e4, 13)
     values = bessel_k_scaled_many(1.3, z)
-    assert len(calls) == 1 and calls[0] == np.count_nonzero(z < 30.0)
+    assert calls["grid"] == [np.count_nonzero(z < 1.0)] and calls["grid"][0] > 1
+    assert calls["rule"] == [np.count_nonzero((z >= 1.0) & (z < 30.0))]
     assert np.all(np.isfinite(values))
 
 
@@ -115,24 +140,33 @@ def test_half_odd_overflow_is_infinite_not_nan():
 
 def banded_reference(nu, z):
     """e^z K_nu(z) by the docstring's rule, built here: the Hankel sum
-    for every |z| >= Z_H, and one grid for each band
-    [Z_H/16^(k+1), Z_H/16^k) of the rest.  Returns the values and the
-    number of bands."""
-    threshold = z_h(nu)
+    for every |z| >= Z_H, the Gauss-Hermite rule for reach >= Z_G below
+    it (in a complex call also for reach >= nu^2/40 with error exponent
+    sqrt(768) sqrt(2 reach) - 2 Re z >= 32.3), and one grid for each band
+    [Z_G/16^(k+1), Z_G/16^k) in reach of the rest.  Returns the values and
+    the number of bands."""
+    threshold, floor = z_h(nu), z_g(nu)
     mags = np.abs(z)
+    reaches = 0.5 * (mags + z.real)
     out = np.empty(z.shape, dtype=z.dtype)
     far = mags >= threshold
     if far.any():
         out[far] = bessel._hankel_scaled(nu, threshold, z[far])
+    mid = ~far & (reaches >= floor)
+    if np.iscomplexobj(z):
+        exponent = math.sqrt(768.0) * np.sqrt(2.0 * reaches) - 2.0 * z.real
+        mid |= ~far & (reaches >= nu * nu / 40.0) & (exponent >= 32.3)
+    if mid.any():
+        out[mid] = bessel._gauss_hermite_scaled(nu, z[mid])
 
     def band(m):
         k = 0
-        while m < threshold / 16.0 ** (k + 1):
+        while m < floor / 16.0 ** (k + 1):
             k += 1
         return k
 
-    near = np.flatnonzero(~far)
-    bands = np.array([band(m) for m in mags[near]], dtype=int)
+    near = np.flatnonzero(~far & ~mid)
+    bands = np.array([band(m) for m in reaches[near]], dtype=int)
     for b in np.unique(bands):
         group = near[bands == b]
         out[group] = bessel._scaled_generic_bucket(nu, z[group])
@@ -140,14 +174,16 @@ def banded_reference(nu, z):
 
 
 def shortcut_cases(nu):
-    """(|z| list, number of bands) for every dispatch route, with entries
-    exactly at Z_H/16 and Z_H."""
-    t = z_h(nu)
+    """(reach list, number of bands) for every dispatch route, with
+    entries exactly at Z_G/16, Z_G and Z_H."""
+    t, h = z_g(nu), z_h(nu)
     return [
-        ([t, 1.5 * t, 10.0 * t, 1e3 * t], 0),
-        ([t / 16.0, 0.1 * t, 0.5 * t, 0.99 * t], 1),
-        ([2.0 * t / 16.0**3, 3.0 * t / 16.0**2, t / 16.0, 0.25 * t], 3),
-        ([t, 5.0 * t, t / 16.0, t / 100.0, 0.5 * t], 2),
+        ([h, 1.5 * h, 10.0 * h, 1e3 * h, h], 0),
+        ([t, 1.5 * t, 0.3 * h, 0.5 * h, t], 0),
+        ([t / 16.0, 0.1 * t, 0.5 * t, 0.99 * t, t / 16.0], 1),
+        ([2.0 * t / 16.0**3, 3.0 * t / 16.0**2, t / 16.0, 0.25 * t, t / 16.0], 3),
+        ([h, 5.0 * h, t / 16.0, t / 100.0, 0.5 * t], 2),
+        ([h, t, 2.0 * t, t / 16.0, 0.5 * t], 1),
     ]
 
 
@@ -163,8 +199,9 @@ def test_dispatch_shortcuts_are_bit_identical_to_the_band_rule(monkeypatch, nu):
     monkeypatch.setattr(bessel, "_scaled_generic_bucket", counted)
     for radii, band_count in shortcut_cases(nu):
         real = np.array(radii)
-        # complex entries keep |z| on the same side of each band edge
-        complex_ = np.array([at_least(r, arg, r) for r, arg in zip(radii, (0.0, 0.6, -0.8, 0.4, -0.2))])
+        # complex entries keep their reach on the same side of each edge
+        complex_ = np.array([complex(with_reach(r, arg))
+                             for r, arg in zip(radii, (0.0, 0.6, -0.8, 0.4, -0.2))])
         for z in (real, complex_):
             ref, bands = banded_reference(nu, z)
             assert bands == band_count
@@ -187,8 +224,10 @@ def test_two_dimensional_arguments_match_the_flattened_call(nu):
 @pytest.mark.parametrize("nu, good", [
     (1.5, [1.0, 2.0]),  # half-odd
     (1.3, [40.0, 300.0]),  # all far
-    (1.3, [3.0, 20.0]),  # one band
-    (1.3, [0.01, 3.0, 40.0]),  # several bands and far
+    (1.3, [3.0, 20.0]),  # the Gauss-Hermite rule
+    (1.3, [0.01, 3.0, 40.0]),  # one band, the rule and far
+    (1.3, [0.1, 0.5]),  # one band
+    (1.3, [1e-4, 0.01, 0.5, 3.0, 40.0]),  # several bands, the rule and far
 ])
 def test_bad_entries_raise_on_every_route(nu, good):
     # complex(1, nan), not 1+nanj: the literal makes the real part NaN too

@@ -403,9 +403,10 @@ def test_python_dash_m_package_runs_the_cli(capsys):
 
 def test_unsettled_bessel_grid_exit_3(capsys):
     cases = [
-        # a large order at |arg z| = 1.3: the cosh integral cancels below
-        # double precision and the grid never settles
-        ("8.8", "1.3374875590+4.8177888740j", "did not settle"),
+        # a large order at |arg z| = 1.3 below the Gauss-Hermite floor: the
+        # cosh integral cancels below double precision and the grid never
+        # settles
+        ("8.8", "0.2139990629+0.7708465483j", "did not settle"),
         # a large half-odd order at |arg z| = 1.5: the terminating Hankel
         # sum cancels below double precision too
         ("100.5", "5.6165+79.2112j", "cancels"),

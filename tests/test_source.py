@@ -520,3 +520,37 @@ def test_number_check_scan():
 def test_cli_checks_no_number_but_the_printed_value():
     found = _number_checks((SRC / "cli.py").read_text(encoding="utf-8"))
     assert [entry.partition(": ")[2] for entry in found] == ["isfinite(value)"]
+
+
+def _hermite_tables(source: str) -> list[str]:
+    """Imports from ``numpy.polynomial`` and uses of ``polynomial`` or
+    ``hermgauss``, each as "line: name": the Bessel kernel's Gauss-Hermite
+    nodes are a literal table, since building them at import or first use
+    would add to every start-up."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update((node.lineno, a.name) for a in node.names
+                         if a.name.startswith("numpy.polynomial"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.update((node.lineno, f"{node.module}.{a.name}") for a in node.names
+                         if f"{node.module}.{a.name}".startswith("numpy.polynomial"))
+        elif _name_of(node) in ("polynomial", "hermgauss"):
+            found.add((node.lineno, _name_of(node)))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_hermite_table_scan():
+    source = ("import numpy.polynomial.hermite as H\nx, w = H.hermgauss(96)\n"
+              "from numpy.polynomial.hermite import hermgauss\nfrom numpy import polynomial\n"
+              "y = np.polynomial.legendre.leggauss(8)\nhermite = 1\nimport numpy as np\n"
+              "from numpy import pi\n")
+    assert _hermite_tables(source) == ["1: numpy.polynomial.hermite", "2: hermgauss",
+                                       "3: numpy.polynomial.hermite.hermgauss",
+                                       "4: numpy.polynomial", "5: polynomial"]
+
+
+def test_no_gauss_hermite_table_is_built_at_run_time():
+    found = {path.name: _hermite_tables(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
