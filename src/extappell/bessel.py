@@ -22,36 +22,30 @@ order (larger half-odd ones too) takes one of three routes by argument:
   positive nodes of the 96-point rule, with doubled weights, then
   converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014) at a
   rate that does not depend on the phase.  nu^2/40 keeps the integrand's
-  shape in r the same at large orders, and in a complex call the floor
-  drops to where the rule's estimated error is still 7e-15
-  (``_GAUSS_EXPONENT``).
-* the rest: the cosh-kernel integral itself by the trapezoid rule, whose
-  integrand decays doubly exponentially, so it converges geometrically.
-  Arguments share one tau grid per band, 16x wide in reach and counted
-  down from Z_G, so [Z_G/16, Z_G) is one grid.
+  shape in r the same at large orders.
+* reach(z) < Z_G(nu): the base pair e^z K_mu, e^z K_{mu+1} at
+  mu = nu - round(nu), |mu| <= 1/2, from Temme's series (J. Comput. Phys.
+  19, 1975; DLMF 10.31.1) where reach < 1, so |z| < 2, and from the fixed
+  rule where reach >= 1; then round(nu) - 1 steps of the forward order
+  recurrence e^z K_{m+1} = e^z K_{m-1} + (2m/z) e^z K_m (DLMF 10.29.1),
+  which is stable for K.
 
 Each route computes the exponentially scaled e^z K_nu(z), which keeps
 the t -> {0,1} endpoint regime of the extended-Beta kernel computable.
-The Hankel sum and the fixed rule give an entry the same bits whatever
-else its call holds; a trapezoid band's grid depends on all its entries.
+Every route gives an entry the same bits whatever else its call holds.
 Array-valued helpers back the quadrature hot loops.
 
-The trapezoid step of a complex argument comes from the strip
-|Im t| < pi/2 - |arg z| in which the integrand is analytic and decays,
-not from the phase rate at the truncation point, where the integrand is
-already negligible.  Each refinement level halves the step over the
-whole truncated grid, and a grid that has not settled after 8 levels
-raises ConvergenceError.
-
 Supported range, against mpmath: real z at any order up to the overflow
-guard of ``_cosh_tau_max`` (the worst relative error over nu in (0, 40]
-and z in [1e-3, 1e4] is 3.2e-14, from the trapezoid; the fixed rule
-holds 1e-15 on real z at orders below 4.5 and 7e-15 at orders up to
-300).  At complex z the fixed rule holds 1e-14 at orders up to 15.5 and
-|arg z| <= 1.45.  Where terms cancel below double precision the code
+guard, ln(Gamma(nu) (2/Re z)^nu / 2) > 705, and below Z_G up to 2^16
+recurrence steps (``_MAX_STEPS``: K_{100000.3}(2e8) raises
+ConvergenceError).  The fixed rule holds 1e-15 on real z at orders below
+4.5 and 7e-15 at orders up to 300, and 1e-14 at complex z at orders up to
+15.5 and |arg z| <= 1.45.  Below Z_G the base pair and recurrence hold
+6e-15 on 2000 seeded points with orders up to 40, |z| from 1e-12 and
+|arg z| <= 1.5, 8e-16 at z = 1e-300 and 1e-310, and 2.1e-14 on real z at
+orders 40 to 300.  Where terms cancel below double precision the code
 raises ConvergenceError rather than return a wrong value: the fixed rule
-at large orders near |arg z| = pi/2 (e.g. nu = 100 at 400 e^{1.2i}), the
-trapezoid below Z_G at such phases (e.g. nu = 8.8 at 0.8 e^{1.3i}), and
+at large orders near |arg z| = pi/2 (e.g. nu = 100 at 400 e^{1.2i}) and
 the terminating sum at a large half-odd order (e.g. nu = 100.5 at
 z = 79.4 e^{1.50i}).
 """
@@ -74,9 +68,7 @@ _ORDER_TOL = 1e-12
 # k = 150, but 134 (where (2k)!/k! still fits) is kept, because the tests
 # and the benchmark's half-odd/generic split pin it
 _HALF_ODD_MAX_K = 134
-_AMP_CUTOFF = 52.0  # integrand below exp(-52): truncation noise ~1e-23
-_REL_TOL = 1e-13  # the grid's tolerance; also bounds the half-odd sum's rounding
-_MAX_WORK = 16_000_000  # integrand evaluations per bucket before giving up
+_REL_TOL = 1e-13  # bounds the rounding of the rule's and the half-odd sum's terms
 # The Hankel route serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): from 30
 # on, its least term is below 1e-17 within about 20 terms; from
 # (4 nu^2 - 1)/8 on, no term is much above 1, so large orders do not cancel
@@ -85,15 +77,7 @@ _HANKEL_STOP = 1e-17  # the sum stops at its first term below this at Z_H
 # The fixed rule serves reach(z) = (|z| + Re z)/2 >= Z_G(nu) = max(1, nu^2/40)
 # below Z_H; nu^2/40 keeps its shape in r the same at large orders.  Its
 # integrand's nearest singularities, r = +-i sqrt(2z), lie sqrt(2 reach) off
-# the real axis, where the weight e^{-r^2} has modulus e^{2 Re z}, so at
-# small orders its error is about exp(-g), g = sqrt(8 N) sqrt(2 reach) -
-# 2 Re z for N = 96 nodes: g = 37.2 at z = 1, and along g = 32.3 the error
-# at order 0 is 5e-15 to 7e-15 at every phase (against mpmath).  So in a
-# complex call the rule also serves reach >= nu^2/40 with g >= 32.3, down to
-# reach 0.68 near the imaginary axis; a real call keeps the floor 1, where
-# the rule is within 1e-15 of mpmath at small orders
-_GAUSS_RATE = math.sqrt(8.0 * 96)
-_GAUSS_EXPONENT = 32.3
+# the real axis, and at reach 1 it is within 1e-15 of mpmath at small orders
 _GAUSS_FLOOR = 1.0
 _GAUSS_ORDER_SCALE = 40.0
 # The 48 positive nodes of the 96-point Gauss-Hermite rule (weight e^{-r^2})
@@ -131,20 +115,32 @@ _GAUSS_WEIGHTS = np.array([
     6.044587863004224e-52, 1.7467465671838055e-55, 2.186764947503557e-59,
     8.937404843362637e-64, 6.961682775436365e-69, 2.6306742954021054e-75,
 ])
+# 1/Gamma(1 + mu) = sum_k _RGAMMA[k] mu^k (DLMF 5.7.1), by mpmath's taylor
+# at 50 digits and rounded; at |mu| <= 1/2 the first term left out is 3e-19
+_RGAMMA = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.009621971527876973, 0.0072189432466631, -0.0011651675918590652,
+    -0.00021524167411495098, 0.0001280502823881162, -2.013485478078824e-05,
+    -1.2504934821426706e-06, 1.133027231981696e-06, -2.056338416977607e-07,
+    6.116095104481416e-09, 5.002007644469223e-09, -1.18127457048702e-09,
+    1.0434267116911005e-10, 7.782263439905071e-12, -3.696805618642206e-12,
+)
+# powers of z^2/4 in Temme's series: at |z| < 2 the first one left out is
+# below 1e-20 of the sum of the terms' moduli
+_TEMME_TERMS = 14
+_TEMME_POWERS = np.arange(_TEMME_TERMS)[:, None]
+_MAX_STEPS = 2**16  # steps of the order recurrence before it refuses
 
 
 def _gauss_column_counts() -> tuple:
     """Columns of the fixed rule for each integer order k < 256:
     the nodes up to the last whose term is not below 1e-18 of the largest.
     A term is at most w_j cosh(2k asinh(v_j)) with v_j = r_j/sqrt(2|z|),
-    and the rule serves |z| >= max(z_0, k^2/40): z_0 = 0.7432 is the real
-    z where the error exponent reaches 32.3, which no served argument is
-    below (at |z| < 48 the exponent is largest on the real axis).  A term
+    and the rule serves |z| >= reach >= Z_G(k) = max(1, k^2/40).  A term
     grows with the order, so order nu takes the count of ceil(nu); from
     k = 165 on, the count stays 43."""
-    z_0 = 0.125 * (_GAUSS_RATE - math.sqrt(_GAUSS_RATE**2 - 4.0 * _GAUSS_EXPONENT)) ** 2
     k = np.arange(256.0)[:, None]
-    v = _GAUSS_NODES / np.sqrt(2.0 * np.maximum(z_0, k * k / _GAUSS_ORDER_SCALE))
+    v = _GAUSS_NODES / np.sqrt(2.0 * np.maximum(_GAUSS_FLOOR, k * k / _GAUSS_ORDER_SCALE))
     share = np.log(_GAUSS_WEIGHTS) + 2.0 * k * np.arcsinh(v)
     keep = share >= share.max(axis=1, keepdims=True) - 18.0 * math.log(10.0)
     return tuple((keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)).tolist())
@@ -251,19 +247,13 @@ def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
 
 
 def _gauss_hermite_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^z K_nu(z) by the fixed Gauss-Hermite rule, for the arguments
-    ``bessel_k_scaled_many`` gives it.
-
-    With r = sqrt(2z) sinh(t/2), e^z K_nu(z) = int_0^inf
-    exp(-z (cosh t - 1)) cosh(nu t) dt becomes
-    (2z)^{-1/2} int_R e^{-r^2} cosh(2 nu asinh v) / sqrt(1 + v^2) dr with
-    v = r/sqrt(2z): the nodes r_j > 0 of ``_GAUSS_NODES`` with doubled
-    weights, the first ``_GAUSS_COLUMNS`` of them for this order.  Each
-    entry is summed along its own row, so its value does not depend on the
-    other arguments of the call.  At complex z the terms can cancel; each
-    carries a rounding of about 2^-52 (1 + |2 nu asinh v|) of its modulus,
-    and where the sum of those exceeds _REL_TOL of the value the call raises
-    ConvergenceError rather than return a wrong value.
+    """e^z K_nu(z) by the fixed Gauss-Hermite rule of the module docstring:
+    the nodes r_j > 0 of ``_GAUSS_NODES`` with doubled weights, the first
+    ``_GAUSS_COLUMNS`` of them for this order, each entry summed along its
+    own row, so no entry depends on its call.  At complex z the terms can
+    cancel; each carries a rounding of about 2^-52 (1 + |2 nu asinh v|) of
+    its modulus, and where the sum of those exceeds _REL_TOL of the value
+    the call raises ConvergenceError rather than return a wrong value.
     """
     n = _GAUSS_COLUMNS[min(math.ceil(nu), len(_GAUSS_COLUMNS) - 1)]
     c = 1.0 / np.sqrt(2.0 * z)
@@ -281,136 +271,123 @@ def _gauss_hermite_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     return c * sums
 
 
-def _cosh_tau_max(re_min: float, nu: float) -> float:
-    """Smallest tau with re_min*(cosh(tau)-1) - nu*tau >= _AMP_CUTOFF.
+def _temme_scaled(mu: float, z: np.ndarray, upper: bool) -> tuple:
+    """(e^z K_mu(z),) and, with ``upper``, e^z K_{mu+1}(z) by Temme's
+    series, for |mu| <= 1/2 and reach(z) < 1 (so |z| < 2).
 
-    Solved as tau = acosh(1 + (cutoff + nu tau)/re_min) by fixed point,
-    with the large-ratio branch done in logs so re_min may be tiny.
+    With d = z^2/4 and sigma = mu ln(2/z): K_mu = sum d^k/k! f_k and
+    K_{mu+1} = (2/z) sum d^k/k! (p_k - k f_k), where p_0 = Gamma(1+mu) e^sigma/2,
+    q_0 = Gamma(1-mu) e^-sigma/2, f_0 = pi mu/sin(pi mu) (cosh(sigma) Gamma_1
+    + sinh(sigma)/mu Gamma_2), p_k = p_{k-1}/(k-mu), q_k = q_{k-1}/(k+mu) and
+    f_k = (k f_{k-1} + p_{k-1} + q_{k-1})/(k^2 - mu^2).  f_k is linear in
+    (f_0, p_0, q_0), so each value is three polynomials in d (``_temme_rows``)
+    whose terms each entry adds in order: no entry depends on its call.
+    e^sigma = (2/z)^mu is taken by pow on |z|, since exp(sigma) is |sigma|
+    ulps off at tiny z, and sinh(sigma) from it at |sigma| >= 1/2; a
+    subnormal z never forms 2/z, and K_{mu+1}, which overflows there where
+    K_mu may not, is only computed with ``upper``.
     """
-    ln_re = math.log(re_min)
+    rows, c_cosh, c_sinh, half_gamma_plus, half_gamma_minus = _temme_rows(mu)
+    lz = math.log(2.0) - np.log(z)
+    sigma = mu * lz
+    mags, turn = (np.abs(z), np.angle(z)) if np.iscomplexobj(z) else (z, None)
+
+    def power(a):  # (2/z)^a
+        value = 2.0**a * np.power(mags, -a)
+        return value if turn is None else value * np.exp((-1j * a) * turn)
+
+    grow = power(mu)
+    shrink = 1.0 / grow
+    if abs(mu) < 1e-6:  # |sigma| < 1e-3: sinh(sigma)/mu by its series
+        sinh_mu = lz * (1.0 + sigma * sigma / 6.0 + sigma**4 / 120.0)
+    else:
+        sinh_mu = np.where(np.abs(sigma) < 0.5, np.sinh(sigma), 0.5 * (grow - shrink)) / mu
+    f0 = c_cosh * (grow + shrink) + c_sinh * sinh_mu
+    p0, q0 = half_gamma_plus * grow, half_gamma_minus * shrink
+    powers = np.power(0.25 * z * z, _TEMME_POWERS)
+    sums = (rows[:, :6 if upper else 3] * powers[:, None, :]).sum(axis=0)
+    scale = np.exp(z)
+    low = scale * (f0 * sums[0] + p0 * sums[1] + q0 * sums[2])
+    if not upper:
+        return (low,)
+    p1 = half_gamma_plus * power(1.0 + mu)  # (2/z) p_0
+    return low, scale * (p1 * sums[3] + 0.5 * z * (f0 * sums[4] + q0 * sums[5]))
+
+
+@functools.lru_cache(maxsize=64)
+def _temme_rows(mu: float) -> tuple:
+    """``_temme_scaled``'s polynomials and factors at order mu, kept for the
+    orders of the last calls.  With f_k = A_k f_0 + B_k p_0 + C_k q_0 and
+    p_k = P_k p_0, row k holds A_k, B_k, C_k (K_mu's f_0, p_0, q_0 parts)
+    and P_k - k B_k, -A_{k+1} k, -C_{k+1} k (K_{mu+1}'s (2/z) p_0, (z/2) f_0
+    and (z/2) q_0 parts), over k!.  Temme's Gamma_1 = (1/Gamma(1-mu) -
+    1/Gamma(1+mu))/(2 mu) and Gamma_2 = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2 are
+    minus the odd part over mu and the even part of ``_RGAMMA``'s series, so
+    nothing cancels near mu = 0."""
+    m2 = mu * mu
+    even = functools.reduce(lambda s, c: s * m2 + c, _RGAMMA[-1::-2])
+    odd = functools.reduce(lambda s, c: s * m2 + c, _RGAMMA[-2::-2])
+    a, b, c, p, q, inv_fact = 1.0, 0.0, 0.0, 1.0, 1.0, 1.0
+    rows = []  # row k: the four of K_mu's and (2/z) p_0's, then the two of step k + 1
+    for k in range(_TEMME_TERMS + 1):
+        if k:
+            inv_fact /= k
+            den = k * k - m2
+            a, b, c = k * a / den, (k * b + p) / den, (k * c + q) / den
+            p, q = p / (k - mu), q / (k + mu)
+            rows += (-k * a * inv_fact, -k * c * inv_fact)
+        if k < _TEMME_TERMS:
+            rows += (a * inv_fact, b * inv_fact, c * inv_fact, (p - k * b) * inv_fact)
+    ratio = math.pi * mu / math.sin(math.pi * mu) if mu else 1.0
+    return (np.array(rows).reshape(_TEMME_TERMS, 6, 1), -0.5 * ratio * odd, ratio * even,
+            0.5 / (even + mu * odd), 0.5 / (even - mu * odd))
+
+
+def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
+    """e^z K_nu(z) at a generic order nu >= 0 from the base pair at
+    mu = nu - round(nu) by the forward order recurrence (module docstring);
+    every step is elementwise, so no entry depends on its call.  Raises
+    ConvergenceError upfront where K_nu overflows a double (at the smallest
+    Re z) or the recurrence would take more than ``_MAX_STEPS`` steps."""
     if nu > 0.05:
-        # refuse upfront when K itself cannot be represented:
-        # ln K_scaled ~ lgamma(nu) - ln 2 + nu ln(2/re_min)
-        ln_peak = math.lgamma(nu) - math.log(2.0) + nu * (math.log(2.0) - ln_re)
+        re_min = float(z.real.min())
+        ln_peak = math.lgamma(nu) - math.log(2.0) + nu * (math.log(2.0) - math.log(re_min))
         if ln_peak > 705.0:
             raise ConvergenceError(
                 f"K_nu value overflows double precision (nu={nu:g}, Re z={re_min:g})"
             )
-    tau = 10.0
-    for _ in range(60):
-        ln_q = math.log(_AMP_CUTOFF + nu * tau) - ln_re
-        if ln_q < 34.0:
-            q = (_AMP_CUTOFF + nu * tau) / re_min
-            new = math.log1p(q + math.sqrt(q * (q + 2.0)))
-        else:
-            new = math.log(2.0) + ln_q
-        if abs(new - tau) < 1e-9 * new:
-            return new
-        tau = new
-    return tau
-
-
-def _scaled_generic_bucket(nu: float, z: np.ndarray) -> np.ndarray:
-    """Trapezoid cosh integral for one magnitude bucket of arguments.
-
-    The step honors the O(1) width of the kernel for small arguments and
-    the sqrt(1/|z|) Fresnel width near tau = 0.  For complex arguments
-    it also honors the strip |Im tau| < pi/2 - |arg z| in which
-    exp(-z (cosh tau - 1)) is analytic and decays; the trapezoid error
-    falls like exp(-2 pi d / h) with d that half-width (Trefethen &
-    Weideman, SIAM Rev. 56, 2014), so h = d/8 is ample.  Each level
-    halves the step and adds the midpoints over the whole of
-    (0, tau_max]; a bucket that has not settled after 8 levels raises
-    ConvergenceError rather than return an unsettled value.
-
-    A bucket often holds only a few arguments, and its fixed cost per
-    call outweighs its work per argument, so that cost is kept short: a
-    real bucket is its own modulus and has cos(arg z) = 1 exactly, and a
-    grid whose last tau is below 40 takes log(2 sinh^2(tau/2)) without
-    the selects of the large-tau branch.
-    """
-    if np.iscomplexobj(z):
-        mags = np.abs(z)
-        re_min = float(z.real.min())
-        cos_min = float((z.real / mags).min())
-    else:  # Re z > 0, so z / |z| is exactly 1
-        mags, re_min, cos_min = z, float(z.min()), 1.0
-    a_max = float(mags.max())
-    arg_max = math.acos(min(cos_min, 1.0))
-    tau_max = _cosh_tau_max(re_min, nu)
-    h = min(0.22, 0.62 * math.sqrt(cos_min / max(a_max, 1.0)))
-    if arg_max > 0.0:  # a real bucket keeps its grid
-        h = min(h, (0.5 * math.pi - arg_max) / 8.0)
-    n = int(math.ceil(tau_max / h))
-    if n * max(z.size, 1) > _MAX_WORK:
+    n = round(nu)
+    if n - 1 > _MAX_STEPS:
         raise ConvergenceError(
-            f"cosh-kernel grid would need {n} nodes for {z.size} arguments; "
-            "argument too oscillatory (|arg z| too close to pi/2)"
+            f"the order recurrence would take {n - 1} steps, past {_MAX_STEPS} (nu={nu})"
         )
-    h = tau_max / n
-    logw = np.log(z)[:, None]
-
-    def new_values(taus):
-        # everything in fused log form: within the truncated grid the
-        # products are bounded even where cosh/sinh alone would overflow
-        if taus[-1] < 40.0:  # the nodes ascend, so every one is small
-            lcm1 = np.log(2.0 * np.sinh(0.5 * taus) ** 2)
-        else:
-            small = taus < 40.0
-            lcm1 = np.where(
-                small,
-                np.log(2.0 * np.sinh(0.5 * np.where(small, taus, 1.0)) ** 2),
-                taus - math.log(2.0),
-            )
-        lcosh = nu * taus + np.log1p(np.exp(-2.0 * nu * taus)) - math.log(2.0)
-        return np.exp(lcosh - np.exp(logw + lcm1)).sum(axis=-1)
-
-    running = 0.5 + new_values(np.arange(1, n + 1) * h)  # integrand is 1 at tau = 0
-    value_prev = h * running
-    for _level in range(8):
-        n *= 2
-        h *= 0.5
-        running = running + new_values(np.arange(1, n, 2) * h)
-        value = h * running
-        if (np.abs(value - value_prev) <= _REL_TOL * (1.0 + np.abs(value))).all():
-            return value
-        value_prev = value
-    raise ConvergenceError(
-        f"cosh-kernel trapezoid did not settle after 8 levels (nu={nu:g}, "
-        f"{z.size} arguments, |arg z| up to {arg_max:.3g})"
-    )
-
-
-def _band(reach: np.ndarray, z_g: float) -> np.ndarray:
-    """Band of each reach below z_g: b = floor(log2(reach/z_g) / 4), so
-    band -1 is [z_g/16, z_g); monotone in the reach."""
-    return np.floor(np.log2(np.maximum(reach / z_g, 1e-300)) / 4.0).astype(int)
+    mu = nu - n
+    orders = (abs(mu), mu + 1.0) if n else (abs(mu),)
+    pair = [np.empty(z.shape, dtype=complex if np.iscomplexobj(z) else float) for _ in orders]
+    series = (0.5 * (np.abs(z) + z.real) if np.iscomplexobj(z) else z) < _GAUSS_FLOOR
+    if series.any():
+        for values, part in zip(pair, _temme_scaled(mu, z[series], n > 0)):
+            values[series] = part
+    if not series.all():
+        for values, order in zip(pair, orders):
+            values[~series] = _gauss_hermite_scaled(order, z[~series])
+    if n == 0:
+        return pair[0]
+    low, high = pair
+    for m in range(1, n):
+        low, high = high, low + (2.0 * (mu + m)) / z * high
+    return high
 
 
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized e^z K_nu(z) over an array of any shape with Re(z) > 0.
-
-    Half-odd orders up to k = 134 take the terminating Hankel sum at
-    every z.  At every other order each entry takes one of three routes,
-    on its own:
-
-    * |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): the Hankel expansion;
-    * reach(z) = (|z| + Re z)/2 >= Z_G(nu) = max(1, nu^2/40) below that:
-      the fixed Gauss-Hermite rule (real z is its own reach); in a complex
-      call also reach >= nu^2/40 where the rule's error exponent is at
-      least ``_GAUSS_EXPONENT``;
-    * the rest: the cosh trapezoid, bucketed into bands 16x wide in
-      reach, counted down from Z_G, so that one shared tau grid per band
-      resolves the narrowest integrand without wasting nodes on the
-      widest.  [Z_G/16, Z_G) is one band, and a band of 8192 or more
-      arguments is split into chunks of at least 4096, one grid each.
-
-    The Hankel and Gauss-Hermite values of an entry do not depend on the
-    other arguments of its call; a band's grid does.  A call whose entries
-    all take one of the first two routes hands the whole array to it, and
-    band entries whose smallest and largest reach fall in one band skip the
-    per-entry band split.  The order must be real and finite
-    (``_order_of``), and every entry finite with Re z > 0.
+    """Vectorized e^z K_nu(z) over an array of any shape with Re(z) > 0,
+    each entry on its route of the module docstring: at half-odd orders up
+    to k = 134 the terminating Hankel sum; at every other order the Hankel
+    sum at |z| >= Z_H(nu), the fixed rule at reach(z) >= Z_G(nu) below it
+    (real z is its own reach) and ``_order_recurrence_scaled`` below Z_G.
+    A call whose entries all take one route hands the whole array to it.
+    The order must be real and finite (``_order_of``), and every entry
+    finite with Re z > 0.
     """
     order = _order_of(nu)
     z = np.asarray(z)
@@ -430,38 +407,22 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     n_far = np.count_nonzero(far)
     if n_far == z.size:
         return _hankel_scaled(nu, z_h, z).reshape(shape)
-    order_floor = nu * nu / _GAUSS_ORDER_SCALE
-    z_g = max(_GAUSS_FLOOR, order_floor)
+    z_g = max(_GAUSS_FLOOR, nu * nu / _GAUSS_ORDER_SCALE)
     reach = 0.5 * (mags + z.real) if is_complex else z
     near = reach < z_g  # never far: reach > |z|/2 >= Z_H/2 > Z_G
-    if is_complex:
-        exponent = _GAUSS_RATE * np.sqrt(2.0 * reach) - 2.0 * z.real
-        near &= (exponent < _GAUSS_EXPONENT) | (reach < order_floor)
     n_near = np.count_nonzero(near)
     if n_far == n_near == 0:
         return _gauss_hermite_scaled(nu, z).reshape(shape)
+    if n_near == z.size:
+        return _order_recurrence_scaled(nu, z).reshape(shape)
     out = np.empty(z.shape, dtype=z.dtype if is_complex else float)
     if n_far:
         out[far] = _hankel_scaled(nu, z_h, z[far])
     if n_far + n_near < z.size:
         mid = ~(far | near)
         out[mid] = _gauss_hermite_scaled(nu, z[mid])
-    if n_near == 0:
-        return out.reshape(shape)
-    near = np.flatnonzero(near)
-    near_reach = reach[near]
-    lo, hi = _band(np.array([near_reach.min(), near_reach.max()]), z_g)
-    if lo == hi:
-        groups = (near,)
-    else:
-        band = _band(near_reach, z_g)
-        groups = (near[band == b] for b in np.unique(band))
-    for sel in groups:
-        # one grid per chunk of at most 8191 arguments; most bands are
-        # a single chunk and skip array_split's per-call cost
-        chunks = (sel,) if sel.size < 8192 else np.array_split(sel, sel.size // 4096)
-        for chunk in chunks:
-            out[chunk] = _scaled_generic_bucket(nu, z[chunk])
+    if n_near:
+        out[near] = _order_recurrence_scaled(nu, z[near])
     return out.reshape(shape)
 
 

@@ -190,7 +190,7 @@ def _cmd_eval(args, usage_error) -> int:
     elif fn == "bessel_k":
         value = bessel_k(v["nu"], v["z"])
         trace = ("modified Bessel K, Hankel sum (terminating at half-odd orders) / "
-                 "Gauss-Hermite rule / cosh integral")
+                 "Gauss-Hermite rule / Temme series with the order recurrence")
     elif fn == "f1":
         value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
         trace = f"classical Appell F1, route={route}"

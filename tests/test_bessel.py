@@ -6,7 +6,7 @@ import pytest
 
 from extappell.bessel import (
     BesselOrder,
-    _scaled_generic_bucket,
+    _order_recurrence_scaled,
     bessel_k,
     bessel_k_scaled,
     bessel_k_scaled_many,
@@ -40,8 +40,10 @@ def test_large_half_odd_order_takes_the_generic_route():
         ref = complex(mp.besselk(200.5, 1000) * mp.exp(1000))
     assert abs(bessel_k_scaled(200.5, 1000.0) - ref) <= 1e-13 * abs(ref)
     # the last order of the terminating sum agrees with the generic route
+    # below the floor: the fixed rule at mu = 1/2 and 3/2, then 133 steps of
+    # the order recurrence
     closed = bessel_k_scaled(134.5, 300.0)
-    generic = complex(_scaled_generic_bucket(134.5, np.array([300.0]))[0])
+    generic = complex(_order_recurrence_scaled(134.5, np.array([300.0]))[0])
     assert abs(generic - closed) <= 1e-12 * abs(closed)
 
 
@@ -117,21 +119,22 @@ def test_half_odd_orders_against_mpmath_or_raise():
 
 
 def test_closed_vs_cosh_route():
-    # the generic-route integral must reproduce the closed half-odd forms,
-    # also at complex z, where the step comes from the strip of analyticity
+    # the generic route below the floor (the base pair at mu = +-1/2, by
+    # Temme's series or the fixed rule, and the order recurrence) must
+    # reproduce the closed half-odd forms, also at complex z
     for nu in (0.5, 1.5, 2.5):
         for arg in (0.0, 1.0, -1.0, 1.4, -1.4):
             for r in (0.5, 1.0, 5.0, 20.0):
                 z = r * cmath.exp(1j * arg)
                 closed = bessel_k_scaled(nu, z)
-                generic = complex(_scaled_generic_bucket(nu, np.array([complex(z)]))[0])
+                generic = complex(_order_recurrence_scaled(nu, np.array([complex(z)]))[0])
                 assert abs(generic - closed) <= 1e-10 * abs(closed)
 
 
 @pytest.mark.parametrize("nu", [6.1, 10.7, 20.3, 30.3])
 def test_high_generic_orders_against_mpmath(nu):
-    # orders whose grids refine past the first level (every new level must
-    # fill in the whole grid, not its first half)
+    # orders whose small arguments take the order recurrence up to 30
+    # steps from the base pair
     mp = pytest.importorskip("mpmath")
     for z in (0.01, 1.0, 10.0, 100.0):
         ref = float(mp.besselk(nu, z))
@@ -147,8 +150,8 @@ def test_high_generic_orders_against_mpmath(nu):
     (1.3, 1e-200, 1e-13),
 ])
 def test_generic_order_at_tiny_argument(nu, z, tol):
-    # Re z below about 1e-15 stretches the cosh grid past tau = 40, where
-    # log(cosh tau - 1) takes its large-tau form
+    # Temme's series takes (2/z)^mu by pow: exp(mu ln(2/z)) would be
+    # |mu ln z| ulps off here
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         ref = complex(mp.besselk(nu, mp.mpc(z)))
@@ -156,25 +159,26 @@ def test_generic_order_at_tiny_argument(nu, z, tol):
 
 
 def test_complex_argument_is_right_or_raises():
-    # where the cosh integral cancels (large order, |arg z| near pi/2) the
-    # trapezoid cannot settle in double precision: it must raise, never
-    # return a wrong value
+    # large orders with |arg z| near pi/2: where the fixed rule's terms
+    # cancel it must raise, never return a wrong value; every other point
+    # is answered to 1e-12.  Here 149 answer and 1 raises (the trapezoid
+    # below Z_G raised on 71 of them)
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
-    finite = raised = 0
+    finite = 0
     for _ in range(150):
         nu = rng.uniform(4.0, 31.0)
         arg = rng.uniform(1.2, 1.5) * rng.choice((-1.0, 1.0))
         z = math.exp(rng.uniform(math.log(0.5), math.log(200.0))) * cmath.exp(1j * arg)
         try:
             value = bessel_k(nu, z)
-        except ConvergenceError:
-            raised += 1
+        except ConvergenceError as exc:
+            assert "cancel" in str(exc)
             continue
         ref = complex(mp.besselk(nu, z))
-        assert abs(value - ref) <= 1e-10 * abs(ref)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
         finite += 1
-    assert finite >= 20 and raised >= 20
+    assert finite >= 140
 
 
 def test_recurrence_property():
@@ -257,13 +261,15 @@ def test_a_real_array_with_an_infinite_entry_is_refused():
         bessel_k_scaled_many(0.7, np.array([1.0, np.inf]))
 
 
-def test_grid_refuses_work_past_its_budget():
-    # |arg z| = pi/2 - 1e-6 with reach (|z| + Re z)/2 below Z_G = 1: the cosh
-    # integrand oscillates so fast that the grid would need 156408019 nodes,
-    # past _MAX_WORK; it refuses at once
+def test_steep_phase_below_the_floor_answers():
+    # |arg z| = pi/2 - 1e-6 with reach (|z| + Re z)/2 below Z_G = 1, where
+    # the cosh trapezoid refused ("would need 156408019 nodes"): Temme's
+    # series does not depend on the phase
+    mp = pytest.importorskip("mpmath")
     z = 0.5 * cmath.exp(1j * (math.pi / 2.0 - 1e-6))
-    with pytest.raises(ConvergenceError, match="would need 156408019 nodes"):
-        bessel_k_scaled(1.3, z)
+    with mp.workdps(30):
+        ref = complex(mp.besselk(1.3, z) * mp.exp(z))
+    assert abs(bessel_k_scaled(1.3, z) - ref) <= 1e-15 * abs(ref)
 
 
 def test_vectorized_matches_scalar():

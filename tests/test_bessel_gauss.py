@@ -1,7 +1,7 @@
 """The fixed Gauss-Hermite rule of the Bessel kernel: e^z K_nu(z) at
 generic orders between the floor Z_G(nu) and the Hankel threshold Z_H(nu),
 its node table, its accuracy against mpmath, and the points it answers
-where the cosh trapezoid refused."""
+where the former cosh trapezoid refused."""
 
 import cmath
 import math
@@ -28,13 +28,7 @@ def reach(z):
 def served(nu, z):
     """Whether an argument takes the rule: the docstring's criterion,
     written out here."""
-    order_floor = nu * nu / 40.0
-    if np.abs(np.complex128(z)) >= z_h(nu) or reach(z) < order_floor:
-        return False
-    if reach(z) >= 1.0:
-        return True
-    exponent = math.sqrt(768.0) * math.sqrt(2.0 * reach(z)) - 2.0 * z.real
-    return isinstance(z, complex) and exponent >= 32.3
+    return np.abs(np.complex128(z)) < z_h(nu) and reach(z) >= max(1.0, nu * nu / 40.0)
 
 
 def scaled_reference(mp, nu, z):
@@ -52,25 +46,31 @@ def test_node_table_is_the_positive_half_of_hermgauss_96():
     assert abs(bessel._GAUSS_WEIGHTS.sum() - math.sqrt(math.pi)) <= 1e-15
 
 
-def test_error_exponent_relaxes_the_floor_of_complex_calls(monkeypatch):
-    # a real call keeps the trapezoid below Z_G = 1; in a complex call,
-    # 1.2 e^{1.4i} has reach 0.702 but error exponent 32.4 and takes the
-    # rule, and so does 0.95 (exponent 36.3), while 1.0 e^{1.45i} (29.1)
-    # does not
+def test_an_entry_does_not_depend_on_its_call_dtype(monkeypatch):
+    # a real z takes the same route in a real and in a complex call: the
+    # floor Z_G = 1 holds for every entry, where a complex call once took
+    # the rule down to reach 0.68 (0.95 took it in [0.95+0j] but not in
+    # [0.95]), and the values agree
+    mp = pytest.importorskip("mpmath")
     calls = []
     rule = bessel._gauss_hermite_scaled
 
     def counted(nu, z):
-        calls.append(z.size)
+        calls.append((z.dtype.kind, z.size))
         return rule(nu, z)
 
     monkeypatch.setattr(bessel, "_gauss_hermite_scaled", counted)
-    steep, too_steep = cmath.rect(1.2, 1.4), cmath.rect(1.0, 1.45)
-    assert 0.70 < reach(steep) < 0.71 and served(1.3, steep) and not served(1.3, too_steep)
-    assert served(1.3, 0.95 + 0j) and not served(1.3, 0.95)
-    bessel_k_scaled_many(1.3, np.array([0.95, 2.0]))
-    bessel_k_scaled_many(1.3, np.array([0.95, 2.0, steep, too_steep]))
-    assert calls == [1, 3]
+    for nu in (0.01, 0.7, 1.3, 2.2):
+        z = np.array([0.6, 0.75, 0.95, 0.999, 1.0, 1.2, 2.0])
+        calls.clear()
+        real = bessel_k_scaled_many(nu, z)
+        as_complex = bessel_k_scaled_many(nu, z + 0j)
+        assert calls == [("f", 3), ("c", 3)]
+        assert np.all(np.abs(as_complex - real) <= 1e-15 * real)
+    # 4.8e-15 off mpmath in a complex call when the rule took it
+    ref = scaled_reference(mp, 0.01, 0.75).real
+    for z in (np.array([0.75]), np.array([0.75 + 0j])):
+        assert abs(bessel_k_scaled_many(0.01, z)[0] - ref) <= 4e-16 * ref
 
 
 def test_dropped_columns_do_not_move_a_value():
@@ -79,10 +79,9 @@ def test_dropped_columns_do_not_move_a_value():
     # are below the rounding of the sum
     counts = bessel._GAUSS_COLUMNS
     assert list(counts) == sorted(counts) and counts[0] == 27 and counts[-1] == 43
-    lowest = 0.7431  # just below the real z where the error exponent reaches 32.3
-    assert not served(0.6, lowest + 0j) and served(0.6, 0.7432 + 0j)
-    for nu in (0.01, 0.7, 1.2, 4.5, 10.0, 33.3, 170.2, 400.9):
-        z = max(lowest, nu * nu / 40.0)
+    assert not served(0.6, 0.9999 + 0j) and served(0.6, 1.0 + 0j)
+    for nu in (0.01, 0.7, 1.2, 2.7, 4.5, 10.0, 33.3, 170.2, 400.9):
+        z = max(1.0, nu * nu / 40.0)
         v = bessel._GAUSS_NODES / math.sqrt(2.0 * z)
         terms = np.cosh(2.0 * nu * np.arcsinh(v)) / np.sqrt(1.0 + v * v) * bessel._GAUSS_WEIGHTS
         kept = counts[min(math.ceil(nu), len(counts) - 1)]
@@ -151,9 +150,9 @@ def test_complex_points_the_trapezoid_refused(nu, z):
 
 def test_integral_route_at_steep_complex_p_and_a_larger_order():
     # the baseline point with |p| = 0.3 at arg p = 1.4 and nu = 4.3: the
-    # kernel's smallest argument, 4p, has reach 0.702 < Z_G = 1 but error
-    # exponent 32.4; reference by mpmath quadrature of the Euler form at
-    # 25 digits
+    # kernel's smallest argument, 4p, has reach 0.702 < Z_G = 1 and takes
+    # Temme's series and the order recurrence; reference by mpmath
+    # quadrature of the Euler form at 25 digits
     ref = 53.77749447810024 + 11.982051935468878j
     inp = ExtendedAppellInput(AppellParams(1.2, 0.5, -0.7, 3.1, 0.4, -0.3),
                               ExtensionParams(0.3 * cmath.exp(1.4j), 4.3))

@@ -1,6 +1,6 @@
 """The Hankel route of the Bessel kernel above the threshold
 Z_H(nu) = max(30, (4 nu^2 - 1)/8), the fixed Gauss-Hermite rule and the
-one trapezoid band below it, the terminating half-odd sum where K
+order recurrence below it, the terminating half-odd sum where K
 overflows, and how an array call is dispatched: its shortcuts, shapes and
 domain check."""
 
@@ -80,11 +80,13 @@ def test_hankel_entry_does_not_depend_on_its_call():
             assert alone == bessel_k_scaled_many(nu, np.array([0.5, 5.0, r, 1e4]))[2]
 
 
-def test_one_trapezoid_band_below_the_threshold(monkeypatch):
+def test_one_recurrence_call_below_the_floor(monkeypatch):
     # at nu = 1.3: the Hankel sum from Z_H = 30, the Gauss-Hermite rule on
-    # [Z_G, Z_H) = [1, 30) and one trapezoid band [1/16, 1) below it
-    calls = {"grid": [], "rule": []}
-    for name, key in (("_scaled_generic_bucket", "grid"), ("_gauss_hermite_scaled", "rule")):
+    # [Z_G, Z_H) = [1, 30) and one call of the order recurrence below it,
+    # whose base pair is Temme's series there
+    calls = {"recurrence": [], "rule": []}
+    for name, key in (("_order_recurrence_scaled", "recurrence"),
+                      ("_gauss_hermite_scaled", "rule")):
         def counted(nu, z, route=getattr(bessel, name), key=key):
             calls[key].append(z.size)
             return route(nu, z)
@@ -92,7 +94,7 @@ def test_one_trapezoid_band_below_the_threshold(monkeypatch):
         monkeypatch.setattr(bessel, name, counted)
     z = np.geomspace(0.125, 1e4, 13)
     values = bessel_k_scaled_many(1.3, z)
-    assert calls["grid"] == [np.count_nonzero(z < 1.0)] and calls["grid"][0] > 1
+    assert calls["recurrence"] == [np.count_nonzero(z < 1.0)] and calls["recurrence"][0] > 1
     assert calls["rule"] == [np.count_nonzero((z >= 1.0) & (z < 30.0))]
     assert np.all(np.isfinite(values))
 
@@ -138,78 +140,66 @@ def test_half_odd_overflow_is_infinite_not_nan():
     assert abs(bessel_k(0.5, 1e-320 + 1e-320j) - ref) <= 1e-15 * abs(ref)
 
 
-def banded_reference(nu, z):
-    """e^z K_nu(z) by the docstring's rule, built here: the Hankel sum
-    for every |z| >= Z_H, the Gauss-Hermite rule for reach >= Z_G below
-    it (in a complex call also for reach >= nu^2/40 with error exponent
-    sqrt(768) sqrt(2 reach) - 2 Re z >= 32.3), and one grid for each band
-    [Z_G/16^(k+1), Z_G/16^k) in reach of the rest.  Returns the values and
-    the number of bands."""
+def route_reference(nu, z):
+    """e^z K_nu(z) by the docstring's rule, built here one entry at a
+    time: the Hankel sum for |z| >= Z_H, the Gauss-Hermite rule for
+    reach >= Z_G below it, and the base pair with the order recurrence for
+    the rest.  Returns the values and the number of recurrence entries."""
     threshold, floor = z_h(nu), z_g(nu)
-    mags = np.abs(z)
-    reaches = 0.5 * (mags + z.real)
     out = np.empty(z.shape, dtype=z.dtype)
-    far = mags >= threshold
-    if far.any():
-        out[far] = bessel._hankel_scaled(nu, threshold, z[far])
-    mid = ~far & (reaches >= floor)
-    if np.iscomplexobj(z):
-        exponent = math.sqrt(768.0) * np.sqrt(2.0 * reaches) - 2.0 * z.real
-        mid |= ~far & (reaches >= nu * nu / 40.0) & (exponent >= 32.3)
-    if mid.any():
-        out[mid] = bessel._gauss_hermite_scaled(nu, z[mid])
-
-    def band(m):
-        k = 0
-        while m < floor / 16.0 ** (k + 1):
-            k += 1
-        return k
-
-    near = np.flatnonzero(~far & ~mid)
-    bands = np.array([band(m) for m in reaches[near]], dtype=int)
-    for b in np.unique(bands):
-        group = near[bands == b]
-        out[group] = bessel._scaled_generic_bucket(nu, z[group])
-    return out, np.unique(bands).size
+    below = 0
+    for i, entry in enumerate(z):
+        one = z[i:i + 1]
+        if np.abs(entry) >= threshold:
+            out[i] = bessel._hankel_scaled(nu, threshold, one)[0]
+        elif reach(entry) >= floor:
+            out[i] = bessel._gauss_hermite_scaled(nu, one)[0]
+        else:
+            out[i] = bessel._order_recurrence_scaled(nu, one)[0]
+            below += 1
+    return out, below
 
 
 def shortcut_cases(nu):
-    """(reach list, number of bands) for every dispatch route, with
-    entries exactly at Z_G/16, Z_G and Z_H."""
+    """Reach lists for every dispatch route, with entries exactly at Z_G
+    and Z_H and far below Z_G."""
     t, h = z_g(nu), z_h(nu)
     return [
-        ([h, 1.5 * h, 10.0 * h, 1e3 * h, h], 0),
-        ([t, 1.5 * t, 0.3 * h, 0.5 * h, t], 0),
-        ([t / 16.0, 0.1 * t, 0.5 * t, 0.99 * t, t / 16.0], 1),
-        ([2.0 * t / 16.0**3, 3.0 * t / 16.0**2, t / 16.0, 0.25 * t, t / 16.0], 3),
-        ([h, 5.0 * h, t / 16.0, t / 100.0, 0.5 * t], 2),
-        ([h, t, 2.0 * t, t / 16.0, 0.5 * t], 1),
+        [h, 1.5 * h, 10.0 * h, 1e3 * h, h],
+        [t, 1.5 * t, 0.3 * h, 0.5 * h, t],
+        [t / 16.0, 0.1 * t, 0.5 * t, 0.99 * t, t / 16.0],
+        [2.0 * t / 16.0**3, 3.0 * t / 16.0**2, t / 16.0, 0.25 * t, t / 16.0],
+        [h, 5.0 * h, t / 16.0, t / 100.0, 0.5 * t],
+        [h, t, 2.0 * t, t / 16.0, 0.5 * t],
     ]
 
 
 @pytest.mark.parametrize("nu", [0.3, 1.3, 4.2, 11.7])
 def test_dispatch_shortcuts_are_bit_identical_to_the_band_rule(monkeypatch, nu):
+    # each route computes an entry on its own, so a call's values are
+    # those of the routes one entry at a time, and the entries below Z_G
+    # take one recurrence call
     calls = []
-    bucket = bessel._scaled_generic_bucket
+    recurrence = bessel._order_recurrence_scaled
 
     def counted(order, z):
         calls.append(z.size)
-        return bucket(order, z)
+        return recurrence(order, z)
 
-    monkeypatch.setattr(bessel, "_scaled_generic_bucket", counted)
-    for radii, band_count in shortcut_cases(nu):
+    for radii in shortcut_cases(nu):
         real = np.array(radii)
         # complex entries keep their reach on the same side of each edge
         complex_ = np.array([complex(with_reach(r, arg))
                              for r, arg in zip(radii, (0.0, 0.6, -0.8, 0.4, -0.2))])
         for z in (real, complex_):
-            ref, bands = banded_reference(nu, z)
-            assert bands == band_count
+            ref, below = route_reference(nu, z)
             calls.clear()
-            values = bessel_k_scaled_many(nu, z)
+            with monkeypatch.context() as patch:
+                patch.setattr(bessel, "_order_recurrence_scaled", counted)
+                values = bessel_k_scaled_many(nu, z)
             assert values.dtype == ref.dtype
             assert np.all(values == ref)
-            assert len(calls) == band_count
+            assert calls == ([below] if below else [])
 
 
 @pytest.mark.parametrize("nu", [1.3, 1.5])
@@ -225,9 +215,9 @@ def test_two_dimensional_arguments_match_the_flattened_call(nu):
     (1.5, [1.0, 2.0]),  # half-odd
     (1.3, [40.0, 300.0]),  # all far
     (1.3, [3.0, 20.0]),  # the Gauss-Hermite rule
-    (1.3, [0.01, 3.0, 40.0]),  # one band, the rule and far
-    (1.3, [0.1, 0.5]),  # one band
-    (1.3, [1e-4, 0.01, 0.5, 3.0, 40.0]),  # several bands, the rule and far
+    (1.3, [0.01, 3.0, 40.0]),  # the recurrence, the rule and far
+    (1.3, [0.1, 0.5]),  # the recurrence
+    (1.3, [1e-4, 0.01, 0.5, 3.0, 40.0]),  # the recurrence over decades, the rule and far
 ])
 def test_bad_entries_raise_on_every_route(nu, good):
     # complex(1, nan), not 1+nanj: the literal makes the real part NaN too

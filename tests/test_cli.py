@@ -401,14 +401,13 @@ def test_python_dash_m_package_runs_the_cli(capsys):
     assert proc.stdout.split()[0] != "0"
 
 
-def test_unsettled_bessel_grid_exit_3(capsys):
+def test_unanswerable_bessel_k_exit_3(capsys):
     cases = [
-        # a large order at |arg z| = 1.3 below the Gauss-Hermite floor: the
-        # cosh integral cancels below double precision and the grid never
-        # settles
-        ("8.8", "0.2139990629+0.7708465483j", "did not settle"),
+        # below the Gauss-Hermite floor Z_G = 2.5e8 the order recurrence
+        # would take 100000 steps from the base pair, past its bound
+        ("100000.3", "2e8", "recurrence"),
         # a large half-odd order at |arg z| = 1.5: the terminating Hankel
-        # sum cancels below double precision too
+        # sum cancels below double precision
         ("100.5", "5.6165+79.2112j", "cancels"),
     ]
     for nu, z, message in cases:
@@ -421,7 +420,7 @@ def test_unsettled_bessel_grid_exit_3(capsys):
 @pytest.mark.parametrize("nu", ["20000.5", "1e300"])
 def test_huge_half_odd_order_exit_3_fast(capsys, nu):
     # orders past the terminating sum's k <= 134 take the generic route, whose
-    # guard refuses a K that overflows before any grid work
+    # guard refuses a K that overflows before the order recurrence
     start = time.perf_counter()
     assert run(["eval", "bessel_k", f"nu={nu}", "z=1"]) == 3
     assert time.perf_counter() - start < 1.0

@@ -522,20 +522,26 @@ def test_cli_checks_no_number_but_the_printed_value():
     assert [entry.partition(": ")[2] for entry in found] == ["isfinite(value)"]
 
 
+_TABLE_PACKAGES = ("numpy.polynomial", "mpmath", "scipy")
+
+
 def _hermite_tables(source: str) -> list[str]:
-    """Imports from ``numpy.polynomial`` and uses of ``polynomial`` or
-    ``hermgauss``, each as "line: name": the Bessel kernel's Gauss-Hermite
-    nodes are a literal table, since building them at import or first use
-    would add to every start-up."""
+    """Imports from ``numpy.polynomial``, ``mpmath`` or ``scipy`` and uses
+    of ``polynomial``, ``hermgauss`` or ``taylor``, each as "line: name":
+    the Bessel kernel's Gauss-Hermite nodes and Temme's 1/Gamma series are
+    literal tables, since building them at import or first use would add
+    to every start-up, and mpmath and scipy are test extras."""
+    def listed(name):
+        return any(name == p or name.startswith(p + ".") for p in _TABLE_PACKAGES)
+
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found.update((node.lineno, a.name) for a in node.names
-                         if a.name.startswith("numpy.polynomial"))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.update((node.lineno, a.name) for a in node.names if listed(a.name))
+        elif isinstance(node, ast.ImportFrom) and node.module:
             found.update((node.lineno, f"{node.module}.{a.name}") for a in node.names
-                         if f"{node.module}.{a.name}".startswith("numpy.polynomial"))
-        elif _name_of(node) in ("polynomial", "hermgauss"):
+                         if listed(f"{node.module}.{a.name}"))
+        elif _name_of(node) in ("polynomial", "hermgauss", "taylor"):
             found.add((node.lineno, _name_of(node)))
     return [f"{line}: {name}" for line, name in sorted(found)]
 
@@ -544,10 +550,14 @@ def test_hermite_table_scan():
     source = ("import numpy.polynomial.hermite as H\nx, w = H.hermgauss(96)\n"
               "from numpy.polynomial.hermite import hermgauss\nfrom numpy import polynomial\n"
               "y = np.polynomial.legendre.leggauss(8)\nhermite = 1\nimport numpy as np\n"
-              "from numpy import pi\n")
+              "from numpy import pi\nimport mpmath\nc = mpmath.taylor(f, 0, 20)\n"
+              "from scipy import special\nimport scipy.special as sc\nfrom mpmath import mp\n"
+              "import mpmathx\nfrom scipyx import special\ntaylored = 1\nfrom .bessel import gamma\n")
     assert _hermite_tables(source) == ["1: numpy.polynomial.hermite", "2: hermgauss",
                                        "3: numpy.polynomial.hermite.hermgauss",
-                                       "4: numpy.polynomial", "5: polynomial"]
+                                       "4: numpy.polynomial", "5: polynomial", "9: mpmath",
+                                       "10: taylor", "11: scipy.special", "12: scipy.special",
+                                       "13: mpmath.mp"]
 
 
 def test_no_gauss_hermite_table_is_built_at_run_time():
