@@ -1,18 +1,16 @@
 """Modified Bessel function of the second kind, K_nu(z), for Re(z) > 0.
 
-Every order takes |nu| (DLMF 10.27.3).  Half-odd-integer orders
-nu = k + 1/2 with k <= 134 take the Hankel expansion (DLMF 10.40.2)
-e^z K_nu(z) ~ sqrt(pi/(2z)) sum_j a_j(nu) z^{-j},
-a_j(nu) = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (j! 8^j), which terminates
-there, because a_{k+1}(k + 1/2) = 0 (DLMF 10.49.12): the exact finite
-sum sum_j (k+j)! / (j! (k-j)! (2z)^j), used at every z.  Every other
-order (larger half-odd ones too) takes one of three routes by argument:
+Every order takes |nu| (DLMF 10.27.3) and one of three routes by argument:
 
-* |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): the same expansion, now
-  asymptotic.  From Z_H on its terms shrink from at most about 1, and it
-  stops at its first term below 1e-17 at Z_H: about 20 terms, fixed by nu.
-* reach(z) = (|z| + Re z)/2 >= Z_G(nu) = max(1, nu^2/40) below Z_H: one
-  fixed Gauss-Hermite rule.  With r = sqrt(2z) sinh(t/2) in
+* |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8) at orders other than k + 1/2,
+  k <= 134: the Hankel expansion (DLMF 10.40.2)
+  e^z K_nu(z) ~ sqrt(pi/(2z)) sum_j a_j(nu) z^{-j},
+  a_j(nu) = prod_{i<=j} (4 nu^2 - (2i-1)^2) / (j! 8^j).  From Z_H on its
+  terms shrink from at most about 1, and it stops at its first term below
+  1e-17 at Z_H: about 20 terms, fixed by nu.
+* reach(z) = (|z| + Re z)/2 >= Z_G(nu) = max(1, nu^2/40) below Z_H, at
+  those orders too: one fixed Gauss-Hermite rule.  With
+  r = sqrt(2z) sinh(t/2) in
   e^z K_nu(z) = int_0^inf exp(-z (cosh t - 1)) cosh(nu t) dt (DLMF
   10.32.9),
       e^z K_nu(z) = (2z)^{-1/2} int_R e^{-r^2} cosh(2 nu asinh v)
@@ -23,31 +21,34 @@ order (larger half-odd ones too) takes one of three routes by argument:
   converge geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014) at a
   rate that does not depend on the phase.  nu^2/40 keeps the integrand's
   shape in r the same at large orders.
-* reach(z) < Z_G(nu): the base pair e^z K_mu, e^z K_{mu+1} at
-  mu = nu - round(nu), |mu| <= 1/2, from Temme's series (J. Comput. Phys.
-  19, 1975; DLMF 10.31.1) where reach < 1, so |z| < 2, and from the fixed
-  rule where reach >= 1; then round(nu) - 1 steps of the forward order
-  recurrence e^z K_{m+1} = e^z K_{m-1} + (2m/z) e^z K_m (DLMF 10.29.1),
-  which is stable for K.
+* reach(z) < Z_G(nu), and every z at the half-odd orders k + 1/2 with
+  k <= 134: the base pair e^z K_mu, e^z K_{mu+1} at mu = nu - round(nu),
+  |mu| <= 1/2, then round(nu) - 1 steps of the forward order recurrence
+  e^z K_{m+1} = e^z K_{m-1} + (2m/z) e^z K_m (DLMF 10.29.1), which is
+  stable for K.  At |mu| = 1/2 the pair is closed (DLMF 10.39.2):
+  e^z K_{1/2} = sqrt(pi/(2z)) and e^z K_{3/2} = e^z K_{1/2} (1 + 1/z).
+  Elsewhere it comes from Temme's series (J. Comput. Phys. 19, 1975; DLMF
+  10.31.1) where reach < 1, so |z| < 2, and from the fixed rule where
+  reach >= 1.
 
 Each route computes the exponentially scaled e^z K_nu(z), which keeps
 the t -> {0,1} endpoint regime of the extended-Beta kernel computable.
 Every route gives an entry the same bits whatever else its call holds.
 Array-valued helpers back the quadrature hot loops.
 
-Supported range, against mpmath: real z at any order up to the overflow
-guard, ln(Gamma(nu) (2/Re z)^nu / 2) > 705, and below Z_G up to 2^16
-recurrence steps (``_MAX_STEPS``: K_{100000.3}(2e8) raises
-ConvergenceError).  The fixed rule holds 1e-15 on real z at orders below
-4.5 and 7e-15 at orders up to 300, and 1e-14 at complex z at orders up to
-15.5 and |arg z| <= 1.45.  Below Z_G the base pair and recurrence hold
-6e-15 on 2000 seeded points with orders up to 40, |z| from 1e-12 and
-|arg z| <= 1.5, 8e-16 at z = 1e-300 and 1e-310, and 2.1e-14 on real z at
-orders 40 to 300.  Where terms cancel below double precision the code
-raises ConvergenceError rather than return a wrong value: the fixed rule
-at large orders near |arg z| = pi/2 (e.g. nu = 100 at 400 e^{1.2i}) and
-the terminating sum at a large half-odd order (e.g. nu = 100.5 at
-z = 79.4 e^{1.50i}).
+Supported range, against mpmath: every z but where one overflow guard
+refuses a call, ln(e^r K_nu(r)) > 705 at its smallest r = |z|
+(``_order_recurrence_scaled``), and below Z_G up to 2^16 recurrence steps
+(``_MAX_STEPS``: K_{100000.3}(2e8) raises ConvergenceError).  The half-odd
+orders hold 2e-14 at every z and |arg z| <= 1.55.  The fixed rule holds
+1e-15 on real z at orders below 4.5 and 7e-15 at orders up to 300, and
+1e-14 at complex z at orders up to 15.5 and |arg z| <= 1.45.  Below Z_G
+the base pair and recurrence hold 6e-15 on 2000 seeded points with orders
+up to 40, |z| from 1e-12 and |arg z| <= 1.5, 8e-16 at z = 1e-300 and
+1e-310, and 2.1e-14 on real z at orders 40 to 300.  Where the fixed rule's
+terms cancel below double precision, at large orders near |arg z| = pi/2
+(e.g. nu = 100 at 400 e^{1.2i}), the code raises ConvergenceError rather
+than return a wrong value.
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ from .errors import ConvergenceError, DomainError
 from .scalar import gamma
 
 _ORDER_TOL = 1e-12
-# half-odd orders k + 1/2 up to this k take the terminating Hankel sum;
-# its coefficients a_j = (k+j)!/(j!(k-j)! 2^j) fit a double up to about
-# k = 150, but 134 (where (2k)!/k! still fits) is kept, because the tests
-# and the benchmark's half-odd/generic split pin it
+# half-odd orders k + 1/2 up to this k take the closed pair and the order
+# recurrence at every z; no coefficients depend on it, and 134 (the last
+# order of the terminating Hankel sum this route replaced) is kept because
+# the benchmark's half-odd/generic split reads the flag
 _HALF_ODD_MAX_K = 134
-_REL_TOL = 1e-13  # bounds the rounding of the rule's and the half-odd sum's terms
+_REL_TOL = 1e-13  # bounds the rounding of the fixed rule's terms at complex z
 # The Hankel route serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): from 30
 # on, its least term is below 1e-17 within about 20 terms; from
 # (4 nu^2 - 1)/8 on, no term is much above 1, so large orders do not cancel
@@ -151,9 +152,9 @@ _GAUSS_COLUMNS = _gauss_column_counts()
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """Real order nu with its half-odd-integer flag (the terminating
-    Hankel sum at every z, for nu = k + 1/2 with 0 <= k <= 134); the
-    routes take |nu|, so a negative nu is never flagged."""
+    """Real order nu with its half-odd-integer flag (the closed pair and
+    the order recurrence at every z, for nu = k + 1/2 with 0 <= k <= 134);
+    the routes take |nu|, so a negative nu is never flagged."""
 
     nu: float
     half_odd_integer: bool
@@ -190,17 +191,15 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
 
 def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
     """e^z K_nu(z) by the Hankel expansion, for |z| >= z_h = Z_H(nu) at
-    generic orders and at every z with z_h = 1 at half-odd ones.
+    orders other than the half-odd ones up to k = 134.
 
     e^z K_nu(z) ~ sqrt(pi/(2z)) sum_k a_k(nu) z^-k with
     a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) (DLMF 10.40.2),
     summed by Horner in u = z_h/z over the coefficients t_k = a_k z_h^-k,
     which stay below about 1 where a_k alone would overflow at large
-    generic orders.  The sum stops before the first t_N below 1e-17, a
-    count that depends on nu only, so an entry's value does not depend on
-    the other arguments of the call.  At nu = k + 1/2 with z_h = 1 every
-    t_j is at least 1 up to the exact zero t_{k+1}, so the sum is the
-    whole finite closed form.
+    orders.  The sum stops before the first t_N below 1e-17, a count
+    that depends on nu only, so an entry's value does not depend on the
+    other arguments of the call.
     """
     return np.sqrt(0.5 * np.pi / z) * _horner(_hankel_coefficients(nu, z_h), z_h / z)
 
@@ -218,32 +217,6 @@ def _hankel_coefficients(nu: float, z_h: float) -> tuple:
         k += 1
         t *= (mu - (2 * k - 1) ** 2) / (8.0 * k * z_h)
     return tuple(coeffs)
-
-
-def _half_odd_scaled(k: int, z: np.ndarray) -> np.ndarray:
-    """e^z K_{k+1/2}(z) for an array of arguments: the terminating Hankel
-    sum of ``_hankel_scaled`` with z_h = 1.
-
-    Where the sum is not finite, 1/z has overflowed (z below about
-    1e-308): there K_{1/2} is sqrt(pi/2)/sqrt(z), which is still finite,
-    and every higher order is infinite.  At complex z the terms can
-    cancel; the same sum at |z| is the sum of their moduli, and where
-    its rounding (2^-52 of it) exceeds _REL_TOL of the value, the call
-    raises ConvergenceError rather than return a wrong value.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        value = _hankel_scaled(k + 0.5, 1.0, z)
-        finite = np.isfinite(value)
-        if not finite.all():
-            bad = ~finite
-            value[bad] = math.sqrt(0.5 * math.pi) / np.sqrt(z[bad]) if k == 0 else np.inf
-        if k > 0 and np.iscomplexobj(z):
-            moduli = _hankel_scaled(k + 0.5, 1.0, np.abs(z))
-            if (2.0**-52 * moduli > _REL_TOL * np.abs(value)).any():
-                raise ConvergenceError(
-                    f"half-odd Hankel sum cancels below double precision (nu={k + 0.5:g})"
-                )
-    return value
 
 
 def _gauss_hermite_scaled(nu: float, z: np.ndarray) -> np.ndarray:
@@ -285,15 +258,21 @@ def _temme_scaled(mu: float, z: np.ndarray, upper: bool) -> tuple:
     e^sigma = (2/z)^mu is taken by pow on |z|, since exp(sigma) is |sigma|
     ulps off at tiny z, and sinh(sigma) from it at |sigma| >= 1/2; a
     subnormal z never forms 2/z, and K_{mu+1}, which overflows there where
-    K_mu may not, is only computed with ``upper``.
+    K_mu may not, is only computed with ``upper``.  The modulus of a
+    complex z below 2^-1000 is taken of z 2^64, exact and normal, since
+    |z| would round to the subnormal grid.
     """
     rows, c_cosh, c_sinh, half_gamma_plus, half_gamma_minus = _temme_rows(mu)
     lz = math.log(2.0) - np.log(z)
     sigma = mu * lz
     mags, turn = (np.abs(z), np.angle(z)) if np.iscomplexobj(z) else (z, None)
+    lift = 1.0
+    if turn is not None and mags.min() < 2.0**-1000:
+        lift = np.where(mags < 2.0**-1000, 2.0**64, 1.0)
+        mags = np.abs(z * lift)
 
     def power(a):  # (2/z)^a
-        value = 2.0**a * np.power(mags, -a)
+        value = 2.0**a * np.power(mags, -a) * lift**a
         return value if turn is None else value * np.exp((-1j * a) * turn)
 
     grow = power(mu)
@@ -344,17 +323,30 @@ def _temme_rows(mu: float) -> tuple:
 
 
 def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """e^z K_nu(z) at a generic order nu >= 0 from the base pair at
-    mu = nu - round(nu) by the forward order recurrence (module docstring);
-    every step is elementwise, so no entry depends on its call.  Raises
-    ConvergenceError upfront where K_nu overflows a double (at the smallest
-    Re z) or the recurrence would take more than ``_MAX_STEPS`` steps."""
+    """e^z K_nu(z) at an order nu >= 0 from the base pair at mu = nu - round(nu)
+    by the forward order recurrence (module docstring); every step is
+    elementwise, so no entry depends on its call.
+
+    Raises ConvergenceError upfront where the recurrence would take more
+    than ``_MAX_STEPS`` steps, or where e^r K_nu(r) overflows a double at
+    the call's smallest r = |z|.  That bounds every entry: e^x K_nu(x)
+    falls with x (DLMF 10.32.9), |e^z K_nu(z)| <= e^|z| K_nu(|z|) at
+    nu >= 1/2 (DLMF 10.32.8), and K_m(x) grows with m, so no step of the
+    recurrence overflows either.  ln(e^r K_nu(r)) is taken as its small-r limit
+    ln(Gamma(nu) (2/r)^nu / 2), plus r, less the uniform expansion's fall
+    from that limit (DLMF 10.41.3), nu (s - 1 - ln((1 + s)/2)) + ln(s)/2 with
+    s = sqrt(1 + (r/nu)^2): within 2e-5 of mpmath near the overflow at
+    orders 0.06 to 3000.  At orders up to 0.05, K_nu never overflows.
+    """
+    mags = np.abs(z) if np.iscomplexobj(z) else z
+    r = float(mags.min())
     if nu > 0.05:
-        re_min = float(z.real.min())
-        ln_peak = math.lgamma(nu) - math.log(2.0) + nu * (math.log(2.0) - math.log(re_min))
+        s = math.hypot(1.0, r / nu)
+        ln_peak = (math.lgamma(nu) + nu * (math.log(2.0) - math.log(r)) - math.log(2.0) + r
+                   - nu * (s - 1.0 - math.log(0.5 * (1.0 + s))) - 0.5 * math.log(s))
         if ln_peak > 705.0:
             raise ConvergenceError(
-                f"K_nu value overflows double precision (nu={nu:g}, Re z={re_min:g})"
+                f"K_nu value overflows double precision (nu={nu:g}, |z|={r:g})"
             )
     n = round(nu)
     if n - 1 > _MAX_STEPS:
@@ -362,15 +354,23 @@ def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
             f"the order recurrence would take {n - 1} steps, past {_MAX_STEPS} (nu={nu})"
         )
     mu = nu - n
-    orders = (abs(mu), mu + 1.0) if n else (abs(mu),)
-    pair = [np.empty(z.shape, dtype=complex if np.iscomplexobj(z) else float) for _ in orders]
-    series = (0.5 * (np.abs(z) + z.real) if np.iscomplexobj(z) else z) < _GAUSS_FLOOR
-    if series.any():
-        for values, part in zip(pair, _temme_scaled(mu, z[series], n > 0)):
-            values[series] = part
-    if not series.all():
-        for values, order in zip(pair, orders):
-            values[~series] = _gauss_hermite_scaled(order, z[~series])
+    if abs(mu) == 0.5:
+        # pi/(2z) overflows below about 1e-308: there the root is taken of
+        # pi/(2z) over an exact 2^200 and multiplied back by 2^100
+        lift = np.where(mags < 2.0**-1000, 2.0**100, 1.0) if r < 2.0**-1000 else 1.0
+        root = np.sqrt(0.5 * np.pi / (z * (lift * lift))) * lift
+        pair = [root, root * (1.0 + 1.0 / z) if mu > 0.0 else root] if n else [root]
+    else:
+        orders = (abs(mu), mu + 1.0) if n else (abs(mu),)
+        pair = [np.empty(z.shape, dtype=complex if np.iscomplexobj(z) else float)
+                for _ in orders]
+        series = (0.5 * (mags + z.real) if np.iscomplexobj(z) else z) < _GAUSS_FLOOR
+        if series.any():
+            for values, part in zip(pair, _temme_scaled(mu, z[series], n > 0)):
+                values[series] = part
+        if not series.all():
+            for values, order in zip(pair, orders):
+                values[~series] = _gauss_hermite_scaled(order, z[~series])
     if n == 0:
         return pair[0]
     low, high = pair
@@ -382,9 +382,10 @@ def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
 def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     """Vectorized e^z K_nu(z) over an array of any shape with Re(z) > 0,
     each entry on its route of the module docstring: at half-odd orders up
-    to k = 134 the terminating Hankel sum; at every other order the Hankel
-    sum at |z| >= Z_H(nu), the fixed rule at reach(z) >= Z_G(nu) below it
-    (real z is its own reach) and ``_order_recurrence_scaled`` below Z_G.
+    to k = 134 ``_order_recurrence_scaled`` from the closed pair; at every
+    other order the Hankel sum at |z| >= Z_H(nu), the fixed rule at
+    reach(z) >= Z_G(nu) below it (real z is its own reach) and
+    ``_order_recurrence_scaled`` below Z_G.
     A call whose entries all take one route hands the whole array to it.
     The order must be real and finite (``_order_of``), and every entry
     finite with Re z > 0.
@@ -398,7 +399,7 @@ def bessel_k_scaled_many(nu: float, z: np.ndarray) -> np.ndarray:
     if not (z.real.min() > 0.0 and np.isfinite(z).all()):
         raise DomainError("K_nu needs a finite z with Re(z) > 0 at every array entry")
     if order.half_odd_integer:
-        return _half_odd_scaled(round(order.nu - 0.5), z).reshape(shape)
+        return _order_recurrence_scaled(round(order.nu - 0.5) + 0.5, z).reshape(shape)
     nu = order.nu
     z_h = max(_HANKEL_FLOOR, (4.0 * nu * nu - 1.0) / 8.0)
     is_complex = np.iscomplexobj(z)
@@ -439,10 +440,7 @@ def bessel_k(order, z: complex) -> complex:
     that regime.
     """
     scaled = bessel_k_scaled(order, z)
-    z = complex(z)
-    # an overflowed value (z below about 1e-308, where e^-z = 1) stays
-    # infinite: inf times the complex e^-z would be nan
-    return complex(np.exp(-z) * scaled) if cmath.isfinite(scaled) else scaled
+    return complex(np.exp(-complex(z)) * scaled)
 
 
 def check_extension_order(order) -> float:

@@ -189,8 +189,8 @@ def _cmd_eval(args, usage_error) -> int:
         trace = "Chaudhry Beta, tanh-sinh"
     elif fn == "bessel_k":
         value = bessel_k(v["nu"], v["z"])
-        trace = ("modified Bessel K, Hankel sum (terminating at half-odd orders) / "
-                 "Gauss-Hermite rule / Temme series with the order recurrence")
+        trace = ("modified Bessel K, Hankel sum / Gauss-Hermite rule / the closed "
+                 "half-odd pair or Temme series with the order recurrence")
     elif fn == "f1":
         value = appell_f1_series(ap) if route == "series" else appell_f1_integral(ap, tol)
         trace = f"classical Appell F1, route={route}"

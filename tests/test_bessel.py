@@ -6,7 +6,8 @@ import pytest
 
 from extappell.bessel import (
     BesselOrder,
-    _order_recurrence_scaled,
+    _gauss_hermite_scaled,
+    _temme_scaled,
     bessel_k,
     bessel_k_scaled,
     bessel_k_scaled_many,
@@ -28,7 +29,7 @@ def test_order_flag_detection():
     assert not BesselOrder.from_nu(-1.5).half_odd_integer
     assert bessel_k(-1.5, 2.0) == bessel_k(1.5, 2.0)
     assert abs(bessel_k(-1.5, 2.0) - 0.17990665795209218) <= 1e-15
-    # half-odd orders take the terminating Hankel sum up to k = 134 only
+    # half-odd orders take the closed pair at every z up to k = 134 only
     assert BesselOrder.from_nu(134.5).half_odd_integer
     for nu in (135.5, 200.5, 20000.5, 1e300):
         assert not BesselOrder.from_nu(nu).half_odd_integer
@@ -39,12 +40,12 @@ def test_large_half_odd_order_takes_the_generic_route():
     with mp.workdps(30):
         ref = complex(mp.besselk(200.5, 1000) * mp.exp(1000))
     assert abs(bessel_k_scaled(200.5, 1000.0) - ref) <= 1e-13 * abs(ref)
-    # the last order of the terminating sum agrees with the generic route
-    # below the floor: the fixed rule at mu = 1/2 and 3/2, then 133 steps of
-    # the order recurrence
-    closed = bessel_k_scaled(134.5, 300.0)
-    generic = complex(_order_recurrence_scaled(134.5, np.array([300.0]))[0])
-    assert abs(generic - closed) <= 1e-12 * abs(closed)
+    # the last order of the closed pair's route: 133 steps of the order
+    # recurrence, at every z, also where 200.5 takes the Hankel sum
+    for z in (300.0, 0.6 * cmath.exp(1.55j), 30.0 * cmath.exp(-1.2j), 1e4 * cmath.exp(1.5j)):
+        with mp.workdps(30):
+            ref = complex(mp.besselk(134.5, z) * mp.exp(z))
+        assert abs(bessel_k_scaled(134.5, z) - ref) <= 1e-14 * abs(ref), z
 
 
 def test_half_order_closed_forms():
@@ -96,10 +97,11 @@ def test_scaled_huge_argument_finite():
 
 
 def test_half_odd_orders_against_mpmath_or_raise():
-    # the terminating Hankel sum cancels at complex z for large k: each
-    # value is right to 5e-14 or raises, and small orders never raise
+    # the closed pair and the order recurrence answer every point where K
+    # fits a double to 5e-14, at every phase, and refuse every point where
+    # it overflows (the terminating Hankel sum cancelled at complex z for
+    # large k, and returned inf where K overflowed)
     mp = pytest.importorskip("mpmath")
-    raised = 0
     for k in (0, 3, 10, 60, 134):
         for arg in (0.0, 0.7, -1.2, 1.5):
             for r in np.logspace(-3.0, 4.0, 8):
@@ -107,28 +109,35 @@ def test_half_odd_orders_against_mpmath_or_raise():
                 with mp.workdps(30):
                     ref = complex(mp.besselk(k + 0.5, z) * mp.exp(z))
                 if not cmath.isfinite(ref):  # K overflows a double
+                    with pytest.raises(ConvergenceError, match="overflows"):
+                        bessel_k_scaled(k + 0.5, z)
                     continue
-                try:
-                    value = bessel_k_scaled(k + 0.5, z)
-                except ConvergenceError:
-                    assert k > 10
-                    raised += 1
-                    continue
-                assert abs(value - ref) <= 5e-14 * abs(ref), (k, z)
-    assert raised > 0
+                assert abs(bessel_k_scaled(k + 0.5, z) - ref) <= 5e-14 * abs(ref), (k, z)
 
 
-def test_closed_vs_cosh_route():
-    # the generic route below the floor (the base pair at mu = +-1/2, by
-    # Temme's series or the fixed rule, and the order recurrence) must
-    # reproduce the closed half-odd forms, also at complex z
-    for nu in (0.5, 1.5, 2.5):
-        for arg in (0.0, 1.0, -1.0, 1.4, -1.4):
-            for r in (0.5, 1.0, 5.0, 20.0):
-                z = r * cmath.exp(1j * arg)
-                closed = bessel_k_scaled(nu, z)
-                generic = complex(_order_recurrence_scaled(nu, np.array([complex(z)]))[0])
-                assert abs(generic - closed) <= 1e-10 * abs(closed)
+def test_base_pair_routes_match_the_closed_pair():
+    # half-odd orders start the order recurrence from the closed pair
+    # e^z K_{1/2} = sqrt(pi/(2z)), e^z K_{3/2} = e^z K_{1/2} (1 + 1/z); the
+    # routes that give the base pair at other orders reproduce it at
+    # mu = +-1/2, also at complex z: Temme's series at reach < 1 (at
+    # mu = -1/2 its pair is K_{-1/2} = K_{1/2} twice), the fixed rule above
+    for arg in (0.0, 1.0, -1.0, 1.4, -1.4):
+        for r in (0.05, 0.5, 1.0, 5.0, 20.0):
+            z = np.array([complex(cmath.rect(r, arg))])
+            half = np.sqrt(0.5 * np.pi / z)
+            three_halves = half * (1.0 + 1.0 / z)
+            if 0.5 * (abs(z[0]) + z[0].real) < 1.0:
+                pairs = [(_temme_scaled(0.5, z, True), (half, three_halves)),
+                         (_temme_scaled(-0.5, z, True), (half, half))]
+            else:
+                pairs = [((_gauss_hermite_scaled(0.5, z), _gauss_hermite_scaled(1.5, z)),
+                          (half, three_halves))]
+            for got, closed in pairs:
+                for value, want in zip(got, closed):
+                    assert abs(value[0] - want[0]) <= 1e-14 * abs(want[0]), (r, arg)
+            # and the public route gives K_{5/2} = K_{1/2} (1 + 3/z + 3/z^2)
+            want = half[0] * (1.0 + 3.0 / z[0] + 3.0 / z[0] ** 2)
+            assert abs(bessel_k_scaled(2.5, z[0]) - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("nu", [6.1, 10.7, 20.3, 30.3])

@@ -1,8 +1,7 @@
 """The Hankel route of the Bessel kernel above the threshold
 Z_H(nu) = max(30, (4 nu^2 - 1)/8), the fixed Gauss-Hermite rule and the
-order recurrence below it, the terminating half-odd sum where K
-overflows, and how an array call is dispatched: its shortcuts, shapes and
-domain check."""
+order recurrence below it, the half-odd orders where K overflows, and how
+an array call is dispatched: its shortcuts, shapes and domain check."""
 
 import cmath
 import math
@@ -12,7 +11,7 @@ import pytest
 
 from extappell import bessel
 from extappell.bessel import bessel_k, bessel_k_scaled, bessel_k_scaled_many
-from extappell.errors import DomainError
+from extappell.errors import ConvergenceError, DomainError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -125,14 +124,18 @@ def test_huge_arguments_to_double_precision():
         assert abs(bessel_k_scaled(nu, z) - ref) <= 1e-15 * abs(ref)
 
 
-def test_half_odd_overflow_is_infinite_not_nan():
-    # below z ~ 1e-308 every K_{k+1/2} with k >= 1 overflows
+def test_half_odd_overflow_raises():
+    # below z ~ 1e-308 every K_{k+1/2} with k >= 1 overflows, and the
+    # order recurrence's guard refuses it as at every other order (the
+    # terminating Hankel sum returned inf there)
     for nu in (1.5, 2.5, 7.5):
         for z in (1e-320, 1e-320 * cmath.exp(0.7j)):
-            value = bessel_k(nu, z)
-            assert cmath.isinf(value) and not cmath.isnan(value)
-    many = bessel_k_scaled_many(1.5, np.array([1e-320, 1e-320j + 1e-320, 2.0]))
-    assert np.all(np.isinf(many[:2])) and not np.any(np.isnan(many))
+            with pytest.raises(ConvergenceError, match="overflows"):
+                bessel_k(nu, z)
+    with pytest.raises(ConvergenceError, match="overflows"):
+        bessel_k_scaled_many(1.5, np.array([1e-320, 1e-320j + 1e-320, 2.0]))
+    many = bessel_k_scaled_many(1.5, np.array([1e-100, 1e-100j + 1e-100, 2.0]))
+    assert np.all(np.isfinite(many))
     assert abs(many[2] - math.sqrt(math.pi / 4.0) * 1.5) <= 1e-15
     # K_{1/2} itself is still finite there
     mp = pytest.importorskip("mpmath")

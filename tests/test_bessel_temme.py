@@ -1,7 +1,8 @@
 """The Bessel kernel below the fixed rule's floor Z_G(nu) = max(1, nu^2/40)
-at generic orders: the base pair at mu = nu - round(nu) (Temme's series at
-reach < 1, the fixed rule elsewhere) and the forward order recurrence up to
-nu, against mpmath, entry by entry, and its bound."""
+at generic orders, and at every z at half-odd orders: the base pair at
+mu = nu - round(nu) (closed at |mu| = 1/2, else Temme's series at reach < 1
+and the fixed rule elsewhere) and the forward order recurrence up to nu,
+against mpmath, entry by entry, and its bounds."""
 
 import cmath
 import math
@@ -86,16 +87,88 @@ def test_tiny_and_subnormal_arguments(z):
 
 
 def test_entry_below_the_floor_does_not_depend_on_its_call():
-    for nu in (0.3, 1.3, 4.2, 11.7, 25.6):
+    # the half-odd orders take the closed pair at every z; K_{60.5}
+    # overflows below |z| = 4e-4, so its entries start at 1e-3
+    for nu in (0.3, 1.3, 4.2, 11.7, 25.6, 0.5, 1.5, 2.5, 60.5):
+        low = 1e-3 if nu > 30.0 else 1e-9
         for arg in (0.0, 0.9, -1.4):
-            for r in np.geomspace(1e-9, 0.99 * z_g(nu), 5):
+            for r in np.geomspace(low, 0.99 * z_g(nu), 5):
                 z = cmath.rect(r, arg) if arg else r
-                others = np.geomspace(1e-6, 0.95 * z_g(nu), 40)
+                others = np.geomspace(max(low, 1e-6), 0.95 * z_g(nu), 40)
                 others = others * cmath.exp(1j * arg) if arg else others
                 alone = bessel_k_scaled_many(nu, np.array([z]))[0]
                 for k in (0, 1, 7, 40):
                     shared = bessel_k_scaled_many(nu, np.insert(others, k, z))
                     assert shared[k] == alone
+
+
+@pytest.mark.parametrize("nu, z", [
+    (0.7, 1.744e-321 - 1.27e-321j),  # was 5.7e-4 off
+    (0.3, 1.744e-321 - 1.27e-321j),  # was 2.4e-4 off
+    (0.7, 3e-315 + 4e-315j),  # was 2.8e-10 off
+    (0.9548, 1.744e-321 - 1.27e-321j),  # refused by the guard on Re z
+])
+def test_complex_subnormal_argument(nu, z):
+    # |z| of a subnormal z rounds to the subnormal grid: Temme's series
+    # takes the modulus of z 2^64
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = complex(mp.besselk(nu, mp.mpc(z)))
+    assert abs(bessel.bessel_k(nu, z) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("nu, z", [
+    (38.823, 9.725e-8 + 8.092e-7j),
+    (38.806, 7.01e-8 - 5.68e-7j),
+    (22.710, 1.06e-13 - 1.16e-12j),
+])
+def test_steep_phase_near_the_overflow_answers(nu, z):
+    # finite values the overflow guard refused when it took the smallest
+    # Re z, not the smallest |z|
+    mp = pytest.importorskip("mpmath")
+    ref = scaled_reference(mp, nu, z)
+    assert abs(bessel_k_scaled(nu, z) - ref) <= 1e-14 * abs(ref)
+
+
+def test_around_the_overflow_guard_answers_or_raises():
+    # |z| within e^{+-0.3} of where ln(Gamma(nu) (2/|z|)^nu / 2) = 705 (the
+    # guard's small-|z| limit; at order 300 its edge lies 8 % higher), at
+    # phases up to 1.55: each point answers to 1e-13 or raises, and a
+    # point whose K overflows a double raises
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(34)
+    answered = raised = 0
+    for nu in (2.3, 10.7, 38.8, 77.1, 150.3, 300.3, 1.5, 10.5, 60.5, 134.5):
+        edge = 2.0 * math.exp((math.lgamma(nu) - math.log(2.0) - 705.0) / nu)
+        for _ in range(8):
+            z = cmath.rect(edge * math.exp(rng.uniform(-0.3, 0.3)), rng.uniform(-1.55, 1.55))
+            ref = scaled_reference(mp, nu, z)
+            try:
+                value = bessel_k_scaled(nu, z)
+            except ConvergenceError as exc:
+                assert "overflows" in str(exc)
+                raised += 1
+                continue
+            assert cmath.isfinite(ref) and abs(value - ref) <= 1e-13 * abs(ref), (nu, z)
+            answered += 1
+    assert answered >= 20 and raised >= 20
+
+
+@pytest.mark.parametrize("nu, z, ref", [
+    (300.3, 21.5, None),  # ln(e^z K) = 718.1; the recurrence overflowed
+    (1000.3, 370.0, None),  # 1021.0, where the small-|z| limit gives 685
+    (300.3, 23.0, 5.2491665965577978e+303),  # 699.3
+    (1000.3, 5000.0, 3.6023437330240624e+41),  # 96.0; that limit times e^z, 3080
+])
+def test_overflow_guard_at_large_orders(nu, z, ref):
+    # at large orders e^z K_nu(z) falls far below its small-|z| limit
+    # Gamma(nu) (2/z)^nu / 2 times e^z: the guard takes the uniform
+    # expansion's fall from that limit.  References: mpmath at 30 digits
+    if ref is None:
+        with pytest.raises(ConvergenceError, match="overflows"):
+            bessel_k_scaled(nu, z)
+    else:
+        assert abs(bessel_k_scaled(nu, z) - ref) <= 1e-14 * ref
 
 
 def test_integral_route_at_steep_complex_p_and_order_10_3():

@@ -406,9 +406,12 @@ def test_unanswerable_bessel_k_exit_3(capsys):
         # below the Gauss-Hermite floor Z_G = 2.5e8 the order recurrence
         # would take 100000 steps from the base pair, past its bound
         ("100000.3", "2e8", "recurrence"),
-        # a large half-odd order at |arg z| = 1.5: the terminating Hankel
-        # sum cancels below double precision
-        ("100.5", "5.6165+79.2112j", "cancels"),
+        # a large order at |z| = 400, arg z = 1.2: the fixed rule's terms
+        # cancel below double precision
+        ("100", "144.943+372.8156j", "cancel below double precision"),
+        # K_{3/2}(1e-320) overflows a double (the terminating Hankel sum
+        # returned inf, which the CLI refused as non-finite)
+        ("1.5", "1e-320", "overflows"),
     ]
     for nu, z, message in cases:
         assert run(["eval", "bessel_k", f"nu={nu}", f"z={z}"]) == 3
@@ -417,9 +420,21 @@ def test_unanswerable_bessel_k_exit_3(capsys):
         assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_large_half_odd_order_at_a_steep_phase(capsys):
+    # 100.5 at |z| = 79.4, arg z = 1.50, where the terminating Hankel sum
+    # cancelled below double precision: the closed pair and 99 steps of
+    # the order recurrence answer it
+    mp = pytest.importorskip("mpmath")
+    assert run(["eval", "bessel_k", "nu=100.5", "z=5.6165+79.2112j"]) == 0
+    re_part, im_part = map(float, capsys.readouterr().out.split())
+    with mp.workdps(30):
+        ref = complex(mp.besselk(100.5, mp.mpc(5.6165, 79.2112)))
+    assert abs(complex(re_part, im_part) - ref) <= 1e-14 * abs(ref)
+
+
 @pytest.mark.parametrize("nu", ["20000.5", "1e300"])
 def test_huge_half_odd_order_exit_3_fast(capsys, nu):
-    # orders past the terminating sum's k <= 134 take the generic route, whose
+    # orders past the closed pair's k <= 134 take the generic route, whose
     # guard refuses a K that overflows before the order recurrence
     start = time.perf_counter()
     assert run(["eval", "bessel_k", f"nu={nu}", "z=1"]) == 3

@@ -564,3 +564,22 @@ def test_no_gauss_hermite_table_is_built_at_run_time():
     found = {path.name: _hermite_tables(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _errstates(source: str) -> list[str]:
+    """Lines that name ``errstate``: numpy's switch for floating-point
+    errors, which the Bessel kernel does without, because the order
+    recurrence's guard refuses every K that overflows before any route
+    computes it."""
+    return [f"{node.lineno}: errstate" for node in ast.walk(ast.parse(source))
+            if _name_of(node) == "errstate"]
+
+
+def test_errstate_scan():
+    source = ("with np.errstate(over='ignore'):\n    pass\nfrom numpy import errstate\n"
+              "with errstate(all='ignore'):\n    pass\nerrstates = 1\nnp.seterr\n")
+    assert _errstates(source) == ["1: errstate", "4: errstate"]
+
+
+def test_no_errstate_in_the_bessel_kernel():
+    assert _errstates((SRC / "bessel.py").read_text(encoding="utf-8")) == []
