@@ -37,7 +37,7 @@ Every route gives an entry the same bits whatever else its call holds.
 Array-valued helpers back the quadrature hot loops.
 
 Supported range, against mpmath: every z but where one overflow guard
-refuses a call, ln(e^r K_nu(r)) > 705 at its smallest r = |z|
+refuses a call, ln(e^r K_nu(r)) > 709 at its smallest r = |z|
 (``_order_recurrence_scaled``), and below Z_G up to 2^16 recurrence steps
 (``_MAX_STEPS``: K_{100000.3}(2e8) raises ConvergenceError).  The half-odd
 orders hold 2e-14 at every z and |arg z| <= 1.55.  The fixed rule holds
@@ -69,6 +69,10 @@ _ORDER_TOL = 1e-12
 # order of the terminating Hankel sum this route replaced) is kept because
 # the benchmark's half-odd/generic split reads the flag
 _HALF_ODD_MAX_K = 134
+# the overflow guard refuses where ln(e^r K_nu(r)) passes this: ln(DBL_MAX)
+# = 709.78, less ln 2 for the recurrence's last product at complex z and
+# the estimate's 2e-5
+_LN_OVERFLOW = 709.0
 _REL_TOL = 1e-13  # bounds the rounding of the fixed rule's terms at complex z
 # The Hankel route serves |z| >= Z_H(nu) = max(30, (4 nu^2 - 1)/8): from 30
 # on, its least term is below 1e-17 within about 20 terms; from
@@ -328,11 +332,13 @@ def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
     elementwise, so no entry depends on its call.
 
     Raises ConvergenceError upfront where the recurrence would take more
-    than ``_MAX_STEPS`` steps, or where e^r K_nu(r) overflows a double at
-    the call's smallest r = |z|.  That bounds every entry: e^x K_nu(x)
-    falls with x (DLMF 10.32.9), |e^z K_nu(z)| <= e^|z| K_nu(|z|) at
-    nu >= 1/2 (DLMF 10.32.8), and K_m(x) grows with m, so no step of the
-    recurrence overflows either.  ln(e^r K_nu(r)) is taken as its small-r limit
+    than ``_MAX_STEPS`` steps, or where ln(e^r K_nu(r)) passes
+    ``_LN_OVERFLOW`` at the call's smallest r = |z|.  That bounds every
+    entry: e^x K_nu(x) falls with x (DLMF 10.32.9), |e^z K_nu(z)| <=
+    e^|z| K_nu(|z|) at nu >= 1/2 (DLMF 10.32.8), and K_m(x) grows with m,
+    so no step of the recurrence overflows either: a step's product
+    (2m/z) e^z K_m is the difference of two such values, at most twice
+    the bound.  ln(e^r K_nu(r)) is taken as its small-r limit
     ln(Gamma(nu) (2/r)^nu / 2), plus r, less the uniform expansion's fall
     from that limit (DLMF 10.41.3), nu (s - 1 - ln((1 + s)/2)) + ln(s)/2 with
     s = sqrt(1 + (r/nu)^2): within 2e-5 of mpmath near the overflow at
@@ -344,7 +350,7 @@ def _order_recurrence_scaled(nu: float, z: np.ndarray) -> np.ndarray:
         s = math.hypot(1.0, r / nu)
         ln_peak = (math.lgamma(nu) + nu * (math.log(2.0) - math.log(r)) - math.log(2.0) + r
                    - nu * (s - 1.0 - math.log(0.5 * (1.0 + s))) - 0.5 * math.log(s))
-        if ln_peak > 705.0:
+        if ln_peak > _LN_OVERFLOW:
             raise ConvergenceError(
                 f"K_nu value overflows double precision (nu={nu:g}, |z|={r:g})"
             )

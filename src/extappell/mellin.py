@@ -39,7 +39,11 @@ Inverse: (1/(2 pi i)) int_{c-i inf}^{c+i inf} p^(-s) M(s) ds along
 Re(s) = c > nu.  The contour integrand is 2 sqrt(pi) p^(-s) M(s) =
 (2/p)^s * pair * R, integrated in tau = Im(s) and divided by
 4 pi sqrt(pi); the truncation is chosen from the measured Gamma-pair
-decay (~e^(-pi |tau|/2)).
+decay (~e^(-pi |tau|/2)).  The line engine samples it in two calls at
+the default tolerance, the probes and the block of levels 0-6 (513
+nodes), where every contour of the suites and the benchmark stops; each
+call's F1 rows take the diagonals a block of 32 at a time
+(``hyper.block_double_sum``).
 
 The p -> 0 limit of p^nu F_{1,p,nu}, which the forward quadrature uses
 at its smallest abscissae, is the residue of M at its first pole s = nu:

@@ -33,9 +33,12 @@ own per call.  Each moment is held to the test of a stack's row.
 Node tables are computed once per refinement level and cached, and so
 are blocks of levels 0 to a first-call level concatenated.  ``_refine``
 samples one block in its first integrand call and splits the values back
-per level.  The first-call level follows from ``tol`` (see
-``_first_call_level``), since tanh-sinh roughly doubles its digits per
-level (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The stopping test
+per level.  For tanh-sinh and exp-sinh the first-call level follows from
+``tol`` (see ``_first_call_level``), since tanh-sinh roughly doubles its
+digits per level (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005).  The
+line engine's first call takes levels 0 to ``_LINE_FIRST_CALL_LEVEL`` =
+6 at any ``tol``: its contours stop at level 6 at the Mellin inverse's
+tolerance, and they cost per call, not per node.  The stopping test
 still runs at every level from the first test level,
 ``_FIRST_TEST_LEVEL`` = 3, on.  So the first-call level changes how many
 calls a quadrature makes, never the level it stops at.  Engines are
@@ -71,6 +74,8 @@ _V_MAX_SEMI = 4.25
 # always run; tanh-sinh roughly doubles its digits per level, so a test
 # passing at level 2 is mostly one that is slack
 _FIRST_TEST_LEVEL = 3
+# the last level of the line engine's first call (see ``_first_call_level``)
+_LINE_FIRST_CALL_LEVEL = 6
 # the level budget of every engine
 _MAX_LEVELS = 12
 # the tolerance of every engine unless a caller passes its own
@@ -225,6 +230,13 @@ def _first_call_level(tol: float) -> int:
     their first call stops at level 4.  The outer Mellin quadrature runs
     at 2e-7 and stops at level 3, and each of its nodes is a row of an
     inner batch, so its first call holds the first test level only.
+
+    The line engine does not ask: its first call after the probes takes
+    levels 0 to ``_LINE_FIRST_CALL_LEVEL`` = 6 (513 nodes) at any tol.
+    Every Mellin inversion contour of the suites and the benchmark stops
+    at level 6 at the default 1e-7, and the contour integrand's cost, an
+    F1 diagonal sum with a row per node, grows with its calls far more
+    than with its nodes.
     """
     if tol < 1e-9:
         return 5
@@ -426,12 +438,14 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
 
 
-def _refine(sample, table, tol: float, moments: int | None = None) -> QuadratureResult:
+def _refine(sample, table, tol: float, moments: int | None = None,
+            last: int | None = None) -> QuadratureResult:
     """Level-doubling trapezoid sums of ``sample(nodes)`` on ``table``'s levels.
 
     ``table(level)`` gives a level's node arrays, the abscissae first and
     the weights last.  The first ``sample`` call covers the block of
-    levels 0 to ``_first_call_level(tol)``, later calls one level each.
+    levels 0 to ``last`` (by default ``_first_call_level(tol)``), later
+    calls one level each.
     The block's values are split back per level, so the sums, tests and
     edge tail see the same per-level values as one call per level, and the
     level-difference test runs at every level from ``_FIRST_TEST_LEVEL``
@@ -449,7 +463,7 @@ def _refine(sample, table, tol: float, moments: int | None = None) -> Quadrature
     _check_tol(tol)
     if moments is not None and not moments >= 1:
         raise DomainError(f"the number of moments must be positive, got {moments}")
-    last = _first_call_level(tol)
+    last = _first_call_level(tol) if last is None else last
     nodes, offsets = _block(table, last)
     weights = nodes[-1] if moments is None else _block_moment_weights(table, last, moments)
     products, sums = _weigh(sample(nodes), weights)
@@ -498,9 +512,12 @@ def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     The integral over [-T, T] is ``_refine``'s trapezoid sums of
     T f(T u) on u in [-1, 1], whose level 0 has step 1/4 (see
-    ``_line_level``): one call for the probes, one for levels 0 to the
-    first-call level (as in ``integrate_unit_interval``), and one per
-    further level.
+    ``_line_level``): one call for the probes, one for the block of
+    levels 0 to ``_LINE_FIRST_CALL_LEVEL`` = 6 (513 nodes) at any
+    ``tol``, and one per further level.  A contour that stops at level 6
+    or before, as every Mellin inversion at its default tolerance does,
+    takes two calls; ``nodes_used`` still counts levels 0 to the stop
+    level only.
 
     Raises
     ------
@@ -519,4 +536,5 @@ def integrate_vertical_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
             f"(no decay detected out to |tau| = {_PROBE_TAUS[-1]:g})"
         )
     trunc = 2.0 * _PROBE_TAUS[decayed[0]]
-    return _refine(lambda nodes: trunc * np.asarray(f(trunc * nodes[0])), _line_level, tol)
+    return _refine(lambda nodes: trunc * np.asarray(f(trunc * nodes[0])), _line_level, tol,
+                   last=_LINE_FIRST_CALL_LEVEL)

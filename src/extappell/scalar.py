@@ -88,8 +88,14 @@ def gamma(z):
     """Gamma function for complex z off the non-positive integers, or
     elementwise over a complex array z (an array of the same shape).
 
-    Relative error is at machine-noise level (< 1e-13) for moderate
-    arguments; reflection is used for Re(z) < 1/2.
+    Reflection is used for Re(z) < 1/2.  The relative error grows with
+    |Im z|, as the power's imaginary part, about |Im z| ln|z|, carries
+    rounding of that size: against mpmath on seeded grids it stays below
+    2.5e-15 (|Im z| + 25) for -20 <= Re z <= 60 and |Im z| <= 300, so
+    6e-14 near the real axis and 1.0e-13 at Gamma(1.25 + 150i), and
+    below 2.5e-15 (|Im z| + 100) for Re z up to Gamma's overflow at 171.
+    At Re z < 1/2 past |Im z| = 225.9, sin(pi z) overflows and the
+    reflection raises ``OverflowError``.
 
     Raises
     ------

@@ -155,6 +155,16 @@ def test_around_the_overflow_guard_answers_or_raises():
 
 
 @pytest.mark.parametrize("nu, z, ref", [
+    (134.5, 0.508, 1.6024486998069362e+307),  # ln(e^z K) = 707.4
+    (300.3, 22.3, 2.874018723051048e+307),  # 707.9
+])
+def test_guard_answers_up_to_the_largest_double(nu, z, ref):
+    # values within a factor 12 of DBL_MAX, ln(e^z K) under the guard's
+    # 709; references: mpmath at 30 digits
+    assert abs(bessel_k_scaled(nu, z) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("nu, z, ref", [
     (300.3, 21.5, None),  # ln(e^z K) = 718.1; the recurrence overflowed
     (1000.3, 370.0, None),  # 1021.0, where the small-|z| limit gives 685
     (300.3, 23.0, 5.2491665965577978e+303),  # 699.3

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,96 @@ def test_block_double_sum_rows_raise_when_a_row_runs_out():
     with pytest.raises(ConvergenceError, match=f"within {MAX_TERMS} diagonals"):
         block_double_sum(diag, 1.0, 1.0, 0.9999, 0.0, 1e-14)
 
+
+
+# Row sums take the diagonals a block of _FIRST_DIAGONALS at a time.  With
+# b2 = 1, b3 = 0, x = 1 every c_k is exactly 1, so a designed diagonal's
+# values are the terms
+_BLOCK = hyper._FIRST_DIAGONALS
+_UNIT_COEFFICIENTS = (1.0, 0.0, 1.0, 0.0)
+
+
+def _stepped(small, value=1.0):
+    """A row's terms: ``value`` at every diagonal, 1e-15 k times it at the
+    diagonals k in ``small``.  Such a term is below 1e-14 of a sum of the
+    k - 3 or more large terms before it, yet moves its last bits, so a row
+    that stops one diagonal early or late has other bits."""
+    return lambda k: value * (1e-15 * k if k in small else 1.0)
+
+
+def _row_sums_and_their_stops(rows):
+    """The array sum of the designed ``rows`` and the last diagonal it
+    read; and each row's scalar sum with the diagonal that sum stopped at."""
+    read = []
+
+    def diag(k):
+        read.append(k)
+        return np.array([complex(row(k)) for row in rows])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = block_double_sum(diag, *_UNIT_COEFFICIENTS, 1e-14)
+    scalar = []
+    for row in rows:
+        seen = []
+
+        def one(k, row=row, seen=seen):
+            seen.append(k)
+            return row(k)
+
+        scalar.append((block_double_sum(one, *_UNIT_COEFFICIENTS, 1e-14), seen[-1]))
+    return total, read[-1], scalar
+
+
+@pytest.mark.parametrize("rows, stops", [
+    # a run of three small terms straddling the first block boundary
+    ([_stepped({_BLOCK - 2, _BLOCK - 1, _BLOCK})], [_BLOCK]),
+    # a run broken at the boundary by one large term, then a new run
+    ([_stepped({_BLOCK - 2, _BLOCK - 1, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3}, 0.6 - 0.8j)],
+     [_BLOCK + 3]),
+    # rows stopping in the first, second and third block
+    ([_stepped({3, 4, 5}), _stepped({_BLOCK + 6, _BLOCK + 7, _BLOCK + 8}, 2.5j),
+      _stepped({2 * _BLOCK + 1, 2 * _BLOCK + 2, 2 * _BLOCK + 3}, -1.5 + 0.5j)],
+     [5, _BLOCK + 8, 2 * _BLOCK + 3]),
+    # terminating rows: exact zeros from diagonal 3 on, and all zeros
+    ([lambda k: 1.0 if k < 3 else 0.0, lambda k: 0.0, _stepped({40, 41, 42})], [5, 2, 42]),
+], ids=["straddle", "broken", "blocks", "zeros"])
+def test_blocked_row_sums_equal_their_scalar_sums(rows, stops):
+    # each row stops where its scalar sum does and has its bits; the array
+    # sum reads to the end of the block in which its last row stops
+    total, last_read, scalar = _row_sums_and_their_stops(rows)
+    assert [stop for _, stop in scalar] == stops
+    assert total.tolist() == [value for value, _ in scalar]
+    assert last_read == (max(stops) // _BLOCK + 1) * _BLOCK - 1
+
+
+def test_small_terms_decide_ties_as_abs_does():
+    # terms of modulus tol |sum| up to rounding, at random phases, over
+    # 600 decades: numpy's vector complex abs alone gets a fifth of these
+    # verdicts wrong; each must be abs(term) <= tol * abs(sum) of one complex
+    rng = np.random.default_rng(36)
+    n, tol = 20000, 1e-14
+    sums = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-300, 300, n)
+    terms = tol * np.abs(sums) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    terms[:3], sums[:3] = 0.0, [0.0, 1e-320, 1e-300 + 1e-300j]
+    verdicts = [abs(complex(t)) <= tol * abs(complex(s)) for t, s in zip(terms, sums)]
+    assert 0 < sum(verdicts) < n
+    assert hyper._small_terms(terms, sums, tol).tolist() == verdicts
+
+
+def test_blocked_row_sums_raise_when_a_row_runs_out():
+    # a row of ones never stops: every block up to MAX_TERMS is read, and
+    # the row that stopped in the first block does not end the sum
+    read = []
+
+    def diag(k):
+        read.append(k)
+        return np.array([1.0 if k < 1 else 0.0, 1.0], dtype=complex)
+
+    with warnings.catch_warnings(), pytest.raises(ConvergenceError, match="diagonals"):
+        warnings.simplefilter("error")
+        block_double_sum(diag, *_UNIT_COEFFICIENTS, 1e-14)
+    assert read == list(range(MAX_TERMS))
 
 
 def test_euler_beta_is_beta_and_raises_where_it_vanishes():

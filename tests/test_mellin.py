@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from extappell import hyper, mellin
+from extappell import hyper, mellin, quadrature
 from extappell.bessel import bessel_k_upper_bound
 from extappell.errors import DomainError
 from extappell.extbeta import ExtensionParams, extended_beta
@@ -282,6 +282,31 @@ def test_inversion_integrand_gamma_calls_do_not_grow_with_the_nodes(monkeypatch)
         f(np.linspace(-40.0, 40.0, n))
         per_call.append(dict(calls))
     assert per_call == [{"gamma": 2, "beta": 1, "euler_beta": 1}] * 3
+
+
+@pytest.mark.parametrize("appell, nu, p", [(AP, 0.5, 1.0), (BASE, 0.7, 1.3)])
+def test_inverse_at_the_default_tol_makes_two_integrand_calls(monkeypatch, appell, nu, p):
+    # the probe call and one call for levels 0-6, where the contour stops;
+    # sampled with a first call through level 3 only, as one call per
+    # level after it, the value has the same bits
+    calls = []
+
+    def counted(*args):
+        f = _inversion_integrand(*args)
+
+        def sampled(taus):
+            calls.append(len(taus))
+            return f(taus)
+
+        return sampled
+
+    monkeypatch.setattr(mellin, "_inversion_integrand", counted)
+    value = mellin_inverse_numeric(appell, nu, p)
+    assert calls == [25, 513]
+    calls.clear()
+    monkeypatch.setattr(quadrature, "_LINE_FIRST_CALL_LEVEL", 3)
+    assert mellin_inverse_numeric(appell, nu, p) == value
+    assert calls == [25, 65, 64, 128, 256]
 
 
 def test_forward_closed_and_limit_take_the_scalar_sum(monkeypatch):

@@ -291,7 +291,8 @@ def test_pointwise_integrands_match_frozen_results(engine, f, tol, value, error,
 
 
 def test_contour_stopping_at_the_first_test_level_makes_two_integrand_calls():
-    # the probe call, then one call for the block of levels 0.._FIRST_TEST_LEVEL
+    # the probe call, then one call for the block of levels 0-6, whatever
+    # the tolerance; nodes_used counts levels 0.._FIRST_TEST_LEVEL only
     counted, calls = _counting(lambda tau: np.exp(-(tau**2)))
     res = integrate_vertical_line(counted, 1e-3)
     assert res.converged
@@ -301,7 +302,8 @@ def test_contour_stopping_at_the_first_test_level_makes_two_integrand_calls():
     probes = calls[0][0]
     assert probes[0] == 0.0 and np.array_equal(probes[1:13], -probes[13:])
     trunc = 8.0  # twice the first probe, 4, where exp(-tau^2) < 1e-5
-    block = np.concatenate([_line_level(lvl)[0] for lvl in levels])
+    block = np.concatenate([_line_level(lvl)[0] for lvl in range(7)])
+    assert block.size == 513
     assert np.array_equal(calls[1][0], trunc * block)
 
 

@@ -32,6 +32,27 @@ def test_gamma_real_axis_accuracy():
         assert abs(gamma(z).real - math.gamma(z)) <= 1e-13 * math.gamma(z)
 
 
+@pytest.mark.parametrize("re_lo, re_hi, floor", [(-20.0, 60.0, 25.0), (60.0, 171.0, 100.0)])
+def test_gamma_error_grows_with_the_imaginary_part(re_lo, re_hi, floor):
+    # the docstring's bound, 2.5e-15 (|Im z| + floor); Gamma(1.25 + 150i)
+    # is 1.0e-13 off mpmath
+    rng = np.random.default_rng(36)
+    points = [complex(rng.uniform(re_lo, re_hi), rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 300.0))
+              for _ in range(100)]
+    points += [complex(rng.uniform(re_lo, re_hi), rng.uniform(-2.0, 2.0)) for _ in range(40)]
+    points += [1.25 + 150j] if re_lo < 0 else []
+    with mpmath.workdps(30):
+        for z in points:
+            ref = complex(mpmath.gamma(mpmath.mpc(z)))
+            if ref == 0 or not cmath.isfinite(ref):
+                continue  # past the range of a double
+            if z.real < 0.5 and abs(z.imag) * math.pi > 709.8:
+                with pytest.raises(OverflowError):  # the reflection's sin(pi z)
+                    gamma(z)
+                continue
+            assert abs(gamma(z) - ref) <= 2.5e-15 * (abs(z.imag) + floor) * abs(ref), z
+
+
 def test_gamma_recurrence_property():
     rng = np.random.default_rng(5)
     for z in rng.uniform(1e-6, 30.0, 1000):
