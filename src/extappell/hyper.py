@@ -1,7 +1,9 @@
 """Classical hypergeometric layer.
 
 The generalized pFq series, and the first Appell two-variable function
-F1 both as a double power series and as its Euler-type integral.
+F1 both as a double power series and as its Euler-type integral; the
+same integral with Chaudhry's kernel exp(-p/(t(1-t))) gives the
+p-extended F1, which F_{1,p,nu} reduces to at nu = 0.
 
 The double series is summed along its diagonals m + n = k, as
 sum_k c_k diag(k) with c_k the convolution of the two Pochhammer ladders;
@@ -26,11 +28,14 @@ series divides its diagonals by that B and every Euler integral divides
 its quadrature by it, and the routes, the Mellin routines, the
 Theorem-1 forms and the bound take both from here; a quadrature takes B
 through ``euler_integral_beta``, which refuses a cancelling integral.
+``euler_beta`` keeps the last eight (b1, c1), so a suite trial, whose
+checks share one (b1, c1), takes B once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .extbeta import appell_powers, euler_integrand, real_or_complex
+from .extbeta import ExtensionParams, appell_powers, euler_integrand, real_or_complex
 from .quadrature import DEFAULT_TOL, integrate_unit_interval
 from .scalar import beta, is_nonpositive_integer
 
@@ -278,9 +283,12 @@ def appell_f1_series(params: AppellParams) -> complex:
     )
 
 
+# the checks of a suite trial share one (b1, c1), a Meijer trial's 14
+# Theorem-1 forms and its F too; a diff trial's series calls take three
+@functools.lru_cache(maxsize=8)
 def euler_beta(b1: complex, c1: complex) -> complex:
     """B(b1, c1-b1), the normaliser of F1, of F_{1,p,nu} and of their
-    Mellin transform.
+    Mellin transform, the last eight (b1, c1) kept.
 
     Raises ``OverflowError`` where B underflows to 0, since 1/B then
     overflows; a pole of b1 or c1-b1 raises ``PoleError`` from ``beta``.
@@ -324,13 +332,29 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
     ``euler_integrand`` with no kernel and the ``appell_powers``, by
     tanh-sinh at ``tol``, over ``euler_integral_beta``.  The integrand is real
     when every parameter and variable is."""
+    return _euler_f1(params, tol, "F1 Euler integral")
+
+
+def chaudhry_f1_integral(params: AppellParams, p: complex, tol: float = DEFAULT_TOL) -> complex:
+    """The p-extended F1 with Chaudhry's kernel exp(-p/(t(1-t))), Re(p) > 0
+    (Chaudhry, Qadir, Rafique & Zubair, J. Comput. Appl. Math. 78, 1997):
+    ``appell_f1_integral``'s Euler integral with -p/(t(1-t)) added to its
+    exponent, as ``extbeta.chaudhry_beta`` adds it to B's.  It is
+    F_{1,p,nu} at nu = 0, where K_{1/2}(w) = sqrt(pi/(2w)) e^(-w)."""
+    return _euler_f1(params, tol, "Chaudhry F1 Euler integral", ExtensionParams(p, 0.0).p)
+
+
+def _euler_f1(params: AppellParams, tol: float, label: str, p: complex = 0.0) -> complex:
+    """The Euler integral of F1 over ``euler_integral_beta``, with Chaudhry's
+    kernel unless p = 0; real when every input is."""
     a = params
     check_euler_domain(a.b1, a.c1, a.x, a.y)
     norm = euler_integral_beta(a.b1, a.c1)
-    b1, b2, b3, c1, x, y = real_or_complex(a.b1, a.b2, a.b3, a.c1, a.x, a.y)
-    integrand = euler_integrand(b1 - 1.0, c1 - b1 - 1.0, extra=appell_powers(b2, b3, x, y))
-    res = integrate_unit_interval(integrand, tol)
-    return res.converged_value("F1 Euler integral") / norm
+    b1, b2, b3, c1, x, y, p = real_or_complex(a.b1, a.b2, a.b3, a.c1, a.x, a.y, p)
+    powers = appell_powers(b2, b3, x, y)
+    extra = powers if not p else lambda t, tc: powers(t, tc) - p / (t * tc)
+    res = integrate_unit_interval(euler_integrand(b1 - 1.0, c1 - b1 - 1.0, extra=extra), tol)
+    return res.converged_value(label) / norm
 
 
 def f1_diagonal_coefficients(b2, b3, x, y, kmax: int) -> np.ndarray:

@@ -6,10 +6,12 @@ origin and is killed exponentially (e^(-4p)) by the Bessel kernel at
 infinity, the two ends that rule is built for (Mori & Sugihara, J.
 Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
 quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
-kernel integral, one row per p (the closure ``_radial`` builds).  The
-outer quadrature runs at 2e-7 and the inner batches at 1e-9; how many
-levels the first call of each samples follows from its tolerance (see
-``quadrature._first_call_level``).
+kernel integral, one row per p (the closure ``_radial`` builds).
+F_{1,p,nu} does not depend on s, so transforms at one (appell, nu)
+share it, kept per node array for the last (appell, nu)
+(``_radial_factors``).  The outer quadrature runs at 2e-7 and the inner
+batches at 1e-9; how many levels the first call of each samples follows
+from its tolerance (see ``quadrature._first_call_level``).
 
 Forward, closed form:
 
@@ -57,6 +59,7 @@ x, y as ``hyper.check_series_domain``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -146,11 +149,10 @@ def _radial(appell: AppellParams, nu: float, s: complex):
     those abscissae carry in the transform; from ``_P_DEAD`` on the
     kernel wipes out the whole interval and the value is 0.  The limit's
     coefficient is taken up front: the exp-sinh level-0 nodes reach
-    below ``_P_LIMIT_FORM``, so the first call always needs it.
+    below ``_P_LIMIT_FORM``, so the first call always needs it.  Neither
+    it nor F(p) depends on s; both come from ``_radial_factors``.
     """
-    a = appell
-    b0 = euler_integral_beta(a.b1, a.c1)
-    limit_coefficient = _limit_coefficient(appell, nu)
+    limit_coefficient, batch = _radial_factors(appell, nu)
 
     def weighted(ps: np.ndarray) -> np.ndarray:
         out = np.zeros(ps.shape, dtype=complex)
@@ -159,13 +161,36 @@ def _radial(appell: AppellParams, nu: float, s: complex):
             out[limit] = np.exp((s - 1.0 - nu) * np.log(ps[limit])) * limit_coefficient
         live = ~limit & (ps < _P_DEAD)
         if np.any(live):
-            p = ps[live]
-            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, p, nu, 1e-9)
-            out[live] = (np.exp((s - 1.0) * np.log(p))
-                         * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0))
+            out[live] = np.exp((s - 1.0) * np.log(ps[live])) * batch(ps, live)
         return out
 
     return weighted
+
+
+# a Mellin trial's three forward transforms share one (appell, nu)
+@functools.lru_cache(maxsize=1)
+def _radial_factors(appell: AppellParams, nu: float):
+    """The limit coefficient and ``batch(ps, live)``, F(p) at the ``live``
+    p of a node array ``ps``, of ``_radial`` at (appell, nu), for the
+    last (appell, nu).  ``batch`` keeps F per node array, keyed by its
+    identity as the extended-Beta family keys its samples of g, and holds
+    the array, so no other array can take its identity; the exp-sinh
+    node arrays are cached, so each transform at (appell, nu) after the
+    first integrates no batch it has already seen.
+    """
+    a = appell
+    b0 = euler_integral_beta(a.b1, a.c1)
+    limit_coefficient = _limit_coefficient(appell, nu)
+    kept: dict[int, tuple] = {}
+
+    def batch(ps: np.ndarray, live: np.ndarray) -> np.ndarray:
+        entry = kept.get(id(ps))
+        if entry is None:
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ps[live], nu, 1e-9)
+            entry = kept[id(ps)] = ps, fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0)
+        return entry[1]
+
+    return limit_coefficient, batch
 
 
 def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:

@@ -15,9 +15,10 @@ Gamma uses a single Lanczos-class rational approximation (15 coefficients)
 for Re(z) >= 1/2 and the reflection formula below that, so real and complex
 arguments share one code path.  Near Gamma's own overflow (z ~ 171) the
 power is taken in two halves, so both paths give Gamma up to 1.7e308;
-where an intermediate still overflows (the power, or sin(pi z) of the
-reflection), both raise one ``OverflowError`` that names gamma and z;
-log-Gamma takes log sin(pi z) in a form that does not overflow.  Beta
+where an intermediate still overflows (the power, or Gamma(1-z) of the
+reflection), both raise one ``OverflowError`` that names gamma and z.
+Log-Gamma takes log sin(pi z) in a form that does not overflow, and
+Gamma takes its reflection through log-Gamma where sin(pi z) does.  Beta
 takes a log-ratio form where a Gamma of its product overflows, or
 Gamma(a) Gamma(b) underflows, but the Beta does not, and Stirling's
 series where one argument is too large for that form.
@@ -94,8 +95,11 @@ def gamma(z):
     2.5e-15 (|Im z| + 25) for -20 <= Re z <= 60 and |Im z| <= 300, so
     6e-14 near the real axis and 1.0e-13 at Gamma(1.25 + 150i), and
     below 2.5e-15 (|Im z| + 100) for Re z up to Gamma's overflow at 171.
-    At Re z < 1/2 past |Im z| = 225.9, sin(pi z) overflows and the
-    reflection raises ``OverflowError``.
+    At Re z < 1/2 past |Im z| ~ 226, where sin(pi z) overflows, the
+    reflection is taken in logs, as exp(``log_gamma(z)``), within the
+    same bound, and raises ``OverflowError`` where Gamma is below the
+    normal range, as at -100+300i; an array takes the scalar path at
+    those entries.
 
     Raises
     ------
@@ -110,15 +114,23 @@ def gamma(z):
         out, overflow = _gamma_array(z)
         overflow &= np.isfinite(z)
         if overflow.any():
-            raise _gamma_overflow(z[overflow][0])
+            # the scalar path answers past sin(pi z)'s overflow, or raises
+            out[overflow] = [gamma(v) for v in z[overflow]]
         return out
     z = complex(z)
     if is_nonpositive_integer(z):
         raise PoleError("gamma pole at non-positive integer", z)
     try:
         if z.real < 0.5:
+            try:
+                sine = _sin_pi(z)
+            except OverflowError:  # past |Im z| ~ 226: the reflection in logs
+                out = cmath.exp(log_gamma(z))
+                if abs(out) < _NORMAL_MIN:  # past the normal range, as 1/Gamma is
+                    raise
+                return out
             # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-            return math.pi / (_sin_pi(z) * gamma(1.0 - z))
+            return math.pi / (sine * gamma(1.0 - z))
         t = z + _LANCZOS_SHIFT
         power = (z + 0.5) * cmath.log(t) - t
         try:

@@ -9,13 +9,14 @@ working domain
 and emits one ``VerificationRecord`` per check; no other module judges
 one.  Each suite is a per-trial generator ``_name(i, rng, tol)`` that
 draws trial ``i``'s points and yields its checks as
-``(case_id, params, check)``.  ``run_suite`` runs each check as it is
-yielded, before the next draw, and files every record under the suite's
-name.  A side that raises ``DegenerateIdentity`` makes a skipped record
-with its message as the reason; any other exception becomes a failing
-record that names the check, so no failure aborts a run.  Trials
-execute sequentially in index order, so a (suite, trials, seed, tol)
-tuple fully determines the output.
+``(case_id, params, check)``, and each check builds its record under
+its suite's name.  ``run_suite`` runs each check as it is yielded,
+before the next draw, and keeps its record as built.  A side that
+raises ``DegenerateIdentity`` makes a skipped record with its message as
+the reason; any other exception becomes a failing record that names the
+check, so no failure aborts a run.  Trials execute sequentially in
+index order, so a (suite, trials, seed, tol) tuple fully determines the
+output.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .f1pv import (
     f1pv_series,
     f1pv_transform,
 )
-from .hyper import AppellParams, block_double_sum, euler_integral_beta
+from .hyper import AppellParams, chaudhry_f1_integral, euler_integral_beta
 from .meijer import K_G_IDENTITIES, verify_k_g_identity, verify_theorem1
 from .mellin import mellin_forward_closed, mellin_forward_numeric, mellin_inverse_numeric
 from .report import VerificationRecord, make_record
@@ -87,7 +88,7 @@ def _moved(inp: ExtendedAppellInput, **changes) -> ExtendedAppellInput:
 
 def _guarded(suite: str, case_id: str, params: dict, check) -> VerificationRecord:
     try:
-        return dataclasses.replace(check(), suite=suite)
+        return check()
     except Exception as exc:  # a failing check must not abort the run
         return VerificationRecord(
             suite, case_id, dict(params), 0j, 0j, float("inf"), float("inf"), 0.0,
@@ -260,20 +261,14 @@ def _reduction(i, rng, tol):
     nu0 = ExtensionParams(p, 0.0)
     nu0_tol, origin_tol = tol or REDUCTION_NU0_TOL, tol or REDUCTION_ORIGIN_TOL
 
-    def chaudhry_series():
-        b0 = euler_integral_beta(a.b1, a.c1)
-        return block_double_sum(
-            lambda k: chaudhry_beta(a.b1 + k, b, p) / b0, a.b2, a.b3, a.x, a.y, 1e-12
-        )
-
     yield _compare(
         "reduction", f"trial{i}-beta-nu0", params, lambda: extended_beta(a.b1, b, nu0),
         lambda: chaudhry_beta(a.b1, b, p), nu0_tol, "extended Beta at nu=0 vs Chaudhry kernel",
     )
     yield _compare(
         "reduction", f"trial{i}-f-nu0", params,
-        lambda: f1pv_series(ExtendedAppellInput(a, nu0)), chaudhry_series,
-        nu0_tol, "F at nu=0 vs Chaudhry-kernel series",
+        lambda: f1pv_series(ExtendedAppellInput(a, nu0)), lambda: chaudhry_f1_integral(a, p),
+        nu0_tol, "F at nu=0 vs Chaudhry-kernel Euler integral",
     )
     yield _compare(
         "reduction", f"trial{i}-origin", params, lambda: f1pv_series(_moved(inp, x=0.0, y=0.0)),

@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from extappell import meijer
+from extappell import hyper, meijer, mellin
 
 # ``extappell.f1pv`` is the function; the module is reached by its full name
 f1pv_module = importlib.import_module("extappell.f1pv")
@@ -15,3 +15,5 @@ def fresh_input_caches():
     monkeypatched layer."""
     f1pv_module._series_diagonal.cache_clear()
     meijer._g_form_integral.cache_clear()
+    hyper.euler_beta.cache_clear()
+    mellin._radial_factors.cache_clear()

@@ -1,17 +1,20 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from extappell import hyper
 from extappell.errors import ConvergenceError, DomainError, PoleError
+from extappell.extbeta import chaudhry_beta
 from extappell.hyper import (
     MAX_TERMS,
     AppellParams,
     appell_f1_integral,
     appell_f1_series,
     block_double_sum,
+    chaudhry_f1_integral,
     check_euler_domain,
     euler_beta,
     euler_integral_beta,
@@ -194,6 +197,52 @@ def test_appell_domain_errors():
         appell_f1_integral(AppellParams(1.0, 1.0, 1.0, 2.0, 1.5, 0.1))  # x on cut
     with pytest.raises(PoleError):
         AppellParams(1.0, 1.0, 1.0, -2.0, 0.1, 0.1)
+
+
+def test_chaudhry_f1_integral_matches_the_per_diagonal_series():
+    # the reduction suite's old Chaudhry side, a diagonal sum of one
+    # Chaudhry Beta quadrature per diagonal, kept here as an oracle
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        b1 = rng.uniform(0.5, 3.0)
+        c1 = b1 + rng.uniform(0.5, 3.0)
+        b2, b3 = rng.uniform(-2.0, 2.0, 2)
+        x, y = rng.uniform(-0.8, 0.8, 2)
+        p = rng.uniform(0.25, 4.0)
+        b0 = beta(b1, c1 - b1)
+        series = block_double_sum(
+            lambda k: chaudhry_beta(b1 + k, c1 - b1, p) / b0, b2, b3, x, y, 1e-12)
+        value = chaudhry_f1_integral(AppellParams(b1, b2, b3, c1, x, y), p)
+        assert abs(value - series) <= 1e-12 * (1.0 + abs(series))
+
+
+def test_chaudhry_f1_integral_against_mpmath():
+    args = (1.2, 0.5, -0.7, 3.1, 0.4, -0.3)  # the ROADMAP baseline point
+    with mpmath.workdps(30):
+        b1, b2, b3, c1, x, y, p = map(mpmath.mpf, args + (1.5,))
+
+        def f(t):
+            return (t ** (b1 - 1) * (1 - t) ** (c1 - b1 - 1) * (1 - x * t) ** -b2
+                    * (1 - y * t) ** -b3 * mpmath.exp(-p / (t * (1 - t))))
+
+        ref = float(mpmath.quad(f, [0, 0.5, 1]) / mpmath.beta(b1, c1 - b1))
+    value = chaudhry_f1_integral(AppellParams(*args), 1.5)
+    assert value.imag == 0.0 and abs(value.real - ref) <= 2e-15 * ref
+
+
+def test_chaudhry_f1_integral_refusals():
+    with pytest.raises(DomainError, match="Re\\(p\\) > 0"):
+        chaudhry_f1_integral(AppellParams(1.0, 1.0, 1.0, 2.0, 0.1, 0.1), -0.5)
+    with pytest.raises(DomainError, match="Euler integral"):
+        chaudhry_f1_integral(AppellParams(3.0, 1.0, 1.0, 2.0, 0.1, 0.1), 1.0)  # c1 < b1
+
+
+def test_euler_beta_is_taken_once_per_b1_c1(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hyper, "beta", lambda a, b: calls.append((a, b)) or beta(a, b))
+    first = euler_beta(1.3, 2.9)
+    assert euler_beta(1.3, 2.9) == first and euler_integral_beta(1.3, 2.9) == first
+    assert calls == [(1.3, 2.9 - 1.3)]
 
 
 @pytest.mark.parametrize("name, bad", [("x", math.nan), ("b2", math.inf), ("c1", math.inf),

@@ -583,3 +583,59 @@ def test_errstate_scan():
 
 def test_no_errstate_in_the_bessel_kernel():
     assert _errstates((SRC / "bessel.py").read_text(encoding="utf-8")) == []
+
+
+# caches keyed on no input of the package's functions: node tables, their
+# blocks and weights, and per-order Bessel data
+_NODE_AND_ORDER_CACHES = {"_unit_level", "_semi_level", "_line_level", "_block",
+                          "_block_moment_weights", "_order_of", "_hankel_coefficients",
+                          "_temme_rows"}
+
+
+def _is_cache(node) -> bool:
+    """Whether ``node`` is ``cache`` or ``lru_cache``, bare or called, as
+    ``lru_cache(maxsize=8)`` and ``lru_cache(maxsize=8)(f)`` are."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return _name_of(node) in ("cache", "lru_cache")
+
+
+def _module_caches(source: str) -> list[str]:
+    """The module-level functions wrapped in ``functools.cache`` or
+    ``lru_cache``, by decorator or by assignment.  A cache made inside a
+    function, as a suite trial's, lives as long as that call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign) and _is_cache(node.value):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def _cleared_caches(source: str, fixture: str) -> set[str]:
+    """Names ``f`` of the ``….f.cache_clear()`` calls in function ``fixture``."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == fixture)
+    return {_name_of(node.func.value) for node in ast.walk(body)
+            if isinstance(node, ast.Call) and _name_of(node.func) == "cache_clear"}
+
+
+def test_cache_scan():
+    source = ("@functools.cache\ndef _a(n):\n    pass\n@functools.lru_cache(maxsize=8)\n"
+              "def b(x):\n    pass\n@lru_cache\ndef c(x):\n    pass\n"
+              "@staticmethod\ndef d(x):\n    v = functools.cache(lambda: x)\n"
+              "e = functools.lru_cache(maxsize=2)(d)\n")
+    assert _module_caches(source) == ["_a", "b", "c", "e"]
+    fixture = "def fresh():\n    mod._a.cache_clear()\n    b.cache_clear()\n    c.clear()\n"
+    assert _cleared_caches(fixture, "fresh") == {"_a", "b"}
+
+
+def test_every_input_cache_is_cleared_between_tests():
+    # a cache keyed on inputs could hand a test a value an earlier test
+    # computed; conftest's fixture clears every one that is not a table
+    caches = {name for path in sorted(SRC.glob("*.py"))
+              for name in _module_caches(path.read_text(encoding="utf-8"))}
+    conftest = (pathlib.Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")
+    cleared = _cleared_caches(conftest, "fresh_input_caches")
+    assert caches - _NODE_AND_ORDER_CACHES == cleared

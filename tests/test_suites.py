@@ -137,3 +137,65 @@ def test_tol_override_rejudges_every_compare_record(suite):
         else:
             assert rec.tol == TOL
             assert (rec.status == "pass") == (rec.rel_err <= TOL)
+
+
+def test_a_bessel_kernel_defect_moves_only_the_series_side_of_f_nu0(monkeypatch):
+    """The nu = 0 check compares the series route, on the Bessel kernel
+    K_{1/2}, with the Euler integral on Chaudhry's kernel, so a kernel
+    planted off by 1 + 1e-7 moves its left side alone.  Records judge
+    abs_err / (1 + max |side|), so a record fails once |F| passes about
+    0.01; below that a 1e-7 shift stays under the tolerance."""
+    healthy = [r for r in run_suite("reduction", 20, 1) if r.case_id.endswith("-f-nu0")]
+    kernel = importlib.import_module("extappell.extbeta").ExtendedBetaKernel
+    scaled = kernel.scaled_values
+    monkeypatch.setattr(kernel, "scaled_values", lambda self, w: scaled(self, w) * (1 + 1e-7))
+    f1pv_module._series_diagonal.cache_clear()
+    planted = [r for r in run_suite("reduction", 20, 1) if r.case_id.endswith("-f-nu0")]
+    assert len(planted) == 20 and {r.status for r in healthy} == {"pass"}
+    for before, rec in zip(healthy, planted):
+        assert rec.rhs == before.rhs
+        assert abs(rec.lhs / before.lhs - (1 + 1e-7)) <= 1e-9
+        if abs(rec.lhs) >= 0.02:
+            assert rec.status == "fail"
+    assert any(rec.status == "fail" for rec in planted)
+
+
+def test_a_meijer_trial_takes_the_normaliser_once(monkeypatch):
+    scalar = importlib.import_module("extappell.scalar")
+    original, taken = scalar.beta, []
+
+    def counted(a, b):
+        taken.append((complex(a), complex(b)))
+        return original(a, b)
+
+    for name in ("hyper", "f1pv", "meijer", "mellin", "suites"):
+        module = importlib.import_module(f"extappell.{name}")
+        if getattr(module, "beta", None) is original:
+            monkeypatch.setattr(module, "beta", counted)
+    records = run_suite("meijer", 2, 3)
+    points = {(r.params["b1"], r.params["c1"]) for r in records if "b1" in r.params}
+    assert len(points) == 2
+    for b1, c1 in points:
+        assert taken.count((complex(b1), complex(c1 - b1))) == 1
+
+
+def test_a_mellin_trial_builds_one_forward_batch_family(monkeypatch):
+    """The three forward transforms of a trial share one point, and F(p)
+    does not depend on s: they take one batch family between them, and
+    their values are those of three fresh transforms."""
+    mellin = importlib.import_module("extappell.mellin")
+    original, built = mellin.ExtendedBetaFamily, []
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mellin, "ExtendedBetaFamily", counted)
+    records = run_suite("mellin", 2, 1)
+    assert len(built) == 2
+    rng = suites._rng("mellin", 1)  # a mellin trial draws one point
+    for i, inp in enumerate([suites.sample_input(rng) for _ in range(2)]):
+        for rec in [r for r in records if r.case_id.startswith(f"trial{i}-s=")]:
+            mellin._radial_factors.cache_clear()
+            fresh = mellin.mellin_forward_numeric(inp.appell, inp.ext.nu, rec.params["s_re"])
+            assert rec.lhs == fresh
