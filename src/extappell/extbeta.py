@@ -27,8 +27,7 @@ Chaudhry kernel's and ``hyper``'s F1 Euler integral's too, comes from
 ``euler_integrand``: one fused log-domain exponent, with the exponential
 part of K folded in (the scaled Bessel variant), and exactly zero once
 that exponent drops below -``quadrature.ENDPOINT_CUTOFF``; the kernel is
-evaluated only at the other nodes, once per pair of tanh-sinh twin nodes
-(which share t(1-t)), and keeps no values between calls.
+evaluated only at the other nodes, and keeps no values between calls.
 
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
@@ -55,7 +54,7 @@ import numpy as np
 
 from .bessel import bessel_k_scaled_many, check_extension_order
 from .errors import DomainError
-from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval, unit_twins
+from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
 # moments integrated by a family's first quadrature; each later one doubles them
 _FIRST_ROWS = 32
@@ -122,15 +121,6 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
     Nodes whose exponent is at or below -``ENDPOINT_CUTOFF`` are exactly
     zero, and the kernel is evaluated only at the others (a NaN exponent
     is live, so the quadrature refuses it).  Both powers must be finite.
-
-    The kernel is evaluated once per live pair of twin nodes.  On a
-    cached tanh-sinh node array (``quadrature.unit_twins``) twin nodes
-    have the same t(1-t), so the same w to the bit: the kernel takes that
-    w once for each pair with a live node, whether one node of the pair
-    is live or both, and the live nodes of the pair share the value.  A
-    kernel value depends only on its own w and the set of distinct w in
-    the call, which this leaves alone, so the values are the same bits
-    as with every live node evaluated.
     """
     for name, power in (("t", xt), ("1-t", yt)):
         if not cmath.isfinite(power):
@@ -150,33 +140,11 @@ def euler_integrand(xt, yt, kernel: ExtendedBetaKernel | None = None, extra=None
             return out
         v = np.exp(expo[live])
         if kernel is not None:
-            v = v * _kernel_per_pair(kernel, w, live, unit_twins(t))
+            v = v * kernel.scaled_values(w[live])
         out[live] = v
         return out
 
     return integrand
-
-
-def _kernel_per_pair(kernel: ExtendedBetaKernel, w: np.ndarray, live: np.ndarray, twins):
-    """The kernel at the ``live`` nodes, ordered as ``w[live]`` orders
-    them.  With the nodes' ``twins`` known it is evaluated once per pair
-    with a live node, at the pair's leading node, whose w is the same
-    bits, and every live node takes its pair's value."""
-    own = live
-    if twins is not None:
-        own = twins.leads & (live | _columns(live, twins.index))
-    values = kernel.scaled_values(w[own])
-    if twins is None:
-        return values
-    every = np.empty(w.shape, dtype=values.dtype)
-    every[own] = values
-    return _columns(every, twins.lead_of)[live]
-
-
-def _columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[..., index]`` for a 1-D or 2-D ``a``, without the Ellipsis,
-    which costs a 1-D gather three times its time."""
-    return a[index] if a.ndim == 1 else a[:, index]
 
 
 def appell_powers(b2, b3, x, y):

@@ -119,7 +119,9 @@ def _shifted_appell_factor(appell: AppellParams, s):
 
 
 _P_LIMIT_FORM = 1e-12
-# beyond ~4 Re(p) * cutoff the kernel wipes out the whole interval
+# every node is dead once 4p, the least w = p/(t(1-t)), passes
+# ENDPOINT_CUTOFF (p ~ 186); the 0.26 * cutoff + 30 ~ 224 adds a margin
+# for the t powers
 _P_DEAD = 0.26 * ENDPOINT_CUTOFF + 30.0
 # the contour quadrature's tolerance unless a caller passes its own
 INVERSE_TOL = 1e-7

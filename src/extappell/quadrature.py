@@ -44,12 +44,6 @@ still runs at every level from the first test level,
 calls a quadrature makes, never the level it stops at.  Engines are
 stateless apart from those immutable tables and blocks and the blocks'
 power weights.
-
-Tanh-sinh nodes come in mirror pairs, tau and -tau, with t(-tau) equal
-to 1 - t(tau) bit for bit.  Every cached tanh-sinh node array, a level's
-and a block's, has its ``Twins`` recorded (``unit_twins``): a function of
-t(1 - t) alone, such as the extended-Beta kernel, is then the same bits
-at both nodes of a pair and need be evaluated at one of them only.
 """
 
 from __future__ import annotations
@@ -120,65 +114,32 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-@dataclass(frozen=True)
-class Twins:
-    """The mirror pairs of a tanh-sinh node array t.
-
-    Node i and node ``index[i]`` sit at tau and -tau, so t[index] equals
-    1 - t bit for bit; the node at tau = 0 is its own twin.  ``leads``
-    marks the node of lower index in each pair, and ``lead_of[i]`` is the
-    leading node of node i's pair, so that values taken at the leading
-    nodes spread to every node as ``values[..., lead_of]``.
-    """
-
-    index: np.ndarray
-    leads: np.ndarray
-    lead_of: np.ndarray
-
-    @classmethod
-    def from_index(cls, index: np.ndarray) -> "Twins":
-        nodes = np.arange(index.size)
-        return cls(*_read_only(index, nodes <= index, np.minimum(nodes, index)))
-
-
-# (t, its Twins) for every cached tanh-sinh node array t, keyed by id(t);
-# an entry keeps its t alive, so no other array can take that id.  Written
-# once per array, when the level or block is built
-_TWINS: dict[int, tuple[np.ndarray, Twins]] = {}
-
-
-def unit_twins(t: np.ndarray) -> Twins | None:
-    """The ``Twins`` of a cached tanh-sinh node array ``t``, a level's or
-    a block's, or None for any other array."""
-    entry = _TWINS.get(id(t))
-    return None if entry is None else entry[1]
+def _abscissae(level: int, lo: float, hi: float) -> np.ndarray:
+    """The abscissae new at ``level`` of a level-doubling rule on [lo, hi]:
+    the integers at level 0, the odd multiples of 2**-level at a later level."""
+    h = 2.0 ** (-level)
+    ks = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    if level > 0:
+        ks = ks[ks % 2 != 0]
+    return ks * h
 
 
 @functools.cache
 def _unit_level(level: int):
     """(t, 1-t, weight) for the nodes new at `level` of the tanh-sinh rule.
 
-    t(tau) = sigmoid(pi * sinh(tau)); dt/dtau = pi * cosh(tau) * t * (1-t).
-    Level 0 holds the integer abscissae, level L > 0 the odd multiples of
-    2**-L, all within |tau| <= _TAU_MAX_UNIT.  The abscissae run from
-    -tau_max to tau_max, and t is built from |tau| and the sign of tau,
-    so node i's twin is node n-1-i (see ``Twins``).
+    t(tau) = sigmoid(pi * sinh(tau)); dt/dtau = pi * cosh(tau) * t * (1-t),
+    for tau within |tau| <= _TAU_MAX_UNIT.  t and 1-t are both formed from
+    |tau| and the sign of tau, so each keeps its relative accuracy next
+    to its own endpoint.
     """
-    h = 2.0 ** (-level)
-    if level == 0:
-        ks = np.arange(-int(_TAU_MAX_UNIT), int(_TAU_MAX_UNIT) + 1)
-        tau = ks * 1.0
-    else:
-        kmax = int(math.floor(_TAU_MAX_UNIT / h))
-        ks = np.arange(-kmax, kmax + 1)
-        tau = ks[ks % 2 != 0] * h
+    tau = _abscissae(level, -_TAU_MAX_UNIT, _TAU_MAX_UNIT)
     eu = np.exp(-math.pi * np.sinh(np.abs(tau)))
     near = eu / (1.0 + eu)
     far = 1.0 / (1.0 + eu)
     t = np.where(tau >= 0, far, near)
     tc = np.where(tau >= 0, near, far)
     w = math.pi * np.cosh(tau) * t * tc
-    _TWINS[id(t)] = t, Twins.from_index(np.arange(t.size)[::-1].copy())
     return _read_only(t, tc, w)
 
 
@@ -189,13 +150,7 @@ def _semi_level(level: int):
     u(v) = exp(sinh(v)); du/dv = u * cosh(v).  Handles algebraic behavior
     at 0 and (super)exponential decay at infinity.
     """
-    h = 2.0 ** (-level)
-    if level == 0:
-        ks = np.arange(int(_V_MIN_SEMI), int(_V_MAX_SEMI) + 1)
-        v = ks * 1.0
-    else:
-        ks = np.arange(math.ceil(_V_MIN_SEMI / h), math.floor(_V_MAX_SEMI / h) + 1)
-        v = ks[ks % 2 != 0] * h
+    v = _abscissae(level, _V_MIN_SEMI, _V_MAX_SEMI)
     u = np.exp(np.sinh(v))
     return _read_only(u, u * np.cosh(v))
 
@@ -208,14 +163,10 @@ def _line_level(level: int):
     level L > 0 the odd multiples of 2**-L / 4.  The weights carry the
     1/4 of the step, so level L's sum times 2**-L is the trapezoid sum.
     """
+    u = _abscissae(level, -4.0, 4.0) / 4.0
+    w = np.full(u.size, 0.25)
     if level == 0:
-        u = np.arange(-4, 5) / 4.0
-        w = np.full(u.size, 0.25)
         w[[0, -1]] = 0.125
-    else:
-        n = 4 * 2**level
-        u = np.arange(1 - n, n, 2) / n
-        w = np.full(u.size, 0.25)
     return _read_only(u, w)
 
 
@@ -253,16 +204,11 @@ def _block(table, last: int):
     ``offsets[L]:offsets[L + 1]``.  Blocks are cached by (table, last)
     and read-only, like the level tables, so a node array's identity
     names its nodes: the extended-Beta family keys its integrand samples
-    on it.  A block of tanh-sinh levels records its ``Twins`` too, each
-    level's twin index shifted to the level's offset.
+    on it.
     """
     levels = [table(lvl) for lvl in range(last + 1)]
     arrays = _read_only(*(np.concatenate(cols) for cols in zip(*levels)))
     offsets = np.cumsum([0] + [lvl[-1].size for lvl in levels]).tolist()
-    twins = [unit_twins(lvl[0]) for lvl in levels]
-    if all(tw is not None for tw in twins):
-        _TWINS[id(arrays[0])] = arrays[0], Twins.from_index(
-            np.concatenate([tw.index + start for tw, start in zip(twins, offsets)]))
     return arrays, offsets
 
 
@@ -380,8 +326,8 @@ def integrate_unit_interval(
     ----------
     f : callable(t, tc) -> array
         Vectorized integrand; ``tc`` is the exactly-computed ``1 - t``.
-        Every ``t`` it receives is a cached node array with its ``Twins``
-        recorded (``unit_twins(t)``): t[twins.index] == tc bit for bit.
+        Every ``t`` and ``tc`` it receives is a cached, read-only node
+        array, so a node array's identity names its nodes.
     tol : float
         Levels are doubled until the successive-level difference drops
         below ``tol * (1 + |value|)``.

@@ -21,7 +21,6 @@ from extappell.quadrature import (
     integrate_semi_infinite,
     integrate_unit_interval,
     integrate_vertical_line,
-    unit_twins,
 )
 
 # B(2,2;1) = int_0^1 t (1-t) exp(-1/(t(1-t))) dt by a 1e6-panel midpoint rule
@@ -429,41 +428,19 @@ def test_edge_mass_of_one_moment_downgrades_the_result():
     assert abs(res.value[1] - 1.0 / 1.001) <= 1e-12 and abs(res.value[2] - 1.0 / 2.001) <= 1e-12
 
 
-def _assert_twins(t, tc):
-    """t[m] == tc bit for bit for the recorded twin index m, which pairs
-    each node with one other (or with itself, at tau = 0)."""
-    twins = unit_twins(t)
-    nodes = np.arange(t.size)
-    m = twins.index
-    assert t[m].tobytes() == tc.tobytes()
-    assert np.array_equal(m[m], nodes)
-    assert np.array_equal(twins.leads, nodes <= m)
-    assert np.array_equal(twins.lead_of, np.minimum(nodes, m))
-    assert np.count_nonzero(m == nodes) <= 1
-
-
-@pytest.mark.parametrize("level", range(_MAX_LEVELS + 1))
-def test_every_unit_level_records_its_twins(level):
-    t, tc, _ = _unit_level(level)
-    _assert_twins(t, tc)
-
-
-@pytest.mark.parametrize("last", sorted({_first_call_level(tol) for tol in (2e-7, 1e-9, 1e-10)}))
-def test_every_first_call_block_records_its_twins(last):
-    (t, tc, _), _ = _block(_unit_level, last)
-    _assert_twins(t, tc)
-
-
-def test_the_unit_engine_hands_its_integrand_twinned_nodes_only():
+def test_the_unit_engine_hands_its_integrand_cached_read_only_node_arrays_only():
     # t^-0.99 runs past the first-call block through every level; every
-    # call's t is a cached array with its twins, and a copy of it has none
+    # call's t and tc are the cached arrays of the block or of a level, so
+    # an extended-Beta family may key its samples of g on id(t)
     seen = []
 
     def f(t, tc):
-        seen.append(t)
-        _assert_twins(t, tc)
+        seen.append((t, tc))
         return t**-0.99
 
     integrate_unit_interval(f, 1e-12)
-    assert [t.size for t in seen[1:]] == [_unit_level(lvl)[0].size for lvl in range(6, 13)]
-    assert unit_twins(seen[0].copy()) is None
+    (t, tc, _), _ = _block(_unit_level, _first_call_level(1e-12))
+    cached = [(t, tc)] + [_unit_level(lvl)[:2] for lvl in range(6, _MAX_LEVELS + 1)]
+    assert len(seen) == len(cached)
+    assert all(a is b for pair, table in zip(seen, cached) for a, b in zip(pair, table))
+    assert not any(a.flags.writeable for pair in seen for a in pair)

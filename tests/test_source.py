@@ -244,8 +244,8 @@ def test_one_live_mask_in_the_package():
 
 def _kernel_calls(source: str) -> list[str]:
     """Lines that call ``….scaled_values(…)``: the Bessel kernel, which
-    ``extbeta.euler_integrand`` alone evaluates, once per live pair of
-    twin nodes."""
+    ``extbeta.euler_integrand`` alone evaluates, once per call at every
+    live node."""
     return [f"{node.lineno}: .scaled_values(" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "scaled_values"]
@@ -262,6 +262,38 @@ def test_one_kernel_call_in_the_package():
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in _kernel_calls(path.read_text(encoding="utf-8"))]
     assert [entry.partition(":")[0] for entry in found] == ["extbeta.py"], found
+
+
+def _identity_calls(source: str) -> list[str]:
+    """Calls ``id(…)``, each as "line: owner": the module-level function or
+    ``Class.method`` it sits in, nested functions included, or
+    ``<module>``.  A value keyed on an array's identity is sound only where
+    that array is cached or held with the value."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            owner = "<module>"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name if node is top else f"{top.name}.{node.name}"
+            found += [f"{call.lineno}: {owner}" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id == "id"]
+    return found
+
+
+def test_identity_call_scan():
+    source = ("key = id(x)\nclass A:\n    def f(self, t):\n        def g(u):\n"
+              "            return id(u)\n        return g\n"
+              "def h(t):\n    return ids(t), t.id(1), id, [id(v) for v in t]\n")
+    assert _identity_calls(source) == ["1: <module>", "5: A.f", "8: h"]
+
+
+def test_identity_keys_only_in_the_two_sample_stores():
+    # the family's samples of g and the Mellin forward's F(p) per node
+    # array; no module-level registry keyed by id() comes back
+    found = {f"{path.stem}.{line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
+             for line in _identity_calls(path.read_text(encoding="utf-8"))}
+    assert found == {"extbeta.ExtendedBetaFamily._integrate", "mellin._radial_factors"}
 
 
 def _name_of(node) -> str | None:
