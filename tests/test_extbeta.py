@@ -324,19 +324,57 @@ TWIN_CASES = [
 
 
 @pytest.mark.parametrize("p, nu, xt, yt", TWIN_CASES)
-def test_one_kernel_call_takes_every_live_argument(monkeypatch, p, nu, xt, yt):
-    # mirror nodes share w = p/(t(1-t)) to the bit, and each is taken:
-    # live nodes with a dead mirror as well as live pairs
+def test_the_kernel_takes_each_distinct_live_argument_once(monkeypatch, p, nu, xt, yt):
+    # one call takes every live w: mirror nodes share w = p/(t(1-t)) to
+    # the bit, and each live node of a pair hands its own copy
     kernel = extbeta.ExtendedBetaKernel(p, nu)
     (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
     w, live = _live_arguments(kernel, xt, yt, t, tc)
-    _, mirror_live = _live_arguments(kernel, xt, yt, tc, t)
-    if np.ndim(p) == 0 and p == 1e-3:
-        assert np.count_nonzero(live & ~mirror_live) >= 4
     args = _recording_kernel(monkeypatch)
     values = extbeta.euler_integrand(xt, yt, kernel)(t, tc)
     assert len(args) == 1 and args[0].tobytes() == w[live].tobytes()
+    assert np.array_equal(np.unique(args[0]), np.unique(w[live]))
     assert np.array_equal(values == 0.0, ~live)
+
+
+def _per_pair(monkeypatch):
+    """Make the kernel evaluate each distinct argument of a call once and
+    spread the values, as one evaluation per mirror pair would."""
+    real = extbeta.bessel_k_scaled_many
+
+    def once(nu, z):
+        u, inverse = np.unique(z, return_inverse=True)
+        return real(nu, u)[inverse]
+
+    monkeypatch.setattr(extbeta, "bessel_k_scaled_many", once)
+
+
+@pytest.mark.parametrize("p, nu, xt, yt", TWIN_CASES)
+def test_one_evaluation_per_pair_is_the_same_bits_as_one_per_live_node(monkeypatch, p, nu, xt, yt):
+    # a Bessel entry is the same bits whatever else its call holds, so
+    # taking a mirror pair's shared w once changes no value
+    g = extbeta.euler_integrand(xt, yt, extbeta.ExtendedBetaKernel(p, nu))
+    (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
+    every = g(t, tc)
+    _per_pair(monkeypatch)
+    assert g(t, tc).tobytes() == every.tobytes()
+
+
+@pytest.mark.parametrize("xt, yt", [(-1.4, 60.0), (60.0, -1.4)])
+def test_a_live_node_with_a_dead_twin_is_evaluated(xt, yt):
+    # the p = 1e-3 cases above hold such nodes: below t = 1/2 for
+    # (-1.4, 60) and above it for (60, -1.4); each is the same bits as
+    # when evaluated alone
+    kernel = extbeta.ExtendedBetaKernel(1e-3, 0.7)
+    (t, tc, _), _ = quadrature._block(quadrature._unit_level, 5)
+    _, live = _live_arguments(kernel, xt, yt, t, tc)
+    _, mirror_live = _live_arguments(kernel, xt, yt, tc, t)
+    lone = live & ~mirror_live
+    assert np.count_nonzero(lone) >= 4
+    assert np.all((t[lone] < 0.5) == (xt < 0.0))
+    g = extbeta.euler_integrand(xt, yt, kernel)
+    values, alone = g(t, tc)[lone], g(t[lone], tc[lone])
+    assert np.all(values != 0.0) and values.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("call", [
