@@ -171,11 +171,9 @@ class BesselOrder:
         return cls(nu, flag)
 
 
-@functools.lru_cache(maxsize=64)
 def _order_of(nu) -> BesselOrder:
     """``BesselOrder.from_nu`` of |nu| for a real, finite order ``nu``, the
-    one home of that rule, kept for the orders of the last calls: a
-    quadrature evaluates its kernel at one order in call after call."""
+    one home of that rule."""
     order = complex(nu)
     if not (order.imag == 0.0 and math.isfinite(order.real)):
         raise DomainError(f"K_nu needs a real, finite order, got nu = {nu}")
@@ -208,11 +206,9 @@ def _hankel_scaled(nu: float, z_h: float, z: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * np.pi / z) * _horner(_hankel_coefficients(nu, z_h), z_h / z)
 
 
-@functools.lru_cache(maxsize=64)
 def _hankel_coefficients(nu: float, z_h: float) -> tuple:
     """The coefficients t_k = a_k(nu) z_h^-k of ``_hankel_scaled``, up to
-    the last one not below 1e-17 in modulus; kept per (nu, z_h) for the
-    orders of the last calls."""
+    the last one not below 1e-17 in modulus."""
     mu = 4.0 * nu * nu
     coeffs = []
     t, k = 1.0, 0
@@ -297,12 +293,11 @@ def _temme_scaled(mu: float, z: np.ndarray, upper: bool) -> tuple:
     return low, scale * (p1 * sums[3] + 0.5 * z * (f0 * sums[4] + q0 * sums[5]))
 
 
-@functools.lru_cache(maxsize=64)
 def _temme_rows(mu: float) -> tuple:
-    """``_temme_scaled``'s polynomials and factors at order mu, kept for the
-    orders of the last calls.  With f_k = A_k f_0 + B_k p_0 + C_k q_0 and
-    p_k = P_k p_0, row k holds A_k, B_k, C_k (K_mu's f_0, p_0, q_0 parts)
-    and P_k - k B_k, -A_{k+1} k, -C_{k+1} k (K_{mu+1}'s (2/z) p_0, (z/2) f_0
+    """``_temme_scaled``'s polynomials and factors at order mu.  With
+    f_k = A_k f_0 + B_k p_0 + C_k q_0 and p_k = P_k p_0, row k holds
+    A_k, B_k, C_k (K_mu's f_0, p_0, q_0 parts) and P_k - k B_k,
+    -A_{k+1} k, -C_{k+1} k (K_{mu+1}'s (2/z) p_0, (z/2) f_0
     and (z/2) q_0 parts), over k!.  Temme's Gamma_1 = (1/Gamma(1-mu) -
     1/Gamma(1+mu))/(2 mu) and Gamma_2 = (1/Gamma(1-mu) + 1/Gamma(1+mu))/2 are
     minus the odd part over mu and the even part of ``_RGAMMA``'s series, so

@@ -32,12 +32,12 @@ evaluated only at the other nodes, and keeps no values between calls.
 ``ExtendedBetaFamily`` evaluates B_{p,nu}(a + k, b) for k = 0, 1, 2, ...
 as the moments int t^k g(t) dt of the one integrand g of B_{p,nu}(a, b):
 one quadrature with ``moments`` integrates them all from one sample of g
-per node, and the family keeps g per node array, so the kernel is
-evaluated once for all k.  The extended Appell series leans on it, since its
-double series needs one extended-Beta value per diagonal m + n = k.
-Its ``appell_sum`` sums that series in closed form, as the one
-Appell-weighted kernel integral; with a power of w it is also the
-integral of the Meijer-G forms of Theorem 1.
+per node, so the kernel is evaluated once for all k of the stack.  The
+extended Appell series leans on it, since its double series needs one
+extended-Beta value per diagonal m + n = k.  Its ``appell_sum`` sums
+that series in closed form, as the one Appell-weighted kernel integral;
+with a power of w it is also the integral of the Meijer-G forms of
+Theorem 1.
 
 The kernel and the family take p and nu as plain values: p is one
 complex, or a 1-D array of real p > 0, one kernel row per p on shared
@@ -57,7 +57,7 @@ from .errors import DomainError
 from .quadrature import DEFAULT_TOL, ENDPOINT_CUTOFF, integrate_unit_interval
 
 # moments integrated by a family's first quadrature; each later one doubles them
-_FIRST_ROWS = 32
+_FIRST_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,14 @@ class ExtendedBetaFamily:
     call with ``moments=K``: the family hands it g, one value per node,
     and the quadrature weighs g with its power weights t^k w, holding each
     moment to the test that ``extended_beta`` applies to one value.  A k
-    beyond K integrates twice as many moments; they include the old ones,
-    so the quadrature stops at no lower level.  The family keeps g at
-    every node array it has sampled, keyed by the array's identity (node
-    arrays are cached and read-only), so the larger integration evaluates
-    no kernel on the old levels.  Values once returned are kept.
+    beyond K integrates twice as many moments, sampling g again; they
+    include the old ones, so the quadrature stops at no lower level.
+    Values once returned are kept.
 
     A family grows in place and may be shared: the series route of
     F_{1,p,nu} keeps one per (a, a+b, p, nu, tol) (``f1pv``).  A reader
     that asks for k = 0, 1, 2, ... in order, as ``block_double_sum``
-    does, grows it through 32, 64, 128, ... rows whatever other readers
+    does, grows it through 64, 128, 256, ... rows whatever other readers
     asked before, so each D(k) is the same bits as from a fresh family.
     Nothing locks it: the package is single-threaded.
 
@@ -240,7 +238,6 @@ class ExtendedBetaFamily:
         self.tol = tol
         self.kernel = ExtendedBetaKernel(p, nu)
         self._vals = np.zeros(0, dtype=complex)
-        self._g: dict[int, np.ndarray] = {}
 
     def value(self, k: int) -> complex:
         if k >= self._vals.size:
@@ -250,14 +247,7 @@ class ExtendedBetaFamily:
     def _integrate(self, rows: int) -> None:
         xt, yt = _exponents(self.a, self.b, self.kernel)
         g = euler_integrand(xt, yt, self.kernel)
-
-        def samples(t, tc):
-            g_t = self._g.get(id(t))
-            if g_t is None:
-                g_t = self._g[id(t)] = g(t, tc)
-            return g_t
-
-        res = integrate_unit_interval(samples, self.tol, moments=rows)
+        res = integrate_unit_interval(g, self.tol, moments=rows)
         vals = self.kernel._root * res.converged_value("extended Beta moments")
         self._vals = np.concatenate([self._vals, vals[self._vals.size:]])
 

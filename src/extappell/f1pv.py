@@ -30,7 +30,7 @@ The diagonal values D(k) = B_{p,nu}(b1+k, c1-b1) / B(b1, c1-b1) depend on
 (``_series_diagonal``), and the family grows in place.  A shared family
 gives the bits a fresh one would: ``block_double_sum`` reads D(k) in
 order k = 0, 1, 2, ..., so a family always grows through the same row
-counts 32, 64, 128, ..., and it keeps every value it has returned, so no
+counts 64, 128, 256, ..., and it keeps every value it has returned, so no
 D(k) shows which earlier sums grew it.  Families are mutable and
 unlocked: the package is single-threaded.  The integral route builds its
 own one-shot family per call.  Both routes hand the family the one p and

@@ -11,13 +11,14 @@ summation stops once three consecutive diagonal terms stay below
 tolerance (guards against accidental zeros when parameters make
 individual terms vanish), within ``MAX_TERMS`` = 4000 diagonals.  A diagonal
 factor may carry one row per parameter set, as the Mellin contour's
-(b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops where its
-own scalar sum would, with its bits.  Rows are summed a block of
-``_FIRST_DIAGONALS`` diagonals at a time (``_row_sums``), so the stack
-reads its diagonal factor to the end of the block in which its last row
-stops; a scalar sum reads no diagonal past its stop.  The pFq series
-stops by the same rule, in the same loop ``_scalar_sum`` as a scalar
-diagonal sum.
+(b1+s)_k/(c1+2s)_k does over its nodes s; each row then stops by its
+own scalar sum's rule, in numpy's vector arithmetic, whose products
+and moduli may round an ulp apart from those of one complex.  Rows are
+summed a block of ``_FIRST_DIAGONALS`` diagonals at a time
+(``_row_sums``), so the stack reads its diagonal factor to the end of
+the block in which its last row stops; a scalar sum reads no diagonal
+past its stop.  The pFq series stops by the same rule, in the same loop
+``_scalar_sum`` as a scalar diagonal sum.
 
 Every double series in the package sums the same c_k, so one rule,
 ``check_series_domain``, is the domain of all of them.
@@ -52,11 +53,6 @@ from .scalar import beta, is_nonpositive_integer
 _FIRST_DIAGONALS = 32
 # where F1 double series and pFq stop: three consecutive terms below F1_TOL |total|
 F1_TOL = 1e-14
-# a stack of rows takes |term| <= tol |sum| by hypot, as one complex's abs
-# does, where the two sides lie within this share of each other plus the
-# floor, and by numpy's vector complex abs elsewhere (``_small_terms``)
-_TIE_MARGIN = 1e-12
-_TIE_FLOOR = 1e-300
 # the most terms a pFq series, or diagonals a double series, may take
 MAX_TERMS = 4000
 # |B(b1, c1-b1)| below this share of B(Re b1, Re(c1-b1)) leaves an Euler
@@ -158,39 +154,16 @@ def _scalar_sum(terms, tol: float) -> complex | None:
     return None
 
 
-def _small_terms(terms: np.ndarray, sums: np.ndarray, tol: float) -> np.ndarray:
-    """|term| <= tol |sum| entry by entry, the verdict ``_scalar_sum``
-    reaches by ``abs`` of one complex, that is by ``hypot``.
-
-    ``np.hypot`` costs about ten times numpy's vector complex abs, which
-    may round a modulus an ulp apart from it (within 4e-16 relative).  The
-    vector abs decides every entry whose two sides lie more than
-    ``_TIE_MARGIN`` apart, where no such rounding can flip the verdict,
-    and ``np.hypot`` decides the rest.
-    """
-    mag, bound = np.abs(terms), tol * np.abs(sums)
-    small = mag <= bound
-    near = ((mag >= bound * (1.0 - _TIE_MARGIN) - _TIE_FLOOR)
-            & (mag <= bound * (1.0 + _TIE_MARGIN) + _TIE_FLOOR))
-    if near.any():
-        t, s = terms[near], sums[near]
-        small[near] = np.hypot(t.real, t.imag) <= tol * np.hypot(s.real, s.imag)
-    return small
-
-
 def _row_sums(terms, tol: float) -> np.ndarray | None:
-    """``_scalar_sum`` of every row, each row frozen where its own sum stops.
+    """``_scalar_sum``'s rule on every row, each row frozen where it stops.
 
     The terms are taken a block of ``_FIRST_DIAGONALS`` at a time, as one
     (block, rows) array after the running sums carried in, and
-    ``np.cumsum`` down it, whose adds are sequential and componentwise,
-    gives each row its running sums.  A row stops at its first term that
-    ends three small ones (``_small_terms``), the last two verdicts of
-    the block before included.  So the sums read the terms up to the end
-    of the block in which the last row stops.  Products are taken
-    component by component: numpy's vector loop for complex multiply may
-    round differently from one complex, and each row must round exactly
-    as ``_scalar_sum`` does.
+    ``np.cumsum`` down it, whose adds are sequential, gives each row its
+    running sums.  A row stops at its first term that ends three with
+    |term| <= tol |sum|, the last two verdicts of the block before
+    included.  So the sums read the terms up to the end of the block in
+    which the last row stops.
     """
     out = None
     while block := list(itertools.islice(terms, _FIRST_DIAGONALS)):
@@ -201,11 +174,9 @@ def _row_sums(terms, tol: float) -> np.ndarray | None:
             total, verdicts = 0.0, np.zeros((2,) + d.shape[1:], dtype=bool)
         carried = np.empty((len(block) + 1,) + d.shape[1:], dtype=complex)
         carried[0] = total
-        t = carried[1:]
-        t.real = c.real * d.real - c.imag * d.imag
-        t.imag = c.real * d.imag + c.imag * d.real
+        t = np.multiply(c, d, out=carried[1:])
         sums = np.cumsum(carried, axis=0)[1:]
-        verdicts = np.concatenate([verdicts[-2:], _small_terms(t, sums, tol)])
+        verdicts = np.concatenate([verdicts[-2:], abs(t) <= tol * abs(sums)])
         stops = verdicts[2:] & verdicts[1:-1] & verdicts[:-2]
         ending = live & stops.any(axis=0)
         out[ending] = np.take_along_axis(sums, stops.argmax(axis=0)[None], 0)[0][ending]
@@ -225,13 +196,13 @@ def block_double_sum(diag, b2, b3, x, y, tol: float):
     with |c_k diag(k)| <= tol |total|, at most ``MAX_TERMS`` diagonals.
 
     ``diag(k)`` may return an array, one value per row; the result is then
-    the array of row sums.  A row stops where its scalar sum would stop
-    and rounds as that sum does, so it equals the scalar sum of its own
-    diagonal bit for bit.  The rows take the diagonals a block of
-    ``_FIRST_DIAGONALS`` at a time (``_row_sums``): the array sum reads
-    ``diag`` up to the end of the block in which its last row stops,
-    past the scalar sums' stops, so ``diag`` must stay finite a block
-    beyond them.
+    the array of row sums.  A row stops by its scalar sum's rule, in
+    numpy's vector arithmetic, so it may differ from the scalar sum of
+    its own diagonal in the last bits.  The rows take the diagonals a
+    block of ``_FIRST_DIAGONALS`` at a time (``_row_sums``): the array
+    sum reads ``diag`` up to the end of the block in which its last row
+    stops, past the scalar sums' stops, so ``diag`` must stay finite a
+    block beyond them.
     """
     terms = _diagonal_terms(diag, b2, b3, x, y)
     first = next(terms, None)
@@ -335,13 +306,15 @@ def appell_f1_integral(params: AppellParams, tol: float = DEFAULT_TOL) -> comple
     return _euler_f1(params, tol, "F1 Euler integral")
 
 
-def chaudhry_f1_integral(params: AppellParams, p: complex, tol: float = DEFAULT_TOL) -> complex:
+def chaudhry_f1_integral(params: AppellParams, p: complex) -> complex:
     """The p-extended F1 with Chaudhry's kernel exp(-p/(t(1-t))), Re(p) > 0
     (Chaudhry, Qadir, Rafique & Zubair, J. Comput. Appl. Math. 78, 1997):
     ``appell_f1_integral``'s Euler integral with -p/(t(1-t)) added to its
     exponent, as ``extbeta.chaudhry_beta`` adds it to B's.  It is
-    F_{1,p,nu} at nu = 0, where K_{1/2}(w) = sqrt(pi/(2w)) e^(-w)."""
-    return _euler_f1(params, tol, "Chaudhry F1 Euler integral", ExtensionParams(p, 0.0).p)
+    F_{1,p,nu} at nu = 0, where K_{1/2}(w) = sqrt(pi/(2w)) e^(-w).  The
+    quadrature runs at ``DEFAULT_TOL``."""
+    return _euler_f1(params, DEFAULT_TOL, "Chaudhry F1 Euler integral",
+                     ExtensionParams(p, 0.0).p)
 
 
 def _euler_f1(params: AppellParams, tol: float, label: str, p: complex = 0.0) -> complex:

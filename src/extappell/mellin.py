@@ -8,7 +8,7 @@ Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
 quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
 kernel integral, one row per p (the closure ``_radial`` builds).
 F_{1,p,nu} does not depend on s, so transforms at one (appell, nu)
-share it, kept per node array for the last (appell, nu)
+share it, kept per set of p nodes for the last (appell, nu)
 (``_radial_factors``).  The outer quadrature runs at 2e-7 and the inner
 batches at 1e-9; how many levels the first call of each samples follows
 from its tolerance (see ``quadrature._first_call_level``).
@@ -174,23 +174,21 @@ def _radial(appell: AppellParams, nu: float, s: complex):
 def _radial_factors(appell: AppellParams, nu: float):
     """The limit coefficient and ``batch(ps, live)``, F(p) at the ``live``
     p of a node array ``ps``, of ``_radial`` at (appell, nu), for the
-    last (appell, nu).  ``batch`` keeps F per node array, keyed by its
-    identity as the extended-Beta family keys its samples of g, and holds
-    the array, so no other array can take its identity; the exp-sinh
-    node arrays are cached, so each transform at (appell, nu) after the
-    first integrates no batch it has already seen.
+    last (appell, nu).  ``batch`` keeps F per node array, keyed by the
+    array's bytes, so each transform at (appell, nu) after the first
+    integrates no batch at nodes it has already seen.
     """
     a = appell
     b0 = euler_integral_beta(a.b1, a.c1)
     limit_coefficient = _limit_coefficient(appell, nu)
-    kept: dict[int, tuple] = {}
+    kept: dict[bytes, np.ndarray] = {}
 
     def batch(ps: np.ndarray, live: np.ndarray) -> np.ndarray:
-        entry = kept.get(id(ps))
-        if entry is None:
+        key = ps.tobytes()
+        if key not in kept:
             fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ps[live], nu, 1e-9)
-            entry = kept[id(ps)] = ps, fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0)
-        return entry[1]
+            kept[key] = fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0)
+        return kept[key]
 
     return limit_coefficient, batch
 

@@ -202,9 +202,7 @@ def _block(table, last: int):
     ``table(level)`` gives a level's node arrays, the weights last; the
     block concatenates each array over the levels, and level L occupies
     ``offsets[L]:offsets[L + 1]``.  Blocks are cached by (table, last)
-    and read-only, like the level tables, so a node array's identity
-    names its nodes: the extended-Beta family keys its integrand samples
-    on it.
+    and read-only, like the level tables.
     """
     levels = [table(lvl) for lvl in range(last + 1)]
     arrays = _read_only(*(np.concatenate(cols) for cols in zip(*levels)))
@@ -287,15 +285,6 @@ def _row_sums(weighted: np.ndarray):
     return complex(weighted.sum())
 
 
-def _magnitude(value):
-    """|value|, per row or moment of an array by ``hypot``, as ``abs``
-    takes one complex (numpy's vector complex ``abs`` may differ in the
-    last bit), so a row is judged as the same integral alone would be."""
-    if isinstance(value, np.ndarray) and value.dtype.kind == "c":
-        return np.hypot(value.real, value.imag)
-    return abs(value)
-
-
 def _every(passed) -> bool:
     """A test's verdict: for a stack, every row must pass."""
     return passed if isinstance(passed, bool) else bool(passed.all())
@@ -327,7 +316,7 @@ def integrate_unit_interval(
     f : callable(t, tc) -> array
         Vectorized integrand; ``tc`` is the exactly-computed ``1 - t``.
         Every ``t`` and ``tc`` it receives is a cached, read-only node
-        array, so a node array's identity names its nodes.
+        array.
     tol : float
         Levels are doubled until the successive-level difference drops
         below ``tol * (1 + |value|)``.
@@ -362,15 +351,14 @@ def integrate_semi_infinite(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 def _edge_tail(level0: np.ndarray):
     """The larger of the two edge-tail estimates, per row of a stack.
 
-    A stack takes ``_tail_estimate`` elementwise over its rows, with the
-    same IEEE operations (magnitudes by ``_magnitude``).
+    A stack takes ``_tail_estimate`` elementwise over its rows.
     """
     if level0.ndim == 1:
         return max(
             _tail_estimate(abs(level0[1]), abs(level0[0])),
             _tail_estimate(abs(level0[-2]), abs(level0[-1])),
         )
-    edges = _magnitude(level0[:, [1, 0, -2, -1]])
+    edges = abs(level0[:, [1, 0, -2, -1]])
     inner, outer = edges[:, 0::2], edges[:, 1::2]
     decays = outer < 0.75 * inner  # false where inner == 0
     rho = np.divide(outer, inner, out=np.zeros_like(outer), where=decays)
@@ -430,13 +418,13 @@ def _refine(sample, table, tol: float, moments: int | None = None,
         running = running + sums(start, stop)
         nodes_used += stop - start
         value = (2.0 ** (-level)) * running
-        err = _magnitude(value - value_prev)
+        err = abs(value - value_prev)
         value_prev = value
         best = value
-        if level >= _FIRST_TEST_LEVEL and _every(err <= tol * (1.0 + _magnitude(value))):
+        if level >= _FIRST_TEST_LEVEL and _every(err <= tol * (1.0 + abs(value))):
             converged = True
             break
-    if converged and not _every(tail <= tol * (1.0 + _magnitude(best))):
+    if converged and not _every(tail <= tol * (1.0 + abs(best))):
         converged = False
         err = np.maximum(err, tail)
     return QuadratureResult(best, float(np.max(err)), nodes_used, converged)

@@ -176,24 +176,29 @@ def test_family_high_diagonals_are_relatively_accurate():
         assert abs(fam.value(k) - ref) <= 1e-9 * ref
 
 
-def test_family_regrowth_evaluates_no_kernel(monkeypatch):
-    # this family's 64-row stack stops at the level of its 32-row stack, so
-    # the taller stack reuses every sample of g and calls no Bessel routine
+def test_family_regrowth_samples_the_kernel_again_and_keeps_its_values(monkeypatch):
+    # reading past the first 64 moments integrates 128, sampling g again on
+    # the first-call block; D(k) for k < 64 keeps the bits it was read with
     fam = ExtendedBetaFamily(1.2, 1.9, 1.5, 0.7)
-    fam.value(0)
-    calls = []
-    real = extbeta.bessel_k_scaled_many
+    first = [fam.value(k) for k in range(64)]
+    calls, stacks = [], []
+    real_kernel, real_weigh = extbeta.bessel_k_scaled_many, quadrature._weigh
     monkeypatch.setattr(extbeta, "bessel_k_scaled_many",
-                        lambda *args: calls.append(args) or real(*args))
-    fam.value(40)
-    assert calls == []
+                        lambda *args: calls.append(args) or real_kernel(*args))
+    monkeypatch.setattr(quadrature, "_weigh",
+                        lambda fvals, weights: stacks.append(weights.shape[0])
+                        or real_weigh(fvals, weights))
+    fam.value(70)
+    assert stacks[0] == 128
+    assert len(calls) == len(stacks)
+    assert [fam.value(k) for k in range(64)] == first
 
 
 def test_complex_p_family_matches_scalar_calls():
-    # complex p makes g complex; k = 40 is a row of the regrown 64-row stack
+    # complex p makes g complex; k = 70 is a row of the regrown 128-row stack
     ext = ExtensionParams(1.2 + 0.8j, 0.7)
     fam = ExtendedBetaFamily(0.9, 2.1, ext.p, ext.nu)
-    for k in (0, 5, 31, 40):
+    for k in (0, 5, 31, 40, 70):
         direct = extended_beta(0.9 + k, 2.1, ext)
         assert abs(fam.value(k) - direct) <= 1e-11 * (1.0 + abs(direct))
 
@@ -209,7 +214,7 @@ def test_families_share_one_cached_weight_table(monkeypatch):
         tables.clear()
         ExtendedBetaFamily(1.2, 1.9, p, 0.7).value(0)
         firsts.append(tables[0])
-    assert firsts[0].shape == (32, 385)
+    assert firsts[0].shape == (64, 385)
     assert firsts[1] is firsts[0]
     assert not firsts[0].flags.writeable
 

@@ -14,7 +14,6 @@ from extappell.quadrature import (
     _edge_tail,
     _first_call_level,
     _line_level,
-    _magnitude,
     _semi_level,
     _tail_estimate,
     _unit_level,
@@ -161,17 +160,6 @@ def test_edge_tail_of_a_stack_equals_the_per_row_rule():
     assert expect[:4] == [0.0, 0.0, math.inf, math.inf] and 0.0 < expect[4] < math.inf
 
 
-def test_stack_magnitudes_are_those_of_abs():
-    # the level test judges a stack's rows and moments on these, so a row
-    # of a Mellin p batch sees the magnitudes of its integral alone; with
-    # an AVX-512 numpy 2.4, np.abs is off by a bit on 683 of these values
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
-    assert _magnitude(values).tolist() == [abs(complex(v)) for v in values]
-    assert _magnitude(values.real).tolist() == [abs(float(v)) for v in values.real]
-
-
-
 def _counting(f):
     """``f`` with a record of the node arrays of every call."""
     calls = []
@@ -213,7 +201,7 @@ def test_first_test_level_block_takes_one_integrand_call(engine, table, f, tol):
         assert np.array_equal(
             block, np.concatenate([table(lvl)[i] for lvl in range(last + 1)])
         )
-    # the block's arrays are shared: an extended-Beta family keys its g samples on id(t)
+    # the block's arrays are cached and shared by every quadrature
     again, calls_again = _counting(f)
     engine(again, tol)
     assert all(a is b for a, b in zip(calls_again[0], first))
@@ -430,8 +418,7 @@ def test_edge_mass_of_one_moment_downgrades_the_result():
 
 def test_the_unit_engine_hands_its_integrand_cached_read_only_node_arrays_only():
     # t^-0.99 runs past the first-call block through every level; every
-    # call's t and tc are the cached arrays of the block or of a level, so
-    # an extended-Beta family may key its samples of g on id(t)
+    # call's t and tc are the cached arrays of the block or of a level
     seen = []
 
     def f(t, tc):

@@ -267,8 +267,8 @@ def test_one_kernel_call_in_the_package():
 def _identity_calls(source: str) -> list[str]:
     """Calls ``id(…)``, each as "line: owner": the module-level function or
     ``Class.method`` it sits in, nested functions included, or
-    ``<module>``.  A value keyed on an array's identity is sound only where
-    that array is cached or held with the value."""
+    ``<module>``.  No module keys a value on an object's identity, which
+    a new object may take once the old one is freed."""
     found = []
     for top in ast.parse(source).body:
         for node in top.body if isinstance(top, ast.ClassDef) else [top]:
@@ -288,12 +288,38 @@ def test_identity_call_scan():
     assert _identity_calls(source) == ["1: <module>", "5: A.f", "8: h"]
 
 
-def test_identity_keys_only_in_the_two_sample_stores():
-    # the family's samples of g and the Mellin forward's F(p) per node
-    # array; no module-level registry keyed by id() comes back
-    found = {f"{path.stem}.{line.split(': ')[1]}" for path in sorted(SRC.glob("*.py"))
-             for line in _identity_calls(path.read_text(encoding="utf-8"))}
-    assert found == {"extbeta.ExtendedBetaFamily._integrate", "mellin._radial_factors"}
+def test_no_identity_call_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _identity_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def _hypot_calls(source: str) -> list[str]:
+    """Lines that name numpy's ``hypot``, as ``np.hypot`` or imported from
+    numpy: stack rows take numpy's own complex ``abs``, not a modulus
+    built to round as one complex's ``abs`` does.  ``math.hypot`` of two
+    floats is not flagged."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "hypot"
+                and _name_of(node.value) in ("np", "numpy")):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(a.name == "hypot" for a in node.names)):
+            found.add(node.lineno)
+    return [f"{line}: hypot" for line in sorted(found)]
+
+
+def test_hypot_scan():
+    source = ("m = np.hypot(z.real, z.imag)\nr = math.hypot(1.0, x)\n"
+              "from numpy import hypot\nf = numpy.hypot\nhypot = 1\nnp.abs(z)\n")
+    assert _hypot_calls(source) == ["1: hypot", "3: hypot", "4: hypot"]
+
+
+def test_no_numpy_hypot_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _hypot_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def _name_of(node) -> str | None:
@@ -618,10 +644,9 @@ def test_no_errstate_in_the_bessel_kernel():
 
 
 # caches keyed on no input of the package's functions: node tables, their
-# blocks and weights, and per-order Bessel data
-_NODE_AND_ORDER_CACHES = {"_unit_level", "_semi_level", "_line_level", "_block",
-                          "_block_moment_weights", "_order_of", "_hankel_coefficients",
-                          "_temme_rows"}
+# blocks and weights
+_NODE_TABLE_CACHES = {"_unit_level", "_semi_level", "_line_level", "_block",
+                      "_block_moment_weights"}
 
 
 def _is_cache(node) -> bool:
@@ -670,4 +695,4 @@ def test_every_input_cache_is_cleared_between_tests():
               for name in _module_caches(path.read_text(encoding="utf-8"))}
     conftest = (pathlib.Path(__file__).parent / "conftest.py").read_text(encoding="utf-8")
     cleared = _cleared_caches(conftest, "fresh_input_caches")
-    assert caches - _NODE_AND_ORDER_CACHES == cleared
+    assert caches - _NODE_TABLE_CACHES == cleared
