@@ -138,7 +138,9 @@ def _k_route(spec: GSpec) -> complex:
     """G(spec) from the K identity of its shape, its row read backwards:
     each row has beta[0], beta[q//2] = (mu + nu)/d, (mu - nu)/d and G's
     argument arg(1) z_K^d, d = q - p.  Answers K_nu(z_K) / factor only when
-    the rebuilt G form has the given parameters.
+    the rebuilt G form has the given parameters; where z_K^-mu e^{sign z_K}
+    overflows, though G need not (1e-300 at z = 1e-300 in G2002, b = 2, 1),
+    as exp(log(K_nu(z_K) / C) + mu log z_K - sign z_K).
     """
     _m, _n, p, q = spec.shape
     d = q - p
@@ -149,7 +151,11 @@ def _k_route(spec: GSpec) -> complex:
     for _ in range(d.bit_length() - 1):
         z_k = cmath.sqrt(z_k)
     # a complex order rebuilds a different beta, so it fails the match
-    rebuilt, factor = _identity_spec(which, nu.real, z_k, mu)
+    try:
+        rebuilt, factor = _identity_spec(which, nu.real, z_k, mu)
+        log_power = None
+    except OverflowError:
+        rebuilt, (factor, log_power) = _identity_spec(which, nu.real, z_k, mu, log=True)
     given = spec.alpha + spec.beta
     if any(abs(g - r) > _PATTERN_TOL for g, r in zip(given, rebuilt.alpha + rebuilt.beta)):
         raise ConvergenceError(
@@ -159,7 +165,10 @@ def _k_route(spec: GSpec) -> complex:
     if factor == 0:
         raise ConvergenceError(
             f"{spec.case} Bessel-K identity {which} has a vanishing factor here")
-    return bessel_k(nu.real, z_k) / factor
+    quotient = bessel_k(nu.real, z_k) / factor
+    if log_power is None or quotient == 0:  # K_nu underflows, and so does G
+        return quotient
+    return cmath.exp(cmath.log(quotient) - log_power)
 
 
 def _residue_safe(spec: GSpec) -> bool:
@@ -227,12 +236,15 @@ def _row(which: str, mu: complex):
     return row, mu if row.takes_mu and which != "1.8" else 0.0
 
 
-def _identity_spec(which: str, nu: float, z: complex, mu: complex):
+def _identity_spec(which: str, nu: float, z: complex, mu: complex, log: bool = False):
     """(spec, factor) of identity ``which``, K_nu(z) = factor * G(spec), both
-    from its row: factor = C(nu, mu) z^-mu e^{sign z}."""
+    from its row: factor = C(nu, mu) z^-mu e^{sign z}, or with ``log`` the
+    pair (C, log(z^-mu e^{sign z}))."""
     row, mu = _row(which, mu)
-    spec = GSpec(row.case, *row.params(nu, mu), row.arg(z))
-    return spec, row.constant(nu, mu) * principal_power(z, -mu) * cmath.exp(row.sign * z)
+    spec, c = GSpec(row.case, *row.params(nu, mu), row.arg(z)), row.constant(nu, mu)
+    if log:
+        return spec, (c, row.sign * z - mu * cmath.log(z))
+    return spec, c * principal_power(z, -mu) * cmath.exp(row.sign * z)
 
 
 def verify_k_g_identity(which: str, nu: float, z: float, mu: float = 0.0) -> complex:

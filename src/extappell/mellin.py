@@ -7,11 +7,11 @@ infinity, the two ends that rule is built for (Mori & Sugihara, J.
 Comput. Appl. Math. 127, 2001).  Each integrand call of the outer
 quadrature evaluates F_{1,p,nu} at all of its p nodes as one stacked
 kernel integral, one row per p (the closure ``_radial`` builds).
-F_{1,p,nu} does not depend on s, so transforms at one (appell, nu)
-share it, kept per set of p nodes for the last (appell, nu)
-(``_radial_factors``).  The outer quadrature runs at 2e-7 and the inner
-batches at 1e-9; how many levels the first call of each samples follows
-from its tolerance (see ``quadrature._first_call_level``).
+F_{1,p,nu} does not depend on s, so transforms at several s are rows
+of one outer quadrature that share each call's batch; nothing is kept
+between calls.  The outer quadrature runs at 2e-7 and the inner batches
+at 1e-9; how many levels the first call of each samples follows from
+its tolerance (see ``quadrature._first_call_level``).
 
 Forward, closed form:
 
@@ -59,7 +59,6 @@ x, y as ``hyper.check_series_domain``.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -133,8 +132,9 @@ def _limit_coefficient(appell: AppellParams, nu: float) -> complex:
     return 2.0**nu * gamma(nu + 0.5) / math.sqrt(math.pi) * r
 
 
-def _radial(appell: AppellParams, nu: float, s: complex):
-    """The forward integrand p^(s-1) F_{1,p,nu}(...) over an array of p > 0.
+def _radial(appell: AppellParams, nu: float, s):
+    """The forward integrand p^(s-1) F_{1,p,nu}(...) over an array of p > 0,
+    at one s, or one row per s of a column of s (shape (m, 1)).
 
     The p of one call in [``_P_LIMIT_FORM``, ``_P_DEAD``) form one batch:
     one ``ExtendedBetaFamily`` at tolerance 1e-9 on that array of p, whose
@@ -152,60 +152,48 @@ def _radial(appell: AppellParams, nu: float, s: complex):
     kernel wipes out the whole interval and the value is 0.  The limit's
     coefficient is taken up front: the exp-sinh level-0 nodes reach
     below ``_P_LIMIT_FORM``, so the first call always needs it.  Neither
-    it nor F(p) depends on s; both come from ``_radial_factors``.
+    it nor F(p) depends on s, so every row of a call shares its batch,
+    and p^(s-1) broadcasts over the rows.
     """
-    limit_coefficient, batch = _radial_factors(appell, nu)
+    a = appell
+    b0 = euler_integral_beta(a.b1, a.c1)
+    limit_coefficient = _limit_coefficient(appell, nu)
 
     def weighted(ps: np.ndarray) -> np.ndarray:
-        out = np.zeros(ps.shape, dtype=complex)
+        out = np.zeros(np.broadcast_shapes(np.shape(s), ps.shape), dtype=complex)
         limit = ps < _P_LIMIT_FORM
         if np.any(limit):
-            out[limit] = np.exp((s - 1.0 - nu) * np.log(ps[limit])) * limit_coefficient
+            out[..., limit] = np.exp((s - 1.0 - nu) * np.log(ps[limit])) * limit_coefficient
         live = ~limit & (ps < _P_DEAD)
         if np.any(live):
-            out[live] = np.exp((s - 1.0) * np.log(ps[live])) * batch(ps, live)
+            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ps[live], nu, 1e-9)
+            out[..., live] = (np.exp((s - 1.0) * np.log(ps[live]))
+                              * fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0))
         return out
 
     return weighted
 
 
-# a Mellin trial's three forward transforms share one (appell, nu)
-@functools.lru_cache(maxsize=1)
-def _radial_factors(appell: AppellParams, nu: float):
-    """The limit coefficient and ``batch(ps, live)``, F(p) at the ``live``
-    p of a node array ``ps``, of ``_radial`` at (appell, nu), for the
-    last (appell, nu).  ``batch`` keeps F per node array, keyed by the
-    array's bytes, so each transform at (appell, nu) after the first
-    integrates no batch at nodes it has already seen.
-    """
-    a = appell
-    b0 = euler_integral_beta(a.b1, a.c1)
-    limit_coefficient = _limit_coefficient(appell, nu)
-    kept: dict[bytes, np.ndarray] = {}
-
-    def batch(ps: np.ndarray, live: np.ndarray) -> np.ndarray:
-        key = ps.tobytes()
-        if key not in kept:
-            fam = ExtendedBetaFamily(a.b1, a.c1 - a.b1, ps[live], nu, 1e-9)
-            kept[key] = fam.appell_sum(a.b2, a.b3, a.x, a.y, 1.0 / b0)
-        return kept[key]
-
-    return limit_coefficient, batch
-
-
-def mellin_forward_numeric(appell: AppellParams, nu: float, s: complex) -> complex:
-    """The transform by direct exp-sinh integration in p over (0, inf).
+def mellin_forward_numeric(appell: AppellParams, nu: float, s):
+    """The transform by direct exp-sinh integration in p over (0, inf), at
+    one s, or as an array at every s of a 1-D array of s.
 
     Each integrand call of the outer quadrature (tolerance 2e-7)
     evaluates the radial factor at all of its p nodes in one batch
-    (tolerance 1e-9); ``quadrature._first_call_level`` sets the levels
-    the first call of each samples.  A terminating b2 or b3 admits a real
-    x or y on [1, inf), whose NaN samples the quadrature refuses.
+    (tolerance 1e-9), which the rows of an array of s share.  The rows
+    refine until every one passes, so a row may stop a level deeper than
+    its one-s transform, and one row that does not converge fails them
+    all.  A terminating b2 or b3 admits a real x or y on [1, inf), whose
+    NaN samples the quadrature refuses.
     """
-    s = check_mellin_point(s, nu, appell.c1)
+    rows = np.ndim(s) == 1
+    points = [check_mellin_point(v, nu, appell.c1) for v in (s if rows else [s])]
+    if not points:
+        raise DomainError("need at least one s")
     check_series_domain(appell, "the Mellin pair")
-    res = integrate_semi_infinite(_radial(appell, nu, s), 2e-7)
-    return complex(res.converged_value("Mellin forward integral"))
+    weighted = _radial(appell, nu, np.array(points)[:, None] if rows else points[0])
+    value = integrate_semi_infinite(weighted, 2e-7).converged_value("Mellin forward integral")
+    return value if rows else complex(value)
 
 
 def mellin_forward_closed(appell: AppellParams, nu: float, s: complex) -> complex:

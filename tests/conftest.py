@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from extappell import hyper, meijer, mellin
+from extappell import hyper, meijer
 
 # ``extappell.f1pv`` is the function; the module is reached by its full name
 f1pv_module = importlib.import_module("extappell.f1pv")
@@ -16,4 +16,3 @@ def fresh_input_caches():
     f1pv_module._series_diagonal.cache_clear()
     meijer._g_form_integral.cache_clear()
     hyper.euler_beta.cache_clear()
-    mellin._radial_factors.cache_clear()

@@ -189,15 +189,15 @@ _MELLIN = ("b1=1", "b2=1", "b3=1", "c1=3", "x=0.1", "y=0", "nu=0.5")
     (["eval", "meijer_g", "case=G4004", "b1=1", "b2=2", "b3=3", "b4=4", "z=0.5"], 3),
     (["verify", "routes", "--trials", "1", "--seed", "-1"], 64),
     (["eval", "bessel_k", "nu=1.5", "z=1e-320"], 3),  # K_{3/2} ~ z^-1.5 overflows
-    # the K route's factor z^-mu overflows; mpmath gives 1.0e-300 and 3.3234e-300
-    (["eval", "meijer_g", "case=G2002", "b1=2", "b2=1", "z=1e-300"], 3),
+    # no K identity matches, and the residue series' pole families collide;
+    # mpmath gives 3.3234e-300
     (["eval", "meijer_g", "case=G4004", "b1=1", "b2=2", "b3=3", "b4=4.5", "z=1e-300"], 3),
     # K_nu and the G values underflow to 0: mpmath gives 1.6e-349 and 2.8e-386
     (["eval", "bessel_k", "nu=0.3", "z=800"], 3),
     (["eval", "meijer_g", "case=G2002", "b1=1", "b2=0.5", "z=2e5"], 3),
     (["eval", "meijer_g", "case=G4004", "b1=0.1", "b2=0.6", "b3=-0.1", "b4=0.4", "z=1e11"], 3),
 ], ids=["mellin_fwd-s", "mellin_fwd-im-s", "mellin_fwd-far-im-s", "mellin_inv-c", "meijer_g-z",
-         "meijer_g-degenerate", "seed", "bessel-z", "meijer_g-tiny-z", "meijer_g-tiny-z-no-match",
+         "meijer_g-degenerate", "seed", "bessel-z", "meijer_g-tiny-z-no-match",
          "bessel-underflow", "meijer_g-underflow", "meijer_g-g4004-underflow"])
 def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     proc = _cli(*argv)
@@ -209,6 +209,10 @@ def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
 @pytest.mark.parametrize("argv, ref, tol", [
     # 2 sqrt(2) K_1(2 sqrt(2)), by mpmath meijerg at 25 digits
     (["meijer_g", "case=G2002", "b1=1", "b2=0", "z=2"], 0.1396674740152931428575196, 1e-13),
+    # the K route's factor z^-mu overflows, though G does not; mpmath meijerg
+    # at 50 digits
+    (["meijer_g", "case=G2002", "b1=2", "b2=1", "z=1e-300"],
+     1.0000000000000000250590918e-300, 1e-12),
     # the corrected closed form at s = 100, where Gamma(b1+s+c1-b1+s) overflows
     (["mellin_fwd", *_MELLIN, "s=100"], 5.4166745016420498935e94, 1e-13),
     # Gamma(c1+2s) underflows; the Beta holds 2.4e-14 here, but each Gamma of
@@ -219,7 +223,7 @@ def test_overflow_and_bad_seed_fail_in_one_line(argv, code):
     # mpmath at 40 digits
     (["mellin_fwd", "b1=0.8", "b2=0.5", "b3=0.5", "c1=1.6", "x=0.1", "y=0.1", "nu=0.5",
       "s=85-0.25j"], 1.412447771668406037e74 - 1.345536056838734725e74j, 1e-12),
-], ids=["meijer_g-degenerate", "mellin_fwd-large-s", "mellin_fwd-far-im-s",
+], ids=["meijer_g-degenerate", "meijer_g-tiny-z", "mellin_fwd-large-s", "mellin_fwd-far-im-s",
         "mellin_fwd-subnormal-reciprocal"])
 def test_eval_past_a_gamma_pole_or_overflow(capsys, argv, ref, tol):
     assert run(["eval", *argv]) == 0

@@ -65,12 +65,14 @@ def test_residue_route_against_frozen_mpmath():
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
-# beta spacing exactly 1: 2 K_1(1), 2 sqrt(2) K_1(2 sqrt(2)) and e^{-1},
-# by mpmath meijerg at 25 digits
+# beta spacing exactly 1: 2 K_1(1), 2 sqrt(2) K_1(2 sqrt(2)), e^{-1} and
+# 2e-450 K_1(2e-150), by mpmath meijerg at 25 digits (the last at 50)
 DEGENERATE_REFS = {
     ("G2002", (), (0.5, -0.5), 0.25): 1.20381446039446915,
     ("G2002", (), (1.0, 0.0), 2.0): 0.1396674740152931428575196,
     ("G2012", (0.5,), (0.5, -0.5), 1.0): 0.3678794411714423215955238,
+    # the K route's factor z_K^-mu, (2e-150)^-3, overflows, though G does not
+    ("G2002", (), (2.0, 1.0), 1e-300): 1.0000000000000000250590918e-300,
 }
 
 

@@ -22,7 +22,7 @@ from extappell.mellin import (
 )
 from extappell.quadrature import _semi_level
 from extappell.scalar import beta, gamma
-from extappell.suites import MELLIN_PAIR_TOL
+from extappell.suites import MELLIN_PAIR_TOL, sample_input
 
 AP = AppellParams(1, 1, 1, 3, 0.3, 0.4)
 # the ROADMAP baseline point, its transform at nu = 0.7, s = 2.7 by the
@@ -262,6 +262,53 @@ def test_forward_numeric_matches_closed_form_over_the_suites_box():
         num = mellin_forward_numeric(ap, nu, s)
         clo = mellin_forward_closed(ap, nu, s)
         assert abs(num - clo) <= 1e-9 * abs(clo), (i, s)
+
+
+def test_an_array_of_s_gives_the_one_s_transforms(monkeypatch):
+    # the rows of one quadrature refine until every row passes: a row
+    # whose one-s transform stops at the rows' level has its bits, and one
+    # that stops sooner is within that transform's own error estimate
+    results = []
+
+    def recorded(f, tol):
+        results.append(quadrature.integrate_semi_infinite(f, tol))
+        return results[-1]
+
+    monkeypatch.setattr(mellin, "integrate_semi_infinite", recorded)
+    rng = np.random.default_rng(5)
+    same = deeper = 0
+    for i in range(8):  # points of the suites' box, one s of each complex
+        inp = sample_input(rng)
+        a, nu = inp.appell, inp.ext.nu
+        s = nu + np.array([0.1, 0.6, 2.0, 6.0], dtype=complex)
+        s[i % 4] += 1j * rng.uniform(-3.0, 3.0)
+        results.clear()
+        one = [mellin_forward_numeric(a, nu, v) for v in s]
+        rows = mellin_forward_numeric(a, nu, s)
+        assert rows.shape == (4,) and all(type(v) is complex for v in one)
+        for value, v, res in zip(rows, one, results):
+            if res.nodes_used == results[-1].nodes_used:
+                same += 1
+                assert value == v, (i, s)
+            else:
+                deeper += 1
+                assert abs(value - v) <= res.abs_error_estimate, (i, s)
+    assert same and deeper
+    with pytest.raises(DomainError, match="at least one s"):
+        mellin_forward_numeric(BASE, 0.7, [])
+    with pytest.raises(DomainError, match=r"Re\(s - nu\) > 0"):
+        mellin_forward_numeric(BASE, 0.7, [2.7, 0.5])
+
+
+def test_a_forward_transform_does_not_depend_on_what_ran_before():
+    # a transform keeps nothing for the next: another point at the same
+    # (b1, c1, nu), so the same batch families and nodes, between two
+    # transforms of one point leaves the second the first's bits
+    other = AppellParams(BASE.b1, BASE.b2, BASE.b3, BASE.c1, -0.5, 0.6)
+    first = mellin_forward_numeric(BASE, 0.7, 2.7)
+    assert mellin_forward_numeric(other, 0.7, 2.7) != first
+    mellin_forward_numeric(other, 0.7, [2.7, 1.9])
+    assert mellin_forward_numeric(BASE, 0.7, 2.7) == first
 
 
 def test_inversion_integrand_gamma_calls_do_not_grow_with_the_nodes(monkeypatch):

@@ -346,6 +346,28 @@ def test_beta_left_of_one_half_reflects_past_gamma_overflow(a, b):
         assert abs(value - ref) <= 2e-13 * abs(ref)
 
 
+def test_beta_reflection_keeps_1e_12_or_raises():
+    # 300 seeded points, a from -0.6 to -1e5 and b right of 1/2, every
+    # fourth complex: the reflection's sine takes a + b rounded, which put
+    # B(-67848.36138382438, 3.362628526647624) 2.7e-9 off with no error
+    rng = np.random.default_rng(1)
+    answered = 0
+    with mpmath.workdps(40):
+        for i in range(300):
+            a = -10.0 ** rng.uniform(math.log10(0.6), 5.0)
+            b = 10.0 ** rng.uniform(math.log10(0.5), math.log10(min(1000.0, -a)))
+            if i % 4 == 0:
+                a, b = complex(a, rng.uniform(-50.0, 50.0)), complex(b, rng.uniform(-50.0, 50.0))
+            ref = complex(mpmath.beta(mpmath.mpc(a), mpmath.mpc(b)))
+            try:
+                value = beta(a, b)
+            except OverflowError:
+                continue
+            answered += 1
+            assert abs(value - ref) <= 1e-12 * abs(ref), (a, b)
+    assert answered > 150
+
+
 @pytest.mark.parametrize("a, b", [(complex(0.25, 300.0), 1.0), (1.0, complex(0.25, 300.0)),
                                   (-171.3, 0.25), (0.25, -171.3), (-180.7, -3.2),
                                   (complex(-171.3, 2.0), complex(0.1, -0.3)),

@@ -294,6 +294,26 @@ def test_no_identity_call_in_the_package():
     assert found == []
 
 
+def _tobytes_calls(source: str) -> list[str]:
+    """Lines that call a ``.tobytes()`` method: no module keys a value on
+    an array's bytes, as a store of samples per node array would."""
+    return [f"{node.lineno}: .tobytes(" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tobytes"]
+
+
+def test_tobytes_call_scan():
+    source = ("key = ps.tobytes()\nf = ps.tobytes\ndef g(t):\n"
+              "    return {t[1:].tobytes(): t}, tobytes(t), t.tostring()\n")
+    assert _tobytes_calls(source) == ["1: .tobytes(", "4: .tobytes("]
+
+
+def test_no_tobytes_call_in_the_package():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _tobytes_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def _hypot_calls(source: str) -> list[str]:
     """Lines that name numpy's ``hypot``, as ``np.hypot`` or imported from
     numpy: stack rows take numpy's own complex ``abs``, not a modulus

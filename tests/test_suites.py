@@ -181,8 +181,9 @@ def test_a_meijer_trial_takes_the_normaliser_once(monkeypatch):
 
 def test_a_mellin_trial_builds_one_forward_batch_family(monkeypatch):
     """The three forward transforms of a trial share one point, and F(p)
-    does not depend on s: they take one batch family between them, and
-    their values are those of three fresh transforms."""
+    does not depend on s: they are rows of one quadrature, which takes one
+    batch family, and at these trials every row stops at the level of its
+    own transform, so their values are those of three one-s transforms."""
     mellin = importlib.import_module("extappell.mellin")
     original, built = mellin.ExtendedBetaFamily, []
 
@@ -196,6 +197,5 @@ def test_a_mellin_trial_builds_one_forward_batch_family(monkeypatch):
     rng = suites._rng("mellin", 1)  # a mellin trial draws one point
     for i, inp in enumerate([suites.sample_input(rng) for _ in range(2)]):
         for rec in [r for r in records if r.case_id.startswith(f"trial{i}-s=")]:
-            mellin._radial_factors.cache_clear()
             fresh = mellin.mellin_forward_numeric(inp.appell, inp.ext.nu, rec.params["s_re"])
             assert rec.lhs == fresh
